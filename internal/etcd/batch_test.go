@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/metrics"
 )
 
 // TestBatchCoalescesConcurrentWrites is the group-commit payoff: 64
@@ -15,9 +16,6 @@ import (
 // with every write individually acknowledged and readable.
 func TestBatchCoalescesConcurrentWrites(t *testing.T) {
 	s, _ := newTestStore(t, 3)
-	if s.WriteMode() != WriteModeBatch {
-		t.Fatalf("default write mode = %q, want %q", s.WriteMode(), WriteModeBatch)
-	}
 	// A warm-up write elects a leader outside the measured window.
 	if _, err := s.Put("/warm", "up"); err != nil {
 		t.Fatal(err)
@@ -63,77 +61,104 @@ func TestBatchCoalescesConcurrentWrites(t *testing.T) {
 	}
 }
 
-// TestBatchSingleEquivalence runs one mixed workload (puts, overwrites,
-// deletes, CAS successes and failures, a txn on both branches) through a
-// batched store and an unbatched one and requires the identical final
-// key/value state. Revisions may differ (a batch is one revision); the
-// state machine semantics must not.
-func TestBatchSingleEquivalence(t *testing.T) {
-	run := func(mode string) map[string]string {
-		clk := clock.NewSim()
-		defer clk.Close()
-		s, err := NewWithOptions(3, clk, StoreOptions{WriteMode: mode})
+// TestWritePathMatchesReferenceModel drives the write path through a
+// replicated store and through refModel, the sequential specification,
+// and requires every guard outcome and the final key/value state to
+// agree. Phase one is sequential, so every command is a bare proposal
+// and conflicting guards have one legal outcome; phase two is a burst of
+// concurrent clients on disjoint key families, so commands coalesce into
+// wrappers whose sub-commands must still behave as if applied one by one.
+func TestWritePathMatchesReferenceModel(t *testing.T) {
+	s, _ := newTestStore(t, 3)
+	model := refModel{}
+	run := func(cmd command) bool {
+		res, err := s.propose(cmd)
 		if err != nil {
-			t.Fatal(err)
+			t.Errorf("%s %s: %v", cmd.Op, cmd.Key, err)
 		}
-		defer s.Close()
+		return res.ok
+	}
+	check := func(cmd command, got bool) {
+		t.Helper()
+		want, _ := model.apply(cmd)
+		if (cmd.Op == opCAS || cmd.Op == opTxn) && got != want {
+			t.Fatalf("%s %s: guard outcome %v, model says %v", cmd.Op, cmd.Key, got, want)
+		}
+	}
 
-		for i := 0; i < 8; i++ {
-			if _, err := s.Put(fmt.Sprintf("/eq/k%d", i), fmt.Sprintf("v%d", i)); err != nil {
-				t.Fatal(err)
+	var seq []command
+	for i := 0; i < 8; i++ {
+		seq = append(seq, command{Op: opPut, Key: fmt.Sprintf("/eq/k%d", i), Value: fmt.Sprintf("v%d", i)})
+	}
+	seq = append(seq,
+		command{Op: opPut, Key: "/eq/k3", Value: "overwritten"},
+		command{Op: opDelete, Key: "/eq/k5"},
+		command{Op: opDelete, Key: "/eq/never-written"},
+		// CAS create-if-absent, a conflicting create, a value swap.
+		command{Op: opCAS, Key: "/eq/lock", Value: "owner1"},
+		command{Op: opCAS, Key: "/eq/lock", Value: "owner2"},
+		command{Op: opCAS, Key: "/eq/k0", Prev: "v0", PrevExists: true, Value: "swapped"},
+		// Txn on the then-branch, then one that falls to orElse.
+		command{Op: opTxn,
+			Cmps: []Cmp{{Key: "/eq/lock", Prev: "owner1", PrevExists: true}},
+			Then: []TxnOp{{Type: EventPut, Key: "/eq/txn", Value: "then"}, {Type: EventDelete, Key: "/eq/k1"}},
+			Else: []TxnOp{{Type: EventPut, Key: "/eq/txn", Value: "else"}}},
+		command{Op: opTxn,
+			Cmps: []Cmp{{Key: "/eq/lock", Prev: "owner2", PrevExists: true}},
+			Then: []TxnOp{{Type: EventDelete, Key: "/eq/txn"}},
+			Else: []TxnOp{{Type: EventPut, Key: "/eq/else", Value: "taken"}}},
+	)
+	for _, cmd := range seq {
+		check(cmd, run(cmd))
+	}
+
+	const clients = 32
+	script := func(c int) []command {
+		k := fmt.Sprintf("/eq/c%02d", c)
+		return []command{
+			{Op: opPut, Key: k, Value: "a"},
+			{Op: opCAS, Key: k, Prev: "a", PrevExists: true, Value: "b"},
+			{Op: opCAS, Key: k, Prev: "a", PrevExists: true, Value: "stale"},
+			{Op: opTxn, Cmps: []Cmp{{Key: k, Prev: "b", PrevExists: true}},
+				Then: []TxnOp{{Type: EventPut, Key: k + "/child", Value: "x"}, {Type: EventDelete, Key: k}}},
+			{Op: opDelete, Key: k},
+		}
+	}
+	props := s.Proposals()
+	got := make([][]bool, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for _, cmd := range script(c) {
+				got[c] = append(got[c], run(cmd))
 			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	for c := 0; c < clients; c++ {
+		for i, cmd := range script(c) {
+			check(cmd, got[c][i])
 		}
-		if _, err := s.Put("/eq/k3", "overwritten"); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Delete("/eq/k5"); err != nil {
-			t.Fatal(err)
-		}
-		// CAS create-if-absent, then a conflicting create that must fail.
-		if err := s.CompareAndSwap("/eq/lock", "", false, "owner1"); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.CompareAndSwap("/eq/lock", "", false, "owner2"); !errors.Is(err, ErrCASFailed) {
-			t.Fatalf("mode %s: conflicting CAS err = %v, want ErrCASFailed", mode, err)
-		}
-		if err := s.CompareAndSwap("/eq/k0", "v0", true, "swapped"); err != nil {
-			t.Fatal(err)
-		}
-		// Txn: then-branch fires, then a second txn falls to orElse.
-		if ok, _, err := s.Txn(
-			[]Cmp{{Key: "/eq/lock", Prev: "owner1", PrevExists: true}},
-			[]TxnOp{{Type: EventPut, Key: "/eq/txn", Value: "then"}},
-			[]TxnOp{{Type: EventPut, Key: "/eq/txn", Value: "else"}},
-		); err != nil || !ok {
-			t.Fatalf("mode %s: txn (ok=%v, err=%v), want then-branch", mode, ok, err)
-		}
-		if ok, _, err := s.Txn(
-			[]Cmp{{Key: "/eq/lock", Prev: "owner2", PrevExists: true}},
-			[]TxnOp{{Type: EventDelete, Key: "/eq/txn"}},
-			[]TxnOp{{Type: EventPut, Key: "/eq/else", Value: "taken"}},
-		); err != nil || ok {
-			t.Fatalf("mode %s: txn (ok=%v, err=%v), want orElse-branch", mode, ok, err)
-		}
-
-		kvs, err := s.Range("/eq/")
-		if err != nil {
-			t.Fatal(err)
-		}
-		state := make(map[string]string, len(kvs))
-		for _, kv := range kvs {
-			state[kv.Key] = kv.Value
-		}
-		return state
+	}
+	if props = s.Proposals() - props; props >= clients*5 {
+		t.Fatalf("burst of %d commands took %d proposals: no wrapper was exercised", clients*5, props)
 	}
 
-	batched := run(WriteModeBatch)
-	single := run(WriteModeSingle)
-	if len(batched) != len(single) {
-		t.Fatalf("state size differs: batch=%d single=%d", len(batched), len(single))
+	kvs, err := s.Range("/eq/")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for k, v := range single {
-		if batched[k] != v {
-			t.Fatalf("key %q: batch=%q single=%q", k, batched[k], v)
+	if len(kvs) != len(model) {
+		t.Fatalf("store holds %d keys, model %d", len(kvs), len(model))
+	}
+	for _, kv := range kvs {
+		if want, ok := model[kv.Key]; !ok || want != kv.Value {
+			t.Fatalf("key %q: store=%q model=(%q,%v)", kv.Key, kv.Value, want, ok)
 		}
 	}
 }
@@ -236,34 +261,49 @@ func TestBatchingPreservesZeroProposalReads(t *testing.T) {
 	}
 }
 
-// TestWriteModeValidation covers the A/B escape hatches' input checking.
-func TestWriteModeValidation(t *testing.T) {
+// TestBatchQueueDepthGaugeDrains: etcd_batch_queue_depth is the write
+// path's one queue signal, so it must fall back to zero when a flusher
+// drains the queue — not keep the last enqueue's depth on an idle store.
+func TestBatchQueueDepthGaugeDrains(t *testing.T) {
+	s, _ := newTestStore(t, 3)
+	reg := metrics.NewRegistry()
+	s.Instrument(reg)
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := s.Put(fmt.Sprintf("/depth/k%d", i), "v"); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if depth := reg.Gauge("etcd_batch_queue_depth"); depth != 0 {
+		t.Fatalf("etcd_batch_queue_depth = %v on an idle store, want 0", depth)
+	}
+}
+
+// TestReplicationModeValidation covers the replication hatch's input
+// checking.
+func TestReplicationModeValidation(t *testing.T) {
 	clk := clock.NewSim()
 	defer clk.Close()
-	if _, err := NewWithOptions(3, clk, StoreOptions{WriteMode: "bogus"}); err == nil {
-		t.Fatal("unknown write mode accepted")
-	}
 	if _, err := NewWithOptions(3, clk, StoreOptions{Replication: "bogus"}); err == nil {
 		t.Fatal("unknown replication mode accepted")
 	}
-	s, err := NewWithOptions(3, clk, StoreOptions{WriteMode: WriteModeSingle, Replication: ReplicationStopWait})
+	s, err := NewWithOptions(3, clk, StoreOptions{Replication: ReplicationStopWait})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.WriteMode() != WriteModeSingle || s.Replication() != ReplicationStopWait {
-		t.Fatalf("modes = (%q,%q)", s.WriteMode(), s.Replication())
-	}
-	if err := s.SetWriteMode("bogus"); err == nil {
-		t.Fatal("SetWriteMode accepted unknown mode")
-	}
-	if err := s.SetWriteMode(WriteModeBatch); err != nil {
-		t.Fatal(err)
+	if s.Replication() != ReplicationStopWait {
+		t.Fatalf("replication = %q", s.Replication())
 	}
 	if _, err := s.Put("/mode/k", "v"); err != nil {
 		t.Fatal(err)
 	}
 	if v, found, _ := s.Get("/mode/k"); !found || v != "v" {
-		t.Fatal("write under switched mode not readable")
+		t.Fatal("write under stop-and-wait replication not readable")
 	}
 }

@@ -189,20 +189,6 @@ const (
 	ReadModeSerializable = "serializable"
 )
 
-// Write modes selectable via SetWriteMode (Options.WriteMode at the
-// platform layer).
-const (
-	// WriteModeBatch (the default) coalesces concurrent writes into one
-	// batched log entry per replication round — group commit. A batch
-	// flushes as soon as the previous round's entry applies; under no
-	// concurrency every batch holds one command, so there is no added
-	// latency.
-	WriteModeBatch = "batch"
-	// WriteModeSingle proposes every write as its own log entry — the
-	// pre-batching behavior, kept as the A/B escape hatch.
-	WriteModeSingle = "single"
-)
-
 // Replication modes selectable at construction (Options.Replication at
 // the platform layer); they map onto raft.Config's pipeline window.
 const (
@@ -239,11 +225,39 @@ const defaultCompactEvery = 1000
 // request registration and completion off any store-wide lock.
 const waiterStripes = 64
 
-// waiterStripe is one lock shard of the in-flight request table.
+// waiterStripe is one lock shard of the in-flight proposal table.
 type waiterStripe struct {
 	mu sync.Mutex
-	m  map[string]chan result
+	m  map[string]*proposal
 }
+
+// proposal is one log entry's worth of client commands. Writers append
+// to the queued proposal; a flusher drains it and registers it in the
+// waiter table under the entry's ReqID, where the first replica to
+// apply the entry finds it.
+type proposal struct {
+	cmds []command
+	// replies[i] receives cmds[i]'s result. Each is buffered and gets
+	// exactly one send (the table hands a proposal out once), so apply
+	// never blocks on a client that gave up.
+	replies []chan result
+	// done is closed when the entry has applied: the flusher stops
+	// re-proposing.
+	done chan struct{}
+}
+
+// maxInflightProposals is how many group-commit proposals may be in the
+// Raft log's pipeline at once — the number of flusher goroutines. Sized
+// by two measurements, not an option. From below, bench meta-write: its
+// closed-loop clients (min(nproc,4)) each need a free flusher or they
+// wait out a stranger's round — 2 clients: 1 → 2 flushers takes
+// ops_per_wall_s 211 → 430 and put_virtual_ms_p50 4 → 2 ms, 4 and 8 add
+// nothing; 4 writers x 200 Puts: 693 / 404 / 449 ms virtual at 2 / 4 / 8.
+// From above, BenchmarkEtcdWrites/batch-pipeline (64 writers, slow
+// flapping follower, -benchtime=64x) must still coalesce the burst:
+// 13–16 writes/proposal at 4, 7 at 8, 3.8 at 16 (floor: 4), p99 commit
+// latency 6 ms virtual at every depth.
+const maxInflightProposals = 4
 
 // opCounter tallies one operation kind, successes and failures apart:
 // a timed-out Range must not inflate the watch-vs-poll comparison.
@@ -272,15 +286,14 @@ type Store struct {
 	closed       atomic.Bool
 	stopCh       chan struct{}
 	readMode     atomic.Value // string; one of the ReadMode constants
-	writeMode    atomic.Value // string; one of the WriteMode constants
 	replication  string       // fixed at construction
 
-	// Group-commit state: writers append to batchQ and kick the flusher,
-	// which drains the queue into one opBatch entry per replication
-	// round. batchSeq numbers wrapper request IDs; batches/batchedCmds
-	// feed the batch-occupancy metric.
+	// Group-commit state: writers append to batchQ and kick a flusher,
+	// which drains the queue into one log entry. batchSeq numbers
+	// wrapper request IDs; batches/batchedCmds feed the batch-occupancy
+	// metric.
 	batchMu     sync.Mutex
-	batchQ      []command
+	batchQ      proposal
 	batchKick   chan struct{}
 	batchSeq    atomic.Uint64
 	batches     atomic.Uint64
@@ -318,8 +331,6 @@ type Store struct {
 type StoreOptions struct {
 	// Shards is the per-replica engine shard count (<= 0 = default).
 	Shards int
-	// WriteMode is WriteModeBatch (default) or WriteModeSingle.
-	WriteMode string
 	// Replication is ReplicationPipeline (default) or
 	// ReplicationStopWait. Fixed for the cluster's lifetime.
 	Replication string
@@ -340,16 +351,9 @@ func NewSharded(n int, clk clock.Clock, shards int) *Store {
 	return s
 }
 
-// NewWithOptions boots an n-way replicated store with explicit write and
-// replication modes. It fails on an unknown mode string.
+// NewWithOptions boots an n-way replicated store with an explicit
+// replication mode. It fails on an unknown mode string.
 func NewWithOptions(n int, clk clock.Clock, o StoreOptions) (*Store, error) {
-	switch o.WriteMode {
-	case "":
-		o.WriteMode = WriteModeBatch
-	case WriteModeBatch, WriteModeSingle:
-	default:
-		return nil, fmt.Errorf("etcd: unknown write mode %q", o.WriteMode)
-	}
 	cfg := raft.DefaultConfig(clk)
 	switch o.Replication {
 	case "", ReplicationPipeline:
@@ -377,14 +381,15 @@ func NewWithOptions(n int, clk clock.Clock, o StoreOptions) (*Store, error) {
 	}
 	s.compactEvery.Store(defaultCompactEvery)
 	s.readMode.Store(ReadModeLease) // matches raft's lease/coalesce defaults
-	s.writeMode.Store(o.WriteMode)
 	for i := range s.waiters {
-		s.waiters[i].m = make(map[string]chan result)
+		s.waiters[i].m = make(map[string]*proposal)
 	}
 	for _, id := range s.cluster.IDs() {
 		s.startApplier(id)
 	}
-	go s.batchLoop()
+	for i := 0; i < maxInflightProposals; i++ {
+		go s.batchLoop()
+	}
 	return s, nil
 }
 
@@ -413,33 +418,12 @@ func (s *Store) ReadMode() string {
 	return s.readMode.Load().(string)
 }
 
-// SetWriteMode selects how writes reach the Raft log: WriteModeBatch
-// coalesces concurrent writes into one entry per replication round,
-// WriteModeSingle proposes each write on its own ("" selects the
-// default, WriteModeBatch).
-func (s *Store) SetWriteMode(mode string) error {
-	switch mode {
-	case "":
-		mode = WriteModeBatch
-	case WriteModeBatch, WriteModeSingle:
-	default:
-		return fmt.Errorf("etcd: unknown write mode %q", mode)
-	}
-	s.writeMode.Store(mode)
-	return nil
-}
-
-// WriteMode reports the store's current write mode.
-func (s *Store) WriteMode() string {
-	return s.writeMode.Load().(string)
-}
-
 // Replication reports the cluster's replication mode (fixed at boot).
 func (s *Store) Replication() string { return s.replication }
 
-// BatchStats reports how many group-commit batches were proposed and how
-// many client commands they carried; cmds/batches is the mean batch
-// occupancy.
+// BatchStats reports how many group-commit batches were flushed and how
+// many client commands they carried (a lone write is a batch of one);
+// cmds/batches is the mean batch occupancy.
 func (s *Store) BatchStats() (batches, cmds uint64) {
 	return s.batches.Load(), s.batchedCmds.Load()
 }
@@ -618,55 +602,36 @@ func (s *Store) applyEntry(sm *stateMachine, e raft.Entry) {
 		s.hub.Publish(e.Index, nil)
 		return
 	}
-	if cmd.Op == opBatch {
-		s.applyBatchEntry(sm, e.Index, cmd)
-		return
-	}
-	res := sm.apply(e.Index, cmd)
-
-	// Publish before completing the waiter: once the client's call
+	// Publish before completing the proposal: once a client's call
 	// returns, the entry's revision is already past the hub's delivery
 	// cursor, so a Watch opened after an acknowledged write can never be
 	// handed that write's own events ("events begin with the first
-	// revision applied after the call").
-	s.hub.Publish(e.Index, res.events)
-
-	// Complete the client waiter (first applier wins; all produce the
-	// same deterministic result).
-	if ch, ok := s.takeWaiter(cmd.ReqID); ok {
-		select {
-		case ch <- res:
-		default:
-		}
+	// revision applied after the call"). A wrapper's concatenated events
+	// publish once — the cursor demands exactly one publish per revision.
+	if cmd.Op == opBatch {
+		results, events := sm.applyBatch(e.Index, cmd.Subs)
+		s.hub.Publish(e.Index, events)
+		s.complete(cmd.ReqID, results)
+		return
 	}
+	res := sm.apply(e.Index, cmd)
+	s.hub.Publish(e.Index, res.events)
+	s.complete(cmd.ReqID, []result{res})
 }
 
-// applyBatchEntry unpacks a group-commit wrapper: every sub-command
-// applies in order at the wrapper's single log index, the concatenated
-// events publish once for that index (the hub cursor demands exactly one
-// publish per revision), and each sub-command's waiter fires on its own
-// ReqID. The wrapper's waiter releases the flusher's round.
-func (s *Store) applyBatchEntry(sm *stateMachine, idx uint64, batch command) {
-	results, events := sm.applyBatch(idx, batch.Subs)
-
-	// Publish before completing waiters, for the same watch-visibility
-	// ordering as single commands.
-	s.hub.Publish(idx, events)
-
-	for i, sub := range batch.Subs {
-		if ch, ok := s.takeWaiter(sub.ReqID); ok {
-			select {
-			case ch <- results[i]:
-			default:
-			}
-		}
+// complete hands an applied entry's results to the proposal waiting
+// under reqID and releases its flusher. First applier wins (all
+// replicas produce the same deterministic results); later appliers and
+// re-proposed duplicates find the table entry gone.
+func (s *Store) complete(reqID string, results []result) {
+	p, ok := s.takeWaiter(reqID)
+	if !ok {
+		return
 	}
-	if ch, ok := s.takeWaiter(batch.ReqID); ok {
-		select {
-		case ch <- result{rev: idx, ok: true}:
-		default:
-		}
+	for i, ch := range p.replies {
+		ch <- results[i]
 	}
+	close(p.done)
 }
 
 // stripeFor hashes a request ID to its waiter stripe.
@@ -674,22 +639,22 @@ func stripeFor(reqID string) int {
 	return int(store.Hash32(reqID) % waiterStripes)
 }
 
-func (s *Store) putWaiter(reqID string, ch chan result) {
+func (s *Store) putWaiter(reqID string, p *proposal) {
 	st := &s.waiters[stripeFor(reqID)]
 	st.mu.Lock()
-	st.m[reqID] = ch
+	st.m[reqID] = p
 	st.mu.Unlock()
 }
 
-func (s *Store) takeWaiter(reqID string) (chan result, bool) {
+func (s *Store) takeWaiter(reqID string) (*proposal, bool) {
 	st := &s.waiters[stripeFor(reqID)]
 	st.mu.Lock()
-	ch, ok := st.m[reqID]
+	p, ok := st.m[reqID]
 	if ok {
 		delete(st.m, reqID)
 	}
 	st.mu.Unlock()
-	return ch, ok
+	return p, ok
 }
 
 // Put stores value under key.
@@ -1168,52 +1133,37 @@ func (s *Store) pause(deadline time.Time) bool {
 }
 
 // propose routes cmd through the Raft log and waits for its application.
-// In the default batch write mode, mutations join the group-commit queue
-// (one log entry per replication round); single mode and read commands
-// propose individually.
+// Mutations join the group-commit queue. Propose-mode reads (opGet /
+// opRange and read-only opTxn reach here only in that mode) stay one
+// entry per op, proposed from the caller's goroutine: batch application
+// does not overlay range scans, and it preserves the 1-proposal-per-read
+// baseline the read-mode A/B measures.
 func (s *Store) propose(cmd command) (result, error) {
 	if s.closed.Load() {
 		return result{}, ErrClosed
 	}
-	if s.WriteMode() != WriteModeSingle {
-		switch cmd.Op {
-		case opPut, opDelete, opCAS, opTxn:
-			return s.proposeBatched(cmd)
-		}
-		// Propose-mode reads (opGet/opRange and read-only opTxn reach
-		// here only in that mode) stay one-entry-per-op: their results
-		// depend on snapshot state that batch application does not
-		// overlay for range scans, and keeping them singular preserves
-		// the 1-proposal-per-read baseline the read-mode A/B measures.
-	}
-	return s.proposeSingle(cmd)
-}
-
-// proposeBatched enqueues cmd for the group-commit flusher and waits for
-// its own waiter to fire — each sub-command completes individually when
-// the wrapper entry applies.
-func (s *Store) proposeBatched(cmd command) (result, error) {
 	cmd.ReqID = fmt.Sprintf("r%d", s.reqSeq.Add(1))
-	ch := make(chan result, 1)
-	s.putWaiter(cmd.ReqID, ch)
-	defer s.takeWaiter(cmd.ReqID)
-
-	s.batchMu.Lock()
-	s.batchQ = append(s.batchQ, cmd)
-	depth := len(s.batchQ)
-	s.batchMu.Unlock()
-	if reg := s.mtr.Load(); reg != nil {
-		reg.SetGauge("etcd_batch_queue_depth", float64(depth))
-	}
-	select {
-	case s.batchKick <- struct{}{}:
-	default:
-	}
-
+	reply := make(chan result, 1)
 	t := s.clk.NewTimer(s.timeout)
 	defer t.Stop()
+	switch cmd.Op {
+	case opPut, opDelete, opCAS, opTxn:
+		s.batchMu.Lock()
+		s.batchQ.cmds = append(s.batchQ.cmds, cmd)
+		s.batchQ.replies = append(s.batchQ.replies, reply)
+		s.setQueueDepth(len(s.batchQ.cmds))
+		s.batchMu.Unlock()
+		select {
+		case s.batchKick <- struct{}{}:
+		default:
+		}
+	default:
+		// Returns with the reply delivered, or with t expired.
+		s.replicate(&proposal{cmds: []command{cmd}, replies: []chan result{reply}})
+	}
+
 	select {
-	case res := <-ch:
+	case res := <-reply:
 		return res, nil
 	case <-t.C():
 		return result{}, ErrTimeout
@@ -1222,10 +1172,37 @@ func (s *Store) proposeBatched(cmd command) (result, error) {
 	}
 }
 
-// batchLoop is the group-commit flusher: it drains the queue into one
-// opBatch entry, waits for that round to apply (or give up), then
-// flushes whatever queued meanwhile. No artificial delay — a lone write
-// flushes immediately; batching emerges only from concurrency.
+// setQueueDepth publishes the group-commit queue's depth; called with
+// batchMu held so an enqueue's reading never overwrites a later drain's.
+func (s *Store) setQueueDepth(depth int) {
+	if reg := s.mtr.Load(); reg != nil {
+		reg.SetGauge("etcd_batch_queue_depth", float64(depth))
+	}
+}
+
+// batchLoop is one group-commit flusher; maxInflightProposals of them
+// run, each an in-flight slot. A flusher drains the whole queue into one
+// log entry and replicates it while the others keep draining, so a
+// write that arrives mid-round is proposed in the same virtual instant
+// instead of waiting out a stranger's round. No artificial delay: the
+// queue only accumulates while every flusher is mid-round, so a lone
+// write flushes immediately and batching emerges only from bursts.
+//
+// Why overlapping proposals are safe — the log position, not the moment
+// of proposing, fixes the one serial order every replica executes:
+//  1. Each client call blocks until its command applies, so a
+//     goroutine never has calls in two proposals at once: its writes
+//     reach the log in program order. (A call that gave up with
+//     ErrTimeout has an unknown outcome and may still apply later, as
+//     in any replicated log.)
+//  2. Calls of different goroutines that sit in unapplied proposals
+//     together overlap in time, so they are concurrent and may
+//     linearize in either log order; a call that starts after another
+//     returned is enqueued after that one applied, at a higher index.
+//  3. A proposal lost to leadership churn and re-proposed may land
+//     after a later proposal, or twice; both orders are covered by 2,
+//     and per-request dedup in the state machine keeps every command
+//     exactly-once.
 func (s *Store) batchLoop() {
 	for {
 		select {
@@ -1235,45 +1212,48 @@ func (s *Store) batchLoop() {
 		}
 		for {
 			s.batchMu.Lock()
-			q := s.batchQ
-			s.batchQ = nil
+			p := s.batchQ
+			s.batchQ = proposal{}
+			s.setQueueDepth(0)
 			s.batchMu.Unlock()
-			if len(q) == 0 {
+			if len(p.cmds) == 0 {
 				break
 			}
-			s.flushBatch(q)
+			s.batches.Add(1)
+			s.batchedCmds.Add(uint64(len(p.cmds)))
+			if reg := s.mtr.Load(); reg != nil {
+				reg.Inc("etcd_batches")
+				reg.Add("etcd_batched_cmds", float64(len(p.cmds)))
+			}
+			s.replicate(&p)
 		}
 	}
 }
 
-// flushBatch proposes one opBatch wrapper carrying q and waits until the
-// entry applies — the flusher's own waiter on the wrapper's ReqID is the
-// round-completion signal that clocks group commit. Re-proposals on
-// leadership churn are deduplicated per sub-command by the state
-// machine. If the round never applies within the request timeout the
-// batch is abandoned: its clients' waiters time out individually.
-func (s *Store) flushBatch(q []command) {
-	wrap := command{ReqID: fmt.Sprintf("b%d", s.batchSeq.Add(1)), Op: opBatch, Subs: q}
-	payload, err := json.Marshal(wrap)
+// replicate is the store's one propose → wait → re-propose loop. It
+// submits p as a single log entry — the bare command when p holds one,
+// an opBatch wrapper otherwise — and returns once a replica applied it
+// (complete delivers the results), the request timeout passes, or the
+// store closes. On a timeout the entry is abandoned and its clients time
+// out individually. The wait is event-driven (done channel vs. a clock
+// timer); a re-proposal after proposeWait covers an entry lost to
+// leadership churn, and the state machine's per-request dedup makes it
+// idempotent.
+func (s *Store) replicate(p *proposal) {
+	entry := p.cmds[0]
+	if len(p.cmds) > 1 {
+		entry = command{ReqID: fmt.Sprintf("b%d", s.batchSeq.Add(1)), Op: opBatch, Subs: p.cmds}
+	}
+	payload, err := json.Marshal(entry)
 	if err != nil {
 		return // unreachable: commands are plain data
 	}
-	ch := make(chan result, 1)
-	s.putWaiter(wrap.ReqID, ch)
-	defer s.takeWaiter(wrap.ReqID)
-
-	s.batches.Add(1)
-	s.batchedCmds.Add(uint64(len(q)))
-	if reg := s.mtr.Load(); reg != nil {
-		reg.Inc("etcd_batches")
-		reg.Add("etcd_batched_cmds", float64(len(q)))
-	}
+	p.done = make(chan struct{})
+	s.putWaiter(entry.ReqID, p)
+	defer s.takeWaiter(entry.ReqID)
 
 	deadline := s.clk.Now().Add(s.timeout)
-	for s.clk.Now().Before(deadline) {
-		if s.closed.Load() {
-			return
-		}
+	for s.clk.Now().Before(deadline) && !s.closed.Load() {
 		leader := s.leader()
 		if leader == nil {
 			s.clk.Sleep(retryPause)
@@ -1287,68 +1267,15 @@ func (s *Store) flushBatch(q []command) {
 		s.proposals.Add(1)
 		t := s.clk.NewTimer(proposeWait)
 		select {
-		case <-ch:
+		case <-p.done:
 			t.Stop()
 			return
 		case <-t.C():
-			// Re-propose: leadership may have changed and the entry been
-			// lost (sub-command dedup makes the retry idempotent).
 			s.dropLeader()
 		case <-s.stopCh:
 			t.Stop()
 			return
 		}
-	}
-}
-
-// proposeSingle routes one command through the Raft log as its own
-// entry. The wait is event-driven — a select on the waiter channel and a
-// clock timer — rather than a poll: the old 5 ms busy-loop put a
-// virtual-latency floor under every write and burned sim-clock cycles.
-func (s *Store) proposeSingle(cmd command) (result, error) {
-	cmd.ReqID = fmt.Sprintf("r%d", s.reqSeq.Add(1))
-	ch := make(chan result, 1)
-	s.putWaiter(cmd.ReqID, ch)
-	defer s.takeWaiter(cmd.ReqID)
-
-	payload, err := json.Marshal(cmd)
-	if err != nil {
-		return result{}, fmt.Errorf("encoding command: %w", err)
-	}
-
-	deadline := s.clk.Now().Add(s.timeout)
-	for s.clk.Now().Before(deadline) {
-		leader := s.leader()
-		if leader == nil {
-			s.clk.Sleep(retryPause)
-			continue
-		}
-		if _, _, err := leader.Propose(payload); err != nil {
-			s.dropLeader()
-			s.clk.Sleep(retryPause)
-			continue
-		}
-		s.proposals.Add(1)
-		// Wait for apply; on timeout re-propose, since leadership may
-		// have changed and the entry been lost (bounded by the overall
-		// deadline; dedupe in the state machine makes retries idempotent).
-		t := s.clk.NewTimer(proposeWait)
-		select {
-		case res := <-ch:
-			t.Stop()
-			return res, nil
-		case <-t.C():
-			s.dropLeader()
-		case <-s.stopCh:
-			t.Stop()
-			return result{}, ErrClosed
-		}
-	}
-	select {
-	case res := <-ch:
-		return res, nil
-	default:
-		return result{}, ErrTimeout
 	}
 }
 
@@ -1409,41 +1336,6 @@ func (s *Store) ReadsRouted() map[int]uint64 {
 		out[id] = ld.routed.Load()
 	}
 	return out
-}
-
-// backpressureQueueNominal is the group-commit queue depth treated as
-// full saturation by Backpressure: past one batch-window's worth of
-// queued commands, admission layers should shed or delay background
-// load.
-const backpressureQueueNominal = 64
-
-// Backpressure folds the write path's two congestion gauges into one
-// signal in [0, 1]: the leader's deepest raft pipeline window as a
-// fraction of its entry cap (raft_inflight_entries saturating means
-// followers are not acking fast enough) and the group-commit queue
-// depth against its nominal capacity (etcd_batch_queue_depth growing
-// means rounds are not draining the queue). The max of the two is the
-// binding constraint; 1 means fully saturated.
-func (s *Store) Backpressure() float64 {
-	var pressure float64
-	if l := s.leader(); l != nil {
-		if entries, limit := l.MaxInflight(); limit > 0 {
-			pressure = float64(entries) / float64(limit)
-		}
-	}
-	s.batchMu.Lock()
-	depth := len(s.batchQ)
-	s.batchMu.Unlock()
-	if q := float64(depth) / backpressureQueueNominal; q > pressure {
-		pressure = q
-	}
-	if pressure > 1 {
-		pressure = 1
-	}
-	if reg := s.mtr.Load(); reg != nil {
-		reg.SetGauge("etcd_backpressure", pressure)
-	}
-	return pressure
 }
 
 // stateMachine is the deterministic automaton each replica runs: a

@@ -1,0 +1,452 @@
+package etcd
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"reflect"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// The tests in this file pin the pipelined group commit's ordering
+// argument (see batchLoop), one test per sentence, against refModel —
+// the sequential specification the write path must be indistinguishable
+// from.
+
+// refModel is the sequential in-memory reference for the store's write
+// commands: a plain map plus Cmp/CAS/Txn guard evaluation.
+type refModel map[string]string
+
+func (m refModel) holds(c Cmp) bool {
+	v, ok := m[c.Key]
+	return ok == c.PrevExists && (!ok || v == c.Prev)
+}
+
+// apply executes one write command and returns its guard outcome (true
+// for unguarded commands) and the events it emits, revisions unset.
+func (m refModel) apply(cmd command) (ok bool, events []Event) {
+	ok = true
+	ops := []TxnOp{{Type: EventPut, Key: cmd.Key, Value: cmd.Value}}
+	switch cmd.Op {
+	case opDelete:
+		ops[0].Type = EventDelete
+	case opCAS:
+		if ok = m.holds(Cmp{Key: cmd.Key, Prev: cmd.Prev, PrevExists: cmd.PrevExists}); !ok {
+			ops = nil
+		}
+	case opTxn:
+		ops = cmd.Then
+		for _, c := range cmd.Cmps {
+			if !m.holds(c) {
+				ok, ops = false, cmd.Else
+				break
+			}
+		}
+	}
+	for _, op := range ops {
+		if op.Type == EventPut {
+			m[op.Key] = op.Value
+			events = append(events, Event{Type: EventPut, Key: op.Key, Value: op.Value})
+		} else if _, exists := m[op.Key]; exists {
+			delete(m, op.Key)
+			events = append(events, Event{Type: EventDelete, Key: op.Key})
+		}
+	}
+	return ok, events
+}
+
+// TestWriteArrivingMidRoundIsProposed is sentence 1's payoff, with no
+// timing in it: both followers are cut off so no round can complete, and
+// a second writer's command must still reach the leader's log behind the
+// first one's. The stop-and-wait flusher held it back until the first
+// round applied.
+func TestWriteArrivingMidRoundIsProposed(t *testing.T) {
+	s, clk := newTestStore(t, 3)
+	if _, err := s.Put("/mid/warm", "up"); err != nil {
+		t.Fatal(err)
+	}
+	lead := s.LeaderID()
+	for _, id := range s.Nodes() {
+		if id != lead {
+			s.PartitionNode(id)
+		}
+	}
+	proposed := func(key string) bool {
+		for _, e := range s.cluster.Node(lead).Log() {
+			var cmd command
+			if json.Unmarshal(e.Cmd, &cmd) != nil {
+				continue
+			}
+			for _, c := range append(cmd.Subs, cmd) {
+				if c.Key == key {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	errs := make(chan error, 2)
+	for _, key := range []string{"/mid/first", "/mid/second"} {
+		go func(key string) {
+			_, err := s.Put(key, "v")
+			errs <- err
+		}(key)
+		for deadline := clk.Now().Add(2 * time.Second); !proposed(key); clk.Sleep(time.Millisecond) {
+			if !clk.Now().Before(deadline) {
+				t.Fatalf("%s was not proposed while a round was in flight", key)
+			}
+		}
+	}
+	for _, id := range s.Nodes() {
+		s.HealNode(id)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestConcurrentWritersShareRound is sentence 1 in virtual time: two
+// closed-loop writers share replication rounds instead of alternating,
+// and each writer's own writes still reach the log in program order.
+// One writer alone pays one round (two one-way delays) per Put; under
+// the stop-and-wait flusher a second writer doubled that. A loaded
+// machine (or -race) lets the sim clock run ahead of runnable goroutines
+// and stretches every pass, so the timing half runs only when the solo
+// pass shows an undisturbed clock, and takes the best of three.
+func TestConcurrentWritersShareRound(t *testing.T) {
+	s, clk := newTestStore(t, 3)
+	if _, err := s.Put("/share/warm", "up"); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		puts  = 200
+		round = 2 * time.Millisecond
+	)
+	run := func(writers int) time.Duration {
+		start := clk.Now()
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				var last uint64
+				for i := 0; i < puts; i++ {
+					rev, err := s.Put(fmt.Sprintf("/share/w%d", w), strconv.Itoa(i))
+					if err != nil {
+						t.Errorf("writer %d put %d: %v", w, i, err)
+						return
+					}
+					if rev <= last {
+						t.Errorf("writer %d put %d: revision %d not above its previous %d", w, i, rev, last)
+						return
+					}
+					last = rev
+				}
+			}(w)
+		}
+		wg.Wait()
+		return clk.Since(start)
+	}
+	solo := run(1)
+	pair := run(2)
+	if solo > puts*round*11/10 {
+		t.Skipf("virtual clock disturbed by load (1 writer: %v, ideal %v; 2 writers: %v): timing not judged", solo, puts*round, pair)
+	}
+	for try := 0; try < 2 && pair >= 2*solo*3/4; try++ {
+		pair = run(2)
+	}
+	if stopWait := 2 * solo; pair >= stopWait*3/4 {
+		t.Fatalf("2 writers x %d puts took %v of virtual time, want < 0.75 x the %v that alternating rounds cost (1 writer: %v)", puts, pair, stopWait, solo)
+	}
+}
+
+// inflight counts the proposals registered in the waiter table.
+func inflight(s *Store) int {
+	n := 0
+	for i := range s.waiters {
+		st := &s.waiters[i]
+		st.mu.Lock()
+		n += len(st.m)
+		st.mu.Unlock()
+	}
+	return n
+}
+
+// TestPipelinedWritesAcrossLeaderCrash is sentence 2 under churn:
+// clients CAS-increment one shared counter and Put their own key
+// sequence while the leader is crashed and restarted with several
+// proposals in flight. Every counter step must belong to exactly one
+// client, the final value must account for every acknowledged success,
+// and a prefix watcher must see every acknowledged write exactly once,
+// each client's in program order.
+func TestPipelinedWritesAcrossLeaderCrash(t *testing.T) {
+	s, clk := newTestStore(t, 3)
+	const (
+		clients = 4
+		counter = "/pl/counter"
+	)
+	if _, err := s.Put(counter, "0"); err != nil {
+		t.Fatal(err)
+	}
+	events, cancel := s.Watch("/pl/")
+	defer cancel()
+	var seen []Event
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		for ev := range events {
+			if ev.Key == "/pl/end" {
+				return
+			}
+			seen = append(seen, ev)
+		}
+	}()
+
+	type outcome struct {
+		acked   []int  // counter values this client was acknowledged for writing
+		unknown []int  // counter values whose CAS timed out
+		puts    []bool // puts[i]: was the put of own key i acknowledged
+	}
+	out := make([]outcome, clients)
+	var steps atomic.Int64 // acknowledged increments, all clients
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			o := &out[c]
+			for i := 0; !stop.Load(); i++ {
+				for !stop.Load() { // also ends a failed test's spin on a closed store
+					cur, _, err := s.Get(counter)
+					if err != nil {
+						continue
+					}
+					n, _ := strconv.Atoi(cur)
+					err = s.CompareAndSwap(counter, cur, true, strconv.Itoa(n+1))
+					if err == nil {
+						o.acked = append(o.acked, n+1)
+						steps.Add(1)
+						break
+					}
+					if !errors.Is(err, ErrCASFailed) {
+						o.unknown = append(o.unknown, n+1)
+					}
+				}
+				_, err := s.Put(fmt.Sprintf("/pl/c%d/k%03d", c, i), strconv.Itoa(i))
+				o.puts = append(o.puts, err == nil)
+			}
+		}(c)
+	}
+
+	// Twice: let the healthy cluster make progress, catch at least two
+	// proposals in flight, crash the leader under them and bring it back.
+	await := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := clk.Now().Add(30 * time.Second)
+		for !cond() {
+			if !clk.Now().Before(deadline) {
+				stop.Store(true)
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			clk.Sleep(300 * time.Microsecond)
+		}
+	}
+	progress := func() {
+		t.Helper()
+		base := steps.Load()
+		await("clients to make progress", func() bool { return steps.Load() >= base+8 })
+	}
+	for crash := 0; crash < 2; crash++ {
+		progress()
+		await("two proposals in flight", func() bool { return inflight(s) >= 2 })
+		lead := s.LeaderID()
+		if lead < 0 {
+			stop.Store(true)
+			t.Fatal("no leader on a healthy cluster")
+		}
+		s.CrashNode(lead)
+		clk.Sleep(200 * time.Millisecond)
+		s.RestartNode(lead)
+	}
+	progress()
+	stop.Store(true)
+	wg.Wait()
+	for {
+		if _, err := s.Put("/pl/end", ""); err == nil {
+			break
+		}
+	}
+	<-watched
+
+	// The counter: every step 1..final has exactly one owner.
+	cur, _, err := s.Get(counter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, _ := strconv.Atoi(cur)
+	owner := make(map[int]int)
+	for c, o := range out {
+		for _, v := range o.acked {
+			if prev, dup := owner[v]; dup {
+				t.Fatalf("counter step %d acknowledged to clients %d and %d", v, prev, c)
+			}
+			if v > final {
+				t.Fatalf("client %d acknowledged for step %d, final counter is %d", c, v, final)
+			}
+			owner[v] = c
+		}
+	}
+	for _, o := range out {
+		for _, v := range o.unknown {
+			if _, ok := owner[v]; !ok && v <= final {
+				owner[v] = -1 // a timed-out CAS that did commit
+			}
+		}
+	}
+	if len(owner) != final {
+		t.Fatalf("final counter %d, but only %d steps are accounted for by acknowledged or timed-out CASes", final, len(owner))
+	}
+
+	// The watcher: counter steps 1..final in order, each once; each
+	// client's puts in program order, acknowledged ones exactly once and
+	// timed-out ones at most once; revisions never falling.
+	next := make([]int, clients)
+	var lastRev uint64
+	step := 0
+	for _, ev := range seen {
+		if ev.Rev < lastRev {
+			t.Fatalf("watch revision fell: %d after %d (%s)", ev.Rev, lastRev, ev.Key)
+		}
+		lastRev = ev.Rev
+		if ev.Key == counter {
+			if step++; ev.Value != strconv.Itoa(step) {
+				t.Fatalf("watcher saw counter=%s, want step %d", ev.Value, step)
+			}
+			continue
+		}
+		var c, i int
+		if _, err := fmt.Sscanf(strings.TrimPrefix(ev.Key, "/pl/c"), "%d/k%d", &c, &i); err != nil {
+			t.Fatalf("unexpected watch event %s: %v", ev.Key, err)
+		}
+		for next[c] < i && !out[c].puts[next[c]] {
+			next[c]++ // a timed-out put that never committed
+		}
+		if i != next[c] {
+			t.Fatalf("client %d: watcher saw put %d, want %d (duplicate or out of program order)", c, i, next[c])
+		}
+		next[c]++
+	}
+	if step != final {
+		t.Fatalf("watcher saw %d counter steps, final counter is %d", step, final)
+	}
+	for c, o := range out {
+		for i := next[c]; i < len(o.puts); i++ {
+			if o.puts[i] {
+				t.Fatalf("client %d: acknowledged put %d never reached the watcher", c, i)
+			}
+		}
+	}
+}
+
+// TestReproposedProposalLandsLate is sentence 3 at the state machine:
+// proposal B applies at index i, the re-proposed A at i+1 and the stale
+// original A at i+2, in every bare/wrapped combination. State, guard
+// outcomes and emitted events must equal refModel running B then A once;
+// the duplicate must change nothing and report the first index.
+func TestReproposedProposalLandsLate(t *testing.T) {
+	// applyProposal applies cmds the way applyEntry applies their log
+	// entry: one command bare, several as one wrapper.
+	applyProposal := func(sm *stateMachine, idx uint64, cmds []command) ([]result, []Event) {
+		if len(cmds) == 1 {
+			res := sm.apply(idx, cmds[0])
+			return []result{res}, res.events
+		}
+		return sm.applyBatch(idx, cmds)
+	}
+	cas := func(id, key, prev, val string) command {
+		return command{ReqID: id, Op: opCAS, Key: key, Prev: prev, PrevExists: prev != "", Value: val}
+	}
+	put := func(id, key, val string) command { return command{ReqID: id, Op: opPut, Key: key, Value: val} }
+	cases := []struct {
+		name string
+		a, b []command
+	}{
+		{"bare/bare: both create one lock, B first",
+			[]command{cas("a1", "/lock", "", "A")},
+			[]command{cas("b1", "/lock", "", "B")}},
+		{"wrapped/bare: A's second guard rides on its first write",
+			[]command{put("a1", "/k", "1"), cas("a2", "/k", "1", "2"), {ReqID: "a3", Op: opDelete, Key: "/gone"}},
+			[]command{put("b1", "/k", "0")}},
+		{"bare/wrapped: B deletes what A's txn guards on",
+			[]command{{ReqID: "a1", Op: opTxn,
+				Cmps: []Cmp{{Key: "/seed", Prev: "s", PrevExists: true}},
+				Then: []TxnOp{{Type: EventPut, Key: "/then", Value: "A"}},
+				Else: []TxnOp{{Type: EventPut, Key: "/else", Value: "A"}, {Type: EventDelete, Key: "/k"}}}},
+			[]command{{ReqID: "b1", Op: opDelete, Key: "/seed"}, put("b2", "/k", "B")}},
+		{"wrapped/wrapped: counters interleave",
+			[]command{cas("a1", "/n", "0", "1"), cas("a2", "/n", "1", "2")},
+			[]command{cas("b1", "/n", "0", "1"), put("b2", "/m", "B")}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sm := newStateMachine(4)
+			model := refModel{}
+			seed := []command{put("s1", "/seed", "s"), put("s2", "/n", "0")}
+			for i, cmd := range seed {
+				sm.apply(uint64(i+1), cmd)
+				model.apply(cmd)
+			}
+			const i = 10
+			for n, cmds := range [][]command{tc.b, tc.a} {
+				idx := uint64(i + n)
+				results, events := applyProposal(sm, idx, cmds)
+				var wantEvents []Event
+				for j, cmd := range cmds {
+					ok, evs := model.apply(cmd)
+					if guarded := cmd.Op == opCAS || cmd.Op == opTxn; guarded && results[j].ok != ok {
+						t.Fatalf("%s at %d: guard outcome %v, model says %v", cmd.ReqID, idx, results[j].ok, ok)
+					}
+					if results[j].rev != idx {
+						t.Fatalf("%s: result revision %d, want %d", cmd.ReqID, results[j].rev, idx)
+					}
+					for _, ev := range evs {
+						ev.Rev = idx
+						wantEvents = append(wantEvents, ev)
+					}
+				}
+				if !reflect.DeepEqual(events, wantEvents) {
+					t.Fatalf("events at %d:\n got  %v\n want %v", idx, events, wantEvents)
+				}
+			}
+
+			results, events := applyProposal(sm, i+2, tc.a)
+			if len(events) != 0 {
+				t.Fatalf("stale duplicate of A emitted %v", events)
+			}
+			for j, res := range results {
+				if res.rev != i+1 {
+					t.Fatalf("%s: duplicate reports revision %d, want the first application's %d", tc.a[j].ReqID, res.rev, i+1)
+				}
+			}
+			eng := sm.engine()
+			if floor := eng.Snapshot(); floor != i+2 {
+				t.Fatalf("applied floor %d after the duplicate, want %d", floor, i+2)
+			}
+			got := map[string]string{}
+			for _, kv := range eng.Export() {
+				got[kv.Key], _ = kv.Value.(string)
+			}
+			if !reflect.DeepEqual(got, map[string]string(model)) {
+				t.Fatalf("state\n got  %v\n want %v", got, model)
+			}
+		})
+	}
+}

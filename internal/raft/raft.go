@@ -536,27 +536,6 @@ func (n *Node) ReadStats() ReadStats {
 	}
 }
 
-// MaxInflight reports the deepest unacknowledged pipeline window across
-// followers and the window's configured entry cap — the raft half of
-// the etcd facade's Backpressure signal. Non-leaders report zero depth.
-func (n *Node) MaxInflight() (entries uint64, limit int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	limit = n.cfg.MaxInflightEntries
-	if n.state != Leader {
-		return 0, limit
-	}
-	for _, p := range n.peers {
-		if p == n.id {
-			continue
-		}
-		if e, _ := n.inflightLocked(p); e > entries {
-			entries = e
-		}
-	}
-	return entries, limit
-}
-
 // SetLeaseReads toggles the check-quorum lease at runtime (the etcd
 // layer flips it with the read mode). Disabling kills any live lease
 // immediately, so the very next read pays a full confirmation round.

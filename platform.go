@@ -88,13 +88,6 @@ type Options struct {
 	// staleness and no quorum requirement.
 	ReadMode string
 
-	// WriteMode selects how etcd writes reach the Raft log: "batch" (the
-	// default) coalesces concurrent writes into one group-commit entry
-	// per replication round; "single" proposes each write as its own
-	// entry (the pre-batching behavior, kept for A/B comparison — see
-	// BenchmarkEtcdWrites).
-	WriteMode string
-
 	// Replication selects the Raft replication discipline: "pipeline"
 	// (the default) keeps a bounded in-flight AppendEntries window per
 	// follower with optimistic nextIndex advance; "stopwait" re-ships
@@ -222,7 +215,6 @@ func New(opts Options) (*Platform, error) {
 	p.mongo.Instrument(p.metrics)
 	kv, err := etcd.NewWithOptions(opts.EtcdReplicas, p.clk, etcd.StoreOptions{
 		Shards:      opts.MetadataShards,
-		WriteMode:   opts.WriteMode,
 		Replication: opts.Replication,
 	})
 	if err != nil {

@@ -1065,24 +1065,17 @@ func TestReadModeOptionThreadsThrough(t *testing.T) {
 	}
 }
 
-// TestWriteModeOptionThreadsThrough: the platform wires Options.WriteMode
-// and Options.Replication into etcd — the legacy single+stop-and-wait
-// combination (the baseline BenchmarkEtcdWrites measures group commit and
-// pipelining against) still completes jobs end to end, and unknown modes
-// are rejected at boot.
-func TestWriteModeOptionThreadsThrough(t *testing.T) {
+// TestReplicationOptionThreadsThrough: the platform wires
+// Options.Replication into etcd — the legacy stop-and-wait discipline
+// (the baseline BenchmarkEtcdWrites measures pipelining against) still
+// completes jobs end to end, and unknown modes are rejected at boot.
+func TestReplicationOptionThreadsThrough(t *testing.T) {
 	skipIfShort(t)
-	if _, err := New(Options{WriteMode: "firehose"}); err == nil {
-		t.Fatal("unknown write mode accepted")
-	}
 	if _, err := New(Options{Replication: "telepathy"}); err == nil {
 		t.Fatal("unknown replication mode accepted")
 	}
 
-	p := newTestPlatform(t, Options{WriteMode: "single", Replication: "stopwait"})
-	if got := p.Etcd().WriteMode(); got != "single" {
-		t.Fatalf("etcd write mode = %q, want single", got)
-	}
+	p := newTestPlatform(t, Options{Replication: "stopwait"})
 	if got := p.Etcd().Replication(); got != "stopwait" {
 		t.Fatalf("etcd replication = %q, want stopwait", got)
 	}
@@ -1092,14 +1085,11 @@ func TestWriteModeOptionThreadsThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := client.WaitForState(id, StateCompleted, 2*time.Hour); err != nil {
-		t.Fatalf("job did not complete in single+stopwait mode: %v", err)
+		t.Fatalf("job did not complete in stopwait mode: %v", err)
 	}
 
-	// The default platform batches writes over pipelined replication.
+	// The default platform replicates through the pipelined window.
 	d := newTestPlatform(t, Options{})
-	if got := d.Etcd().WriteMode(); got != "batch" {
-		t.Fatalf("default write mode = %q, want batch", got)
-	}
 	if got := d.Etcd().Replication(); got != "pipeline" {
 		t.Fatalf("default replication = %q, want pipeline", got)
 	}
