@@ -200,9 +200,33 @@ func TestWatchModeFewerEtcdRanges(t *testing.T) {
 	}
 }
 
+// learnerPodsGoneWithin polls (virtual time, 50ms grain) until the job has
+// no learner pods, reporting how long that took.
+func learnerPodsGoneWithin(p *Platform, jobID string, within time.Duration) (time.Duration, bool) {
+	start := p.Clock().Now()
+	for {
+		if len(p.Cluster().Pods(map[string]string{"app": "dlaas-learner", "job": jobID})) == 0 {
+			return p.Clock().Since(start), true
+		}
+		if p.Clock().Since(start) >= within {
+			return within, false
+		}
+		p.Clock().Sleep(50 * time.Millisecond)
+	}
+}
+
+// haltsVia reads guardian_monitor_halts by the path that saw the halt.
+func haltsVia(p *Platform) map[string]float64 {
+	out := map[string]float64{}
+	for _, via := range []string{"feed", "startup", "backstop"} {
+		out[via] = p.Metrics().Counter("guardian_monitor_halts", via)
+	}
+	return out
+}
+
 // TestHaltPropagatesThroughChangeFeed: user termination must reach a
-// watch-mode Guardian through the metadata change feed (not only the
-// backstop poll) and tear the job down promptly.
+// watch-mode Guardian through the metadata change feed — not the 15s
+// backstop — so the learners are gone within a second of Halt returning.
 func TestHaltPropagatesThroughChangeFeed(t *testing.T) {
 	skipIfShort(t)
 	p := newTestPlatform(t, Options{})
@@ -219,14 +243,52 @@ func TestHaltPropagatesThroughChangeFeed(t *testing.T) {
 	if _, err := client.Halt(id); err != nil {
 		t.Fatal(err)
 	}
-	deadline := p.Clock().Now().Add(2 * time.Minute)
-	for p.Clock().Now().Before(deadline) {
-		if len(p.Cluster().Pods(map[string]string{"app": "dlaas-learner", "job": id})) == 0 {
-			return
-		}
-		p.Clock().Sleep(time.Second)
+	took, gone := learnerPodsGoneWithin(p, id, time.Second)
+	if !gone {
+		t.Fatalf("learner pods still up 1s after Halt returned; halts by path: %v", haltsVia(p))
 	}
-	t.Fatal("learner pods survived halt on the watch control plane")
+	t.Logf("learner pods gone %v after Halt returned", took)
+	if got := haltsVia(p); got["feed"] != 1 || got["startup"] != 0 || got["backstop"] != 0 {
+		t.Fatalf("halts by path = %v, want exactly one, via the feed", got)
+	}
+}
+
+// TestHaltCommittedBeforeMonitorSubscribes: a halt that commits while the
+// Guardian is still deploying has no feed event coming once the monitor
+// subscribes. The monitor's own read right after subscribing must catch
+// it, instead of leaving a halted job's learners on their GPUs until the
+// backstop.
+func TestHaltCommittedBeforeMonitorSubscribes(t *testing.T) {
+	skipIfShort(t)
+	// Two provisioning steps (learners, netpol) of 5s each separate the
+	// learner pods' creation from the monitor's start.
+	const stepDelay = 5 * time.Second
+	p := newTestPlatform(t, Options{GuardianStepDelay: stepDelay})
+	client := p.Client("earlyhalt")
+	m := testManifest(t, p, "earlyhalt", 1)
+	m.DatasetImages = 200000
+	id, err := client.Submit(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	learners := map[string]string{"app": "dlaas-learner", "job": id}
+	deadline := p.Clock().Now().Add(time.Hour)
+	for len(p.Cluster().Pods(learners)) == 0 {
+		if !p.Clock().Now().Before(deadline) {
+			t.Fatal("learner pods never created")
+		}
+		p.Clock().Sleep(100 * time.Millisecond)
+	}
+	if _, err := client.Halt(id); err != nil {
+		t.Fatal(err)
+	}
+	if _, gone := learnerPodsGoneWithin(p, id, 2*stepDelay+2*time.Second); !gone {
+		t.Fatalf("learner pods still up %v after a halt committed mid-deploy; halts by path: %v",
+			2*stepDelay+2*time.Second, haltsVia(p))
+	}
+	if got := haltsVia(p); got["startup"] != 1 || got["feed"] != 0 || got["backstop"] != 0 {
+		t.Fatalf("halts by path = %v, want exactly one, at monitor startup", got)
+	}
 }
 
 // TestStoreMetricsExposed: the metadata-plane instrumentation the watch
@@ -261,6 +323,11 @@ func TestStoreMetricsExposed(t *testing.T) {
 	}
 	if p.Etcd().RangeOps() == 0 {
 		t.Fatal("RangeOps counter never moved (the initial list should count)")
+	}
+	for op, n := range p.NFS().OpCounts() {
+		if n == 0 || reg.Counter("nfs_ops", op) == 0 {
+			t.Fatalf("NFS %s ops: OpCounts %d, nfs_ops %v — want both counted", op, n, reg.Counter("nfs_ops", op))
+		}
 	}
 }
 

@@ -41,14 +41,15 @@ const DefaultMaxDeployAttempts = 3
 const monitorPoll = 500 * time.Millisecond
 
 // watchTick is the watch-mode cadence for conditions with no event
-// stream: gang preemption, the results-stored NFS marker, and (as a
-// shield against a lost change-feed event) the halt check. None of
-// these touch etcd.
+// stream: gang preemption (in-memory scheduler state) and the
+// results-stored NFS marker (an attribute check until it exists). A tick
+// makes no etcd, MongoDB or NFS round trip.
 const watchTick = time.Second
 
-// watchRelist is the watch-mode liveness backstop: a full etcd re-list
-// of learner statuses at a long interval, guarding against a wedged
-// watch the way the poll loop did every 500ms.
+// watchRelist is the watch-mode liveness backstop, guarding both event
+// streams against a wedged subscription the way the poll loop did every
+// 500ms: a full etcd re-list of learner statuses and a GetJob halt check
+// at a long interval.
 const watchRelist = 15 * time.Second
 
 // Params configures one job's Guardian.
@@ -604,17 +605,20 @@ func monitorByPoll(ctx *kube.ContainerCtx, p Params) int {
 // revision (and the view itself) is journaled, so a restarted Guardian
 // resumes its watch exactly where the predecessor stopped — etcd is
 // re-listed only when the saved revision has been compacted past, and
-// once per watchRelist as a liveness backstop. Halts arrive on the
-// job's own metadata change feed; eviction intents on the gang's notice
-// channel with their acks on the learner watch; gang preemption and the
-// results-stored marker, which have no event stream, ride the 1s tick
-// (none of these touch etcd).
+// once per watchRelist as a liveness backstop. Halts are list-then-watch
+// too: one GetJob right after subscribing to the job's own metadata
+// change feed (a halt committed earlier has no event coming), the feed
+// from then on, and a GetJob on the same watchRelist backstop;
+// guardian_monitor_halts{via} counts which of the three saw the halt.
+// Eviction intents arrive on the gang's notice channel with their acks
+// on the learner watch; gang preemption and the results-stored marker,
+// which have no event stream, ride the 1s tick (see watchTick).
 func monitorByWatch(ctx *kube.ContainerCtx, p Params) int {
 	d := p.Deps
 	prefix := types.LearnerStatusPrefix(p.JobID)
-	count := func(name string) {
+	count := func(name string, labels ...string) {
 		if d.Metrics != nil {
-			d.Metrics.Inc(name)
+			d.Metrics.Inc(name, labels...)
 		}
 	}
 
@@ -754,14 +758,27 @@ func monitorByWatch(ctx *kube.ContainerCtx, p Params) int {
 	// incarnation.
 	saveCursor()
 
-	// Per-job change feed for halt detection (event-driven; the tick
-	// re-checks via GetJob as a shield against a lost feed event). The
-	// single-document filter keeps this Guardian from waking on every
-	// other job's commits at high job counts.
+	// Per-job change feed for halt detection. The single-document filter
+	// keeps this Guardian from waking on every other job's commits at
+	// high job counts.
 	var jobFeed <-chan mongo.ChangeEvent
 	if feed, cancelFeed, err := d.Jobs().WatchKey(p.JobID); err == nil {
 		jobFeed = feed
 		defer cancelFeed()
+	}
+	// haltedVia asks MongoDB directly, for the two moments the feed cannot
+	// answer: a halt committed before the subscription above (Run's own
+	// check is a whole deployment old by now) has no event coming, and the
+	// backstop must not trust the stream it guards.
+	haltedVia := func(via string) bool {
+		halted, _ := jobHalted(d, p.JobID)
+		if halted {
+			count("guardian_monitor_halts", via)
+		}
+		return halted
+	}
+	if haltedVia("startup") {
+		return handleHalt(p)
 	}
 
 	// The scheduler closes the gang's notice channel when it posts an
@@ -821,20 +838,21 @@ func monitorByWatch(ctx *kube.ContainerCtx, p Params) int {
 			tick.Stop()
 			if ce.ID == p.JobID && !ce.Deleted {
 				if rec := core.RecordFromDoc(ce.Doc); rec.State == types.StateHalted {
+					count("guardian_monitor_halts", "feed")
 					return handleHalt(p)
 				}
 			}
 		case <-tick.C():
-			// Conditions with no event stream, plus the halt shield.
-			rec, err := d.GetJob(p.JobID)
-			if err == nil && rec.State == types.StateHalted {
-				return handleHalt(p)
-			}
+			// Conditions with no event stream are re-checked at the top
+			// of the loop.
 			if d.Clock.Now().Sub(lastList) >= watchRelist {
-				// Long-interval liveness backstop: re-list in case the
-				// watch stream wedged.
+				// Long-interval liveness backstop: ask both sources of
+				// truth directly in case either stream wedged.
 				lastList = d.Clock.Now()
 				count("guardian_monitor_backstops")
+				if haltedVia("backstop") {
+					return handleHalt(p)
+				}
 				if !relist() {
 					continue
 				}
@@ -870,9 +888,11 @@ func readStatuses(d *core.Deps, jobID string) ([]types.StatusUpdate, map[int]boo
 }
 
 // resultsStored checks the helper's stored marker on the shared volume.
+// Both monitors ask every wakeup while the job is STORING, so the marker
+// is read only once it exists.
 func resultsStored(d *core.Deps, jobID string) bool {
 	vol, err := d.NFS.Volume(VolumeName(jobID))
-	if err != nil {
+	if err != nil || !vol.Exists(helper.ResultsStoredMarker) {
 		return false
 	}
 	raw, err := vol.Read(helper.ResultsStoredMarker)

@@ -135,11 +135,30 @@ type controllerJournal struct {
 	Acked map[string]bool `json:"acked,omitempty"`
 }
 
+// learnerFiles is the attribute view of the two files a learner's status
+// is derived from: the Gen of its status and exit files, 0 while absent.
+type learnerFiles struct{ status, exit uint64 }
+
+func statLearner(vol *nfs.Volume, l int) learnerFiles {
+	st, _ := vol.Stat(learner.StatusPath(l))
+	ex, _ := vol.Stat(nfs.ExitCodePath(l))
+	return learnerFiles{status: st.Gen, exit: ex.Gen}
+}
+
 // runController watches learner status and exit files on NFS and mirrors
 // them into etcd as events.Envelope records, where the Guardian
 // aggregates them (polling or watching, per Options.ControlPlane).
 // Decoupling via etcd is the paper's mechanism for reliable status
 // updates.
+//
+// The poll is change-driven: every controllerPoll it Stats each
+// learner's two files and reads them only when a Gen moved since the
+// pair was last fully handled — published to etcd, or found equal to
+// what the journal says was published. Anything short of that (a read
+// refused by an NFS fault, an undecodable status, a failed etcd Put)
+// leaves the pair unhandled, so the next poll reads it again; handled is
+// in-memory only, so a restarted controller reads everything once and
+// lets the journal suppress the duplicates.
 func runController(ctx *kube.ContainerCtx, p Params) int {
 	d := p.Deps
 	vol, err := d.NFS.Volume(p.VolumeName)
@@ -180,6 +199,7 @@ func runController(ctx *kube.ContainerCtx, p Params) int {
 		}
 	}
 
+	handled := make([]learnerFiles, p.Manifest.Learners)
 	for {
 		// Acks only exist after the Guardian posts the evict-request, so
 		// one existence check keeps the per-learner ack reads off the
@@ -200,11 +220,18 @@ func runController(ctx *kube.ContainerCtx, p Params) int {
 					}
 				}
 			}
-			status, src := currentLearnerStatus(vol, l)
-			if status == "" {
+			// Stat before Read: a write landing in between is re-read on
+			// the next poll rather than missed.
+			seen := statLearner(vol, l)
+			if seen == handled[l] {
+				continue
+			}
+			status, src, ok := currentLearnerStatus(vol, l, seen)
+			if !ok || status == "" {
 				continue
 			}
 			if journal.Last[key] == status {
+				handled[l] = seen
 				continue
 			}
 			// The mirrored envelope is rebuilt (controller-stamped time and
@@ -230,6 +257,7 @@ func runController(ctx *kube.ContainerCtx, p Params) int {
 			dropLogged[l] = false
 			journal.Last[key] = status
 			saveJournal()
+			handled[l] = seen
 		}
 		if !ctx.Sleep(controllerPoll) {
 			return 0
@@ -237,26 +265,38 @@ func runController(ctx *kube.ContainerCtx, p Params) int {
 	}
 }
 
-// currentLearnerStatus derives learner l's status from the shared volume:
-// the exit file wins (orderly termination), otherwise the status file
-// (an events.Envelope, or a bare status string from older learners). The
-// source envelope is returned alongside so the caller can propagate its
-// trace context; exit-derived statuses still carry the last status
-// envelope's context (legacy bare-string statuses carry none).
-func currentLearnerStatus(vol *nfs.Volume, l int) (types.LearnerStatus, events.Envelope) {
+// currentLearnerStatus derives learner l's status from whichever of its
+// two files seen says exist: the exit file wins (orderly termination),
+// otherwise the status file (an events.Envelope, or a bare status string
+// from older learners). The source envelope is returned alongside so the
+// caller can propagate its trace context; exit-derived statuses still
+// carry the last status envelope's context (legacy bare-string statuses
+// carry none). ok is false when a file that exists could not be read (an
+// NFS fault) or its exit code not parsed: the answer is then incomplete
+// and the caller must ask again.
+func currentLearnerStatus(vol *nfs.Volume, l int, seen learnerFiles) (types.LearnerStatus, events.Envelope, bool) {
 	var src events.Envelope
-	if raw, err := vol.Read(learner.StatusPath(l)); err == nil {
-		if env, ok := events.Decode(raw); ok {
+	ok := true
+	if seen.status != 0 {
+		raw, err := vol.Read(learner.StatusPath(l))
+		if err != nil {
+			ok = false
+		} else if env, decoded := events.Decode(raw); decoded {
 			src = env
 		}
 	}
-	if code, ok := vol.ReadExitCode(l); ok {
-		if code == 0 {
-			return types.LearnerCompleted, src
+	status := types.LearnerStatus(src.Status)
+	if seen.exit != 0 {
+		switch code, exited := vol.ReadExitCode(l); {
+		case !exited:
+			ok = false
+		case code == 0:
+			status = types.LearnerCompleted
+		default:
+			status = types.LearnerFailed
 		}
-		return types.LearnerFailed, src
 	}
-	return types.LearnerStatus(src.Status), src
+	return status, src, ok
 }
 
 func progressDetail(vol *nfs.Volume, l int) string {
@@ -279,28 +319,22 @@ func runLogCollector(ctx *kube.ContainerCtx, p Params) int {
 	}
 	m := p.Manifest
 	creds := objectstore.Credentials{AccessKey: m.Results.AccessKey, SecretKey: m.Results.SecretKey}
-	type shipped struct{ logs, metrics int64 }
-	uploaded := make(map[int]shipped) // bytes already shipped per learner
+	shipped := make(map[string]uint64) // Gen of each file as last uploaded
+	ship := func(path, key string) {
+		fi, ok := vol.Stat(path)
+		if !ok || fi.Gen == shipped[path] {
+			return
+		}
+		if raw, err := vol.Read(path); err == nil {
+			if err := d.ObjectStore.Put(m.Results.Bucket, key, raw, creds); err == nil {
+				shipped[path] = fi.Gen
+			}
+		}
+	}
 	for {
 		for l := 0; l < m.Learners; l++ {
-			got := uploaded[l]
-			if size := vol.Size(learner.LogPath(l)); size != got.logs {
-				if raw, err := vol.Read(learner.LogPath(l)); err == nil {
-					key := learner.ResultLogKey(p.JobID, l)
-					if err := d.ObjectStore.Put(m.Results.Bucket, key, raw, creds); err == nil {
-						got.logs = size
-					}
-				}
-			}
-			if size := vol.Size(learner.MetricsPath(l)); size != got.metrics {
-				if raw, err := vol.Read(learner.MetricsPath(l)); err == nil {
-					key := learner.ResultMetricsKey(p.JobID, l)
-					if err := d.ObjectStore.Put(m.Results.Bucket, key, raw, creds); err == nil {
-						got.metrics = size
-					}
-				}
-			}
-			uploaded[l] = got
+			ship(learner.LogPath(l), learner.ResultLogKey(p.JobID, l))
+			ship(learner.MetricsPath(l), learner.ResultMetricsKey(p.JobID, l))
 		}
 		if !ctx.Sleep(logCollectorPoll) {
 			return 0
@@ -319,14 +353,28 @@ func runStoreResults(ctx *kube.ContainerCtx, p Params) int {
 	}
 	m := p.Manifest
 	creds := objectstore.Credentials{AccessKey: m.Results.AccessKey, SecretKey: m.Results.SecretKey}
+	// An exit file is read once it exists, and again only if its Gen
+	// moves; until then the poll costs a Stat.
+	type exit struct {
+		gen  uint64
+		code int
+	}
+	exits := make([]exit, m.Learners)
 	for {
 		done, failed := 0, 0
 		for l := 0; l < m.Learners; l++ {
-			code, ok := vol.ReadExitCode(l)
+			fi, ok := vol.Stat(nfs.ExitCodePath(l))
 			if !ok {
 				continue
 			}
-			if code == 0 {
+			if exits[l].gen != fi.Gen {
+				code, ok := vol.ReadExitCode(l)
+				if !ok {
+					continue
+				}
+				exits[l] = exit{gen: fi.Gen, code: code}
+			}
+			if exits[l].code == 0 {
 				done++
 			} else {
 				failed++

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core/manifest"
 	"repro/internal/core/types"
 	"repro/internal/etcd"
+	"repro/internal/events"
 	"repro/internal/gpu"
 	"repro/internal/kube"
 	"repro/internal/metrics"
@@ -23,12 +24,19 @@ import (
 
 func newTestDeps(t *testing.T) (*core.Deps, *clock.Sim) {
 	t.Helper()
+	return newTestDepsEtcd(t, 1)
+}
+
+// newTestDepsEtcd is newTestDeps with a choice of etcd replica count, for
+// tests that take quorum away.
+func newTestDepsEtcd(t *testing.T, etcdReplicas int) (*core.Deps, *clock.Sim) {
+	t.Helper()
 	clk := clock.NewSim()
 	link := netsim.NewSharedLink(netsim.Ethernet1G, clk)
 	cluster := kube.NewCluster(kube.Config{Clock: clk},
 		kube.NodeSpec{Name: "n1", GPUs: 4, GPUType: "K80"},
 	)
-	store := etcd.New(1, clk)
+	store := etcd.New(etcdReplicas, clk)
 	t.Cleanup(func() {
 		cluster.Stop()
 		store.Close()
@@ -58,8 +66,9 @@ func helperManifest(learners int) *manifest.Manifest {
 	}
 }
 
-// startHelperPod provisions the job volume and runs the helper pod.
-func startHelperPod(t *testing.T, d *core.Deps, m *manifest.Manifest) *nfs.Volume {
+// startHelperPod provisions the job volume and runs the helper pod —
+// all four containers, or only the named ones.
+func startHelperPod(t *testing.T, d *core.Deps, m *manifest.Manifest, only ...string) *nfs.Volume {
 	t.Helper()
 	vol, err := d.NFS.Provision("vol-j")
 	if err != nil {
@@ -68,6 +77,17 @@ func startHelperPod(t *testing.T, d *core.Deps, m *manifest.Manifest) *nfs.Volum
 	spec := PodSpec(Params{Deps: d, JobID: "j", Manifest: m, VolumeName: "vol-j"})
 	spec.Name = "helper-j"
 	spec.Volumes = nil // the simulated containers reach the volume via Deps
+	if len(only) > 0 {
+		var keep []kube.ContainerSpec
+		for _, cs := range spec.Containers {
+			for _, name := range only {
+				if cs.Name == name {
+					keep = append(keep, cs)
+				}
+			}
+		}
+		spec.Containers = keep
+	}
 	if _, err := d.Kube.CreatePod(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -97,25 +117,185 @@ func TestCurrentLearnerStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No files yet: unknown.
-	if got, _ := currentLearnerStatus(vol, 0); got != "" {
-		t.Fatalf("empty volume status = %q", got)
+	current := func(l int) (types.LearnerStatus, bool) {
+		status, _, ok := currentLearnerStatus(vol, l, statLearner(vol, l))
+		return status, ok
+	}
+	// No files yet: unknown, and nothing was read to learn it.
+	if got, ok := current(0); got != "" || !ok {
+		t.Fatalf("empty volume status = (%q,%v)", got, ok)
+	}
+	if n := d.NFS.OpCounts()["read"]; n != 0 {
+		t.Fatalf("%d reads of files Stat said are absent", n)
 	}
 	// Status file only.
 	vol.Write(learner.StatusPath(0), []byte(types.LearnerTraining))
-	if got, _ := currentLearnerStatus(vol, 0); got != types.LearnerTraining {
-		t.Fatalf("status = %q, want TRAINING", got)
+	if got, ok := current(0); got != types.LearnerTraining || !ok {
+		t.Fatalf("status = (%q,%v), want TRAINING", got, ok)
 	}
 	// Exit file wins over the status file (orderly termination).
 	vol.WriteExitCode(0, 0)
-	if got, _ := currentLearnerStatus(vol, 0); got != types.LearnerCompleted {
-		t.Fatalf("status = %q, want COMPLETED after exit 0", got)
+	if got, ok := current(0); got != types.LearnerCompleted || !ok {
+		t.Fatalf("status = (%q,%v), want COMPLETED after exit 0", got, ok)
 	}
 	vol.Write(learner.StatusPath(1), []byte(types.LearnerTraining))
 	vol.WriteExitCode(1, 5)
-	if got, _ := currentLearnerStatus(vol, 1); got != types.LearnerFailed {
-		t.Fatalf("status = %q, want FAILED after exit 5", got)
+	if got, ok := current(1); got != types.LearnerFailed || !ok {
+		t.Fatalf("status = (%q,%v), want FAILED after exit 5", got, ok)
 	}
+	// A file that exists but cannot be read (soft-mount fault) or parsed
+	// makes the answer incomplete, never a silently older status.
+	d.NFS.InjectFault(nfs.FaultError)
+	if _, ok := current(1); ok {
+		t.Fatal("status derived through an NFS fault reported complete")
+	}
+	d.NFS.Heal()
+	vol.Write(nfs.ExitCodePath(1), []byte("not-a-number"))
+	if got, ok := current(1); ok {
+		t.Fatalf("malformed exit file: status = (%q,true), want incomplete", got)
+	}
+}
+
+// awaitMirrored waits (virtual time) until learner l's envelope in etcd
+// carries status want.
+func awaitMirrored(t *testing.T, d *core.Deps, clk *clock.Sim, l int, want types.LearnerStatus, within time.Duration) {
+	t.Helper()
+	var last string
+	deadline := clk.Now().Add(within)
+	for clk.Now().Before(deadline) {
+		raw, found, err := d.Etcd.Get(types.LearnerStatusKey("j", l))
+		if err == nil && found {
+			if env, ok := events.Decode([]byte(raw)); ok && env.Status == string(want) {
+				return
+			}
+			last = raw
+		}
+		clk.Sleep(100 * time.Millisecond)
+	}
+	t.Fatalf("learner %d status %s not in etcd within %v; last value %q", l, want, within, last)
+}
+
+// TestControllerIdlePollsReadNothing pins the steady-state cost of the
+// whole helper pod: once a status is mirrored, polling goes on at its
+// cadence but pays no NFS round trip until a file changes.
+func TestControllerIdlePollsReadNothing(t *testing.T) {
+	d, clk := newTestDeps(t)
+	vol := startHelperPod(t, d, helperManifest(1))
+	vol.Write(learner.StatusPath(0), []byte(types.LearnerTraining))
+	awaitMirrored(t, d, clk, 0, types.LearnerTraining, time.Minute)
+	clk.Sleep(time.Second) // let the publishing poll finish its journal write
+
+	before := d.NFS.OpCounts()
+	puts := d.Etcd.OpCounts()["put"]
+	clk.Sleep(time.Minute)
+	after := d.NFS.OpCounts()
+	if n := after["read"] - before["read"]; n != 0 {
+		t.Errorf("%d NFS reads in 60 idle seconds, want 0", n)
+	}
+	if n := d.Etcd.OpCounts()["put"] - puts; n != 0 {
+		t.Errorf("%d etcd puts in 60 idle seconds, want 0", n)
+	}
+	// The saving is reads not made, not polls not made: controller and
+	// store-results still look twice a second (2 + 1 Stats per learner).
+	if n := after["stat"] - before["stat"]; n < 3*2*55 {
+		t.Errorf("%d attribute calls in 60 idle seconds, want >= %d: the poll cadence dropped", n, 3*2*55)
+	}
+}
+
+// TestControllerSeesSameSizeRewrite is why the change test is Gen and
+// not Size: consecutive status envelopes routinely have equal length.
+func TestControllerSeesSameSizeRewrite(t *testing.T) {
+	d, clk := newTestDeps(t)
+	vol := startHelperPod(t, d, helperManifest(1))
+	envelope := func(s types.LearnerStatus) []byte {
+		raw, err := events.LearnerStatus("j", types.StatusUpdate{Learner: 0, Status: s, Time: clk.Now()}).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	first, second := envelope(types.LearnerStarting), envelope(types.LearnerTraining)
+	if len(first) != len(second) {
+		t.Fatalf("test premise: envelopes differ in length (%d vs %d)", len(first), len(second))
+	}
+	vol.Write(learner.StatusPath(0), first)
+	awaitMirrored(t, d, clk, 0, types.LearnerStarting, time.Minute)
+	vol.Write(learner.StatusPath(0), second)
+	awaitMirrored(t, d, clk, 0, types.LearnerTraining, 10*time.Second)
+}
+
+// TestControllerRetriesFailedPublish: a change whose etcd Put failed is
+// not "handled" — the controller must keep re-reading it and publish once
+// etcd is back, with no further write from the learner to prompt it.
+func TestControllerRetriesFailedPublish(t *testing.T) {
+	d, clk := newTestDepsEtcd(t, 3)
+	vol := startHelperPod(t, d, helperManifest(1))
+	vol.Write(learner.StatusPath(0), []byte(types.LearnerStarting))
+	awaitMirrored(t, d, clk, 0, types.LearnerStarting, time.Minute)
+
+	d.Etcd.CrashNode(1)
+	d.Etcd.CrashNode(2)
+	vol.Write(learner.StatusPath(0), []byte(types.LearnerTraining)) // the learner's only write
+	deadline := clk.Now().Add(time.Minute)
+	for d.Metrics.Counter("controller_status_drops", "etcd-put") == 0 {
+		if !clk.Now().Before(deadline) {
+			t.Fatal("controller_status_drops never rose with etcd out of quorum")
+		}
+		clk.Sleep(500 * time.Millisecond)
+	}
+
+	d.Etcd.RestartNode(1)
+	d.Etcd.RestartNode(2)
+	awaitMirrored(t, d, clk, 0, types.LearnerTraining, time.Minute)
+}
+
+// TestControllerRetriesFaultedRead: the attribute view keeps answering
+// through a soft-mount outage, so the controller sees the new Gen, fails
+// the Read — and must not remember that Gen as handled.
+func TestControllerRetriesFaultedRead(t *testing.T) {
+	d, clk := newTestDeps(t)
+	vol := startHelperPod(t, d, helperManifest(1))
+	vol.Write(learner.StatusPath(0), []byte(types.LearnerStarting))
+	awaitMirrored(t, d, clk, 0, types.LearnerStarting, time.Minute)
+	clk.Sleep(137 * time.Millisecond) // off the controller's poll instants
+
+	vol.Write(learner.StatusPath(0), []byte(types.LearnerTraining)) // the learner's only write
+	d.NFS.InjectFault(nfs.FaultError)
+	clk.Sleep(5 * time.Second) // ten polls Stat the new Gen and fail to read it
+	awaitMirrored(t, d, clk, 0, types.LearnerStarting, time.Second)
+
+	d.NFS.Heal()
+	awaitMirrored(t, d, clk, 0, types.LearnerTraining, 2*time.Second)
+}
+
+// TestControllerRestartReadsEverythingOnce: what was handled lives in
+// memory only. A restarted controller reads the journal and every file
+// that exists on its first poll, publishes nothing the journal already
+// covers, and then goes quiet again.
+func TestControllerRestartReadsEverythingOnce(t *testing.T) {
+	d, clk := newTestDeps(t)
+	vol := startHelperPod(t, d, helperManifest(1))
+	vol.Write(learner.StatusPath(0), []byte(types.LearnerTraining))
+	awaitMirrored(t, d, clk, 0, types.LearnerTraining, time.Minute)
+	clk.Sleep(time.Second)
+
+	reads, puts := d.NFS.OpCounts()["read"], d.Etcd.OpCounts()["put"]
+	if err := d.Kube.CrashContainer("helper-j", "controller"); err != nil {
+		t.Fatal(err)
+	}
+	clk.Sleep(20 * time.Second)
+	if n := d.Kube.Pod("helper-j").Restarts(); n != 1 {
+		t.Fatalf("helper pod restarts = %d, want 1", n)
+	}
+	if n := d.NFS.OpCounts()["read"] - reads; n != 2 {
+		t.Errorf("restarted controller made %d NFS reads, want 2 (journal, status file)", n)
+	}
+	if n := d.Etcd.OpCounts()["put"] - puts; n != 0 {
+		t.Errorf("restarted controller republished: %d etcd puts, want 0", n)
+	}
+	// The new incarnation still mirrors what changes next.
+	vol.WriteExitCode(0, 0)
+	awaitMirrored(t, d, clk, 0, types.LearnerCompleted, 10*time.Second)
 }
 
 func TestControllerMirrorsStatusToEtcd(t *testing.T) {
@@ -191,13 +371,19 @@ func TestStoreResultsWaitsForAllLearnersThenPublishes(t *testing.T) {
 	if err := d.ObjectStore.CreateBucket("results", creds); err != nil {
 		t.Fatal(err)
 	}
-	vol := startHelperPod(t, d, m)
+	vol := startHelperPod(t, d, m, "store-results")
 
-	// One learner done: results must NOT be stored yet.
+	// One learner done 20s before the other: results must NOT be stored
+	// yet, and the 40 polls in between read the finished learner's exit
+	// file once and the unfinished learner's absent one never.
 	vol.WriteExitCode(0, 0)
-	clk.Sleep(time.Minute)
+	reads := d.NFS.OpCounts()["read"]
+	clk.Sleep(20 * time.Second)
 	if vol.Exists(ResultsStoredMarker) {
 		t.Fatal("results stored before every learner finished")
+	}
+	if n := d.NFS.OpCounts()["read"] - reads; n != 1 {
+		t.Fatalf("store-results made %d NFS reads while waiting, want 1", n)
 	}
 	// Second learner done: the model lands in the bucket and the marker
 	// appears.

@@ -72,8 +72,8 @@ func TestFaultStallBlocksUntilHeal(t *testing.T) {
 		t.Fatalf("stalled write completed after %v, want >= 1m", waited)
 	}
 
-	// Metadata operations are served from the attribute cache and do not
-	// stall (the controller can keep polling Exists during a flap).
+	// Attribute calls are served from the attribute cache and do not
+	// stall (the controller can keep polling Stat/Exists during a flap).
 	s.InjectFault(FaultStall)
 	if !v.Exists("stalled.txt") {
 		t.Fatal("Exists should not stall or fail during a flap")

@@ -5,6 +5,14 @@
 // coordination medium of the paper's failure-detection design: learners
 // redirect logs and exit statuses to files, and the controller container
 // in the helper pod reads them — surviving crashes of either side.
+//
+// Calls come in two prices, as on a real NFS client. Data calls — Read,
+// Write, Append (and ReadExitCode/WriteExitCode on top of them) — each
+// pay one NFSLink.Latency round trip on the virtual clock and obey the
+// injected fault mode. Attribute calls — Stat, Exists, List — are served
+// from the client's attribute view: no latency, never stalled or failed
+// by a fault. A periodic loop therefore asks Stat whether a file's Gen
+// moved and pays for a Read only when it did.
 package nfs
 
 import (
@@ -14,8 +22,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/clock"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 )
 
@@ -37,7 +47,22 @@ type Server struct {
 	mu      sync.Mutex
 	volumes map[string]*Volume
 	fault   FaultMode
+
+	ops [len(opNames)]atomic.Uint64 // operations served, across all volumes
+	mtr atomic.Pointer[metrics.Registry]
 }
+
+// opKind indexes the per-kind operation counters.
+type opKind int
+
+const (
+	opRead opKind = iota
+	opWrite
+	opAppend
+	opStat
+)
+
+var opNames = [...]string{opRead: "read", opWrite: "write", opAppend: "append", opStat: "stat"}
 
 // NewServer returns an NFS server on clk; file operations are charged
 // per-operation latency from link.
@@ -54,7 +79,7 @@ func (s *Server) Provision(name string) (*Volume, error) {
 	if _, ok := s.volumes[name]; ok {
 		return nil, fmt.Errorf("provisioning %q: %w", name, ErrVolumeExists)
 	}
-	v := &Volume{name: name, srv: s, files: make(map[string][]byte)}
+	v := &Volume{name: name, srv: s, files: make(map[string]file)}
 	s.volumes[name] = v
 	return v, nil
 }
@@ -89,13 +114,59 @@ func (s *Server) VolumeNames() []string {
 	return names
 }
 
+// Instrument mirrors the operation counters into reg as nfs_ops{op}.
+// Call before serving.
+func (s *Server) Instrument(reg *metrics.Registry) {
+	if reg != nil {
+		s.mtr.Store(reg)
+	}
+}
+
+// OpCounts reports how many operations the server has served, by kind:
+// "read", "write" and "append" are data calls that paid a round trip (a
+// Read of a missing file counts; one refused or dropped by FaultError
+// does not), "stat" is every attribute call (Stat, Exists, List).
+func (s *Server) OpCounts() map[string]uint64 {
+	out := make(map[string]uint64, len(opNames))
+	for op, name := range opNames {
+		out[name] = s.ops[op].Load()
+	}
+	return out
+}
+
+// served tallies one operation of the given kind.
+func (s *Server) served(op opKind) {
+	s.ops[op].Add(1)
+	if reg := s.mtr.Load(); reg != nil {
+		reg.Inc("nfs_ops", opNames[op])
+	}
+}
+
+// file is one file's contents and the generation that last changed them.
+type file struct {
+	data []byte
+	gen  uint64
+}
+
+// FileInfo is the attribute view of a file.
+type FileInfo struct {
+	// Size is the file's length in bytes.
+	Size int64
+	// Gen is the value of the volume's change counter when the file was
+	// last written or appended to: it differs after every change that
+	// lands, including a rewrite of identical length and a re-creation
+	// after Remove, and is never 0 for a file that exists.
+	Gen uint64
+}
+
 // Volume is a single shared filesystem.
 type Volume struct {
 	name string
 	srv  *Server
 
 	mu    sync.Mutex
-	files map[string][]byte
+	files map[string]file
+	gen   uint64 // change counter: bumped by every Write/Append that lands
 }
 
 // Name returns the volume name.
@@ -108,11 +179,13 @@ func (v *Volume) Write(path string, data []byte) {
 		return
 	}
 	v.srv.clk.Sleep(v.srv.link.Latency)
+	v.srv.served(opWrite)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	v.files[path] = cp
+	v.gen++
+	v.files[path] = file{data: cp, gen: v.gen}
 }
 
 // Append adds data to the end of the file, creating it if absent. This
@@ -123,9 +196,11 @@ func (v *Volume) Append(path string, data []byte) {
 		return
 	}
 	v.srv.clk.Sleep(v.srv.link.Latency)
+	v.srv.served(opAppend)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.files[path] = append(v.files[path], data...)
+	v.gen++
+	v.files[path] = file{data: append(v.files[path].data, data...), gen: v.gen}
 }
 
 // Read returns a copy of the file's contents. In FaultError mode it
@@ -135,27 +210,39 @@ func (v *Volume) Read(path string) ([]byte, error) {
 		return nil, fmt.Errorf("reading %s on %s: %w", path, v.name, ErrFaulted)
 	}
 	v.srv.clk.Sleep(v.srv.link.Latency)
+	v.srv.served(opRead)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	data, ok := v.files[path]
+	f, ok := v.files[path]
 	if !ok {
 		return nil, fmt.Errorf("reading %s on %s: %w", path, v.name, ErrNoFile)
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
+	cp := make([]byte, len(f.data))
+	copy(cp, f.data)
 	return cp, nil
+}
+
+// Stat returns the file's attributes; ok is false if path is absent.
+func (v *Volume) Stat(path string) (info FileInfo, ok bool) {
+	v.srv.served(opStat)
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	f, ok := v.files[path]
+	if !ok {
+		return FileInfo{}, false
+	}
+	return FileInfo{Size: int64(len(f.data)), Gen: f.gen}, true
 }
 
 // Exists reports whether path is present.
 func (v *Volume) Exists(path string) bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	_, ok := v.files[path]
+	_, ok := v.Stat(path)
 	return ok
 }
 
 // List returns paths under the given directory prefix, sorted.
 func (v *Volume) List(prefix string) []string {
+	v.srv.served(opStat)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	var out []string
@@ -173,13 +260,6 @@ func (v *Volume) Remove(path string) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	delete(v.files, path)
-}
-
-// Size returns the file's length in bytes, or 0 if absent.
-func (v *Volume) Size(path string) int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return int64(len(v.files[path]))
 }
 
 // Exit-status convention: learner process i writes its exit code to

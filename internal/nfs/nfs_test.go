@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/metrics"
 )
 
 func newTestServer(t *testing.T) *Server {
@@ -69,8 +70,8 @@ func TestAppendAccumulates(t *testing.T) {
 	if string(data) != want {
 		t.Fatalf("log = %q, want %q", data, want)
 	}
-	if v.Size("learner-0/training.log") != int64(len(want)) {
-		t.Fatalf("size = %d", v.Size("learner-0/training.log"))
+	if fi, ok := v.Stat("learner-0/training.log"); !ok || fi.Size != int64(len(want)) {
+		t.Fatalf("stat = (%+v,%v), want size %d", fi, ok, len(want))
 	}
 }
 
@@ -176,7 +177,101 @@ func TestConcurrentAppendsAllRecorded(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := v.Size("log"); got != n {
-		t.Fatalf("size = %d, want %d", got, n)
+	if fi, _ := v.Stat("log"); fi.Size != n {
+		t.Fatalf("size = %d, want %d", fi.Size, n)
+	}
+}
+
+// TestStatGenMovesOnEveryLandedChange: Gen is what a poller compares, so
+// it must move on every change a Read could observe — a rewrite of equal
+// length and a re-creation included — and on nothing else.
+func TestStatGenMovesOnEveryLandedChange(t *testing.T) {
+	s := newTestServer(t)
+	v, _ := s.Provision("job-1")
+	if fi, ok := v.Stat("f"); ok || fi != (FileInfo{}) {
+		t.Fatalf("absent file: stat = (%+v,%v)", fi, ok)
+	}
+	gen := func() uint64 {
+		t.Helper()
+		fi, ok := v.Stat("f")
+		if !ok || fi.Gen == 0 {
+			t.Fatalf("stat = (%+v,%v), want a present file with Gen > 0", fi, ok)
+		}
+		return fi.Gen
+	}
+	v.Write("f", []byte("aaaa"))
+	g1 := gen()
+	if g := gen(); g != g1 {
+		t.Fatalf("Gen moved with no change: %d -> %d", g1, g)
+	}
+	if _, err := v.Read("f"); err != nil {
+		t.Fatal(err)
+	}
+	v.Write("other", []byte("x"))
+	if g := gen(); g != g1 {
+		t.Fatalf("Gen moved on a read or another file's write: %d -> %d", g1, g)
+	}
+	v.Write("f", []byte("bbbb")) // same length
+	g2 := gen()
+	if g2 == g1 {
+		t.Fatal("same-size rewrite left Gen unchanged")
+	}
+	v.Append("f", []byte("c"))
+	g3 := gen()
+	if g3 == g2 {
+		t.Fatal("append left Gen unchanged")
+	}
+	v.Remove("f")
+	v.Write("f", []byte("bbbbc"))
+	if g := gen(); g == g3 {
+		t.Fatal("re-created file reuses the removed file's Gen")
+	}
+
+	// A write dropped by a soft-mount fault did not land: no bump. Stat
+	// itself is an attribute call and keeps answering through the fault.
+	before := gen()
+	s.InjectFault(FaultError)
+	v.Write("f", []byte("lost!"))
+	v.Append("f", []byte("lost"))
+	if g := gen(); g != before {
+		t.Fatalf("dropped write moved Gen: %d -> %d", before, g)
+	}
+	s.InjectFault(FaultStall)
+	if g := gen(); g != before {
+		t.Fatalf("Gen under stall = %d, want %d", g, before)
+	}
+	s.Heal()
+}
+
+func TestOpCountsByKind(t *testing.T) {
+	s := newTestServer(t)
+	reg := metrics.NewRegistry()
+	s.Instrument(reg)
+	v, _ := s.Provision("job-1")
+	v.Write("f", []byte("x"))
+	v.Append("f", []byte("y"))
+	v.Append("f", []byte("z"))
+	_, _ = v.Read("f")
+	_, _ = v.Read("missing") // a round trip that learns nothing still counts
+	v.Stat("f")
+	v.Exists("f")
+	v.List("")
+	s.InjectFault(FaultError)
+	v.Write("f", []byte("dropped"))
+	_, _ = v.Read("f")
+	s.Heal()
+
+	want := map[string]uint64{"read": 2, "write": 1, "append": 2, "stat": 3}
+	got := s.OpCounts()
+	for op, n := range want {
+		if got[op] != n {
+			t.Errorf("OpCounts[%q] = %d, want %d", op, got[op], n)
+		}
+		if c := reg.Counter("nfs_ops", op); c != float64(n) {
+			t.Errorf("nfs_ops{%s} = %v, want %d", op, c, n)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("OpCounts = %v, want exactly the kinds %v", got, want)
 	}
 }

@@ -209,6 +209,7 @@ func New(opts Options) (*Platform, error) {
 
 	p.metrics = metrics.NewRegistry()
 	p.nfs = nfs.NewServer(p.clk)
+	p.nfs.Instrument(p.metrics)
 	p.link = netsim.NewSharedLink(netsim.Ethernet1G, p.clk)
 	p.store = objectstore.New(p.clk, p.link)
 	p.mongo = mongo.NewSharded(p.clk, opts.MetadataShards)
@@ -351,6 +352,10 @@ func (p *Platform) Etcd() *etcd.Store { return p.etcd }
 
 // Mongo exposes the metadata database (for fault injection in tests).
 func (p *Platform) Mongo() *mongo.DB { return p.mongo }
+
+// NFS exposes the shared-volume server (operation counts, fault
+// injection in tests).
+func (p *Platform) NFS() *nfs.Server { return p.nfs }
 
 // ObjectStore exposes the training-data/results store.
 func (p *Platform) ObjectStore() *objectstore.Store { return p.store }
