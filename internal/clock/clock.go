@@ -8,6 +8,12 @@
 // directly for scheduling. Durations handed to a Clock are always expressed
 // in the modeled unit (seconds of "cluster time"), regardless of how fast
 // the simulation actually runs.
+//
+// The virtual clock (Sim) is the platform's event core — an idle replicated
+// etcd alone is twenty heartbeat rounds a virtual second — so its events
+// are data rather than closures, and a Timer, a Ticker or a sleeping
+// goroutine re-arms one struct in place: Reset, a tick and Sleep allocate
+// nothing (budgets pinned by TestAllocBudget).
 package clock
 
 import "time"
@@ -41,7 +47,9 @@ type Clock interface {
 
 // Timer is the clock-agnostic equivalent of *time.Timer.
 type Timer interface {
-	// C returns the channel on which the firing time is delivered.
+	// C returns the channel on which the firing time is delivered. For
+	// an AfterFunc timer it is nil, like time.AfterFunc's: nothing is
+	// ever delivered, the function runs instead.
 	C() <-chan time.Time
 
 	// Stop prevents the timer from firing. It reports whether the stop

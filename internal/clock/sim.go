@@ -20,6 +20,11 @@ import (
 //     "as fast as the CPU allows" while every measured duration stays in
 //     virtual units.
 //
+// What an event does when it fires is data, not a closure (see event), and
+// timers, tickers and sleepers own their event and re-arm it in place: a
+// Reset, a tick or a Sleep allocates nothing, and the idle-advance loop
+// reuses one real timer and one batch buffer.
+//
 // The zero value is not usable; construct with NewSim or NewManual.
 type Sim struct {
 	mu       sync.Mutex
@@ -64,25 +69,17 @@ func (s *Sim) Close() {
 	s.closed = true
 	s.mu.Unlock()
 	// Fire everything still pending so no goroutine leaks blocked on a
-	// timer that can no longer advance. Firing may schedule more events
-	// (tickers re-arm; schedule on a closed clock fires immediately), so
-	// loop until drained.
+	// timer that can no longer advance. A closed clock queues nothing (arm
+	// fires at once, tickers stop re-arming), so this drains.
 	for {
 		s.mu.Lock()
 		if s.events.Len() == 0 {
 			s.mu.Unlock()
 			return
 		}
-		ev := heap.Pop(&s.events).(*event)
-		if ev.when.After(s.now) {
-			s.now = ev.when
-		}
-		when := s.now
-		fire := s.detachLocked(ev)
+		ev, when := s.popLocked()
 		s.mu.Unlock()
-		if fire != nil {
-			fire(when)
-		}
+		s.fire(ev, when)
 	}
 }
 
@@ -96,41 +93,41 @@ func (s *Sim) Now() time.Time {
 // Since implements Clock.
 func (s *Sim) Since(t time.Time) time.Duration { return s.Now().Sub(t) }
 
+// sleepers recycles Sleep's waiters: an event and the channel it wakes on.
+var sleepers = sync.Pool{New: func() any {
+	return &event{kind: kindChan, ch: make(chan time.Time, 1)}
+}}
+
 // Sleep implements Clock.
 func (s *Sim) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	done := make(chan struct{})
-	s.schedule(d, func(time.Time) { close(done) }, nil)
-	<-done
+	ev := sleepers.Get().(*event)
+	s.arm(ev, d)
+	<-ev.ch
+	sleepers.Put(ev)
 }
 
 // After implements Clock.
 func (s *Sim) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	s.schedule(d, func(t time.Time) { ch <- t }, nil)
-	return ch
+	ev := &event{kind: kindChan, ch: make(chan time.Time, 1)}
+	s.arm(ev, d)
+	return ev.ch
 }
 
-// AfterFunc implements Clock.
+// AfterFunc implements Clock. Like time.AfterFunc's, the timer's channel
+// is nil: nothing is ever delivered on C().
 func (s *Sim) AfterFunc(d time.Duration, f func()) Timer {
-	t := &simTimer{s: s, ch: make(chan time.Time, 1)}
-	t.fire = func(now time.Time) { go f() }
-	t.ev = s.schedule(d, t.fire, t)
+	t := &simTimer{s: s, event: event{kind: kindFunc, f: f}}
+	s.arm(&t.event, d)
 	return t
 }
 
 // NewTimer implements Clock.
 func (s *Sim) NewTimer(d time.Duration) Timer {
-	t := &simTimer{s: s, ch: make(chan time.Time, 1)}
-	t.fire = func(now time.Time) {
-		select {
-		case t.ch <- now:
-		default:
-		}
-	}
-	t.ev = s.schedule(d, t.fire, t)
+	t := &simTimer{s: s, event: event{kind: kindChan, ch: make(chan time.Time, 1)}}
+	s.arm(&t.event, d)
 	return t
 }
 
@@ -139,8 +136,8 @@ func (s *Sim) NewTicker(d time.Duration) Ticker {
 	if d <= 0 {
 		panic("clock: non-positive ticker interval")
 	}
-	t := &simTicker{s: s, d: d, ch: make(chan time.Time, 1)}
-	t.arm()
+	t := &simTicker{s: s, event: event{kind: kindTicker, ch: make(chan time.Time, 1), period: d}}
+	s.arm(&t.event, d)
 	return t
 }
 
@@ -156,16 +153,9 @@ func (s *Sim) Advance(d time.Duration) {
 		if s.events.Len() == 0 || s.events[0].when.After(target) {
 			break
 		}
-		ev := heap.Pop(&s.events).(*event)
-		if ev.when.After(s.now) {
-			s.now = ev.when
-		}
-		when := s.now
-		fire := s.detachLocked(ev)
+		ev, when := s.popLocked()
 		s.mu.Unlock()
-		if fire != nil {
-			fire(when)
-		}
+		s.fire(ev, when)
 		s.mu.Lock()
 	}
 	if target.After(s.now) {
@@ -181,57 +171,99 @@ func (s *Sim) PendingEvents() int {
 	return s.events.Len()
 }
 
-// event is a single scheduled occurrence on the virtual timeline.
+// eventKind says what firing an event does.
+type eventKind uint8
+
+const (
+	kindChan   eventKind = iota // deliver the instant on ch: After, NewTimer, Sleep
+	kindFunc                    // run f in its own goroutine: AfterFunc
+	kindTicker                  // deliver on ch, then re-arm period ahead
+)
+
+// event is one scheduled occurrence on the virtual timeline. Its owner (a
+// timer, a ticker, a pooled sleeper) re-arms the same struct for every
+// firing, so it is in the heap at most once. kind, ch, f and period are
+// fixed at construction and read without the lock by fire; everything
+// else is guarded by Sim.mu.
 type event struct {
-	when    time.Time
-	seq     uint64
-	fire    func(time.Time)
-	index   int  // heap index, -1 when removed
-	stopped bool // canceled before firing
+	when   time.Time
+	seq    uint64
+	index  int  // heap index, meaningful while queued
+	queued bool // in the heap: armed and not yet popped or canceled
+	off    bool // stopped ticker: fire no longer re-arms it
+
+	kind   eventKind
+	ch     chan time.Time
+	f      func()
+	period time.Duration
 }
 
-func (s *Sim) schedule(d time.Duration, fire func(time.Time), _ *simTimer) *event {
+// arm (re-)schedules ev to fire d from now, moving it if still queued.
+func (s *Sim) arm(ev *event, d time.Duration) {
+	s.mu.Lock()
+	s.armLocked(ev, d)
+	s.mu.Unlock()
+}
+
+func (s *Sim) armLocked(ev *event, d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ev := &event{when: s.now.Add(d), seq: s.seq, fire: fire}
+	ev.when = s.now.Add(d)
+	ev.seq = s.seq
 	s.seq++
 	s.activity++
-	if s.closed {
+	switch {
+	case s.closed:
 		// Clock already closed: fire immediately so callers never hang.
-		go fire(ev.when)
-		ev.index = -1
-		return ev
+		s.cancelLocked(ev)
+		go s.fire(ev, ev.when)
+	case ev.queued:
+		heap.Fix(&s.events, ev.index)
+	default:
+		heap.Push(&s.events, ev)
 	}
-	heap.Push(&s.events, ev)
-	return ev
 }
 
-// detachLocked marks a popped event as fired and returns its callback,
-// or nil if the event was canceled. The callback must be invoked without
-// holding s.mu.
-func (s *Sim) detachLocked(ev *event) func(time.Time) {
-	ev.index = -1
-	if ev.stopped {
-		return nil
+// popLocked removes the earliest event, moving virtual time up to its
+// deadline. The caller fires it at the returned instant without s.mu held.
+func (s *Sim) popLocked() (*event, time.Time) {
+	ev := heap.Pop(&s.events).(*event)
+	if ev.when.After(s.now) {
+		s.now = ev.when
 	}
 	s.activity++
-	return ev.fire
+	return ev, s.now
 }
 
-// cancel removes ev from the heap if still pending. Reports whether the
-// event had not yet fired.
-func (s *Sim) cancel(ev *event) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ev.index < 0 || ev.stopped {
+// fire performs a popped event. It runs without s.mu held, so a Stop or
+// Reset that lost the race with the pop does not un-fire it.
+func (s *Sim) fire(ev *event, now time.Time) {
+	if ev.kind == kindFunc {
+		go ev.f()
+		return
+	}
+	select {
+	case ev.ch <- now:
+	default:
+	}
+	if ev.kind == kindTicker {
+		s.mu.Lock()
+		// A closed clock would fire the re-armed tick at once, forever.
+		if !ev.off && !s.closed {
+			s.armLocked(ev, ev.period)
+		}
+		s.mu.Unlock()
+	}
+}
+
+// cancelLocked removes ev from the heap if still pending. Reports whether
+// the event had not yet fired.
+func (s *Sim) cancelLocked(ev *event) bool {
+	if !ev.queued {
 		return false
 	}
-	ev.stopped = true
 	heap.Remove(&s.events, ev.index)
-	ev.index = -1
 	return true
 }
 
@@ -239,11 +271,14 @@ func (s *Sim) cancel(ev *event) bool {
 // for a grace window and waiters exist, jump to the earliest deadline.
 func (s *Sim) idleAdvance() {
 	var lastActivity uint64
-	for {
+	var fires []*event // this instant's events, reused across instants
+	window := time.NewTimer(graceWindow)
+	defer window.Stop()
+	for ; ; window.Reset(graceWindow) {
 		select {
 		case <-s.stop:
 			return
-		case <-time.After(graceWindow):
+		case <-window.C:
 		}
 		s.mu.Lock()
 		if s.closed {
@@ -262,85 +297,56 @@ func (s *Sim) idleAdvance() {
 			continue
 		}
 		// Quiescent with pending events: jump to the next deadline and
-		// fire every event scheduled for that same instant. Callbacks
-		// run without the lock so they can schedule follow-up events.
+		// fire every event scheduled for that same instant. Events fire
+		// without the lock so they can schedule follow-up events.
 		next := s.events[0].when
-		s.now = next
-		var fires []func(time.Time)
+		fires = fires[:0]
 		for s.events.Len() > 0 && !s.events[0].when.After(next) {
-			ev := heap.Pop(&s.events).(*event)
-			if f := s.detachLocked(ev); f != nil {
-				fires = append(fires, f)
-			}
+			ev, _ := s.popLocked()
+			fires = append(fires, ev)
 		}
 		lastActivity = s.activity
 		s.mu.Unlock()
-		for _, f := range fires {
-			f(next)
+		for i, ev := range fires {
+			fires[i] = nil // do not keep a fired timer and its closure alive
+			s.fire(ev, next)
 		}
 	}
 }
 
+// simTimer is the Timer of AfterFunc (kindFunc, nil channel) and NewTimer
+// (kindChan).
 type simTimer struct {
-	s    *Sim
-	mu   sync.Mutex
-	ev   *event
-	ch   chan time.Time
-	fire func(time.Time) // the timer's behavior; Reset re-arms it intact
+	event
+	s *Sim
 }
 
 func (t *simTimer) C() <-chan time.Time { return t.ch }
 
 func (t *simTimer) Stop() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.s.cancel(t.ev)
+	t.s.mu.Lock()
+	defer t.s.mu.Unlock()
+	return t.s.cancelLocked(&t.event)
 }
 
 // Reset re-arms the timer with its original behavior — like
 // time.Timer.Reset, an AfterFunc timer runs its function again, not a
 // bare channel send (a Reset that dropped the function would, e.g., let
 // a kept-alive lease never expire).
-func (t *simTimer) Reset(d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.s.cancel(t.ev)
-	t.ev = t.s.schedule(d, t.fire, nil)
-}
+func (t *simTimer) Reset(d time.Duration) { t.s.arm(&t.event, d) }
 
 type simTicker struct {
-	s   *Sim
-	d   time.Duration
-	mu  sync.Mutex
-	ev  *event
-	ch  chan time.Time
-	off bool
+	event
+	s *Sim
 }
 
 func (t *simTicker) C() <-chan time.Time { return t.ch }
 
 func (t *simTicker) Stop() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.s.mu.Lock()
+	defer t.s.mu.Unlock()
 	t.off = true
-	if t.ev != nil {
-		t.s.cancel(t.ev)
-	}
-}
-
-func (t *simTicker) arm() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.off {
-		return
-	}
-	t.ev = t.s.schedule(t.d, func(now time.Time) {
-		select {
-		case t.ch <- now:
-		default:
-		}
-		t.arm()
-	}, nil)
+	t.s.cancelLocked(&t.event)
 }
 
 // eventHeap orders events by deadline, then scheduling order.
@@ -363,7 +369,7 @@ func (h eventHeap) Swap(i, j int) {
 
 func (h *eventHeap) Push(x any) {
 	ev := x.(*event)
-	ev.index = len(*h)
+	ev.index, ev.queued = len(*h), true
 	*h = append(*h, ev)
 }
 
@@ -372,7 +378,7 @@ func (h *eventHeap) Pop() any {
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
-	ev.index = -1
+	ev.queued = false
 	*h = old[:n-1]
 	return ev
 }

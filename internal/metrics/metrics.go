@@ -18,26 +18,58 @@ import (
 // construct with NewRegistry.
 type Registry struct {
 	mu         sync.Mutex
-	counters   map[string]float64
-	gauges     map[string]float64
+	counters   map[string]*float64
+	gauges     map[string]*float64
 	histograms map[string]*histogram
+	keyBuf     []byte // key's scratch, guarded by mu
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]float64),
-		gauges:     make(map[string]float64),
+		counters:   make(map[string]*float64),
+		gauges:     make(map[string]*float64),
 		histograms: make(map[string]*histogram),
 	}
 }
 
-// key renders name plus labels canonically: name{a,b}.
-func key(name string, labels []string) string {
-	if len(labels) == 0 {
-		return name
+// key renders name plus labels canonically — name{a,b} — into the
+// registry's scratch buffer, valid until the next call. Looking a series
+// up as m[string(key)] copies nothing, so with pointer-valued maps only
+// the first update of a series allocates. Callers hold r.mu.
+func (r *Registry) key(name string, labels []string) []byte {
+	b := append(r.keyBuf[:0], name...)
+	if len(labels) > 0 {
+		b = append(b, '{')
+		for i, l := range labels {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, l...)
+		}
+		b = append(b, '}')
 	}
-	return name + "{" + strings.Join(labels, ",") + "}"
+	r.keyBuf = b
+	return b
+}
+
+// cell returns the series' value in m, adding it at zero on first use.
+func (r *Registry) cell(m map[string]*float64, name string, labels []string) *float64 {
+	k := r.key(name, labels)
+	c := m[string(k)]
+	if c == nil {
+		c = new(float64)
+		m[string(k)] = c
+	}
+	return c
+}
+
+// read returns the series' value in m, zero if it was never updated.
+func (r *Registry) read(m map[string]*float64, name string, labels []string) float64 {
+	if c := m[string(r.key(name, labels))]; c != nil {
+		return *c
+	}
+	return 0
 }
 
 // Inc adds 1 to the counter.
@@ -52,28 +84,28 @@ func (r *Registry) Add(name string, v float64, labels ...string) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.counters[key(name, labels)] += v
+	*r.cell(r.counters, name, labels) += v
 }
 
 // Counter reads the counter's current value.
 func (r *Registry) Counter(name string, labels ...string) float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.counters[key(name, labels)]
+	return r.read(r.counters, name, labels)
 }
 
 // SetGauge sets the gauge to v.
 func (r *Registry) SetGauge(name string, v float64, labels ...string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.gauges[key(name, labels)] = v
+	*r.cell(r.gauges, name, labels) = v
 }
 
 // Gauge reads the gauge's current value.
 func (r *Registry) Gauge(name string, labels ...string) float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.gauges[key(name, labels)]
+	return r.read(r.gauges, name, labels)
 }
 
 // histogram accumulates durations in fixed exponential buckets.
@@ -97,12 +129,12 @@ func defaultBounds() []time.Duration {
 func (r *Registry) Observe(name string, d time.Duration, labels ...string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	k := key(name, labels)
-	h := r.histograms[k]
+	k := r.key(name, labels)
+	h := r.histograms[string(k)]
 	if h == nil {
 		h = &histogram{bounds: defaultBounds()}
 		h.counts = make([]int64, len(h.bounds)+1)
-		r.histograms[k] = h
+		r.histograms[string(k)] = h
 	}
 	i := sort.Search(len(h.bounds), func(i int) bool { return d <= h.bounds[i] })
 	h.counts[i]++
@@ -165,7 +197,7 @@ func (s HistogramStats) Quantile(q float64) time.Duration {
 func (r *Registry) Histogram(name string, labels ...string) HistogramStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h := r.histograms[key(name, labels)]
+	h := r.histograms[string(r.key(name, labels))]
 	if h == nil || h.n == 0 {
 		return HistogramStats{}
 	}
@@ -194,10 +226,10 @@ func (r *Registry) Snapshot() string {
 	}
 	var lines []string
 	for k, v := range r.counters {
-		lines = append(lines, fmt.Sprintf("counter %s %.0f", k, v))
+		lines = append(lines, fmt.Sprintf("counter %s %.0f", k, *v))
 	}
 	for k, v := range r.gauges {
-		lines = append(lines, fmt.Sprintf("gauge %s %g", k, v))
+		lines = append(lines, fmt.Sprintf("gauge %s %g", k, *v))
 	}
 	r.mu.Unlock()
 	for k, h := range hs {
@@ -236,13 +268,13 @@ func (r *Registry) Export() Export {
 	if len(r.counters) > 0 {
 		out.Counters = make(map[string]float64, len(r.counters))
 		for k, v := range r.counters {
-			out.Counters[k] = v
+			out.Counters[k] = *v
 		}
 	}
 	if len(r.gauges) > 0 {
 		out.Gauges = make(map[string]float64, len(r.gauges))
 		for k, v := range r.gauges {
-			out.Gauges[k] = v
+			out.Gauges[k] = *v
 		}
 	}
 	hs := make(map[string]HistogramStats, len(r.histograms))
@@ -302,11 +334,11 @@ func (r *Registry) PrometheusText() string {
 	r.mu.Lock()
 	counters := make(map[string]float64, len(r.counters))
 	for k, v := range r.counters {
-		counters[k] = v
+		counters[k] = *v
 	}
 	gauges := make(map[string]float64, len(r.gauges))
 	for k, v := range r.gauges {
-		gauges[k] = v
+		gauges[k] = *v
 	}
 	hs := make(map[string]HistogramStats, len(r.histograms))
 	for k, h := range r.histograms {

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -194,3 +195,109 @@ func TestConcurrentUse(t *testing.T) {
 		t.Fatalf("hist = %+v", st)
 	}
 }
+
+// TestUpdateAllocs: updating a series that exists allocates nothing — the
+// key is built in the registry's scratch buffer — and neither does reading
+// one. Only a series' first update pays for its key and cell.
+func TestUpdateAllocs(t *testing.T) {
+	r := NewRegistry()
+	update := func() {
+		r.Inc("raft_appends_sent", "etcd-0")
+		r.Add("api_requests", 2, "submit", "alice")
+		r.SetGauge("hub_queue_depth", 3, "etcd-0")
+		r.SetGauge("free_gpus", 12)
+		r.Observe("deploy", 40*time.Millisecond, "tensorflow")
+		if r.Counter("api_requests", "submit", "alice") == 0 || r.Gauge("free_gpus") != 12 {
+			t.Fatal("series lost")
+		}
+	}
+	if got := testing.AllocsPerRun(100, update); got != 0 {
+		t.Errorf("%v allocs per round of updates to existing series, want 0", got)
+	}
+}
+
+// TestExpositionGolden: the three renderings of a fixed update script are
+// byte for byte what the registry produced when series were keyed by
+// freshly concatenated strings and held by value.
+func TestExpositionGolden(t *testing.T) {
+	r := NewRegistry()
+	for i := 0; i < 3; i++ {
+		r.Inc("api_requests", "submit", "alice")
+		r.Add("api_requests", 2.5, "submit", "bob")
+		r.Inc("raft_appends_sent")
+		r.Add("zero", 0)
+		r.SetGauge("hub_queue_depth", float64(i), "etcd-0")
+		r.SetGauge("free_gpus", 12-float64(i))
+		r.Observe("deploy", time.Duration(i+1)*40*time.Millisecond, "tensorflow")
+		r.Observe("put", time.Duration(i)*time.Millisecond)
+	}
+	r.Inc("a", "b", "") // an empty label still counts
+	export, err := json.Marshal(r.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ name, got, want string }{
+		{"Snapshot", r.Snapshot(), goldenSnapshot},
+		{"PrometheusText", r.PrometheusText(), goldenPrometheus},
+		{"Export", string(export), goldenExport},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s changed:\n%s\nwant:\n%s", c.name, c.got, c.want)
+		}
+	}
+}
+
+const goldenSnapshot = `counter api_requests{submit,alice} 3
+counter api_requests{submit,bob} 8
+counter a{b,} 1
+counter raft_appends_sent 3
+counter zero 0
+gauge free_gpus 10
+gauge hub_queue_depth{etcd-0} 2
+histogram deploy{tensorflow} count=3 mean=80ms p50=112ms p95=241.599999ms p99=253.119999ms
+histogram put count=3 mean=1ms p50=750µs p95=3.549999ms p99=3.909999ms`
+
+const goldenPrometheus = `# TYPE api_requests counter
+api_requests{labels="submit,alice"} 3
+api_requests{labels="submit,bob"} 7.5
+# TYPE a counter
+a{labels="b,"} 1
+# TYPE raft_appends_sent counter
+raft_appends_sent 3
+# TYPE zero counter
+zero 0
+# TYPE free_gpus gauge
+free_gpus 10
+# TYPE hub_queue_depth gauge
+hub_queue_depth{labels="etcd-0"} 2
+# TYPE deploy histogram
+deploy_bucket{labels="tensorflow",le="0.001"} 0
+deploy_bucket{labels="tensorflow",le="0.004"} 0
+deploy_bucket{labels="tensorflow",le="0.016"} 0
+deploy_bucket{labels="tensorflow",le="0.064"} 1
+deploy_bucket{labels="tensorflow",le="0.256"} 3
+deploy_bucket{labels="tensorflow",le="1.024"} 3
+deploy_bucket{labels="tensorflow",le="4.096"} 3
+deploy_bucket{labels="tensorflow",le="16.384"} 3
+deploy_bucket{labels="tensorflow",le="65.536"} 3
+deploy_bucket{labels="tensorflow",le="262.144"} 3
+deploy_bucket{labels="tensorflow",le="+Inf"} 3
+deploy_sum{labels="tensorflow"} 0.24
+deploy_count{labels="tensorflow"} 3
+# TYPE put histogram
+put_bucket{le="0.001"} 2
+put_bucket{le="0.004"} 3
+put_bucket{le="0.016"} 3
+put_bucket{le="0.064"} 3
+put_bucket{le="0.256"} 3
+put_bucket{le="1.024"} 3
+put_bucket{le="4.096"} 3
+put_bucket{le="16.384"} 3
+put_bucket{le="65.536"} 3
+put_bucket{le="262.144"} 3
+put_bucket{le="+Inf"} 3
+put_sum 0.003
+put_count 3
+`
+
+const goldenExport = `{"counters":{"api_requests{submit,alice}":3,"api_requests{submit,bob}":7.5,"a{b,}":1,"raft_appends_sent":3,"zero":0},"gauges":{"free_gpus":10,"hub_queue_depth{etcd-0}":2},"histograms":{"deploy{tensorflow}":{"count":3,"mean":80000000,"p50":112000000,"p95":241599999,"p99":253119999},"put":{"count":3,"mean":1000000,"p50":750000,"p95":3549999,"p99":3909999}}}`

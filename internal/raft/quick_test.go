@@ -3,6 +3,7 @@ package raft
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -352,4 +353,50 @@ func proposeQuick(c *Cluster, clk *clock.Sim, cmd string) bool {
 		clk.Sleep(20 * time.Millisecond)
 	}
 	return false
+}
+
+// TestKthLargestAllocsAndReference: the quorum helper behind commit
+// advance (k = n/2+1 of n match indexes) and lease extension (k = n/2 of
+// n-1 follower acks, skewed followers entered as 0) agrees with the
+// sort-descending-and-index form it replaced, and allocates nothing.
+func TestKthLargestAllocsAndReference(t *testing.T) {
+	f := func(raw []uint64, pick uint8) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		if len(raw) > 5 {
+			raw = raw[:5]
+		}
+		for i := range raw {
+			raw[i] %= 4 // ties, and zeros as skewBad peers contribute
+		}
+		k := int(pick)%len(raw) + 1
+		ref := append([]uint64(nil), raw...)
+		sort.Slice(ref, func(i, j int) bool { return ref[i] > ref[j] })
+		return kthLargest(raw, k) == ref[k-1]
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Both callers on a bare five-node leader: match indexes 9 7 8 2 1
+	// commit 7; acks 5 3 4 and a skewed follower's 9 confirm round 4.
+	n := &Node{
+		peers:      []int{0, 1, 2, 3, 4},
+		log:        []Entry{{Index: 1}, {Index: 2}, {Index: 3}, {Index: 4}, {Index: 5}, {Index: 6}, {Index: 7}, {Index: 8}, {Index: 9}},
+		matchIndex: map[int]uint64{0: 9, 1: 7, 2: 8, 3: 2, 4: 1},
+		ackSeq:     map[int]uint64{1: 5, 2: 3, 3: 4, 4: 9},
+		skewBad:    map[int]bool{4: true},
+		roundStart: map[uint64]time.Time{4: time.Unix(0, 0)},
+	}
+	n.cfg.ElectionTimeoutMin = time.Second
+	if got := testing.AllocsPerRun(100, func() {
+		n.advanceCommitLocked()
+		n.maybeExtendLeaseLocked()
+	}); got != 0 {
+		t.Errorf("%v allocs per quorum computation, want 0", got)
+	}
+	if n.commitIndex != 7 || n.lastLeaseRound != 4 {
+		t.Errorf("commitIndex %d, lease round %d; want 7, 4", n.commitIndex, n.lastLeaseRound)
+	}
 }

@@ -31,7 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -261,6 +261,10 @@ type Node struct {
 	skewBad        map[int]bool
 	leaseOn        atomic.Bool
 	coalesceOn     atomic.Bool
+
+	// quorumScratch holds one value per peer for kthLargest; reused under
+	// mu so that the quorum math on every append ack allocates nothing.
+	quorumScratch []uint64
 
 	rng           *rand.Rand
 	electionTimer clock.Timer
@@ -865,7 +869,7 @@ func (n *Node) maybeExtendLeaseLocked() {
 	if need == 0 {
 		q = n.hbSeq // single node: every broadcast self-confirms
 	} else {
-		seqs := make([]uint64, 0, len(n.peers)-1)
+		seqs := n.quorumScratch[:0]
 		for _, p := range n.peers {
 			if p == n.id {
 				continue
@@ -876,8 +880,8 @@ func (n *Node) maybeExtendLeaseLocked() {
 			}
 			seqs = append(seqs, n.ackSeq[p])
 		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-		q = seqs[need-1]
+		n.quorumScratch = seqs
+		q = kthLargest(seqs, need)
 	}
 	if q == 0 || q <= n.lastLeaseRound {
 		return
@@ -1482,18 +1486,25 @@ func (n *Node) handleAppendEntriesResp(from int, msg appendEntriesResp) {
 // advanceCommitLocked moves commitIndex to the highest index replicated on
 // a majority whose entry is from the current term (§5.4.2).
 func (n *Node) advanceCommitLocked() {
-	matches := make([]uint64, 0, len(n.peers))
+	matches := n.quorumScratch[:0]
 	for _, p := range n.peers {
 		matches = append(matches, n.matchIndex[p])
 	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i] > matches[j] })
-	majority := matches[len(n.peers)/2]
+	n.quorumScratch = matches
+	majority := kthLargest(matches, len(n.peers)/2+1)
 	if majority > n.commitIndex && n.termAtLocked(majority) == n.currentTerm {
 		n.commitIndex = majority
 		// Reads whose quorum already acked may have been waiting for the
 		// current term's first commit (the no-op barrier).
 		n.maybeCompleteReadsLocked()
 	}
+}
+
+// kthLargest returns the k-th largest (1 = the largest) of vals, sorting
+// them in place: the highest value that at least k of the peers have reached.
+func kthLargest(vals []uint64, k int) uint64 {
+	slices.Sort(vals)
+	return vals[len(vals)-k]
 }
 
 func (n *Node) broadcastAppendLocked() {
