@@ -74,6 +74,14 @@ func TestAllocBudget(t *testing.T) {
 			ticks.Advance(time.Second)
 			<-tk.C()
 		}},
+		// The pooled wait timer, both ways a wait ends.
+		{"AcquireRelease", 0, func() { ReleaseTimer(AcquireTimer(s, time.Hour)) }},
+		{"AcquireFire", 0, func() {
+			tm := AcquireTimer(s, time.Second)
+			s.Advance(time.Second)
+			<-tm.C()
+			ReleaseTimer(tm)
+		}},
 	} {
 		if got := testing.AllocsPerRun(100, c.run); got != c.want {
 			t.Errorf("%s: %v allocs per call, want %v", c.name, got, c.want)
@@ -231,6 +239,99 @@ func TestConcurrentReuseStress(t *testing.T) {
 	for i := range ran {
 		if r, a := ran[i].Load(), armed[i].Load(); r > a {
 			t.Errorf("timer %d: f ran %d times for %d armings", i, r, a)
+		}
+	}
+}
+
+// A pooled wait timer handed out again must never carry the previous
+// wait's tick — it would end the new wait at once, and a request would
+// time out the moment it was made. The window is a waiter giving up
+// between the clock popping its timer and the tick reaching the channel;
+// this test holds it open.
+func TestReleasedTimerDoesNotCarryItsTick(t *testing.T) {
+	s := NewManual()
+	defer s.Close()
+
+	tm := AcquireTimer(s, time.Second)
+	s.mu.Lock()
+	ev, when := s.popLocked()
+	s.mu.Unlock()
+	ReleaseTimer(tm) // not pending any more, tick not delivered yet
+	s.fire(ev, when)
+	for i := 0; i < 8; i++ { // whatever the pool hands out next
+		next := AcquireTimer(s, time.Hour)
+		defer ReleaseTimer(next)
+		select {
+		case <-next.C():
+			t.Fatal("a freshly acquired timer had already fired")
+		default:
+		}
+	}
+
+	// Released with the tick delivered but unread, it is recycled
+	// (TestAllocBudget's AcquireFire row) and the tick is not.
+	tm = AcquireTimer(s, time.Second)
+	s.Advance(time.Second)
+	ReleaseTimer(tm)
+	again := AcquireTimer(s, time.Hour)
+	defer ReleaseTimer(again)
+	select {
+	case <-again.C():
+		t.Fatal("a recycled timer kept its unread tick")
+	default:
+	}
+}
+
+// Stress for `go test -race -count=10`: pooled wait timers acquired,
+// waited on and given up while the clock fires them.
+func TestPooledTimerNeverFiresEarly(t *testing.T) {
+	s := NewManual()
+	defer s.Close()
+
+	const wait = 2 * time.Millisecond
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				armed := s.Now()
+				tm := AcquireTimer(s, wait)
+				if (i+w)%3 == 0 {
+					// Give up at about the time it fires.
+					for s.Now().Sub(armed) < wait-time.Millisecond && !stop.Load() {
+						runtime.Gosched()
+					}
+				} else {
+					select {
+					case at := <-tm.C():
+						if early := wait - at.Sub(armed); early > 0 {
+							t.Errorf("worker %d wait %d: a %v timer fired %v early", w, i, wait, early)
+							stop.Store(true)
+						}
+					case <-time.After(5 * time.Second):
+						t.Errorf("worker %d wait %d: timer never fired", w, i)
+						stop.Store(true)
+					}
+				}
+				ReleaseTimer(tm)
+			}
+		}(w)
+	}
+	for i := 0; i < 1000 && !stop.Load(); i++ {
+		s.Advance(time.Millisecond)
+		runtime.Gosched()
+	}
+	stop.Store(true)
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for { // a worker parked on its timer needs the clock to move
+		select {
+		case <-done:
+			return
+		case <-time.After(time.Millisecond):
+			s.Advance(wait)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package clock
 import (
 	"container/heap"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -109,6 +110,53 @@ func (s *Sim) Sleep(d time.Duration) {
 	sleepers.Put(ev)
 }
 
+// waitTimers recycles the timers of AcquireTimer.
+var waitTimers = sync.Pool{New: func() any {
+	t := &simTimer{event: event{kind: kindChan, ch: make(chan time.Time, 1)}}
+	t.done = &t.fired // what marks a timer as pooled
+	return t
+}}
+
+// AcquireTimer returns a timer that fires once, d from now on clk, for
+// the wait-for-an-answer-or-give-up select that runs on every request and
+// usually ends with the timer unfired. On a virtual clock the timer comes
+// from a pool, so the wait allocates nothing; hand it back with
+// ReleaseTimer, use it for that one wait, and do not Reset it.
+func AcquireTimer(clk Clock, d time.Duration) Timer {
+	s, ok := clk.(*Sim)
+	if !ok {
+		return clk.NewTimer(d)
+	}
+	t := waitTimers.Get().(*simTimer)
+	t.s = s
+	t.fired.Store(false)
+	s.arm(&t.event, d)
+	return t
+}
+
+// ReleaseTimer stops a timer obtained from AcquireTimer, fired or not,
+// and lets the next AcquireTimer reuse it.
+func ReleaseTimer(t Timer) {
+	st, ok := t.(*simTimer)
+	if !ok || st.done == nil {
+		t.Stop()
+		return
+	}
+	if !st.Stop() {
+		// Popped from the heap. Its tick may still be on its way to the
+		// channel, where it would end the next user's wait at once: only
+		// a timer whose firing is over is safe to reuse.
+		if !st.fired.Load() {
+			return
+		}
+		select {
+		case <-st.ch:
+		default:
+		}
+	}
+	waitTimers.Put(st)
+}
+
 // After implements Clock.
 func (s *Sim) After(d time.Duration) <-chan time.Time {
 	ev := &event{kind: kindChan, ch: make(chan time.Time, 1)}
@@ -196,6 +244,7 @@ type event struct {
 	ch     chan time.Time
 	f      func()
 	period time.Duration
+	done   *atomic.Bool // pooled wait timers only: set once a firing has delivered on ch
 }
 
 // arm (re-)schedules ev to fire d from now, moving it if still queued.
@@ -246,6 +295,9 @@ func (s *Sim) fire(ev *event, now time.Time) {
 	select {
 	case ev.ch <- now:
 	default:
+	}
+	if ev.done != nil {
+		ev.done.Store(true)
 	}
 	if ev.kind == kindTicker {
 		s.mu.Lock()
@@ -319,6 +371,9 @@ func (s *Sim) idleAdvance() {
 type simTimer struct {
 	event
 	s *Sim
+	// fired is the event's done in a timer from AcquireTimer: it tells
+	// ReleaseTimer a finished firing from one still on its way to ch.
+	fired atomic.Bool
 }
 
 func (t *simTimer) C() <-chan time.Time { return t.ch }

@@ -74,7 +74,7 @@ func TestWritePathMatchesReferenceModel(t *testing.T) {
 	run := func(cmd command) bool {
 		res, err := s.propose(cmd)
 		if err != nil {
-			t.Errorf("%s %s: %v", cmd.Op, cmd.Key, err)
+			t.Errorf("op %d %s: %v", cmd.Op, cmd.Key, err)
 		}
 		return res.ok
 	}
@@ -82,7 +82,7 @@ func TestWritePathMatchesReferenceModel(t *testing.T) {
 		t.Helper()
 		want, _ := model.apply(cmd)
 		if (cmd.Op == opCAS || cmd.Op == opTxn) && got != want {
-			t.Fatalf("%s %s: guard outcome %v, model says %v", cmd.Op, cmd.Key, got, want)
+			t.Fatalf("op %d %s: guard outcome %v, model says %v", cmd.Op, cmd.Key, got, want)
 		}
 	}
 

@@ -25,7 +25,7 @@ func TestSnapshotRestoreDeterministic(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		key := fmt.Sprintf("/jobs/j%02d/status", (7*i)%32)
 		src.apply(uint64(i+1), command{
-			ReqID: fmt.Sprintf("req-%d", i),
+			ReqID: uint64(i + 1),
 			Op:    opPut,
 			Key:   key,
 			Value: fmt.Sprintf("state-%d", i),
@@ -45,8 +45,8 @@ func TestSnapshotRestoreDeterministic(t *testing.T) {
 		t.Fatalf("two restores of one image exported different state:\n a=%v\n b=%v", got, want)
 	}
 	// Round-trip: restore then re-serialize must reproduce the image
-	// byte for byte (JSON object keys are emitted sorted, so any
-	// divergence here is real state divergence, not encoding noise).
+	// byte for byte (the image lists keys and ledger entries in sorted
+	// order, so any divergence here is real state divergence).
 	if !bytes.Equal(a.serialize(), img) {
 		t.Fatal("serialize(restore(img)) != img")
 	}

@@ -28,10 +28,8 @@
 package etcd
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,54 +100,60 @@ type KV struct {
 }
 
 // opKind enumerates commands in the replicated log.
-type opKind string
+type opKind uint8
 
 const (
-	opPut    opKind = "put"
-	opDelete opKind = "delete"
-	opCAS    opKind = "cas"
-	opGet    opKind = "get"
-	opRange  opKind = "range"
-	opTxn    opKind = "txn"
+	opPut opKind = iota + 1
+	opDelete
+	opCAS
+	opGet
+	opRange
+	opTxn
 	// opBatch is a group-commit wrapper: one log entry carrying the
 	// sub-commands of every propose() call that queued while the
 	// previous batch's round was in flight. All sub-commands apply at
 	// the wrapper's single log index (one revision).
-	opBatch opKind = "batch"
+	opBatch
 )
 
 // Cmp is a transaction guard, with the same semantics as
 // CompareAndSwap's precondition: when PrevExists the key must exist with
 // value Prev; otherwise the key must be absent.
 type Cmp struct {
-	Key        string `json:"key"`
-	Prev       string `json:"prev,omitempty"`
-	PrevExists bool   `json:"prev_exists,omitempty"`
+	Key        string
+	Prev       string
+	PrevExists bool
 }
 
 // TxnOp is one mutation inside a transaction branch.
 type TxnOp struct {
 	// Type is EventPut or EventDelete.
-	Type  EventType `json:"type"`
-	Key   string    `json:"key"`
-	Value string    `json:"value,omitempty"`
+	Type  EventType
+	Key   string
+	Value string
 }
 
-// command is the JSON-encoded payload of a Raft entry.
+// command is the payload of a Raft entry (codec.go has its encoding).
 type command struct {
-	ReqID string `json:"req_id"`
-	Op    opKind `json:"op"`
-	Key   string `json:"key,omitempty"`
-	Value string `json:"value,omitempty"`
+	// ReqID identifies the client call for exactly-once application: the
+	// Store numbers its calls 1, 2, 3, ... (a wrapper has none).
+	ReqID uint64
+	// Floor is the Store's low-water mark when the command was encoded:
+	// every call numbered below it had finished, so no copy of one can
+	// follow this command in the log and the dedup ledger may forget them.
+	Floor uint64
+	Op    opKind
+	Key   string
+	Value string
 	// Prev is the expected current value for CAS ("" means
 	// must-not-exist when PrevExists is false).
-	Prev       string  `json:"prev,omitempty"`
-	PrevExists bool    `json:"prev_exists,omitempty"`
-	Cmps       []Cmp   `json:"cmps,omitempty"`
-	Then       []TxnOp `json:"then,omitempty"`
-	Else       []TxnOp `json:"else,omitempty"`
+	Prev       string
+	PrevExists bool
+	Cmps       []Cmp
+	Then       []TxnOp
+	Else       []TxnOp
 	// Subs are the sub-commands of an opBatch wrapper, applied in order.
-	Subs []command `json:"subs,omitempty"`
+	Subs []command
 }
 
 // result is what applying a command yields (deterministic on every node).
@@ -228,13 +232,13 @@ const waiterStripes = 64
 // waiterStripe is one lock shard of the in-flight proposal table.
 type waiterStripe struct {
 	mu sync.Mutex
-	m  map[string]*proposal
+	m  map[uint64]*proposal
 }
 
 // proposal is one log entry's worth of client commands. Writers append
 // to the queued proposal; a flusher drains it and registers it in the
-// waiter table under the entry's ReqID, where the first replica to
-// apply the entry finds it.
+// waiter table under its first command's ReqID, where the first replica
+// to apply the entry finds it.
 type proposal struct {
 	cmds []command
 	// replies[i] receives cmds[i]'s result. Each is buffered and gets
@@ -282,20 +286,27 @@ type Store struct {
 	shards  int
 
 	compactEvery atomic.Int64
-	reqSeq       atomic.Uint64
+	leaseSeq     atomic.Uint64
 	closed       atomic.Bool
 	stopCh       chan struct{}
 	readMode     atomic.Value // string; one of the ReadMode constants
 	replication  string       // fixed at construction
 
+	// Request numbering. reqSeq is the last ID handed out; inflight holds
+	// the IDs whose proposal may still be (re-)proposed; reqFloor is the
+	// smallest of them (reqSeq+1 when none is) — the low-water mark every
+	// command carries to the replicas' dedup ledgers.
+	reqMu    sync.Mutex
+	reqSeq   uint64
+	reqFloor uint64
+	inflight map[uint64]struct{}
+
 	// Group-commit state: writers append to batchQ and kick a flusher,
-	// which drains the queue into one log entry. batchSeq numbers
-	// wrapper request IDs; batches/batchedCmds feed the batch-occupancy
-	// metric.
+	// which drains the queue into one log entry. batches/batchedCmds feed
+	// the batch-occupancy metric.
 	batchMu     sync.Mutex
 	batchQ      proposal
 	batchKick   chan struct{}
-	batchSeq    atomic.Uint64
 	batches     atomic.Uint64
 	batchedCmds atomic.Uint64
 
@@ -371,6 +382,8 @@ func NewWithOptions(n int, clk clock.Clock, o StoreOptions) (*Store, error) {
 		replication: o.Replication,
 		stopCh:      make(chan struct{}),
 		batchKick:   make(chan struct{}, 1),
+		reqFloor:    1,
+		inflight:    make(map[uint64]struct{}),
 		hub:         store.NewHub[Event](),
 		sms:         make(map[int]*stateMachine, n),
 		stops:       make(map[int]chan struct{}, n),
@@ -382,7 +395,7 @@ func NewWithOptions(n int, clk clock.Clock, o StoreOptions) (*Store, error) {
 	s.compactEvery.Store(defaultCompactEvery)
 	s.readMode.Store(ReadModeLease) // matches raft's lease/coalesce defaults
 	for i := range s.waiters {
-		s.waiters[i].m = make(map[string]*proposal)
+		s.waiters[i].m = make(map[uint64]*proposal)
 	}
 	for _, id := range s.cluster.IDs() {
 		s.startApplier(id)
@@ -594,8 +607,8 @@ func (s *Store) applyEntry(sm *stateMachine, e raft.Entry) {
 		s.hub.Publish(e.Index, nil)
 		return
 	}
-	var cmd command
-	if err := json.Unmarshal(e.Cmd, &cmd); err != nil {
+	cmd, ok := decodeCommand(e.Cmd)
+	if !ok {
 		// Corrupt entry: a deterministic no-op on every node, but its
 		// index must not leave a hole under the floor or the cursor.
 		sm.advance(e.Index)
@@ -611,7 +624,7 @@ func (s *Store) applyEntry(sm *stateMachine, e raft.Entry) {
 	if cmd.Op == opBatch {
 		results, events := sm.applyBatch(e.Index, cmd.Subs)
 		s.hub.Publish(e.Index, events)
-		s.complete(cmd.ReqID, results)
+		s.complete(cmd.Subs[0].ReqID, results)
 		return
 	}
 	res := sm.apply(e.Index, cmd)
@@ -623,7 +636,7 @@ func (s *Store) applyEntry(sm *stateMachine, e raft.Entry) {
 // under reqID and releases its flusher. First applier wins (all
 // replicas produce the same deterministic results); later appliers and
 // re-proposed duplicates find the table entry gone.
-func (s *Store) complete(reqID string, results []result) {
+func (s *Store) complete(reqID uint64, results []result) {
 	p, ok := s.takeWaiter(reqID)
 	if !ok {
 		return
@@ -634,20 +647,15 @@ func (s *Store) complete(reqID string, results []result) {
 	close(p.done)
 }
 
-// stripeFor hashes a request ID to its waiter stripe.
-func stripeFor(reqID string) int {
-	return int(store.Hash32(reqID) % waiterStripes)
-}
-
-func (s *Store) putWaiter(reqID string, p *proposal) {
-	st := &s.waiters[stripeFor(reqID)]
+func (s *Store) putWaiter(reqID uint64, p *proposal) {
+	st := &s.waiters[reqID%waiterStripes]
 	st.mu.Lock()
 	st.m[reqID] = p
 	st.mu.Unlock()
 }
 
-func (s *Store) takeWaiter(reqID string) (*proposal, bool) {
-	st := &s.waiters[stripeFor(reqID)]
+func (s *Store) takeWaiter(reqID uint64) (*proposal, bool) {
+	st := &s.waiters[reqID%waiterStripes]
 	st.mu.Lock()
 	p, ok := st.m[reqID]
 	if ok {
@@ -1142,10 +1150,10 @@ func (s *Store) propose(cmd command) (result, error) {
 	if s.closed.Load() {
 		return result{}, ErrClosed
 	}
-	cmd.ReqID = fmt.Sprintf("r%d", s.reqSeq.Add(1))
+	cmd.ReqID = s.beginRequest()
 	reply := make(chan result, 1)
-	t := s.clk.NewTimer(s.timeout)
-	defer t.Stop()
+	t := clock.AcquireTimer(s.clk, s.timeout)
+	defer clock.ReleaseTimer(t)
 	switch cmd.Op {
 	case opPut, opDelete, opCAS, opTxn:
 		s.batchMu.Lock()
@@ -1170,6 +1178,39 @@ func (s *Store) propose(cmd command) (result, error) {
 	case <-s.stopCh:
 		return result{}, ErrClosed
 	}
+}
+
+// beginRequest numbers one client call and marks it in flight; the
+// replicate call that carries it ends that (endRequests).
+func (s *Store) beginRequest() uint64 {
+	s.reqMu.Lock()
+	defer s.reqMu.Unlock()
+	s.reqSeq++
+	s.inflight[s.reqSeq] = struct{}{}
+	return s.reqSeq
+}
+
+// endRequests retires cmds' IDs — their proposal will not be proposed
+// again — and raises the floor past every ID no longer in flight.
+func (s *Store) endRequests(cmds []command) {
+	s.reqMu.Lock()
+	defer s.reqMu.Unlock()
+	for i := range cmds {
+		delete(s.inflight, cmds[i].ReqID)
+	}
+	for s.reqFloor <= s.reqSeq {
+		if _, busy := s.inflight[s.reqFloor]; busy {
+			break
+		}
+		s.reqFloor++
+	}
+}
+
+// requestFloor is the smallest request ID still in flight.
+func (s *Store) requestFloor() uint64 {
+	s.reqMu.Lock()
+	defer s.reqMu.Unlock()
+	return s.reqFloor
 }
 
 // setQueueDepth publishes the group-commit queue's depth; called with
@@ -1240,17 +1281,20 @@ func (s *Store) batchLoop() {
 // leadership churn, and the state machine's per-request dedup makes it
 // idempotent.
 func (s *Store) replicate(p *proposal) {
-	entry := p.cmds[0]
+	defer s.endRequests(p.cmds)
+	floor := s.requestFloor()
+	for i := range p.cmds {
+		p.cmds[i].Floor = floor
+	}
+	entry := &p.cmds[0]
 	if len(p.cmds) > 1 {
-		entry = command{ReqID: fmt.Sprintf("b%d", s.batchSeq.Add(1)), Op: opBatch, Subs: p.cmds}
+		entry = &command{Op: opBatch, Subs: p.cmds}
 	}
-	payload, err := json.Marshal(entry)
-	if err != nil {
-		return // unreachable: commands are plain data
-	}
+	payload := entry.encode()
+	id := p.cmds[0].ReqID
 	p.done = make(chan struct{})
-	s.putWaiter(entry.ReqID, p)
-	defer s.takeWaiter(entry.ReqID)
+	s.putWaiter(id, p)
+	defer s.takeWaiter(id)
 
 	deadline := s.clk.Now().Add(s.timeout)
 	for s.clk.Now().Before(deadline) && !s.closed.Load() {
@@ -1265,17 +1309,25 @@ func (s *Store) replicate(p *proposal) {
 			continue
 		}
 		s.proposals.Add(1)
-		t := s.clk.NewTimer(proposeWait)
-		select {
-		case <-p.done:
-			t.Stop()
-			return
-		case <-t.C():
-			s.dropLeader()
-		case <-s.stopCh:
-			t.Stop()
+		if s.awaitApply(p) {
 			return
 		}
+		s.dropLeader()
+	}
+}
+
+// awaitApply waits up to proposeWait for p's entry to apply. It reports
+// whether replicate is finished: the entry applied, or the store closed.
+func (s *Store) awaitApply(p *proposal) bool {
+	t := clock.AcquireTimer(s.clk, proposeWait)
+	defer clock.ReleaseTimer(t)
+	select {
+	case <-p.done:
+		return true
+	case <-t.C():
+		return false
+	case <-s.stopCh:
+		return true
 	}
 }
 
@@ -1342,19 +1394,49 @@ func (s *Store) ReadsRouted() map[int]uint64 {
 // sharded MVCC engine in external-revision mode (the Raft index is the
 // revision) plus the exactly-once dedup ledger. Its apply loop is
 // single-goroutine per replica; mu only fences apply against restore.
+//
+// The ledger is bounded the way §6.3 of the Raft thesis bounds client
+// sessions: every command carries the Store's low-water mark (the
+// smallest request ID still in flight when it was encoded), the ledger
+// forgets everything below the highest mark it has seen, and a command
+// numbered below that mark can only be a stale copy, so it is a no-op.
 type stateMachine struct {
-	mu      sync.Mutex
-	eng     *store.Engine
-	dedup   map[string]uint64 // reqID -> applied index
-	mtr     *metrics.Registry
-	mtrName string
+	mu         sync.Mutex
+	eng        *store.Engine
+	dedup      map[uint64]uint64 // reqID -> applied index, reqID >= dedupFloor
+	dedupFloor uint64
+	mtr        *metrics.Registry
+	mtrName    string
 }
 
 func newStateMachine(shards int) *stateMachine {
 	return &stateMachine{
 		eng:   store.NewEngine(store.Config{Shards: shards, ExternalRevs: true}),
-		dedup: make(map[string]uint64),
+		dedup: make(map[uint64]uint64),
 	}
+}
+
+// firstApplied runs the exactly-once check for one command at idx: it
+// reports the index of the command's first application when this one is a
+// copy (a re-proposal that landed twice), and otherwise records idx as
+// that first application. It also takes the command's low-water mark.
+func (m *stateMachine) firstApplied(idx uint64, cmd *command) (first uint64, dup bool) {
+	if cmd.Floor > m.dedupFloor {
+		m.dedupFloor = cmd.Floor
+		for id := range m.dedup {
+			if id < cmd.Floor {
+				delete(m.dedup, id)
+			}
+		}
+	}
+	if cmd.ReqID < m.dedupFloor {
+		return idx, true // every copy's first application is long past
+	}
+	if first, seen := m.dedup[cmd.ReqID]; seen && first != idx {
+		return first, true
+	}
+	m.dedup[cmd.ReqID] = idx
+	return idx, false
 }
 
 // engine returns the current backing engine (swapped by restore).
@@ -1396,28 +1478,11 @@ func (m *stateMachine) historyEvents(prefix string, from, to uint64) ([]Event, e
 	return out, nil
 }
 
-// smSnapshot is the serialized state-machine image stored in Raft
-// snapshots.
-type smSnapshot struct {
-	Data  map[string]KV     `json:"data"`
-	Dedup map[string]uint64 `json:"dedup"`
-}
-
 // serialize captures the full state machine for log compaction.
 func (m *stateMachine) serialize() []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	data := make(map[string]KV)
-	for _, kv := range m.eng.Export() {
-		val, _ := kv.Value.(string)
-		data[kv.Key] = KV{Key: kv.Key, Value: val, Rev: kv.Rev}
-	}
-	img := smSnapshot{Data: data, Dedup: m.dedup}
-	raw, err := json.Marshal(img)
-	if err != nil {
-		return nil
-	}
-	return raw
+	return encodeSnapshot(m.eng.Export(), m.dedupFloor, m.dedup)
 }
 
 // restore replaces the state machine with a serialized image covering
@@ -1426,35 +1491,21 @@ func (m *stateMachine) serialize() []byte {
 // (trailing entries may have been deletes or reads): a read-index wait
 // against this replica must see the whole snapshot as applied.
 func (m *stateMachine) restore(raw []byte, snapIndex uint64) {
-	var img smSnapshot
-	if err := json.Unmarshal(raw, &img); err != nil {
+	// The image lists keys in sorted order, so every replica restoring it
+	// installs identical shard logs.
+	kvs, floor, ledger, ok := decodeSnapshot(raw)
+	if !ok {
 		return // corrupt snapshot: keep current state
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// Import in sorted key order: every replica restoring this image
-	// must install identical shard logs, and map order would let two
-	// restores of one snapshot diverge.
-	keys := make([]string, 0, len(img.Data))
-	for k := range img.Data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	kvs := make([]store.KV, 0, len(keys))
-	for _, k := range keys {
-		kv := img.Data[k]
-		kvs = append(kvs, store.KV{Key: k, Value: kv.Value, Rev: kv.Rev})
-	}
 	eng := store.NewEngine(store.Config{Shards: m.eng.Shards(), ExternalRevs: true})
 	_ = eng.Import(kvs, snapIndex) // cannot fail: the engine is external-revs
 	if m.mtr != nil {
 		eng.Instrument(m.mtr, m.mtrName)
 	}
 	m.eng = eng
-	m.dedup = img.Dedup
-	if m.dedup == nil {
-		m.dedup = make(map[string]uint64)
-	}
+	m.dedup, m.dedupFloor = ledger, floor
 }
 
 func (m *stateMachine) apply(idx uint64, cmd command) result {
@@ -1462,14 +1513,13 @@ func (m *stateMachine) apply(idx uint64, cmd command) result {
 	defer m.mu.Unlock()
 	// Exactly-once: a retried proposal may appear twice in the log; only
 	// the first occurrence mutates state. (Reads are harmless to repeat.)
-	if first, seen := m.dedup[cmd.ReqID]; seen && first != idx {
+	if first, dup := m.firstApplied(idx, &cmd); dup {
 		switch cmd.Op {
 		case opPut, opDelete, opCAS, opTxn:
 			_ = m.eng.AdvanceFloor(idx)
 			return result{rev: first, ok: true}
 		}
 	}
-	m.dedup[cmd.ReqID] = idx
 
 	res := result{rev: idx}
 	applyOps := func(ops []store.Op) {
@@ -1585,17 +1635,17 @@ func (m *stateMachine) applyBatch(idx uint64, subs []command) ([]result, []Event
 	}
 
 	results := make([]result, len(subs))
-	for i, sub := range subs {
+	for i := range subs {
+		sub := &subs[i]
 		// Exactly-once across wrapper re-proposals: only the first
 		// occurrence of a sub-command mutates state.
-		if first, seen := m.dedup[sub.ReqID]; seen && first != idx {
+		if first, dup := m.firstApplied(idx, sub); dup {
 			switch sub.Op {
 			case opPut, opDelete, opCAS, opTxn:
 				results[i] = result{rev: first, ok: true}
 				continue
 			}
 		}
-		m.dedup[sub.ReqID] = idx
 
 		res := result{rev: idx}
 		switch sub.Op {

@@ -39,7 +39,7 @@ func (s *Store) GrantLease(ttl time.Duration) (*Lease, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	id := fmt.Sprintf("lease-%d", s.reqSeq.Add(1))
+	id := fmt.Sprintf("lease-%d", s.leaseSeq.Add(1))
 
 	l := &Lease{
 		store:    s,

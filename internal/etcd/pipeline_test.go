@@ -1,10 +1,10 @@
 package etcd
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -78,8 +78,8 @@ func TestWriteArrivingMidRoundIsProposed(t *testing.T) {
 	}
 	proposed := func(key string) bool {
 		for _, e := range s.cluster.Node(lead).Log() {
-			var cmd command
-			if json.Unmarshal(e.Cmd, &cmd) != nil {
+			cmd, ok := decodeCommand(e.Cmd)
+			if !ok {
 				continue
 			}
 			for _, c := range append(cmd.Subs, cmd) {
@@ -116,10 +116,20 @@ func TestWriteArrivingMidRoundIsProposed(t *testing.T) {
 // closed-loop writers share replication rounds instead of alternating,
 // and each writer's own writes still reach the log in program order.
 // One writer alone pays one round (two one-way delays) per Put; under
-// the stop-and-wait flusher a second writer doubled that. A loaded
-// machine (or -race) lets the sim clock run ahead of runnable goroutines
-// and stretches every pass, so the timing half runs only when the solo
-// pass shows an undisturbed clock, and takes the best of three.
+// the stop-and-wait flusher a second writer doubled that, for every Put.
+//
+// What is judged is the median Put, not the pass's total. A loaded
+// machine (or -race) lets the sim clock run ahead of runnable goroutines:
+// it jumps to the next heartbeat while the leader is still working, and
+// the Put in progress is stamped up to 50 ms late — a stall neither
+// sharing nor alternating produces. A total adds every stall up, and two
+// writers draw more of them than one, since a send that joins a link
+// already armed schedules no clock event and the clock's idle detection
+// takes scheduling for the sign of life (16 stalls in 400 Puts under
+// -race on two cores, 4 when every message armed its own timer). The
+// median stays one round until half the Puts stall and reads two rounds
+// the moment writers alternate. The timing half still runs only when the
+// solo pass shows an undisturbed clock, and takes the best of three.
 func TestConcurrentWritersShareRound(t *testing.T) {
 	s, clk := newTestStore(t, 3)
 	if _, err := s.Put("/share/warm", "up"); err != nil {
@@ -129,8 +139,9 @@ func TestConcurrentWritersShareRound(t *testing.T) {
 		puts  = 200
 		round = 2 * time.Millisecond
 	)
-	run := func(writers int) time.Duration {
+	run := func(writers int) (total, median time.Duration) {
 		start := clk.Now()
+		took := make([]time.Duration, writers*puts)
 		var wg sync.WaitGroup
 		for w := 0; w < writers; w++ {
 			wg.Add(1)
@@ -138,6 +149,7 @@ func TestConcurrentWritersShareRound(t *testing.T) {
 				defer wg.Done()
 				var last uint64
 				for i := 0; i < puts; i++ {
+					sent := clk.Now()
 					rev, err := s.Put(fmt.Sprintf("/share/w%d", w), strconv.Itoa(i))
 					if err != nil {
 						t.Errorf("writer %d put %d: %v", w, i, err)
@@ -148,22 +160,24 @@ func TestConcurrentWritersShareRound(t *testing.T) {
 						return
 					}
 					last = rev
+					took[w*puts+i] = clk.Since(sent)
 				}
 			}(w)
 		}
 		wg.Wait()
-		return clk.Since(start)
+		slices.Sort(took)
+		return clk.Since(start), took[len(took)/2]
 	}
-	solo := run(1)
-	pair := run(2)
+	solo, _ := run(1)
+	_, pair := run(2)
 	if solo > puts*round*11/10 {
-		t.Skipf("virtual clock disturbed by load (1 writer: %v, ideal %v; 2 writers: %v): timing not judged", solo, puts*round, pair)
+		t.Skipf("virtual clock disturbed by load (%d puts by 1 writer: %v, ideal %v; median put of 2 writers: %v): timing not judged", puts, solo, puts*round, pair)
 	}
-	for try := 0; try < 2 && pair >= 2*solo*3/4; try++ {
-		pair = run(2)
+	for try := 0; try < 2 && pair >= round*3/2; try++ {
+		_, pair = run(2)
 	}
-	if stopWait := 2 * solo; pair >= stopWait*3/4 {
-		t.Fatalf("2 writers x %d puts took %v of virtual time, want < 0.75 x the %v that alternating rounds cost (1 writer: %v)", puts, pair, stopWait, solo)
+	if pair >= round*3/2 {
+		t.Fatalf("median put of 2 writers took %v of virtual time, want < 1.5 x the %v round they share (alternating rounds cost 2)", pair, round)
 	}
 }
 
@@ -279,12 +293,33 @@ func TestPipelinedWritesAcrossLeaderCrash(t *testing.T) {
 	progress()
 	stop.Store(true)
 	wg.Wait()
+	var end uint64
 	for {
-		if _, err := s.Put("/pl/end", ""); err == nil {
+		rev, err := s.Put("/pl/end", "")
+		if err == nil {
+			end = rev
 			break
 		}
 	}
 	<-watched
+
+	// The dedup ledger: a replica that applied the closing Put remembers
+	// that request and no more than the ones still in flight when it was
+	// encoded — a client's last call may have timed out with its proposal
+	// still being retried. A ledger entry per call ever made is the leak
+	// this pins shut.
+	for _, id := range s.Nodes() {
+		sm := s.replica(id)
+		if _, ok := s.waitApplied(sm, end, clk.Now().Add(30*time.Second)); !ok {
+			t.Fatalf("replica %d never applied the closing write at %d", id, end)
+		}
+		sm.mu.Lock()
+		ledger, total := len(sm.dedup), s.requestFloor()-1
+		sm.mu.Unlock()
+		if ledger > clients+1 {
+			t.Fatalf("replica %d remembers %d of %d requests after the last one applied", id, ledger, total)
+		}
+	}
 
 	// The counter: every step 1..final has exactly one owner.
 	cur, _, err := s.Get(counter)
@@ -371,35 +406,35 @@ func TestReproposedProposalLandsLate(t *testing.T) {
 		}
 		return sm.applyBatch(idx, cmds)
 	}
-	cas := func(id, key, prev, val string) command {
+	cas := func(id uint64, key, prev, val string) command {
 		return command{ReqID: id, Op: opCAS, Key: key, Prev: prev, PrevExists: prev != "", Value: val}
 	}
-	put := func(id, key, val string) command { return command{ReqID: id, Op: opPut, Key: key, Value: val} }
+	put := func(id uint64, key, val string) command { return command{ReqID: id, Op: opPut, Key: key, Value: val} }
 	cases := []struct {
 		name string
 		a, b []command
 	}{
 		{"bare/bare: both create one lock, B first",
-			[]command{cas("a1", "/lock", "", "A")},
-			[]command{cas("b1", "/lock", "", "B")}},
+			[]command{cas(11, "/lock", "", "A")},
+			[]command{cas(21, "/lock", "", "B")}},
 		{"wrapped/bare: A's second guard rides on its first write",
-			[]command{put("a1", "/k", "1"), cas("a2", "/k", "1", "2"), {ReqID: "a3", Op: opDelete, Key: "/gone"}},
-			[]command{put("b1", "/k", "0")}},
+			[]command{put(11, "/k", "1"), cas(12, "/k", "1", "2"), {ReqID: 13, Op: opDelete, Key: "/gone"}},
+			[]command{put(21, "/k", "0")}},
 		{"bare/wrapped: B deletes what A's txn guards on",
-			[]command{{ReqID: "a1", Op: opTxn,
+			[]command{{ReqID: 11, Op: opTxn,
 				Cmps: []Cmp{{Key: "/seed", Prev: "s", PrevExists: true}},
 				Then: []TxnOp{{Type: EventPut, Key: "/then", Value: "A"}},
 				Else: []TxnOp{{Type: EventPut, Key: "/else", Value: "A"}, {Type: EventDelete, Key: "/k"}}}},
-			[]command{{ReqID: "b1", Op: opDelete, Key: "/seed"}, put("b2", "/k", "B")}},
+			[]command{{ReqID: 21, Op: opDelete, Key: "/seed"}, put(22, "/k", "B")}},
 		{"wrapped/wrapped: counters interleave",
-			[]command{cas("a1", "/n", "0", "1"), cas("a2", "/n", "1", "2")},
-			[]command{cas("b1", "/n", "0", "1"), put("b2", "/m", "B")}},
+			[]command{cas(11, "/n", "0", "1"), cas(12, "/n", "1", "2")},
+			[]command{cas(21, "/n", "0", "1"), put(22, "/m", "B")}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sm := newStateMachine(4)
 			model := refModel{}
-			seed := []command{put("s1", "/seed", "s"), put("s2", "/n", "0")}
+			seed := []command{put(1, "/seed", "s"), put(2, "/n", "0")}
 			for i, cmd := range seed {
 				sm.apply(uint64(i+1), cmd)
 				model.apply(cmd)
@@ -412,10 +447,10 @@ func TestReproposedProposalLandsLate(t *testing.T) {
 				for j, cmd := range cmds {
 					ok, evs := model.apply(cmd)
 					if guarded := cmd.Op == opCAS || cmd.Op == opTxn; guarded && results[j].ok != ok {
-						t.Fatalf("%s at %d: guard outcome %v, model says %v", cmd.ReqID, idx, results[j].ok, ok)
+						t.Fatalf("request %d at %d: guard outcome %v, model says %v", cmd.ReqID, idx, results[j].ok, ok)
 					}
 					if results[j].rev != idx {
-						t.Fatalf("%s: result revision %d, want %d", cmd.ReqID, results[j].rev, idx)
+						t.Fatalf("request %d: result revision %d, want %d", cmd.ReqID, results[j].rev, idx)
 					}
 					for _, ev := range evs {
 						ev.Rev = idx
@@ -433,7 +468,7 @@ func TestReproposedProposalLandsLate(t *testing.T) {
 			}
 			for j, res := range results {
 				if res.rev != i+1 {
-					t.Fatalf("%s: duplicate reports revision %d, want the first application's %d", tc.a[j].ReqID, res.rev, i+1)
+					t.Fatalf("request %d: duplicate reports revision %d, want the first application's %d", tc.a[j].ReqID, res.rev, i+1)
 				}
 			}
 			eng := sm.engine()

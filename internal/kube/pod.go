@@ -507,8 +507,8 @@ func (c *ContainerCtx) Sleep(d time.Duration) bool {
 	if d <= 0 {
 		return true
 	}
-	t := c.pod.cluster.clk.NewTimer(d)
-	defer t.Stop()
+	t := clock.AcquireTimer(c.pod.cluster.clk, d)
+	defer clock.ReleaseTimer(t)
 	select {
 	case <-t.C():
 		return true

@@ -32,7 +32,6 @@ func NewCluster(n int, cfg Config) *Cluster {
 	}
 	c := &Cluster{
 		cfg:      cfg,
-		trans:    NewTransport(cfg.Clock, time.Millisecond),
 		storages: make(map[int]*MemoryStorage, n),
 		nodes:    make(map[int]*Node, n),
 		clks:     make(map[int]*clock.Skewed, n),
@@ -40,6 +39,7 @@ func NewCluster(n int, cfg Config) *Cluster {
 	for i := 0; i < n; i++ {
 		c.ids = append(c.ids, i)
 	}
+	c.trans = NewTransport(cfg.Clock, time.Millisecond, cfg.Seed, c.ids)
 	for _, id := range c.ids {
 		// Each node reads time through its own skewable view of the
 		// shared clock (timers stay true — skew shifts readings, not
@@ -59,7 +59,8 @@ func (c *Cluster) nodeConfig(id int) Config {
 	return cfg
 }
 
-// Transport exposes the message fabric for partition injection.
+// Transport exposes the message fabric for partition and link-fault
+// injection.
 func (c *Cluster) Transport() *Transport { return c.trans }
 
 // Instrument mirrors every node's replication counters into reg

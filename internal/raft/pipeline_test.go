@@ -96,7 +96,11 @@ func TestCommitLatencySlowFollower(t *testing.T) {
 // TestSnapshotStreamsInChunks crashes a follower, compacts the leader past
 // the follower's log, and verifies catch-up arrives as a stream of bounded
 // installSnapshot chunks rather than one monolithic message.
-func TestSnapshotStreamsInChunks(t *testing.T) {
+func TestSnapshotStreamsInChunks(t *testing.T) { snapshotStreamsInChunks(t, LinkFaults{}) }
+
+// snapshotStreamsInChunks arms faults for the first part of the stream,
+// so chunks and their acks are lost, doubled and overtaken mid-transfer.
+func snapshotStreamsInChunks(t *testing.T, faults LinkFaults) {
 	const chunk = 8
 	c, clk := newTestClusterCfg(t, 3, func(cfg *Config) { cfg.SnapChunkSize = chunk })
 	l := c.WaitLeader(5 * time.Second)
@@ -121,7 +125,12 @@ func TestSnapshotStreamsInChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	c.Transport().SetFaults(faults)
 	f := c.Restart(follower)
+	if faults != (LinkFaults{}) {
+		clk.Sleep(400 * time.Millisecond)
+		c.Transport().SetFaults(LinkFaults{})
+	}
 	var restored bool
 	deadline := clk.Now().Add(20 * time.Second)
 	for clk.Now().Before(deadline) && !restored {
@@ -167,14 +176,21 @@ func TestSnapshotStreamsInChunks(t *testing.T) {
 // goroutine, so two batches of applies could race onto ApplyCh out of
 // order. With the single ordered drainer, every node must observe strictly
 // increasing entry indexes. Run under -race in the short CI tier.
-func TestAppliesDeliveredInOrder(t *testing.T) {
+func TestAppliesDeliveredInOrder(t *testing.T) { appliesDeliveredInOrder(t, LinkFaults{}) }
+
+func appliesDeliveredInOrder(t *testing.T, faults LinkFaults) {
 	c, clk := newTestCluster(t, 3)
+	if c.WaitLeader(5*time.Second) == nil {
+		t.Fatal("no leader")
+	}
+	c.Transport().SetFaults(faults)
 	const total = 60
 	// Burst proposals without waiting for commits so many AppendEntries
 	// rounds (and their response-driven apply enqueues) overlap.
 	for i := 0; i < total; i++ {
 		proposeOK(t, c, clk, fmt.Sprintf("ord-%d", i))
 	}
+	c.Transport().SetFaults(LinkFaults{})
 	got := waitCommitted(t, c, clk, total, 30*time.Second)
 	for _, id := range c.IDs() {
 		var prev uint64

@@ -15,14 +15,27 @@ import (
 // interleaved with crash/restart of random followers, every pair of
 // live nodes agrees on the committed prefix (State Machine Safety).
 func TestQuickCommittedPrefixAgreement(t *testing.T) {
+	quickCommittedPrefixAgreement(t, LinkFaults{}, nil)
+}
+
+// The quick* bodies below take the faults to arm on every link while the
+// schedule runs (faults_test.go runs them lossy). Safety is checked
+// whatever happened; anything that needs progress waits until the links
+// are healed.
+func quickCommittedPrefixAgreement(t *testing.T, faults LinkFaults, mod func(*Config)) {
 	f := func(schedule []uint8) bool {
 		if len(schedule) > 12 {
 			schedule = schedule[:12]
 		}
 		clk := clock.NewSim()
 		defer clk.Close()
-		c := NewCluster(3, DefaultConfig(clk))
+		cfg := DefaultConfig(clk)
+		if mod != nil {
+			mod(&cfg)
+		}
+		c := NewCluster(3, cfg)
 		defer c.Stop()
+		c.Transport().SetFaults(faults)
 
 		proposed := 0
 		for _, op := range schedule {
@@ -47,6 +60,7 @@ func TestQuickCommittedPrefixAgreement(t *testing.T) {
 			return true
 		}
 		// Wait for convergence: every live node applies all proposals.
+		c.Transport().SetFaults(LinkFaults{})
 		applied := make(map[int][]Entry)
 		deadline := clk.Now().Add(30 * time.Second)
 		for clk.Now().Before(deadline) {
@@ -98,15 +112,18 @@ func TestQuickCommittedPrefixAgreement(t *testing.T) {
 // TestQuickLeaderAppendOnly: a leader never overwrites or deletes its
 // own log entries (Leader Append-Only property), observed across
 // repeated proposals.
-func TestQuickLeaderAppendOnly(t *testing.T) {
+func TestQuickLeaderAppendOnly(t *testing.T) { quickLeaderAppendOnly(t, LinkFaults{}) }
+
+func quickLeaderAppendOnly(t *testing.T, faults LinkFaults) {
 	clk := clock.NewSim()
 	defer clk.Close()
 	c := NewCluster(3, DefaultConfig(clk))
 	defer c.Stop()
+	c.Transport().SetFaults(faults)
 
 	var prev []Entry
 	for i := 0; i < 10; i++ {
-		if !proposeQuick(c, clk, fmt.Sprintf("x%d", i)) {
+		if !proposeQuick(c, clk, fmt.Sprintf("x%d", i)) && faults == (LinkFaults{}) {
 			t.Fatal("proposal failed")
 		}
 		l := c.Leader()
@@ -133,7 +150,9 @@ func TestQuickLeaderAppendOnly(t *testing.T) {
 
 // TestQuickVotesArePersisted: a node never votes twice in the same term,
 // even across crash/restart (persistent votedFor).
-func TestQuickVotesArePersisted(t *testing.T) {
+func TestQuickVotesArePersisted(t *testing.T) { quickVotesArePersisted(t, LinkFaults{}) }
+
+func quickVotesArePersisted(t *testing.T, faults LinkFaults) {
 	clk := clock.NewSim()
 	defer clk.Close()
 	c := NewCluster(5, DefaultConfig(clk))
@@ -144,12 +163,13 @@ func TestQuickVotesArePersisted(t *testing.T) {
 	}
 	// Hammer crash/restart cycles; election safety is validated by the
 	// cluster continuing to make progress with a single leader per term.
+	c.Transport().SetFaults(faults)
 	for round := 0; round < 4; round++ {
 		id := round % 5
 		c.Crash(id)
 		clk.Sleep(50 * time.Millisecond)
 		c.Restart(id)
-		if !proposeQuick(c, clk, fmt.Sprintf("r%d", round)) {
+		if !proposeQuick(c, clk, fmt.Sprintf("r%d", round)) && faults == (LinkFaults{}) {
 			t.Fatalf("round %d: cluster stopped accepting proposals", round)
 		}
 	}
@@ -166,6 +186,7 @@ func TestQuickVotesArePersisted(t *testing.T) {
 		}
 	}
 	if leaders == 0 {
+		c.Transport().SetFaults(LinkFaults{})
 		if c.WaitLeader(5*time.Second) == nil {
 			t.Fatal("no leader after churn")
 		}

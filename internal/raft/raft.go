@@ -295,89 +295,11 @@ type Node struct {
 	mtrLabel string
 
 	applyCh chan Apply
-	inbox   chan envelope
+	inbox   chan message
 	stopCh  chan struct{}
 	done    chan struct{}
 	stopped bool
 }
-
-type envelope struct {
-	from int
-	msg  any
-}
-
-// message types exchanged between nodes.
-type (
-	requestVote struct {
-		Term         uint64
-		Candidate    int
-		LastLogIndex uint64
-		LastLogTerm  uint64
-	}
-	requestVoteResp struct {
-		Term    uint64
-		Granted bool
-	}
-	appendEntries struct {
-		Term         uint64
-		Leader       int
-		PrevLogIndex uint64
-		PrevLogTerm  uint64
-		Entries      []Entry
-		LeaderCommit uint64
-		// Seq is the leader's heartbeat-round number; the response echoes
-		// it so ReadIndex rounds can tell which acks postdate them.
-		Seq uint64
-	}
-	appendEntriesResp struct {
-		Term       uint64
-		Success    bool
-		MatchIndex uint64
-		// ConflictIndex lets the leader back up nextIndex quickly.
-		ConflictIndex uint64
-		// Seq echoes appendEntries.Seq (0 for snapshot-install acks).
-		Seq uint64
-		// LocalTime is the responder's clock reading when it acked. The
-		// leader compares it against its own reading: a deviation beyond
-		// MaxClockDrift means one of the two clocks stepped, so the
-		// check-quorum lease is killed rather than trusted.
-		LocalTime time.Time
-	}
-	// readIndexReq forwards a follower's ReadIndex call to the leader.
-	readIndexReq struct {
-		ID uint64
-	}
-	// readIndexResp answers a forwarded ReadIndex (OK=false: the asked
-	// node is not leader, or lost leadership before confirming).
-	readIndexResp struct {
-		ID    uint64
-		Index uint64
-		OK    bool
-	}
-	// installSnapshot carries one chunk of a streamed snapshot (§7,
-	// adapted to offset/data/done chunking). Data is the snapshot bytes
-	// at Offset; Done marks the final chunk; Total is the full size.
-	installSnapshot struct {
-		Term      uint64
-		Leader    int
-		LastIndex uint64
-		LastTerm  uint64
-		Offset    int
-		Data      []byte
-		Done      bool
-		Total     int
-	}
-	// installSnapshotResp acks one chunk. NextOffset is the follower's
-	// accumulated length — where it wants the next chunk — which lets
-	// the leader resynchronize after chunk loss or duplication. Done
-	// acks a completed install: LastIndex is durable on the follower.
-	installSnapshotResp struct {
-		Term       uint64
-		LastIndex  uint64
-		NextOffset int
-		Done       bool
-	}
-)
 
 // snapXfer is one outbound snapshot stream to a follower. data aliases
 // the leader's snapshot bytes: snapshot slices are immutable once taken
@@ -450,7 +372,7 @@ func startNode(id int, peers []int, cfg Config, store *MemoryStorage, trans *Tra
 		applyCh:     make(chan Apply, 256),
 		applyKick:   make(chan struct{}, 1),
 		drainDone:   make(chan struct{}),
-		inbox:       make(chan envelope, 256),
+		inbox:       make(chan message, 256),
 		stopCh:      make(chan struct{}),
 		done:        make(chan struct{}),
 		mtrLabel:    fmt.Sprintf("node%d", id),
@@ -609,7 +531,7 @@ func (n *Node) ReadIndex(timeout time.Duration) (uint64, error) {
 		n.readSeq++
 		forwarded = n.readSeq
 		n.readWaiters[forwarded] = ch
-		n.trans.send(n.id, leader, readIndexReq{ID: forwarded})
+		n.trans.send(n.id, leader, readIndexReq{ID: forwarded}.wire())
 	}
 	n.mu.Unlock()
 
@@ -645,10 +567,7 @@ func (n *Node) startReadLocked(local chan readIndexResult, remote *remoteRead) {
 	// no-op barrier once per term before serving any read index.
 	if n.termAtLocked(n.commitIndex) != n.currentTerm && n.barrierTerm != n.currentTerm {
 		n.barrierTerm = n.currentTerm
-		e := Entry{Index: n.lastIndexLocked() + 1, Term: n.currentTerm}
-		n.log = append(n.log, e)
-		n.persistLocked()
-		n.matchIndex[n.id] = e.Index
+		n.appendLocked(nil)
 	}
 	if n.coalesceOn.Load() && len(n.pendingReads) > 0 {
 		// Coalesce: the newest pending round is either still unlaunched
@@ -753,7 +672,7 @@ func (n *Node) completeReadLocked(pr *pendingRead, idx uint64, err error) {
 		}
 	}
 	for _, r := range pr.remote {
-		n.trans.send(n.id, r.node, readIndexResp{ID: r.id, Index: idx, OK: err == nil})
+		n.trans.send(n.id, r.node, readIndexResp{ID: r.id, Index: idx, OK: err == nil}.wire())
 	}
 }
 
@@ -932,12 +851,12 @@ func (n *Node) handleReadIndexReq(from int, msg readIndexReq) {
 	n.mu.Lock()
 	if n.state != Leader {
 		n.mu.Unlock()
-		n.trans.send(n.id, from, readIndexResp{ID: msg.ID, OK: false})
+		n.trans.send(n.id, from, readIndexResp{ID: msg.ID, OK: false}.wire())
 		return
 	}
 	if idx, ok := n.leaseReadLocked(); ok {
 		n.mu.Unlock()
-		n.trans.send(n.id, from, readIndexResp{ID: msg.ID, Index: idx, OK: true})
+		n.trans.send(n.id, from, readIndexResp{ID: msg.ID, Index: idx, OK: true}.wire())
 		return
 	}
 	n.startReadLocked(nil, &remoteRead{node: from, id: msg.ID})
@@ -983,10 +902,7 @@ func (n *Node) Propose(cmd []byte) (index, term uint64, err error) {
 	if n.state != Leader {
 		return 0, 0, ErrNotLeader
 	}
-	e := Entry{Index: n.lastIndexLocked() + 1, Term: n.currentTerm, Cmd: cmd}
-	n.log = append(n.log, e)
-	n.persistLocked()
-	n.matchIndex[n.id] = e.Index
+	e := n.appendLocked(cmd)
 	// Replicate eagerly rather than waiting for the heartbeat tick.
 	n.broadcastAppendLocked()
 	return e.Index, e.Term, nil
@@ -1027,8 +943,8 @@ func (n *Node) run() {
 			n.trans.detach(n.id)
 			n.mu.Unlock()
 			return
-		case env := <-n.inbox:
-			n.handle(env)
+		case m := <-n.inbox:
+			n.handle(m)
 		case <-n.electionTimer.C():
 			n.onElectionTimeout()
 		case <-hb:
@@ -1110,7 +1026,7 @@ func (n *Node) onElectionTimeout() {
 	n.votedFor = n.id
 	n.leaderID = -1
 	n.votes = map[int]bool{n.id: true}
-	n.persistLocked()
+	n.persistHardStateLocked()
 	n.resetElectionTimerLocked()
 
 	lastIdx := n.lastIndexLocked()
@@ -1123,31 +1039,31 @@ func (n *Node) onElectionTimeout() {
 	}
 	for _, p := range n.peers {
 		if p != n.id {
-			n.trans.send(n.id, p, req)
+			n.trans.send(n.id, p, req.wire())
 		}
 	}
 	// Single-node cluster wins immediately.
 	n.maybeBecomeLeaderLocked()
 }
 
-func (n *Node) handle(env envelope) {
-	switch msg := env.msg.(type) {
-	case requestVote:
-		n.handleRequestVote(env.from, msg)
-	case requestVoteResp:
-		n.handleRequestVoteResp(env.from, msg)
-	case appendEntries:
-		n.handleAppendEntries(env.from, msg)
-	case appendEntriesResp:
-		n.handleAppendEntriesResp(env.from, msg)
-	case installSnapshot:
-		n.handleInstallSnapshot(env.from, msg)
-	case installSnapshotResp:
-		n.handleInstallSnapshotResp(env.from, msg)
-	case readIndexReq:
-		n.handleReadIndexReq(env.from, msg)
-	case readIndexResp:
-		n.handleReadIndexResp(env.from, msg)
+func (n *Node) handle(m message) {
+	switch m.kind {
+	case msgRequestVote:
+		n.handleRequestVote(m.from, m.vote)
+	case msgRequestVoteResp:
+		n.handleRequestVoteResp(m.from, m.voteResp)
+	case msgAppendEntries:
+		n.handleAppendEntries(m.from, m.app)
+	case msgAppendEntriesResp:
+		n.handleAppendEntriesResp(m.from, m.appResp)
+	case msgInstallSnapshot:
+		n.handleInstallSnapshot(m.from, m.snap)
+	case msgInstallSnapshotResp:
+		n.handleInstallSnapshotResp(m.from, m.snapResp)
+	case msgReadIndexReq:
+		n.handleReadIndexReq(m.from, m.read)
+	case msgReadIndexResp:
+		n.handleReadIndexResp(m.from, m.readResp)
 	}
 }
 
@@ -1162,7 +1078,7 @@ func (n *Node) handleInstallSnapshot(from int, msg installSnapshot) {
 	if msg.Term < n.currentTerm {
 		resp := installSnapshotResp{Term: n.currentTerm}
 		n.mu.Unlock()
-		n.trans.send(n.id, from, resp)
+		n.trans.send(n.id, from, resp.wire())
 		return
 	}
 	n.leaderID = msg.Leader
@@ -1175,7 +1091,7 @@ func (n *Node) handleInstallSnapshot(from int, msg installSnapshot) {
 		n.pendingSnap = nil
 		resp := installSnapshotResp{Term: n.currentTerm, LastIndex: n.commitIndex, NextOffset: msg.Total, Done: true}
 		n.mu.Unlock()
-		n.trans.send(n.id, from, resp)
+		n.trans.send(n.id, from, resp.wire())
 		return
 	}
 	p := n.pendingSnap
@@ -1189,7 +1105,7 @@ func (n *Node) handleInstallSnapshot(from int, msg installSnapshot) {
 			}
 			resp := installSnapshotResp{Term: n.currentTerm, LastIndex: msg.LastIndex, NextOffset: nextOff}
 			n.mu.Unlock()
-			n.trans.send(n.id, from, resp)
+			n.trans.send(n.id, from, resp.wire())
 			return
 		}
 		p = &pendingSnapshot{index: msg.LastIndex, term: msg.LastTerm}
@@ -1199,7 +1115,7 @@ func (n *Node) handleInstallSnapshot(from int, msg installSnapshot) {
 	if !msg.Done {
 		resp := installSnapshotResp{Term: n.currentTerm, LastIndex: msg.LastIndex, NextOffset: len(p.data)}
 		n.mu.Unlock()
-		n.trans.send(n.id, from, resp)
+		n.trans.send(n.id, from, resp.wire())
 		return
 	}
 	// Final chunk: discard the log and adopt the snapshot wholesale. The
@@ -1212,11 +1128,11 @@ func (n *Node) handleInstallSnapshot(from int, msg installSnapshot) {
 	n.snapshot = p.data
 	n.commitIndex = p.index
 	n.lastApplied = p.index
-	n.persistLocked()
+	n.store.InstallSnapshot(p.index, p.term, p.data)
 	n.enqueueAppliesLocked([]Apply{{IsSnapshot: true, Snapshot: p.data, SnapIndex: p.index}})
 	resp := installSnapshotResp{Term: n.currentTerm, LastIndex: p.index, NextOffset: len(p.data), Done: true}
 	n.mu.Unlock()
-	n.trans.send(n.id, from, resp)
+	n.trans.send(n.id, from, resp.wire())
 }
 
 // handleInstallSnapshotResp clocks an outbound snapshot stream forward
@@ -1279,11 +1195,11 @@ func (n *Node) handleRequestVote(from int, msg requestVote) {
 			(msg.LastLogTerm == lastTerm && msg.LastLogIndex >= lastIdx) {
 			granted = true
 			n.votedFor = msg.Candidate
-			n.persistLocked()
+			n.persistHardStateLocked()
 			n.resetElectionTimerLocked()
 		}
 	}
-	n.trans.send(n.id, from, requestVoteResp{Term: n.currentTerm, Granted: granted})
+	n.trans.send(n.id, from, requestVoteResp{Term: n.currentTerm, Granted: granted}.wire())
 }
 
 func (n *Node) handleRequestVoteResp(from int, msg requestVoteResp) {
@@ -1329,7 +1245,7 @@ func (n *Node) becomeFollowerLocked(term uint64, leader int) {
 	if term > n.currentTerm {
 		n.currentTerm = term
 		n.votedFor = -1
-		n.persistLocked()
+		n.persistHardStateLocked()
 	}
 	n.leaderID = leader
 	if wasLeader && n.heartbeatTick != nil {
@@ -1354,7 +1270,7 @@ func (n *Node) handleAppendEntries(from int, msg appendEntries) {
 	if msg.Term < n.currentTerm {
 		resp := appendEntriesResp{Term: n.currentTerm, Success: false}
 		n.mu.Unlock()
-		n.trans.send(n.id, from, resp)
+		n.trans.send(n.id, from, resp.wire())
 		return
 	}
 	// Valid leader for our term.
@@ -1380,26 +1296,29 @@ func (n *Node) handleAppendEntries(from int, msg appendEntries) {
 		// read-index quorums.
 		resp := appendEntriesResp{Term: n.currentTerm, Success: false, ConflictIndex: conflict, Seq: msg.Seq, LocalTime: n.cfg.Clock.Now()}
 		n.mu.Unlock()
-		n.trans.send(n.id, from, resp)
+		n.trans.send(n.id, from, resp.wire())
 		return
 	}
 	// Append new entries, truncating on conflict (§5.3). Entries at or
 	// below the snapshot index are already committed and compacted.
+	var changed uint64 // the first log index this message wrote, if any
 	for _, e := range msg.Entries {
 		if e.Index <= n.snapIndex {
 			continue
 		}
 		if e.Index <= n.lastIndexLocked() {
-			if n.termAtLocked(e.Index) != e.Term {
-				n.log = n.log[:e.Index-n.snapIndex-1]
-				n.log = append(n.log, e)
+			if n.termAtLocked(e.Index) == e.Term {
+				continue
 			}
-		} else {
-			n.log = append(n.log, e)
+			n.log = n.log[:e.Index-n.snapIndex-1]
+		}
+		n.log = append(n.log, e)
+		if changed == 0 {
+			changed = e.Index
 		}
 	}
-	if len(msg.Entries) > 0 {
-		n.persistLocked()
+	if changed > 0 {
+		n.store.AppendEntries(changed, n.log[changed-n.snapIndex-1:])
 	}
 	// Advance commit index.
 	if msg.LeaderCommit > n.commitIndex {
@@ -1413,7 +1332,7 @@ func (n *Node) handleAppendEntries(from int, msg appendEntries) {
 	resp := appendEntriesResp{Term: n.currentTerm, Success: true, MatchIndex: match, Seq: msg.Seq, LocalTime: n.cfg.Clock.Now()}
 	n.enqueueAppliesLocked(n.takeAppliesLocked())
 	n.mu.Unlock()
-	n.trans.send(n.id, from, resp)
+	n.trans.send(n.id, from, resp.wire())
 }
 
 func (n *Node) handleAppendEntriesResp(from int, msg appendEntriesResp) {
@@ -1605,7 +1524,7 @@ func (n *Node) sendAppendLocked(to int) {
 		// matchIndex and reopens the window.
 	}
 	n.countAppendLocked(to, len(msg.Entries))
-	n.trans.send(n.id, to, msg)
+	n.trans.send(n.id, to, msg.wire())
 }
 
 // countAppendLocked tallies one outbound append for ReplicationStats
@@ -1654,7 +1573,7 @@ func (n *Node) sendSnapshotLocked(to int) {
 		Data:      x.data[x.offset:end],
 		Done:      end == len(x.data),
 		Total:     len(x.data),
-	})
+	}.wire())
 }
 
 // takeAppliesLocked collects newly committed entries for delivery.
@@ -1687,15 +1606,18 @@ func (n *Node) entryAtLocked(idx uint64) Entry {
 	return n.log[idx-n.snapIndex-1]
 }
 
-func (n *Node) persistLocked() {
-	n.store.Save(PersistentState{
-		Term:      n.currentTerm,
-		VotedFor:  n.votedFor,
-		Log:       n.log,
-		SnapIndex: n.snapIndex,
-		SnapTerm:  n.snapTerm,
-		Snapshot:  n.snapshot,
-	})
+// appendLocked adds one entry to the end of the leader's own log and
+// persists it.
+func (n *Node) appendLocked(cmd []byte) Entry {
+	e := Entry{Index: n.lastIndexLocked() + 1, Term: n.currentTerm, Cmd: cmd}
+	n.log = append(n.log, e)
+	n.store.AppendEntries(e.Index, n.log[len(n.log)-1:])
+	n.matchIndex[n.id] = e.Index
+	return e
+}
+
+func (n *Node) persistHardStateLocked() {
+	n.store.SetHardState(n.currentTerm, n.votedFor)
 }
 
 // Compact discards log entries through index, recording snapshot as the
@@ -1718,7 +1640,7 @@ func (n *Node) Compact(index uint64, snapshot []byte) error {
 	n.snapIndex = index
 	n.snapTerm = term
 	n.snapshot = append([]byte(nil), snapshot...)
-	n.persistLocked()
+	n.store.Compact(index, term, n.snapshot)
 	return nil
 }
 

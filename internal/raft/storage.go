@@ -21,6 +21,11 @@ type PersistentState struct {
 // MemoryStorage models a node's durable disk. It survives node crashes
 // (the Node object is discarded; the storage is reused on restart) but not
 // "disk loss", which Raft does not tolerate.
+//
+// Each write persists only what changed — the hard state, a log suffix,
+// or a snapshot — the way a write-ahead log does; none re-writes the log.
+// Snapshot slices are aliased, never copied: they are immutable once taken
+// (Compact and snapshot installs replace the slice wholesale).
 type MemoryStorage struct {
 	mu    sync.Mutex
 	state PersistentState
@@ -32,18 +37,43 @@ func NewMemoryStorage() *MemoryStorage {
 	return &MemoryStorage{state: PersistentState{VotedFor: -1}}
 }
 
-// Save atomically persists the node's state. The log is copied (the
-// node truncates and appends it in place); the snapshot is aliased —
-// snapshot slices are immutable once taken (Compact and snapshot
-// installs replace the slice wholesale), and Save runs on every log
-// append, so copying the full image here would dominate write cost.
-func (m *MemoryStorage) Save(s PersistentState) {
+// SetHardState persists the node's term and vote.
+func (m *MemoryStorage) SetHardState(term uint64, votedFor int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	logCopy := make([]Entry, len(s.Log))
-	copy(logCopy, s.Log)
-	s.Log = logCopy
-	m.state = s
+	m.state.Term, m.state.VotedFor = term, votedFor
+	m.saves++
+}
+
+// AppendEntries persists entries as the log from index from on: whatever
+// the stored log held at or beyond from (a suffix that conflicted with
+// the leader's) is discarded first. from must lie in
+// (SnapIndex, last index + 1].
+func (m *MemoryStorage) AppendEntries(from uint64, entries []Entry) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.state.Log = append(m.state.Log[:from-m.state.SnapIndex-1], entries...)
+	m.saves++
+}
+
+// InstallSnapshot replaces the whole log with a snapshot received from
+// the leader.
+func (m *MemoryStorage) InstallSnapshot(index, term uint64, snapshot []byte) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.state.Log = nil
+	m.state.SnapIndex, m.state.SnapTerm, m.state.Snapshot = index, term, snapshot
+	m.saves++
+}
+
+// Compact replaces the log through index with the node's own snapshot,
+// keeping the entries after it. index must lie in (SnapIndex, last index].
+func (m *MemoryStorage) Compact(index, term uint64, snapshot []byte) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	// A fresh slice, so the compacted prefix's memory is released.
+	m.state.Log = append([]Entry(nil), m.state.Log[index-m.state.SnapIndex:]...)
+	m.state.SnapIndex, m.state.SnapTerm, m.state.Snapshot = index, term, snapshot
 	m.saves++
 }
 
@@ -52,14 +82,12 @@ func (m *MemoryStorage) Load() PersistentState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.state
-	logCopy := make([]Entry, len(s.Log))
-	copy(logCopy, s.Log)
-	s.Log = logCopy
+	s.Log = append([]Entry(nil), s.Log...)
 	return s
 }
 
-// Saves reports how many times Save was called (write-amplification
-// metric used by the ablation benches).
+// Saves reports how many writes the storage has taken (the
+// write-amplification metric of the ablation benches).
 func (m *MemoryStorage) Saves() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
