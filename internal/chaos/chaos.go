@@ -29,6 +29,31 @@ var (
 // it bounds measurement quantization error.
 const pollGrain = 20 * time.Millisecond
 
+// await checks cond, a reading of pod state, every pollGrain from now
+// until it holds or timeout has passed, and reports whether it held. The
+// checks that could see nothing new are not made — it sleeps until the
+// cluster signals a pod change, then to the next tick of the cadence —
+// so what a caller measures stays quantized to pollGrain, and waiting out
+// a slow recovery costs no clock events.
+func (i *Injector) await(timeout time.Duration, cond func() bool) bool {
+	wake, cancel := i.cluster.SubscribePods()
+	defer cancel()
+	// expired ends a wait no pod change will; the loop condition decides
+	// a tick that falls on the deadline itself (no look is made then).
+	deadline := i.clk.Now().Add(timeout)
+	expired := make(chan struct{})
+	defer i.clk.AfterFunc(timeout, func() { close(expired) }).Stop()
+	for i.clk.Now().Before(deadline) {
+		if cond() {
+			return true
+		}
+		if !clock.SleepUntil(i.clk, pollGrain, wake, expired) {
+			break
+		}
+	}
+	return false
+}
+
 // Injector performs fault injection against one cluster and, when the
 // handles are attached, the platform's shared substrates (etcd, NFS).
 type Injector struct {
@@ -91,16 +116,18 @@ func (i *Injector) MeasurePodRecovery(selector map[string]string, timeout time.D
 	for _, p := range snapshot {
 		before[p] = true
 	}
-	deadline := start.Add(timeout)
-	for i.clk.Now().Before(deadline) {
+	replaced := func() bool {
 		for _, p := range i.cluster.Pods(selector) {
 			if !before[p] && p.Phase() == kube.PodRunning {
-				return i.clk.Since(start), nil
+				return true
 			}
 		}
-		i.clk.Sleep(pollGrain)
+		return false
 	}
-	return 0, fmt.Errorf("selector %v after %v: %w", selector, timeout, ErrNoRecovery)
+	if !i.await(timeout, replaced) {
+		return 0, fmt.Errorf("selector %v after %v: %w", selector, timeout, ErrNoRecovery)
+	}
+	return i.clk.Since(start), nil
 }
 
 // MeasureContainerRecovery crashes a container process in place and
@@ -115,14 +142,14 @@ func (i *Injector) MeasureContainerRecovery(podName, container string, timeout t
 	if err := i.cluster.CrashContainer(podName, container); err != nil {
 		return 0, fmt.Errorf("crashing %s/%s: %w", podName, container, err)
 	}
-	deadline := start.Add(timeout)
-	for i.clk.Now().Before(deadline) {
-		if _, _, running := pod.ExitInfo(container); running && pod.Restarts() > restartsBefore {
-			return i.clk.Since(start), nil
-		}
-		i.clk.Sleep(pollGrain)
+	restarted := func() bool {
+		_, _, running := pod.ExitInfo(container)
+		return running && pod.Restarts() > restartsBefore
 	}
-	return 0, fmt.Errorf("container %s/%s after %v: %w", podName, container, timeout, ErrNoRecovery)
+	if !i.await(timeout, restarted) {
+		return 0, fmt.Errorf("container %s/%s after %v: %w", podName, container, timeout, ErrNoRecovery)
+	}
+	return i.clk.Since(start), nil
 }
 
 // Sample repeats a measurement n times with the given settle pause

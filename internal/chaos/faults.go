@@ -62,14 +62,10 @@ func (i *Injector) KillAllPods(selector map[string]string) (int, error) {
 // land deterministically — "crash the node the learner *rescheduled
 // onto*" must first wait out the reschedule.
 func (i *Injector) AwaitRunning(selector map[string]string, timeout time.Duration) error {
-	deadline := i.clk.Now().Add(timeout)
-	for i.clk.Now().Before(deadline) {
-		if i.runningPod(selector) != nil {
-			return nil
-		}
-		i.clk.Sleep(pollGrain)
+	if !i.await(timeout, func() bool { return i.runningPod(selector) != nil }) {
+		return fmt.Errorf("awaiting %v for %v: %w", selector, timeout, ErrNoTarget)
 	}
-	return fmt.Errorf("awaiting %v for %v: %w", selector, timeout, ErrNoTarget)
+	return nil
 }
 
 // NodeOf returns the node hosting the first Running pod matching

@@ -33,6 +33,7 @@ type Sim struct {
 	events   eventHeap
 	seq      uint64 // event sequence, breaks deadline ties FIFO
 	activity uint64 // bumped on schedule and fire; read by idle-advance
+	instants uint64 // distinct virtual instants fired so far
 	closed   bool
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -219,6 +220,30 @@ func (s *Sim) PendingEvents() int {
 	return s.events.Len()
 }
 
+// NextDeadline reports when the earliest parked event is due; ok is
+// false when nothing is parked. Advancing a manual clock to exactly that
+// instant fires that instant's events and no others, which is how a test
+// steps a system one instant at a time.
+func (s *Sim) NextDeadline() (when time.Time, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.events.Len() == 0 {
+		return time.Time{}, false
+	}
+	return s.events[0].when, true
+}
+
+// Instants reports how many distinct virtual instants have fired an
+// event: every move of the clock to a later deadline, however many events
+// share it. Under the idle-advance loop each one costs real time (the
+// grace windows it waits out first), so this is the count a poll loop
+// that wakes to learn nothing inflates.
+func (s *Sim) Instants() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.instants
+}
+
 // eventKind says what firing an event does.
 type eventKind uint8
 
@@ -280,6 +305,7 @@ func (s *Sim) popLocked() (*event, time.Time) {
 	ev := heap.Pop(&s.events).(*event)
 	if ev.when.After(s.now) {
 		s.now = ev.when
+		s.instants++
 	}
 	s.activity++
 	return ev, s.now

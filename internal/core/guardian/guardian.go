@@ -17,6 +17,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/core/helper"
 	"repro/internal/core/learner"
@@ -40,10 +41,13 @@ const DefaultMaxDeployAttempts = 3
 // monitorPoll is the Guardian's status-aggregation cadence in poll mode.
 const monitorPoll = 500 * time.Millisecond
 
-// watchTick is the watch-mode cadence for conditions with no event
-// stream: gang preemption (in-memory scheduler state) and the
-// results-stored NFS marker (an attribute check until it exists). A tick
-// makes no etcd, MongoDB or NFS round trip.
+// watchTick is the watch-mode cadence for what the monitor does not
+// react to at once: a completed gang eviction and the results-stored NFS
+// marker are acted on at the first tick after they happen, a step that
+// failed (a refused state transition, an unreadable marker) is retried
+// every tick, and the watchRelist backstop runs on the first tick past
+// its interval. A tick on which none of these is due is not taken: the
+// monitor arms its timer for the first one that can matter.
 const watchTick = time.Second
 
 // watchRelist is the watch-mode liveness backstop, guarding both event
@@ -414,7 +418,12 @@ func monitor(ctx *kube.ContainerCtx, p Params) int {
 // that re-wrote PROCESSING on every wakeup would emit a metadata change
 // event, observe its own event on the job feed, and wake again: a
 // self-feeding storm.
-func settle(p Params, statuses []types.StatusUpdate, announced *types.JobState) (code int, done bool) {
+//
+// retry=true means a step this pass attempted did not go through — a
+// state transition the store refused, a marker that is there but could
+// not be read — and no event will say when it can: the caller must come
+// back on its cadence instead of waiting for one.
+func settle(p Params, statuses []types.StatusUpdate, announced *types.JobState) (code int, done, retry bool) {
 	d := p.Deps
 	training, completed, failed := 0, 0, 0
 	var failDetail string
@@ -447,25 +456,29 @@ func settle(p Params, statuses []types.StatusUpdate, announced *types.JobState) 
 		shipLogs(d, p.JobID, p.Manifest)
 		teardown(d, p.JobID)
 		cleanupEtcd(d, p.JobID)
-		return 0, true
+		return 0, true, false
 	case completed == p.Manifest.Learners && p.Manifest.Learners > 0:
 		// All learners done: move to STORING, wait for the helper's
 		// store-results marker, then COMPLETED.
 		announce(types.StateStoring, "all learners completed")
-		if *announced != types.StateStoring || !resultsStored(d, p.JobID) {
-			return 0, false
+		if *announced != types.StateStoring {
+			return 0, false, true
+		}
+		if stored, unreadable := resultsStored(d, p.JobID); !stored {
+			return 0, false, unreadable
 		}
 		if _, err := d.TransitionJob(p.JobID, types.StateCompleted, "results stored"); err != nil {
 			// The terminal write must land before teardown; retry.
-			return 0, false
+			return 0, false, true
 		}
 		teardown(d, p.JobID)
 		cleanupEtcd(d, p.JobID)
-		return 0, true
+		return 0, true, false
 	case training > 0:
 		announce(types.StateProcessing, "learners training")
+		return 0, false, *announced != types.StateProcessing
 	}
-	return 0, false
+	return 0, false, false
 }
 
 // handleHalt tears the job down after user termination.
@@ -588,7 +601,7 @@ func monitorByPoll(ctx *kube.ContainerCtx, p Params) int {
 			// A fresh announced value per sweep keeps the pre-refactor
 			// timestamped same-state refresh.
 			var announced types.JobState
-			if code, done := settle(p, statuses, &announced); done {
+			if code, done, _ := settle(p, statuses, &announced); done {
 				return code
 			}
 		}
@@ -611,8 +624,9 @@ func monitorByPoll(ctx *kube.ContainerCtx, p Params) int {
 // from then on, and a GetJob on the same watchRelist backstop;
 // guardian_monitor_halts{via} counts which of the three saw the halt.
 // Eviction intents arrive on the gang's notice channel with their acks
-// on the learner watch; gang preemption and the results-stored marker,
-// which have no event stream, ride the 1s tick (see watchTick).
+// on the learner watch; a completed eviction and the results-stored
+// marker are acted on at the next 1s tick, and only such ticks are taken
+// (see watchTick).
 func monitorByWatch(ctx *kube.ContainerCtx, p Params) int {
 	d := p.Deps
 	prefix := types.LearnerStatusPrefix(p.JobID)
@@ -785,13 +799,24 @@ func monitorByWatch(ctx *kube.ContainerCtx, p Params) int {
 	// eviction intent, so the relay starts on the event rather than the
 	// next tick. A closed channel is always ready — nil it after the
 	// first wakeup.
-	var evictNotice <-chan struct{}
+	// Its eviction channel closes when the eviction completes; that, and a
+	// write of the results-stored marker, are what a tick's pass can find
+	// changed with no event delivered — subscribed here, before the first
+	// pass looks, so that either is seen on the first tick after it.
+	var evictNotice, evicted, markerWritten <-chan struct{}
 	if g := d.Kube.GangByName(GangName(p.JobID)); g != nil {
-		evictNotice = g.EvictionNotice()
+		evictNotice, evicted = g.EvictionNotice(), g.Evicted()
+	}
+	if vol, err := d.NFS.Volume(VolumeName(p.JobID)); err == nil {
+		sub := vol.Subscribe(helper.ResultsStoredMarker)
+		defer sub.Close()
+		markerWritten = sub.C()
 	}
 
 	lastList := d.Clock.Now()
 	var announced types.JobState
+	tick := d.Clock.NewTimer(watchTick) // one timer, re-armed every pass
+	defer tick.Stop()
 	for {
 		// Act on the current aggregate before sleeping: the view may
 		// already be terminal (restored from the journal, or settled by
@@ -804,23 +829,30 @@ func monitorByWatch(ctx *kube.ContainerCtx, p Params) int {
 			view = append(view, u)
 		}
 		sort.Slice(view, func(i, j int) bool { return view[i].Learner < view[j].Learner })
-		if code, done := settle(p, view, &announced); done {
+		code, done, retry := settle(p, view, &announced)
+		if done {
 			return code
 		}
 		if code, done := checkGang(p, &evictRelayed, acks); done {
 			return code
 		}
 
-		tick := d.Clock.NewTimer(watchTick)
+		// Ticks are counted from here. The next one is taken only to
+		// retry; otherwise the first that has something to do is the
+		// backstop's, unless a signal below pulls an earlier one in.
+		armed := d.Clock.Now()
+		wait := watchTick
+		if due := lastList.Add(watchRelist).Sub(armed); !retry && due > watchTick {
+			wait = (due + watchTick - 1) / watchTick * watchTick
+		}
+		clock.Rearm(tick, wait)
+	wait:
 		select {
 		case <-ctx.Killed():
-			tick.Stop()
 			return 137
 		case <-evictNotice:
-			tick.Stop()
 			evictNotice = nil // fires once; checkGang relays on this pass
 		case ev := <-evCh:
-			tick.Stop()
 			foldEvent(ev)
 			// Drain whatever else is already pending so one settle
 			// covers the batch.
@@ -835,16 +867,24 @@ func monitorByWatch(ctx *kube.ContainerCtx, p Params) int {
 			}
 			saveCursor()
 		case ce := <-jobFeed:
-			tick.Stop()
 			if ce.ID == p.JobID && !ce.Deleted {
 				if rec := core.RecordFromDoc(ce.Doc); rec.State == types.StateHalted {
 					count("guardian_monitor_halts", "feed")
 					return handleHalt(p)
 				}
 			}
+		// Neither of the next two is acted on here: the pass that sees it
+		// is the next tick's, so the timer is pulled in to that tick.
+		case <-evicted:
+			evicted = nil // closed: fires once
+			clock.Rearm(tick, watchTick-d.Clock.Since(armed)%watchTick)
+			goto wait
+		case <-markerWritten:
+			clock.Rearm(tick, watchTick-d.Clock.Since(armed)%watchTick)
+			goto wait
 		case <-tick.C():
-			// Conditions with no event stream are re-checked at the top
-			// of the loop.
+			// What changed without an event is looked at, at the top of
+			// the loop.
 			if d.Clock.Now().Sub(lastList) >= watchRelist {
 				// Long-interval liveness backstop: ask both sources of
 				// truth directly in case either stream wedged.
@@ -889,14 +929,20 @@ func readStatuses(d *core.Deps, jobID string) ([]types.StatusUpdate, map[int]boo
 
 // resultsStored checks the helper's stored marker on the shared volume.
 // Both monitors ask every wakeup while the job is STORING, so the marker
-// is read only once it exists.
-func resultsStored(d *core.Deps, jobID string) bool {
+// is read only once it exists. unreadable tells a marker (or a volume)
+// that could not be read from one not written yet: only the second will
+// be announced by a write.
+func resultsStored(d *core.Deps, jobID string) (stored, unreadable bool) {
 	vol, err := d.NFS.Volume(VolumeName(jobID))
-	if err != nil || !vol.Exists(helper.ResultsStoredMarker) {
-		return false
+	if err != nil {
+		return false, true
+	}
+	if !vol.Exists(helper.ResultsStoredMarker) {
+		return false, false
 	}
 	raw, err := vol.Read(helper.ResultsStoredMarker)
-	return err == nil && string(raw) == "ok"
+	stored = err == nil && string(raw) == "ok"
+	return stored, !stored
 }
 
 // restoreShippedLogs re-seeds a freshly provisioned volume with the

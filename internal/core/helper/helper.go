@@ -151,14 +151,22 @@ func statLearner(vol *nfs.Volume, l int) learnerFiles {
 // Decoupling via etcd is the paper's mechanism for reliable status
 // updates.
 //
-// The poll is change-driven: every controllerPoll it Stats each
-// learner's two files and reads them only when a Gen moved since the
-// pair was last fully handled — published to etcd, or found equal to
-// what the journal says was published. Anything short of that (a read
-// refused by an NFS fault, an undecodable status, a failed etcd Put)
-// leaves the pair unhandled, so the next poll reads it again; handled is
-// in-memory only, so a restarted controller reads everything once and
-// lets the journal suppress the duplicates.
+// The poll is change-driven: a pass Stats each learner's two files and
+// reads them only when a Gen moved since the pair was last fully handled
+// — published to etcd, or found equal to what the journal says was
+// published. Anything short of that (a read refused by an NFS fault, an
+// undecodable status, a failed etcd Put) leaves the pair unhandled, so
+// the next poll reads it again; handled is in-memory only, so a
+// restarted controller reads everything once and lets the journal
+// suppress the duplicates.
+//
+// Passes run on the controllerPoll cadence, but only the ones that can
+// learn something: a pass that handled all it saw waits for a write to
+// one of the files it Stats and then for the next tick (SleepUntil), so
+// the passes that would find every Gen where it was are not run, and the
+// ones that are run at the instants they always did. A pass that left
+// anything unhandled, a pending eviction ack included, sleeps the plain
+// controllerPoll: a retry is not announced by a write.
 func runController(ctx *kube.ContainerCtx, p Params) int {
 	d := p.Deps
 	vol, err := d.NFS.Volume(p.VolumeName)
@@ -200,7 +208,16 @@ func runController(ctx *kube.ContainerCtx, p Params) int {
 	}
 
 	handled := make([]learnerFiles, p.Manifest.Learners)
+	// Subscribed before the first Stat: a write landing mid-pass leaves a
+	// token, and the next tick's pass reads it.
+	watched := []string{learner.EvictRequestPath}
+	for l := 0; l < p.Manifest.Learners; l++ {
+		watched = append(watched, learner.StatusPath(l), nfs.ExitCodePath(l))
+	}
+	sub := vol.Subscribe(watched...)
+	defer sub.Close()
 	for {
+		retry := false // something this pass saw is still unhandled
 		// Acks only exist after the Guardian posts the evict-request, so
 		// one existence check keeps the per-learner ack reads off the
 		// steady-state polling path entirely.
@@ -219,6 +236,9 @@ func runController(ctx *kube.ContainerCtx, p Params) int {
 						saveJournal()
 					}
 				}
+				if !journal.Acked[key] {
+					retry = true
+				}
 			}
 			// Stat before Read: a write landing in between is re-read on
 			// the next poll rather than missed.
@@ -228,6 +248,7 @@ func runController(ctx *kube.ContainerCtx, p Params) int {
 			}
 			status, src, ok := currentLearnerStatus(vol, l, seen)
 			if !ok || status == "" {
+				retry = true
 				continue
 			}
 			if journal.Last[key] == status {
@@ -246,12 +267,14 @@ func runController(ctx *kube.ContainerCtx, p Params) int {
 			raw, err := env.Encode()
 			if err != nil {
 				noteDrop(l, "marshal", err)
+				retry = true
 				continue
 			}
 			if _, err := d.Etcd.Put(types.LearnerStatusKey(p.JobID, l), string(raw)); err != nil {
 				// etcd momentarily unavailable (leader election):
 				// retry on the next poll rather than losing the update.
 				noteDrop(l, "etcd-put", err)
+				retry = true
 				continue
 			}
 			dropLogged[l] = false
@@ -259,10 +282,20 @@ func runController(ctx *kube.ContainerCtx, p Params) int {
 			saveJournal()
 			handled[l] = seen
 		}
-		if !ctx.Sleep(controllerPoll) {
+		if !pollWait(ctx, controllerPoll, sub, retry) {
 			return 0
 		}
 	}
+}
+
+// pollWait is the wait between two passes of a helper poll loop: to the
+// next tick if the last pass left work to retry, otherwise to the first
+// tick after a watched file changes. False means the process was killed.
+func pollWait(ctx *kube.ContainerCtx, period time.Duration, sub *nfs.Subscription, retry bool) bool {
+	if retry {
+		return ctx.Sleep(period)
+	}
+	return ctx.SleepUntil(period, sub.C())
 }
 
 // currentLearnerStatus derives learner l's status from whichever of its
@@ -310,7 +343,9 @@ func progressDetail(vol *nfs.Volume, l int) string {
 // runLogCollector periodically uploads learner logs from NFS to the
 // results bucket so logs survive any pod's demise ("reliable streaming of
 // logs from the job, irrespective of the stage it is in, even if it
-// crashes/fails").
+// crashes/fails"). Like the controller's, its passes keep their cadence
+// and are run only once a file they Stat has been written, or to retry
+// an upload that failed.
 func runLogCollector(ctx *kube.ContainerCtx, p Params) int {
 	d := p.Deps
 	vol, err := d.NFS.Volume(p.VolumeName)
@@ -320,6 +355,7 @@ func runLogCollector(ctx *kube.ContainerCtx, p Params) int {
 	m := p.Manifest
 	creds := objectstore.Credentials{AccessKey: m.Results.AccessKey, SecretKey: m.Results.SecretKey}
 	shipped := make(map[string]uint64) // Gen of each file as last uploaded
+	retry := false                     // a changed file did not reach the bucket this pass
 	ship := func(path, key string) {
 		fi, ok := vol.Stat(path)
 		if !ok || fi.Gen == shipped[path] {
@@ -328,15 +364,24 @@ func runLogCollector(ctx *kube.ContainerCtx, p Params) int {
 		if raw, err := vol.Read(path); err == nil {
 			if err := d.ObjectStore.Put(m.Results.Bucket, key, raw, creds); err == nil {
 				shipped[path] = fi.Gen
+				return
 			}
 		}
+		retry = true
 	}
+	var watched []string
+	for l := 0; l < m.Learners; l++ {
+		watched = append(watched, learner.LogPath(l), learner.MetricsPath(l))
+	}
+	sub := vol.Subscribe(watched...)
+	defer sub.Close()
 	for {
+		retry = false
 		for l := 0; l < m.Learners; l++ {
 			ship(learner.LogPath(l), learner.ResultLogKey(p.JobID, l))
 			ship(learner.MetricsPath(l), learner.ResultMetricsKey(p.JobID, l))
 		}
-		if !ctx.Sleep(logCollectorPoll) {
+		if !pollWait(ctx, logCollectorPoll, sub, retry) {
 			return 0
 		}
 	}
@@ -346,23 +391,38 @@ func runLogCollector(ctx *kube.ContainerCtx, p Params) int {
 // persists the trained model to the results bucket and publishes the
 // stored marker that lets the Guardian declare the job COMPLETED.
 func runStoreResults(ctx *kube.ContainerCtx, p Params) int {
-	d := p.Deps
-	vol, err := d.NFS.Volume(p.VolumeName)
+	vol, err := p.Deps.NFS.Volume(p.VolumeName)
 	if err != nil {
 		return learner.ExitVolumeError
 	}
-	m := p.Manifest
-	creds := objectstore.Credentials{AccessKey: m.Results.AccessKey, SecretKey: m.Results.SecretKey}
-	// An exit file is read once it exists, and again only if its Gen
-	// moves; until then the poll costs a Stat.
+	if awaitLearnersDone(ctx, vol, p.Manifest.Learners) {
+		storeResults(p, vol)
+	}
+	<-ctx.Killed()
+	return 0
+}
+
+// awaitLearnersDone polls the learners' exit files until every one
+// records success. It reports false when there is nothing to store — a
+// learner failed (the Guardian handles failure) or the process was
+// killed. An exit file is read once it exists, and again only if its Gen
+// moves; a pass is run on the first controllerPoll tick after one is
+// written, or on the next to retry a read that failed.
+func awaitLearnersDone(ctx *kube.ContainerCtx, vol *nfs.Volume, learners int) bool {
 	type exit struct {
 		gen  uint64
 		code int
 	}
-	exits := make([]exit, m.Learners)
+	exits := make([]exit, learners)
+	watched := make([]string, learners)
+	for l := range watched {
+		watched[l] = nfs.ExitCodePath(l)
+	}
+	sub := vol.Subscribe(watched...)
+	defer sub.Close()
 	for {
-		done, failed := 0, 0
-		for l := 0; l < m.Learners; l++ {
+		done, failed, retry := 0, 0, false
+		for l := 0; l < learners; l++ {
 			fi, ok := vol.Stat(nfs.ExitCodePath(l))
 			if !ok {
 				continue
@@ -370,6 +430,7 @@ func runStoreResults(ctx *kube.ContainerCtx, p Params) int {
 			if exits[l].gen != fi.Gen {
 				code, ok := vol.ReadExitCode(l)
 				if !ok {
+					retry = true
 					continue
 				}
 				exits[l] = exit{gen: fi.Gen, code: code}
@@ -380,18 +441,20 @@ func runStoreResults(ctx *kube.ContainerCtx, p Params) int {
 				failed++
 			}
 		}
-		if failed > 0 {
-			// Nothing to store; the Guardian handles failure.
-			<-ctx.Killed()
-			return 0
+		if failed > 0 || done == learners {
+			return failed == 0
 		}
-		if done == m.Learners {
-			break
-		}
-		if !ctx.Sleep(controllerPoll) {
-			return 0
+		if !pollWait(ctx, controllerPoll, sub, retry) {
+			return false
 		}
 	}
+}
+
+// storeResults uploads the trained model and the final logs, then
+// publishes the stored marker.
+func storeResults(p Params, vol *nfs.Volume) {
+	d, m := p.Deps, p.Manifest
+	creds := objectstore.Credentials{AccessKey: m.Results.AccessKey, SecretKey: m.Results.SecretKey}
 	// Upload the trained model (a full parameter snapshot).
 	ssp := d.Trace.StartSpan(trace.JobRoot(p.JobID), "store-results")
 	ssp.SetPhase(trace.PhaseStore)
@@ -417,6 +480,4 @@ func runStoreResults(ctx *kube.ContainerCtx, p Params) int {
 
 	vol.Write(ResultsStoredMarker, []byte("ok"))
 	ssp.End()
-	<-ctx.Killed()
-	return 0
 }

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/core/guardian"
 	"repro/internal/core/manifest"
@@ -145,14 +146,13 @@ func (s *Service) runWatch(ctx *kube.ContainerCtx) int {
 
 	s.sweepQueued()
 	s.garbageCollect()
-	for {
-		tick := s.deps.Clock.NewTimer(watchBackstop)
+	tick := s.deps.Clock.NewTimer(watchBackstop) // one timer, re-armed every pass
+	defer tick.Stop()
+	for ; ; clock.Rearm(tick, watchBackstop) {
 		select {
 		case <-ctx.Killed():
-			tick.Stop()
 			return 0
 		case ce := <-feed:
-			tick.Stop()
 			if ce.Deleted {
 				continue
 			}

@@ -132,6 +132,7 @@ type Cluster struct {
 	policies   map[string]*NetworkPolicy
 	nodeClocks map[string]*clock.Skewed
 	watchers   []*watchSub
+	podSubs    []chan struct{} // SubscribePods signals
 	nameSeq    uint64
 	stopped    bool
 
@@ -261,9 +262,43 @@ func (c *Cluster) Watch() (events <-chan Event, cancel func()) {
 	return w.ch, cancel
 }
 
+// SubscribePods returns a "look again" signal for pod state: wake holds
+// a token once any pod has been added, changed phase, gone, or had a
+// container process (re)start since the token was last taken. It has
+// capacity one and the cluster never blocks on it; unlike Watch it says
+// only that something changed, for a loop that re-reads pod state on a
+// cadence (see clock.SleepUntil). Subscribe before the first look.
+func (c *Cluster) SubscribePods() (wake <-chan struct{}, cancel func()) {
+	ch := make(chan struct{}, 1)
+	c.mu.Lock()
+	c.podSubs = append(c.podSubs, ch)
+	c.mu.Unlock()
+	return ch, func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for i, x := range c.podSubs {
+			if x == ch {
+				c.podSubs = append(c.podSubs[:i], c.podSubs[i+1:]...)
+				return
+			}
+		}
+	}
+}
+
+// podsChangedLocked signals every SubscribePods subscriber. c.mu is held.
+func (c *Cluster) podsChangedLocked() {
+	for _, ch := range c.podSubs {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+	}
+}
+
 func (c *Cluster) emit(ev Event) {
 	ev.Time = c.clk.Now()
 	c.mu.Lock()
+	c.podsChangedLocked()
 	watchers := make([]*watchSub, len(c.watchers))
 	copy(watchers, c.watchers)
 	c.mu.Unlock()

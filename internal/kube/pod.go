@@ -289,6 +289,9 @@ func (p *Pod) superviseContainer(cs *containerState, wgStart *sync.WaitGroup) {
 		cs.procKill = procKill
 		cs.running = true
 		cs.mu.Unlock()
+		p.cluster.mu.Lock()
+		p.cluster.podsChangedLocked()
+		p.cluster.mu.Unlock()
 		releaseStart()
 
 		code := p.runProcess(cs, procKill, incarnation)
@@ -515,6 +518,14 @@ func (c *ContainerCtx) Sleep(d time.Duration) bool {
 	case <-c.killedCh:
 		return false
 	}
+}
+
+// SleepUntil is the wait of a poll loop whose pass reads only what
+// signals wake when it changes: clock.SleepUntil on the cluster clock,
+// given up (false) when the process is killed. A pass that left work to
+// retry takes Sleep(period) instead.
+func (c *ContainerCtx) SleepUntil(period time.Duration, wake <-chan struct{}) bool {
+	return clock.SleepUntil(c.pod.cluster.clk, period, wake, c.killedCh)
 }
 
 func min(a, b int) int {

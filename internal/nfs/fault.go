@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // ErrFaulted is returned by data operations while the server is in
@@ -46,8 +48,9 @@ func (m FaultMode) String() string {
 	}
 }
 
-// faultPollGrain is how often a stalled operation re-checks the server's
-// health, in virtual time.
+// faultPollGrain is the cadence, in virtual time and counted from the
+// call, on which a stalled operation re-checks the server's health: the
+// operation resumes on its first tick after the heal.
 const faultPollGrain = 50 * time.Millisecond
 
 // InjectFault puts the server into the given fault mode. Volume flap is
@@ -55,11 +58,13 @@ const faultPollGrain = 50 * time.Millisecond
 func (s *Server) InjectFault(m FaultMode) {
 	s.mu.Lock()
 	s.fault = m
+	close(s.changed) // wakes every stalled operation to look again
+	s.changed = make(chan struct{})
 	s.mu.Unlock()
 }
 
-// Heal clears any injected fault; stalled operations complete on their
-// next poll.
+// Heal clears any injected fault; each stalled operation completes on
+// the next tick of its own faultPollGrain cadence.
 func (s *Server) Heal() { s.InjectFault(FaultNone) }
 
 // FaultMode returns the server's current fault mode.
@@ -74,10 +79,12 @@ func (s *Server) FaultMode() FaultMode {
 // after a heal, or FaultError if the caller must fail instead.
 func (s *Server) awaitHealthy() FaultMode {
 	for {
-		m := s.FaultMode()
+		s.mu.Lock()
+		m, changed := s.fault, s.changed
+		s.mu.Unlock()
 		if m != FaultStall {
 			return m
 		}
-		s.clk.Sleep(faultPollGrain)
+		clock.SleepUntil(s.clk, faultPollGrain, changed, nil)
 	}
 }

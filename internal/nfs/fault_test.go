@@ -2,6 +2,9 @@ package nfs
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -79,4 +82,108 @@ func TestFaultStallBlocksUntilHeal(t *testing.T) {
 		t.Fatal("Exists should not stall or fail during a flap")
 	}
 	s.Heal()
+}
+
+// nowCounter is a manual clock that counts readings of the time, which
+// is how the test knows a stalled caller has taken its start time (it
+// parks nothing on the clock that could be waited for instead).
+type nowCounter struct {
+	*clock.Sim
+	reads atomic.Int64
+}
+
+func (c *nowCounter) Now() time.Time {
+	defer c.reads.Add(1)
+	return c.Sim.Now()
+}
+
+// TestStalledCallersCostNoClockEvents: operations blocked by a stall wait
+// for the heal without polling — nothing is parked on the clock however
+// long the flap — and still resume where the 50 ms poll resumed them: on
+// the first tick of their own cadence after the heal.
+func TestStalledCallersCostNoClockEvents(t *testing.T) {
+	clk := &nowCounter{Sim: clock.NewManual()}
+	t.Cleanup(clk.Close)
+	s := NewServer(clk)
+	v, err := s.Provision("job-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.InjectFault(FaultStall)
+
+	const callers = 5
+	const heal = 10 * time.Second
+	type finish struct {
+		caller int
+		at     time.Duration
+	}
+	epoch := clk.Sim.Now()
+	done := make(chan finish, callers)
+	var called [callers]time.Duration
+	for j := 0; j < callers; j++ {
+		// 7 ms apart: off the 50 ms grid and off each other's, so every
+		// caller has its own cadence and none ticks exactly at the heal.
+		clk.Advance(7 * time.Millisecond)
+		called[j] = clk.Sim.Now().Sub(epoch)
+		reads := clk.reads.Load()
+		go func(j int) {
+			v.Write(fmt.Sprintf("f%d", j), []byte("x"))
+			done <- finish{j, clk.Sim.Now().Sub(epoch)}
+		}(j)
+		for timeout := time.After(5 * time.Second); clk.reads.Load() == reads; runtime.Gosched() {
+			select {
+			case <-timeout:
+				t.Fatalf("caller %d never reached the stall", j)
+			default:
+			}
+		}
+	}
+	clk.Advance(heal - clk.Sim.Now().Sub(epoch))
+	if n := clk.PendingEvents(); n != 0 {
+		t.Fatalf("%d clock events parked by %d callers stalled for %v, want 0", n, callers, heal)
+	}
+	select {
+	case f := <-done:
+		t.Fatalf("caller %d completed during the stall", f.caller)
+	default:
+	}
+	s.Heal()
+	waitParked(t, clk.Sim, callers)
+
+	// What the poll did: re-check every faultPollGrain from the call, so
+	// resume on the first re-check after the heal, then pay the write's
+	// round trip.
+	for j := 0; j < callers; j++ {
+		resume := called[j] + ((heal-called[j])/faultPollGrain+1)*faultPollGrain
+		clk.Advance(resume - clk.Sim.Now().Sub(epoch))
+		waitParked(t, clk.Sim, callers-j) // the resumed caller is now in its round trip
+		want := resume + s.link.Latency
+		clk.Advance(want - clk.Sim.Now().Sub(epoch) - 1)
+		select {
+		case f := <-done:
+			t.Fatalf("caller %d completed at %v, before %v", f.caller, f.at, want)
+		default:
+		}
+		clk.Advance(1)
+		select {
+		case f := <-done:
+			if f.caller != j || f.at != want {
+				t.Fatalf("caller %d completed at %v, want caller %d at %v", f.caller, f.at, j, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("caller %d did not complete at %v", j, want)
+		}
+	}
+}
+
+// waitParked blocks until n events are parked on s.
+func waitParked(t *testing.T, s *clock.Sim, n int) {
+	t.Helper()
+	for timeout := time.After(5 * time.Second); s.PendingEvents() < n; runtime.Gosched() {
+		select {
+		case <-timeout:
+			t.Fatalf("%d events parked, want %d", s.PendingEvents(), n)
+		default:
+		}
+	}
 }

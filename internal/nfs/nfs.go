@@ -13,6 +13,14 @@
 // from the client's attribute view: no latency, never stalled or failed
 // by a fault. A periodic loop therefore asks Stat whether a file's Gen
 // moved and pays for a Read only when it did.
+//
+// A pass of such a loop that finds every Gen where it left it costs no
+// clock time, so on a virtual clock the loop need not wake for it at
+// all: Volume.Subscribe tells the loop when a path it Stats was written,
+// and clock.SleepUntil sleeps through the ticks before that. That is a
+// shortcut of the simulator, not a feature of the modelled NFS — the
+// signal carries nothing, the loop still runs on its cadence, and Stat
+// and Read remain the only way to learn what is on the volume.
 package nfs
 
 import (
@@ -47,6 +55,7 @@ type Server struct {
 	mu      sync.Mutex
 	volumes map[string]*Volume
 	fault   FaultMode
+	changed chan struct{} // closed, and replaced, when fault changes
 
 	ops [len(opNames)]atomic.Uint64 // operations served, across all volumes
 	mtr atomic.Pointer[metrics.Registry]
@@ -67,7 +76,7 @@ var opNames = [...]string{opRead: "read", opWrite: "write", opAppend: "append", 
 // NewServer returns an NFS server on clk; file operations are charged
 // per-operation latency from link.
 func NewServer(clk clock.Clock) *Server {
-	return &Server{clk: clk, link: netsim.NFSLink, volumes: make(map[string]*Volume)}
+	return &Server{clk: clk, link: netsim.NFSLink, volumes: make(map[string]*Volume), changed: make(chan struct{})}
 }
 
 // Provision creates a volume (the Guardian does this per job through a
@@ -167,6 +176,62 @@ type Volume struct {
 	mu    sync.Mutex
 	files map[string]file
 	gen   uint64 // change counter: bumped by every Write/Append that lands
+	subs  map[string][]*Subscription
+}
+
+// Subscription is a "look again" signal for a set of paths on a volume:
+// C holds a token once any of them has been written, appended to or
+// removed since the token was last taken. It says that something
+// changed, never what — the subscriber Stats and Reads to find out.
+type Subscription struct {
+	vol   *Volume
+	paths []string
+	ch    chan struct{}
+}
+
+// Subscribe returns a subscription to changes of the given paths. To
+// miss nothing, subscribe before the first Stat of the files.
+func (v *Volume) Subscribe(paths ...string) *Subscription {
+	sub := &Subscription{vol: v, paths: paths, ch: make(chan struct{}, 1)}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.subs == nil {
+		v.subs = make(map[string][]*Subscription)
+	}
+	for _, p := range paths {
+		v.subs[p] = append(v.subs[p], sub)
+	}
+	return sub
+}
+
+// C is the signal: capacity one, so changes coalesce into one token and
+// a writer never waits for a subscriber.
+func (s *Subscription) C() <-chan struct{} { return s.ch }
+
+// Close ends the subscription.
+func (s *Subscription) Close() {
+	v := s.vol
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for _, p := range s.paths {
+		subs := v.subs[p]
+		for i, x := range subs {
+			if x == s {
+				v.subs[p] = append(subs[:i], subs[i+1:]...)
+				break
+			}
+		}
+	}
+}
+
+// changedLocked signals the subscribers of path. v.mu is held.
+func (v *Volume) changedLocked(path string) {
+	for _, sub := range v.subs[path] {
+		select {
+		case sub.ch <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // Name returns the volume name.
@@ -186,6 +251,7 @@ func (v *Volume) Write(path string, data []byte) {
 	copy(cp, data)
 	v.gen++
 	v.files[path] = file{data: cp, gen: v.gen}
+	v.changedLocked(path)
 }
 
 // Append adds data to the end of the file, creating it if absent. This
@@ -201,6 +267,7 @@ func (v *Volume) Append(path string, data []byte) {
 	defer v.mu.Unlock()
 	v.gen++
 	v.files[path] = file{data: append(v.files[path].data, data...), gen: v.gen}
+	v.changedLocked(path)
 }
 
 // Read returns a copy of the file's contents. In FaultError mode it
@@ -260,6 +327,7 @@ func (v *Volume) Remove(path string) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	delete(v.files, path)
+	v.changedLocked(path)
 }
 
 // Exit-status convention: learner process i writes its exit code to

@@ -275,3 +275,72 @@ func TestOpCountsByKind(t *testing.T) {
 		t.Errorf("OpCounts = %v, want exactly the kinds %v", got, want)
 	}
 }
+
+// token takes the subscription's token if there is one.
+func token(sub *Subscription) bool {
+	select {
+	case <-sub.C():
+		return true
+	default:
+		return false
+	}
+}
+
+// TestSubscription: a subscriber is told that one of its paths changed —
+// by every call that changes it and by nothing else — with one token
+// however many changes, and never at the writer's expense.
+func TestSubscription(t *testing.T) {
+	s := newTestServer(t)
+	v, err := s.Provision("job-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := v.Subscribe("status", "exit")
+	if token(sub) {
+		t.Fatal("token before any write")
+	}
+	v.Write("other", []byte("x"))
+	v.Append("other", []byte("x"))
+	v.Remove("other")
+	if token(sub) {
+		t.Fatal("signalled by a path it did not subscribe to")
+	}
+	for name, change := range map[string]func(){
+		"Write":  func() { v.Write("status", []byte("x")) },
+		"Append": func() { v.Append("exit", []byte("0")) },
+		"Remove": func() { v.Remove("status") },
+	} {
+		change()
+		if !token(sub) {
+			t.Fatalf("%s of a subscribed path left no token", name)
+		}
+	}
+
+	// Changes coalesce, and an undrained subscriber holds no writer up.
+	for i := 0; i < 10; i++ {
+		v.Write("status", []byte("x"))
+		v.Append("exit", []byte("0"))
+	}
+	if !token(sub) || token(sub) {
+		t.Fatal("twenty changes should leave exactly one token")
+	}
+
+	// A write the fault dropped changed nothing.
+	s.InjectFault(FaultError)
+	v.Write("status", []byte("lost"))
+	v.Append("exit", []byte("lost"))
+	s.Heal()
+	if token(sub) {
+		t.Fatal("signalled by a write that FaultError dropped")
+	}
+
+	other := v.Subscribe("status")
+	sub.Close()
+	v.Write("status", []byte("x"))
+	if token(sub) {
+		t.Fatal("signalled after Close")
+	}
+	if !token(other) {
+		t.Fatal("closing one subscription silenced another on the same path")
+	}
+}
