@@ -68,6 +68,11 @@ type Ticker interface {
 
 	// Stop turns the ticker off. No more ticks are delivered.
 	Stop()
+
+	// Reset changes the period to d, in place: the next tick arrives d
+	// from now and every d after it. It restarts a stopped ticker. Like
+	// time.Ticker.Reset it does not drain a tick already delivered.
+	Reset(d time.Duration)
 }
 
 // Real is a Clock backed by the operating-system wall clock.
@@ -109,5 +114,6 @@ func (r realTimer) Reset(d time.Duration) { r.t.Reset(d) }
 
 type realTicker struct{ t *time.Ticker }
 
-func (r realTicker) C() <-chan time.Time { return r.t.C }
-func (r realTicker) Stop()               { r.t.Stop() }
+func (r realTicker) C() <-chan time.Time   { return r.t.C }
+func (r realTicker) Stop()                 { r.t.Stop() }
+func (r realTicker) Reset(d time.Duration) { r.t.Reset(d) }

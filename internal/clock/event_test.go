@@ -74,6 +74,10 @@ func TestAllocBudget(t *testing.T) {
 			ticks.Advance(time.Second)
 			<-tk.C()
 		}},
+		{"TickerReset", 0, func() { // a change of period, there and back
+			tk.Reset(10 * time.Second)
+			tk.Reset(time.Second)
+		}},
 		// The pooled wait timer, both ways a wait ends.
 		{"AcquireRelease", 0, func() { ReleaseTimer(AcquireTimer(s, time.Hour)) }},
 		{"AcquireFire", 0, func() {

@@ -255,9 +255,9 @@ const (
 
 // event is one scheduled occurrence on the virtual timeline. Its owner (a
 // timer, a ticker, a pooled sleeper) re-arms the same struct for every
-// firing, so it is in the heap at most once. kind, ch, f and period are
-// fixed at construction and read without the lock by fire; everything
-// else is guarded by Sim.mu.
+// firing, so it is in the heap at most once. kind, ch and f are fixed at
+// construction and read without the lock by fire; everything else is
+// guarded by Sim.mu.
 type event struct {
 	when   time.Time
 	seq    uint64
@@ -428,6 +428,16 @@ func (t *simTicker) Stop() {
 	defer t.s.mu.Unlock()
 	t.off = true
 	t.s.cancelLocked(&t.event)
+}
+
+func (t *simTicker) Reset(d time.Duration) {
+	if d <= 0 {
+		panic("clock: non-positive ticker interval")
+	}
+	t.s.mu.Lock()
+	defer t.s.mu.Unlock()
+	t.off, t.period = false, d
+	t.s.armLocked(&t.event, d)
 }
 
 // eventHeap orders events by deadline, then scheduling order.

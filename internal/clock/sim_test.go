@@ -185,6 +185,54 @@ func TestTickerStop(t *testing.T) {
 	}
 }
 
+// TestTickerReset: Reset changes the period in place — the next tick is
+// one new period from the Reset, whatever was left of the old one — and
+// restarts a stopped ticker. The ticker re-arms itself as it fires, so
+// ticks keep their grid while nobody receives them.
+func TestTickerReset(t *testing.T) {
+	s := NewManual()
+	defer s.Close()
+	tick := func(tk Ticker) bool {
+		select {
+		case <-tk.C():
+			return true
+		default:
+			return false
+		}
+	}
+
+	tk := s.NewTicker(10 * time.Second)
+	defer tk.Stop()
+	s.Advance(4 * time.Second)
+	tk.Reset(time.Second)
+	s.Advance(999 * time.Millisecond)
+	if tick(tk) {
+		t.Fatal("tick before the new period elapsed")
+	}
+	s.Advance(time.Millisecond)
+	if !tick(tk) {
+		t.Fatal("no tick one new period after Reset")
+	}
+	s.Advance(5 * time.Second) // five more deadlines, nobody receiving: one tick kept
+	if !tick(tk) || tick(tk) {
+		t.Fatal("want exactly one buffered tick after five unreceived periods")
+	}
+	if next, ok := s.NextDeadline(); !ok || next.Sub(s.Now()) != time.Second {
+		t.Fatalf("next deadline %v from now (%v), want one period", next.Sub(s.Now()), ok)
+	}
+
+	tk.Stop()
+	tk.Reset(2 * time.Second)
+	s.Advance(2 * time.Second)
+	if !tick(tk) {
+		t.Fatal("Reset did not restart a stopped ticker")
+	}
+	s.Advance(2 * time.Second)
+	if !tick(tk) {
+		t.Fatal("restarted ticker ticked once only")
+	}
+}
+
 func TestSleepNonPositiveReturnsImmediately(t *testing.T) {
 	s := NewManual()
 	defer s.Close()

@@ -1071,6 +1071,8 @@ func (s *Store) leader() *raft.Node {
 	n := s.cluster.Leader()
 	if n != nil {
 		s.leaderCache.Store(n)
+	} else {
+		s.wake()
 	}
 	return n
 }
@@ -1078,7 +1080,23 @@ func (s *Store) leader() *raft.Node {
 // dropLeader invalidates the leader cache after a leader-side failure
 // (the node answered ErrNotLeader, stopped, or its round timed out —
 // leadership likely moved even if the stale node still believes).
-func (s *Store) dropLeader() { s.leaderCache.Store(nil) }
+func (s *Store) dropLeader() {
+	s.leaderCache.Store(nil)
+	s.wake()
+}
+
+// wake tells every live member that a client wanted a leader and did not
+// get one. A settled cluster heartbeats — and suspects a silent leader —
+// at a tenth of the rate (raft's idle cadence); this is what makes
+// failover cost one ordinary election timeout from the first request
+// instead. On members that are not idle it is a mutex and a flag.
+func (s *Store) wake() {
+	for id := range s.readLoads { // the fixed membership, without IDs()' copy
+		if n := s.cluster.Node(id); n != nil {
+			n.Wake()
+		}
+	}
+}
 
 // readNode picks the node to ask for a read index: the leader when one
 // is visible, otherwise any live node, whose ReadIndex forwards to the
@@ -1279,7 +1297,12 @@ func (s *Store) batchLoop() {
 // out individually. The wait is event-driven (done channel vs. a clock
 // timer); a re-proposal after proposeWait covers an entry lost to
 // leadership churn, and the state machine's per-request dedup makes it
-// idempotent.
+// idempotent. An entry that did not apply in proposeWait is not proposed
+// again to the same leader in the same term — it is in that log, and a
+// second copy commits no sooner — but the trouble is reported (dropLeader
+// wakes an idle cluster) and the loop looks every retryPause for the
+// successor the majority elects, so a leader cut off in an idle spell
+// costs its proposeWait and one election, not two proposeWaits.
 func (s *Store) replicate(p *proposal) {
 	defer s.endRequests(p.cmds)
 	floor := s.requestFloor()
@@ -1296,6 +1319,8 @@ func (s *Store) replicate(p *proposal) {
 	s.putWaiter(id, p)
 	defer s.takeWaiter(id)
 
+	var in *raft.Node // whose log the entry is in, as leader of inTerm
+	var inTerm uint64
 	deadline := s.clk.Now().Add(s.timeout)
 	for s.clk.Now().Before(deadline) && !s.closed.Load() {
 		leader := s.leader()
@@ -1303,23 +1328,28 @@ func (s *Store) replicate(p *proposal) {
 			s.clk.Sleep(retryPause)
 			continue
 		}
-		if _, _, err := leader.Propose(payload); err != nil {
-			s.dropLeader()
-			s.clk.Sleep(retryPause)
-			continue
+		wait := retryPause
+		if leader != in || leader.Term() != inTerm {
+			_, term, err := leader.Propose(payload)
+			if err != nil {
+				s.dropLeader()
+				s.clk.Sleep(retryPause)
+				continue
+			}
+			s.proposals.Add(1)
+			in, inTerm, wait = leader, term, proposeWait
 		}
-		s.proposals.Add(1)
-		if s.awaitApply(p) {
+		if s.awaitApply(p, wait) {
 			return
 		}
 		s.dropLeader()
 	}
 }
 
-// awaitApply waits up to proposeWait for p's entry to apply. It reports
-// whether replicate is finished: the entry applied, or the store closed.
-func (s *Store) awaitApply(p *proposal) bool {
-	t := clock.AcquireTimer(s.clk, proposeWait)
+// awaitApply waits up to wait for p's entry to apply. It reports whether
+// replicate is finished: the entry applied, or the store closed.
+func (s *Store) awaitApply(p *proposal, wait time.Duration) bool {
+	t := clock.AcquireTimer(s.clk, wait)
 	defer clock.ReleaseTimer(t)
 	select {
 	case <-p.done:

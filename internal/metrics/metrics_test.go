@@ -203,6 +203,8 @@ func TestUpdateAllocs(t *testing.T) {
 	r := NewRegistry()
 	update := func() {
 		r.Inc("raft_appends_sent", "etcd-0")
+		r.Inc("raft_idle_rounds", "etcd-0")
+		r.Inc("raft_wakes", "etcd-0", "client")
 		r.Add("api_requests", 2, "submit", "alice")
 		r.SetGauge("hub_queue_depth", 3, "etcd-0")
 		r.SetGauge("free_gpus", 12)

@@ -32,6 +32,50 @@ func TestSuitesUnderLinkFaults(t *testing.T) {
 	t.Run("AppliesDeliveredInOrder", func(t *testing.T) { appliesDeliveredInOrder(t, lossy) })
 	t.Run("SnapshotStreamsInChunks", func(t *testing.T) { snapshotStreamsInChunks(t, lossy) })
 	t.Run("ReadIndexCoversAckedWrites", func(t *testing.T) { readIndexCoversAckedWrites(t, lossy) })
+	t.Run("IdleCadenceKeepsLeader", func(t *testing.T) { idleCadenceKeepsLeader(t, lossy) })
+}
+
+// idleCadenceKeepsLeader: the idle cadence is an agreement made of
+// messages, and a lost, doubled or overtaken one must never leave a
+// follower on a short timeout under a leader on the long interval — the
+// one disagreement that deposes a live leader. The leader slows down only
+// when every follower accepted the same round's offer, a missing ack sends
+// the next round out without one, and an append older than one already
+// seen leaves the timer alone; so across at least twenty idle rounds on
+// lossy links nobody stands for election, while the cadence keeps falling
+// back and recovering.
+func idleCadenceKeepsLeader(t *testing.T, faults LinkFaults) {
+	c, clk, l := idleCluster(t, 3)
+	terms := func() [3]uint64 {
+		var out [3]uint64
+		for _, id := range c.IDs() {
+			out[id] = c.Node(id).Term()
+		}
+		return out
+	}
+	want := terms()
+	c.Transport().SetFaults(faults)
+	start, rounds := l.ReplicationStats().IdleRounds, roundsOf(l)
+	slow, fast := 0, 0
+	for end := clk.Now().Add(time.Minute); l.ReplicationStats().IdleRounds-start < 40 && clk.Now().Before(end); {
+		nextRound(t, clk, l)
+		if onIdle(l) {
+			slow++
+		} else {
+			fast++
+		}
+		if got := terms(); got != want || c.Leader() != l {
+			t.Fatalf("%v into the lossy spell: terms %v (were %v), leader %v", clk.Now().Sub(end.Add(-time.Minute)), got, want, c.Leader())
+		}
+	}
+	c.Transport().SetFaults(LinkFaults{})
+	if slow < 20 {
+		t.Fatalf("only %d rounds on the idle cadence (and %d on the fast one): not the run this test is about", slow, fast)
+	}
+	if fast == 0 {
+		t.Fatalf("%d rounds and the cadence never fell back: the links lost nothing", roundsOf(l)-rounds)
+	}
+	t.Logf("%d rounds on the idle cadence, %d on the fast one, no election", slow, fast)
 }
 
 // readIndexCoversAckedWrites is the lease tests' safety half as one

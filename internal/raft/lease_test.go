@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/clock/clocktest"
 )
 
 // The tests in this file pin the quorum-amortized read path: lease
@@ -16,28 +18,33 @@ import (
 // companion proves the drift bound is load-bearing: with the defenses
 // removed, the stale read actually happens.
 
-// warmLease waits until the leader's lease has had several quorum
-// heartbeat rounds to arm and returns the leader.
-func warmLease(t *testing.T, c *Cluster, clk interface {
-	Sleep(time.Duration)
-}) *Node {
+// warmLease returns the leader with its lease armed. It used to wait out
+// 200 ms of silence for "several heartbeat rounds"; a silent cluster is
+// now on the idle cadence, where rounds are further apart than the lease
+// is long, so the lease is established the way a client does it: one read
+// that pays a confirmation round, which every later read inside
+// ElectionTimeoutMin - MaxClockDrift of it rides on.
+func warmLease(t *testing.T, c *Cluster) *Node {
 	t.Helper()
 	l := c.WaitLeader(5 * time.Second)
 	if l == nil {
 		t.Fatal("no leader")
 	}
-	clk.Sleep(200 * time.Millisecond)
+	if _, err := l.ReadIndex(time.Second); err != nil {
+		t.Fatalf("warming read: %v", err)
+	}
 	return l
 }
 
-// TestLeaseReadsSkipRounds: with the lease armed by the steady
-// heartbeat cadence, back-to-back ReadIndex calls are answered from
+// TestLeaseReadsSkipRounds: with the lease armed by one confirmed round
+// (warmLease; it was "the steady heartbeat cadence" while an idle cluster
+// still had one), back-to-back ReadIndex calls are answered from
 // commitIndex with zero confirmation rounds.
 func TestLeaseReadsSkipRounds(t *testing.T) {
 	c, clk := newTestCluster(t, 3)
 	proposeOK(t, c, clk, "w0")
 	waitCommitted(t, c, clk, 1, 10*time.Second)
-	l := warmLease(t, c, clk)
+	l := warmLease(t, c)
 
 	before := c.ReadStats()
 	const reads = 20
@@ -63,7 +70,7 @@ func TestLeaseDisabledPaysRounds(t *testing.T) {
 	c.SetReadCoalescing(false)
 	proposeOK(t, c, clk, "w0")
 	waitCommitted(t, c, clk, 1, 10*time.Second)
-	l := warmLease(t, c, clk)
+	l := warmLease(t, c)
 
 	before := c.ReadStats()
 	const reads = 5
@@ -89,7 +96,7 @@ func TestCoalescedReadsShareRounds(t *testing.T) {
 	c.SetLeaseReads(false)
 	proposeOK(t, c, clk, "w0")
 	waitCommitted(t, c, clk, 1, 10*time.Second)
-	l := warmLease(t, c, clk)
+	l := warmLease(t, c)
 
 	before := c.ReadStats()
 	const readers = 32
@@ -128,12 +135,21 @@ func TestStepDownMidLeaseFailsPendingReads(t *testing.T) {
 	c, clk := newTestCluster(t, 3)
 	proposeOK(t, c, clk, "w0")
 	waitCommitted(t, c, clk, 1, 10*time.Second)
-	l := warmLease(t, c, clk)
+	l := warmLease(t, c)
 
 	c.Transport().Partition(l.ID())
 	// Let the lease expire (its bound is under ElectionTimeoutMin) and
 	// the majority elect a successor, so the stale leader's next read
-	// starts a full round that can never confirm.
+	// starts a full round that can never confirm. The followers may have
+	// accepted the idle cadence before the cut, and would then wait up to
+	// idleFactor × ElectionTimeoutMax before suspecting anything; a client
+	// that misses the leader wakes them, and so does this test. What is
+	// asserted about the deposed leader's pending read is unchanged.
+	for _, id := range c.IDs() {
+		if id != l.ID() {
+			c.Node(id).Wake()
+		}
+	}
 	clk.Sleep(400 * time.Millisecond)
 
 	type res struct {
@@ -169,7 +185,7 @@ func TestClockSkewBreaksLease(t *testing.T) {
 	c, clk := newTestCluster(t, 3)
 	proposeOK(t, c, clk, "w0")
 	waitCommitted(t, c, clk, 1, 10*time.Second)
-	l := warmLease(t, c, clk)
+	l := warmLease(t, c)
 
 	// Prove the lease is live before the fault.
 	pre := c.ReadStats()
@@ -181,9 +197,11 @@ func TestClockSkewBreaksLease(t *testing.T) {
 	}
 
 	// Step the leader's clock 10s backward — far beyond the 20ms drift
-	// bound — while it is still connected.
+	// bound — while it is still connected. The followers' echoes that
+	// catch it ride on heartbeat acks, and the next round is at most one
+	// idle interval away (it was one fast interval; the sleep grew with it).
 	c.SetClockSkew(l.ID(), -10*time.Second)
-	clk.Sleep(200 * time.Millisecond)
+	clk.Sleep(idleFactor*DefaultConfig(nil).HeartbeatInterval + 100*time.Millisecond)
 	if c.ReadStats().LeaseExpiries == pre.LeaseExpiries {
 		t.Fatal("skew beyond the drift bound did not invalidate the lease")
 	}
@@ -234,7 +252,7 @@ func TestClockSkewUnsafeModeServesStale(t *testing.T) {
 	})
 	proposeOK(t, c, clk, "w0")
 	waitCommitted(t, c, clk, 1, 10*time.Second)
-	l := warmLease(t, c, clk)
+	l := warmLease(t, c)
 
 	// Partition first, then step the clock back: no later quorum round
 	// can overwrite the lease with post-step timestamps, so the grant's
@@ -296,4 +314,118 @@ func waitCommitIndex(t *testing.T, n *Node, clk interface {
 		clk.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("commit index never reached %d", idx)
+}
+
+// leaseServes asks l's lease for a read index without falling back to a
+// confirmation round (which would block on a manual clock).
+func leaseServes(l *Node) (uint64, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.state != Leader {
+		return 0, false
+	}
+	return l.leaseReadLocked()
+}
+
+// TestLeaseSurvivesOneCutLink: the lease says "no other node can have won
+// an election", and one cut link used to be enough to make that false —
+// the follower cut off from the leader times out and asks the other one
+// for its vote, and a follower that grants it while it still hears the
+// leader every round elects a second leader under a live lease (at the
+// parent of this test: node A leads term 2 and commits index 2 while the
+// old leader, still Leader in term 1, answers reads from its lease with
+// index 1). A follower now refuses its vote within ElectionTimeoutMin of
+// hearing its leader (Raft thesis §4.2.3, §6.4.1), so the cut-off node
+// campaigns for as long as it likes and the lease holds. Every instant of
+// three virtual seconds is checked: whenever the lease answers, nobody
+// leads a later term.
+func TestLeaseSurvivesOneCutLink(t *testing.T) {
+	c, clk := newManualCluster(t, 3)
+	clocktest.Run(clk, time.Second)
+	l := c.Leader()
+	if l == nil {
+		t.Fatal("no leader")
+	}
+	if _, _, err := l.Propose([]byte("w0")); err != nil {
+		t.Fatal(err)
+	}
+	clocktest.Run(clk, 5*time.Millisecond) // committed, and the round's acks armed the lease
+	if _, ok := leaseServes(l); !ok {
+		t.Fatal("lease not armed by a quorum-acked round")
+	}
+	var cut int
+	for _, id := range c.IDs() {
+		if id != l.ID() {
+			cut = id
+			break
+		}
+	}
+	c.Transport().SetLinkFaults(l.ID(), cut, LinkFaults{Blocked: true})
+	c.Transport().SetLinkFaults(cut, l.ID(), LinkFaults{Blocked: true})
+
+	served := 0
+	for end := clk.Now().Add(3 * time.Second); clk.Now().Before(end); {
+		step(t, clk)
+		idx, ok := leaseServes(l)
+		if !ok {
+			continue
+		}
+		served++
+		term := l.Term()
+		for _, id := range c.IDs() {
+			if st, tm := c.Node(id).Status(); id != l.ID() && st == Leader && tm > term {
+				t.Fatalf("%v after the cut node %d answers reads from its lease (index %d, term %d) while node %d leads term %d",
+					clk.Now().Sub(end.Add(-3*time.Second)), l.ID(), idx, term, id, tm)
+			}
+		}
+	}
+	if served == 0 {
+		t.Fatal("the lease never answered: nothing was checked")
+	}
+	if c.Node(cut).Term() <= l.Term() {
+		t.Fatal("the cut-off follower never stood for election: the scenario did not happen")
+	}
+	// The leader and the follower that hears it are a quorum: still live.
+	idx, _, err := l.Propose([]byte("w1"))
+	if err != nil {
+		t.Fatalf("propose on the leader that kept its lease: %v", err)
+	}
+	clocktest.Run(clk, 5*time.Millisecond)
+	if l.CommitIndex() < idx {
+		t.Fatalf("commit index %d after proposing %d with a quorum connected", l.CommitIndex(), idx)
+	}
+}
+
+// TestCrashedLeaderReplacedInOneTimeout is the vote refusal's liveness
+// half: it must not delay the election that should happen. Both followers
+// last heard the crashed leader in the same instant, so by the time either
+// of them has timed out (at least ElectionTimeoutMin later) the other's
+// refusal window has closed, and the first candidate wins the first term.
+func TestCrashedLeaderReplacedInOneTimeout(t *testing.T) {
+	c, clk := newManualCluster(t, 3)
+	clocktest.Run(clk, time.Second)
+	l := c.Leader()
+	if l == nil {
+		t.Fatal("no leader")
+	}
+	term := l.Term()
+	// A proposal's round puts both followers on a fresh normal timeout,
+	// whatever cadence they were on.
+	if _, _, err := l.Propose([]byte("w0")); err != nil {
+		t.Fatal(err)
+	}
+	clocktest.Run(clk, time.Millisecond)
+	crashed := clk.Now()
+	c.Crash(l.ID())
+	cfg := DefaultConfig(nil)
+	nl := awaitLeader(t, c, clk, l.ID(), time.Second)
+	if nl == nil {
+		t.Fatal("no leader within a second of the crash")
+	}
+	if got := clk.Now().Sub(crashed); got > cfg.ElectionTimeoutMax+2*time.Millisecond {
+		t.Fatalf("new leader %v after the crash, want within ElectionTimeoutMax + a vote round trip", got)
+	}
+	if got := nl.Term(); got != term+1 {
+		t.Fatalf("new leader in term %d, want %d: the first election did not succeed", got, term+1)
+	}
 }

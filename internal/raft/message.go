@@ -14,6 +14,7 @@ const (
 	msgReadIndexResp
 	msgInstallSnapshot
 	msgInstallSnapshotResp
+	msgWake
 )
 
 // message is what travels on a link and through a node's inbox: a union
@@ -32,6 +33,7 @@ type message struct {
 	readResp readIndexResp
 	snap     installSnapshot
 	snapResp installSnapshotResp
+	wake     wake
 }
 
 func (m requestVote) wire() message     { return message{kind: msgRequestVote, vote: m} }
@@ -46,6 +48,8 @@ func (m installSnapshot) wire() message { return message{kind: msgInstallSnapsho
 func (m installSnapshotResp) wire() message {
 	return message{kind: msgInstallSnapshotResp, snapResp: m}
 }
+
+func (m wake) wire() message { return message{kind: msgWake, wake: m} }
 
 // message types exchanged between nodes.
 type (
@@ -69,6 +73,10 @@ type (
 		// Seq is the leader's heartbeat-round number; the response echoes
 		// it so ReadIndex rounds can tell which acks postdate them.
 		Seq uint64
+		// Idle is the leader's offer to slow down: this round found the
+		// log settled, so if the receiver holds and has committed the
+		// same log it may lengthen its election timeout by idleFactor.
+		Idle bool
 	}
 	appendEntriesResp struct {
 		Term       uint64
@@ -83,6 +91,9 @@ type (
 		// MaxClockDrift means one of the two clocks stepped, so the
 		// check-quorum lease is killed rather than trusted.
 		LocalTime time.Time
+		// Idle accepts the round's offer: the responder's election timer
+		// now runs at idleFactor times a fresh timeout.
+		Idle bool
 	}
 	// readIndexReq forwards a follower's ReadIndex call to the leader.
 	readIndexReq struct {
@@ -107,6 +118,14 @@ type (
 		Data      []byte
 		Done      bool
 		Total     int
+	}
+	// wake says "somebody asked me for service" (Node.Wake) or, with
+	// Start, "I have just booted": whoever receives it on the idle
+	// cadence goes back to the fast one. It carries no term — a wake only
+	// shortens timers that were lengthened by agreement, so a stale or
+	// duplicated one is harmless.
+	wake struct {
+		Start bool
 	}
 	// installSnapshotResp acks one chunk. NextOffset is the follower's
 	// accumulated length — where it wants the next chunk — which lets

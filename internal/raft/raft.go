@@ -18,13 +18,23 @@
 //
 // The linearizable read path is quorum-amortized: concurrent ReadIndex
 // calls coalesce onto shared leadership-confirmation rounds (group
-// commit for reads), and each quorum-confirmed heartbeat round extends a
+// commit for reads), and each quorum-confirmed round extends a
 // check-quorum lease of ElectionTimeoutMin - MaxClockDrift during which
 // reads are answered from the commit index with zero messages. The
-// lease dies on step-down and on observed node-clock skew beyond the
-// drift bound; Config.LeaseReads / Config.CoalesceReads (and the
+// lease rests on followers refusing to vote within ElectionTimeoutMin
+// of hearing their leader (handleRequestVote); it dies on step-down and
+// on observed node-clock skew beyond the drift bound, and it lapses
+// between the rounds of an idle cluster, whose first read then pays one
+// confirmation round. Config.LeaseReads / Config.CoalesceReads (and the
 // matching runtime setters) restore the one-round-per-read PR 5
 // behavior as the A/B escape hatch.
+//
+// The heartbeat cadence follows the log (cadence.go): a leader whose
+// followers all hold and have committed the whole log, and have agreed
+// to wait idleFactor times longer before they suspect it, heartbeats
+// idleFactor times less often. Whatever is asked of the log, or of any
+// member by a client (Node.Wake), puts every node back on the fast
+// cadence in the instant it happens.
 package raft
 
 import (
@@ -105,7 +115,11 @@ type Config struct {
 	// ElectionTimeoutMin/Max bound the randomized follower timeout.
 	ElectionTimeoutMin time.Duration
 	ElectionTimeoutMax time.Duration
-	// HeartbeatInterval is the leader's AppendEntries cadence.
+	// HeartbeatInterval is the leader's AppendEntries cadence while
+	// anything is being asked of the log or a follower is behind or
+	// silent. Once the log is settled and every follower has agreed to
+	// an election timeout idleFactor times longer, rounds are
+	// idleFactor × HeartbeatInterval apart until the next demand.
 	HeartbeatInterval time.Duration
 	// Seed makes election randomization reproducible.
 	Seed int64
@@ -184,6 +198,9 @@ type ReplicationStats struct {
 	// SnapChunksSent/SnapBytesSent count streamed snapshot chunks.
 	SnapChunksSent uint64
 	SnapBytesSent  uint64
+	// IdleRounds counts the heartbeat rounds that found the log settled
+	// and offered (or kept) the idle cadence.
+	IdleRounds uint64
 }
 
 // ReadStats are cumulative per-node read-path counters, the
@@ -268,7 +285,32 @@ type Node struct {
 
 	rng           *rand.Rand
 	electionTimer clock.Timer
-	heartbeatTick clock.Ticker
+
+	// Cadence state (cadence.go). heartbeat times the leader's rounds: one
+	// ticker for the node's life, stopped on a non-leader, its period
+	// Reset in place when the cadence changes. (A ticker, not a timer the
+	// run loop re-arms after each tick: the clock must hold the next tick
+	// before this goroutine has run, or a sim clock that gets ahead of a
+	// starved leader finds the followers' election timeouts next on its
+	// heap and jumps to them.) idle says the node's own timer is on the
+	// idle cadence — the heartbeat of a leader, the election timer of
+	// anyone else.
+	// roundIdle says round hbSeq carried the idle offer; roundAcked and
+	// idleAgreed are the followers (one bit each, peerBit) that have acked
+	// that round, and acked it accepting the offer. On a follower,
+	// leaderSeq is the newest round it has seen from the leader of its term
+	// — an append from an older one, duplicated or overtaken on the way,
+	// says nothing about the leader now and leaves the timer alone — and
+	// lastContact when it last accepted a round at least that new, or a
+	// snapshot chunk, on its own clock.
+	heartbeat   clock.Ticker
+	idle        bool
+	roundIdle   bool
+	roundAcked  uint64
+	idleAgreed  uint64
+	followers   uint64 // every peer's bit but this node's
+	leaderSeq   uint64
+	lastContact time.Time
 
 	// applyQueue decouples commit detection from applyCh consumption:
 	// every handler enqueues under mu and one drainer goroutine forwards
@@ -284,6 +326,7 @@ type Node struct {
 	statRejects    atomic.Uint64
 	statSnapChunks atomic.Uint64
 	statSnapBytes  atomic.Uint64
+	statIdleRounds atomic.Uint64
 
 	// Read-path counters (see ReadStats).
 	statReadRounds    atomic.Uint64
@@ -391,8 +434,21 @@ func startNode(id int, peers []int, cfg Config, store *MemoryStorage, trans *Tra
 	n.commitIndex = ps.SnapIndex
 	n.lastApplied = ps.SnapIndex
 
+	if len(peers) > 64 {
+		panic("raft: a round's acknowledgements are one bit per member of a uint64")
+	}
+	for _, p := range peers {
+		if p != id {
+			n.followers |= n.peerBit(p)
+		}
+	}
 	trans.attach(id, n.inbox)
 	n.electionTimer = cfg.Clock.NewTimer(n.randomElectionTimeout())
+	n.heartbeat = cfg.Clock.NewTicker(cfg.HeartbeatInterval)
+	n.heartbeat.Stop()
+	// The others may be on the idle cadence, where the leader's next round
+	// is further off than this node's first timeout: say so before it runs.
+	n.sendPeers(wake{Start: true}.wire())
 	go n.run()
 	go n.drainApplies()
 	return n
@@ -449,6 +505,7 @@ func (n *Node) ReplicationStats() ReplicationStats {
 		AppendRejects:  n.statRejects.Load(),
 		SnapChunksSent: n.statSnapChunks.Load(),
 		SnapBytesSent:  n.statSnapBytes.Load(),
+		IdleRounds:     n.statIdleRounds.Load(),
 	}
 }
 
@@ -610,6 +667,7 @@ func (n *Node) launchReadRoundLocked(pr *pendingRead) {
 	if reg := n.mtr.Load(); reg != nil {
 		reg.Inc("raft_readindex_rounds", n.mtrLabel)
 	}
+	n.wakeLocked(wakeRead)
 	n.broadcastAppendLocked()
 }
 
@@ -688,9 +746,13 @@ func (n *Node) failPendingReadsLocked() {
 // leaseReadLocked answers a read from the check-quorum lease: while a
 // quorum round confirmed leadership less than
 // ElectionTimeoutMin - MaxClockDrift ago (on the local clock), no other
-// node can have won an election — followers reset their election timers
-// on that round's append — so the commit index is served with zero
-// messages. The barrier precondition matches the round path: a fresh
+// node can have won an election — each follower of that quorum reset its
+// election timer on the round's append and refuses its vote to anyone
+// for ElectionTimeoutMin from it (handleRequestVote), and an election
+// needs one of them — so the commit index is served with zero messages.
+// On the idle cadence rounds are further apart than the lease is long:
+// it lapses, and the next read pays one round, which also re-arms it.
+// The barrier precondition matches the round path: a fresh
 // leader whose commit index hasn't reached its own term may understate
 // acknowledged writes and must not answer from a lease.
 func (n *Node) leaseReadLocked() (uint64, bool) {
@@ -904,6 +966,7 @@ func (n *Node) Propose(cmd []byte) (index, term uint64, err error) {
 	}
 	e := n.appendLocked(cmd)
 	// Replicate eagerly rather than waiting for the heartbeat tick.
+	n.wakeLocked(wakePropose)
 	n.broadcastAppendLocked()
 	return e.Index, e.Term, nil
 }
@@ -926,20 +989,11 @@ func (n *Node) stop() {
 func (n *Node) run() {
 	defer close(n.done)
 	for {
-		var hb <-chan time.Time
-		n.mu.Lock()
-		if n.heartbeatTick != nil {
-			hb = n.heartbeatTick.C()
-		}
-		n.mu.Unlock()
-
 		select {
 		case <-n.stopCh:
 			n.mu.Lock()
 			n.electionTimer.Stop()
-			if n.heartbeatTick != nil {
-				n.heartbeatTick.Stop()
-			}
+			n.heartbeat.Stop()
 			n.trans.detach(n.id)
 			n.mu.Unlock()
 			return
@@ -947,12 +1001,8 @@ func (n *Node) run() {
 			n.handle(m)
 		case <-n.electionTimer.C():
 			n.onElectionTimeout()
-		case <-hb:
-			n.mu.Lock()
-			if n.state == Leader {
-				n.broadcastAppendLocked()
-			}
-			n.mu.Unlock()
+		case <-n.heartbeat.C():
+			n.onHeartbeat()
 		}
 	}
 }
@@ -1007,11 +1057,21 @@ func (n *Node) randomElectionTimeout() time.Duration {
 	return n.cfg.ElectionTimeoutMin + time.Duration(n.rng.Int63n(int64(spread)+1))
 }
 
-func (n *Node) resetElectionTimerLocked() {
+// resetElectionTimerLocked gives a non-leader a fresh randomized election
+// timeout on the fast cadence.
+func (n *Node) resetElectionTimerLocked() { n.armElectionLocked(false) }
+
+// armElectionLocked re-arms the election timer at a fresh randomized
+// timeout — idleFactor times it when the node has just accepted a round's
+// idle offer — and records which cadence the timer is on.
+func (n *Node) armElectionLocked(idle bool) {
 	spread := n.cfg.ElectionTimeoutMax - n.cfg.ElectionTimeoutMin
 	d := n.cfg.ElectionTimeoutMin + time.Duration(n.rng.Int63n(int64(spread)+1))
-	n.electionTimer.Stop()
-	n.electionTimer.Reset(d)
+	if idle {
+		d *= idleFactor
+	}
+	n.idle = idle
+	clock.Rearm(n.electionTimer, d)
 }
 
 func (n *Node) onElectionTimeout() {
@@ -1037,11 +1097,7 @@ func (n *Node) onElectionTimeout() {
 		LastLogIndex: lastIdx,
 		LastLogTerm:  lastTerm,
 	}
-	for _, p := range n.peers {
-		if p != n.id {
-			n.trans.send(n.id, p, req.wire())
-		}
-	}
+	n.sendPeers(req.wire())
 	// Single-node cluster wins immediately.
 	n.maybeBecomeLeaderLocked()
 }
@@ -1064,6 +1120,8 @@ func (n *Node) handle(m message) {
 		n.handleReadIndexReq(m.from, m.read)
 	case msgReadIndexResp:
 		n.handleReadIndexResp(m.from, m.readResp)
+	case msgWake:
+		n.handleWake(m.wake)
 	}
 }
 
@@ -1082,6 +1140,7 @@ func (n *Node) handleInstallSnapshot(from int, msg installSnapshot) {
 		return
 	}
 	n.leaderID = msg.Leader
+	n.lastContact = n.cfg.Clock.Now()
 	n.resetElectionTimerLocked()
 
 	if msg.LastIndex <= n.commitIndex {
@@ -1182,8 +1241,28 @@ func (n *Node) handleInstallSnapshotResp(from int, msg installSnapshotResp) {
 func (n *Node) handleRequestVote(from int, msg requestVote) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	// A follower that heard from the leader of its term less than the
+	// minimum election timeout ago believes that leader is alive: it
+	// neither adopts the candidate's term nor votes (Raft thesis §4.2.3
+	// and §6.4.1). This is the promise the check-quorum lease is made of —
+	// a candidate cut off from a live leader cannot be elected by the
+	// followers that still hear it while its lease runs. The window is the
+	// base timeout on either cadence, and it is closed by a reading that
+	// far from the contact in either direction: a local clock that stepped
+	// back must not keep the node from voting for as long as the step.
+	if since := n.cfg.Clock.Now().Sub(n.lastContact); n.state == Follower &&
+		!n.lastContact.IsZero() && since.Abs() < n.cfg.ElectionTimeoutMin {
+		n.trans.send(n.id, from, requestVoteResp{Term: n.currentTerm}.wire())
+		return
+	}
+	// Somebody suspects the leader: whatever comes of it, this node is
+	// back on the fast cadence.
+	woke := n.wakeLocked(wakeVote)
 	if msg.Term > n.currentTerm {
 		n.becomeFollowerLocked(msg.Term, -1)
+	}
+	if woke && n.state == Leader {
+		n.broadcastAppendLocked() // a stale candidate hears the leader at once
 	}
 	granted := false
 	if msg.Term == n.currentTerm && (n.votedFor == -1 || n.votedFor == msg.Candidate) {
@@ -1230,11 +1309,9 @@ func (n *Node) maybeBecomeLeaderLocked() {
 	n.snapXfers = make(map[int]*snapXfer)
 	n.pendingSnap = nil
 	n.resetLeaseStateLocked()
-	if n.heartbeatTick != nil {
-		n.heartbeatTick.Stop()
-	}
-	n.heartbeatTick = n.cfg.Clock.NewTicker(n.cfg.HeartbeatInterval)
 	n.electionTimer.Stop()
+	n.idle = false
+	n.heartbeat.Reset(n.cfg.HeartbeatInterval)
 	// Announce leadership immediately.
 	n.broadcastAppendLocked()
 }
@@ -1248,11 +1325,9 @@ func (n *Node) becomeFollowerLocked(term uint64, leader int) {
 		n.persistHardStateLocked()
 	}
 	n.leaderID = leader
-	if wasLeader && n.heartbeatTick != nil {
-		n.heartbeatTick.Stop()
-		n.heartbeatTick = nil
-	}
+	n.leaderSeq, n.lastContact = 0, time.Time{} // the caller records the new leader's, if this is one
 	if wasLeader {
+		n.heartbeat.Stop()
 		n.failPendingReadsLocked()
 		n.invalidateLeaseLocked()
 		n.resetLeaseStateLocked()
@@ -1275,7 +1350,11 @@ func (n *Node) handleAppendEntries(from int, msg appendEntries) {
 	}
 	// Valid leader for our term.
 	n.leaderID = msg.Leader
-	n.resetElectionTimerLocked()
+	now := n.cfg.Clock.Now()
+	fresh := msg.Seq >= n.leaderSeq
+	if fresh {
+		n.leaderSeq, n.lastContact = msg.Seq, now
+	}
 
 	// Log consistency check. Anything at or below the snapshot index is
 	// committed state here, so a PrevLogIndex inside the snapshot is
@@ -1294,7 +1373,10 @@ func (n *Node) handleAppendEntries(from int, msg appendEntries) {
 		// A consistency failure still acknowledges the sender's
 		// leadership for this term, so it echoes Seq and counts toward
 		// read-index quorums.
-		resp := appendEntriesResp{Term: n.currentTerm, Success: false, ConflictIndex: conflict, Seq: msg.Seq, LocalTime: n.cfg.Clock.Now()}
+		if fresh {
+			n.resetElectionTimerLocked()
+		}
+		resp := appendEntriesResp{Term: n.currentTerm, Success: false, ConflictIndex: conflict, Seq: msg.Seq, LocalTime: now}
 		n.mu.Unlock()
 		n.trans.send(n.id, from, resp.wire())
 		return
@@ -1329,7 +1411,15 @@ func (n *Node) handleAppendEntries(from int, msg appendEntries) {
 		}
 	}
 	match := msg.PrevLogIndex + uint64(len(msg.Entries))
-	resp := appendEntriesResp{Term: n.currentTerm, Success: true, MatchIndex: match, Seq: msg.Seq, LocalTime: n.cfg.Clock.Now()}
+	// The idle offer is accepted only by a follower that sees for itself
+	// what the leader saw: nothing in the message, nothing in its own log
+	// beyond the leader's last index, all of it committed.
+	idle := fresh && msg.Idle && len(msg.Entries) == 0 &&
+		n.lastIndexLocked() == msg.PrevLogIndex && n.commitIndex == msg.PrevLogIndex
+	if fresh {
+		n.armElectionLocked(idle)
+	}
+	resp := appendEntriesResp{Term: n.currentTerm, Success: true, MatchIndex: match, Seq: msg.Seq, LocalTime: now, Idle: idle}
 	n.enqueueAppliesLocked(n.takeAppliesLocked())
 	n.mu.Unlock()
 	n.trans.send(n.id, from, resp.wire())
@@ -1358,6 +1448,7 @@ func (n *Node) handleAppendEntriesResp(from int, msg appendEntriesResp) {
 		}
 		n.observeAckLocked(from, msg)
 		n.maybeCompleteReadsLocked()
+		n.observeRoundAckLocked(from, msg)
 	}
 	if msg.Success {
 		if msg.MatchIndex > n.matchIndex[from] {
@@ -1426,8 +1517,17 @@ func kthLargest(vals []uint64, k int) uint64 {
 	return vals[len(vals)-k]
 }
 
-func (n *Node) broadcastAppendLocked() {
+// broadcastAppendLocked starts a round because something is asked of the
+// log — a proposal, a read, an election won, a wake — so it carries no
+// idle offer; only the heartbeat tick (onHeartbeat) starts one that does.
+func (n *Node) broadcastAppendLocked() { n.startRoundLocked(false) }
+
+// startRoundLocked sends every follower an append in a new round, with
+// the idle offer if offerIdle.
+func (n *Node) startRoundLocked(offerIdle bool) {
 	n.hbSeq++ // new heartbeat round: later acks confirm leadership now
+	n.roundIdle = offerIdle
+	n.roundAcked, n.idleAgreed = 0, 0
 	if n.leaseOn.Load() && n.leaseDuration() > 0 {
 		n.recordRoundLocked()
 	}
@@ -1488,6 +1588,7 @@ func (n *Node) sendAppendLocked(to int) {
 		PrevLogTerm:  n.termAtLocked(prevIdx),
 		LeaderCommit: n.commitIndex,
 		Seq:          n.hbSeq,
+		Idle:         n.roundIdle,
 	}
 	if last := n.lastIndexLocked(); last >= next {
 		if !n.pipelined() {
