@@ -9,9 +9,9 @@ import (
 )
 
 // TestAllocBudget pins what each clock primitive costs in heap objects.
-// Every budget is exact, with and without the race detector: under -race
-// sync.Pool drops a quarter of its Puts on purpose, which costs Sleep half
-// an object on average, and testing.AllocsPerRun floors the average.
+// Every budget is exact. The pooled cases are counted without the race
+// detector only: under -race sync.Pool drops a quarter of its Puts on
+// purpose, and whether testing.AllocsPerRun's floor hides that is luck.
 func TestAllocBudget(t *testing.T) {
 	s := NewManual()
 	defer s.Close()
@@ -35,26 +35,27 @@ func TestAllocBudget(t *testing.T) {
 	}()
 
 	for _, c := range []struct {
-		name string
-		want float64
-		run  func()
+		name   string
+		want   float64
+		pooled bool
+		run    func()
 	}{
-		{"AfterFunc", 1, func() { // the timer; no event, closure or channel
+		{name: "AfterFunc", want: 1, run: func() { // the timer; no event, closure or channel
 			s.AfterFunc(time.Second, f)
 			s.Advance(time.Second)
 			<-ran
 		}},
-		{"NewTimer", 3, func() { // timer + channel (header and buffer)
+		{name: "NewTimer", want: 3, run: func() { // timer + channel (header and buffer)
 			tm := s.NewTimer(time.Second)
 			s.Advance(time.Second)
 			<-tm.C()
 		}},
-		{"After", 3, func() { // event + channel (header and buffer)
+		{name: "After", want: 3, run: func() { // event + channel (header and buffer)
 			ch := s.After(time.Second)
 			s.Advance(time.Second)
 			<-ch
 		}},
-		{"Sleep", 0, func() {
+		{name: "Sleep", want: 0, pooled: true, run: func() {
 			parked := s.PendingEvents()
 			sleep <- struct{}{}
 			for s.PendingEvents() == parked {
@@ -63,30 +64,33 @@ func TestAllocBudget(t *testing.T) {
 			s.Advance(time.Second)
 			<-woke
 		}},
-		{"Reset", 0, func() { reused.Reset(time.Hour) }},
-		{"Stop", 0, func() { reused.Stop() }},
-		{"ResetFire", 0, func() {
+		{name: "Reset", want: 0, run: func() { reused.Reset(time.Hour) }},
+		{name: "Stop", want: 0, run: func() { reused.Stop() }},
+		{name: "ResetFire", want: 0, run: func() {
 			reused.Reset(time.Second)
 			s.Advance(time.Second)
 			<-reused.C()
 		}},
-		{"Tick", 0, func() {
+		{name: "Tick", want: 0, run: func() {
 			ticks.Advance(time.Second)
 			<-tk.C()
 		}},
-		{"TickerReset", 0, func() { // a change of period, there and back
+		{name: "TickerReset", want: 0, run: func() { // a change of period, there and back
 			tk.Reset(10 * time.Second)
 			tk.Reset(time.Second)
 		}},
 		// The pooled wait timer, both ways a wait ends.
-		{"AcquireRelease", 0, func() { ReleaseTimer(AcquireTimer(s, time.Hour)) }},
-		{"AcquireFire", 0, func() {
+		{name: "AcquireRelease", want: 0, pooled: true, run: func() { ReleaseTimer(AcquireTimer(s, time.Hour)) }},
+		{name: "AcquireFire", want: 0, pooled: true, run: func() {
 			tm := AcquireTimer(s, time.Second)
 			s.Advance(time.Second)
 			<-tm.C()
 			ReleaseTimer(tm)
 		}},
 	} {
+		if c.pooled && raceEnabled {
+			continue
+		}
 		if got := testing.AllocsPerRun(100, c.run); got != c.want {
 			t.Errorf("%s: %v allocs per call, want %v", c.name, got, c.want)
 		}
@@ -96,11 +100,14 @@ func TestAllocBudget(t *testing.T) {
 // TestIdleAdvanceAllocs: a virtual instant reached through the idle-advance
 // loop — two grace windows, a batch of fires, one Sleep — allocates nothing.
 func TestIdleAdvanceAllocs(t *testing.T) {
-	s := NewSim()
-	defer s.Close()
-	if got := testing.AllocsPerRun(100, func() { s.Sleep(time.Millisecond) }); got != 0 {
-		t.Errorf("%v allocs per idle-advanced instant, want 0", got)
+	if raceEnabled {
+		t.Skip("Sleep's waiter is pooled: no zero budget under -race")
 	}
+	eachWindow(t, func(t *testing.T, s *Sim) {
+		if got := testing.AllocsPerRun(100, func() { s.Sleep(time.Millisecond) }); got != 0 {
+			t.Errorf("%v allocs per idle-advanced instant, want 0", got)
+		}
+	})
 }
 
 // In-place reuse keeps time.Timer's contract: a fired AfterFunc timer is

@@ -19,12 +19,15 @@ import (
 //     earliest pending deadline. This lets a fully concurrent system of
 //     goroutines (services, kubelets, Raft nodes, training jobs) run
 //     "as fast as the CPU allows" while every measured duration stays in
-//     virtual units.
+//     virtual units. The price is a tolerance: a goroutine that runs for
+//     two grace windows (0.4 ms) without touching the clock can be
+//     overtaken by it.
 //
 // What an event does when it fires is data, not a closure (see event), and
 // timers, tickers and sleepers own their event and re-arm it in place: a
 // Reset, a tick or a Sleep allocates nothing, and the idle-advance loop
-// reuses one real timer and one batch buffer.
+// reuses one real-time window (see window) and one batch buffer, and
+// blocks without polling while nothing is armed.
 //
 // The zero value is not usable; construct with NewSim or NewManual.
 type Sim struct {
@@ -37,6 +40,8 @@ type Sim struct {
 	closed   bool
 	stop     chan struct{}
 	stopOnce sync.Once
+	armed    chan struct{} // the heap went from empty to non-empty; wakes an idle-advance loop with nothing to jump to
+	loopDone chan struct{} // closed when the idle-advance loop has exited; nil on a manual clock
 }
 
 var _ Clock = (*Sim)(nil)
@@ -45,15 +50,29 @@ var _ Clock = (*Sim)(nil)
 // keeps runs reproducible and avoids reading the wall clock.
 var simEpoch = time.Date(2018, time.May, 17, 0, 0, 0, 0, time.UTC)
 
-// graceWindow is how long the idle-advance loop waits (in real time) with
-// no virtual activity before jumping virtual time forward.
+// graceWindow is the least the idle-advance loop waits (in real time)
+// between two looks at the clock: it jumps virtual time forward when a look
+// finds no virtual activity since the look before. A window lasts at least
+// what this constant says and, on a loop that keeps up, half as much again
+// (see window and windowBeat; windowSpan stretches it under the race
+// detector), so a virtual instant costs two beats, and a goroutine silent
+// for two windows is taken to be parked.
 const graceWindow = 200 * time.Microsecond
 
 // NewSim returns a virtual clock whose idle-advance loop is running.
 // Call Close when the simulation is finished to release the loop.
-func NewSim() *Sim {
-	s := &Sim{now: simEpoch, stop: make(chan struct{})}
-	go s.idleAdvance()
+func NewSim() *Sim { return newSim(newWindow()) }
+
+// newSim starts the idle-advance loop on w, which the loop closes when it
+// exits.
+func newSim(w window) *Sim {
+	s := &Sim{
+		now:      simEpoch,
+		stop:     make(chan struct{}),
+		armed:    make(chan struct{}, 1),
+		loopDone: make(chan struct{}),
+	}
+	go s.idleAdvance(w)
 	return s
 }
 
@@ -67,6 +86,9 @@ func NewManual() *Sim {
 // draining all pending events at their scheduled deadlines.
 func (s *Sim) Close() {
 	s.stopOnce.Do(func() { close(s.stop) })
+	if s.loopDone != nil {
+		<-s.loopDone // the loop's window, and its descriptor, are released
+	}
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
@@ -295,6 +317,12 @@ func (s *Sim) armLocked(ev *event, d time.Duration) {
 	case ev.queued:
 		heap.Fix(&s.events, ev.index)
 	default:
+		if s.events.Len() == 0 {
+			select { // nil on a manual clock: never ready
+			case s.armed <- struct{}{}:
+			default:
+			}
+		}
 		heap.Push(&s.events, ev)
 	}
 }
@@ -346,17 +374,25 @@ func (s *Sim) cancelLocked(ev *event) bool {
 }
 
 // idleAdvance is the auto-advance loop: when no virtual activity happened
-// for a grace window and waiters exist, jump to the earliest deadline.
-func (s *Sim) idleAdvance() {
+// for a grace window and waiters exist, jump to the earliest deadline. With
+// nothing to jump to it blocks until something is armed.
+func (s *Sim) idleAdvance(w window) {
+	defer close(s.loopDone)
+	defer w.close()
 	var lastActivity uint64
 	var fires []*event // this instant's events, reused across instants
-	window := time.NewTimer(graceWindow)
-	defer window.Stop()
-	for ; ; window.Reset(graceWindow) {
-		select {
-		case <-s.stop:
+	empty := true      // nothing armed since the loop last looked
+	for {
+		if empty {
+			select {
+			case <-s.stop:
+				return
+			case <-s.armed:
+			}
+			empty = false
+		}
+		if !w.wait(s.stop) {
 			return
-		case <-window.C:
 		}
 		s.mu.Lock()
 		if s.closed {
@@ -371,6 +407,7 @@ func (s *Sim) idleAdvance() {
 			continue
 		}
 		if s.events.Len() == 0 {
+			empty = true
 			s.mu.Unlock()
 			continue
 		}

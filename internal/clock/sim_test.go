@@ -57,38 +57,36 @@ func TestManualAdvancePartial(t *testing.T) {
 }
 
 func TestAutoAdvanceSleep(t *testing.T) {
-	s := NewSim()
-	defer s.Close()
-
-	start := s.Now()
-	s.Sleep(48 * time.Hour) // two days of virtual time
-	if got := s.Since(start); got < 48*time.Hour {
-		t.Fatalf("elapsed = %v, want >= 48h", got)
-	}
+	eachWindow(t, func(t *testing.T, s *Sim) {
+		start := s.Now()
+		s.Sleep(48 * time.Hour) // two days of virtual time
+		if got := s.Since(start); got < 48*time.Hour {
+			t.Fatalf("elapsed = %v, want >= 48h", got)
+		}
+	})
 }
 
 func TestAutoAdvanceManyGoroutines(t *testing.T) {
-	s := NewSim()
-	defer s.Close()
-
-	const n = 64
-	var done int32
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s.Sleep(time.Duration(i+1) * time.Second)
-			atomic.AddInt32(&done, 1)
-		}(i)
-	}
-	wg.Wait()
-	if done != n {
-		t.Fatalf("done = %d, want %d", done, n)
-	}
-	if got := s.Since(simEpoch); got < n*time.Second {
-		t.Fatalf("virtual elapsed = %v, want >= %ds", got, n)
-	}
+	eachWindow(t, func(t *testing.T, s *Sim) {
+		const n = 64
+		var done int32
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				s.Sleep(time.Duration(i+1) * time.Second)
+				atomic.AddInt32(&done, 1)
+			}(i)
+		}
+		wg.Wait()
+		if done != n {
+			t.Fatalf("done = %d, want %d", done, n)
+		}
+		if got := s.Since(simEpoch); got < n*time.Second {
+			t.Fatalf("virtual elapsed = %v, want >= %ds", got, n)
+		}
+	})
 }
 
 func TestTimerStop(t *testing.T) {

@@ -347,16 +347,17 @@ func storeResultsTimeline(t *testing.T, seed int64, run func(*kube.ContainerCtx,
 	})
 	marker := r.vol.Subscribe(ResultsStoredMarker)
 	defer marker.Close()
-	var written time.Duration
+	written := make(chan time.Duration, 1)
 	go func() {
 		<-marker.C()
-		written = r.clk.Since(r.epoch)
+		written <- r.clk.Since(r.epoch)
 	}()
 	clocktest.Run(r.clk, 30*time.Second)
 	if !r.vol.Exists(ResultsStoredMarker) {
 		t.Fatalf("seed %d: results-stored marker never written", seed)
 	}
-	return written, r.clk.Instants()
+	// Run's quiescence check orders nothing; the channel does.
+	return <-written, r.clk.Instants()
 }
 
 func TestStoreResultsGatedWaitKeepsTimeline(t *testing.T) {
