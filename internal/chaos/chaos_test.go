@@ -9,6 +9,13 @@ import (
 	"repro/internal/kube"
 )
 
+// newTestCluster is a bare two-node cluster on an auto-advancing clock,
+// with the one thing a booted platform always has beside it: a heartbeat
+// (etcd's idle cadence, 500 ms) that nobody reads. Without it a
+// measurement's own deadline can be the only event pending, and a kubelet
+// whose thread the kernel took off the CPU for longer than the clock's
+// quiet span would see the clock jump straight to it; with it the jump is
+// at most one beat, and the kubelet has a quiet span per beat to get back.
 func newTestCluster(t *testing.T) (*kube.Cluster, *clock.Sim) {
 	t.Helper()
 	clk := clock.NewSim()
@@ -16,8 +23,10 @@ func newTestCluster(t *testing.T) (*kube.Cluster, *clock.Sim) {
 		kube.NodeSpec{Name: "n1", GPUs: 4, GPUType: "K80"},
 		kube.NodeSpec{Name: "n2", GPUs: 4, GPUType: "K80"},
 	)
+	heartbeat := clk.NewTicker(500 * time.Millisecond)
 	t.Cleanup(func() {
 		c.Stop()
+		heartbeat.Stop()
 		clk.Close()
 	})
 	return c, clk

@@ -2,8 +2,8 @@
 // goroutines so that the same inputs give the same virtual timeline on
 // every run, whatever the machine is doing: time moves only while every
 // goroutine is blocked. It is for tests that compare two timelines
-// instant by instant, where the idle-advance loop's real-time grace
-// window would make a busy machine part of the input.
+// instant by instant, where the idle-advance loop's real-time quiet span
+// would make a busy machine part of the input.
 package clocktest
 
 import (

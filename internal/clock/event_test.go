@@ -98,7 +98,8 @@ func TestAllocBudget(t *testing.T) {
 }
 
 // TestIdleAdvanceAllocs: a virtual instant reached through the idle-advance
-// loop — two grace windows, a batch of fires, one Sleep — allocates nothing.
+// loop — the wait for the quiet span, a batch of fires, one Sleep —
+// allocates nothing.
 func TestIdleAdvanceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("Sleep's waiter is pooled: no zero budget under -race")

@@ -2,7 +2,11 @@
 
 package clock
 
+import "time"
+
 const raceEnabled = false
 
-// windowSpan is how long one grace window lasts; see race.go.
-const windowSpan = graceWindow
+// quietSpan is how long nothing may touch the clock before the idle-advance
+// loop jumps it: a goroutine silent for that long after its last touch is
+// taken to be parked. See race.go for the span under the race detector.
+const quietSpan = 300 * time.Microsecond

@@ -2,13 +2,16 @@
 
 package clock
 
+import "time"
+
 // raceEnabled: the binary was built with the race detector.
 const raceEnabled = true
 
-// windowSpan is how long one grace window lasts. Under the race detector
-// the code that runs between two touches of the clock is several times
-// slower, and two windows of graceWindow are too few for it (internal/chaos
-// under -race: 1 run in 20 had a one-minute timeout overtake a kubelet
-// restart). Five of them is the ≈ 1.1 ms a window lasted, race detector or
-// not, for as long as an idle process rounded it up to a millisecond.
-const windowSpan = 5 * graceWindow
+// quietSpan is how long nothing may touch the clock before the idle-advance
+// loop jumps it. Under the race detector the code that runs between two
+// touches of the clock is several times slower, and 300 µs is too little
+// for it (internal/chaos under -race, at 0.4 ms: 1 run in 20 had a
+// one-minute timeout overtake a kubelet restart). 1.1 ms is what -race runs
+// have always had: the millisecond an idle process rounded a runtime timer
+// up to, and then the beat that replaced it.
+const quietSpan = 1100 * time.Microsecond

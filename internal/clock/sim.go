@@ -13,15 +13,15 @@ import (
 // by virtual deadline. Virtual time advances in one of two ways:
 //
 //   - Explicitly, via Advance (deterministic unit tests).
-//   - Automatically, via the idle-advance loop started by NewSim: whenever
-//     no virtual event has fired or been scheduled for a short real-time
-//     grace window and at least one waiter exists, the clock jumps to the
-//     earliest pending deadline. This lets a fully concurrent system of
-//     goroutines (services, kubelets, Raft nodes, training jobs) run
-//     "as fast as the CPU allows" while every measured duration stays in
-//     virtual units. The price is a tolerance: a goroutine that runs for
-//     two grace windows (0.4 ms) without touching the clock can be
-//     overtaken by it.
+//   - Automatically, via the idle-advance loop started by NewSim: once no
+//     virtual event has fired or been scheduled for quietSpan of real time
+//     and at least one waiter exists, the clock jumps to the earliest
+//     pending deadline. This lets a fully concurrent system of goroutines
+//     (services, kubelets, Raft nodes, training jobs) run "as fast as the
+//     CPU allows" while every measured duration stays in virtual units.
+//     The price is a tolerance: a goroutine that runs for quietSpan
+//     (0.3 ms) after its last touch of the clock without touching it
+//     again can be overtaken by it.
 //
 // What an event does when it fires is data, not a closure (see event), and
 // timers, tickers and sleepers own their event and re-arm it in place: a
@@ -34,9 +34,9 @@ type Sim struct {
 	mu       sync.Mutex
 	now      time.Time
 	events   eventHeap
-	seq      uint64 // event sequence, breaks deadline ties FIFO
-	activity uint64 // bumped on schedule and fire; read by idle-advance
-	instants uint64 // distinct virtual instants fired so far
+	seq      uint64    // event sequence, breaks deadline ties FIFO
+	touched  time.Time // real (monotonic) time of the last schedule or fire; read by idle-advance
+	instants uint64    // distinct virtual instants fired so far
 	closed   bool
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -49,15 +49,6 @@ var _ Clock = (*Sim)(nil)
 // simEpoch is the instant at which every simulation starts. A fixed epoch
 // keeps runs reproducible and avoids reading the wall clock.
 var simEpoch = time.Date(2018, time.May, 17, 0, 0, 0, 0, time.UTC)
-
-// graceWindow is the least the idle-advance loop waits (in real time)
-// between two looks at the clock: it jumps virtual time forward when a look
-// finds no virtual activity since the look before. A window lasts at least
-// what this constant says and, on a loop that keeps up, half as much again
-// (see window and windowBeat; windowSpan stretches it under the race
-// detector), so a virtual instant costs two beats, and a goroutine silent
-// for two windows is taken to be parked.
-const graceWindow = 200 * time.Microsecond
 
 // NewSim returns a virtual clock whose idle-advance loop is running.
 // Call Close when the simulation is finished to release the loop.
@@ -258,8 +249,8 @@ func (s *Sim) NextDeadline() (when time.Time, ok bool) {
 // Instants reports how many distinct virtual instants have fired an
 // event: every move of the clock to a later deadline, however many events
 // share it. Under the idle-advance loop each one costs real time (the
-// grace windows it waits out first), so this is the count a poll loop
-// that wakes to learn nothing inflates.
+// quiet span it waits out first), so this is the count a poll loop that
+// wakes to learn nothing inflates.
 func (s *Sim) Instants() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -308,7 +299,7 @@ func (s *Sim) armLocked(ev *event, d time.Duration) {
 	ev.when = s.now.Add(d)
 	ev.seq = s.seq
 	s.seq++
-	s.activity++
+	s.touched = time.Now()
 	switch {
 	case s.closed:
 		// Clock already closed: fire immediately so callers never hang.
@@ -335,7 +326,7 @@ func (s *Sim) popLocked() (*event, time.Time) {
 		s.now = ev.when
 		s.instants++
 	}
-	s.activity++
+	s.touched = time.Now()
 	return ev, s.now
 }
 
@@ -373,42 +364,33 @@ func (s *Sim) cancelLocked(ev *event) bool {
 	return true
 }
 
-// idleAdvance is the auto-advance loop: when no virtual activity happened
-// for a grace window and waiters exist, jump to the earliest deadline. With
-// nothing to jump to it blocks until something is armed.
+// idleAdvance is the auto-advance loop: once nothing has touched the clock
+// for quietSpan and waiters exist, jump to the earliest deadline. Until
+// then it sleeps for exactly what is left of the span, so a late wake-up
+// is paid once per instant, not once per look. With nothing to jump to it
+// blocks until something is armed.
 func (s *Sim) idleAdvance(w window) {
 	defer close(s.loopDone)
 	defer w.close()
-	var lastActivity uint64
 	var fires []*event // this instant's events, reused across instants
-	empty := true      // nothing armed since the loop last looked
 	for {
-		if empty {
+		s.mu.Lock()
+		if s.events.Len() == 0 {
+			s.mu.Unlock()
 			select {
 			case <-s.stop:
 				return
 			case <-s.armed:
 			}
-			empty = false
-		}
-		if !w.wait(s.stop) {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
-		if s.activity != lastActivity {
-			// Something real happened recently; give goroutines time
-			// to run before jumping.
-			lastActivity = s.activity
-			s.mu.Unlock()
 			continue
 		}
-		if s.events.Len() == 0 {
-			empty = true
+		if left := quietSpan - time.Since(s.touched); left > 0 {
+			// Something real happened recently; give goroutines time
+			// to run before jumping.
 			s.mu.Unlock()
+			if !w.wait(left, s.stop) {
+				return
+			}
 			continue
 		}
 		// Quiescent with pending events: jump to the next deadline and
@@ -420,7 +402,6 @@ func (s *Sim) idleAdvance(w window) {
 			ev, _ := s.popLocked()
 			fires = append(fires, ev)
 		}
-		lastActivity = s.activity
 		s.mu.Unlock()
 		for i, ev := range fires {
 			fires[i] = nil // do not keep a fired timer and its closure alive

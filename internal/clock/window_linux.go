@@ -31,10 +31,9 @@ type timerfdWindow struct {
 	f  *os.File // keeps the descriptor registered with the netpoller
 	fd uintptr  // f's descriptor; f.Fd() could put it in blocking mode
 	// oneShot arms the descriptor for the length of one window. Its
-	// interval stays zero: the beat is the loop's, which must be able to
-	// fall behind it; a periodic descriptor would hand a late loop a
-	// window that is already over, and would keep waking an idle process
-	// between windows.
+	// interval stays zero: every window is as long as what is left of the
+	// quiet span when the loop looks, and a periodic descriptor would keep
+	// waking an idle process between windows.
 	oneShot itimerspec
 }
 
@@ -61,12 +60,13 @@ func newWindow() window {
 	return &timerfdWindow{f: f, fd: fd}
 }
 
-func (w *timerfdWindow) wait(stop <-chan struct{}) bool {
+func (w *timerfdWindow) wait(d time.Duration, stop <-chan struct{}) bool {
 	// The timer first: the descriptor must not turn readable before the
 	// timer is due, or the scheduler it wakes goes back to sleep for a
 	// millisecond. Should arming the descriptor fail, the window is still
 	// a whole one, only not a punctual one.
-	w.oneShot.value = syscall.NsecToTimespec(int64(w.arm()))
+	w.arm(d)
+	w.oneShot.value = syscall.NsecToTimespec(int64(d))
 	syscall.Syscall6(syscall.SYS_TIMERFD_SETTIME, w.fd, 0, uintptr(unsafe.Pointer(&w.oneShot)), 0, 0, 0)
 	return w.expire(stop)
 }

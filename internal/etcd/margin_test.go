@@ -50,8 +50,8 @@ func closedLoopMakespan(seed int64) (makespan time.Duration, failed int64) {
 }
 
 // TestMakespanHoldsBesideCPUHogs is the regression test for "the grace
-// window got too short for this tree". The idle-advance loop takes two
-// windows of silence to mean every goroutine is parked; a goroutine that
+// window got too short for this tree". The idle-advance loop takes a quiet
+// span of silence to mean every goroutine is parked; a goroutine that
 // is merely waiting for a CPU is silent too, and when the clock overtakes
 // it, its timeouts fire and virtual durations stretch. The same seeded
 // closed loop runs alone and beside one spinning goroutine per P: no Put

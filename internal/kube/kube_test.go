@@ -26,13 +26,20 @@ func newTestCluster(t *testing.T, nodes ...NodeSpec) (*Cluster, *clock.Sim) {
 }
 
 // waitPhase blocks until the named pod reaches phase ph (or test timeout).
+// It looks once more after the deadline: if this goroutine is off the CPU
+// for longer than the clock's quiet span, the clock may jump past the
+// deadline to the pod's own next event (a sleeper's hour), and the pod
+// may be in ph by then.
 func waitPhase(t *testing.T, c *Cluster, clk *clock.Sim, name string, ph PodPhase, timeout time.Duration) {
 	t.Helper()
 	deadline := clk.Now().Add(timeout)
-	for clk.Now().Before(deadline) {
+	for {
 		p := c.Pod(name)
 		if p != nil && p.Phase() == ph {
 			return
+		}
+		if !clk.Now().Before(deadline) {
+			break
 		}
 		clk.Sleep(50 * time.Millisecond)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/clock/clocktest"
 )
 
 // newTestClusterCfg boots a cluster with the default config after letting
@@ -27,27 +28,23 @@ func newTestClusterCfg(t *testing.T, n int, mod func(*Config)) (*Cluster, *clock
 	return c, clk
 }
 
-// commitLatencies proposes count sequential commands on the current leader
-// and returns each one's commit latency in clock time.
-func commitLatencies(t *testing.T, c *Cluster, clk *clock.Sim, count int) []time.Duration {
+// commitLatencies proposes count sequential commands on l and returns each
+// one's commit latency in clock time. The clock is a manual one that only
+// this steps, so each latency is exact: the instant the commit index first
+// covers the proposal, with everything that instant woke run to a stop.
+func commitLatencies(t *testing.T, clk *clock.Sim, l *Node, count int) []time.Duration {
 	t.Helper()
 	var out []time.Duration
 	for i := 0; i < count; i++ {
-		l := c.WaitLeader(5 * time.Second)
-		if l == nil {
-			t.Fatal("no leader")
-		}
 		start := clk.Now()
 		idx, _, err := l.Propose([]byte(fmt.Sprintf("lat-%d", i)))
 		if err != nil {
 			t.Fatalf("propose %d: %v", i, err)
 		}
-		deadline := start.Add(5 * time.Second)
-		for clk.Now().Before(deadline) && l.CommitIndex() < idx {
-			clk.Sleep(time.Millisecond)
-		}
-		if l.CommitIndex() < idx {
-			t.Fatalf("proposal %d never committed", i)
+		for deadline := start.Add(5 * time.Second); l.CommitIndex() < idx; step(t, clk) {
+			if clk.Now().After(deadline) {
+				t.Fatalf("proposal %d never committed", i)
+			}
 		}
 		out = append(out, clk.Now().Sub(start))
 	}
@@ -68,10 +65,11 @@ func p99(ds []time.Duration) time.Duration {
 // leader's window on the slow peer.
 func TestCommitLatencySlowFollower(t *testing.T) {
 	measure := func(delay time.Duration) time.Duration {
-		c, clk := newTestCluster(t, 3)
-		l := c.WaitLeader(5 * time.Second)
+		c, clk := newManualCluster(t, 3)
+		clocktest.Run(clk, time.Second)
+		l := c.Leader()
 		if l == nil {
-			t.Fatal("no leader")
+			t.Fatal("no leader after one second")
 		}
 		if delay > 0 {
 			// Slow down one follower, never the leader.
@@ -82,12 +80,14 @@ func TestCommitLatencySlowFollower(t *testing.T) {
 				}
 			}
 		}
-		return p99(commitLatencies(t, c, clk, 30))
+		return p99(commitLatencies(t, clk, l, 30))
 	}
 	base := measure(0)
 	slow := measure(200 * time.Millisecond)
-	// +10ms slack absorbs tick-grain noise; a quorum stall would show up
-	// as >=200ms, far beyond the bound.
+	t.Logf("p99 commit latency: %v with every follower fast, %v with one slow", base, slow)
+	// Both p99s are exact on the manual clock; the +10ms slack is kept
+	// from when they were polled in 1ms sleeps on an auto-advancing one.
+	// A quorum stall would show up as >=200ms, far beyond the bound.
 	if limit := 2*base + 10*time.Millisecond; slow > limit {
 		t.Fatalf("p99 commit latency with slow follower = %v, want <= %v (baseline %v)", slow, limit, base)
 	}

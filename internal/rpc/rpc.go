@@ -130,6 +130,18 @@ func (b *Bus) healthWatch() <-chan struct{} {
 	return b.notify
 }
 
+// healthStep is the longest WaitHealthy waits on one timer. At platform
+// boot its timeout can be the only thing armed: the election, pod and
+// heartbeat timers that would come first are armed by goroutines that
+// have yet to run, and an idle-advance clock that finds the process
+// starved of CPU for a quiet span would jump straight to the timeout. A
+// waiter that re-arms every healthStep turns that into a few virtual
+// seconds of delay, and gives the starved goroutines one quiet span per
+// step to get a CPU (24 of them over the platform's two-minute boot
+// timeout). A boot ready within one step, as every boot is on a machine
+// that keeps up, pays nothing for it.
+const healthStep = 5 * time.Second
+
 // WaitHealthy blocks until every named service has at least min healthy
 // instances, or timeout (on the bus clock) passes; it reports success.
 // Unlike polling HealthyInstances, it wakes on the registration or
@@ -152,12 +164,14 @@ func (b *Bus) WaitHealthy(timeout time.Duration, min int, names ...string) bool 
 		if remaining <= 0 {
 			return false
 		}
+		if remaining > healthStep {
+			remaining = healthStep
+		}
 		t := b.clk.NewTimer(remaining)
 		select {
 		case <-ch:
 			t.Stop()
 		case <-t.C():
-			return false
 		}
 	}
 }

@@ -11,9 +11,12 @@ import (
 // TestWatchWithLeaseReclaimsCursorOnExpiry: a watcher bound to a lease
 // is torn down — and its hub cursor reclaimed — when the lease expires
 // without a keep-alive, so a dead consumer stops costing the dispatch
-// fan-out anything.
+// fan-out anything. The clock is a manual one: on an auto-advancing clock
+// the lease's expiry is the only event pending, and the Put, delivery and
+// keep-alive below touch no clock, so a stall longer than its quiet span
+// would let it jump to the expiry first.
 func TestWatchWithLeaseReclaimsCursorOnExpiry(t *testing.T) {
-	clk := clock.NewSim()
+	clk := clock.NewManual()
 	defer clk.Close()
 	e := NewEngine(Config{})
 	defer e.Close()
@@ -48,7 +51,7 @@ func TestWatchWithLeaseReclaimsCursorOnExpiry(t *testing.T) {
 	}
 
 	// Let the lease lapse: the watcher must be reclaimed.
-	clk.Sleep(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	waitWatchers(t, e, 0)
 
 	// Writes after reclamation are not delivered to the dead channel.
