@@ -30,7 +30,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/kube"
 	"repro/internal/store"
-	"repro/internal/trace"
 	"repro/internal/trainsim"
 
 	"repro/internal/clock"
@@ -199,225 +198,198 @@ func BenchmarkAblationEtcdReplication(b *testing.B) {
 	}
 }
 
-// BenchmarkEtcdReads compares the four read modes on the hottest path
-// the control plane has — etcd Get/Range — with 64 concurrent readers
-// on a 3-node cluster whose surviving follower is slow (+5ms one-way)
-// and whose original leader is partitioned mid-run, so the stale-leader
-// hazards are live and every linearizable answer comes from the
-// successor's quorum. Reported per mode: quorum confirmation rounds per
-// linearizable read (the PR 9 headline — leaseread amortizes to ~0 vs
-// exactly 1 in readindex mode), lease fast-path reads per read, Raft
-// proposals per read (the PR 5 invariant: only propose mode pays), and
-// virtual-time latency per read. The loop itself is the leader-
-// partition linearizability probe: every read must return the
-// acknowledged post-partition value in every mode (the stale isolated
-// leader is never allowed to answer; serializable mode passes because
-// freshest-replica selection skips the lagging minority). Run with
-// -benchtime=64x — at 1x there is no read concurrency for coalescing
-// or the lease to amortize over.
+// BenchmarkEtcdReads measures the hottest path the control plane has —
+// etcd Get/Range — with 64 concurrent readers on a 3-node cluster whose
+// surviving follower is slow (+5ms one-way) and whose original leader is
+// partitioned mid-run, so the stale-leader hazards are live and every
+// linearizable answer comes from the successor's quorum. Reported:
+// quorum confirmation rounds per read (the lease and round coalescing
+// amortize it to ~0), lease fast-path reads per read, Raft proposals per
+// read (reads never enter the log: 0), and virtual-time latency per read.
+// The loop itself is the leader-partition linearizability probe: every
+// read must return the acknowledged post-partition value (the stale
+// isolated leader is never allowed to answer). Run with -benchtime=64x —
+// at 1x there is no read concurrency for coalescing or the lease to
+// amortize over.
 func BenchmarkEtcdReads(b *testing.B) {
 	const keys = 16
 	const readers = 64
-	modes := []string{
-		etcd.ReadModeLease, etcd.ReadModeReadIndex,
-		etcd.ReadModePropose, etcd.ReadModeSerializable,
+	clk := clock.NewSim()
+	defer clk.Close()
+	s := etcd.New(3, clk)
+	defer s.Close()
+	for i := 0; i < keys; i++ {
+		if _, err := s.Put(fmt.Sprintf("/jobs/j1/learners/%d/status", i), "TRAINING"); err != nil {
+			b.Fatal(err)
+		}
 	}
-	for _, mode := range modes {
-		b.Run(mode, func(b *testing.B) {
-			clk := clock.NewSim()
-			defer clk.Close()
-			s := etcd.New(3, clk)
-			defer s.Close()
-			if err := s.SetReadMode(mode); err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < keys; i++ {
-				if _, err := s.Put(fmt.Sprintf("/jobs/j1/learners/%d/status", i), "TRAINING"); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// Degrade one follower, then partition the current leader (a
-			// minority of one): the majority — successor plus the slow
-			// follower — elects and keeps serving, and reads must keep
-			// returning the acknowledged state, never the deposed
-			// leader's view.
-			lead := s.LeaderID()
-			for id := 0; id < 3; id++ {
-				if id != lead {
-					s.SetNodeDelay(id, 5*time.Millisecond)
-					break
-				}
-			}
-			if lead >= 0 {
-				s.PartitionNode(lead)
-			}
-			if _, err := s.Put("/jobs/j1/phase", "STORING"); err != nil {
-				b.Fatal(err) // commits on the majority side
-			}
-			// Let the successor's check-quorum lease arm before measuring.
-			clk.Sleep(200 * time.Millisecond)
+	// Degrade one follower, then partition the current leader (a
+	// minority of one): the majority — successor plus the slow
+	// follower — elects and keeps serving, and reads must keep
+	// returning the acknowledged state, never the deposed
+	// leader's view.
+	lead := s.LeaderID()
+	for id := 0; id < 3; id++ {
+		if id != lead {
+			s.SetNodeDelay(id, 5*time.Millisecond)
+			break
+		}
+	}
+	if lead >= 0 {
+		s.PartitionNode(lead)
+	}
+	if _, err := s.Put("/jobs/j1/phase", "STORING"); err != nil {
+		b.Fatal(err) // commits on the majority side
+	}
+	// Let the successor's check-quorum lease arm before measuring.
+	clk.Sleep(200 * time.Millisecond)
 
-			props := s.Proposals()
-			rs0 := s.ReadStats()
-			start := clk.Now()
-			var next atomic.Int64
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for w := 0; w < readers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						i := next.Add(1) - 1
-						if i >= int64(b.N) {
-							return
-						}
-						v, found, err := s.Get("/jobs/j1/phase")
-						if err != nil {
-							b.Errorf("mode %s get: %v", mode, err)
-							return
-						}
-						if !found || v != "STORING" {
-							b.Errorf("mode %s read (%q,%v), want the acknowledged write", mode, v, found)
-							return
-						}
-						kvs, err := s.Range("/jobs/j1/learners/")
-						if err != nil {
-							b.Errorf("mode %s range: %v", mode, err)
-							return
-						}
-						if len(kvs) != keys {
-							b.Errorf("mode %s ranged %d keys, want %d", mode, len(kvs), keys)
-							return
-						}
-					}
-				}()
+	props := s.Proposals()
+	rs0 := s.ReadStats()
+	start := clk.Now()
+	var next atomic.Int64
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := next.Add(1) - 1
+				if i >= int64(b.N) {
+					return
+				}
+				v, found, err := s.Get("/jobs/j1/phase")
+				if err != nil {
+					b.Errorf("get: %v", err)
+					return
+				}
+				if !found || v != "STORING" {
+					b.Errorf("read (%q,%v), want the acknowledged write", v, found)
+					return
+				}
+				kvs, err := s.Range("/jobs/j1/learners/")
+				if err != nil {
+					b.Errorf("range: %v", err)
+					return
+				}
+				if len(kvs) != keys {
+					b.Errorf("ranged %d keys, want %d", len(kvs), keys)
+					return
+				}
 			}
-			wg.Wait()
-			b.StopTimer()
-			rs1 := s.ReadStats()
-			reads := float64(2 * b.N) // one Get + one Range per iteration
-			b.ReportMetric(float64(rs1.Rounds-rs0.Rounds)/reads, "rounds/read")
-			b.ReportMetric(float64(rs1.LeaseReads-rs0.LeaseReads)/reads, "lease-reads/read")
-			b.ReportMetric(float64(s.Proposals()-props)/reads, "proposals/read")
-			b.ReportMetric(float64(clk.Since(start).Microseconds())/reads/1000, "virtual-ms/read")
-		})
+		}()
 	}
+	wg.Wait()
+	b.StopTimer()
+	rs1 := s.ReadStats()
+	reads := float64(2 * b.N) // one Get + one Range per iteration
+	b.ReportMetric(float64(rs1.Rounds-rs0.Rounds)/reads, "rounds/read")
+	b.ReportMetric(float64(rs1.LeaseReads-rs0.LeaseReads)/reads, "lease-reads/read")
+	b.ReportMetric(float64(s.Proposals()-props)/reads, "proposals/read")
+	b.ReportMetric(float64(clk.Since(start).Microseconds())/reads/1000, "virtual-ms/read")
 }
 
 // BenchmarkEtcdWrites measures the replicated write path under the
 // conditions the control plane actually faces: 64 concurrent writers
 // (every learner, LCM, and controller mutating job state at once) on a
 // 3-node cluster whose third replica is both slow (+5ms one-way) and
-// flapping (periodic short partitions). Two A/B rows:
+// flapping (periodic short partitions), through group commit and
+// pipelined AppendEntries.
 //
-//	batch-pipeline: group commit + pipelined AppendEntries (default)
-//	batch-stopwait: group commit over stop-and-wait replication
-//
-// Reported per row: writes per Raft proposal (group commit's coalescing
-// ratio — per-proposal throughput), proposals per write, batch occupancy
+// Reported: writes per Raft proposal (group commit's coalescing ratio —
+// per-proposal throughput), proposals per write, batch occupancy
 // (commands per flushed batch), and p50/p99 commit latency in virtual
-// ms. The headline claims are batch-pipeline still coalescing the burst
+// ms. The headline claims are the burst still coalescing
 // (writes/proposal >= 4 — what bounds etcd's in-flight proposal count
 // from above), and p99 commit latency staying bounded despite the
-// degraded follower (commits need only the fast quorum). Wall-virtual throughput is deliberately not reported:
-// the driver runs in real time against the idle-advancing sim clock, so
-// elapsed virtual time is quantized by the flap-cycle timers rather
-// than by replication work.
+// degraded follower (commits need only the fast quorum). Wall-virtual
+// throughput is deliberately not reported: the writers run in real time
+// against the idle-advancing sim clock, so elapsed virtual time is
+// quantized by the flap-cycle timers rather than by replication work.
 func BenchmarkEtcdWrites(b *testing.B) {
-	rows := []struct{ name, repl string }{
-		{"batch-pipeline", etcd.ReplicationPipeline},
-		{"batch-stopwait", etcd.ReplicationStopWait},
-	}
 	const writers = 64
-	for _, row := range rows {
-		b.Run(row.name, func(b *testing.B) {
-			clk := clock.NewSim()
-			defer clk.Close()
-			s, err := etcd.NewWithOptions(3, clk, etcd.StoreOptions{Replication: row.repl})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			if _, err := s.Put("/bench/warm", "up"); err != nil {
-				b.Fatal(err)
-			}
-
-			// Degrade one follower, never the leader: +5ms one-way on
-			// every message to it, plus a flap cycle (60ms partitioned,
-			// 200ms healed — short enough that its election timer never
-			// fires, so the fault stays a replication fault rather than
-			// a leadership fault).
-			victim := -1
-			lead := s.LeaderID()
-			for id := 0; id < 3; id++ {
-				if id != lead {
-					victim = id
-					break
-				}
-			}
-			s.SetNodeDelay(victim, 5*time.Millisecond)
-			stopFlap := make(chan struct{})
-			var flapWG sync.WaitGroup
-			flapWG.Add(1)
-			go func() {
-				defer flapWG.Done()
-				for {
-					select {
-					case <-stopFlap:
-						return
-					default:
-					}
-					s.PartitionNode(victim)
-					clk.Sleep(60 * time.Millisecond)
-					s.HealNode(victim)
-					clk.Sleep(200 * time.Millisecond)
-				}
-			}()
-
-			props := s.Proposals()
-			batches0, cmds0 := s.BatchStats()
-			lat := make([]time.Duration, b.N)
-			var next atomic.Int64
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for {
-						i := next.Add(1) - 1
-						if i >= int64(b.N) {
-							return
-						}
-						t0 := clk.Now()
-						if _, err := s.Put(fmt.Sprintf("/bench/w%d", i), fmt.Sprintf("v%d", i)); err != nil {
-							b.Errorf("write %d: %v", i, err)
-							return
-						}
-						lat[i] = clk.Now().Sub(t0)
-					}
-				}(w)
-			}
-			wg.Wait()
-			b.StopTimer()
-			close(stopFlap)
-			flapWG.Wait()
-
-			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-			n := float64(b.N)
-			proposals := float64(s.Proposals() - props)
-			if proposals > 0 {
-				b.ReportMetric(n/proposals, "writes/proposal")
-			}
-			b.ReportMetric(proposals/n, "proposals/write")
-			if batches, cmds := s.BatchStats(); batches > batches0 {
-				b.ReportMetric(float64(cmds-cmds0)/float64(batches-batches0), "cmds/batch")
-			}
-			b.ReportMetric(float64(lat[len(lat)/2].Microseconds())/1000, "p50-virtual-ms")
-			b.ReportMetric(float64(lat[(len(lat)*99)/100].Microseconds())/1000, "p99-virtual-ms")
-		})
+	clk := clock.NewSim()
+	defer clk.Close()
+	s := etcd.New(3, clk)
+	defer s.Close()
+	if _, err := s.Put("/bench/warm", "up"); err != nil {
+		b.Fatal(err)
 	}
+
+	// Degrade one follower, never the leader: +5ms one-way on
+	// every message to it, plus a flap cycle (60ms partitioned,
+	// 200ms healed — short enough that its election timer never
+	// fires, so the fault stays a replication fault rather than
+	// a leadership fault).
+	victim := -1
+	lead := s.LeaderID()
+	for id := 0; id < 3; id++ {
+		if id != lead {
+			victim = id
+			break
+		}
+	}
+	s.SetNodeDelay(victim, 5*time.Millisecond)
+	stopFlap := make(chan struct{})
+	var flapWG sync.WaitGroup
+	flapWG.Add(1)
+	go func() {
+		defer flapWG.Done()
+		for {
+			select {
+			case <-stopFlap:
+				return
+			default:
+			}
+			s.PartitionNode(victim)
+			clk.Sleep(60 * time.Millisecond)
+			s.HealNode(victim)
+			clk.Sleep(200 * time.Millisecond)
+		}
+	}()
+
+	props := s.Proposals()
+	batches0, cmds0 := s.BatchStats()
+	lat := make([]time.Duration, b.N)
+	var next atomic.Int64
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for {
+				i := next.Add(1) - 1
+				if i >= int64(b.N) {
+					return
+				}
+				t0 := clk.Now()
+				if _, err := s.Put(fmt.Sprintf("/bench/w%d", i), fmt.Sprintf("v%d", i)); err != nil {
+					b.Errorf("write %d: %v", i, err)
+					return
+				}
+				lat[i] = clk.Now().Sub(t0)
+			}
+		}(w)
+	}
+	wg.Wait()
+	b.StopTimer()
+	close(stopFlap)
+	flapWG.Wait()
+
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	n := float64(b.N)
+	proposals := float64(s.Proposals() - props)
+	if proposals > 0 {
+		b.ReportMetric(n/proposals, "writes/proposal")
+	}
+	b.ReportMetric(proposals/n, "proposals/write")
+	if batches, cmds := s.BatchStats(); batches > batches0 {
+		b.ReportMetric(float64(cmds-cmds0)/float64(batches-batches0), "cmds/batch")
+	}
+	b.ReportMetric(float64(lat[len(lat)/2].Microseconds())/1000, "p50-virtual-ms")
+	b.ReportMetric(float64(lat[(len(lat)*99)/100].Microseconds())/1000, "p99-virtual-ms")
 }
 
 // BenchmarkSubmitPath measures the durable submission path: manifest
@@ -647,145 +619,80 @@ func BenchmarkMetadataStore(b *testing.B) {
 	}
 }
 
-// BenchmarkControlPlane compares the watch-driven control plane against
-// the pre-refactor polling loops on identical single-learner jobs:
-// end-to-end job-completion latency in virtual (cluster) time, and how
-// many etcd Range scans the platform spent per completed job. Watch
-// mode must come in strictly below poll mode on ranges/job — the poll
-// loops burn a full Range per Guardian tick even when nothing changed,
-// while watches react to the committed events themselves.
-func BenchmarkControlPlane(b *testing.B) {
-	for _, mode := range []string{"watch", "poll"} {
-		b.Run(mode, func(b *testing.B) {
-			p, err := dlaas.New(dlaas.Options{ControlPlane: mode})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer p.Close()
-			client := p.Client("bench")
-			creds := dlaas.Credentials{AccessKey: "bench", SecretKey: "s"}
-			data, err := p.CreateDataset("bench-data", "train.rec", 1<<30, creds)
-			if err != nil {
-				b.Fatal(err)
-			}
-			results, err := p.CreateResultsBucket("bench-results", creds)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m := &dlaas.Manifest{
-				Name: "bench", Framework: "tensorflow", Model: "resnet50",
-				Learners: 1, GPUsPerLearner: 1, BatchPerGPU: 32, Epochs: 1,
-				DatasetImages: 2000, TrainingData: data, Results: results,
-			}
-			clk := p.Clock()
-			rangesBefore := p.Etcd().RangeOps()
-			var virtual time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				start := clk.Now()
-				id, err := client.Submit(m)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := client.WaitForState(id, dlaas.StateCompleted, 3*time.Hour); err != nil {
-					b.Fatal(err)
-				}
-				virtual += clk.Since(start)
-			}
-			b.StopTimer()
-			ranges := p.Etcd().RangeOps() - rangesBefore
-			b.ReportMetric(float64(ranges)/float64(b.N), "etcd-ranges/job")
-			b.ReportMetric(virtual.Seconds()/float64(b.N), "virtual-s/job")
-		})
-	}
-}
-
 // BenchmarkGracefulPreemption quantifies the eviction protocol's win:
-// training images lost per eviction, graceful mode (the default
-// checkpoint-before-preempt handshake) versus immediate mode (the
-// Options.ImmediateEviction escape hatch, i.e. the pre-protocol kill).
-// Each iteration trains a low-priority job with periodic checkpointing
-// effectively off, samples its progress, preempts it with a
-// high-priority job, and measures progress-at-eviction minus
-// resume-point once the victim recovers. Graceful mode must come in
-// near zero; immediate mode forfeits everything since the last periodic
-// checkpoint (here: all of it).
+// training images lost per eviction under the checkpoint-before-preempt
+// handshake. Each iteration trains a low-priority job with periodic
+// checkpointing effectively off, samples its progress, preempts it with
+// a high-priority job, and measures progress-at-eviction minus
+// resume-point once the victim recovers. It must come in near zero; a
+// kill without the handshake would forfeit everything since the last
+// periodic checkpoint (here: all of it).
 func BenchmarkGracefulPreemption(b *testing.B) {
 	resumedRe := regexp.MustCompile(`resumed from checkpoint at (\d+)/`)
-	for _, mode := range []struct {
-		name      string
-		immediate bool
-	}{
-		{"graceful", false},
-		{"immediate", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			p, err := dlaas.New(dlaas.Options{Nodes: 1, GPUsPerNode: 1, EtcdReplicas: 1, ImmediateEviction: mode.immediate})
+	p, err := dlaas.New(dlaas.Options{Nodes: 1, GPUsPerNode: 1, EtcdReplicas: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	clk := p.Clock()
+	var lostSum, virtual float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		submit := func(tenant string, images int64, priority int) (*dlaas.Client, string) {
+			creds := dlaas.Credentials{AccessKey: tenant, SecretKey: tenant + "-s"}
+			data, err := p.CreateDataset("data-"+tenant, "train.rec", 1<<30, creds)
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer p.Close()
-			clk := p.Clock()
-			var lostSum, virtual float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				submit := func(tenant string, images int64, priority int) (*dlaas.Client, string) {
-					creds := dlaas.Credentials{AccessKey: tenant, SecretKey: tenant + "-s"}
-					data, err := p.CreateDataset("data-"+tenant, "train.rec", 1<<30, creds)
-					if err != nil {
-						b.Fatal(err)
-					}
-					results, err := p.CreateResultsBucket("results-"+tenant, creds)
-					if err != nil {
-						b.Fatal(err)
-					}
-					client := p.Client(tenant)
-					id, err := client.Submit(&dlaas.Manifest{
-						Name: "evict-bench", Framework: "tensorflow", Model: "resnet50",
-						Learners: 1, GPUsPerLearner: 1, BatchPerGPU: 32, Epochs: 1,
-						DatasetImages: images, TrainingData: data, Results: results,
-						CheckpointInterval: time.Hour, Priority: priority,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					return client, id
-				}
-				start := clk.Now()
-				victim, vid := submit(fmt.Sprintf("ev-%s-v%d", mode.name, i), 16000, 1)
-				if _, err := victim.WaitForState(vid, dlaas.StateProcessing, time.Hour); err != nil {
-					b.Fatal(err)
-				}
-				clk.Sleep(45 * time.Second) // accumulate un-checkpointed work
-				// Progress at (just before) eviction, off the live volume.
-				var p0 int64
-				if vol, err := p.Cluster().NFS().Volume(guardian.VolumeName(vid)); err == nil {
-					if raw, err := vol.Read(learner.ProgressPath(0)); err == nil {
-						p0, _ = strconv.ParseInt(string(raw), 10, 64)
-					}
-				}
-				hi, hid := submit(fmt.Sprintf("ev-%s-h%d", mode.name, i), 2000, 100)
-				if _, err := hi.WaitForState(hid, dlaas.StateCompleted, 3*time.Hour); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := victim.WaitForState(vid, dlaas.StateCompleted, 12*time.Hour); err != nil {
-					b.Fatal(err)
-				}
-				virtual += clk.Since(start).Seconds()
-				resumed := int64(0)
-				if logText, err := victim.Logs(vid, 0); err == nil {
-					if m := resumedRe.FindAllStringSubmatch(logText, -1); len(m) > 0 {
-						resumed, _ = strconv.ParseInt(m[len(m)-1][1], 10, 64)
-					}
-				}
-				if lost := float64(p0 - resumed); lost > 0 {
-					lostSum += lost
-				}
+			results, err := p.CreateResultsBucket("results-"+tenant, creds)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(lostSum/float64(b.N), "lost-images/evict")
-			b.ReportMetric(virtual/float64(b.N), "victim-virtual-s")
-		})
+			client := p.Client(tenant)
+			id, err := client.Submit(&dlaas.Manifest{
+				Name: "evict-bench", Framework: "tensorflow", Model: "resnet50",
+				Learners: 1, GPUsPerLearner: 1, BatchPerGPU: 32, Epochs: 1,
+				DatasetImages: images, TrainingData: data, Results: results,
+				CheckpointInterval: time.Hour, Priority: priority,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return client, id
+		}
+		start := clk.Now()
+		victim, vid := submit(fmt.Sprintf("ev-v%d", i), 16000, 1)
+		if _, err := victim.WaitForState(vid, dlaas.StateProcessing, time.Hour); err != nil {
+			b.Fatal(err)
+		}
+		clk.Sleep(45 * time.Second) // accumulate un-checkpointed work
+		// Progress at (just before) eviction, off the live volume.
+		var p0 int64
+		if vol, err := p.Cluster().NFS().Volume(guardian.VolumeName(vid)); err == nil {
+			if raw, err := vol.Read(learner.ProgressPath(0)); err == nil {
+				p0, _ = strconv.ParseInt(string(raw), 10, 64)
+			}
+		}
+		hi, hid := submit(fmt.Sprintf("ev-h%d", i), 2000, 100)
+		if _, err := hi.WaitForState(hid, dlaas.StateCompleted, 3*time.Hour); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := victim.WaitForState(vid, dlaas.StateCompleted, 12*time.Hour); err != nil {
+			b.Fatal(err)
+		}
+		virtual += clk.Since(start).Seconds()
+		resumed := int64(0)
+		if logText, err := victim.Logs(vid, 0); err == nil {
+			if m := resumedRe.FindAllStringSubmatch(logText, -1); len(m) > 0 {
+				resumed, _ = strconv.ParseInt(m[len(m)-1][1], 10, 64)
+			}
+		}
+		if lost := float64(p0 - resumed); lost > 0 {
+			lostSum += lost
+		}
 	}
+	b.ReportMetric(lostSum/float64(b.N), "lost-images/evict")
+	b.ReportMetric(virtual/float64(b.N), "victim-virtual-s")
 }
 
 // BenchmarkTrainsimStepTime measures the analytic model itself (it backs
@@ -803,68 +710,4 @@ func BenchmarkTrainsimStepTime(b *testing.B) {
 		d = cfg.StepTime()
 	}
 	_ = d
-}
-
-// BenchmarkTraceOverhead measures what the tracing pipeline costs an
-// end-to-end job: identical single-learner quickstart runs with tracing
-// on (the default) versus off, reporting virtual completion latency,
-// recorded span count, and wall-clock per job. The deterministic span
-// recorder sits on every hot path (rpc calls, scheduler admission,
-// learner chunks), so "on" must stay within noise of "off" — the spans
-// are cheap map inserts under one mutex, no I/O.
-func BenchmarkTraceOverhead(b *testing.B) {
-	for _, mode := range []string{"on", "off"} {
-		b.Run(mode, func(b *testing.B) {
-			p, err := dlaas.New(dlaas.Options{Tracing: mode})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer p.Close()
-			client := p.Client("bench")
-			creds := dlaas.Credentials{AccessKey: "bench", SecretKey: "s"}
-			data, err := p.CreateDataset("bench-data", "train.rec", 1<<30, creds)
-			if err != nil {
-				b.Fatal(err)
-			}
-			results, err := p.CreateResultsBucket("bench-results", creds)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m := &dlaas.Manifest{
-				Name: "bench", Framework: "tensorflow", Model: "resnet50",
-				Learners: 1, GPUsPerLearner: 1, BatchPerGPU: 32, Epochs: 1,
-				DatasetImages: 2000, TrainingData: data, Results: results,
-				CheckpointInterval: 30 * time.Second,
-			}
-			clk := p.Clock()
-			var virtual time.Duration
-			var spans int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				start := clk.Now()
-				id, err := client.Submit(m)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := client.WaitForState(id, dlaas.StateCompleted, 3*time.Hour); err != nil {
-					b.Fatal(err)
-				}
-				virtual += clk.Since(start)
-				if t := p.Trace().Tree(id); t != nil {
-					var count func(sd *trace.SpanData) int
-					count = func(sd *trace.SpanData) int {
-						n := 1
-						for _, c := range sd.Children {
-							n += count(c)
-						}
-						return n
-					}
-					spans += count(t.Root)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(virtual.Seconds()/float64(b.N), "virtual-s/job")
-			b.ReportMetric(float64(spans)/float64(b.N), "spans/job")
-		})
-	}
 }

@@ -8,9 +8,9 @@ import (
 
 // The tests in this file pin the watch-driven control plane end to end:
 // Guardian resume-from-revision across a crash, the compacted-revision
-// re-list fallback, watch mode surviving etcd leader failover under a
-// mixed workload, and the efficiency claim itself — watch mode issues
-// strictly fewer etcd Range scans per completed job than poll mode.
+// re-list fallback, the control plane surviving etcd leader failover
+// under a mixed workload, and the efficiency claim itself — a completed
+// job costs a handful of etcd Range scans, not one per monitor tick.
 
 // guardianPods selects a job's live Guardian pods.
 func guardianPods(p *Platform, jobID string) []string {
@@ -174,29 +174,32 @@ func TestWatchControlPlaneSurvivesEtcdLeaderFailover(t *testing.T) {
 	p.Etcd().RestartNode(leader)
 }
 
+// rangesPerJobCeiling bounds the etcd Range scans one single-learner job
+// costs, start to COMPLETED: the Guardian's initial list and its
+// watchRelist backstops, the LCM's GC listing and its linearizable
+// confirmation. 5 were measured; a monitor that re-listed the learner
+// statuses on a 500ms tick spent one per tick.
+const rangesPerJobCeiling = 8
+
 // TestWatchModeFewerEtcdRanges is the acceptance criterion as a test:
-// for one identical job, the watch control plane issues strictly fewer
-// etcd Range scans than the poll control plane.
+// one job on the watch-driven control plane stays under
+// rangesPerJobCeiling etcd Range scans.
 func TestWatchModeFewerEtcdRanges(t *testing.T) {
 	skipIfShort(t)
-	ranges := func(mode string) uint64 {
-		p := newTestPlatform(t, Options{ControlPlane: mode})
-		client := p.Client("ab")
-		m := testManifest(t, p, "ab", 1)
-		id, err := client.Submit(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := client.WaitForState(id, StateCompleted, 3*time.Hour); err != nil {
-			t.Fatalf("%s-mode job: %v", mode, err)
-		}
-		return p.Etcd().RangeOps()
+	p := newTestPlatform(t, Options{})
+	client := p.Client("ab")
+	m := testManifest(t, p, "ab", 1)
+	id, err := client.Submit(m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	watch := ranges("watch")
-	poll := ranges("poll")
-	t.Logf("etcd ranges per job: watch=%d poll=%d", watch, poll)
-	if watch >= poll {
-		t.Fatalf("watch mode issued %d ranges, poll mode %d — watch must be strictly fewer", watch, poll)
+	if _, err := client.WaitForState(id, StateCompleted, 3*time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	ranges := p.Etcd().RangeOps()
+	t.Logf("etcd ranges for one job: %d", ranges)
+	if ranges > rangesPerJobCeiling {
+		t.Fatalf("one job cost %d etcd ranges, ceiling %d", ranges, rangesPerJobCeiling)
 	}
 }
 
@@ -328,24 +331,5 @@ func TestStoreMetricsExposed(t *testing.T) {
 		if n == 0 || reg.Counter("nfs_ops", op) == 0 {
 			t.Fatalf("NFS %s ops: OpCounts %d, nfs_ops %v — want both counted", op, n, reg.Counter("nfs_ops", op))
 		}
-	}
-}
-
-// TestPollControlPlaneStillWorks: the pre-refactor mode stays a fully
-// functional escape hatch.
-func TestPollControlPlaneStillWorks(t *testing.T) {
-	skipIfShort(t)
-	p := newTestPlatform(t, Options{ControlPlane: "poll"})
-	client := p.Client("old")
-	m := testManifest(t, p, "old", 1)
-	id, err := client.Submit(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.WaitForState(id, StateCompleted, 3*time.Hour); err != nil {
-		t.Fatalf("poll-mode job failed: %v", err)
-	}
-	if got := p.Metrics().Counter("guardian_monitor_resumes"); got != 0 {
-		t.Fatalf("poll mode used the watch path (resumes=%v)", got)
 	}
 }

@@ -35,18 +35,6 @@ const (
 	JobsCollection = "training_jobs"
 )
 
-// Control-plane modes: how the Guardian and LCM observe state changes
-// (selected by Options.ControlPlane).
-const (
-	// ControlPlaneWatch (the default) drives the services from
-	// revision-ordered etcd watches and the metadata change feed, with
-	// long-interval polls kept only as a liveness backstop.
-	ControlPlaneWatch = "watch"
-	// ControlPlanePoll preserves the pre-refactor fixed-interval polling
-	// loops, for A/B comparison and as an escape hatch.
-	ControlPlanePoll = "poll"
-)
-
 // Deps bundles the substrate handles every core service needs. One Deps
 // value is shared across the whole platform instance.
 type Deps struct {

@@ -38,22 +38,18 @@ import (
 // (configurable) number of times before the Guardian gives up").
 const DefaultMaxDeployAttempts = 3
 
-// monitorPoll is the Guardian's status-aggregation cadence in poll mode.
-const monitorPoll = 500 * time.Millisecond
-
-// watchTick is the watch-mode cadence for what the monitor does not
-// react to at once: a completed gang eviction and the results-stored NFS
-// marker are acted on at the first tick after they happen, a step that
+// watchTick is the monitor's cadence for what it does not react to at
+// once: a completed gang eviction and the results-stored NFS marker are
+// acted on at the first tick after they happen, a step that
 // failed (a refused state transition, an unreadable marker) is retried
 // every tick, and the watchRelist backstop runs on the first tick past
 // its interval. A tick on which none of these is due is not taken: the
 // monitor arms its timer for the first one that can matter.
 const watchTick = time.Second
 
-// watchRelist is the watch-mode liveness backstop, guarding both event
-// streams against a wedged subscription the way the poll loop did every
-// 500ms: a full etcd re-list of learner statuses and a GetJob halt check
-// at a long interval.
+// watchRelist is the monitor's liveness backstop, guarding both event
+// streams against a wedged subscription: a full etcd re-list of learner
+// statuses and a GetJob halt check at a long interval.
 const watchRelist = 15 * time.Second
 
 // Params configures one job's Guardian.
@@ -67,11 +63,6 @@ type Params struct {
 	// setup, API round trips). It also widens the window in which
 	// crash-injection tests can catch the Guardian mid-deployment.
 	StepDelay time.Duration
-	// ControlPlane selects the monitoring strategy:
-	// core.ControlPlaneWatch (default) reacts to revision-ordered etcd
-	// watch events and resumes from the journaled revision after a
-	// restart; core.ControlPlanePoll is the pre-refactor 500ms loop.
-	ControlPlane string
 }
 
 // Resource naming conventions (name-addressed so a restarted Guardian
@@ -396,27 +387,14 @@ func resolveGPU(d *core.Deps, m *manifest.Manifest) gpu.Spec {
 	return d.DefaultGPU
 }
 
-// monitor aggregates learner statuses from etcd into the job state in
-// MongoDB until the job reaches a terminal state, then tears down. The
-// strategy is selected by Params.ControlPlane: event-driven watches
-// (default) or the pre-refactor poll loop.
-func monitor(ctx *kube.ContainerCtx, p Params) int {
-	if p.ControlPlane == core.ControlPlanePoll {
-		return monitorByPoll(ctx, p)
-	}
-	return monitorByWatch(ctx, p)
-}
-
 // settle folds the aggregated learner statuses into the job state,
 // driving the terminal transitions. done=true means the Guardian's work
 // is finished and the monitor must exit with the returned code.
 //
-// announced remembers the non-terminal state this monitor last wrote.
-// The poll loop passes a fresh value each sweep (preserving its
-// timestamped same-state refresh); the watch loop persists it across
-// wakeups, so settling is write-free while nothing changed — a monitor
-// that re-wrote PROCESSING on every wakeup would emit a metadata change
-// event, observe its own event on the job feed, and wake again: a
+// announced remembers the non-terminal state this monitor last wrote,
+// across wakeups, so settling is write-free while nothing changed — a
+// monitor that re-wrote PROCESSING on every wakeup would emit a metadata
+// change event, observe its own event on the job feed, and wake again: a
 // self-feeding storm.
 //
 // retry=true means a step this pass attempted did not go through — a
@@ -575,46 +553,11 @@ func checkGang(p Params, relayed *bool, acks map[int]bool) (code int, done bool)
 	return 0, false
 }
 
-// monitorByPoll is the pre-refactor monitor: a full etcd Range of the
-// learner statuses every 500ms, kept behind ControlPlane "poll" for A/B
-// comparison. Eviction intents and acks ride the same sweep.
-func monitorByPoll(ctx *kube.ContainerCtx, p Params) int {
-	d := p.Deps
-	evictRelayed := false
-	for {
-		select {
-		case <-ctx.Killed():
-			return 137
-		default:
-		}
-
-		rec, err := d.GetJob(p.JobID)
-		if err == nil && rec.State == types.StateHalted {
-			return handleHalt(p)
-		}
-
-		statuses, acks, err := readStatuses(d, p.JobID)
-		if code, done := checkGang(p, &evictRelayed, acks); done {
-			return code
-		}
-		if err == nil {
-			// A fresh announced value per sweep keeps the pre-refactor
-			// timestamped same-state refresh.
-			var announced types.JobState
-			if code, done, _ := settle(p, statuses, &announced); done {
-				return code
-			}
-		}
-
-		if !ctx.Sleep(monitorPoll) {
-			return 137
-		}
-	}
-}
-
-// monitorByWatch is the event-driven monitor: a list-then-watch state
-// machine over the job's learner-status prefix. Status events are folded
-// into an aggregated per-learner view as they commit; the last folded
+// monitor aggregates learner statuses from etcd into the job state in
+// MongoDB until the job reaches a terminal state, then tears down. It is
+// event-driven: a list-then-watch state machine over the job's
+// learner-status prefix. Status events are folded into an aggregated
+// per-learner view as they commit; the last folded
 // revision (and the view itself) is journaled, so a restarted Guardian
 // resumes its watch exactly where the predecessor stopped — etcd is
 // re-listed only when the saved revision has been compacted past, and
@@ -627,7 +570,7 @@ func monitorByPoll(ctx *kube.ContainerCtx, p Params) int {
 // on the learner watch; a completed eviction and the results-stored
 // marker are acted on at the next 1s tick, and only such ticks are taken
 // (see watchTick).
-func monitorByWatch(ctx *kube.ContainerCtx, p Params) int {
+func monitor(ctx *kube.ContainerCtx, p Params) int {
 	d := p.Deps
 	prefix := types.LearnerStatusPrefix(p.JobID)
 	count := func(name string, labels ...string) {
@@ -902,33 +845,8 @@ func monitorByWatch(ctx *kube.ContainerCtx, p Params) int {
 	}
 }
 
-// readStatuses loads the latest per-learner status updates and eviction
-// acks from etcd (events.Envelope values; legacy raw StatusUpdate JSON
-// still decodes).
-func readStatuses(d *core.Deps, jobID string) ([]types.StatusUpdate, map[int]bool, error) {
-	kvs, err := d.Etcd.Range(types.LearnerStatusPrefix(jobID))
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]types.StatusUpdate, 0, len(kvs))
-	acks := make(map[int]bool)
-	for _, kv := range kvs {
-		env, ok := events.Decode([]byte(kv.Value))
-		if !ok {
-			continue
-		}
-		switch env.Kind {
-		case events.KindLearnerStatus:
-			out = append(out, env.StatusUpdate())
-		case events.KindEvictionAck:
-			acks[env.Learner] = true
-		}
-	}
-	return out, acks, nil
-}
-
 // resultsStored checks the helper's stored marker on the shared volume.
-// Both monitors ask every wakeup while the job is STORING, so the marker
+// The monitor asks every wakeup while the job is STORING, so the marker
 // is read only once it exists. unreadable tells a marker (or a volume)
 // that could not be read from one not written yet: only the second will
 // be announced by a write.

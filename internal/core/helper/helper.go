@@ -146,8 +146,8 @@ func statLearner(vol *nfs.Volume, l int) learnerFiles {
 }
 
 // runController watches learner status and exit files on NFS and mirrors
-// them into etcd as events.Envelope records, where the Guardian
-// aggregates them (polling or watching, per Options.ControlPlane).
+// them into etcd as events.Envelope records, where the Guardian's watch
+// aggregates them.
 // Decoupling via etcd is the paper's mechanism for reliable status
 // updates.
 //

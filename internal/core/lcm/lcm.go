@@ -37,11 +37,11 @@ const (
 // counter is what bounds retries.
 const guardianBackoffLimit = 25
 
-// sweepInterval is the cadence of the QUEUED-job recovery sweep in
-// poll mode.
+// sweepInterval is the cadence of the QUEUED-job recovery sweep while
+// the change feed is unavailable (runPoll).
 const sweepInterval = 2 * time.Second
 
-// watchBackstop is the watch-mode liveness sweep cadence: the change
+// watchBackstop is the liveness sweep cadence: the change
 // feed drives deployment and GC, and a full sweep at this long interval
 // catches anything a lost event (or a Guardian still unwinding at GC
 // time) would otherwise strand.
@@ -74,10 +74,6 @@ type Service struct {
 	GuardianStepDelay time.Duration
 	// MaxDeployAttempts is forwarded to Guardians.
 	MaxDeployAttempts int
-	// ControlPlane selects watch-driven (core.ControlPlaneWatch,
-	// default) or poll-driven operation; it is also forwarded to the
-	// Guardians this LCM creates.
-	ControlPlane string
 
 	mu     sync.Mutex
 	gcDone map[string]bool // jobs already garbage-collected
@@ -104,13 +100,11 @@ func (s *Service) ContainerSpec() kube.ContainerSpec {
 func (s *Service) run(ctx *kube.ContainerCtx) int {
 	reg := s.deps.Bus.Register(core.LCMService, ctx.PodName(), s.handle)
 	defer reg.Deregister()
-	if s.ControlPlane == core.ControlPlanePoll {
-		return s.runPoll(ctx)
-	}
 	return s.runWatch(ctx)
 }
 
-// runPoll is the pre-refactor loop: re-list every job each sweep.
+// runPoll is runWatch's fallback when the change feed cannot open:
+// re-list every job each sweep.
 //
 // Recovery sweep: any job still QUEUED (e.g. the API durably accepted
 // it and then the LCM crashed before deploying) gets a Guardian now —
@@ -303,7 +297,6 @@ func (s *Service) deploy(jobID string) (DeployResponse, error) {
 			Manifest:          m,
 			MaxDeployAttempts: s.MaxDeployAttempts,
 			StepDelay:         s.GuardianStepDelay,
-			ControlPlane:      s.ControlPlane,
 		})},
 		RestartPolicy: kube.RestartNever,
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/metrics"
 )
 
@@ -240,13 +239,11 @@ func TestBatchedWritesSurviveLeaderCrash(t *testing.T) {
 	}
 }
 
-// TestBatchingPreservesZeroProposalReads guards the PR 5 invariant: with
-// read-index reads and batched writes, reads still cost zero proposals.
+// TestBatchingPreservesZeroProposalReads: with batched writes, reads that
+// each pay a read-index round (a zero-length lease) still cost zero
+// proposals.
 func TestBatchingPreservesZeroProposalReads(t *testing.T) {
-	s, _ := newTestStore(t, 3)
-	if err := s.SetReadMode(ReadModeReadIndex); err != nil {
-		t.Fatal(err)
-	}
+	s, _ := newTestStore(t, 3, noLease)
 	if _, err := s.Put("/zero/k", "v"); err != nil {
 		t.Fatal(err)
 	}
@@ -281,29 +278,5 @@ func TestBatchQueueDepthGaugeDrains(t *testing.T) {
 	wg.Wait()
 	if depth := reg.Gauge("etcd_batch_queue_depth"); depth != 0 {
 		t.Fatalf("etcd_batch_queue_depth = %v on an idle store, want 0", depth)
-	}
-}
-
-// TestReplicationModeValidation covers the replication hatch's input
-// checking.
-func TestReplicationModeValidation(t *testing.T) {
-	clk := clock.NewSim()
-	defer clk.Close()
-	if _, err := NewWithOptions(3, clk, StoreOptions{Replication: "bogus"}); err == nil {
-		t.Fatal("unknown replication mode accepted")
-	}
-	s, err := NewWithOptions(3, clk, StoreOptions{Replication: ReplicationStopWait})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.Replication() != ReplicationStopWait {
-		t.Fatalf("replication = %q", s.Replication())
-	}
-	if _, err := s.Put("/mode/k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	if v, found, _ := s.Get("/mode/k"); !found || v != "v" {
-		t.Fatal("write under stop-and-wait replication not readable")
 	}
 }

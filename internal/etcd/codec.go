@@ -256,13 +256,24 @@ func decodeCommandString(s string, depth int) (command, bool) {
 			}
 		}
 	}
-	// Flags the encoder would not have set, bytes it would not have
-	// written and a wrapper without sub-commands (or sub-commands without
-	// a wrapper) make the input something other than an encoding.
-	if r.bad || len(r.s) != 0 || f != c.flags() || (c.Op == opBatch) != (len(c.Subs) > 0) {
+	// An op the log does not carry, flags the encoder would not have set,
+	// bytes it would not have written and a wrapper without sub-commands
+	// (or sub-commands without a wrapper) make the input something other
+	// than an encoding.
+	if r.bad || len(r.s) != 0 || !c.Op.logged() || f != c.flags() || (c.Op == opBatch) != (len(c.Subs) > 0) {
 		return command{}, false
 	}
 	return c, true
+}
+
+// logged reports whether the replicated log carries op: the writes and
+// the wrapper that groups them, never a read.
+func (op opKind) logged() bool {
+	switch op {
+	case opPut, opDelete, opCAS, opTxn, opBatch:
+		return true
+	}
+	return false
 }
 
 // encodeSnapshot renders a state-machine image: the engine's Export (in

@@ -23,8 +23,6 @@ func codecSeeds() []command {
 		{ReqID: 2, Floor: 1, Op: opDelete, Key: "/jobs/j1/status"},
 		{ReqID: 3, Floor: 2, Op: opCAS, Key: "/lock", Value: "me", Prev: "you", PrevExists: true},
 		{ReqID: 4, Floor: 2, Op: opCAS, Key: "/lock", Value: "me"},
-		{ReqID: 1 << 40, Floor: 1<<40 - 3, Op: opGet, Key: "/k"},
-		{ReqID: 6, Floor: 6, Op: opRange, Key: "/jobs/"},
 		{ReqID: 8, Floor: 7, Op: opTxn, Cmps: []Cmp{{Key: "/only-guards", Prev: "", PrevExists: true}}},
 		txn,
 		{ReqID: 10, Op: opPut, Key: "", Value: string(bytes.Repeat([]byte{0xff, 0x00}, 100))},
@@ -53,14 +51,15 @@ func genCommand(r *rand.Rand, depth int) command {
 		r.Read(b)
 		return string(b)
 	}
-	ops := func() []TxnOp {
+	txnOps := func() []TxnOp {
 		var out []TxnOp
 		for i := r.Intn(3); i > 0; i-- {
 			out = append(out, TxnOp{Type: EventType(1 + r.Intn(2)), Key: str(), Value: str()})
 		}
 		return out
 	}
-	c := command{ReqID: r.Uint64() >> uint(r.Intn(64)), Floor: r.Uint64() >> uint(r.Intn(64)), Op: opKind(1 + r.Intn(6))}
+	ops := []opKind{opPut, opDelete, opCAS, opTxn}
+	c := command{ReqID: r.Uint64() >> uint(r.Intn(64)), Floor: r.Uint64() >> uint(r.Intn(64)), Op: ops[r.Intn(len(ops))]}
 	c.Key, c.Value = str(), str()
 	switch c.Op {
 	case opCAS:
@@ -69,7 +68,7 @@ func genCommand(r *rand.Rand, depth int) command {
 		for i := r.Intn(3); i > 0; i-- {
 			c.Cmps = append(c.Cmps, Cmp{Key: str(), Prev: str(), PrevExists: r.Intn(2) == 0})
 		}
-		c.Then, c.Else = ops(), ops()
+		c.Then, c.Else = txnOps(), txnOps()
 	}
 	if depth == 0 && r.Intn(4) == 0 {
 		c = command{Op: opBatch}
@@ -100,11 +99,14 @@ func TestCommandCodecProperty(t *testing.T) {
 
 // hostileCommands are inputs no encoder wrote: truncations, length
 // prefixes and counts far beyond the input, non-canonical varints, flag
-// bits out of step with the content, a wrapper inside a wrapper.
+// bits out of step with the content, a wrapper inside a wrapper, and op
+// kinds the log does not carry — among them 4 and 5, the Get and Range
+// that reads once were when they went through the log.
 func hostileCommands() [][]byte {
 	put := (&command{ReqID: 1, Op: opPut, Key: "/k", Value: "v"}).encode()
 	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01} // 2^64-1
 	inner := command{Op: opBatch, Subs: []command{{ReqID: 1, Op: opPut, Key: "/k"}, {ReqID: 2, Op: opPut, Key: "/l"}}}
+	get := command{ReqID: 1 << 40, Floor: 1<<40 - 3, Op: opKind(4), Key: "/k"}
 	out := [][]byte{
 		nil,
 		{byte(opPut)},
@@ -121,6 +123,11 @@ func hostileCommands() [][]byte {
 		(&command{Op: opBatch, Subs: []command{inner, inner}}).encode(),         // nested wrapper
 		(&command{Op: opBatch, Key: "/no-subs"}).encode(),                       // a wrapper of nothing
 		(&command{Op: opPut, Subs: inner.Subs}).encode(),                        // sub-commands under a Put
+		get.encode(), // a Get
+		(&command{ReqID: 6, Floor: 6, Op: opKind(5), Key: "/jobs/"}).encode(),                    // a Range
+		(&command{ReqID: 1, Op: 0, Key: "/k"}).encode(),                                          // op 0
+		(&command{ReqID: 1, Op: opBatch + 1, Key: "/k"}).encode(),                                // past the last kind
+		(&command{Op: opBatch, Subs: []command{{ReqID: 1, Op: opPut, Key: "/k"}, get}}).encode(), // a Get inside a wrapper
 	}
 	return out
 }
@@ -252,7 +259,7 @@ func FuzzSnapshotCodec(f *testing.F) {
 // decode a Put on each replica.
 func TestCodecAllocBudget(t *testing.T) {
 	put := command{ReqID: 77, Floor: 70, Op: opPut, Key: "/bench/c0/k0422", Value: string(bytes.Repeat([]byte("v"), 128))}
-	txn := codecSeeds()[7]
+	txn := codecSeeds()[5] // the Txn with all three lists
 	batch := command{Op: opBatch, Subs: []command{put, put, put}}
 	for _, c := range []struct {
 		name           string

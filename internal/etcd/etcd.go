@@ -5,17 +5,15 @@
 // co-ordinate between the controller and LCM/Guardian... ETCD itself is
 // replicated (3-way), and uses the Raft consensus protocol").
 //
-// Writes are sequenced through the Raft log. Reads are served, in the
-// default leaseread mode, from the least-loaded replica's MVCC snapshot
-// at an applied floor the leader vouches for — via its check-quorum
-// lease when live (zero messages per read) or a coalesced quorum
-// heartbeat round otherwise (one round resolves every read in flight
-// during it) — linearizable results with zero log entries per read.
-// SetReadMode selects the readindex hatch (one dedicated round per
-// read, the pre-lease behavior), the propose hatch (reads as full
-// proposals), or serializable mode (stale-tolerant local reads that
-// need no quorum). Watches observe the apply stream and survive the
-// crash of any minority of nodes.
+// Writes are sequenced through the Raft log. Reads never enter it: Get,
+// Range and read-only Txn are served from the least-loaded replica's MVCC
+// snapshot at an applied floor the leader vouches for — via its
+// check-quorum lease when live (zero messages per read) or a coalesced
+// quorum heartbeat round otherwise (one round resolves every read in
+// flight during it) — linearizable results with zero log entries per
+// read. SerializableRange is the stale-tolerant local read that needs no
+// quorum. Watches observe the apply stream and survive the crash of any
+// minority of nodes.
 //
 // Since the metadata-plane refactor this package is a facade over the
 // sharded MVCC engine in internal/store: each replica's deterministic
@@ -99,15 +97,16 @@ type KV struct {
 	Rev   uint64
 }
 
-// opKind enumerates commands in the replicated log.
+// opKind enumerates commands in the replicated log. The values are the
+// wire encoding; 4 and 5 were reads, which no longer enter the log.
 type opKind uint8
 
 const (
 	opPut opKind = iota + 1
 	opDelete
 	opCAS
-	opGet
-	opRange
+	_
+	_
 	opTxn
 	// opBatch is a group-commit wrapper: one log entry carrying the
 	// sub-commands of every propose() call that queued while the
@@ -158,52 +157,9 @@ type command struct {
 
 // result is what applying a command yields (deterministic on every node).
 type result struct {
-	val   string
-	found bool
-	ok    bool // CAS success / txn branch taken
-	kvs   []KV
-	rev   uint64
+	ok  bool // CAS success / txn branch taken
+	rev uint64
 }
-
-// Read modes selectable via SetReadMode (Options.ReadMode at the
-// platform layer).
-const (
-	// ReadModeLease (the default) serves Get/Range/read-only Txn
-	// linearizably at amortized quorum cost: concurrent leader
-	// confirmation rounds coalesce (one heartbeat round resolves every
-	// read in flight during it), and while the leader's check-quorum
-	// lease is live reads cost zero messages. Skew beyond the raft
-	// drift bound, step-down, or term change kill the lease and reads
-	// fall back to full rounds — never to staleness.
-	ReadModeLease = "leaseread"
-	// ReadModeReadIndex serves reads from a local replica's MVCC
-	// snapshot after a dedicated leader read-index round: linearizable,
-	// zero log entries, exactly one heartbeat round per read — the PR 5
-	// behavior, kept as the A/B escape hatch for lease reads.
-	ReadModeReadIndex = "readindex"
-	// ReadModePropose sequences every read through the Raft log as a
-	// full proposal — the pre-read-index behavior, kept as the A/B
-	// escape hatch.
-	ReadModePropose = "propose"
-	// ReadModeSerializable answers from the freshest live replica's
-	// local state with no leadership round at all: bounded staleness
-	// (the replica may lag acknowledged writes), never wrongness (only
-	// committed entries are applied). Stays available without a quorum.
-	ReadModeSerializable = "serializable"
-)
-
-// Replication modes selectable at construction (Options.Replication at
-// the platform layer); they map onto raft.Config's pipeline window.
-const (
-	// ReplicationPipeline (the default) keeps a bounded in-flight window
-	// of AppendEntries per follower, advancing optimistically and
-	// rewinding on reject.
-	ReplicationPipeline = "pipeline"
-	// ReplicationStopWait re-ships the full pending log suffix every
-	// broadcast and advances only on acks — the pre-pipelining behavior,
-	// kept as the A/B escape hatch.
-	ReplicationStopWait = "stopwait"
-)
 
 // defaultRequestTimeout bounds how long a client op waits for commit.
 const defaultRequestTimeout = 5 * time.Second
@@ -265,8 +221,10 @@ func newProposal() *proposal { return &proposal{done: make(chan struct{}, 1)} }
 //     waiter table before an applier found it. Otherwise an applier may
 //     still be completing it, and the flusher starts a new one.
 //   - Each replica's applier owns its stateMachine's scratch (the ops an
-//     entry installs and the events it yields), reused entry after entry:
-//     the hub copies published events, and results carry none.
+//     entry installs, the staged writes its guards read, the results and
+//     the events it yields), reused entry after entry: the hub copies
+//     published events, and complete copies each result into its reply
+//     channel before the applier takes its next entry.
 //
 // replyPool is a stack, not a sync.Pool, so the channel put back last is
 // the next one taken: one put back too early is drawn at once, by the
@@ -303,14 +261,14 @@ func (p *replyPool) put(ch chan result) {
 // wait out a stranger's round — 2 clients: 1 → 2 flushers takes
 // ops_per_wall_s 211 → 430 and put_virtual_ms_p50 4 → 2 ms, 4 and 8 add
 // nothing; 4 writers x 200 Puts: 693 / 404 / 449 ms virtual at 2 / 4 / 8.
-// From above, BenchmarkEtcdWrites/batch-pipeline (64 writers, slow
+// From above, BenchmarkEtcdWrites (64 writers, slow
 // flapping follower, -benchtime=64x) must still coalesce the burst:
 // 13–16 writes/proposal at 4, 7 at 8, 3.8 at 16 (floor: 4), p99 commit
 // latency 6 ms virtual at every depth.
 const maxInflightProposals = 4
 
 // opCounter tallies one operation kind, successes and failures apart:
-// a timed-out Range must not inflate the watch-vs-poll comparison.
+// a timed-out Range is not a scan the platform spent.
 type opCounter struct {
 	ok   atomic.Uint64
 	fail atomic.Uint64
@@ -335,8 +293,6 @@ type Store struct {
 	leaseSeq     atomic.Uint64
 	closed       atomic.Bool
 	stopCh       chan struct{}
-	readMode     atomic.Value // string; one of the ReadMode constants
-	replication  string       // fixed at construction
 
 	// Request numbering. reqSeq is the last ID handed out; inflight holds
 	// the IDs whose proposal may still be (re-)proposed; reqFloor is the
@@ -356,13 +312,11 @@ type Store struct {
 	batches     atomic.Uint64
 	batchedCmds atomic.Uint64
 
-	// Client-operation counters, split by kind: the control-plane
-	// benchmarks compare watch- vs poll-driven consumers by how many
-	// Range scans they cost per job.
+	// Client-operation counters, split by kind: the control plane's cost
+	// is read off them as Range scans per job.
 	cRange, cPut, cGet, cDelete, cCAS, cTxn, cWatch opCounter
 
-	// proposals counts entries actually submitted to the Raft log — the
-	// numerator of the proposals-per-read comparison across read modes.
+	// proposals counts entries actually submitted to the Raft log.
 	proposals atomic.Uint64
 
 	// leaderCache short-circuits the per-op leader scan; dropLeader
@@ -389,58 +343,39 @@ type Store struct {
 type StoreOptions struct {
 	// Shards is the per-replica engine shard count (<= 0 = default).
 	Shards int
-	// Replication is ReplicationPipeline (default) or
-	// ReplicationStopWait. Fixed for the cluster's lifetime.
-	Replication string
 }
 
 // New boots an n-way replicated store on clk. The paper's deployment uses
 // n = 3.
-func New(n int, clk clock.Clock) *Store { return NewSharded(n, clk, 0) }
+func New(n int, clk clock.Clock) *Store { return newStore(n, raft.DefaultConfig(clk), StoreOptions{}) }
 
-// NewSharded boots an n-way replicated store whose per-replica state
-// machines use the given engine shard count (<= 0 selects the store
-// default).
-func NewSharded(n int, clk clock.Clock, shards int) *Store {
-	s, err := NewWithOptions(n, clk, StoreOptions{Shards: shards})
-	if err != nil {
-		panic(err) // unreachable: default options are valid
-	}
-	return s
+// NewWithOptions boots an n-way replicated store configured by o. Every
+// StoreOptions value is valid today, so the error is always nil.
+func NewWithOptions(n int, clk clock.Clock, o StoreOptions) (*Store, error) {
+	return newStore(n, raft.DefaultConfig(clk), o), nil
 }
 
-// NewWithOptions boots an n-way replicated store with an explicit
-// replication mode. It fails on an unknown mode string.
-func NewWithOptions(n int, clk clock.Clock, o StoreOptions) (*Store, error) {
-	cfg := raft.DefaultConfig(clk)
-	switch o.Replication {
-	case "", ReplicationPipeline:
-		o.Replication = ReplicationPipeline
-	case ReplicationStopWait:
-		cfg.MaxInflightEntries = 1
-	default:
-		return nil, fmt.Errorf("etcd: unknown replication mode %q", o.Replication)
-	}
+// newStore boots the store over n raft nodes configured by cfg, whose
+// Clock is the store's.
+func newStore(n int, cfg raft.Config, o StoreOptions) *Store {
 	s := &Store{
-		clk:         clk,
-		cluster:     raft.NewCluster(n, cfg),
-		timeout:     defaultRequestTimeout,
-		shards:      o.Shards,
-		replication: o.Replication,
-		stopCh:      make(chan struct{}),
-		batchKick:   make(chan struct{}, 1),
-		reqFloor:    1,
-		inflight:    make(map[uint64]struct{}),
-		hub:         store.NewHub[Event](),
-		sms:         make(map[int]*stateMachine, n),
-		stops:       make(map[int]chan struct{}, n),
+		clk:       cfg.Clock,
+		cluster:   raft.NewCluster(n, cfg),
+		timeout:   defaultRequestTimeout,
+		shards:    o.Shards,
+		stopCh:    make(chan struct{}),
+		batchKick: make(chan struct{}, 1),
+		reqFloor:  1,
+		inflight:  make(map[uint64]struct{}),
+		hub:       store.NewHub[Event](),
+		sms:       make(map[int]*stateMachine, n),
+		stops:     make(map[int]chan struct{}, n),
 	}
 	s.readLoads = make(map[int]*replicaLoad, n)
 	for _, id := range s.cluster.IDs() {
 		s.readLoads[id] = &replicaLoad{}
 	}
 	s.compactEvery.Store(defaultCompactEvery)
-	s.readMode.Store(ReadModeLease) // matches raft's lease/coalesce defaults
 	for i := range s.waiters {
 		s.waiters[i].m = make(map[uint64]*proposal)
 	}
@@ -450,36 +385,8 @@ func NewWithOptions(n int, clk clock.Clock, o StoreOptions) (*Store, error) {
 	for i := 0; i < maxInflightProposals; i++ {
 		go s.batchLoop()
 	}
-	return s, nil
+	return s
 }
-
-// SetReadMode selects how Get, Range and read-only Txn are served
-// ("" selects the default, ReadModeLease). Writes always go through
-// the Raft log regardless of mode. Switching modes also flips the raft
-// lease/coalescing switches cluster-wide, so ReadModeReadIndex is the
-// exact one-heartbeat-round-per-read PR 5 baseline.
-func (s *Store) SetReadMode(mode string) error {
-	switch mode {
-	case "":
-		mode = ReadModeLease
-	case ReadModeLease, ReadModeReadIndex, ReadModePropose, ReadModeSerializable:
-	default:
-		return fmt.Errorf("etcd: unknown read mode %q", mode)
-	}
-	s.readMode.Store(mode)
-	amortized := mode == ReadModeLease
-	s.cluster.SetLeaseReads(amortized)
-	s.cluster.SetReadCoalescing(amortized)
-	return nil
-}
-
-// ReadMode reports the store's current read mode.
-func (s *Store) ReadMode() string {
-	return s.readMode.Load().(string)
-}
-
-// Replication reports the cluster's replication mode (fixed at boot).
-func (s *Store) Replication() string { return s.replication }
 
 // BatchStats reports how many group-commit batches were flushed and how
 // many client commands they carried (a lone write is a batch of one);
@@ -545,10 +452,10 @@ func (s *Store) Instrument(reg *metrics.Registry) {
 
 // finishOp tallies one completed client operation of the given kind.
 // Successes and failures are counted apart — counting before the
-// attempt inflated the watch-vs-poll RangeOps comparison with ops that
-// then timed out. Operations that went through the log but lost their
-// application-level race (CAS conflict, Txn else-branch) completed
-// successfully for accounting purposes.
+// attempt inflated RangeOps with scans that then timed out. Operations
+// that went through the log but lost their application-level race (CAS
+// conflict, Txn else-branch) completed successfully for accounting
+// purposes.
 func (s *Store) finishOp(kind string, c *opCounter, err error) {
 	if err != nil {
 		c.fail.Add(1)
@@ -563,13 +470,11 @@ func (s *Store) finishOp(kind string, c *opCounter, err error) {
 	}
 }
 
-// RangeOps reports how many Range scans clients have completed — the
-// denominator of the watch-vs-poll control-plane comparison.
+// RangeOps reports how many Range scans clients have completed.
 func (s *Store) RangeOps() uint64 { return s.cRange.ok.Load() }
 
-// Proposals reports how many commands were submitted to the Raft log.
-// Read-index reads leave it untouched; propose-mode reads cost one (or
-// more, on leadership churn) per operation.
+// Proposals reports how many entries were submitted to the Raft log.
+// Reads never add to it.
 func (s *Store) Proposals() uint64 { return s.proposals.Load() }
 
 // OpCounts reports every client-operation counter by kind; "<kind>" is
@@ -662,27 +567,26 @@ func (s *Store) applyEntry(sm *stateMachine, e raft.Entry) {
 		s.hub.Publish(e.Index, nil)
 		return
 	}
+	cmds := cmd.Subs
+	if cmd.Op != opBatch {
+		cmds = []command{cmd}
+	}
 	// Publish before completing the proposal: once a client's call
 	// returns, the entry's revision is already past the hub's delivery
 	// cursor, so a Watch opened after an acknowledged write can never be
 	// handed that write's own events ("events begin with the first
 	// revision applied after the call"). A wrapper's concatenated events
 	// publish once — the cursor demands exactly one publish per revision.
-	if cmd.Op == opBatch {
-		results, events := sm.applyBatch(e.Index, cmd.Subs)
-		s.hub.Publish(e.Index, events)
-		s.complete(cmd.Subs[0].ReqID, results)
-		return
-	}
-	res, events := sm.apply(e.Index, cmd)
+	results, events := sm.apply(e.Index, cmds)
 	s.hub.Publish(e.Index, events)
-	s.complete(cmd.ReqID, []result{res})
+	s.complete(cmds[0].ReqID, results)
 }
 
 // complete hands an applied entry's results to the proposal waiting
-// under reqID and releases its flusher. First applier wins (all
-// replicas produce the same deterministic results); later appliers and
-// re-proposed duplicates find the table entry gone.
+// under reqID and releases its flusher. results is the applier's
+// scratch: each is copied into its reply channel here. First applier
+// wins (all replicas produce the same deterministic results); later
+// appliers and re-proposed duplicates find the table entry gone.
 func (s *Store) complete(reqID uint64, results []result) {
 	p, ok := s.takeWaiter(reqID)
 	if !ok {
@@ -722,16 +626,17 @@ func (s *Store) Put(key, value string) (rev uint64, err error) {
 	return res.rev, nil
 }
 
-// Get returns the value stored under key. found reports existence. In
-// the default read-index mode (and in propose mode) the read is
-// linearizable; in serializable mode it may lag acknowledged writes.
+// Get returns the value stored under key, linearizably. found reports
+// existence.
 func (s *Store) Get(key string) (value string, found bool, err error) {
-	res, err := s.read(s.ReadMode(), command{Op: opGet, Key: key})
+	eng, err := s.readIndexRead()
 	s.finishOp("get", &s.cGet, err)
 	if err != nil {
 		return "", false, fmt.Errorf("get %q: %w", key, err)
 	}
-	return res.val, res.found, nil
+	v, _, found := eng.Get(key)
+	value, _ = v.(string)
+	return value, found, nil
 }
 
 // Delete removes key. It is not an error to delete a missing key.
@@ -765,13 +670,16 @@ func (s *Store) CompareAndSwap(key, prev string, prevExists bool, newValue strin
 // then (all guards hold) or orElse (any guard fails) in a single log
 // entry: the branch's mutations commit at one revision, and watchers see
 // them together. succeeded reports which branch ran. A read-only
-// transaction (both branches empty) is served through the store's read
-// mode — guard evaluation against one local snapshot revision, no log
-// entry — since there is nothing to sequence.
+// transaction (both branches empty) is a linearizable read — guard
+// evaluation against one local snapshot revision, no log entry — since
+// there is nothing to sequence.
 func (s *Store) Txn(cmps []Cmp, then, orElse []TxnOp) (succeeded bool, rev uint64, err error) {
 	var res result
-	if mode := s.ReadMode(); mode != ReadModePropose && len(then) == 0 && len(orElse) == 0 {
-		res, err = s.read(mode, command{Op: opTxn, Cmps: cmps})
+	if len(then) == 0 && len(orElse) == 0 {
+		var eng *store.Engine
+		if eng, err = s.readIndexRead(); err == nil {
+			res = guardsAt(eng, cmps)
+		}
 	} else {
 		res, err = s.propose(command{Op: opTxn, Cmps: cmps, Then: then, Else: orElse})
 	}
@@ -782,28 +690,45 @@ func (s *Store) Txn(cmps []Cmp, then, orElse []TxnOp) (succeeded bool, rev uint6
 	return res.ok, res.rev, nil
 }
 
-// Range returns all keys under prefix, sorted by key.
+// Range returns all keys under prefix, sorted by key, linearizably.
 func (s *Store) Range(prefix string) ([]KV, error) {
-	res, err := s.read(s.ReadMode(), command{Op: opRange, Key: prefix})
-	s.finishOp("range", &s.cRange, err)
-	if err != nil {
-		return nil, fmt.Errorf("range %q: %w", prefix, err)
-	}
-	return res.kvs, nil
+	eng, err := s.readIndexRead()
+	return s.scan(eng, err, prefix)
 }
 
-// SerializableRange is Range forced through serializable mode whatever
-// the store default: a stale-tolerant local read that costs no
-// consensus work and stays available without a quorum. Consumers that
-// re-run on a backstop cadence against idempotent actions (the LCM's GC
-// sweep) opt into it.
+// SerializableRange is Range as a stale-tolerant local read: it costs no
+// consensus work and stays available without a quorum, and may lag
+// acknowledged writes (never return what was not committed). Consumers
+// that re-run on a backstop cadence against idempotent actions (the
+// LCM's GC sweep) use it.
 func (s *Store) SerializableRange(prefix string) ([]KV, error) {
-	res, err := s.read(ReadModeSerializable, command{Op: opRange, Key: prefix})
+	eng, err := s.serializableRead()
+	return s.scan(eng, err, prefix)
+}
+
+// scan finishes a Range whose read path returned eng (or err): every key
+// under prefix at the engine's current floor — a fully-installed cut,
+// since ApplyAt only raises the floor after a revision's ops are all in
+// place, so a concurrently applying transaction is seen whole or not at
+// all.
+func (s *Store) scan(eng *store.Engine, err error, prefix string) ([]KV, error) {
 	s.finishOp("range", &s.cRange, err)
 	if err != nil {
 		return nil, fmt.Errorf("range %q: %w", prefix, err)
 	}
-	return res.kvs, nil
+	kvs, err := eng.ScanAt(prefix, eng.Snapshot())
+	if err != nil {
+		// The floor fell below a compaction floor between Snapshot and the
+		// scan (not reachable in facade engines, which never compact in
+		// place): fall forward to the newest versions.
+		kvs = eng.ScanLatest(prefix)
+	}
+	var out []KV
+	for _, kv := range kvs {
+		val, _ := kv.Value.(string)
+		out = append(out, KV{Key: kv.Key, Value: val, Rev: kv.Rev})
+	}
+	return out, nil
 }
 
 // Watch subscribes to changes of keys under prefix. Cancel releases the
@@ -893,38 +818,23 @@ func (s *Store) replicaAt(rev uint64) *stateMachine {
 	}
 }
 
-// read serves a read-only command (opGet, opRange, or an opTxn with no
-// mutations) in the given read mode. ReadModeLease and
-// ReadModeReadIndex share the read-index path — the lease fast path and
-// round coalescing live inside raft.Node.ReadIndex, toggled by
-// SetReadMode.
-func (s *Store) read(mode string, cmd command) (result, error) {
-	switch mode {
-	case ReadModePropose:
-		return s.propose(cmd)
-	case ReadModeSerializable:
-		return s.serializableRead(cmd)
-	default:
-		return s.readIndexRead(cmd)
-	}
-}
-
-// readIndexRead serves cmd linearizably without a log entry: obtain a
-// read index from the leader (a live check-quorum lease answers it for
-// free; otherwise ReadIndex confirms leadership with a quorum heartbeat
-// round, so a deposed leader can never answer), wait for a routed
-// replica's state machine to apply through it, then read that local
-// MVCC snapshot.
-func (s *Store) readIndexRead(cmd command) (result, error) {
+// readIndexRead is every linearizable read's path, with no log entry:
+// obtain a read index from the leader (a live check-quorum lease answers
+// it for free; otherwise ReadIndex confirms leadership with a quorum
+// heartbeat round that concurrent reads share, so a deposed leader can
+// never answer), wait for a routed replica's state machine to apply
+// through it, and return that replica's engine for the caller to read
+// its local MVCC snapshot.
+func (s *Store) readIndexRead() (*store.Engine, error) {
 	deadline := s.clk.Now().Add(s.timeout)
 	for {
 		if s.closed.Load() {
-			return result{}, ErrClosed
+			return nil, ErrClosed
 		}
 		node := s.readNode()
 		if node == nil {
 			if !s.pause(deadline) {
-				return result{}, ErrTimeout
+				return nil, ErrTimeout
 			}
 			continue
 		}
@@ -934,18 +844,18 @@ func (s *Store) readIndexRead(cmd command) (result, error) {
 			// against whoever leads next, bounded by the deadline.
 			s.dropLeader()
 			if !s.pause(deadline) {
-				return result{}, ErrTimeout
+				return nil, ErrTimeout
 			}
 			continue
 		}
 		eng, ok := s.routedWait(idx, deadline)
 		if !ok {
 			if s.closed.Load() {
-				return result{}, ErrClosed
+				return nil, ErrClosed
 			}
-			return result{}, ErrTimeout
+			return nil, ErrTimeout
 		}
-		return readLocal(eng, cmd), nil
+		return eng, nil
 	}
 }
 
@@ -1018,14 +928,14 @@ func (s *Store) routeReplica(idx uint64) (int, *stateMachine) {
 	return bestID, best
 }
 
-// serializableRead serves cmd from a freshest live replica's local
-// state, no leadership round: bounded staleness, never wrongness, and
+// serializableRead picks a freshest live replica's engine to read
+// locally, no leadership round: bounded staleness, never wrongness, and
 // it stays available when the cluster has no quorum. Among equally
 // fresh replicas the least read-loaded one serves (freshness first —
 // trading it away would widen the staleness bound).
-func (s *Store) serializableRead(cmd command) (result, error) {
+func (s *Store) serializableRead() (*store.Engine, error) {
 	if s.closed.Load() {
-		return result{}, ErrClosed
+		return nil, ErrClosed
 	}
 	offset := int(s.routeRR.Add(1))
 	ids := s.cluster.IDs()
@@ -1049,56 +959,30 @@ func (s *Store) serializableRead(cmd command) (result, error) {
 	}
 	s.mu.Unlock()
 	if best == nil {
-		return result{}, ErrTimeout // every replica crashed
+		return nil, ErrTimeout // every replica crashed
 	}
 	s.readLoads[bestID].routed.Add(1)
 	if reg := s.mtr.Load(); reg != nil {
 		reg.Inc("etcd_reads_routed", fmt.Sprintf("node%d", bestID))
 	}
-	return readLocal(best, cmd), nil
+	return best, nil
 }
 
-// readLocal evaluates a read-only command against eng's applied state.
-// Multi-key reads (opRange, guard evaluation) run at the engine's
-// current floor — a fully-installed cut, since ApplyAt only raises the
-// floor after a revision's ops are all in place — so a concurrently
-// applying transaction is seen whole or not at all.
-func readLocal(eng *store.Engine, cmd command) result {
+// guardsAt evaluates a read-only transaction's guards against eng's
+// current floor, a fully-installed cut (see scan).
+func guardsAt(eng *store.Engine, cmps []Cmp) result {
 	rev := eng.Snapshot()
-	res := result{rev: rev}
-	switch cmd.Op {
-	case opGet:
-		if v, _, ok := eng.Get(cmd.Key); ok {
-			res.val, _ = v.(string)
-			res.found = true
-		}
-	case opRange:
-		kvs, err := eng.ScanAt(cmd.Key, rev)
+	for _, c := range cmps {
+		v, _, exists, err := eng.GetAt(c.Key, rev)
 		if err != nil {
-			// rev fell below a compaction floor between Snapshot and the
-			// scan (not reachable in facade engines, which never compact
-			// in place): fall forward to the newest versions.
-			kvs = eng.ScanLatest(cmd.Key)
+			v, _, exists = eng.Get(c.Key)
 		}
-		for _, kv := range kvs {
-			val, _ := kv.Value.(string)
-			res.kvs = append(res.kvs, KV{Key: kv.Key, Value: val, Rev: kv.Rev})
-		}
-	case opTxn:
-		res.ok = true
-		for _, c := range cmd.Cmps {
-			v, _, exists, err := eng.GetAt(c.Key, rev)
-			if err != nil {
-				v, _, exists = eng.Get(c.Key)
-			}
-			sv, _ := v.(string)
-			if exists != c.PrevExists || (exists && sv != c.Prev) {
-				res.ok = false
-				break
-			}
+		sv, _ := v.(string)
+		if exists != c.PrevExists || (exists && sv != c.Prev) {
+			return result{rev: rev}
 		}
 	}
-	return res
+	return result{ok: true, rev: rev}
 }
 
 // leader resolves the current leader through a cached pointer: the
@@ -1205,12 +1089,8 @@ func (s *Store) pause(deadline time.Time) bool {
 	return s.clk.Now().Before(deadline)
 }
 
-// propose routes cmd through the Raft log and waits for its application.
-// Mutations join the group-commit queue. Propose-mode reads (opGet /
-// opRange and read-only opTxn reach here only in that mode) stay one
-// entry per op, proposed from the caller's goroutine: batch application
-// does not overlay range scans, and it preserves the 1-proposal-per-read
-// baseline the read-mode A/B measures.
+// propose routes a mutation through the Raft log: it joins the
+// group-commit queue, and the call waits for its application.
 func (s *Store) propose(cmd command) (result, error) {
 	if s.closed.Load() {
 		return result{}, ErrClosed
@@ -1219,22 +1099,14 @@ func (s *Store) propose(cmd command) (result, error) {
 	reply := s.replies.get()
 	t := clock.AcquireTimer(s.clk, s.timeout)
 	defer clock.ReleaseTimer(t)
-	switch cmd.Op {
-	case opPut, opDelete, opCAS, opTxn:
-		s.batchMu.Lock()
-		s.batchQ.cmds = append(s.batchQ.cmds, cmd)
-		s.batchQ.replies = append(s.batchQ.replies, reply)
-		s.setQueueDepth(len(s.batchQ.cmds))
-		s.batchMu.Unlock()
-		select {
-		case s.batchKick <- struct{}{}:
-		default:
-		}
+	s.batchMu.Lock()
+	s.batchQ.cmds = append(s.batchQ.cmds, cmd)
+	s.batchQ.replies = append(s.batchQ.replies, reply)
+	s.setQueueDepth(len(s.batchQ.cmds))
+	s.batchMu.Unlock()
+	select {
+	case s.batchKick <- struct{}{}:
 	default:
-		// Returns with the reply delivered, or with t expired.
-		p := newProposal()
-		p.cmds, p.replies = []command{cmd}, []chan result{reply}
-		s.replicate(p)
 	}
 
 	// Only a channel that delivered its reply goes back to the pool: the
@@ -1478,9 +1350,8 @@ func (s *Store) SkewNodeClock(id int, d time.Duration) {
 func (s *Store) ReadStats() raft.ReadStats { return s.cluster.ReadStats() }
 
 // ReadsRouted reports how many reads each replica has served (applied-
-// floor waits in the read-index/lease modes, local serves in
-// serializable mode), keyed by node ID — the follower-routing
-// distribution.
+// floor waits of linearizable reads, local serves of SerializableRange),
+// keyed by node ID — the follower-routing distribution.
 func (s *Store) ReadsRouted() map[int]uint64 {
 	out := make(map[int]uint64, len(s.readLoads))
 	for id, ld := range s.readLoads {
@@ -1507,18 +1378,28 @@ type stateMachine struct {
 	mtr        *metrics.Registry
 	mtrName    string
 
-	// The applier's scratch, reused by every entry: the ops it installs,
-	// the engine's events for them, and their facade form, which apply
-	// and applyBatch return for the hub to copy.
+	// The applier's scratch, cleared by every entry: the ops it installs,
+	// the writes staged so far that later guards read (overlay), the
+	// results, the engine's events for the ops, and their facade form.
+	// apply returns results and events for complete and the hub to copy.
 	ops      []store.Op
+	overlay  map[string]staged
+	results  []result
 	storeEvs []store.Event
 	events   []Event
 }
 
+// staged is a key's value after the entry's writes so far.
+type staged struct {
+	val    string
+	exists bool
+}
+
 func newStateMachine(shards int) *stateMachine {
 	return &stateMachine{
-		eng:   store.NewEngine(store.Config{Shards: shards, ExternalRevs: true}),
-		dedup: make(map[uint64]uint64),
+		eng:     store.NewEngine(store.Config{Shards: shards, ExternalRevs: true}),
+		dedup:   make(map[uint64]uint64),
+		overlay: make(map[string]staged),
 	}
 }
 
@@ -1614,81 +1495,94 @@ func (m *stateMachine) restore(raw []byte, snapIndex uint64) {
 	m.dedup, m.dedupFloor = ledger, floor
 }
 
-// apply applies one command at idx. The events it returns are the
-// applier's scratch: valid until its next entry.
-func (m *stateMachine) apply(idx uint64, cmd command) (result, []Event) {
+// apply applies one log entry's commands at idx — the command of a bare
+// entry, or a wrapper's sub-commands in order — and returns a result per
+// command and the entry's events, both the applier's scratch: valid until
+// its next entry. Guards of later commands must see earlier commands'
+// effects, but the engine may only install the entry in one ApplyAt:
+// installing per command would raise the applied floor mid-entry and let
+// a read-index reader observe a half-applied batch. So writes are staged
+// in an overlay that guard evaluation reads through, and the whole op
+// list installs at once (the engine's same-revision rule — later op wins
+// per key — collapses intra-entry overwrites).
+func (m *stateMachine) apply(idx uint64, cmds []command) ([]result, []Event) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// Exactly-once: a retried proposal may appear twice in the log; only
-	// the first occurrence mutates state. (Reads are harmless to repeat.)
-	if first, dup := m.firstApplied(idx, &cmd); dup {
-		switch cmd.Op {
-		case opPut, opDelete, opCAS, opTxn:
-			_ = m.eng.AdvanceFloor(idx)
-			return result{rev: first, ok: true}, nil
-		}
-	}
-
-	res := result{rev: idx}
+	clear(m.overlay)
+	m.results = m.results[:0]
 	ops := m.ops[:0]
-	switch cmd.Op {
-	case opPut:
-		ops = append(ops, store.Op{Kind: store.OpPut, Key: cmd.Key, Value: cmd.Value})
-	case opDelete:
-		ops = append(ops, store.Op{Kind: store.OpDelete, Key: cmd.Key})
-	case opCAS:
-		if m.holds(Cmp{Key: cmd.Key, Prev: cmd.Prev, PrevExists: cmd.PrevExists}) {
-			ops = append(ops, store.Op{Kind: store.OpPut, Key: cmd.Key, Value: cmd.Value})
+	for i := range cmds {
+		cmd := &cmds[i]
+		// Exactly-once: a re-proposed command may appear twice in the log;
+		// only its first occurrence mutates state.
+		if first, dup := m.firstApplied(idx, cmd); dup {
+			m.results = append(m.results, result{rev: first, ok: true})
+			continue
+		}
+		// Only a later command reads what this one stages.
+		last := i == len(cmds)-1
+		stage := func(op store.Op) {
+			ops = append(ops, op)
+			if !last {
+				sv, _ := op.Value.(string)
+				m.overlay[op.Key] = staged{val: sv, exists: op.Kind == store.OpPut}
+			}
+		}
+		res := result{rev: idx}
+		switch cmd.Op {
+		case opPut:
+			stage(store.Op{Kind: store.OpPut, Key: cmd.Key, Value: cmd.Value})
+		case opDelete:
+			stage(store.Op{Kind: store.OpDelete, Key: cmd.Key})
+		case opCAS:
+			if m.holds(Cmp{Key: cmd.Key, Prev: cmd.Prev, PrevExists: cmd.PrevExists}) {
+				stage(store.Op{Kind: store.OpPut, Key: cmd.Key, Value: cmd.Value})
+				res.ok = true
+			}
+		case opTxn:
 			res.ok = true
-		}
-	case opTxn:
-		res.ok = true
-		for _, c := range cmd.Cmps {
-			if !m.holds(c) {
-				res.ok = false
-				break
+			for _, c := range cmd.Cmps {
+				if !m.holds(c) {
+					res.ok = false
+					break
+				}
+			}
+			branch := cmd.Then
+			if !res.ok {
+				branch = cmd.Else
+			}
+			for _, op := range branch {
+				kind := store.OpPut
+				if op.Type == EventDelete {
+					kind = store.OpDelete
+				}
+				stage(store.Op{Kind: kind, Key: op.Key, Value: op.Value})
 			}
 		}
-		branch := cmd.Then
-		if !res.ok {
-			branch = cmd.Else
-		}
-		for _, op := range branch {
-			kind := store.OpPut
-			if op.Type == EventDelete {
-				kind = store.OpDelete
-			}
-			ops = append(ops, store.Op{Kind: kind, Key: op.Key, Value: op.Value})
-		}
-	case opGet:
-		if v, _, ok := m.eng.Get(cmd.Key); ok {
-			res.val, res.found = v.(string), true
-		}
-	case opRange:
-		for _, kv := range m.eng.ScanLatest(cmd.Key) {
-			val, _ := kv.Value.(string)
-			res.kvs = append(res.kvs, KV{Key: kv.Key, Value: val, Rev: kv.Rev})
-		}
+		m.results = append(m.results, res)
 	}
 	events := m.install(idx, ops)
-	// Raise the applied floor only now, after any mutation is installed
-	// (ApplyAt raises it itself, post-install; this covers reads, failed
-	// CAS and empty branches). Raising it before the write would let a
-	// WaitApplied reader wake at this index and read the pre-write state
+	// Raise the applied floor only now, after every write is installed
+	// (ApplyAt raises it itself, post-install; this covers failed guards,
+	// empty branches and duplicates). Raising it before the write would let
+	// a WaitApplied reader wake at this index and read the pre-write state
 	// — a stale read after an acknowledged write. The WatchFrom backfill
-	// also compares this floor against the hub's delivery cursor, so
-	// every applied index must reach it.
+	// also compares this floor against the hub's delivery cursor, so every
+	// applied index must reach it.
 	_ = m.eng.AdvanceFloor(idx)
-	return res, events
+	return m.results, events
 }
 
-// holds evaluates a guard against the latest applied state.
+// holds evaluates a guard against the latest applied state, as the
+// entry's staged writes have changed it.
 func (m *stateMachine) holds(c Cmp) bool {
-	cur, _, exists := m.eng.Get(c.Key)
-	if exists != c.PrevExists {
-		return false
+	cur, ok := m.overlay[c.Key]
+	if !ok {
+		v, _, exists := m.eng.Get(c.Key)
+		cur.val, _ = v.(string)
+		cur.exists = exists
 	}
-	return !exists || cur.(string) == c.Prev
+	return cur.exists == c.PrevExists && (!cur.exists || cur.val == c.Prev)
 }
 
 // install applies an entry's ops at idx in one ApplyAt and returns their
@@ -1708,106 +1602,4 @@ func (m *stateMachine) install(idx uint64, ops []store.Op) []Event {
 		})
 	}
 	return m.events
-}
-
-// applyBatch applies a group-commit wrapper's sub-commands at one log
-// index. Guards of later sub-commands must see earlier sub-commands'
-// effects, but the engine may only install the batch in one ApplyAt:
-// installing per sub-command would raise the applied floor mid-batch and
-// let a read-index reader observe a half-applied batch. So mutations are
-// staged in an overlay that guard evaluation reads through, and the
-// whole staged op list installs at once (the engine's same-revision
-// rule — later op wins per key — collapses intra-batch overwrites).
-func (m *stateMachine) applyBatch(idx uint64, subs []command) ([]result, []Event) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	type oval struct {
-		val    string
-		exists bool
-	}
-	overlay := make(map[string]oval)
-	lookup := func(key string) (string, bool) {
-		if o, ok := overlay[key]; ok {
-			return o.val, o.exists
-		}
-		v, _, ok := m.eng.Get(key)
-		sv, _ := v.(string)
-		return sv, ok
-	}
-	holds := func(c Cmp) bool {
-		cur, exists := lookup(c.Key)
-		if exists != c.PrevExists {
-			return false
-		}
-		return !exists || cur == c.Prev
-	}
-	ops := m.ops[:0]
-	stage := func(op store.Op) {
-		ops = append(ops, op)
-		if op.Kind == store.OpPut {
-			sv, _ := op.Value.(string)
-			overlay[op.Key] = oval{val: sv, exists: true}
-		} else {
-			overlay[op.Key] = oval{}
-		}
-	}
-
-	results := make([]result, len(subs))
-	for i := range subs {
-		sub := &subs[i]
-		// Exactly-once across wrapper re-proposals: only the first
-		// occurrence of a sub-command mutates state.
-		if first, dup := m.firstApplied(idx, sub); dup {
-			switch sub.Op {
-			case opPut, opDelete, opCAS, opTxn:
-				results[i] = result{rev: first, ok: true}
-				continue
-			}
-		}
-
-		res := result{rev: idx}
-		switch sub.Op {
-		case opPut:
-			stage(store.Op{Kind: store.OpPut, Key: sub.Key, Value: sub.Value})
-		case opDelete:
-			stage(store.Op{Kind: store.OpDelete, Key: sub.Key})
-		case opCAS:
-			if holds(Cmp{Key: sub.Key, Prev: sub.Prev, PrevExists: sub.PrevExists}) {
-				stage(store.Op{Kind: store.OpPut, Key: sub.Key, Value: sub.Value})
-				res.ok = true
-			}
-		case opTxn:
-			res.ok = true
-			for _, c := range sub.Cmps {
-				if !holds(c) {
-					res.ok = false
-					break
-				}
-			}
-			branch := sub.Then
-			if !res.ok {
-				branch = sub.Else
-			}
-			for _, op := range branch {
-				kind := store.OpPut
-				if op.Type == EventDelete {
-					kind = store.OpDelete
-				}
-				stage(store.Op{Kind: kind, Key: op.Key, Value: op.Value})
-			}
-		case opGet:
-			// Reads are not batched by propose(), but stay correct if a
-			// wrapper carries one: answer through the overlay.
-			if v, ok := lookup(sub.Key); ok {
-				res.val, res.found = v, true
-			}
-		}
-		results[i] = res
-	}
-
-	events := m.install(idx, ops)
-	// All-reads / all-deduped batches still occupy the index.
-	_ = m.eng.AdvanceFloor(idx)
-	return results, events
 }

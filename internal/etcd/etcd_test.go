@@ -11,12 +11,19 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/raft"
 )
 
-func newTestStore(t *testing.T, n int) (*Store, *clock.Sim) {
+// newTestStore boots an n-way store on a sim clock, its raft config
+// adjusted by mods.
+func newTestStore(t *testing.T, n int, mods ...func(*raft.Config)) (*Store, *clock.Sim) {
 	t.Helper()
 	clk := clock.NewSim()
-	s := New(n, clk)
+	cfg := raft.DefaultConfig(clk)
+	for _, mod := range mods {
+		mod(&cfg)
+	}
+	s := newStore(n, cfg, StoreOptions{})
 	t.Cleanup(func() {
 		s.Close()
 		clk.Close()

@@ -67,14 +67,7 @@ func TestDedupLedgerStaysBounded(t *testing.T) {
 		entry = log[applied]
 		applied++
 		idx := uint64(applied)
-		results, evs := []result(nil), []Event(nil)
-		if len(entry) == 1 {
-			var res result
-			res, evs = sm.apply(idx, entry[0])
-			results = []result{res}
-		} else {
-			results, evs = sm.applyBatch(idx, entry)
-		}
+		results, evs := sm.apply(idx, entry)
 		events += len(evs)
 		for i, cmd := range entry {
 			if _, first := inflight[cmd.ReqID]; !first {
@@ -112,15 +105,15 @@ func TestDedupLedgerStaysBounded(t *testing.T) {
 // the ledger has forgotten about it, and the floor survives a snapshot.
 func TestDedupFloorRejectsForgottenRequests(t *testing.T) {
 	sm := newStateMachine(2)
-	sm.apply(1, command{ReqID: 1, Floor: 1, Op: opPut, Key: "/k", Value: "first"})
-	sm.apply(2, command{ReqID: 2, Floor: 2, Op: opPut, Key: "/k", Value: "second"})
+	sm.apply(1, []command{{ReqID: 1, Floor: 1, Op: opPut, Key: "/k", Value: "first"}})
+	sm.apply(2, []command{{ReqID: 2, Floor: 2, Op: opPut, Key: "/k", Value: "second"}})
 	if _, kept := sm.dedup[1]; kept || sm.dedupFloor != 2 {
 		t.Fatalf("ledger %v floor %d after request 2 said everything below it is over", sm.dedup, sm.dedupFloor)
 	}
 	restored := newStateMachine(2)
 	restored.restore(sm.serialize(), 2)
 	for _, m := range []*stateMachine{sm, restored} {
-		if _, events := m.apply(3, command{ReqID: 1, Floor: 1, Op: opPut, Key: "/k", Value: "first"}); len(events) != 0 {
+		if _, events := m.apply(3, []command{{ReqID: 1, Floor: 1, Op: opPut, Key: "/k", Value: "first"}}); len(events) != 0 {
 			t.Fatalf("a copy of forgotten request 1 emitted %v", events)
 		}
 		if v, _, _ := m.engine().Get("/k"); v != "second" {

@@ -397,15 +397,6 @@ func TestPipelinedWritesAcrossLeaderCrash(t *testing.T) {
 // outcomes and emitted events must equal refModel running B then A once;
 // the duplicate must change nothing and report the first index.
 func TestReproposedProposalLandsLate(t *testing.T) {
-	// applyProposal applies cmds the way applyEntry applies their log
-	// entry: one command bare, several as one wrapper.
-	applyProposal := func(sm *stateMachine, idx uint64, cmds []command) ([]result, []Event) {
-		if len(cmds) == 1 {
-			res, events := sm.apply(idx, cmds[0])
-			return []result{res}, events
-		}
-		return sm.applyBatch(idx, cmds)
-	}
 	cas := func(id uint64, key, prev, val string) command {
 		return command{ReqID: id, Op: opCAS, Key: key, Prev: prev, PrevExists: prev != "", Value: val}
 	}
@@ -436,13 +427,13 @@ func TestReproposedProposalLandsLate(t *testing.T) {
 			model := refModel{}
 			seed := []command{put(1, "/seed", "s"), put(2, "/n", "0")}
 			for i, cmd := range seed {
-				sm.apply(uint64(i+1), cmd)
+				sm.apply(uint64(i+1), []command{cmd})
 				model.apply(cmd)
 			}
 			const i = 10
 			for n, cmds := range [][]command{tc.b, tc.a} {
 				idx := uint64(i + n)
-				results, events := applyProposal(sm, idx, cmds)
+				results, events := sm.apply(idx, cmds)
 				var wantEvents []Event
 				for j, cmd := range cmds {
 					ok, evs := model.apply(cmd)
@@ -462,7 +453,7 @@ func TestReproposedProposalLandsLate(t *testing.T) {
 				}
 			}
 
-			results, events := applyProposal(sm, i+2, tc.a)
+			results, events := sm.apply(i+2, tc.a)
 			if len(events) != 0 {
 				t.Fatalf("stale duplicate of A emitted %v", events)
 			}

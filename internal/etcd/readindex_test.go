@@ -7,50 +7,36 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/clock"
+	"repro/internal/raft"
 )
 
 // The tests in this file pin the read-index read path: Get/Range served
 // from local MVCC snapshots must stay linearizable through leader
 // partitions (never returning a value older than an acknowledged
-// write), propose mode must agree with it answer-for-answer, and
-// serializable mode must be stale-at-worst, wrong-never.
+// write), whether a live lease or a confirmation round vouches for the
+// read index, and SerializableRange must be stale-at-worst, wrong-never.
 
-func newModeStore(t *testing.T, n int, mode string) (*Store, *clock.Sim) {
-	t.Helper()
-	s, clk := newTestStore(t, n)
-	if err := s.SetReadMode(mode); err != nil {
-		t.Fatal(err)
-	}
-	return s, clk
-}
+// noLease leaves raft's check-quorum lease no length (a drift bound as
+// long as the shortest election timeout), so every linearizable read
+// pays a confirmation round — the lease-miss path, made the only one.
+func noLease(cfg *raft.Config) { cfg.MaxClockDrift = cfg.ElectionTimeoutMin }
 
-// TestReadModeValidation: the four modes are accepted ("" selects the
-// default, leaseread), anything else is rejected.
-func TestReadModeValidation(t *testing.T) {
-	s, _ := newTestStore(t, 1)
-	if got := s.ReadMode(); got != ReadModeLease {
-		t.Fatalf("default read mode = %q, want %q", got, ReadModeLease)
-	}
-	for _, mode := range []string{ReadModeLease, ReadModeReadIndex, ReadModePropose, ReadModeSerializable, ""} {
-		if err := s.SetReadMode(mode); err != nil {
-			t.Fatalf("SetReadMode(%q) = %v", mode, err)
-		}
-	}
-	if got := s.ReadMode(); got != ReadModeLease {
-		t.Fatalf(`read mode after SetReadMode("") = %q, want %q`, got, ReadModeLease)
-	}
-	if err := s.SetReadMode("linearizable-ish"); err == nil {
-		t.Fatal("bogus read mode accepted")
-	}
-}
-
-// TestReadModesAgree: identical workloads answer identically in every
-// mode once the cluster is quiescent — Get, Range and read-only Txn.
+// TestReadModesAgree: once the cluster is quiescent, Get, Range and
+// read-only Txn answer exactly what was written, whether the lease
+// vouches for each read (leaseread) or each pays a round (readindex), and
+// SerializableRange answers what Range does.
 func TestReadModesAgree(t *testing.T) {
-	for _, mode := range []string{ReadModeLease, ReadModeReadIndex, ReadModePropose, ReadModeSerializable} {
-		t.Run(mode, func(t *testing.T) {
-			s, _ := newModeStore(t, 3, mode)
+	for _, tc := range []struct {
+		name string
+		mods []func(*raft.Config)
+		scan func(*Store, string) ([]KV, error)
+	}{
+		{"leaseread", nil, (*Store).Range},
+		{"readindex", []func(*raft.Config){noLease}, (*Store).Range},
+		{"serializable", nil, (*Store).SerializableRange},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _ := newTestStore(t, 3, tc.mods...)
 			for i := 0; i < 6; i++ {
 				if _, err := s.Put(fmt.Sprintf("/m/k%d", i), fmt.Sprintf("v%d", i)); err != nil {
 					t.Fatal(err)
@@ -63,7 +49,7 @@ func TestReadModesAgree(t *testing.T) {
 			if _, found, err = s.Get("/m/missing"); err != nil || found {
 				t.Fatalf("missing get = (%v,%v)", found, err)
 			}
-			kvs, err := s.Range("/m/")
+			kvs, err := tc.scan(s, "/m/")
 			if err != nil || len(kvs) != 6 {
 				t.Fatalf("range = (%d kvs, %v), want 6", len(kvs), err)
 			}
@@ -85,20 +71,21 @@ func TestReadModesAgree(t *testing.T) {
 	}
 }
 
-// TestReadIndexReadsCostNoProposals: the acceptance criterion's core
-// number — read-index and leaseread Get/Range issue zero Raft
-// proposals, propose-mode reads one each.
+// TestReadIndexReadsCostNoProposals: Get/Range cost zero Raft
+// proposals, whether the lease answers them or each pays a confirmation
+// round.
 func TestReadIndexReadsCostNoProposals(t *testing.T) {
-	s, _ := newModeStore(t, 3, ReadModeReadIndex)
-	if _, err := s.Put("/p/k", "v"); err != nil {
-		t.Fatal(err)
-	}
 	const reads = 25
-	for _, mode := range []string{ReadModeReadIndex, ReadModeLease} {
-		if err := s.SetReadMode(mode); err != nil {
+	for _, lease := range []bool{true, false} {
+		var mods []func(*raft.Config)
+		if !lease {
+			mods = append(mods, noLease)
+		}
+		s, _ := newTestStore(t, 3, mods...)
+		if _, err := s.Put("/p/k", "v"); err != nil {
 			t.Fatal(err)
 		}
-		base := s.Proposals()
+		base, rounds := s.Proposals(), s.ReadStats().Rounds
 		for i := 0; i < reads; i++ {
 			if _, _, err := s.Get("/p/k"); err != nil {
 				t.Fatal(err)
@@ -108,21 +95,11 @@ func TestReadIndexReadsCostNoProposals(t *testing.T) {
 			}
 		}
 		if got := s.Proposals() - base; got != 0 {
-			t.Fatalf("%s mode issued %d proposals for %d reads, want 0", mode, got, 2*reads)
+			t.Fatalf("lease %v: %d proposals for %d reads, want 0", lease, got, 2*reads)
 		}
-	}
-
-	if err := s.SetReadMode(ReadModePropose); err != nil {
-		t.Fatal(err)
-	}
-	base := s.Proposals()
-	for i := 0; i < reads; i++ {
-		if _, _, err := s.Get("/p/k"); err != nil {
-			t.Fatal(err)
+		if got := s.ReadStats().Rounds - rounds; !lease && got < 2*reads {
+			t.Fatalf("without a lease %d reads paid %d rounds, want one each", 2*reads, got)
 		}
-	}
-	if got := s.Proposals() - base; got < reads {
-		t.Fatalf("propose mode issued %d proposals for %d reads, want >= %d", got, reads, reads)
 	}
 }
 
@@ -132,18 +109,15 @@ func TestReadIndexReadsCostNoProposals(t *testing.T) {
 // return a value at least as new — never an older acknowledged state,
 // which is exactly what a deposed leader serving reads from its local
 // snapshot (or a stale check-quorum lease outliving its bound) would
-// produce. Run in both linearizable modes: the lease fast path must
-// survive the same storm as dedicated rounds.
+// produce. Run with a lease and with none: the lease fast path must
+// survive the same storm as a round per read.
 func TestReadIndexLinearizableUnderLeaderPartition(t *testing.T) {
-	for _, mode := range []string{ReadModeReadIndex, ReadModeLease} {
-		t.Run(mode, func(t *testing.T) {
-			testLinearizableUnderLeaderPartition(t, mode)
-		})
-	}
+	t.Run("readindex", func(t *testing.T) { testLinearizableUnderLeaderPartition(t, noLease) })
+	t.Run("leaseread", func(t *testing.T) { testLinearizableUnderLeaderPartition(t) })
 }
 
-func testLinearizableUnderLeaderPartition(t *testing.T, mode string) {
-	s, clk := newModeStore(t, 3, mode)
+func testLinearizableUnderLeaderPartition(t *testing.T, mods ...func(*raft.Config)) {
+	s, clk := newTestStore(t, 3, mods...)
 
 	var acked int64 // highest value whose Put was acknowledged
 	partitioned := -1
@@ -194,12 +168,13 @@ func testLinearizableUnderLeaderPartition(t *testing.T, mode string) {
 	}
 }
 
-// TestSerializableBoundedStaleness: with the quorum gone, read-index
-// reads block (and time out) rather than guess — while serializable
-// reads keep answering from local state with a previously acknowledged
-// value: bounded staleness, not wrongness.
+// TestSerializableBoundedStaleness: with the quorum gone, linearizable
+// reads block (and time out) rather than guess — while SerializableRange
+// keeps answering from local state with a previously acknowledged value:
+// bounded staleness, not wrongness. Without a lease, so the Get cannot
+// ride one granted just before the cut.
 func TestSerializableBoundedStaleness(t *testing.T) {
-	s, clk := newModeStore(t, 3, ReadModeReadIndex)
+	s, clk := newTestStore(t, 3, noLease)
 	s.timeout = 2 * time.Second // keep the no-quorum timeout cheap
 
 	acked := make(map[string]bool)
@@ -238,12 +213,16 @@ func TestSerializableBoundedStaleness(t *testing.T) {
 		t.Fatalf("read-index get without quorum = %v, want ErrTimeout", err)
 	}
 
-	if err := s.SetReadMode(ReadModeSerializable); err != nil {
-		t.Fatal(err)
+	read := func() (string, error) {
+		kvs, err := s.SerializableRange("/s/k")
+		if err != nil || len(kvs) != 1 {
+			return "", fmt.Errorf("%d keys, %v", len(kvs), err)
+		}
+		return kvs[0].Value, nil
 	}
-	v, found, err := s.Get("/s/k")
-	if err != nil || !found {
-		t.Fatalf("serializable get without quorum = (%v,%v), want a value", found, err)
+	v, err := read()
+	if err != nil {
+		t.Fatalf("serializable read without quorum: %v, want a value", err)
 	}
 	if !acked[v] {
 		t.Fatalf("serializable read returned %q, not any acknowledged value", v)
@@ -257,7 +236,7 @@ func TestSerializableBoundedStaleness(t *testing.T) {
 	if _, err := s.Put("/s/k", "v6"); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("put without quorum = %v, want ErrTimeout", err)
 	}
-	v, _, err = s.Get("/s/k")
+	v, err = read()
 	if err != nil || !acked[v] {
 		t.Fatalf("serializable read after failed write = (%q,%v), want an acknowledged value", v, err)
 	}
@@ -266,11 +245,10 @@ func TestSerializableBoundedStaleness(t *testing.T) {
 	s.HealNode(ids[1])
 }
 
-// TestSerializableRangeOptIn: SerializableRange bypasses the store's
-// configured mode — it answers without quorum even when the store
-// default is read-index.
+// TestSerializableRangeOptIn: SerializableRange answers without quorum
+// where Range, a round per read here, cannot.
 func TestSerializableRangeOptIn(t *testing.T) {
-	s, _ := newModeStore(t, 3, ReadModeReadIndex)
+	s, _ := newTestStore(t, 3, noLease)
 	s.timeout = 2 * time.Second
 	for i := 0; i < 3; i++ {
 		if _, err := s.Put(fmt.Sprintf("/gc/j1/k%d", i), "x"); err != nil {
@@ -293,10 +271,9 @@ func TestSerializableRangeOptIn(t *testing.T) {
 }
 
 // TestOpCountsSplitFailures: timed-out reads land in the failure
-// counters, so RangeOps (the watch-vs-poll denominator) only counts
-// scans that actually completed.
+// counters, so RangeOps only counts scans that actually completed.
 func TestOpCountsSplitFailures(t *testing.T) {
-	s, _ := newModeStore(t, 3, ReadModeReadIndex)
+	s, _ := newTestStore(t, 3, noLease)
 	s.timeout = time.Second
 	if _, err := s.Put("/c/k", "v"); err != nil {
 		t.Fatal(err)

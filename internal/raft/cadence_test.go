@@ -19,10 +19,14 @@ import (
 const linkLatency = time.Millisecond // what NewCluster gives every link
 
 // newManualCluster boots n nodes on a clock only clocktest.Run moves.
-func newManualCluster(t *testing.T, n int) (*Cluster, *clock.Sim) {
+func newManualCluster(t *testing.T, n int, mods ...func(*Config)) (*Cluster, *clock.Sim) {
 	t.Helper()
 	clk := clock.NewManual()
-	c := NewCluster(n, DefaultConfig(clk))
+	cfg := DefaultConfig(clk)
+	for _, mod := range mods {
+		mod(&cfg)
+	}
+	c := NewCluster(n, cfg)
 	t.Cleanup(func() {
 		c.Stop()
 		clk.Close()

@@ -129,8 +129,8 @@ func (c *Cluster) Restart(id int) *Node {
 	if !ok {
 		panic(fmt.Sprintf("raft: unknown node %d", id))
 	}
-	// nodeConfig re-reads c.cfg, so runtime toggles (SetLeaseReads,
-	// SetReadCoalescing) and the node's clock skew survive the restart.
+	// nodeConfig keeps the node's skewable clock, so its skew survives the
+	// restart.
 	n := startNode(id, c.ids, c.nodeConfig(id), st, c.trans)
 	if c.mtr != nil {
 		n.setRegistry(c.mtr)
@@ -159,32 +159,6 @@ func (c *Cluster) ClockSkew(id int) time.Duration {
 		return sk.Offset()
 	}
 	return 0
-}
-
-// SetLeaseReads toggles check-quorum lease reads cluster-wide,
-// including nodes booted by later Restarts.
-func (c *Cluster) SetLeaseReads(on bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cfg.LeaseReads = on
-	for _, n := range c.nodes {
-		if n != nil {
-			n.SetLeaseReads(on)
-		}
-	}
-}
-
-// SetReadCoalescing toggles read-round coalescing cluster-wide,
-// including nodes booted by later Restarts.
-func (c *Cluster) SetReadCoalescing(on bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cfg.CoalesceReads = on
-	for _, n := range c.nodes {
-		if n != nil {
-			n.SetReadCoalescing(on)
-		}
-	}
 }
 
 // ReadStats sums the read-path counters of every live node. Crashed

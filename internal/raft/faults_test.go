@@ -18,15 +18,11 @@ var lossy = LinkFaults{Loss: 0.05, Dup: 0.05, Reorder: 3 * testLatency}
 // packet loss, duplication, and reordering", so every safety check runs
 // as is; whatever needs progress is asserted after the links heal.
 //
-// TestQuickPipelineEquivalence is not here: its oracle is equality of two
-// runs, which presumes no accepted proposal is ever lost, and an election
-// that loss provokes may lose one legitimately. Stop-and-wait replication
-// faces the lossy links through CommittedPrefixAgreement instead.
+// TestQuickPipelineEquivalence is not here: its model is the proposal
+// sequence, which presumes no accepted proposal is ever lost, and an
+// election that loss provokes may lose one legitimately.
 func TestSuitesUnderLinkFaults(t *testing.T) {
-	t.Run("CommittedPrefixAgreement", func(t *testing.T) { quickCommittedPrefixAgreement(t, lossy, nil) })
-	t.Run("CommittedPrefixAgreementStopWait", func(t *testing.T) {
-		quickCommittedPrefixAgreement(t, lossy, func(cfg *Config) { cfg.MaxInflightEntries = 1 })
-	})
+	t.Run("CommittedPrefixAgreement", func(t *testing.T) { quickCommittedPrefixAgreement(t, lossy) })
 	t.Run("LeaderAppendOnly", func(t *testing.T) { quickLeaderAppendOnly(t, lossy) })
 	t.Run("VotesArePersisted", func(t *testing.T) { quickVotesArePersisted(t, lossy) })
 	t.Run("AppliesDeliveredInOrder", func(t *testing.T) { appliesDeliveredInOrder(t, lossy) })

@@ -100,13 +100,17 @@ func TestLeaseReadsSkipRounds(t *testing.T) {
 	}
 }
 
-// TestLeaseDisabledPaysRounds: the A/B hatch — with leases off every
-// read pays a confirmation round (coalescing off too, so exactly one).
-// On a manual clock, so a kernel time slice cannot cost a round its acks.
+// noLease leaves the check-quorum lease no length: a drift bound as long
+// as the shortest election timeout makes every read pay a confirmation
+// round.
+func noLease(cfg *Config) { cfg.MaxClockDrift = cfg.ElectionTimeoutMin }
+
+// TestLeaseDisabledPaysRounds: with a zero-length lease every read pays a
+// confirmation round, and a sequential read has nobody to share it with,
+// so exactly one. On a manual clock, so a kernel time slice cannot cost a
+// round its acks.
 func TestLeaseDisabledPaysRounds(t *testing.T) {
-	c, clk := newManualCluster(t, 3)
-	c.SetLeaseReads(false)
-	c.SetReadCoalescing(false)
+	c, clk := newManualCluster(t, 3, noLease)
 	clocktest.Run(clk, time.Second)
 	proposeOK(t, c, manual{clk}, "w0")
 	waitCommitted(t, c, manual{clk}, 1, 10*time.Second)
@@ -121,19 +125,18 @@ func TestLeaseDisabledPaysRounds(t *testing.T) {
 	}
 	after := c.ReadStats()
 	if got := after.LeaseReads - before.LeaseReads; got != 0 {
-		t.Fatalf("disabled lease still served %d reads", got)
+		t.Fatalf("a zero-length lease served %d reads", got)
 	}
 	if got := after.Rounds - before.Rounds; got != reads {
 		t.Fatalf("sequential reads cost %d rounds, want %d", got, reads)
 	}
 }
 
-// TestCoalescedReadsShareRounds: with leases off but coalescing on,
-// concurrent ReadIndex calls join shared confirmation rounds — one
-// in-flight round plus one queued — instead of launching one each.
+// TestCoalescedReadsShareRounds: with a zero-length lease, concurrent
+// ReadIndex calls join shared confirmation rounds — one in-flight round
+// plus one queued — instead of launching one each.
 func TestCoalescedReadsShareRounds(t *testing.T) {
-	c, clk := newTestCluster(t, 3)
-	c.SetLeaseReads(false)
+	c, clk := newTestClusterCfg(t, 3, noLease)
 	proposeOK(t, c, clk, "w0")
 	waitCommitted(t, c, clk, 1, 10*time.Second)
 	l := warmLease(t, c)

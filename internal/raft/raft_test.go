@@ -353,10 +353,13 @@ func TestProposeOnFollowerRejected(t *testing.T) {
 	}
 }
 
+// TestPersistenceAcrossRestart runs on a manual clock: on one that
+// advances by itself, a kernel time slice could cost a round its acks.
 func TestPersistenceAcrossRestart(t *testing.T) {
-	c, clk := newTestCluster(t, 3)
-	proposeOK(t, c, clk, "durable")
-	waitCommitted(t, c, clk, 1, 10*time.Second)
+	c, clk := newManualCluster(t, 3)
+	clocktest.Run(clk, time.Second)
+	proposeOK(t, c, manual{clk}, "durable")
+	waitCommitted(t, c, manual{clk}, 1, 10*time.Second)
 
 	// Restart every node one at a time; the log must persist.
 	for _, id := range c.IDs() {
@@ -370,7 +373,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 		if len(log) >= 1 && string(log[0].Cmd) == "durable" {
 			return
 		}
-		clk.Sleep(50 * time.Millisecond)
+		clocktest.Run(clk, 50*time.Millisecond)
 	}
 	t.Fatal("log lost across restart")
 }

@@ -238,8 +238,7 @@ func (s *server) trace(w http.ResponseWriter, r *http.Request) {
 	}
 	t := s.p.Trace().Tree(id)
 	if t == nil {
-		writeError(w, http.StatusNotFound,
-			fmt.Errorf("no trace recorded for job %s (tracing off?)", id))
+		writeError(w, http.StatusNotFound, fmt.Errorf("no trace recorded for job %s", id))
 		return
 	}
 	writeJSON(w, http.StatusOK, TraceBody{Trace: t, CriticalPath: trace.CriticalPath(t)})

@@ -78,7 +78,7 @@ func WithCallLatency(d time.Duration) Option {
 // WithTracer attaches a span recorder: a call whose context carries a
 // trace.SpanContext is wrapped in an "rpc:<service>/<method>" child
 // span, and the handler sees the context re-pointed at that span. A
-// nil recorder (tracing off) is accepted and ignored.
+// nil recorder is accepted and ignored.
 func WithTracer(r *trace.Recorder) Option {
 	return func(b *Bus) { b.tracer = r }
 }

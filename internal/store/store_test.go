@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/clock/clocktest"
 )
 
 func newTestEngine(t *testing.T, shards int) *Engine {
@@ -318,8 +319,12 @@ func TestLeaseExpiryDeletesAttachedKeysAtomically(t *testing.T) {
 	t.Fatal("leased keys survived expiry")
 }
 
+// TestLeaseKeepAliveAndRevoke runs on a manual clock: on one that advances
+// by itself, the lease's expiry is the only pending event, and the clock
+// jumps to it whenever the kernel takes this goroutine off the CPU
+// between a wait and its keep-alive.
 func TestLeaseKeepAliveAndRevoke(t *testing.T) {
-	clk := clock.NewSim()
+	clk := clock.NewManual()
 	defer clk.Close()
 	e := newTestEngine(t, 4)
 	lease, err := e.GrantLease(clk, 2*time.Second)
@@ -330,7 +335,7 @@ func TestLeaseKeepAliveAndRevoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		clk.Sleep(time.Second)
+		clocktest.Run(clk, time.Second)
 		if err := lease.KeepAlive(); err != nil {
 			t.Fatalf("keepalive %d: %v", i, err)
 		}

@@ -70,44 +70,6 @@ type Options struct {
 	// the moment of eviction instead of the last periodic checkpoint.
 	// Sub-second values effectively test the force-eviction path.
 	EvictionGracePeriod time.Duration
-	// ImmediateEviction restores the pre-protocol behavior for A/B
-	// comparison: preemption and node drain kill learner pods instantly,
-	// and a job forfeits up to a full CheckpointInterval of training.
-	ImmediateEviction bool
-
-	// ReadMode selects how etcd Get/Range (and read-only Txn) are
-	// served: "leaseread" (the default) answers linearizably at
-	// amortized quorum cost — check-quorum leases make reads free while
-	// the leader's lease is live, and coalesced confirmation rounds
-	// resolve every concurrent read at once when it is not;
-	// "readindex" pays one dedicated leader heartbeat round per read
-	// (the pre-lease behavior, kept for A/B comparison — see
-	// BenchmarkEtcdReads); "propose" sequences every read through the
-	// Raft log (the pre-read-index behavior, same A/B role);
-	// "serializable" reads any live replica's local state with bounded
-	// staleness and no quorum requirement.
-	ReadMode string
-
-	// Replication selects the Raft replication discipline: "pipeline"
-	// (the default) keeps a bounded in-flight AppendEntries window per
-	// follower with optimistic nextIndex advance; "stopwait" re-ships
-	// the full pending suffix each broadcast and advances only on acks
-	// (the pre-pipelining behavior, kept for A/B comparison).
-	Replication string
-
-	// ControlPlane selects how the core services observe state changes:
-	// "watch" (the default) drives the Guardian and LCM from
-	// revision-ordered etcd watches and the metadata change feed, with
-	// long-interval polls kept only as a liveness backstop; "poll"
-	// preserves the pre-refactor fixed-interval polling loops for A/B
-	// comparison (see BenchmarkControlPlane).
-	ControlPlane string
-
-	// Tracing enables ("on", the default) or disables ("off") the
-	// deterministic span recorder: job-lifecycle span trees on the
-	// virtual clock, served via /traces/{jobID} and Platform.Trace().
-	// "off" exists for the overhead A/B (see BenchmarkTraceOverhead).
-	Tracing string
 
 	// MaxDeployAttempts bounds Guardian deployment retries (default 3).
 	MaxDeployAttempts int
@@ -141,12 +103,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.EvictionGracePeriod <= 0 {
 		o.EvictionGracePeriod = 30 * time.Second
-	}
-	if o.ControlPlane == "" {
-		o.ControlPlane = core.ControlPlaneWatch
-	}
-	if o.Tracing == "" {
-		o.Tracing = "on"
 	}
 	return o
 }
@@ -193,19 +149,7 @@ func New(opts Options) (*Platform, error) {
 		p.closePartial()
 		return nil, fmt.Errorf("dlaas: unknown GPU type %q", opts.GPUType)
 	}
-	if opts.ControlPlane != core.ControlPlaneWatch && opts.ControlPlane != core.ControlPlanePoll {
-		p.closePartial()
-		return nil, fmt.Errorf("dlaas: unknown control plane %q", opts.ControlPlane)
-	}
-	switch opts.Tracing {
-	case "on":
-		p.trace = trace.NewRecorder(p.clk)
-	case "off":
-		// p.trace stays nil; every trace call site is nil-safe.
-	default:
-		p.closePartial()
-		return nil, fmt.Errorf("dlaas: unknown tracing mode %q", opts.Tracing)
-	}
+	p.trace = trace.NewRecorder(p.clk)
 
 	p.metrics = metrics.NewRegistry()
 	p.nfs = nfs.NewServer(p.clk)
@@ -214,19 +158,12 @@ func New(opts Options) (*Platform, error) {
 	p.store = objectstore.New(p.clk, p.link)
 	p.mongo = mongo.NewSharded(p.clk, opts.MetadataShards)
 	p.mongo.Instrument(p.metrics)
-	kv, err := etcd.NewWithOptions(opts.EtcdReplicas, p.clk, etcd.StoreOptions{
-		Shards:      opts.MetadataShards,
-		Replication: opts.Replication,
-	})
+	kv, err := etcd.NewWithOptions(opts.EtcdReplicas, p.clk, etcd.StoreOptions{Shards: opts.MetadataShards})
 	if err != nil {
 		p.closePartial()
 		return nil, fmt.Errorf("dlaas: %w", err)
 	}
 	p.etcd = kv
-	if err := p.etcd.SetReadMode(opts.ReadMode); err != nil {
-		p.closePartial()
-		return nil, fmt.Errorf("dlaas: %w", err)
-	}
 	p.etcd.Instrument(p.metrics)
 	p.bus = rpc.NewBus(p.clk, rpc.WithTracer(p.trace))
 
@@ -238,17 +175,13 @@ func New(opts Options) (*Platform, error) {
 			GPUType: opts.GPUType,
 		})
 	}
-	grace := opts.EvictionGracePeriod
-	if opts.ImmediateEviction {
-		grace = 0
-	}
 	p.cluster = kube.NewCluster(kube.Config{
 		Clock:               p.clk,
 		NFS:                 p.nfs,
 		Scheduling:          opts.Scheduling,
 		DisablePreemption:   opts.DisablePreemption,
 		DisableBackfill:     opts.DisableBackfill,
-		EvictionGracePeriod: grace,
+		EvictionGracePeriod: opts.EvictionGracePeriod,
 		Seed:                opts.Seed,
 		Trace:               p.trace,
 	}, nodes...)
@@ -272,7 +205,6 @@ func New(opts Options) (*Platform, error) {
 	lcmSvc := lcm.New(p.deps)
 	lcmSvc.GuardianStepDelay = opts.GuardianStepDelay
 	lcmSvc.MaxDeployAttempts = opts.MaxDeployAttempts
-	lcmSvc.ControlPlane = opts.ControlPlane
 
 	p.apiDep, err = p.cluster.CreateDeployment("dlaas-api", opts.APIReplicas, kube.PodSpec{
 		Labels:        map[string]string{"app": "dlaas-api"},
@@ -341,7 +273,8 @@ func (p *Platform) Chaos() *chaos.Injector { return p.chaos }
 // request metering, API latencies, and operational gauges.
 func (p *Platform) Metrics() *metrics.Registry { return p.metrics }
 
-// Trace exposes the platform span recorder (nil when Tracing is off).
+// Trace exposes the platform span recorder: job-lifecycle span trees on
+// the virtual clock, also served via /traces/{jobID}.
 func (p *Platform) Trace() *trace.Recorder { return p.trace }
 
 // Cluster exposes the underlying simulated Kubernetes cluster.

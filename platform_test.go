@@ -1033,64 +1033,3 @@ func TestInvalidManifestRejected(t *testing.T) {
 		t.Fatal("zero learners accepted")
 	}
 }
-
-// TestReadModeOptionThreadsThrough: the platform wires Options.ReadMode
-// into etcd — the propose escape hatch still completes jobs end to end
-// (the A/B the read-index refactor is measured against), and an unknown
-// mode is rejected at boot instead of surfacing as mystery read
-// behavior later.
-func TestReadModeOptionThreadsThrough(t *testing.T) {
-	skipIfShort(t)
-	if _, err := New(Options{ReadMode: "eventually-ish"}); err == nil {
-		t.Fatal("unknown read mode accepted")
-	}
-
-	p := newTestPlatform(t, Options{ReadMode: "propose"})
-	if got := p.Etcd().ReadMode(); got != "propose" {
-		t.Fatalf("etcd read mode = %q, want propose", got)
-	}
-	client := p.Client("rmode")
-	id, err := client.Submit(testManifest(t, p, "rmode", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.WaitForState(id, StateCompleted, 2*time.Hour); err != nil {
-		t.Fatalf("job did not complete in propose read mode: %v", err)
-	}
-
-	// The default platform runs lease reads; its reads must not grow the
-	// Raft log the way propose-mode reads do.
-	if got := newTestPlatform(t, Options{}).Etcd().ReadMode(); got != "leaseread" {
-		t.Fatalf("default read mode = %q, want leaseread", got)
-	}
-}
-
-// TestReplicationOptionThreadsThrough: the platform wires
-// Options.Replication into etcd — the legacy stop-and-wait discipline
-// (the baseline BenchmarkEtcdWrites measures pipelining against) still
-// completes jobs end to end, and unknown modes are rejected at boot.
-func TestReplicationOptionThreadsThrough(t *testing.T) {
-	skipIfShort(t)
-	if _, err := New(Options{Replication: "telepathy"}); err == nil {
-		t.Fatal("unknown replication mode accepted")
-	}
-
-	p := newTestPlatform(t, Options{Replication: "stopwait"})
-	if got := p.Etcd().Replication(); got != "stopwait" {
-		t.Fatalf("etcd replication = %q, want stopwait", got)
-	}
-	client := p.Client("wmode")
-	id, err := client.Submit(testManifest(t, p, "wmode", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.WaitForState(id, StateCompleted, 2*time.Hour); err != nil {
-		t.Fatalf("job did not complete in stopwait mode: %v", err)
-	}
-
-	// The default platform replicates through the pipelined window.
-	d := newTestPlatform(t, Options{})
-	if got := d.Etcd().Replication(); got != "pipeline" {
-		t.Fatalf("default replication = %q, want pipeline", got)
-	}
-}

@@ -285,24 +285,3 @@ func TestTraceWedgedLearnerShowsOpenStall(t *testing.T) {
 		t.Fatalf("halt of wedged job failed: %v (state %s)", err, rec.State)
 	}
 }
-
-// TestLegacyEnvelopeInteropAtPlatformLevel: a tracing-off platform must
-// run the identical envelope path with empty trace fields end to end —
-// the legacy-decode guarantee exercised through the real stack rather
-// than unit fixtures.
-func TestTracingOffRunsClean(t *testing.T) {
-	skipIfShort(t)
-	p := newTestPlatform(t, Options{Tracing: "off"})
-	client := p.Client("notrace")
-	m := testManifest(t, p, "notrace", 1)
-	id, err := client.Submit(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec, err := client.WaitForState(id, StateCompleted, 2*time.Hour); err != nil {
-		t.Fatalf("tracing-off job did not complete: %v (state %s, reason %q)", err, rec.State, rec.Reason)
-	}
-	if tree := p.Trace().Tree(id); tree != nil {
-		t.Fatal("tracing off but a trace was recorded")
-	}
-}
