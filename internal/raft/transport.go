@@ -26,6 +26,8 @@ type Transport struct {
 	inboxes     map[int]chan<- message
 	partitioned map[int]bool
 	drops       Drops // drops decided before a message reaches its link
+	// tap, if set, sees every message sent, at the instant it is sent.
+	tap func(at time.Time, from, to int, msg message)
 }
 
 type linkKey struct{ from, to int }
@@ -178,6 +180,9 @@ func (t *Transport) Dropped() Drops {
 // send queues msg on the from → to link.
 func (t *Transport) send(from, to int, msg message) {
 	t.mu.Lock()
+	if t.tap != nil {
+		t.tap(t.clk.Now(), from, to, msg)
+	}
 	inbox, ok := t.inboxes[to]
 	switch {
 	case !ok:
