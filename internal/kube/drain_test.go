@@ -55,8 +55,10 @@ func TestCordonExcludesFromScheduling(t *testing.T) {
 	waitPhase(t, c, clk, "waiting", PodRunning, 30*time.Second)
 }
 
+// TestCordonDoesNotDisturbRunningPods runs on a manual clock, like
+// TestGPUSchedulingCapacity.
 func TestCordonDoesNotDisturbRunningPods(t *testing.T) {
-	c, clk := newTestCluster(t, NodeSpec{Name: "n1", GPUs: 4, GPUType: "K80"})
+	c, clk := newManualCluster(t, NodeSpec{Name: "n1", GPUs: 4, GPUType: "K80"})
 	p, err := c.CreatePod(sleeperSpec("stays", time.Hour, 0))
 	if err != nil {
 		t.Fatal(err)

@@ -6,11 +6,38 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/clock/clocktest"
 )
 
 func newTestCluster(t *testing.T, nodes ...NodeSpec) (*Cluster, *clock.Sim) {
 	t.Helper()
-	clk := clock.NewSim()
+	return newTestClusterOn(t, clock.NewSim(), nodes...)
+}
+
+// newManualCluster is newTestCluster on a clock that only the test moves
+// (clocktest.Run, through manual{clk}), so a test's timeline does not
+// depend on how the kernel slices the run.
+func newManualCluster(t *testing.T, nodes ...NodeSpec) (*Cluster, manual) {
+	t.Helper()
+	c, clk := newTestClusterOn(t, clock.NewManual(), nodes...)
+	return c, manual{clk}
+}
+
+// manual sleeps by running a manual clock forward: every instant of the
+// sleep runs to a stop before the next.
+type manual struct{ *clock.Sim }
+
+func (m manual) Sleep(d time.Duration) { clocktest.Run(m.Sim, d) }
+
+// sleeper is the clock waitPhase polls on: a *clock.Sim that advances by
+// itself, or a manual one.
+type sleeper interface {
+	Now() time.Time
+	Sleep(time.Duration)
+}
+
+func newTestClusterOn(t *testing.T, clk *clock.Sim, nodes ...NodeSpec) (*Cluster, *clock.Sim) {
+	t.Helper()
 	if len(nodes) == 0 {
 		nodes = []NodeSpec{
 			{Name: "node-a", GPUs: 4, GPUType: "K80"},
@@ -30,7 +57,7 @@ func newTestCluster(t *testing.T, nodes ...NodeSpec) (*Cluster, *clock.Sim) {
 // for longer than the clock's quiet span, the clock may jump past the
 // deadline to the pod's own next event (a sleeper's hour), and the pod
 // may be in ph by then.
-func waitPhase(t *testing.T, c *Cluster, clk *clock.Sim, name string, ph PodPhase, timeout time.Duration) {
+func waitPhase(t *testing.T, c *Cluster, clk sleeper, name string, ph PodPhase, timeout time.Duration) {
 	t.Helper()
 	deadline := clk.Now().Add(timeout)
 	for {
@@ -110,8 +137,11 @@ func TestDuplicatePodName(t *testing.T) {
 	}
 }
 
+// TestGPUSchedulingCapacity runs on a manual clock: on one that advances
+// by itself, a kernel time slice can let the clock jump to a pod's next
+// event before the kubelet has started it.
 func TestGPUSchedulingCapacity(t *testing.T) {
-	c, clk := newTestCluster(t, NodeSpec{Name: "n1", GPUs: 2, GPUType: "K80"})
+	c, clk := newManualCluster(t, NodeSpec{Name: "n1", GPUs: 2, GPUType: "K80"})
 	spec := sleeperSpec("gpu-a", time.Hour, 0)
 	spec.GPUs = 2
 	if _, err := c.CreatePod(spec); err != nil {

@@ -49,147 +49,128 @@ const (
 
 var wakeCauseNames = [...]string{"propose", "read", "vote", "client", "peer", "start"}
 
-// Wake tells the node that a client asked it for service and did not get
-// it: found no leader, or had a request to the leader it knew fail. On a
-// node that is not on the idle cadence it does nothing. An idle leader
-// shows itself with a round at once; any other idle node takes a fresh
-// normal election timeout and tells its peers, so that a cluster whose
-// leader died during an idle spell elects a new one within one ordinary
-// timeout of the first request instead of idleFactor of them.
-func (n *Node) Wake() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.stopped || !n.wakeLocked(wakeClient) {
+// onWake is Node.Wake: a client asked this node for service and did not
+// get it. An idle leader shows itself with a round at once; any other idle
+// node takes a fresh normal election timeout and tells its peers.
+func (c *core) onWake() {
+	if !c.wake(wakeClient) {
 		return
 	}
-	if n.state == Leader {
-		n.broadcastAppendLocked()
+	if c.state == Leader {
+		c.broadcastAppend()
 	} else {
-		n.sendPeers(wake{}.wire())
+		c.sendPeers(wake{}.wire())
 	}
 }
 
-func (n *Node) handleWake(msg wake) {
+func (c *core) handleWake(msg wake) {
 	cause := wakePeer
 	if msg.Start {
 		cause = wakeStart
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.wakeLocked(cause) && n.state == Leader {
-		n.broadcastAppendLocked()
+	if c.wake(cause) && c.state == Leader {
+		c.broadcastAppend()
 	}
 }
 
-// wakeLocked puts the node's own timer back on the fast cadence and
-// reports whether it was on the idle one. A leader's caller follows it
-// with a round (which is what tells the followers).
-func (n *Node) wakeLocked(cause wakeCause) bool {
+// wake puts the node's own timer back on the fast cadence and reports
+// whether it was on the idle one. A leader's caller follows it with a
+// round (which is what tells the followers).
+func (c *core) wake(cause wakeCause) bool {
 	// An offer still out is withdrawn: acceptances on their way no longer
 	// count, whatever order the links deliver them in.
-	n.roundIdle = false
-	if !n.idle {
+	c.roundIdle = false
+	if !c.idle {
 		return false
 	}
-	if reg := n.mtr.Load(); reg != nil {
-		reg.Inc("raft_wakes", n.mtrLabel, wakeCauseNames[cause])
+	if c.mtr != nil {
+		c.mtr.Inc("raft_wakes", c.mtrLabel, wakeCauseNames[cause])
 	}
-	if n.state == Leader {
-		n.setLeaderCadenceLocked(false)
+	if c.state == Leader {
+		c.setLeaderCadence(false)
 	} else {
-		n.resetElectionTimerLocked()
+		c.resetElectionTimer()
 	}
 	return true
 }
 
-// setLeaderCadenceLocked puts the leader's heartbeat on the idle or the
-// fast cadence, counted from now.
-func (n *Node) setLeaderCadenceLocked(idle bool) {
-	d := n.cfg.HeartbeatInterval
+// setLeaderCadence puts the leader's heartbeat on the idle or the fast
+// cadence, counted from now.
+func (c *core) setLeaderCadence(idle bool) {
+	d := c.cfg.HeartbeatInterval
 	if idle {
 		d *= idleFactor
 	}
-	n.idle = idle
-	n.heartbeat.Reset(d)
+	c.idle = idle
+	c.emit(effect{kind: setHeartbeat, d: d})
 }
 
 // onHeartbeat is the leader's tick: start the next round, offering the
 // idle cadence if the log is settled. The ticker keeps its period unless
 // the tick finds a spell over that nothing woke the leader from — a
 // follower stopped answering — or a leader with nobody to ask.
-func (n *Node) onHeartbeat() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.state != Leader {
+func (c *core) onHeartbeat() {
+	if c.state != Leader {
 		return // a tick that raced the step-down
 	}
-	offer := n.settledLocked()
-	n.startRoundLocked(offer)
+	offer := c.settled()
+	c.startRound(offer)
 	if offer {
-		n.statIdleRounds.Add(1)
-		if reg := n.mtr.Load(); reg != nil {
-			reg.Inc("raft_idle_rounds", n.mtrLabel)
+		c.repl.IdleRounds++
+		if c.mtr != nil {
+			c.mtr.Inc("raft_idle_rounds", c.mtrLabel)
 		}
 	}
-	if idle := offer && (n.idle || n.followers == 0); idle != n.idle {
-		n.setLeaderCadenceLocked(idle)
+	if idle := offer && (c.idle || c.followers == 0); idle != c.idle {
+		c.setLeaderCadence(idle)
 	}
 }
 
-// settledLocked reports whether the leader has nothing to tell anyone:
-// every follower answered the latest round, holds the whole log, and the
-// whole log is committed; no read round or snapshot transfer is in flight.
+// settled reports whether the leader has nothing to tell anyone: every
+// follower answered the latest round, holds the whole log, and the whole
+// log is committed; no read round or snapshot transfer is in flight.
 // Whether each follower also knows all of it is committed is for the
 // follower to say (handleAppendEntries).
-func (n *Node) settledLocked() bool {
-	if n.roundAcked != n.followers || len(n.pendingReads) > 0 || len(n.snapXfers) > 0 {
+func (c *core) settled() bool {
+	if c.roundAcked != c.followers || len(c.pendingReads) > 0 || len(c.snapXfers) > 0 {
 		return false
 	}
-	last := n.lastIndexLocked()
-	if n.commitIndex != last {
+	last := c.lastIndex()
+	if c.commitIndex != last {
 		return false
 	}
-	for _, p := range n.peers {
-		if n.matchIndex[p] != last {
+	for _, p := range c.peers {
+		if c.matchIndex[p] != last {
 			return false
 		}
 	}
 	return true
 }
 
-// observeRoundAckLocked counts a follower's ack toward the round it
-// answers — only the latest round counts — and, once every follower has
-// accepted that round's idle offer, puts the leader on the idle cadence.
-func (n *Node) observeRoundAckLocked(from int, msg appendEntriesResp) {
-	if msg.Seq != n.hbSeq {
+// observeRoundAck counts a follower's ack toward the round it answers —
+// only the latest round counts — and, once every follower has accepted
+// that round's idle offer, puts the leader on the idle cadence.
+func (c *core) observeRoundAck(from int, msg appendEntriesResp) {
+	if msg.Seq != c.hbSeq {
 		return
 	}
-	bit := n.peerBit(from)
-	n.roundAcked |= bit
-	if !msg.Idle || !n.roundIdle {
+	bit := c.peerBit(from)
+	c.roundAcked |= bit
+	if !msg.Idle || !c.roundIdle {
 		return
 	}
-	n.idleAgreed |= bit
-	if !n.idle && n.idleAgreed == n.followers {
-		n.setLeaderCadenceLocked(true)
+	c.idleAgreed |= bit
+	if !c.idle && c.idleAgreed == c.followers {
+		c.setLeaderCadence(true)
 	}
 }
 
 // peerBit is id's bit in the per-round acknowledgement masks.
-func (n *Node) peerBit(id int) uint64 {
-	for i, p := range n.peers {
+func (c *core) peerBit(id int) uint64 {
+	for i, p := range c.peers {
 		if p == id {
 			return 1 << uint(i)
 		}
 	}
 	return 0
-}
-
-// sendPeers sends msg to every other member.
-func (n *Node) sendPeers(msg message) {
-	for _, p := range n.peers {
-		if p != n.id {
-			n.trans.send(n.id, p, msg)
-		}
-	}
 }

@@ -53,13 +53,13 @@ func idleCluster(t *testing.T, n int) (*Cluster, *clock.Sim, *Node) {
 func onIdle(n *Node) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.idle
+	return n.core.idle
 }
 
 func roundsOf(n *Node) uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.hbSeq
+	return n.core.hbSeq
 }
 
 // followersOf returns the live nodes other than l.

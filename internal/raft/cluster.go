@@ -10,6 +10,71 @@ import (
 	"repro/internal/metrics"
 )
 
+// Config holds tunables shared by the nodes of one cluster.
+type Config struct {
+	// Clock drives all timeouts.
+	Clock clock.Clock
+	// ElectionTimeoutMin/Max bound the randomized follower timeout.
+	ElectionTimeoutMin time.Duration
+	ElectionTimeoutMax time.Duration
+	// HeartbeatInterval is the leader's AppendEntries cadence while
+	// anything is being asked of the log or a follower is behind or
+	// silent. Once the log is settled and every follower has agreed to
+	// an election timeout idleFactor times longer, rounds are
+	// idleFactor × HeartbeatInterval apart until the next demand.
+	HeartbeatInterval time.Duration
+	// Seed makes election randomization reproducible.
+	Seed int64
+
+	// MaxInflightEntries bounds how many log entries a leader may have
+	// sent to one follower beyond its acknowledged match index before
+	// further sends carry no entries (the AppendEntries pipeline
+	// window).
+	MaxInflightEntries int
+	// MaxInflightBytes bounds the same window by summed command bytes.
+	MaxInflightBytes int
+	// MaxAppendEntries caps how many entries ride in one AppendEntries
+	// message (0 = no per-message cap).
+	MaxAppendEntries int
+	// SnapChunkSize is the installSnapshot payload size: a lagging
+	// follower catches up through a stream of offset-addressed chunks
+	// instead of one monolithic message. <= 0 ships the snapshot whole.
+	SnapChunkSize int
+
+	// MaxClockDrift bounds how far apart any two node clocks are assumed
+	// to read. Every heartbeat round a quorum confirms extends a
+	// check-quorum lease of ElectionTimeoutMin - MaxClockDrift from the
+	// round's start, during which ReadIndex answers from the commit index
+	// with zero messages; a drift of ElectionTimeoutMin or more leaves no
+	// lease, and every read pays a round. It is the lease-read safety
+	// margin, enforced three ways: the lease duration is shortened by it,
+	// an append ack whose echoed clock reading deviates from the leader's
+	// by more than it kills the lease (and blocks re-arming off that
+	// follower), and a lease whose local clock has stepped behind the
+	// grant instant is refused. A negative value removes ALL three
+	// defenses — UNSAFE: a clock step can then leave a deposed leader
+	// serving stale lease reads. It exists only so tests can demonstrate
+	// the bound is load-bearing.
+	MaxClockDrift time.Duration
+}
+
+// DefaultConfig mirrors etcd's stock timing (scaled for the simulation)
+// with a pipeline window and chunked snapshot streaming.
+func DefaultConfig(clk clock.Clock) Config {
+	return Config{
+		Clock:              clk,
+		ElectionTimeoutMin: 150 * time.Millisecond,
+		ElectionTimeoutMax: 300 * time.Millisecond,
+		HeartbeatInterval:  50 * time.Millisecond,
+		Seed:               1,
+		MaxInflightEntries: 1024,
+		MaxInflightBytes:   1 << 20,
+		MaxAppendEntries:   64,
+		SnapChunkSize:      32 << 10,
+		MaxClockDrift:      20 * time.Millisecond,
+	}
+}
+
 // Cluster manages a fixed-membership set of Raft nodes with crash/restart
 // support. It is the unit the etcd layer builds on (the paper's "ETCD
 // itself is replicated (3-way), and uses the Raft consensus protocol").

@@ -55,10 +55,9 @@ func termIndex(m message) (uint64, uint64) {
 // the leader and a follower, loses a follower, compacts without it and
 // streams it the snapshot when it is back, has its leader cut off and
 // healed, is left alone long enough to go idle, and then pays a read
-// round. Every send
-// is recorded as (instant, from, to, kind, term, index) and compared with
-// testdata/golden_trace.txt; go test -run TestGoldenTrace -update
-// rewrites it.
+// round. Every send is recorded as (instant, from, to, kind, term, index)
+// and compared with testdata/golden_trace.txt;
+// go test ./internal/raft -run TestGoldenTrace -update rewrites it.
 //
 // Every node's links carry a different extra delay, so that no two
 // messages reach one node in the same instant; nothing a node does in an

@@ -360,10 +360,11 @@ func waitCommitIndex(t *testing.T, n *Node, clk sleeper, idx uint64) {
 func leaseServes(l *Node) (uint64, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.state != Leader {
+	if l.core.state != Leader {
 		return 0, false
 	}
-	return l.leaseReadLocked()
+	l.core.now = l.cfg.Clock.Now()
+	return l.core.leaseRead()
 }
 
 // TestLeaseSurvivesOneCutLink: the lease says "no other node can have won

@@ -209,33 +209,28 @@ func appliesDeliveredInOrder(t *testing.T, faults LinkFaults) {
 	}
 }
 
-// TestApplyQueueAllocs: handlers append committed entries straight onto
-// the apply queue, and the drainer swaps it with a spare it owns, so once
-// both have grown, committed entries reach applyCh without allocating (a
-// slice per commit and another per enqueue was ≈ 5 objects per write
-// across three replicas). Not parallel: AllocsPerRun counts the whole
-// process.
+// TestApplyQueueAllocs: a step appends committed entries straight onto
+// the driver's apply queue, and the run loop hands them to applyCh from it
+// in place, so once the queue has grown committed entries reach applyCh
+// without allocating (a slice per commit and another per enqueue was ≈ 5
+// objects per write across three replicas). On a one-node cluster whose
+// manual clock never moves, so nothing else steps it. Not parallel:
+// AllocsPerRun counts the whole process.
 func TestApplyQueueAllocs(t *testing.T) {
 	const perCommit, commits = 4, 200
-	n := &Node{
-		applyCh:   make(chan Apply, 256),
-		applyKick: make(chan struct{}, 1),
-		drainDone: make(chan struct{}),
-		stopCh:    make(chan struct{}),
-	}
+	c, _ := newManualCluster(t, 1)
+	n := c.Node(0)
+	n.mu.Lock()
 	for i := 1; i <= perCommit*commits; i++ {
-		n.log = append(n.log, Entry{Index: uint64(i), Term: 1, Cmd: []byte("x")})
+		n.core.log = append(n.core.log, Entry{Index: uint64(i), Term: 1, Cmd: []byte("x")})
 	}
-	go n.drainApplies()
-	defer func() {
-		close(n.stopCh)
-		<-n.drainDone
-	}()
+	n.mu.Unlock()
 	next := uint64(1)
 	commit := func() {
 		n.mu.Lock()
-		n.commitIndex += perCommit
-		n.enqueueAppliesLocked()
+		n.core.commitIndex += perCommit
+		n.core.enqueueApplies()
+		n.execute()
 		n.mu.Unlock()
 		for i := 0; i < perCommit; i++ {
 			if a := <-n.applyCh; a.Entry.Index != next {
@@ -244,7 +239,7 @@ func TestApplyQueueAllocs(t *testing.T) {
 			next++
 		}
 	}
-	for i := 0; i < commits/2; i++ { // both queues at size
+	for i := 0; i < commits/2; i++ { // the queue at size
 		commit()
 	}
 	if got := testing.AllocsPerRun(commits/2-1, commit); got != 0 {

@@ -378,7 +378,7 @@ func TestKthLargestAllocsAndReference(t *testing.T) {
 
 	// Both callers on a bare five-node leader: match indexes 9 7 8 2 1
 	// commit 7; acks 5 3 4 and a skewed follower's 9 confirm round 4.
-	n := &Node{
+	c := &core{
 		peers:      []int{0, 1, 2, 3, 4},
 		log:        []Entry{{Index: 1}, {Index: 2}, {Index: 3}, {Index: 4}, {Index: 5}, {Index: 6}, {Index: 7}, {Index: 8}, {Index: 9}},
 		matchIndex: map[int]uint64{0: 9, 1: 7, 2: 8, 3: 2, 4: 1},
@@ -386,14 +386,14 @@ func TestKthLargestAllocsAndReference(t *testing.T) {
 		skewBad:    map[int]bool{4: true},
 		roundStart: map[uint64]time.Time{4: time.Unix(0, 0)},
 	}
-	n.cfg.ElectionTimeoutMin = time.Second
+	c.cfg.ElectionTimeoutMin = time.Second
 	if got := testing.AllocsPerRun(100, func() {
-		n.advanceCommitLocked()
-		n.maybeExtendLeaseLocked()
+		c.advanceCommit()
+		c.maybeExtendLease()
 	}); got != 0 {
 		t.Errorf("%v allocs per quorum computation, want 0", got)
 	}
-	if n.commitIndex != 7 || n.lastLeaseRound != 4 {
-		t.Errorf("commitIndex %d, lease round %d; want 7, 4", n.commitIndex, n.lastLeaseRound)
+	if c.commitIndex != 7 || c.lastLeaseRound != 4 {
+		t.Errorf("commitIndex %d, lease round %d; want 7, 4", c.commitIndex, c.lastLeaseRound)
 	}
 }

@@ -85,17 +85,17 @@ func TestStorageMirrorsNodeState(t *testing.T) {
 				continue
 			}
 			n.mu.Lock()
-			disk := c.storages[id].Load()
-			ok := disk.Term == n.currentTerm && disk.VotedFor == n.votedFor &&
-				disk.SnapIndex == n.snapIndex && disk.SnapTerm == n.snapTerm &&
-				bytes.Equal(disk.Snapshot, n.snapshot) && len(disk.Log) == len(n.log)
-			for i := 0; ok && i < len(n.log); i++ {
-				ok = disk.Log[i].Index == n.log[i].Index && disk.Log[i].Term == n.log[i].Term &&
-					bytes.Equal(disk.Log[i].Cmd, n.log[i].Cmd)
+			disk, st := c.storages[id].Load(), n.core
+			ok := disk.Term == st.currentTerm && disk.VotedFor == st.votedFor &&
+				disk.SnapIndex == st.snapIndex && disk.SnapTerm == st.snapTerm &&
+				bytes.Equal(disk.Snapshot, st.snapshot) && len(disk.Log) == len(st.log)
+			for i := 0; ok && i < len(st.log); i++ {
+				ok = disk.Log[i].Index == st.log[i].Index && disk.Log[i].Term == st.log[i].Term &&
+					bytes.Equal(disk.Log[i].Cmd, st.log[i].Cmd)
 			}
 			if !ok {
 				t.Errorf("%s: node %d holds term %d vote %d snap %d/%d log %d entries; its storage term %d vote %d snap %d/%d log %d entries",
-					when, id, n.currentTerm, n.votedFor, n.snapIndex, n.snapTerm, len(n.log),
+					when, id, st.currentTerm, st.votedFor, st.snapIndex, st.snapTerm, len(st.log),
 					disk.Term, disk.VotedFor, disk.SnapIndex, disk.SnapTerm, len(disk.Log))
 			}
 			n.mu.Unlock()

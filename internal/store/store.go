@@ -127,7 +127,7 @@ type Config struct {
 	HistoryLimit int
 	// ExternalRevs switches the engine to replicated-log mode: the
 	// caller supplies monotone revisions via ApplyAt, and internal-mode
-	// operations (Put, Update, Commit, Watch, leases) are rejected.
+	// operations (Put, Update, Commit, Watch) are rejected.
 	ExternalRevs bool
 }
 
@@ -829,39 +829,6 @@ func (e *Engine) Watch(prefix string) (<-chan Event, func(), error) {
 	return ch, cancel, nil
 }
 
-// WatchWithLease is Watch with the subscription's lifetime bound to a
-// lease: when the lease expires (its owner died without a keep-alive)
-// or is revoked, the watcher is cancelled and its hub cursor reclaimed,
-// so dead watchers cannot pile up in the dispatch fan-out. A lease that
-// already expired fails with ErrLeaseExpired — the caller must
-// re-establish its liveness before subscribing, rather than receive a
-// born-dead channel. The returned cancel stays valid — and idempotent —
-// for orderly shutdown.
-func (e *Engine) WatchWithLease(prefix string, l *Lease) (<-chan Event, func(), error) {
-	if l.Expired() {
-		return nil, nil, fmt.Errorf("watch %q: %w", prefix, ErrLeaseExpired)
-	}
-	ch, cancel, err := e.Watch(prefix)
-	if err != nil {
-		return nil, nil, err
-	}
-	// An expiry that lands between the check above and this registration
-	// cancels synchronously here — indistinguishable from one a tick
-	// after a successful call, which is the contract anyway.
-	l.OnExpire(cancel)
-	return ch, cancel, nil
-}
-
-// WatcherCount reports the number of live watch subscriptions on the
-// engine's hub (zero in ExternalRevs mode) — the observable behind the
-// lease-reclamation regression tests.
-func (e *Engine) WatcherCount() int {
-	if e.hub == nil {
-		return 0
-	}
-	return e.hub.Watchers()
-}
-
 // WatchFrom subscribes to changes of keys under prefix starting after
 // startRev: every event with revision > startRev is delivered exactly
 // once, in strict revision order — events committed before the call are
@@ -943,7 +910,7 @@ func (e *Engine) drainOnce() {
 			sh.mu.Unlock()
 		}
 		// Canonical (revision, key) order: events of one multi-key
-		// commit (a lease expiry, a txn) reach watchers in the same
+		// commit (a txn, a batch of deletes) reach watchers in the same
 		// sequence on every run and every shard layout — sort.Slice is
 		// unstable, so ordering by Rev alone would let same-revision
 		// events land in shard-traversal order.

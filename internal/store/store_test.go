@@ -3,12 +3,11 @@ package store
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/clock"
-	"repro/internal/clock/clocktest"
 )
 
 func newTestEngine(t *testing.T, shards int) *Engine {
@@ -284,78 +283,60 @@ func TestExternalRevsApplyAndImport(t *testing.T) {
 	}
 }
 
-func TestLeaseExpiryDeletesAttachedKeysAtomically(t *testing.T) {
-	clk := clock.NewSim()
-	defer clk.Close()
+// TestCommitEventsReachWatchersInKeyOrder: a multi-key commit is one
+// revision, and its events reach a watcher in key order whatever order the
+// ops came in and whichever shards hold the keys — the hub's (revision,
+// key) tie-break — so two replays of one seed fan out the same events.
+func TestCommitEventsReachWatchersInKeyOrder(t *testing.T) {
 	e := newTestEngine(t, 4)
-	lease, err := e.GrantLease(clk, 2*time.Second)
+	keys := []string{"p/h", "p/c", "p/f", "p/a", "p/e", "p/b", "p/g", "p/d"}
+	ch, cancel, err := e.Watch("p/")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lease.Put("/presence/a", "alive"); err != nil {
+	defer cancel()
+	ops := make([]Op, 0, len(keys))
+	for _, k := range keys {
+		ops = append(ops, Op{Kind: OpPut, Key: k, Value: "x"})
+	}
+	rev, err := e.Commit(ops)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lease.Put("/presence/b", "alive"); err != nil {
-		t.Fatal(err)
-	}
-	deadline := clk.Now().Add(30 * time.Second)
-	for clk.Now().Before(deadline) {
-		kvs, _, err := e.Scan("/presence/")
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Atomic expiry: a snapshot never sees a half-expired lease.
-		if len(kvs) == 1 {
-			t.Fatalf("half-expired lease visible: %v", kvs)
-		}
-		if len(kvs) == 0 {
-			if !lease.Expired() {
-				t.Fatal("keys deleted but lease not expired")
+	got := make([]string, 0, len(keys))
+	for range keys {
+		select {
+		case ev := <-ch:
+			if ev.Rev != rev {
+				t.Fatalf("event %+v at revision %d, want the commit's %d", ev, ev.Rev, rev)
 			}
-			return
+			got = append(got, ev.Key)
+		case <-time.After(30 * time.Second):
+			t.Fatalf("timed out after %d/%d events", len(got), len(keys))
 		}
-		clk.Sleep(200 * time.Millisecond)
 	}
-	t.Fatal("leased keys survived expiry")
+	want := slices.Sorted(slices.Values(keys))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("event order = %v, want sorted %v", got, want)
+	}
 }
 
-// TestLeaseKeepAliveAndRevoke runs on a manual clock: on one that advances
-// by itself, the lease's expiry is the only pending event, and the clock
-// jumps to it whenever the kernel takes this goroutine off the CPU
-// between a wait and its keep-alive.
-func TestLeaseKeepAliveAndRevoke(t *testing.T) {
-	clk := clock.NewManual()
-	defer clk.Close()
-	e := newTestEngine(t, 4)
-	lease, err := e.GrantLease(clk, 2*time.Second)
+// TestWatchCancelReclaimsCursor: cancelling a watcher takes it out of the
+// hub's fan-out at once, and a second cancel is harmless.
+func TestWatchCancelReclaimsCursor(t *testing.T) {
+	e := newTestEngine(t, 2)
+	_, cancel, err := e.Watch("a/")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lease.Put("/p/x", 1); err != nil {
-		t.Fatal(err)
+	if got := e.hub.Watchers(); got != 1 {
+		t.Fatalf("watchers = %d, want 1", got)
 	}
-	for i := 0; i < 5; i++ {
-		clocktest.Run(clk, time.Second)
-		if err := lease.KeepAlive(); err != nil {
-			t.Fatalf("keepalive %d: %v", i, err)
-		}
+	cancel()
+	if got := e.hub.Watchers(); got != 0 {
+		t.Fatalf("watchers = %d after cancel, want 0", got)
 	}
-	if _, _, ok := e.Get("/p/x"); !ok {
-		t.Fatal("key expired despite keep-alives")
-	}
-	lease.Revoke()
-	if _, _, ok := e.Get("/p/x"); ok {
-		t.Fatal("key survived revoke")
-	}
-	if err := lease.KeepAlive(); !errors.Is(err, ErrLeaseExpired) {
-		t.Fatalf("keepalive after revoke = %v", err)
-	}
-	if _, err := lease.Put("/p/y", 2); !errors.Is(err, ErrLeaseExpired) {
-		t.Fatalf("put after revoke = %v", err)
-	}
-	if _, err := e.GrantLease(clk, 0); err == nil {
-		t.Fatal("zero TTL accepted")
-	}
+	cancel()
 }
 
 func TestClosedEngineRejectsWrites(t *testing.T) {
