@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"repro/internal/store"
 )
 
 // TestSnapshotRestoreDeterministic: restoring one serialized image
@@ -49,5 +51,49 @@ func TestSnapshotRestoreDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.serialize(), b.serialize()) {
 		t.Fatal("two restores of one image re-serialize differently")
+	}
+}
+
+// TestWatchFromBackfillDeterministic: the events of one multi-key revision
+// are backfilled in key order on every call, whatever order the Txn listed
+// its Puts in and however the replica's shard map iterates. The two keys
+// share a shard, so map order alone decided their order before the
+// backfill sorted by (revision, key).
+func TestWatchFromBackfillDeterministic(t *testing.T) {
+	s, _ := newTestStore(t, 3)
+	var a, b string // a < b, in one shard
+	shardOf := func(k string) uint32 { return store.Hash32(k) % store.DefaultShards }
+	for i := 1; a == ""; i++ {
+		b = fmt.Sprintf("/order/k%03d", i)
+		for j := 0; j < i; j++ {
+			if k := fmt.Sprintf("/order/k%03d", j); shardOf(k) == shardOf(b) {
+				a = k
+				break
+			}
+		}
+	}
+	before, err := s.Put("/elsewhere", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, _, err := s.Txn(nil, []TxnOp{{Type: EventPut, Key: b, Value: "b"}, {Type: EventPut, Key: a, Value: "a"}}, nil); err != nil || !ok {
+		t.Fatalf("txn: ok=%v, %v", ok, err)
+	}
+	var first []Event
+	for call := 0; call < 20; call++ {
+		events, cancel, err := s.WatchFrom("/order/", before)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := []Event{recvEvent(t, events), recvEvent(t, events)}
+		cancel()
+		if got[0].Rev != got[1].Rev || got[0].Key != a || got[1].Key != b {
+			t.Fatalf("call %d backfilled %+v, want %s then %s at one revision", call, got, a, b)
+		}
+		if first == nil {
+			first = got
+		} else if !reflect.DeepEqual(got, first) {
+			t.Fatalf("call %d backfilled %+v, call 0 %+v", call, got, first)
+		}
 	}
 }

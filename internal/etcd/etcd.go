@@ -276,10 +276,11 @@ type opCounter struct {
 
 // replicaLoad tracks one replica's read traffic for least-loaded
 // routing: inflight is the gauge routing reads against, routed the
-// cumulative dispatch count.
+// cumulative dispatch count, label the replica's metrics label.
 type replicaLoad struct {
 	inflight atomic.Int64
 	routed   atomic.Uint64
+	label    string
 }
 
 // Store is a handle to the replicated KV cluster.
@@ -319,10 +320,12 @@ type Store struct {
 	proposals atomic.Uint64
 
 	// leaderCache short-circuits the per-op leader scan; dropLeader
-	// invalidates it on any leader-side failure. readLoads carries the
-	// fixed-membership per-replica routing gauges and counters; routeRR
-	// rotates tie-breaks so idle read traffic spreads across replicas.
+	// invalidates it on any leader-side failure. ids is the fixed
+	// membership in id order, readLoads its per-replica routing gauges and
+	// counters; routeRR rotates tie-breaks so idle read traffic spreads
+	// across replicas.
 	leaderCache atomic.Pointer[raft.Node]
+	ids         []int
 	readLoads   map[int]*replicaLoad
 	routeRR     atomic.Uint64
 
@@ -370,15 +373,16 @@ func newStore(n int, cfg raft.Config, o StoreOptions) *Store {
 		sms:       make(map[int]*stateMachine, n),
 		stops:     make(map[int]chan struct{}, n),
 	}
+	s.ids = s.cluster.IDs()
 	s.readLoads = make(map[int]*replicaLoad, n)
-	for _, id := range s.cluster.IDs() {
-		s.readLoads[id] = &replicaLoad{}
+	for _, id := range s.ids {
+		s.readLoads[id] = &replicaLoad{label: fmt.Sprintf("node%d", id)}
 	}
 	s.compactEvery.Store(defaultCompactEvery)
 	for i := range s.waiters {
 		s.waiters[i].m = make(map[uint64]*proposal)
 	}
-	for _, id := range s.cluster.IDs() {
+	for _, id := range s.ids {
 		s.startApplier(id)
 	}
 	for i := 0; i < maxInflightProposals; i++ {
@@ -715,7 +719,8 @@ func (s *Store) scan(eng *store.Engine, err error, prefix string) ([]KV, error) 
 	if err != nil {
 		return nil, fmt.Errorf("range %q: %w", prefix, err)
 	}
-	kvs, err := eng.ScanAt(prefix, eng.Snapshot())
+	buf := scanScratch.Get().(*[]store.KV)
+	kvs, err := eng.ScanAt((*buf)[:0], prefix, eng.Snapshot())
 	if err != nil {
 		// The floor fell below a compaction floor between Snapshot and the
 		// scan (not reachable in facade engines, which never compact in
@@ -723,12 +728,22 @@ func (s *Store) scan(eng *store.Engine, err error, prefix string) ([]KV, error) 
 		kvs = eng.ScanLatest(prefix)
 	}
 	var out []KV
-	for _, kv := range kvs {
-		val, _ := kv.Value.(string)
-		out = append(out, KV{Key: kv.Key, Value: val, Rev: kv.Rev})
+	if len(kvs) > 0 {
+		out = make([]KV, len(kvs))
+		for i, kv := range kvs {
+			val, _ := kv.Value.(string)
+			out[i] = KV{Key: kv.Key, Value: val, Rev: kv.Rev}
+		}
 	}
+	clear(kvs) // the pool keeps no values alive
+	*buf = kvs[:0]
+	scanScratch.Put(buf)
 	return out, nil
 }
+
+// scanScratch holds the engine-side buffers Range scans fill, so a Range
+// allocates only the result it returns.
+var scanScratch = sync.Pool{New: func() any { return new([]store.KV) }}
 
 // Watch subscribes to changes of keys under prefix. Cancel releases the
 // subscription. Events begin with the first revision applied after the
@@ -880,9 +895,8 @@ func (s *Store) routedWait(idx uint64, deadline time.Time) (*store.Engine, bool)
 		ld.inflight.Add(1)
 		ld.routed.Add(1)
 		if reg := s.mtr.Load(); reg != nil {
-			label := fmt.Sprintf("node%d", id)
-			reg.Inc("etcd_reads_routed", label)
-			reg.SetGauge("etcd_inflight_reads", float64(ld.inflight.Load()), label)
+			reg.Inc("etcd_reads_routed", ld.label)
+			reg.SetGauge("etcd_inflight_reads", float64(ld.inflight.Load()), ld.label)
 		}
 		sliceEnd := s.clk.Now().Add(routeSlice)
 		if sliceEnd.After(deadline) {
@@ -904,7 +918,7 @@ func (s *Store) routedWait(idx uint64, deadline time.Time) (*store.Engine, bool)
 // within a class, rotation breaking exact ties.
 func (s *Store) routeReplica(idx uint64) (int, *stateMachine) {
 	offset := int(s.routeRR.Add(1))
-	ids := s.cluster.IDs()
+	ids := s.ids
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	bestID := -1
@@ -937,7 +951,7 @@ func (s *Store) serializableRead() (*store.Engine, error) {
 		return nil, ErrClosed
 	}
 	offset := int(s.routeRR.Add(1))
-	ids := s.cluster.IDs()
+	ids := s.ids
 	bestID := -1
 	var best *store.Engine
 	var bestFloor uint64
@@ -960,9 +974,10 @@ func (s *Store) serializableRead() (*store.Engine, error) {
 	if best == nil {
 		return nil, ErrTimeout // every replica crashed
 	}
-	s.readLoads[bestID].routed.Add(1)
+	ld := s.readLoads[bestID]
+	ld.routed.Add(1)
 	if reg := s.mtr.Load(); reg != nil {
-		reg.Inc("etcd_reads_routed", fmt.Sprintf("node%d", bestID))
+		reg.Inc("etcd_reads_routed", ld.label)
 	}
 	return best, nil
 }
@@ -1021,7 +1036,7 @@ func (s *Store) dropLeader() {
 // failover cost one ordinary election timeout from the first request
 // instead. On members that are not idle it is a mutex and a flag.
 func (s *Store) wake() {
-	for id := range s.readLoads { // the fixed membership, without IDs()' copy
+	for _, id := range s.ids {
 		if n := s.cluster.Node(id); n != nil {
 			n.Wake()
 		}
@@ -1035,7 +1050,7 @@ func (s *Store) readNode() *raft.Node {
 	if l := s.leader(); l != nil {
 		return l
 	}
-	for _, id := range s.cluster.IDs() {
+	for _, id := range s.ids {
 		if n := s.cluster.Node(id); n != nil {
 			return n
 		}
@@ -1056,29 +1071,36 @@ func (s *Store) replica(id int) *stateMachine {
 const waitAppliedSlice = 25 * time.Millisecond
 
 // waitApplied blocks until sm has applied the log through idx and
-// returns the engine that reached it. Each slice deregisters its waiter
-// before re-fetching the engine, so abandoned waits don't accumulate on
-// a lagging replica.
+// returns the engine that reached it. A replica already there answers
+// at once, with no waiter and no timer; otherwise each slice deregisters
+// its waiter before re-fetching the engine, so abandoned waits don't
+// accumulate on a lagging replica.
 func (s *Store) waitApplied(sm *stateMachine, idx uint64, deadline time.Time) (*store.Engine, bool) {
 	for {
 		eng := sm.engine()
-		ch, cancelWait := eng.WaitApplied(idx)
-		t := s.clk.NewTimer(waitAppliedSlice)
-		select {
-		case <-ch:
-			t.Stop()
+		if eng.Snapshot() >= idx || s.awaitFloor(eng, idx) {
 			return eng, true
-		case <-t.C():
-			cancelWait()
-			if s.closed.Load() || !s.clk.Now().Before(deadline) {
-				return nil, false
-			}
-		case <-s.stopCh:
-			t.Stop()
-			cancelWait()
+		}
+		if s.closed.Load() || !s.clk.Now().Before(deadline) {
 			return nil, false
 		}
 	}
+}
+
+// awaitFloor waits one waitAppliedSlice for eng's applied floor to reach
+// idx, and reports whether it did.
+func (s *Store) awaitFloor(eng *store.Engine, idx uint64) bool {
+	ch, cancelWait := eng.WaitApplied(idx)
+	t := clock.AcquireTimer(s.clk, waitAppliedSlice)
+	defer clock.ReleaseTimer(t)
+	select {
+	case <-ch:
+		return true
+	case <-t.C():
+	case <-s.stopCh:
+	}
+	cancelWait()
+	return false
 }
 
 // pause sleeps the retry backoff and reports whether the deadline still

@@ -324,14 +324,16 @@ func TestIdleClusterAllocationBudget(t *testing.T) {
 }
 
 // TestReplicatedWriteAllocBudget: a write on a warmed 3-replica store
-// allocates what it stores — the encoded entry and the messages that ship
-// it, and per replica a decoded copy, a boxed value and a version — and
-// nothing around it. Reply channels are pooled; the group-commit queue,
-// the flushers' proposals, raft's apply queues and the appliers' event
-// buffers are each reused by the one goroutine that owns them (README,
+// allocates what it stores — the encoded entry, and per replica a decoded
+// copy and a boxed value — and nothing around it. Reply channels are
+// pooled; the group-commit queue, the flushers' proposals, raft's apply
+// queues and the appliers' event buffers are each reused by the one
+// goroutine that owns them; an append ships a window of the leader's log,
+// not a copy; a key's first versions live inside its history (README,
 // "Replicated write path cost"). Each budget is the measured count plus
-// one; before the reuse a Put cost 29, a Delete 29 and the Txn 44. Not
-// parallel: AllocsPerRun counts the whole process.
+// one; before the reuse a Put cost 29, a Delete 29 and the Txn 44, before
+// the log windows 9, 9 and 15. Not parallel: AllocsPerRun counts the
+// whole process.
 func TestReplicatedWriteAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a call's wait timers are pooled: no budget under -race")
@@ -350,9 +352,9 @@ func TestReplicatedWriteAllocBudget(t *testing.T) {
 		budget float64
 		op     func() error
 	}{
-		{"put", 10, func() error { _, err := s.Put("/budget/k", value); return err }},
-		{"delete", 10, func() error { next++; return s.Delete(doomed[next-1]) }},
-		{"txn", 16, func() error { _, _, err := s.Txn(nil, both, nil); return err }},
+		{"put", 8, func() error { _, err := s.Put("/budget/k", value); return err }},
+		{"delete", 5, func() error { next++; return s.Delete(doomed[next-1]) }},
+		{"txn", 14, func() error { _, _, err := s.Txn(nil, both, nil); return err }},
 	}
 	for _, k := range doomed {
 		if _, err := s.Put(k, value); err != nil {
@@ -375,6 +377,73 @@ func TestReplicatedWriteAllocBudget(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got > c.budget {
+			t.Errorf("%s: %v objects per call, budget %v", c.name, got, c.budget)
+		} else {
+			t.Logf("%s: %v objects per call", c.name, got)
+		}
+	}
+}
+
+// TestLeaseReadAllocBudget: a linearizable read on a warmed 3-replica
+// store with a live lease allocates only what it returns. The lease
+// answers the read index inside the driver's step (no channel, no waiter),
+// the routed replica has already applied it (no timer, no floor waiter),
+// and a Range fills a pooled scratch buffer and copies it into one
+// exact-size result. Each budget is the measured count plus one; before
+// this a Get cost 7 and a 16-key Range 20. Not parallel: AllocsPerRun
+// counts the whole process.
+func TestLeaseReadAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the Range scratch buffers are pooled: no budget under -race")
+	}
+	s, _ := newTestStore(t, 3)
+	for i := 0; i < 16; i++ {
+		if _, err := s.Put(fmt.Sprintf("/lease/r/%02d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name   string
+		budget float64
+		read   func() error
+	}{
+		{"get", 1, func() error {
+			if _, found, err := s.Get("/lease/r/07"); err != nil || !found {
+				return fmt.Errorf("found=%v: %v", found, err)
+			}
+			return nil
+		}},
+		{"range", 2, func() error {
+			if kvs, err := s.Range("/lease/r/"); err != nil || len(kvs) != 16 {
+				return fmt.Errorf("%d keys: %v", len(kvs), err)
+			}
+			return nil
+		}},
+	}
+	for _, c := range cases {
+		// A write's round renews the lease; the warm-up reads size the pool.
+		if _, err := s.Put("/lease/w", "x"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			if err := c.read(); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+		leaseReads := s.ReadStats().LeaseReads
+		var err error
+		got := testing.AllocsPerRun(100, func() {
+			if e := c.read(); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if n := s.ReadStats().LeaseReads - leaseReads; n == 0 {
+			t.Fatalf("%s: no read was answered from the lease", c.name)
 		}
 		if got > c.budget {
 			t.Errorf("%s: %v objects per call, budget %v", c.name, got, c.budget)

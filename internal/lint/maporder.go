@@ -207,7 +207,8 @@ func matchSink(p *Pass, name string) bool {
 
 // sortedAfter reports whether obj (a slice collected inside the map
 // range) is passed to a sorting call after the range ends but within
-// the same function body — the collect-then-sort idiom. Sorting calls
+// the same function body — the collect-then-sort idiom, whole or as a
+// slice of it (out[len(dst):] when appending to a buffer). Sorting calls
 // are the sort and slices packages plus any local helper whose name
 // mentions "sort".
 func sortedAfter(p *Pass, body *ast.BlockStmt, rng *ast.RangeStmt, obj types.Object) bool {
@@ -235,6 +236,9 @@ func sortedAfter(p *Pass, body *ast.BlockStmt, rng *ast.RangeStmt, obj types.Obj
 			return true
 		}
 		for _, arg := range call.Args {
+			if s, ok := arg.(*ast.SliceExpr); ok {
+				arg = s.X
+			}
 			if id, ok := arg.(*ast.Ident); ok && p.Pkg.Info.Uses[id] == obj {
 				sorted = true
 			}

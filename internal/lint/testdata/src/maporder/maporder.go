@@ -55,6 +55,16 @@ func sortedOK(m map[string]int) []string {
 	return keys
 }
 
+// sortedTailOK appends to a caller's buffer and sorts what it added.
+func sortedTailOK(dst []string, m map[string]int) []string {
+	out := dst
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out[len(dst):])
+	return out
+}
+
 // keyedOK accumulates per key — each entry is independent of the
 // iteration order, so it is not a finding.
 func keyedOK(m map[string]int) map[string][]int {

@@ -151,8 +151,13 @@ type core struct {
 
 	state       State
 	currentTerm uint64
-	votedFor    int     // -1 = none
-	log         []Entry // entries with Index > snapIndex
+	votedFor    int // -1 = none
+	// log holds the entries with Index > snapIndex. An append ships a
+	// window of it, not a copy (sendAppend), so a slot that has been
+	// shipped is never written in place: the log only grows at its end,
+	// and whatever shortens it — compaction, a snapshot install, a
+	// conflict truncation — moves it to a new array first.
+	log         []Entry
 	snapIndex   uint64
 	snapTerm    uint64
 	snapshot    []byte

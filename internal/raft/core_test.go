@@ -208,6 +208,60 @@ func TestCoreLeaseRefusedAfterClockStepsBack(t *testing.T) {
 	}
 }
 
+// TestCoreShippedWindowIsImmutable: an append carries a window of the
+// leader's log, not a copy, so nothing may write a shipped slot again. Node
+// 0 leads term 1 and ships three entries that no one receives, one append
+// per entry, the last from an array with room to spare; it steps down to
+// node 1, whose term-2 append truncates and rewrites those indexes; it
+// compacts. Every append it shipped must still read as it did when sent —
+// a conflict truncation that reused the array would rewrite the last one.
+func TestCoreShippedWindowIsImmutable(t *testing.T) {
+	h := newCores(t, 3)
+	h.elect(0, 1, 2)
+	for _, cmd := range []string{"a", "b", "c"} {
+		h.step(0, input{kind: inPropose, data: []byte(cmd)})
+	}
+	type shipped struct {
+		entries, copied []Entry
+	}
+	var sent []shipped
+	for _, e := range h.flight {
+		if e.from == 0 && e.msg.kind == msgAppendEntries && len(e.msg.app.Entries) > 0 {
+			copied := slices.Clone(e.msg.app.Entries)
+			for i := range copied {
+				copied[i].Cmd = slices.Clone(copied[i].Cmd)
+			}
+			sent = append(sent, shipped{e.msg.app.Entries, copied})
+		}
+	}
+	if len(sent) != 6 {
+		t.Fatalf("node 0 shipped %d appends with entries, want one per entry per follower", len(sent))
+	}
+	h.drop(0)
+
+	h.now = h.now.Add(2 * h.nodes[1].cfg.ElectionTimeoutMin)
+	h.elect(1, 2)
+	for _, cmd := range []string{"x", "y", "z"} {
+		h.step(1, input{kind: inPropose, data: []byte(cmd)})
+	}
+	h.exchange(1, 0)
+	h.step(1, input{kind: inHeartbeat}) // carries the commit index to node 0
+	h.exchange(1, 0)
+	f := h.nodes[0]
+	if f.state != Follower || f.lastApplied != 3 || string(f.entryAt(3).Cmd) != "z" {
+		t.Fatalf("node 0: %v, applied through %d: not the scenario", f.state, f.lastApplied)
+	}
+	h.step(0, input{kind: inCompact, index: 3, data: []byte("snapshot")})
+
+	for i, s := range sent {
+		if !slices.EqualFunc(s.entries, s.copied, func(a, b Entry) bool {
+			return a.Index == b.Index && a.Term == b.Term && string(a.Cmd) == string(b.Cmd)
+		}) {
+			t.Errorf("append %d shipped %v, now reads %v", i, s.copied, s.entries)
+		}
+	}
+}
+
 // TestCoreIsClockFree: the core's files read no clock, take no lock and
 // start no goroutine, and the driver starts exactly one.
 func TestCoreIsClockFree(t *testing.T) {

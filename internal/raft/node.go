@@ -22,9 +22,15 @@ type Node struct {
 	core    *core
 	stopped bool
 	// readSeq numbers this node's ReadIndex calls; readWaiters holds the
-	// ones not yet answered.
+	// ones waiting for a round. A call answered by its own step (a lease
+	// read, or nobody to ask) finds its answer in stepRead instead.
 	readSeq     uint64
 	readWaiters map[uint64]chan readIndexResult
+	stepRead    struct {
+		id       uint64
+		answered bool
+		readIndexResult
+	}
 	// applyQueue[applyHead:] are committed entries not yet on applyCh.
 	applyQueue []Apply
 	applyHead  int
@@ -116,7 +122,10 @@ func (n *Node) execute() {
 			n.applyQueue = append(n.applyQueue, e.apply)
 			queued = true
 		case readDone:
-			if ch, ok := n.readWaiters[e.id]; ok {
+			if e.id == n.stepRead.id {
+				n.stepRead.answered = true
+				n.stepRead.readIndexResult = readIndexResult{index: e.index, err: e.err}
+			} else if ch, ok := n.readWaiters[e.id]; ok {
 				delete(n.readWaiters, e.id)
 				ch <- readIndexResult{index: e.index, err: e.err} // its one answer: never blocks
 			}
@@ -233,7 +242,6 @@ func (n *Node) ReadIndex(timeout time.Duration) (uint64, error) {
 	if timeout <= 0 {
 		timeout = n.cfg.ElectionTimeoutMax
 	}
-	ch := make(chan readIndexResult, 1)
 	n.mu.Lock()
 	if n.stopped {
 		n.mu.Unlock()
@@ -241,14 +249,18 @@ func (n *Node) ReadIndex(timeout time.Duration) (uint64, error) {
 	}
 	n.readSeq++
 	id := n.readSeq
-	n.readWaiters[id] = ch
+	n.stepRead.id, n.stepRead.answered = id, false
 	n.step(input{kind: inRead, id: id})
-	n.mu.Unlock()
-	select {
-	case r := <-ch: // answered in the step: a lease read, or nobody to ask
+	n.stepRead.id = 0
+	if n.stepRead.answered { // a lease read, or nobody to ask
+		r := n.stepRead.readIndexResult
+		n.mu.Unlock()
 		return r.index, r.err
-	default:
 	}
+	// The read waits for a round: the answer comes from a later step.
+	ch := make(chan readIndexResult, 1)
+	n.readWaiters[id] = ch
+	n.mu.Unlock()
 
 	timer := n.cfg.Clock.NewTimer(timeout)
 	defer timer.Stop()

@@ -1,6 +1,9 @@
 package raft
 
-import "time"
+import (
+	"math/bits"
+	"time"
+)
 
 // ReadStats are cumulative per-node read-path counters, the
 // observability surface of the quorum-amortized read path.
@@ -37,7 +40,7 @@ type remoteRead struct {
 type pendingRead struct {
 	seq     uint64
 	started bool
-	acks    map[int]bool
+	acks    uint64   // the followers that acked (one bit each, peerBit)
 	local   []uint64 // ids of this node's reads
 	remote  []remoteRead
 }
@@ -82,7 +85,7 @@ func (c *core) startRead(id uint64, remote *remoteRead) {
 	if n := len(c.pendingReads); n > 0 && !c.pendingReads[n-1].started {
 		pr = c.pendingReads[n-1]
 	} else {
-		pr = &pendingRead{acks: make(map[int]bool)}
+		pr = &pendingRead{}
 		c.pendingReads = append(c.pendingReads, pr)
 	}
 	if remote == nil {
@@ -124,7 +127,7 @@ func (c *core) maybeCompleteReads() {
 		completed := false
 		keep := c.pendingReads[:0]
 		for _, pr := range c.pendingReads {
-			if pr.started && len(pr.acks)+1 >= quorum { // +1: the leader itself
+			if pr.started && bits.OnesCount64(pr.acks)+1 >= quorum { // +1: the leader itself
 				c.reads.RoundReads += uint64(len(pr.local) + len(pr.remote))
 				c.completeRead(pr, c.commitIndex, nil)
 				completed = true

@@ -88,7 +88,10 @@ func (c *core) handleAppendEntries(from int, msg appendEntries) {
 			if c.termAt(e.Index) == e.Term {
 				continue
 			}
-			c.log = c.log[:e.Index-c.snapIndex-1]
+			// Clipped, so the append below moves the log to a new array:
+			// this node may have shipped the slots it now rewrites while it
+			// led.
+			c.log = slices.Clip(c.log[:e.Index-c.snapIndex-1])
 		}
 		c.log = append(c.log, e)
 		if changed == 0 {
@@ -128,9 +131,10 @@ func (c *core) handleAppendEntriesResp(from int, msg appendEntriesResp) {
 	// launched read rounds registered at or before that round, and fold
 	// it into the check-quorum lease (extension, or skew invalidation).
 	if msg.Seq > 0 {
+		bit := c.peerBit(from)
 		for _, pr := range c.pendingReads {
 			if pr.started && msg.Seq >= pr.seq {
-				pr.acks[from] = true
+				pr.acks |= bit
 			}
 		}
 		c.observeAck(from, msg)
@@ -267,20 +271,21 @@ func (c *core) sendAppend(to int) {
 			}
 			end = min(end, next+uint64(c.cfg.MaxInflightEntries)-infE-1)
 			budget := c.cfg.MaxInflightBytes - infB
-			entries := make([]Entry, 0, end-next+1)
-			for i := next; i <= end; i++ {
-				e := c.entryAt(i)
-				cost := entryBytes(e)
-				if len(entries) > 0 && cost > budget {
+			hi := next // one past the last index that fits the byte budget
+			for ; hi <= end; hi++ {
+				cost := entryBytes(c.entryAt(hi))
+				if hi > next && cost > budget {
 					break
 				}
 				budget -= cost
-				entries = append(entries, e)
 			}
-			msg.Entries = entries
+			// A window of the log, not a copy: shipped slots are never
+			// written again (see core.log).
+			lo := next - c.snapIndex - 1
+			msg.Entries = c.log[lo : lo+hi-next : lo+hi-next]
 			// Optimistic advance: the next send continues after this
 			// window; a consistency reject rewinds it.
-			c.nextIndex[to] = next + uint64(len(entries))
+			c.nextIndex[to] = hi
 		}
 		// Window full: fall through to an empty append — its ack moves
 		// matchIndex and reopens the window.

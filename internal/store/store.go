@@ -27,9 +27,11 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -138,9 +140,28 @@ type version struct {
 	tomb bool
 }
 
-// history is a key's version chain, ascending by revision.
+// history is a key's version chain, ascending by revision. Its first
+// versions live in inline, so a new key and its first rewrite cost one
+// allocation, the history itself; the chain moves to the heap only when
+// it outgrows inline.
 type history struct {
 	versions []version
+	inline   [2]version
+}
+
+func newHistory() *history {
+	h := &history{}
+	h.versions = h.inline[:0]
+	return h
+}
+
+// push appends v to the chain.
+func (h *history) push(v version) {
+	moves := len(h.versions) == cap(h.versions)
+	h.versions = append(h.versions, v)
+	if moves {
+		clear(h.inline[:]) // nothing points into it now: keep no values alive
+	}
 }
 
 // at returns the live value visible at rev.
@@ -231,7 +252,7 @@ type floorWaiter struct {
 func (e *Engine) install(sh *shard, key string, v version) {
 	h := sh.keys[key]
 	if h == nil {
-		h = &history{}
+		h = newHistory()
 		sh.keys[key] = h
 	}
 	if n := len(h.versions); n > 0 && h.versions[n-1].rev == v.rev {
@@ -240,7 +261,7 @@ func (e *Engine) install(sh *shard, key string, v version) {
 		h.versions[n-1] = v
 		return
 	}
-	h.versions = append(h.versions, v)
+	h.push(v)
 	if drop := len(h.versions) - e.hist; drop > 0 {
 		raiseMax(&e.truncated, h.versions[drop-1].rev)
 		h.versions = h.versions[drop:]
@@ -658,13 +679,15 @@ func (e *Engine) Snapshot() uint64 {
 	return e.gate.floorNow()
 }
 
-// ScanAt returns the live keys under prefix as of rev, sorted by key.
-// Only brief per-shard read locks are held: scans never block writers.
-func (e *Engine) ScanAt(prefix string, rev uint64) ([]KV, error) {
+// ScanAt appends the live keys under prefix as of rev to dst, sorted by
+// key, and returns the extended slice: a caller that scans often hands in
+// the same buffer, truncated, every time. Only brief per-shard read locks
+// are held: scans never block writers.
+func (e *Engine) ScanAt(dst []KV, prefix string, rev uint64) ([]KV, error) {
 	if rev < e.compacted.Load() {
-		return nil, fmt.Errorf("%w: rev %d < compaction floor %d", ErrCompacted, rev, e.compacted.Load())
+		return dst, fmt.Errorf("%w: rev %d < compaction floor %d", ErrCompacted, rev, e.compacted.Load())
 	}
-	var out []KV
+	out := dst
 	for _, sh := range e.shards {
 		sh.mu.RLock()
 		for k, h := range sh.keys {
@@ -677,14 +700,16 @@ func (e *Engine) ScanAt(prefix string, rev uint64) ([]KV, error) {
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out[len(dst):], byKey)
 	return out, nil
 }
+
+func byKey(a, b KV) int { return strings.Compare(a.Key, b.Key) }
 
 // Scan is ScanAt at a fresh Snapshot revision.
 func (e *Engine) Scan(prefix string) ([]KV, uint64, error) {
 	rev := e.Snapshot()
-	kvs, err := e.ScanAt(prefix, rev)
+	kvs, err := e.ScanAt(nil, prefix, rev)
 	return kvs, rev, err
 }
 
@@ -707,7 +732,7 @@ func (e *Engine) ScanLatest(prefix string) []KV {
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, byKey)
 	return out
 }
 
@@ -746,7 +771,9 @@ func (e *Engine) Compact(rev uint64) {
 				continue
 			}
 			e.countDrops(base)
-			h.versions = append([]version(nil), h.versions[base:]...)
+			n := copy(h.versions, h.versions[base:])
+			clear(h.versions[n:]) // release the dropped values
+			h.versions = h.versions[:n]
 		}
 		sh.mu.Unlock()
 	}
@@ -767,9 +794,10 @@ func (e *Engine) ResumeFloor() uint64 {
 
 // HistoryEvents reconstructs, from the bounded version history, the
 // events committed in (fromRev, toRev] for keys under prefix, sorted by
-// revision. It fails with ErrCompacted when fromRev predates the resume
-// floor — part of the window may already have been dropped — in which
-// case the consumer must fall back to a snapshot re-list.
+// revision and, within one, by key — drainOnce's order, so a backfill is
+// the same on every run. It fails with ErrCompacted when fromRev predates
+// the resume floor — part of the window may already have been dropped —
+// in which case the consumer must fall back to a snapshot re-list.
 func (e *Engine) HistoryEvents(prefix string, fromRev, toRev uint64) ([]Event, error) {
 	check := func() error {
 		if f := e.ResumeFloor(); fromRev < f {
@@ -806,7 +834,9 @@ func (e *Engine) HistoryEvents(prefix string, fromRev, toRev uint64) ([]Event, e
 	if err := check(); err != nil {
 		return nil, err
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Rev < out[j].Rev })
+	slices.SortFunc(out, func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.Rev, b.Rev), strings.Compare(a.Key, b.Key))
+	})
 	return out, nil
 }
 

@@ -74,7 +74,7 @@ func TestSnapshotScanSeesPointInTime(t *testing.T) {
 	if _, err := e.Put("/jobs/j9", 9); err != nil {
 		t.Fatal(err)
 	}
-	kvs, err := e.ScanAt("/jobs/", rev)
+	kvs, err := e.ScanAt(nil, "/jobs/", rev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,12 +218,81 @@ func TestHistoryBoundAndCompaction(t *testing.T) {
 		t.Fatalf("read at rev[8] = (%v,%v)", v, ok)
 	}
 	e.Compact(revs[9])
-	if _, err := e.ScanAt("/", revs[5]); !errors.Is(err, ErrCompacted) {
+	if _, err := e.ScanAt(nil, "/", revs[5]); !errors.Is(err, ErrCompacted) {
 		t.Fatalf("scan below compaction = %v, want ErrCompacted", err)
 	}
 	// Latest data still readable.
 	if v, _, ok := e.Get("/k"); !ok || v != 9 {
 		t.Fatalf("get after compact = (%v,%v)", v, ok)
+	}
+}
+
+// TestScanAtAppends: ScanAt sorts what it adds after whatever the buffer
+// already holds and leaves that alone.
+func TestScanAtAppends(t *testing.T) {
+	e := newTestEngine(t, 4)
+	for _, k := range []string{"/s/c", "/s/a", "/s/b"} {
+		if _, err := e.Put(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := append(make([]KV, 0, 8), KV{Key: "/z"})
+	kvs, err := e.ScanAt(dst, "/s/", e.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, kv := range kvs {
+		got = append(got, kv.Key)
+	}
+	if want := []string{"/z", "/s/a", "/s/b", "/s/c"}; !slices.Equal(got, want) {
+		t.Fatalf("ScanAt appended %v, want %v", got, want)
+	}
+	if &kvs[0] != &dst[0] {
+		t.Fatal("ScanAt did not fill the buffer it was handed")
+	}
+}
+
+// TestNewKeyAllocBudget: a new key's history keeps its first versions
+// inline, so the key and its first rewrite cost one object, the history;
+// the growth of the shard's map is amortized below one per key. The third
+// version moves the chain to the heap, and every version stays readable.
+func TestNewKeyAllocBudget(t *testing.T) {
+	e := NewEngine(Config{Shards: 1, ExternalRevs: true})
+	defer e.Close()
+	const runs = 1000
+	keys := make([]string, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range keys {
+		keys[i] = fmt.Sprintf("/new/%04d", i)
+	}
+	var value any = "v"
+	ops := make([]Op, 1)
+	var evs []Event
+	var rev uint64
+	apply := func(key string) {
+		rev++
+		ops[0] = Op{Kind: OpPut, Key: key, Value: value}
+		evs, _ = e.ApplyAt(evs[:0], rev, ops)
+	}
+	next := 0
+	if got := testing.AllocsPerRun(runs, func() {
+		apply(keys[next])
+		apply(keys[next])
+		next++
+	}); got != 1 {
+		t.Errorf("a new key and its first rewrite: %v objects, want 1", got)
+	}
+
+	apply(keys[0])
+	sh := e.shardFor(keys[0])
+	h := sh.keys[keys[0]]
+	if len(h.versions) != 3 || &h.versions[0] == &h.inline[0] || h.inline != [2]version{} {
+		t.Fatalf("third version: %d versions, inline still holds %v", len(h.versions), h.inline)
+	}
+	for i, v := range h.versions {
+		if got, _, ok := h.at(v.rev); !ok || got != value || (i > 0 && v.rev <= h.versions[i-1].rev) {
+			t.Fatalf("version %d (rev %d) reads (%v, %v)", i, v.rev, got, ok)
+		}
 	}
 }
 
