@@ -7,7 +7,7 @@
 // Fig. 2 and Fig. 3 are analytic-model sweeps (instant); Fig. 4 boots
 // the full platform and crash-injects every component, so it dominates
 // bench wall time. Tables are emitted via b.Log; run with -v to see
-// them, or use cmd/dlaas-bench for plain output.
+// them, or use cmd/dlaas-figures for plain output.
 package dlaas_test
 
 import (

@@ -1,12 +1,12 @@
-// Command dlaas-bench regenerates the paper's evaluation tables.
+// Command dlaas-figures regenerates the paper's evaluation tables.
 //
 // Usage:
 //
-//	dlaas-bench -experiment fig2        # DLaaS vs bare metal (K80)
-//	dlaas-bench -experiment fig3        # DLaaS vs NVIDIA DGX-1 (P100)
-//	dlaas-bench -experiment fig4        # component crash-recovery times
-//	dlaas-bench -experiment all         # everything
-//	dlaas-bench -experiment fig4 -samples 5 -seed 7
+//	dlaas-figures -experiment fig2      # DLaaS vs bare metal (K80)
+//	dlaas-figures -experiment fig3      # DLaaS vs NVIDIA DGX-1 (P100)
+//	dlaas-figures -experiment fig4      # component crash-recovery times
+//	dlaas-figures -experiment all       # everything
+//	dlaas-figures -experiment fig4 -samples 5 -seed 7
 //
 // Figs. 2-3 evaluate the analytic performance model directly; Fig. 4
 // boots the full simulated platform, trains a victim job, and

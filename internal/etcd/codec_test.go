@@ -244,7 +244,7 @@ func FuzzSnapshotCodec(f *testing.F) {
 		}
 		// What decodes also restores: a replica handed these bytes by a
 		// leader installs them without complaint.
-		sm := newStateMachine(2)
+		sm := newStateMachine()
 		sm.restore(raw, 1<<40)
 		if got := sm.engine().Export(); len(got) != len(kvs) {
 			t.Fatalf("restored %d keys from an image of %d", len(got), len(kvs))

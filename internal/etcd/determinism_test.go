@@ -20,7 +20,7 @@ import (
 // sorted-key install, two restores of one snapshot could populate
 // their engines in different map orders.
 func TestSnapshotRestoreDeterministic(t *testing.T) {
-	src := newStateMachine(4)
+	src := newStateMachine()
 	for i := 0; i < 32; i++ {
 		key := fmt.Sprintf("/jobs/j%02d/status", (7*i)%32)
 		src.apply(uint64(i+1), []command{{
@@ -35,8 +35,8 @@ func TestSnapshotRestoreDeterministic(t *testing.T) {
 		t.Fatal("serialize returned nil")
 	}
 
-	a := newStateMachine(4)
-	b := newStateMachine(4)
+	a := newStateMachine()
+	b := newStateMachine()
 	a.restore(img, 32)
 	b.restore(img, 32)
 

@@ -288,7 +288,6 @@ type Store struct {
 	clk     clock.Clock
 	cluster *raft.Cluster
 	timeout time.Duration
-	shards  int
 
 	compactEvery atomic.Int64
 	closed       atomic.Bool
@@ -341,30 +340,27 @@ type Store struct {
 	stops map[int]chan struct{}
 }
 
-// StoreOptions configures a Store beyond the defaults.
-type StoreOptions struct {
-	// Shards is the per-replica engine shard count (<= 0 = default).
-	Shards int
-}
+// StoreOptions configures a Store beyond the defaults. It has no fields:
+// the store runs one configuration.
+type StoreOptions struct{}
 
 // New boots an n-way replicated store on clk. The paper's deployment uses
 // n = 3.
-func New(n int, clk clock.Clock) *Store { return newStore(n, raft.DefaultConfig(clk), StoreOptions{}) }
+func New(n int, clk clock.Clock) *Store { return newStore(n, raft.DefaultConfig(clk)) }
 
-// NewWithOptions boots an n-way replicated store configured by o. Every
-// StoreOptions value is valid today, so the error is always nil.
-func NewWithOptions(n int, clk clock.Clock, o StoreOptions) (*Store, error) {
-	return newStore(n, raft.DefaultConfig(clk), o), nil
+// NewWithOptions is New; StoreOptions has no fields, so the error is
+// always nil.
+func NewWithOptions(n int, clk clock.Clock, _ StoreOptions) (*Store, error) {
+	return New(n, clk), nil
 }
 
 // newStore boots the store over n raft nodes configured by cfg, whose
 // Clock is the store's.
-func newStore(n int, cfg raft.Config, o StoreOptions) *Store {
+func newStore(n int, cfg raft.Config) *Store {
 	s := &Store{
 		clk:       cfg.Clock,
 		cluster:   raft.NewCluster(n, cfg),
 		timeout:   defaultRequestTimeout,
-		shards:    o.Shards,
 		stopCh:    make(chan struct{}),
 		batchKick: make(chan struct{}, 1),
 		reqFloor:  1,
@@ -511,7 +507,7 @@ func (s *Store) startApplier(id int) {
 	if node == nil {
 		return
 	}
-	sm := newStateMachine(s.shards)
+	sm := newStateMachine()
 	if reg := s.mtr.Load(); reg != nil {
 		sm.instrument(reg, fmt.Sprintf("etcd-node%d", id))
 	}
@@ -720,13 +716,7 @@ func (s *Store) scan(eng *store.Engine, err error, prefix string) ([]KV, error) 
 		return nil, fmt.Errorf("range %q: %w", prefix, err)
 	}
 	buf := scanScratch.Get().(*[]store.KV)
-	kvs, err := eng.ScanAt((*buf)[:0], prefix, eng.Snapshot())
-	if err != nil {
-		// The floor fell below a compaction floor between Snapshot and the
-		// scan (not reachable in facade engines, which never compact in
-		// place): fall forward to the newest versions.
-		kvs = eng.ScanLatest(prefix)
-	}
+	kvs := eng.ScanAt((*buf)[:0], prefix, eng.Snapshot())
 	var out []KV
 	if len(kvs) > 0 {
 		out = make([]KV, len(kvs))
@@ -987,10 +977,7 @@ func (s *Store) serializableRead() (*store.Engine, error) {
 func guardsAt(eng *store.Engine, cmps []Cmp) result {
 	rev := eng.Snapshot()
 	for _, c := range cmps {
-		v, _, exists, err := eng.GetAt(c.Key, rev)
-		if err != nil {
-			v, _, exists = eng.Get(c.Key)
-		}
+		v, _, exists := eng.GetAt(c.Key, rev)
 		sv, _ := v.(string)
 		if exists != c.PrevExists || (exists && sv != c.Prev) {
 			return result{rev: rev}
@@ -1416,9 +1403,9 @@ type staged struct {
 	exists bool
 }
 
-func newStateMachine(shards int) *stateMachine {
+func newStateMachine() *stateMachine {
 	return &stateMachine{
-		eng:     store.NewEngine(store.Config{Shards: shards, ExternalRevs: true}),
+		eng:     store.NewEngine(store.Config{ExternalRevs: true}),
 		dedup:   make(map[uint64]uint64),
 		overlay: make(map[string]staged),
 	}
@@ -1507,7 +1494,7 @@ func (m *stateMachine) restore(raw []byte, snapIndex uint64) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	eng := store.NewEngine(store.Config{Shards: m.eng.Shards(), ExternalRevs: true})
+	eng := store.NewEngine(store.Config{ExternalRevs: true})
 	_ = eng.Import(kvs, snapIndex) // cannot fail: the engine is external-revs
 	if m.mtr != nil {
 		eng.Instrument(m.mtr, m.mtrName)

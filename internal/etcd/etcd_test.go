@@ -23,7 +23,7 @@ func newTestStore(t *testing.T, n int, mods ...func(*raft.Config)) (*Store, *clo
 	for _, mod := range mods {
 		mod(&cfg)
 	}
-	s := newStore(n, cfg, StoreOptions{})
+	s := newStore(n, cfg)
 	t.Cleanup(func() {
 		s.Close()
 		clk.Close()

@@ -22,7 +22,7 @@ func TestDedupLedgerStaysBounded(t *testing.T) {
 		window = 4
 	)
 	r := rand.New(rand.NewSource(6))
-	sm := newStateMachine(4)
+	sm := newStateMachine()
 	model := refModel{}
 
 	var log [][]command // entries: one command bare, several wrapped
@@ -104,13 +104,13 @@ func TestDedupLedgerStaysBounded(t *testing.T) {
 // A command numbered below the ledger's floor is a stale copy whatever
 // the ledger has forgotten about it, and the floor survives a snapshot.
 func TestDedupFloorRejectsForgottenRequests(t *testing.T) {
-	sm := newStateMachine(2)
+	sm := newStateMachine()
 	sm.apply(1, []command{{ReqID: 1, Floor: 1, Op: opPut, Key: "/k", Value: "first"}})
 	sm.apply(2, []command{{ReqID: 2, Floor: 2, Op: opPut, Key: "/k", Value: "second"}})
 	if _, kept := sm.dedup[1]; kept || sm.dedupFloor != 2 {
 		t.Fatalf("ledger %v floor %d after request 2 said everything below it is over", sm.dedup, sm.dedupFloor)
 	}
-	restored := newStateMachine(2)
+	restored := newStateMachine()
 	restored.restore(sm.serialize(), 2)
 	for _, m := range []*stateMachine{sm, restored} {
 		if _, events := m.apply(3, []command{{ReqID: 1, Floor: 1, Op: opPut, Key: "/k", Value: "first"}}); len(events) != 0 {

@@ -423,7 +423,7 @@ func TestReproposedProposalLandsLate(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sm := newStateMachine(4)
+			sm := newStateMachine()
 			model := refModel{}
 			seed := []command{put(1, "/seed", "s"), put(2, "/n", "0")}
 			for i, cmd := range seed {

@@ -2,7 +2,7 @@
 // evaluation section (Sec. IV): Fig. 2 (DLaaS vs bare-metal overhead on
 // K80s), Fig. 3 (DLaaS PCIe P100 vs NVIDIA DGX-1), and Fig. 4
 // (component crash-recovery times). The same code backs the root-level
-// testing.B benchmarks and the cmd/dlaas-bench tool.
+// testing.B benchmarks and the cmd/dlaas-figures tool.
 package experiments
 
 import (

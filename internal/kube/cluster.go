@@ -62,33 +62,8 @@ func DefaultTiming() Timing {
 	}
 }
 
-// SchedulingPolicy selects the placement strategy.
-type SchedulingPolicy int
-
-// Placement strategies.
-const (
-	// PolicyBinPack fills nodes in name order, maximizing utilization —
-	// the default for expensive GPU fleets.
-	PolicyBinPack SchedulingPolicy = iota
-	// PolicySpread places pods on the node with the most free GPUs,
-	// minimizing the blast radius of a node failure (a dependability /
-	// utilization tradeoff).
-	PolicySpread
-)
-
-// String implements fmt.Stringer.
-func (p SchedulingPolicy) String() string {
-	switch p {
-	case PolicyBinPack:
-		return "binpack"
-	case PolicySpread:
-		return "spread"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
-// Config configures a simulated cluster.
+// Config configures a simulated cluster. Placement is bin-pack (nodes
+// filled in name order), with priority preemption and backfill always on.
 type Config struct {
 	// Clock drives every delay. Required.
 	Clock clock.Clock
@@ -96,19 +71,12 @@ type Config struct {
 	NFS *nfs.Server
 	// Timing overrides DefaultTiming when non-zero.
 	Timing Timing
-	// Scheduling selects the placement strategy (default PolicyBinPack).
-	Scheduling SchedulingPolicy
-	// DisablePreemption turns off priority preemption in the gang
-	// scheduler (admitted gangs are never evicted for higher priority).
-	DisablePreemption bool
-	// DisableBackfill turns off backfilling small gangs into GPU holes
-	// while a large gang waits at the head of the queue.
-	DisableBackfill bool
-	// EvictionGracePeriod, when positive, turns preemption and node
-	// drain into a two-phase protocol: the scheduler posts an eviction
-	// intent with this grace deadline instead of killing the gang's pods
-	// outright, giving the owner time to checkpoint and AckEviction
-	// (deadline expiry force-evicts). Zero keeps the immediate kill.
+	// EvictionGracePeriod is the deadline of every eviction intent that
+	// preemption and node drain post: the gang's pods keep running while
+	// the owner checkpoints and calls AckEviction, and the deadline
+	// force-evicts a gang that never acks. Zero makes the deadline now:
+	// the eviction completes at the current instant, through the same
+	// intent.
 	EvictionGracePeriod time.Duration
 	// Seed makes delay jitter reproducible.
 	Seed int64
@@ -122,7 +90,6 @@ type Cluster struct {
 	clk    clock.Clock
 	nfs    *nfs.Server
 	timing Timing
-	policy SchedulingPolicy
 	trace  *trace.Recorder
 
 	mu         sync.Mutex
@@ -191,7 +158,6 @@ func NewCluster(cfg Config, nodes ...NodeSpec) *Cluster {
 		nfs:        cfg.NFS,
 		timing:     t,
 		trace:      cfg.Trace,
-		policy:     cfg.Scheduling,
 		rng:        rand.New(rand.NewSource(cfg.Seed + 1)),
 		nodes:      make(map[string]*Node),
 		pods:       make(map[string]*Pod),
@@ -551,11 +517,10 @@ func (c *Cluster) UncordonNode(name string) error {
 // DrainNode cordons the node and evicts its pods (kubectl drain). Plain
 // pods are deleted immediately and their controllers recreate them on
 // other nodes. Gangs holding reservation on the node flow through the
-// gang scheduler in reverse-priority order — with a grace period the
-// eviction is two-phase (the owner checkpoints before the pods die),
-// otherwise it completes immediately — so the holdings ledger stays
-// consistent either way, and the scheduler repairs and reschedules the
-// freed capacity.
+// gang scheduler in reverse-priority order: each gets an eviction intent
+// (the owner checkpoints before the pods die, until the grace deadline),
+// so the holdings ledger stays consistent, and the scheduler repairs and
+// reschedules the freed capacity.
 func (c *Cluster) DrainNode(name string) error {
 	if err := c.CordonNode(name); err != nil {
 		return err

@@ -269,6 +269,69 @@ func TestGracefulPreemptionDeadlineForceEvicts(t *testing.T) {
 	waitGangState(t, clk, hi, GangAdmitted, 30*time.Second)
 }
 
+// TestZeroGraceEvictsThroughIntent: without a grace period, preemption
+// and drain still post an eviction intent, whose deadline is the posting
+// instant. The notice closes at once; the gang leaves GangEvicting, and
+// its capacity moves, only when that deadline fires.
+func TestZeroGraceEvictsThroughIntent(t *testing.T) {
+	for _, tc := range []struct {
+		reason string
+		evict  func(t *testing.T, c *Cluster)
+	}{
+		{EvictReasonPreemption, func(t *testing.T, c *Cluster) {
+			if _, err := c.SubmitGang(GangSpec{Name: "hi", Priority: 9, Members: 1, GPUsPerMember: 4}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{EvictReasonDrain, func(t *testing.T, c *Cluster) {
+			if err := c.DrainNode("n1"); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.reason, func(t *testing.T) {
+			c, clk := newManualCluster(t, NodeSpec{Name: "n1", GPUs: 4, GPUType: "K80"})
+			n1 := c.Nodes()[0]
+			v, err := c.SubmitGang(GangSpec{Name: "v", Priority: 1, Members: 1, GPUsPerMember: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.evict(t, c)
+
+			if got := v.State(); got != GangEvicting {
+				t.Fatalf("victim state = %v, want Evicting until the deadline fires", got)
+			}
+			select {
+			case <-v.EvictionNotice():
+			default:
+				t.Fatal("eviction notice not closed")
+			}
+			intent, ok := v.EvictionIntent()
+			if !ok || intent.Reason != tc.reason || !intent.Deadline.Equal(intent.PostedAt) {
+				t.Fatalf("intent = %+v (ok=%v), want reason %q with the deadline at posting", intent, ok, tc.reason)
+			}
+			if res := v.NodeReservations(); res["n1"] != 4 || n1.FreeGPUs() != 0 {
+				t.Fatalf("capacity moved before the deadline: reservations %v, n1 free %d", res, n1.FreeGPUs())
+			}
+
+			clk.Sleep(0) // fire the posting instant's deadline
+			if got := v.State(); got != GangPreempted {
+				t.Fatalf("victim state = %v after the deadline, want Preempted", got)
+			}
+			if res := v.NodeReservations(); len(res) != 0 {
+				t.Fatalf("preempted victim still holds %v", res)
+			}
+			if tc.reason == EvictReasonPreemption {
+				if hi := c.GangByName("hi"); hi.State() != GangAdmitted {
+					t.Fatalf("preemptor = %v, want Admitted on the freed capacity", hi.State())
+				}
+			} else if n1.FreeGPUs() != 4 {
+				t.Fatalf("drained n1 free = %d, want 4", n1.FreeGPUs())
+			}
+		})
+	}
+}
+
 func TestDrainUnknownNode(t *testing.T) {
 	c, _ := newTestCluster(t)
 	if err := c.DrainNode("ghost"); err == nil {

@@ -3,6 +3,7 @@ package kube
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -371,24 +372,6 @@ func TestPreemptionEvictsLowestPriorityFirst(t *testing.T) {
 	}
 }
 
-func TestPreemptionDisabled(t *testing.T) {
-	c, clk := newGangCluster(t, Config{DisablePreemption: true},
-		NodeSpec{Name: "n1", GPUs: 4, GPUType: "K80"},
-	)
-	lo, err := c.SubmitGang(GangSpec{Name: "lo", Priority: 1, Members: 1, GPUsPerMember: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hi, err := c.SubmitGang(GangSpec{Name: "hi", Priority: 9, Members: 1, GPUsPerMember: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clk.Sleep(5 * time.Second)
-	if lo.State() != GangAdmitted || hi.State() != GangPending {
-		t.Fatalf("lo = %v hi = %v, want Admitted/Pending with preemption off", lo.State(), hi.State())
-	}
-}
-
 func TestPreemptionSparesHigherAndEqualPriority(t *testing.T) {
 	c, clk := newGangCluster(t, Config{}, NodeSpec{Name: "n1", GPUs: 4, GPUType: "K80"})
 	eq, err := c.SubmitGang(GangSpec{Name: "eq", Priority: 5, Members: 1, GPUsPerMember: 4})
@@ -510,21 +493,6 @@ func TestBackfillFillsFragmentationHoles(t *testing.T) {
 	}
 }
 
-func TestBackfillDisabled(t *testing.T) {
-	c, clk := newGangCluster(t, Config{DisableBackfill: true},
-		NodeSpec{Name: "n1", GPUs: 6, GPUType: "K80"},
-	)
-	if _, err := c.SubmitGang(GangSpec{Name: "blocker", Members: 1, GPUsPerMember: 4}); err != nil {
-		t.Fatal(err)
-	}
-	head, _ := c.SubmitGang(GangSpec{Name: "head", Members: 1, GPUsPerMember: 4})
-	small, _ := c.SubmitGang(GangSpec{Name: "small", Members: 1, GPUsPerMember: 2})
-	clk.Sleep(2 * time.Second)
-	if head.State() != GangPending || small.State() != GangPending {
-		t.Fatalf("head = %v small = %v, want both Pending with backfill off", head.State(), small.State())
-	}
-}
-
 func TestGangNodeFailureRepairsOnSpare(t *testing.T) {
 	c, clk := newGangCluster(t, Config{},
 		NodeSpec{Name: "n1", GPUs: 2, GPUType: "K80"},
@@ -595,6 +563,39 @@ func TestGangDegradedWithoutSpareThenRepairs(t *testing.T) {
 	}
 	if total != 4 {
 		t.Fatalf("reservation after repair = %d GPUs, want 4 (%v)", total, g.NodeReservations())
+	}
+}
+
+// TestRepairMigratesInNodeNameOrder: when two cordoned nodes hold idle
+// reservation and the spare fits only one member, the lowest-named
+// node's reservation is the one that moves, on every run.
+func TestRepairMigratesInNodeNameOrder(t *testing.T) {
+	want := map[string]int{"n2": 2, "n3": 2}
+	for run := 0; run < 20; run++ {
+		c, _ := newManualCluster(t,
+			NodeSpec{Name: "n1", GPUs: 2, GPUType: "K80"},
+			NodeSpec{Name: "n2", GPUs: 2, GPUType: "K80"},
+			NodeSpec{Name: "n3", GPUs: 2, GPUType: "K80"},
+		)
+		g, err := c.SubmitGang(GangSpec{Name: "g", Members: 2, GPUsPerMember: 2, GPUType: "K80"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := g.NodeReservations(); res["n1"] != 2 || res["n2"] != 2 {
+			t.Fatalf("run %d: admitted over %v, want n1 and n2", run, res)
+		}
+		for _, n := range []string{"n1", "n2"} {
+			if err := c.CordonNode(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// n3 is already schedulable: uncordoning it only runs a pass.
+		if err := c.UncordonNode("n3"); err != nil {
+			t.Fatal(err)
+		}
+		if got := g.NodeReservations(); !maps.Equal(got, want) {
+			t.Fatalf("run %d: reservations after repair = %v, want %v", run, got, want)
+		}
 	}
 }
 

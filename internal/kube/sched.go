@@ -3,7 +3,9 @@ package kube
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -91,7 +93,8 @@ type GangSpec struct {
 	Name string
 	// Tenant is the owning tenant (preemption is tenant-aware).
 	Tenant string
-	// Priority orders admission; higher preempts lower (when enabled).
+	// Priority orders admission; a waiting gang preempts admitted gangs
+	// of strictly lower priority.
 	Priority int
 	// Members is the number of pods in the gang.
 	Members int
@@ -215,10 +218,8 @@ func (g *Gang) markEvicted() {
 // (evictLocked and repairLocked hold Gang.mu while listing pods or nodes
 // via Cluster.mu; nothing may take Gang.mu while holding Cluster.mu).
 type gangScheduler struct {
-	c          *Cluster
-	preemption bool
-	backfill   bool
-	grace      time.Duration // > 0 enables the graceful-eviction protocol
+	c     *Cluster
+	grace time.Duration // every eviction intent's deadline
 
 	mu       sync.Mutex
 	gangs    map[string]*Gang
@@ -229,12 +230,10 @@ type gangScheduler struct {
 
 func newGangScheduler(c *Cluster, cfg Config) *gangScheduler {
 	return &gangScheduler{
-		c:          c,
-		preemption: !cfg.DisablePreemption,
-		backfill:   !cfg.DisableBackfill,
-		grace:      cfg.EvictionGracePeriod,
-		gangs:      make(map[string]*Gang),
-		inflight:   make(map[*Node]int),
+		c:        c,
+		grace:    cfg.EvictionGracePeriod,
+		gangs:    make(map[string]*Gang),
+		inflight: make(map[*Node]int),
 	}
 }
 
@@ -354,7 +353,8 @@ func (c *Cluster) AckEviction(name string) {
 // postIntentLocked opens the two-phase eviction for an admitted gang:
 // the gang keeps its reservation and its pods keep running while the
 // owner checkpoints; AckEviction or the grace-deadline timer finishes
-// the job. Caller holds s.mu.
+// the job (a zero grace arms the timer for now). Preemption and drain
+// start every eviction here. Caller holds s.mu.
 func (s *gangScheduler) postIntentLocked(g *Gang, reason string) {
 	g.mu.Lock()
 	if g.state != GangAdmitted {
@@ -377,11 +377,10 @@ func (s *gangScheduler) postIntentLocked(g *Gang, reason string) {
 	g.mu.Unlock()
 }
 
-// completeEviction finishes a posted intent — the immediate-eviction
-// endgame: the reservation is released, the member pods die, and the
-// gang becomes GangPreempted for its owner to redeploy. Idempotent: the
-// ack path and the deadline timer may race, and a gang cancelled during
-// its grace window is simply gone.
+// completeEviction finishes a posted intent: the reservation is
+// released, the member pods die, and the gang becomes GangPreempted for
+// its owner to redeploy. Idempotent: the ack path and the deadline timer
+// may race, and a gang cancelled during its grace window is simply gone.
 func (s *gangScheduler) completeEviction(g *Gang) {
 	s.mu.Lock()
 	if g.State() != GangEvicting {
@@ -400,8 +399,7 @@ func (s *gangScheduler) completeEviction(g *Gang) {
 // in reverse-priority order (lowest priority first, newest first within
 // a priority) — the node-drain path through the gang scheduler, so
 // drain and preemption share one eviction protocol and the holdings
-// ledger stays consistent. Without a grace period the evictions
-// complete immediately, exactly like an immediate preemption.
+// ledger stays consistent.
 func (s *gangScheduler) drainGangs(n *Node) {
 	if n == nil {
 		return
@@ -424,28 +422,11 @@ func (s *gangScheduler) drainGangs(n *Node) {
 		}
 		return a.seq > b.seq
 	})
-	var victims []*Pod
 	for _, g := range resident {
-		if s.grace > 0 {
-			s.postIntentLocked(g, EvictReasonDrain)
-			continue
-		}
-		// Immediate mode: record the intent (zero grace) so the owner
-		// still learns why it was evicted, then complete on the spot.
-		g.mu.Lock()
-		if g.intent == nil {
-			now := s.c.clk.Now()
-			g.intent = &EvictionIntent{Reason: EvictReasonDrain, PostedAt: now, Deadline: now}
-			close(g.noticeCh)
-		}
-		g.mu.Unlock()
-		victims = append(victims, s.evictLocked(g, GangPreempted)...)
+		s.postIntentLocked(g, EvictReasonDrain)
 	}
 	s.rescheduleLocked()
 	s.mu.Unlock()
-	for _, p := range victims {
-		p.kill(killPreempted)
-	}
 }
 
 // evictLocked takes the gang out of service: pending gangs leave the
@@ -560,48 +541,23 @@ func (s *gangScheduler) placeGangPodLocked(spec PodSpec) *Node {
 	return chosen
 }
 
-// placeSingleLocked is the per-pod path: first-fit bin-pack or spread,
-// exactly the seed scheduler but serialized under sched.mu so it cannot
-// race a gang commit.
+// placeSingleLocked is the per-pod path: first fit in node-name order
+// (bin-pack), serialized under sched.mu so it cannot race a gang commit.
 func (s *gangScheduler) placeSingleLocked(spec PodSpec) *Node {
-	fits := func(n *Node) bool {
-		return !n.down && !n.cordoned &&
+	for _, n := range s.c.Nodes() {
+		n.mu.Lock()
+		ok := !n.down && !n.cordoned &&
 			n.freeGPUs >= spec.GPUs &&
 			(spec.GPUType == "" || spec.GPUType == n.Spec.GPUType)
-	}
-	var chosen *Node
-	switch s.c.policy {
-	case PolicySpread:
-		best := -1
-		for _, n := range s.c.Nodes() {
-			n.mu.Lock()
-			if fits(n) && n.freeGPUs > best {
-				best = n.freeGPUs
-				chosen = n
-			}
-			n.mu.Unlock()
+		if ok {
+			n.freeGPUs -= spec.GPUs
 		}
-	default: // PolicyBinPack
-		for _, n := range s.c.Nodes() {
-			n.mu.Lock()
-			ok := fits(n)
-			n.mu.Unlock()
-			if ok {
-				chosen = n
-				break
-			}
+		n.mu.Unlock()
+		if ok {
+			return n
 		}
 	}
-	if chosen == nil {
-		return nil
-	}
-	chosen.mu.Lock()
-	defer chosen.mu.Unlock()
-	if !fits(chosen) {
-		return nil
-	}
-	chosen.freeGPUs -= spec.GPUs
-	return chosen
+	return nil
 }
 
 // podReleased returns a finished pod's GPUs: to its gang's idle pool when
@@ -699,22 +655,18 @@ func (s *gangScheduler) rescheduleLocked() {
 		break
 	}
 	head := s.queue.head()
-	if s.preemption {
-		s.preemptForLocked(head)
-	}
-	if s.backfill {
-		limit := s.backfillLimit(head)
-		for i := 1; i < s.queue.len(); {
-			g := s.queue.at(i)
-			if s.admitLocked(g, s.planLocked(g.Spec, limit), true) {
-				// Removal shifted the slice (same index is the next gang),
-				// and the admission consumed backfill budget: rebuild the
-				// cap so one pass cannot overshoot it.
-				limit = s.backfillLimit(head)
-				continue
-			}
-			i++
+	s.preemptForLocked(head)
+	limit := s.backfillLimit(head)
+	for i := 1; i < s.queue.len(); {
+		g := s.queue.at(i)
+		if s.admitLocked(g, s.planLocked(g.Spec, limit), true) {
+			// Removal shifted the slice (same index is the next gang),
+			// and the admission consumed backfill budget: rebuild the
+			// cap so one pass cannot overshoot it.
+			limit = s.backfillLimit(head)
+			continue
 		}
+		i++
 	}
 }
 
@@ -747,21 +699,18 @@ func (s *gangScheduler) admitLocked(g *Gang, plan map[*Node]int, viaBackfill boo
 	return true
 }
 
-// planLocked bin-packs (or spreads) the gang's members over schedulable
-// nodes, returning GPUs-per-node or nil when the gang does not fit as a
-// whole. limit optionally caps the usable free GPUs per node (the
-// backfill guard).
+// planLocked bin-packs the gang's members over schedulable nodes,
+// filling them in name order, and returns GPUs per node, or nil when the
+// gang does not fit as a whole. limit optionally caps the usable free
+// GPUs per node (the backfill guard).
 func (s *gangScheduler) planLocked(spec GangSpec, limit func(n *Node, free int) int) map[*Node]int {
 	size := spec.GPUsPerMember
 	if size == 0 {
 		// GPU-less gangs occupy no capacity: admit immediately.
 		return map[*Node]int{}
 	}
-	type cand struct {
-		n    *Node
-		free int
-	}
-	var cands []cand
+	plan := make(map[*Node]int)
+	remaining := spec.Members
 	for _, n := range s.c.Nodes() {
 		n.mu.Lock()
 		ok := !n.down && !n.cordoned && (spec.GPUType == "" || n.Spec.GPUType == spec.GPUType)
@@ -773,47 +722,15 @@ func (s *gangScheduler) planLocked(spec GangSpec, limit func(n *Node, free int) 
 		if limit != nil {
 			free = limit(n, free)
 		}
-		if free >= size {
-			cands = append(cands, cand{n, free})
+		if k := min(free/size, remaining); k > 0 {
+			plan[n] = k * size
+			remaining -= k
+		}
+		if remaining == 0 {
+			return plan
 		}
 	}
-	plan := make(map[*Node]int)
-	remaining := spec.Members
-	switch s.c.policy {
-	case PolicySpread:
-		for remaining > 0 {
-			bi := -1
-			for i := range cands {
-				if cands[i].free >= size && (bi < 0 || cands[i].free > cands[bi].free) {
-					bi = i
-				}
-			}
-			if bi < 0 {
-				return nil
-			}
-			cands[bi].free -= size
-			plan[cands[bi].n] += size
-			remaining--
-		}
-	default: // PolicyBinPack: fill nodes in name order
-		for i := range cands {
-			k := cands[i].free / size
-			if k > remaining {
-				k = remaining
-			}
-			if k > 0 {
-				plan[cands[i].n] += k * size
-				remaining -= k
-			}
-			if remaining == 0 {
-				break
-			}
-		}
-		if remaining > 0 {
-			return nil
-		}
-	}
-	return plan
+	return nil
 }
 
 // backfillLimit builds the per-node cap that lets a small gang slip past
@@ -874,9 +791,8 @@ func (s *gangScheduler) backfillLimit(head *Gang) func(n *Node, free int) int {
 // cluster pays before a modest one, and older work survives longer.
 // Capacity already in flight (from earlier evictions) and reservations
 // of gangs mid-grace both count toward the projection, so repeated
-// passes never over-preempt. With a grace period configured, victims
-// get an eviction intent (checkpoint-before-preempt) instead of an
-// immediate kill.
+// passes never over-preempt. Victims get an eviction intent
+// (checkpoint-before-preempt); the capacity moves at ack or deadline.
 func (s *gangScheduler) preemptForLocked(head *Gang) {
 	if head == nil {
 		return
@@ -968,18 +884,10 @@ func (s *gangScheduler) preemptForLocked(head *Gang) {
 		return // preempting everything eligible still would not fit: don't
 	}
 	for _, v := range victims {
-		if s.grace > 0 {
-			// Two-phase: post the intent and let the owner checkpoint;
-			// the capacity moves at ack or deadline.
-			s.postIntentLocked(v, EvictReasonPreemption)
-			continue
-		}
-		pods := s.evictLocked(v, GangPreempted)
-		for _, p := range pods {
-			p.kill(killPreempted)
-		}
+		s.postIntentLocked(v, EvictReasonPreemption)
 	}
-	// The head admits via the reschedule kicks of the dying pods.
+	// The head admits via the reschedule kicks of the completed
+	// evictions and their dying pods.
 }
 
 // repairLocked restores admitted gangs after topology changes: idle
@@ -1000,12 +908,18 @@ func (s *gangScheduler) repairLocked() {
 			continue
 		}
 		g.mu.Lock()
-		// Migrate idle reservation off unschedulable nodes.
+		// Migrate idle reservation off unschedulable nodes, in node-name
+		// order: each move consumes spare capacity, so when the spare fits
+		// only some of them, which one moves must not follow map order.
+		var stranded []*Node
 		for n, k := range g.idle {
-			if k < size || !(n.Down() || n.Cordoned()) {
-				continue
+			if k >= size && (n.Down() || n.Cordoned()) {
+				stranded = append(stranded, n)
 			}
-			members := k / size
+		}
+		slices.SortFunc(stranded, func(a, b *Node) int { return strings.Compare(a.Spec.Name, b.Spec.Name) })
+		for _, n := range stranded {
+			members := g.idle[n] / size
 			moveSpec := g.Spec
 			moveSpec.Members = members
 			plan := s.planLocked(moveSpec, nil)

@@ -4,20 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"repro/internal/clock"
 )
-
-func newPolicyCluster(t *testing.T, policy SchedulingPolicy, nodes ...NodeSpec) (*Cluster, *clock.Sim) {
-	t.Helper()
-	clk := clock.NewSim()
-	c := NewCluster(Config{Clock: clk, Scheduling: policy}, nodes...)
-	t.Cleanup(func() {
-		c.Stop()
-		clk.Close()
-	})
-	return c, clk
-}
 
 func gpuPod(name string, gpus int) PodSpec {
 	return PodSpec{
@@ -29,7 +16,7 @@ func gpuPod(name string, gpus int) PodSpec {
 }
 
 func TestBinPackFillsFirstNode(t *testing.T) {
-	c, clk := newPolicyCluster(t, PolicyBinPack,
+	c, clk := newTestCluster(t,
 		NodeSpec{Name: "n1", GPUs: 4, GPUType: "K80"},
 		NodeSpec{Name: "n2", GPUs: 4, GPUType: "K80"},
 	)
@@ -44,65 +31,6 @@ func TestBinPackFillsFirstNode(t *testing.T) {
 	for _, p := range c.Pods(nil) {
 		if p.NodeName() != "n1" {
 			t.Fatalf("pod %s on %s, want n1", p.Name(), p.NodeName())
-		}
-	}
-}
-
-func TestSpreadBalancesNodes(t *testing.T) {
-	c, clk := newPolicyCluster(t, PolicySpread,
-		NodeSpec{Name: "n1", GPUs: 4, GPUType: "K80"},
-		NodeSpec{Name: "n2", GPUs: 4, GPUType: "K80"},
-	)
-	counts := map[string]int{}
-	for i := 0; i < 4; i++ {
-		name := fmt.Sprintf("sp-%d", i)
-		if _, err := c.CreatePod(gpuPod(name, 1)); err != nil {
-			t.Fatal(err)
-		}
-		waitPhase(t, c, clk, name, PodRunning, 30*time.Second)
-	}
-	for _, p := range c.Pods(nil) {
-		counts[p.NodeName()]++
-	}
-	if counts["n1"] != 2 || counts["n2"] != 2 {
-		t.Fatalf("spread placement = %v, want 2/2", counts)
-	}
-}
-
-func TestSpreadLimitsNodeCrashBlastRadius(t *testing.T) {
-	// The dependability rationale for spread: with 4 single-GPU pods on
-	// 2 nodes, a node crash kills only half the pods under spread, but
-	// all of them under binpack.
-	for _, tc := range []struct {
-		policy SchedulingPolicy
-		want   int // pods surviving a crash of n1
-	}{
-		{PolicyBinPack, 0},
-		{PolicySpread, 2},
-	} {
-		c, clk := newPolicyCluster(t, tc.policy,
-			NodeSpec{Name: "n1", GPUs: 4, GPUType: "K80"},
-			NodeSpec{Name: "n2", GPUs: 4, GPUType: "K80"},
-		)
-		for i := 0; i < 4; i++ {
-			name := fmt.Sprintf("p-%d", i)
-			if _, err := c.CreatePod(gpuPod(name, 1)); err != nil {
-				t.Fatal(err)
-			}
-			waitPhase(t, c, clk, name, PodRunning, 30*time.Second)
-		}
-		if err := c.CrashNode("n1"); err != nil {
-			t.Fatal(err)
-		}
-		clk.Sleep(time.Second)
-		survivors := 0
-		for _, p := range c.Pods(nil) {
-			if p.Phase() == PodRunning {
-				survivors++
-			}
-		}
-		if survivors != tc.want {
-			t.Fatalf("policy %v: survivors = %d, want %d", tc.policy, survivors, tc.want)
 		}
 	}
 }

@@ -6,33 +6,36 @@ import (
 	"time"
 )
 
-// TestBackfillStreamDoesNotStarveLargeGang is the backfill-starvation /
-// priority-inversion chaos scenario: a continuous stream of small,
-// short-lived, low-priority backfill gangs must not indefinitely delay a
-// large high-priority gang waiting at the head of the queue (preemption
-// is disabled, so the head cannot simply evict its way in).
+// TestBackfillStreamDoesNotStarveLargeGang is the backfill-starvation
+// chaos scenario: a continuous stream of small, short-lived backfill
+// gangs must not indefinitely delay a large gang waiting at the head of
+// the queue. Every gang has one priority, so preemption (which evicts
+// only strictly lower priorities) cannot clear the head's way: only the
+// backfill budget can.
 //
 // The hazard: every time an earlier backfill gang releases its GPU, the
 // momentary fragmentation remainder invites the next small gang in, and
 // the node oscillates below a full head-member slot forever. The
-// per-node backfill budget (capacity % head member size) closes that
-// loop; this test drives the stream through many churn rounds and
-// requires the head to admit while the stream is still flowing.
+// per-node backfill budget (capacity % head member size, net of what
+// backfilled gangs already hold) closes that loop; this test drives the
+// stream through many churn rounds and requires the head to admit while
+// the stream is still flowing.
 func TestBackfillStreamDoesNotStarveLargeGang(t *testing.T) {
-	c, clk := newGangCluster(t, Config{Scheduling: PolicySpread, DisablePreemption: true},
+	c, clk := newGangCluster(t, Config{},
 		NodeSpec{Name: "n1", GPUs: 5, GPUType: "K80"},
 		NodeSpec{Name: "n2", GPUs: 5, GPUType: "K80"},
 		NodeSpec{Name: "n3", GPUs: 5, GPUType: "K80"},
 		NodeSpec{Name: "n4", GPUs: 5, GPUType: "K80"},
 	)
 
-	// Initial occupants: one 2-GPU gang per node (spread policy), so the
-	// head cannot fit until they finish.
+	// Initial occupants: one 3-GPU gang per node (bin-pack fits only one
+	// on a 5-GPU node), so every node has a 2-GPU remainder and the head
+	// cannot fit until they finish.
 	var occupants []*Gang
 	for i := 0; i < 4; i++ {
 		g, err := c.SubmitGang(GangSpec{
 			Name: fmt.Sprintf("occ-%d", i), Tenant: "batch",
-			Members: 1, GPUsPerMember: 2, GPUType: "K80",
+			Members: 1, GPUsPerMember: 3, GPUType: "K80",
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -42,11 +45,16 @@ func TestBackfillStreamDoesNotStarveLargeGang(t *testing.T) {
 		}
 		occupants = append(occupants, g)
 	}
+	for i, g := range occupants {
+		if res := g.NodeReservations(); res[fmt.Sprintf("n%d", i+1)] != 3 {
+			t.Fatalf("occupant %d reservations = %v, want 3 GPUs on n%d", i, res, i+1)
+		}
+	}
 
-	// The large high-priority gang: 4 members x 4 GPUs needs 4 free GPUs
-	// on every node; it must wait.
+	// The large gang: 4 members x 4 GPUs needs 4 free GPUs on every node;
+	// it must wait.
 	head, err := c.SubmitGang(GangSpec{
-		Name: "big", Tenant: "vip", Priority: 9,
+		Name: "big", Tenant: "vip",
 		Members: 4, GPUsPerMember: 4, GPUType: "K80",
 	})
 	if err != nil {
@@ -56,9 +64,9 @@ func TestBackfillStreamDoesNotStarveLargeGang(t *testing.T) {
 		t.Fatalf("head = %v, want Pending behind occupants", head.State())
 	}
 
-	// Drive the backfill stream: a new 1-GPU low-priority gang every
-	// 200ms, each living ~400ms. Occupants finish early on; the stream
-	// keeps churning well past that.
+	// Drive the backfill stream: a new 1-GPU gang every 200ms, each
+	// living ~400ms. Occupants finish early on; the stream keeps churning
+	// well past that.
 	type bf struct {
 		g    *Gang
 		born time.Time
@@ -101,7 +109,7 @@ func TestBackfillStreamDoesNotStarveLargeGang(t *testing.T) {
 	}
 
 	if admittedAt.IsZero() {
-		t.Fatalf("large high-priority gang starved: still %v after %d stream rounds (pending=%d)",
+		t.Fatalf("large gang starved: still %v after %d stream rounds (pending=%d)",
 			head.State(), rounds, c.PendingGangs())
 	}
 	if backfilledEver == 0 {
@@ -137,12 +145,14 @@ func TestBackfillStreamDoesNotStarveLargeGang(t *testing.T) {
 // TestBackfillBudgetBoundsHoldings pins the budget arithmetic directly:
 // with a waiting head of member size 4 on 5-GPU nodes, at most
 // 5 % 4 = 1 GPU per node is ever held by backfilled gangs, no matter how
-// many small gangs are queued.
+// many small gangs are queued. Every gang has one priority, so nothing is
+// preempted.
 func TestBackfillBudgetBoundsHoldings(t *testing.T) {
-	c, clk := newGangCluster(t, Config{Scheduling: PolicySpread, DisablePreemption: true},
+	c, clk := newGangCluster(t, Config{},
 		NodeSpec{Name: "n1", GPUs: 5, GPUType: "K80"},
 		NodeSpec{Name: "n2", GPUs: 5, GPUType: "K80"},
 	)
+	// Bin-pack fits one 3-GPU member per 5-GPU node: 2 free on each.
 	blocker, err := c.SubmitGang(GangSpec{
 		Name: "blocker", Members: 2, GPUsPerMember: 3, GPUType: "K80",
 	})
@@ -153,7 +163,7 @@ func TestBackfillBudgetBoundsHoldings(t *testing.T) {
 		t.Fatal("blocker not admitted")
 	}
 	head, err := c.SubmitGang(GangSpec{
-		Name: "head", Priority: 5, Members: 2, GPUsPerMember: 4, GPUType: "K80",
+		Name: "head", Members: 2, GPUsPerMember: 4, GPUType: "K80",
 	})
 	if err != nil {
 		t.Fatal(err)

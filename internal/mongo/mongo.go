@@ -74,15 +74,11 @@ type DB struct {
 	colls map[string]*Collection
 }
 
-// New returns an empty database on clk with the default shard count.
-func New(clk clock.Clock) *DB { return NewSharded(clk, 0) }
-
-// NewSharded returns an empty database whose backing engine uses the
-// given shard count (<= 0 selects the store default).
-func NewSharded(clk clock.Clock, shards int) *DB {
+// New returns an empty database on clk.
+func New(clk clock.Clock) *DB {
 	return &DB{
 		clk:   clk,
-		eng:   store.NewEngine(store.Config{Shards: shards}),
+		eng:   store.NewEngine(store.Config{}),
 		colls: make(map[string]*Collection),
 	}
 }

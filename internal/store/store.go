@@ -17,8 +17,9 @@
 //     reads real-time-consistent with acknowledged writes.
 //   - Watches are driven by per-shard apply logs merged into revision
 //     order by the hub, so watchers observe a single serial history.
-//   - Version chains are bounded (HistoryLimit) and Compact discards
-//     history below a revision, like etcd's compaction.
+//   - Version chains are bounded (DefaultHistoryLimit versions per key);
+//     a read of history below what the chains retain fails with
+//     ErrCompacted, like a read below etcd's compaction.
 //
 // The engine has two revision modes. In the default internal mode it
 // assigns revisions itself. In ExternalRevs mode the caller supplies
@@ -46,7 +47,8 @@ var (
 	ErrClosed = errors.New("store: engine closed")
 	// ErrExists indicates Insert found a live value under the key.
 	ErrExists = errors.New("store: key exists")
-	// ErrCompacted indicates the requested revision predates compaction.
+	// ErrCompacted indicates the requested revision predates the
+	// retained history.
 	ErrCompacted = errors.New("store: revision compacted")
 	// ErrExternalRevs indicates an internal-revision operation was called
 	// on an engine in ExternalRevs mode (or vice versa).
@@ -57,7 +59,8 @@ var (
 const (
 	// DefaultShards is the shard count when Config.Shards is zero.
 	DefaultShards = 16
-	// DefaultHistoryLimit bounds the per-key version chain.
+	// DefaultHistoryLimit bounds the per-key version chain; older
+	// versions are trimmed as new ones are installed.
 	DefaultHistoryLimit = 32
 )
 
@@ -124,9 +127,6 @@ const (
 type Config struct {
 	// Shards is the number of hash shards (default DefaultShards).
 	Shards int
-	// HistoryLimit bounds each key's retained version chain (default
-	// DefaultHistoryLimit). Older versions are trimmed opportunistically.
-	HistoryLimit int
 	// ExternalRevs switches the engine to replicated-log mode: the
 	// caller supplies monotone revisions via ApplyAt, and internal-mode
 	// operations (Put, Update, Commit, Watch) are rejected.
@@ -212,17 +212,15 @@ type instrumentation struct {
 // Engine is the sharded MVCC store.
 type Engine struct {
 	shards   []*shard
-	hist     int
 	external bool
 
 	gate *gate       // internal mode: revision ordering layer
 	hub  *Hub[Event] // internal mode: watch dispatch
 
-	extFloor  atomic.Uint64 // external mode: last applied revision
-	compacted atomic.Uint64
+	extFloor atomic.Uint64 // external mode: last applied revision
 	// truncated is the highest revision dropped from a version chain by
-	// per-key history trimming or snapshot import; together with the
-	// compaction floor it bounds how far back WatchFrom can backfill.
+	// per-key history trimming or snapshot import: it bounds how far back
+	// HistoryEvents can reach.
 	truncated atomic.Uint64
 	closed    atomic.Bool
 
@@ -262,21 +260,16 @@ func (e *Engine) install(sh *shard, key string, v version) {
 		return
 	}
 	h.push(v)
-	if drop := len(h.versions) - e.hist; drop > 0 {
+	drop := len(h.versions) - DefaultHistoryLimit
+	if drop > 0 {
 		raiseMax(&e.truncated, h.versions[drop-1].rev)
 		h.versions = h.versions[drop:]
-		e.countDrops(drop)
 	}
 	if in := e.instr.Load(); in != nil {
 		in.reg.Inc("store_shard_commits", in.name, in.shardLabels[sh.idx])
-	}
-}
-
-// countDrops accumulates versions discarded from history (trimming or
-// compaction) into the drop counter.
-func (e *Engine) countDrops(n int) {
-	if in := e.instr.Load(); in != nil && n > 0 {
-		in.reg.Add("store_history_drops", float64(n), in.name)
+		if drop > 0 {
+			in.reg.Add("store_history_drops", float64(drop), in.name)
+		}
 	}
 }
 
@@ -295,12 +288,8 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
 	}
-	if cfg.HistoryLimit <= 0 {
-		cfg.HistoryLimit = DefaultHistoryLimit
-	}
 	e := &Engine{
 		shards:   make([]*shard, cfg.Shards),
-		hist:     cfg.HistoryLimit,
 		external: cfg.ExternalRevs,
 	}
 	for i := range e.shards {
@@ -327,9 +316,6 @@ func (e *Engine) Close() {
 		e.hub.Close()
 	}
 }
-
-// Shards reports the configured shard count.
-func (e *Engine) Shards() int { return len(e.shards) }
 
 // Instrument publishes the engine's operational metrics into reg under
 // the given name label: per-shard commit counts, snapshot floor lag,
@@ -641,20 +627,15 @@ func (e *Engine) Get(key string) (any, uint64, bool) {
 
 // GetAt returns the live value visible for key at rev — the point-read
 // companion of ScanAt, used to evaluate multi-key guards against one
-// consistent snapshot revision. It fails with ErrCompacted when rev
-// predates the compaction floor.
-func (e *Engine) GetAt(key string, rev uint64) (any, uint64, bool, error) {
-	if rev < e.compacted.Load() {
-		return nil, 0, false, fmt.Errorf("%w: rev %d < compaction floor %d", ErrCompacted, rev, e.compacted.Load())
-	}
+// consistent snapshot revision.
+func (e *Engine) GetAt(key string, rev uint64) (any, uint64, bool) {
 	sh := e.shardFor(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	if h := sh.keys[key]; h != nil {
-		v, vr, ok := h.at(rev)
-		return v, vr, ok, nil
+		return h.at(rev)
 	}
-	return nil, 0, false, nil
+	return nil, 0, false
 }
 
 // Snapshot returns a revision safe for consistent multi-key reads: every
@@ -683,10 +664,7 @@ func (e *Engine) Snapshot() uint64 {
 // key, and returns the extended slice: a caller that scans often hands in
 // the same buffer, truncated, every time. Only brief per-shard read locks
 // are held: scans never block writers.
-func (e *Engine) ScanAt(dst []KV, prefix string, rev uint64) ([]KV, error) {
-	if rev < e.compacted.Load() {
-		return dst, fmt.Errorf("%w: rev %d < compaction floor %d", ErrCompacted, rev, e.compacted.Load())
-	}
+func (e *Engine) ScanAt(dst []KV, prefix string, rev uint64) []KV {
 	out := dst
 	for _, sh := range e.shards {
 		sh.mu.RLock()
@@ -701,16 +679,15 @@ func (e *Engine) ScanAt(dst []KV, prefix string, rev uint64) ([]KV, error) {
 		sh.mu.RUnlock()
 	}
 	slices.SortFunc(out[len(dst):], byKey)
-	return out, nil
+	return out
 }
 
 func byKey(a, b KV) int { return strings.Compare(a.Key, b.Key) }
 
-// Scan is ScanAt at a fresh Snapshot revision.
+// Scan is ScanAt at a fresh Snapshot revision. The error is always nil.
 func (e *Engine) Scan(prefix string) ([]KV, uint64, error) {
 	rev := e.Snapshot()
-	kvs, err := e.ScanAt(nil, prefix, rev)
-	return kvs, rev, err
+	return e.ScanAt(nil, prefix, rev), rev, nil
 }
 
 // ScanLatest returns each live key under prefix at its newest installed
@@ -736,61 +713,10 @@ func (e *Engine) ScanLatest(prefix string) []KV {
 	return out
 }
 
-// Compact discards version history below rev: each key keeps its newest
-// version at or below rev (its base for reads >= rev) plus everything
-// newer. Keys whose base is a tombstone with nothing newer are removed
-// entirely. Reads below rev fail with ErrCompacted afterwards.
-func (e *Engine) Compact(rev uint64) {
-	for {
-		cur := e.compacted.Load()
-		if rev <= cur {
-			return
-		}
-		if e.compacted.CompareAndSwap(cur, rev) {
-			break
-		}
-	}
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		for k, h := range sh.keys {
-			// Find the base: newest version with rev' <= rev.
-			base := -1
-			for i, v := range h.versions {
-				if v.rev <= rev {
-					base = i
-				} else {
-					break
-				}
-			}
-			if base < 0 {
-				continue
-			}
-			if base == len(h.versions)-1 && h.versions[base].tomb {
-				e.countDrops(len(h.versions))
-				delete(sh.keys, k)
-				continue
-			}
-			e.countDrops(base)
-			n := copy(h.versions, h.versions[base:])
-			clear(h.versions[n:]) // release the dropped values
-			h.versions = h.versions[:n]
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// CompactedRev reports the current compaction floor.
-func (e *Engine) CompactedRev() uint64 { return e.compacted.Load() }
-
-// ResumeFloor is the lowest revision WatchFrom can resume from with a
-// complete backfill: the highest revision dropped from version history
-// by compaction, per-key chain trimming, or snapshot import.
-func (e *Engine) ResumeFloor() uint64 {
-	if t := e.truncated.Load(); t > e.compacted.Load() {
-		return t
-	}
-	return e.compacted.Load()
-}
+// ResumeFloor is the lowest revision HistoryEvents can start from with a
+// complete answer: the highest revision dropped from version history by
+// per-key chain trimming or snapshot import.
+func (e *Engine) ResumeFloor() uint64 { return e.truncated.Load() }
 
 // HistoryEvents reconstructs, from the bounded version history, the
 // events committed in (fromRev, toRev] for keys under prefix, sorted by
@@ -857,49 +783,6 @@ func (e *Engine) Watch(prefix string) (<-chan Event, func(), error) {
 	e.drainOnce()
 	ch, cancel := e.hub.Watch(prefix)
 	return ch, cancel, nil
-}
-
-// WatchFrom subscribes to changes of keys under prefix starting after
-// startRev: every event with revision > startRev is delivered exactly
-// once, in strict revision order — events committed before the call are
-// backfilled from version history, then the stream continues live. When
-// startRev predates the resume floor (compaction or chain trimming
-// dropped part of the window) it fails with ErrCompacted and the
-// consumer must re-list and watch from the present instead.
-func (e *Engine) WatchFrom(prefix string, startRev uint64) (<-chan Event, func(), error) {
-	if e.external {
-		return nil, nil, fmt.Errorf("%w: WatchFrom on ExternalRevs engine", ErrExternalRevs)
-	}
-	if e.closed.Load() {
-		return nil, nil, ErrClosed
-	}
-	// Sync the hub to the current floor first: its delivered cursor
-	// otherwise lags acknowledged writes (the drain is asynchronous), and
-	// the backfill/live boundary must sit at a known revision.
-	e.drainOnce()
-	ch, cancel, cursor := e.hub.WatchCursor(prefix)
-	if startRev == cursor {
-		return ch, cancel, nil
-	}
-	var backfill []Event
-	if startRev < cursor {
-		var err error
-		backfill, err = e.HistoryEvents(prefix, startRev, cursor)
-		if err != nil {
-			cancel()
-			return nil, nil, err
-		}
-	}
-	// The splice's floor filter suppresses live events at or below
-	// startRev when resuming from the future (startRev > cursor); in the
-	// backfill case live events are all > cursor already.
-	after := cursor
-	if startRev > cursor {
-		after = startRev
-	}
-	out, stopSplice := SpliceEvents(backfill, ch, after, e.stop)
-	var once sync.Once
-	return out, func() { once.Do(func() { stopSplice(); cancel() }) }, nil
 }
 
 // drainLoop merges per-shard apply logs into revision order and hands

@@ -74,10 +74,7 @@ func TestSnapshotScanSeesPointInTime(t *testing.T) {
 	if _, err := e.Put("/jobs/j9", 9); err != nil {
 		t.Fatal(err)
 	}
-	kvs, err := e.ScanAt(nil, "/jobs/", rev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	kvs := e.ScanAt(nil, "/jobs/", rev)
 	if len(kvs) != 8 {
 		t.Fatalf("scan size = %d, want 8", len(kvs))
 	}
@@ -196,34 +193,34 @@ func recvStoreEvent(t *testing.T, ch <-chan Event) Event {
 	}
 }
 
+// TestHistoryBoundAndCompaction: a key's chain keeps DefaultHistoryLimit
+// versions, and the trim is the engine's only compaction: a read at the
+// oldest revision resolves to nothing, while the retained versions and the
+// latest value read exactly. TestHistoryEventsBelowTrimmedChain checks
+// what the trim does to history reads.
 func TestHistoryBoundAndCompaction(t *testing.T) {
-	e := NewEngine(Config{Shards: 2, HistoryLimit: 4})
-	defer e.Close()
+	e := newTestEngine(t, 2)
+	const puts = DefaultHistoryLimit + 8
 	var revs []uint64
-	for i := 0; i < 10; i++ {
+	for i := 0; i < puts; i++ {
 		r, err := e.Put("/k", i)
 		if err != nil {
 			t.Fatal(err)
 		}
 		revs = append(revs, r)
 	}
-	// The chain is bounded: a read at the oldest revision resolves to
-	// nothing (trimmed), a read at a recent one resolves exactly.
-	if v, _, ok := func() (any, uint64, bool) {
-		sh := e.shardFor("/k")
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		return sh.keys["/k"].at(revs[8])
-	}(); !ok || v != 8 {
-		t.Fatalf("read at rev[8] = (%v,%v)", v, ok)
+	sh := e.shardFor("/k")
+	sh.mu.RLock()
+	h := sh.keys["/k"]
+	n := len(h.versions)
+	_, _, oldest := h.at(revs[0])
+	recent, _, ok := h.at(revs[puts-2])
+	sh.mu.RUnlock()
+	if n != DefaultHistoryLimit || oldest || !ok || recent != puts-2 {
+		t.Fatalf("chain of %d versions; read at the first rev ok=%v, at rev[%d] = (%v,%v)", n, oldest, puts-2, recent, ok)
 	}
-	e.Compact(revs[9])
-	if _, err := e.ScanAt(nil, "/", revs[5]); !errors.Is(err, ErrCompacted) {
-		t.Fatalf("scan below compaction = %v, want ErrCompacted", err)
-	}
-	// Latest data still readable.
-	if v, _, ok := e.Get("/k"); !ok || v != 9 {
-		t.Fatalf("get after compact = (%v,%v)", v, ok)
+	if v, _, ok := e.Get("/k"); !ok || v != puts-1 {
+		t.Fatalf("latest = (%v,%v), want %d", v, ok, puts-1)
 	}
 }
 
@@ -237,10 +234,7 @@ func TestScanAtAppends(t *testing.T) {
 		}
 	}
 	dst := append(make([]KV, 0, 8), KV{Key: "/z"})
-	kvs, err := e.ScanAt(dst, "/s/", e.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
+	kvs := e.ScanAt(dst, "/s/", e.Snapshot())
 	var got []string
 	for _, kv := range kvs {
 		got = append(got, kv.Key)
@@ -293,25 +287,6 @@ func TestNewKeyAllocBudget(t *testing.T) {
 		if got, _, ok := h.at(v.rev); !ok || got != value || (i > 0 && v.rev <= h.versions[i-1].rev) {
 			t.Fatalf("version %d (rev %d) reads (%v, %v)", i, v.rev, got, ok)
 		}
-	}
-}
-
-func TestCompactionDropsDeletedKeys(t *testing.T) {
-	e := newTestEngine(t, 2)
-	if _, err := e.Put("/gone", "x"); err != nil {
-		t.Fatal(err)
-	}
-	rev, _, err := e.Delete("/gone")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Compact(rev)
-	sh := e.shardFor("/gone")
-	sh.mu.RLock()
-	_, present := sh.keys["/gone"]
-	sh.mu.RUnlock()
-	if present {
-		t.Fatal("tombstoned key not reclaimed by compaction")
 	}
 }
 

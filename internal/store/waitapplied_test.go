@@ -119,7 +119,7 @@ func TestWaitAppliedCancel(t *testing.T) {
 }
 
 // TestGetAt: point reads at a revision see the version chain's state at
-// that cut — including tombstones — and reject compacted revisions.
+// that cut, including tombstones.
 func TestGetAt(t *testing.T) {
 	e := NewEngine(Config{ExternalRevs: true})
 	defer e.Close()
@@ -141,32 +141,12 @@ func TestGetAt(t *testing.T) {
 	}{
 		{1, "v1", true}, {2, "v2", true}, {3, "", false}, {4, "v4", true},
 	} {
-		v, _, ok, err := e.GetAt("k", tc.rev)
-		if err != nil {
-			t.Fatalf("GetAt(k,%d): %v", tc.rev, err)
-		}
+		v, _, ok := e.GetAt("k", tc.rev)
 		if ok != tc.exists || (ok && v.(string) != tc.want) {
 			t.Fatalf("GetAt(k,%d) = (%v,%v), want (%q,%v)", tc.rev, v, ok, tc.want, tc.exists)
 		}
 	}
-	if _, _, ok, err := e.GetAt("absent", 4); err != nil || ok {
-		t.Fatalf("GetAt(absent) = (%v,%v), want miss", ok, err)
-	}
-}
-
-// TestGetAtCompacted uses internal mode (Compact is an internal-mode
-// maintenance call in practice) to pin the ErrCompacted contract.
-func TestGetAtCompacted(t *testing.T) {
-	e := NewEngine(Config{})
-	defer e.Close()
-	r1, _ := e.Put("k", "v1")
-	r2, _ := e.Put("k", "v2")
-	e.Compact(r2)
-	if _, _, _, err := e.GetAt("k", r1); err == nil {
-		t.Fatal("GetAt below the compaction floor succeeded")
-	}
-	v, _, ok, err := e.GetAt("k", r2)
-	if err != nil || !ok || v.(string) != "v2" {
-		t.Fatalf("GetAt at floor = (%v,%v,%v)", v, ok, err)
+	if _, _, ok := e.GetAt("absent", 4); ok {
+		t.Fatal("GetAt(absent) hit, want miss")
 	}
 }

@@ -92,8 +92,8 @@ func (h *Hub[E]) Watch(prefix string) (<-chan E, func()) {
 
 // WatchCursor is Watch plus the subscription's start cursor: events at
 // or below the returned revision will never be delivered on the
-// channel. WatchFrom implementations use the cursor as the exclusive
-// upper bound of their history backfill.
+// channel. A resuming watch (the etcd facade's WatchFrom) uses the
+// cursor as the exclusive upper bound of its history backfill.
 func (h *Hub[E]) WatchCursor(prefix string) (<-chan E, func(), uint64) {
 	w := &watcher[E]{prefix: prefix, ch: make(chan E, 128), done: make(chan struct{})}
 	h.mu.Lock()
@@ -127,10 +127,10 @@ func (h *Hub[E]) WatchCursor(prefix string) (<-chan E, func(), uint64) {
 
 // SpliceEvents returns a channel that yields backfill first, then pipes
 // live events with revision > after, stopping when the returned cancel
-// runs or stop closes. It is the delivery shim behind WatchFrom
-// implementations: backfilled history and the live stream appear as one
-// ordered subscription, and the floor filter keeps the splice point
-// duplicate-free.
+// runs or stop closes. It is the delivery shim behind a resuming watch
+// (the etcd facade's WatchFrom): backfilled history and the live stream
+// appear as one ordered subscription, and the floor filter keeps the
+// splice point duplicate-free.
 func SpliceEvents[E Keyed](backfill []E, live <-chan E, after uint64, stop <-chan struct{}) (<-chan E, func()) {
 	out := make(chan E, len(backfill)+16)
 	done := make(chan struct{})
@@ -260,13 +260,6 @@ func (h *Hub[E]) Watchers() int {
 	h.watchersMu.RLock()
 	defer h.watchersMu.RUnlock()
 	return len(h.watchers)
-}
-
-// Delivered reports the highest accepted revision.
-func (h *Hub[E]) Delivered() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.delivered
 }
 
 // Close cancels every watcher and stops the dispatcher; subsequent Watch

@@ -43,24 +43,6 @@ type Options struct {
 	APIReplicas int
 	// EtcdReplicas is the etcd cluster size (default 3, as the paper).
 	EtcdReplicas int
-	// MetadataShards is the shard count of the metadata-plane store
-	// engine backing both MongoDB and each etcd replica's state machine
-	// (default: the store package default). More shards buy write
-	// parallelism for high job-concurrency workloads; 1 degenerates to a
-	// single-lock store.
-	MetadataShards int
-
-	// Scheduling selects the per-pod placement policy for the simulated
-	// cluster (default kube.PolicyBinPack; kube.PolicySpread trades
-	// utilization for node-failure blast radius).
-	Scheduling kube.SchedulingPolicy
-	// DisablePreemption turns off priority preemption in the gang
-	// scheduler: higher-priority jobs then wait instead of evicting
-	// lower-priority learner gangs.
-	DisablePreemption bool
-	// DisableBackfill turns off backfilling small jobs into GPU holes
-	// while a large gang waits at the head of the queue.
-	DisableBackfill bool
 
 	// EvictionGracePeriod is how long a preempted or drained learner
 	// gang gets to write an on-demand checkpoint before its pods are
@@ -156,14 +138,9 @@ func New(opts Options) (*Platform, error) {
 	p.nfs.Instrument(p.metrics)
 	p.link = netsim.NewSharedLink(netsim.Ethernet1G, p.clk)
 	p.store = objectstore.New(p.clk, p.link)
-	p.mongo = mongo.NewSharded(p.clk, opts.MetadataShards)
+	p.mongo = mongo.New(p.clk)
 	p.mongo.Instrument(p.metrics)
-	kv, err := etcd.NewWithOptions(opts.EtcdReplicas, p.clk, etcd.StoreOptions{Shards: opts.MetadataShards})
-	if err != nil {
-		p.closePartial()
-		return nil, fmt.Errorf("dlaas: %w", err)
-	}
-	p.etcd = kv
+	p.etcd = etcd.New(opts.EtcdReplicas, p.clk)
 	p.etcd.Instrument(p.metrics)
 	p.bus = rpc.NewBus(p.clk, rpc.WithTracer(p.trace))
 
@@ -178,9 +155,6 @@ func New(opts Options) (*Platform, error) {
 	p.cluster = kube.NewCluster(kube.Config{
 		Clock:               p.clk,
 		NFS:                 p.nfs,
-		Scheduling:          opts.Scheduling,
-		DisablePreemption:   opts.DisablePreemption,
-		DisableBackfill:     opts.DisableBackfill,
 		EvictionGracePeriod: opts.EvictionGracePeriod,
 		Seed:                opts.Seed,
 		Trace:               p.trace,
@@ -206,6 +180,7 @@ func New(opts Options) (*Platform, error) {
 	lcmSvc.GuardianStepDelay = opts.GuardianStepDelay
 	lcmSvc.MaxDeployAttempts = opts.MaxDeployAttempts
 
+	var err error
 	p.apiDep, err = p.cluster.CreateDeployment("dlaas-api", opts.APIReplicas, kube.PodSpec{
 		Labels:        map[string]string{"app": "dlaas-api"},
 		RestartPolicy: kube.RestartAlways,
