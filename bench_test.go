@@ -392,38 +392,6 @@ func BenchmarkEtcdWrites(b *testing.B) {
 	b.ReportMetric(float64(lat[(len(lat)*99)/100].Microseconds())/1000, "p99-virtual-ms")
 }
 
-// BenchmarkSubmitPath measures the durable submission path: manifest
-// validation + MongoDB insert + LCM dispatch, end to end through the
-// load-balanced API.
-func BenchmarkSubmitPath(b *testing.B) {
-	p, err := dlaas.New(dlaas.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
-	client := p.Client("bench")
-	creds := dlaas.Credentials{AccessKey: "bench", SecretKey: "s"}
-	data, err := p.CreateDataset("bench-data", "train.rec", 1<<30, creds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	results, err := p.CreateResultsBucket("bench-results", creds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := &dlaas.Manifest{
-		Name: "bench", Framework: "tensorflow", Model: "resnet50",
-		Learners: 1, GPUsPerLearner: 1, BatchPerGPU: 32, Epochs: 1,
-		DatasetImages: 1000, TrainingData: data, Results: results,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.Submit(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSchedulerPlacement measures GPU-aware pod placement
 // throughput on a 32-node cluster.
 func BenchmarkSchedulerPlacement(b *testing.B) {

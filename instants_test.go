@@ -2,6 +2,7 @@ package dlaas
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -17,30 +18,44 @@ import (
 // their cadence, 354–360.
 const fleetInstantBudget = 198
 
+// fleetAllocBudget is the ceiling on heap objects per job for the same
+// fleet: the 1 090–1 125 it measures in a fresh process, plus 10 %.
+// Before the job path built its paths and keys once, appended history
+// instead of re-encoding it and coded envelopes without reflection, it
+// measured 1 440–1 477.
+const fleetAllocBudget = 1220
+
 // TestFleetInstantBudget runs a small fixed fleet — sixteen one-learner
 // jobs, submitted together on GPUs enough for all, so that what each job
 // polls outweighs the metadata store's heartbeat — and bounds the virtual
-// instants it costs per job. Under the idle-advance clock every
-// instant is a fixed slice of wall time whatever happens in it, so a
-// loop that wakes on a cadence to find nothing new shows up here, as a
-// count that does not depend on how fast the machine is (it reads the
-// same beside the other platform tests and under the race detector).
+// instants and the heap objects it costs per job. Under the idle-advance
+// clock every instant is a fixed slice of wall time whatever happens in
+// it, so a loop that wakes on a cadence to find nothing new shows up
+// here, as a count that does not depend on how fast the machine is (it
+// reads the same under the race detector). The objects are what the
+// platform allocates on a job's trip through the control plane. They are
+// read from the process-wide runtime.MemStats.Mallocs, so the test does
+// not run in parallel with the others.
 func TestFleetInstantBudget(t *testing.T) {
-	t.Parallel()
 	p := newTestPlatform(t, Options{Nodes: 4, GPUsPerNode: 4, Seed: 7})
 	sim, ok := p.Clock().(*clock.Sim)
 	if !ok {
 		t.Fatalf("platform clock is %T, want the virtual clock", p.Clock())
 	}
 	const jobs = 16
-	start := sim.Instants()
-	clients, ids := make([]*Client, jobs), make([]string, jobs)
-	for i := range ids {
+	clients, manifests := make([]*Client, jobs), make([]*Manifest, jobs)
+	for i := range clients {
 		tenant := fmt.Sprintf("team-%d", i)
 		clients[i] = p.Client(tenant)
-		m := testManifest(t, p, tenant, 1)
-		m.DatasetImages = 64
-		id, err := clients[i].Submit(m)
+		manifests[i] = testManifest(t, p, tenant, 1)
+		manifests[i].DatasetImages = 64
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	start, mallocs := sim.Instants(), ms.Mallocs
+	ids := make([]string, jobs)
+	for i := range ids {
+		id, err := clients[i].Submit(manifests[i])
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -52,8 +67,13 @@ func TestFleetInstantBudget(t *testing.T) {
 		}
 	}
 	perJob := (sim.Instants() - start) / jobs
-	t.Logf("%d instants per job (budget %d)", perJob, fleetInstantBudget)
+	runtime.ReadMemStats(&ms)
+	objects := (ms.Mallocs - mallocs) / jobs
+	t.Logf("%d instants per job (budget %d), %d objects per job (budget %d)", perJob, fleetInstantBudget, objects, fleetAllocBudget)
 	if perJob > fleetInstantBudget {
 		t.Errorf("%d virtual instants per job, budget %d: is a poll loop waking on ticks that can learn nothing (see clock.SleepUntil), or the store heartbeating through a settled spell (internal/raft/cadence.go)?", perJob, fleetInstantBudget)
+	}
+	if !raceEnabled && objects > fleetAllocBudget {
+		t.Errorf("%d heap objects per job, budget %d: does a loop build a path, key or encoding on every pass that it could build once (see learner.FilesOf, events.Envelope.Append)?", objects, fleetAllocBudget)
 	}
 }

@@ -11,10 +11,12 @@
 package guardian
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/clock"
@@ -144,7 +146,10 @@ func Run(ctx *kube.ContainerCtx, p Params) int {
 		return 0
 	}
 
-	j := loadJournal(d, p.JobID)
+	// Named once: the journal is written at every deployment step and
+	// every time the monitor's cursor moves.
+	journalKey := types.GuardianJournalKey(p.JobID)
+	j := loadJournal(d, journalKey)
 	if j == nil || !j.Deployed {
 		// Fresh deploy or crashed mid-deploy: roll back leftovers and
 		// provision from scratch ("The restarted Guardian will roll
@@ -175,29 +180,30 @@ func Run(ctx *kube.ContainerCtx, p Params) int {
 			dspan.SetPhase(trace.PhaseDeploy)
 		}
 		dspan.SetAttr("attempt", fmt.Sprintf("%d", attempts))
-		code, ok := deploy(ctx, p, dspan.Context())
+		code, ok := deploy(ctx, p, journalKey, dspan.Context())
 		dspan.End()
 		if !ok {
 			return code
 		}
 	}
 
-	return monitor(ctx, p)
+	return monitor(ctx, p, journalKey)
 }
 
-// deploy provisions every job resource, journaling between steps. It
-// returns ok=false with the exit code when interrupted. parentSpan
-// (the guardian-deploy span) parents the scheduler's gang-wait span.
-func deploy(ctx *kube.ContainerCtx, p Params, parentSpan trace.SpanContext) (int, bool) {
+// deploy provisions every job resource, journaling between steps under
+// journalKey. It returns ok=false with the exit code when interrupted.
+// parentSpan (the guardian-deploy span) parents the scheduler's gang-wait
+// span.
+func deploy(ctx *kube.ContainerCtx, p Params, journalKey string, parentSpan trace.SpanContext) (int, bool) {
 	d := p.Deps
 	j := &journal{}
 	// Journal existence marks "deployment in progress" — it must be
 	// durable before the first resource is created, or a crash in the
 	// gap would leave an orphan that the next attempt doesn't roll back.
-	saveJournal(d, p.JobID, j)
+	saveJournal(d, journalKey, j)
 	step := func(name string) bool {
 		j.Steps = append(j.Steps, name)
-		saveJournal(d, p.JobID, j)
+		saveJournal(d, journalKey, j)
 		return ctx.Sleep(p.StepDelay)
 	}
 
@@ -321,7 +327,7 @@ func deploy(ctx *kube.ContainerCtx, p Params, parentSpan trace.SpanContext) (int
 	}
 
 	j.Deployed = true
-	saveJournal(d, p.JobID, j)
+	saveJournal(d, journalKey, j)
 	return 0, true
 }
 
@@ -569,8 +575,8 @@ func checkGang(p Params, relayed *bool, acks map[int]bool) (code int, done bool)
 // Eviction intents arrive on the gang's notice channel with their acks
 // on the learner watch; a completed eviction and the results-stored
 // marker are acted on at the next 1s tick, and only such ticks are taken
-// (see watchTick).
-func monitor(ctx *kube.ContainerCtx, p Params) int {
+// (see watchTick). The journal is the one under journalKey.
+func monitor(ctx *kube.ContainerCtx, p Params, journalKey string) int {
 	d := p.Deps
 	prefix := types.LearnerStatusPrefix(p.JobID)
 	count := func(name string, labels ...string) {
@@ -580,7 +586,7 @@ func monitor(ctx *kube.ContainerCtx, p Params) int {
 	}
 
 	// Restore the aggregated view and resume cursor from the journal.
-	j := loadJournal(d, p.JobID)
+	j := loadJournal(d, journalKey)
 	if j == nil {
 		j = &journal{Deployed: true}
 	}
@@ -619,7 +625,7 @@ func monitor(ctx *kube.ContainerCtx, p Params) int {
 		if ev.Type != etcd.EventPut {
 			return
 		}
-		env, ok := events.Decode([]byte(ev.Value))
+		env, ok := events.DecodeString(ev.Value)
 		if !ok {
 			return
 		}
@@ -642,15 +648,9 @@ func monitor(ctx *kube.ContainerCtx, p Params) int {
 			return
 		}
 		j.MonitorRev = lastRev
-		j.Statuses = make(map[int]types.StatusUpdate, len(statuses))
-		for l, u := range statuses {
-			j.Statuses[l] = u
-		}
-		j.Acks = make(map[int]bool, len(acks))
-		for l, v := range acks {
-			j.Acks[l] = v
-		}
-		saveJournal(d, p.JobID, j)
+		j.Statuses = maps.Clone(statuses)
+		j.Acks = maps.Clone(acks)
+		saveJournal(d, journalKey, j)
 		savedRev = lastRev
 	}
 
@@ -677,7 +677,7 @@ func monitor(ctx *kube.ContainerCtx, p Params) int {
 		}
 		count("guardian_monitor_relists")
 		for _, kv := range kvs {
-			env, ok := events.Decode([]byte(kv.Value))
+			env, ok := events.DecodeString(kv.Value)
 			if !ok {
 				continue
 			}
@@ -758,6 +758,7 @@ func monitor(ctx *kube.ContainerCtx, p Params) int {
 
 	lastList := d.Clock.Now()
 	var announced types.JobState
+	var view []types.StatusUpdate       // settle's input, rebuilt every pass
 	tick := d.Clock.NewTimer(watchTick) // one timer, re-armed every pass
 	defer tick.Stop()
 	for {
@@ -767,11 +768,11 @@ func monitor(ctx *kube.ContainerCtx, p Params) int {
 		// Learner order must be stable: settle's aggregation walks the
 		// view in order, and a map-ordered walk would let two replays
 		// of one schedule announce different detail lines.
-		view := make([]types.StatusUpdate, 0, len(statuses))
+		view = view[:0]
 		for _, u := range statuses {
 			view = append(view, u)
 		}
-		sort.Slice(view, func(i, j int) bool { return view[i].Learner < view[j].Learner })
+		slices.SortFunc(view, func(a, b types.StatusUpdate) int { return cmp.Compare(a.Learner, b.Learner) })
 		code, done, retry := settle(p, view, &announced)
 		if done {
 			return code
@@ -953,8 +954,8 @@ func failJob(d *core.Deps, jobID, reason string) {
 	_, _ = d.TransitionJob(jobID, types.StateFailed, reason)
 }
 
-func loadJournal(d *core.Deps, jobID string) *journal {
-	raw, found, err := d.Etcd.Get(types.GuardianJournalKey(jobID))
+func loadJournal(d *core.Deps, key string) *journal {
+	raw, found, err := d.Etcd.Get(key)
 	if err != nil || !found {
 		return nil
 	}
@@ -965,10 +966,10 @@ func loadJournal(d *core.Deps, jobID string) *journal {
 	return &j
 }
 
-func saveJournal(d *core.Deps, jobID string, j *journal) {
+func saveJournal(d *core.Deps, key string, j *journal) {
 	raw, err := json.Marshal(j)
 	if err != nil {
 		return
 	}
-	_, _ = d.Etcd.Put(types.GuardianJournalKey(jobID), string(raw))
+	_, _ = d.Etcd.Put(key, string(raw))
 }

@@ -80,11 +80,12 @@ func referenceController(ctx *kube.ContainerCtx, p Params) int {
 					}
 				}
 			}
-			seen := statLearner(vol, l)
+			files := learner.FilesOf(l)
+			seen := statLearner(vol, files)
 			if seen == handled[l] {
 				continue
 			}
-			status, src, ok := currentLearnerStatus(vol, l, seen)
+			status, src, ok := currentLearnerStatus(vol, l, files, seen)
 			if !ok || status == "" {
 				continue
 			}
@@ -96,7 +97,7 @@ func referenceController(ctx *kube.ContainerCtx, p Params) int {
 				Learner: l,
 				Status:  status,
 				Time:    d.Clock.Now(),
-				Detail:  progressDetail(vol, l),
+				Detail:  progressDetail(vol, files.Progress),
 			}).WithTrace(src.TraceID, src.SpanID)
 			raw, err := env.Encode()
 			if err != nil {

@@ -10,6 +10,7 @@ package helper
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -139,10 +140,18 @@ type controllerJournal struct {
 // is derived from: the Gen of its status and exit files, 0 while absent.
 type learnerFiles struct{ status, exit uint64 }
 
-func statLearner(vol *nfs.Volume, l int) learnerFiles {
-	st, _ := vol.Stat(learner.StatusPath(l))
-	ex, _ := vol.Stat(nfs.ExitCodePath(l))
+func statLearner(vol *nfs.Volume, f learner.Files) learnerFiles {
+	st, _ := vol.Stat(f.Status)
+	ex, _ := vol.Stat(f.ExitCode)
 	return learnerFiles{status: st.Gen, exit: ex.Gen}
+}
+
+// mirrored is what the controller reads and writes for one learner,
+// named once per incarnation: every pass touches it.
+type mirrored struct {
+	files             learner.Files
+	ordinal           string // the learner's key in the journal
+	statusKey, ackKey string // its etcd keys
 }
 
 // runController watches learner status and exit files on NFS and mirrors
@@ -208,28 +217,36 @@ func runController(ctx *kube.ContainerCtx, p Params) int {
 	}
 
 	handled := make([]learnerFiles, p.Manifest.Learners)
+	learners := make([]mirrored, p.Manifest.Learners)
 	// Subscribed before the first Stat: a write landing mid-pass leaves a
 	// token, and the next tick's pass reads it.
 	watched := []string{learner.EvictRequestPath}
-	for l := 0; l < p.Manifest.Learners; l++ {
-		watched = append(watched, learner.StatusPath(l), nfs.ExitCodePath(l))
+	for l := range learners {
+		learners[l] = mirrored{
+			files:     learner.FilesOf(l),
+			ordinal:   strconv.Itoa(l),
+			statusKey: types.LearnerStatusKey(p.JobID, l),
+			ackKey:    types.LearnerEvictAckKey(p.JobID, l),
+		}
+		watched = append(watched, learners[l].files.Status, learners[l].files.ExitCode)
 	}
 	sub := vol.Subscribe(watched...)
 	defer sub.Close()
+	var buf []byte // the envelope of a Put; etcd keeps its own string
 	for {
 		retry := false // something this pass saw is still unhandled
 		// Acks only exist after the Guardian posts the evict-request, so
 		// one existence check keeps the per-learner ack reads off the
 		// steady-state polling path entirely.
 		evicting := vol.Exists(learner.EvictRequestPath)
-		for l := 0; l < p.Manifest.Learners; l++ {
-			key := fmt.Sprintf("%d", l)
+		for l, lm := range learners {
+			key := lm.ordinal
 			// Mirror a pending eviction ack before the regular status:
 			// the Guardian's early-complete (and with it the whole grace
 			// protocol's win) hangs on this arriving quickly.
 			if evicting && !journal.Acked[key] {
-				if raw, err := vol.Read(learner.EvictAckPath(l)); err == nil {
-					if _, err := d.Etcd.Put(types.LearnerEvictAckKey(p.JobID, l), string(raw)); err != nil {
+				if raw, err := vol.Read(lm.files.EvictAck); err == nil {
+					if _, err := d.Etcd.Put(lm.ackKey, string(raw)); err != nil {
 						noteDrop(l, "etcd-put-ack", err)
 					} else {
 						journal.Acked[key] = true
@@ -242,11 +259,11 @@ func runController(ctx *kube.ContainerCtx, p Params) int {
 			}
 			// Stat before Read: a write landing in between is re-read on
 			// the next poll rather than missed.
-			seen := statLearner(vol, l)
+			seen := statLearner(vol, lm.files)
 			if seen == handled[l] {
 				continue
 			}
-			status, src, ok := currentLearnerStatus(vol, l, seen)
+			status, src, ok := currentLearnerStatus(vol, l, lm.files, seen)
 			if !ok || status == "" {
 				retry = true
 				continue
@@ -262,15 +279,15 @@ func runController(ctx *kube.ContainerCtx, p Params) int {
 				Learner: l,
 				Status:  status,
 				Time:    d.Clock.Now(),
-				Detail:  progressDetail(vol, l),
+				Detail:  progressDetail(vol, lm.files.Progress),
 			}).WithTrace(src.TraceID, src.SpanID)
-			raw, err := env.Encode()
-			if err != nil {
+			var err error
+			if buf, err = env.Append(buf[:0]); err != nil {
 				noteDrop(l, "marshal", err)
 				retry = true
 				continue
 			}
-			if _, err := d.Etcd.Put(types.LearnerStatusKey(p.JobID, l), string(raw)); err != nil {
+			if _, err := d.Etcd.Put(lm.statusKey, string(buf)); err != nil {
 				// etcd momentarily unavailable (leader election):
 				// retry on the next poll rather than losing the update.
 				noteDrop(l, "etcd-put", err)
@@ -307,11 +324,11 @@ func pollWait(ctx *kube.ContainerCtx, period time.Duration, sub *nfs.Subscriptio
 // carry none). ok is false when a file that exists could not be read (an
 // NFS fault) or its exit code not parsed: the answer is then incomplete
 // and the caller must ask again.
-func currentLearnerStatus(vol *nfs.Volume, l int, seen learnerFiles) (types.LearnerStatus, events.Envelope, bool) {
+func currentLearnerStatus(vol *nfs.Volume, l int, f learner.Files, seen learnerFiles) (types.LearnerStatus, events.Envelope, bool) {
 	var src events.Envelope
 	ok := true
 	if seen.status != 0 {
-		raw, err := vol.Read(learner.StatusPath(l))
+		raw, err := vol.Read(f.Status)
 		if err != nil {
 			ok = false
 		} else if env, decoded := events.Decode(raw); decoded {
@@ -332,8 +349,8 @@ func currentLearnerStatus(vol *nfs.Volume, l int, seen learnerFiles) (types.Lear
 	return status, src, ok
 }
 
-func progressDetail(vol *nfs.Volume, l int) string {
-	raw, err := vol.Read(learner.ProgressPath(l))
+func progressDetail(vol *nfs.Volume, path string) string {
+	raw, err := vol.Read(path)
 	if err != nil {
 		return ""
 	}
@@ -369,17 +386,18 @@ func runLogCollector(ctx *kube.ContainerCtx, p Params) int {
 		}
 		retry = true
 	}
-	var watched []string
+	// Each learner's two (file, bucket key) pairs, named once.
+	var watched, keys []string
 	for l := 0; l < m.Learners; l++ {
 		watched = append(watched, learner.LogPath(l), learner.MetricsPath(l))
+		keys = append(keys, learner.ResultLogKey(p.JobID, l), learner.ResultMetricsKey(p.JobID, l))
 	}
 	sub := vol.Subscribe(watched...)
 	defer sub.Close()
 	for {
 		retry = false
-		for l := 0; l < m.Learners; l++ {
-			ship(learner.LogPath(l), learner.ResultLogKey(p.JobID, l))
-			ship(learner.MetricsPath(l), learner.ResultMetricsKey(p.JobID, l))
+		for i, path := range watched {
+			ship(path, keys[i])
 		}
 		if !pollWait(ctx, logCollectorPoll, sub, retry) {
 			return 0
@@ -423,7 +441,7 @@ func awaitLearnersDone(ctx *kube.ContainerCtx, vol *nfs.Volume, learners int) bo
 	for {
 		done, failed, retry := 0, 0, false
 		for l := 0; l < learners; l++ {
-			fi, ok := vol.Stat(nfs.ExitCodePath(l))
+			fi, ok := vol.Stat(watched[l])
 			if !ok {
 				continue
 			}

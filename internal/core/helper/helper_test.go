@@ -123,7 +123,8 @@ func TestCurrentLearnerStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	current := func(l int) (types.LearnerStatus, bool) {
-		status, _, ok := currentLearnerStatus(vol, l, statLearner(vol, l))
+		f := learner.FilesOf(l)
+		status, _, ok := currentLearnerStatus(vol, l, f, statLearner(vol, f))
 		return status, ok
 	}
 	// No files yet: unknown, and nothing was read to learn it.

@@ -105,10 +105,9 @@ func (d *Deps) TransitionJob(id string, to types.JobState, reason string) (types
 		if reason != "" {
 			doc["reason"] = reason
 		}
-		hist := decodeHistoryRaw(asString(doc["history"]))
-		hist = append(hist, types.Event{JobID: id, State: to, Time: now, Note: reason})
-		if raw, err := json.Marshal(hist); err == nil {
-			doc["history"] = string(raw)
+		ev := types.Event{JobID: id, State: to, Time: now, Note: reason}
+		if hist, err := appendHistory(asString(doc["history"]), ev); err == nil {
+			doc["history"] = hist
 		}
 		changed = true
 		return nil

@@ -8,7 +8,6 @@
 package learner
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -69,20 +68,20 @@ type Params struct {
 }
 
 // StatusPath is the NFS file where learner l publishes its status.
-func StatusPath(l int) string { return fmt.Sprintf("learner-%d/status", l) }
+func StatusPath(l int) string { return "learner-" + strconv.Itoa(l) + "/status" }
 
 // LogPath is the NFS file where learner l appends training logs.
-func LogPath(l int) string { return fmt.Sprintf("learner-%d/training.log", l) }
+func LogPath(l int) string { return "learner-" + strconv.Itoa(l) + "/training.log" }
 
 // ProgressPath is the NFS file where learner l records images processed.
-func ProgressPath(l int) string { return fmt.Sprintf("learner-%d/progress", l) }
+func ProgressPath(l int) string { return "learner-" + strconv.Itoa(l) + "/progress" }
 
 // MetricsPath is the NFS file where learner l appends its training
 // progress graph (JSON lines of trainsim.MetricPoint). The paper notes
 // users profile jobs with these graphs and that the graph of a job that
 // was restarted differs slightly from one that never failed — the
 // rollback to the last checkpoint is visible in the series.
-func MetricsPath(l int) string { return fmt.Sprintf("learner-%d/metrics.jsonl", l) }
+func MetricsPath(l int) string { return "learner-" + strconv.Itoa(l) + "/metrics.jsonl" }
 
 // EvictRequestPath is the NFS file the Guardian writes (an
 // events.KindEvictionIntent envelope) to relay the scheduler's eviction
@@ -94,11 +93,30 @@ const EvictRequestPath = "evict/request"
 // intent (an events.KindEvictionAck envelope) once its on-demand
 // checkpoint is durable; the helper controller mirrors it into etcd for
 // the Guardian.
-func EvictAckPath(l int) string { return fmt.Sprintf("learner-%d/evict-ack", l) }
+func EvictAckPath(l int) string { return "learner-" + strconv.Itoa(l) + "/evict-ack" }
+
+// Files are the paths of learner l's files on the job volume. The loops
+// that touch them every pass (the learner's, the helper's) build them
+// once.
+type Files struct {
+	Status, Log, Progress, Metrics, EvictAck, ExitCode string
+}
+
+// FilesOf returns learner l's paths.
+func FilesOf(l int) Files {
+	return Files{
+		Status:   StatusPath(l),
+		Log:      LogPath(l),
+		Progress: ProgressPath(l),
+		Metrics:  MetricsPath(l),
+		EvictAck: EvictAckPath(l),
+		ExitCode: nfs.ExitCodePath(l),
+	}
+}
 
 // checkpointPrefix is the results-bucket key prefix for checkpoints.
 func checkpointPrefix(jobID string) string {
-	return fmt.Sprintf("checkpoints/%s/ckpt-", jobID)
+	return "checkpoints/" + jobID + "/ckpt-"
 }
 
 // ResultLogKey is the results-bucket key where learner l's training log
@@ -106,13 +124,13 @@ func checkpointPrefix(jobID string) string {
 // and reader (API logs endpoint, redeploy restore) addresses logs
 // through this one helper, so the layout cannot drift between them.
 func ResultLogKey(jobID string, l int) string {
-	return fmt.Sprintf("logs/%s/learner-%d.log", jobID, l)
+	return "logs/" + jobID + "/learner-" + strconv.Itoa(l) + ".log"
 }
 
 // ResultMetricsKey is the results-bucket key for learner l's training
 // progress graph.
 func ResultMetricsKey(jobID string, l int) string {
-	return fmt.Sprintf("metrics/%s/learner-%d.jsonl", jobID, l)
+	return "metrics/" + jobID + "/learner-" + strconv.Itoa(l) + ".jsonl"
 }
 
 // ContainerSpec builds the kube container for a learner. Heavy framework
@@ -168,7 +186,7 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 	// needs no propagated state). Span timestamps read the central clock:
 	// critical-path math must stay consistent under injected node skew.
 	tr := d.Trace
-	attempt := tr.StartSpan(trace.JobRoot(p.JobID), fmt.Sprintf("learner-%d", p.Ordinal))
+	attempt := tr.StartSpan(trace.JobRoot(p.JobID), "learner-"+strconv.Itoa(p.Ordinal))
 	attempt.SetAttr("node", ctx.NodeName())
 	attempt.SetAttr("incarnation", strconv.Itoa(ctx.Restart()))
 	defer attempt.End()
@@ -177,6 +195,10 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 		attemptTraceID, attemptSpanID = string(sc.TraceID), sc.SpanID.String()
 	}
 
+	// The paths are built once per incarnation, and what is written to
+	// them is built in one reused buffer: the volume copies what it keeps.
+	files := FilesOf(p.Ordinal)
+	var buf []byte
 	writeStatus := func(s types.LearnerStatus) {
 		// The status file carries the shared control-plane envelope: the
 		// helper controller mirrors it into etcd verbatim-compatible form
@@ -186,16 +208,18 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 		env := events.LearnerStatus(p.JobID, types.StatusUpdate{
 			Learner: p.Ordinal, Status: s, Time: nodeClk.Now(),
 		}).WithTrace(attemptTraceID, attemptSpanID)
-		raw, err := env.Encode()
-		if err != nil {
-			raw = []byte(s) // legacy bare-string form, still decodable
+		var err error
+		if buf, err = env.Append(buf[:0]); err != nil {
+			buf = append(buf[:0], s...) // legacy bare-string form, still decodable
 		}
-		vol.Write(StatusPath(p.Ordinal), raw)
+		vol.Write(files.Status, buf)
 	}
+	logPrefix := " learner-" + strconv.Itoa(p.Ordinal) + ": "
 	logf := func(format string, args ...any) {
-		line := fmt.Sprintf("%s learner-%d: %s\n",
-			nodeClk.Now().Format("15:04:05"), p.Ordinal, fmt.Sprintf(format, args...))
-		vol.Append(LogPath(p.Ordinal), []byte(line))
+		buf = nodeClk.Now().AppendFormat(buf[:0], "15:04:05")
+		buf = append(buf, logPrefix...)
+		buf = append(fmt.Appendf(buf, format, args...), '\n')
+		vol.Append(files.Log, buf)
 	}
 
 	writeStatus(types.LearnerStarting)
@@ -210,10 +234,14 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 	if m.Learners > 1 {
 		rsp := tr.StartSpan(attempt.Context(), "rendezvous")
 		rsp.SetPhase(trace.PhaseRendezvous)
+		peers := make([]string, m.Learners)
+		for l := range peers {
+			peers[l] = StatusPath(l)
+		}
 		for {
 			ready := 0
-			for l := 0; l < m.Learners; l++ {
-				if vol.Exists(StatusPath(l)) {
+			for _, path := range peers {
+				if vol.Exists(path) {
 					ready++
 				}
 			}
@@ -326,7 +354,7 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 		writeCheckpoint(d, m, resCreds, cfg, p.JobID, imagesDone)
 		env := events.EvictionAck(p.JobID, p.Ordinal, imagesDone, nodeClk.Now())
 		if raw, err := env.Encode(); err == nil {
-			vol.Write(EvictAckPath(p.Ordinal), raw)
+			vol.Write(files.EvictAck, raw)
 		}
 		logf("on-demand checkpoint at %d/%d images (eviction grace)", imagesDone, totalImages)
 		return true
@@ -340,7 +368,7 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 		tsp := tr.StartSpan(attempt.Context(), "train")
 		tsp.SetPhase(trace.PhaseTrain)
 		tsp.SetAttr("target", strconv.FormatInt(target, 10))
-		ok := trainSpan(ctx, d, vol, p, cfg, stepTime, stepImages, &imagesDone, target, tsp.Context(), graceCheckpoint, logf)
+		ok := trainSpan(ctx, d, vol, files, cfg, stepTime, stepImages, &imagesDone, target, tsp.Context(), graceCheckpoint, logf)
 		tsp.End()
 		if !ok {
 			// Killed mid-training: this incarnation ends as a crash;
@@ -376,7 +404,7 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 // excess — NFS operations blocking through a volume flap — is recorded
 // retroactively as an "nfs-stall" child of parent, so the critical path
 // separates stalled wall time from productive training.
-func trainSpan(ctx *kube.ContainerCtx, d *core.Deps, vol *nfs.Volume, p Params,
+func trainSpan(ctx *kube.ContainerCtx, d *core.Deps, vol *nfs.Volume, files Files,
 	cfg trainsim.Config, stepTime time.Duration, stepImages int64,
 	imagesDone *int64, target int64, parent trace.SpanContext,
 	onChunk func(int64) bool, logf func(string, ...any)) bool {
@@ -388,6 +416,7 @@ func trainSpan(ctx *kube.ContainerCtx, d *core.Deps, vol *nfs.Volume, p Params,
 		chunkSteps = 1
 	}
 	curve := trainsim.CurveFor(cfg.Model, 42)
+	var buf []byte // the progress and metrics writes; the volume copies them
 	for *imagesDone < target {
 		// Wedge hook: the marker file turns this learner into the
 		// alive-but-stuck failure mode — process up, status TRAINING,
@@ -415,15 +444,17 @@ func trainSpan(ctx *kube.ContainerCtx, d *core.Deps, vol *nfs.Volume, p Params,
 		if *imagesDone > target {
 			*imagesDone = target
 		}
-		vol.Write(ProgressPath(p.Ordinal), []byte(strconv.FormatInt(*imagesDone, 10)))
+		buf = strconv.AppendInt(buf[:0], *imagesDone, 10)
+		vol.Write(files.Progress, buf)
 		point := trainsim.MetricPoint{
 			ClusterSeconds: float64(ctx.Clock().Now().UnixNano()) / 1e9,
 			Images:         *imagesDone,
 			Loss:           curve.LossAt(*imagesDone),
 			Restarts:       ctx.Restart(),
 		}
-		if raw, err := json.Marshal(point); err == nil {
-			vol.Append(MetricsPath(p.Ordinal), append(raw, '\n'))
+		var err error
+		if buf, err = point.AppendJSON(buf[:0]); err == nil {
+			vol.Append(files.Metrics, append(buf, '\n'))
 		}
 		if excess := d.Clock.Now().Sub(chunkStart) - expected; excess > nfsStallThreshold {
 			sp := d.Trace.StartSpanAt(parent, "nfs-stall", chunkStart.Add(expected))

@@ -6,6 +6,7 @@ package types
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -112,15 +113,18 @@ func (e Event) String() string {
 
 // Etcd key-space conventions shared by the Guardian and controller.
 
+// jobsRoot is the etcd prefix of every job's keys.
+const jobsRoot = "/dlaas/jobs/"
+
 // LearnerStatusKey is where the controller records learner l's current
 // status for job id.
 func LearnerStatusKey(id string, l int) string {
-	return fmt.Sprintf("/dlaas/jobs/%s/learners/%d/status", id, l)
+	return jobsRoot + id + "/learners/" + strconv.Itoa(l) + "/status"
 }
 
 // LearnerStatusPrefix covers all learner statuses of a job.
 func LearnerStatusPrefix(id string) string {
-	return fmt.Sprintf("/dlaas/jobs/%s/learners/", id)
+	return jobsRoot + id + "/learners/"
 }
 
 // LearnerEvictAckKey is where the controller mirrors learner l's
@@ -128,7 +132,7 @@ func LearnerStatusPrefix(id string) string {
 // lives under LearnerStatusPrefix so the Guardian's one learner watch
 // carries acks and statuses alike.
 func LearnerEvictAckKey(id string, l int) string {
-	return fmt.Sprintf("/dlaas/jobs/%s/learners/%d/evict-ack", id, l)
+	return jobsRoot + id + "/learners/" + strconv.Itoa(l) + "/evict-ack"
 }
 
 // EvictionIntentKey is where the Guardian mirrors the scheduler's
@@ -136,16 +140,16 @@ func LearnerEvictAckKey(id string, l int) string {
 // rides the same revision-ordered watch feeds as every other
 // control-plane event.
 func EvictionIntentKey(id string) string {
-	return fmt.Sprintf("/dlaas/jobs/%s/evict/intent", id)
+	return jobsRoot + id + "/evict/intent"
 }
 
 // GuardianJournalKey is where the Guardian journals its deployment
 // progress so a restarted Guardian can roll back a partial deployment.
 func GuardianJournalKey(id string) string {
-	return fmt.Sprintf("/dlaas/jobs/%s/guardian/journal", id)
+	return jobsRoot + id + "/guardian/journal"
 }
 
 // JobPrefix covers every etcd key belonging to a job.
 func JobPrefix(id string) string {
-	return fmt.Sprintf("/dlaas/jobs/%s/", id)
+	return jobsRoot + id + "/"
 }

@@ -10,10 +10,12 @@
 // Decoding is tolerant of the pre-envelope wire formats (a bare learner
 // status string on NFS, a raw StatusUpdate JSON document in etcd) so
 // mixed-version components interoperate during a rolling upgrade.
+//
+// The wire form is json.Marshal's, written and read without reflection
+// (codec.go): every hop of every status change encodes or decodes one.
 package events
 
 import (
-	"encoding/json"
 	"time"
 
 	"repro/internal/core/types"
@@ -145,31 +147,4 @@ func (e Envelope) StatusUpdate() types.StatusUpdate {
 		Time:    e.Time,
 		Detail:  e.Detail,
 	}
-}
-
-// Encode serializes the envelope for a store value or NFS file.
-func (e Envelope) Encode() ([]byte, error) { return json.Marshal(e) }
-
-// Decode parses raw as an envelope, tolerating legacy payloads: a raw
-// types.StatusUpdate JSON document decodes as KindLearnerStatus (its
-// field names are a subset of the envelope's), and a bare status string
-// (the pre-envelope NFS status file) becomes a learner-status envelope
-// with just Status set. ok is false for empty input or garbage.
-func Decode(raw []byte) (Envelope, bool) {
-	if len(raw) == 0 {
-		return Envelope{}, false
-	}
-	var e Envelope
-	if err := json.Unmarshal(raw, &e); err == nil {
-		if e.Kind == "" {
-			// Legacy StatusUpdate document: same field names, no kind.
-			e.Kind = KindLearnerStatus
-		}
-		if e.Status != "" {
-			return e, true
-		}
-		return Envelope{}, false
-	}
-	// Bare status string (not valid JSON).
-	return Envelope{Kind: KindLearnerStatus, Status: string(raw)}, true
 }

@@ -170,8 +170,8 @@ func (p *Pod) interruptibleSleep(d time.Duration) bool {
 	if d <= 0 {
 		return true
 	}
-	t := p.cluster.clk.NewTimer(d)
-	defer t.Stop()
+	t := clock.AcquireTimer(p.cluster.clk, d)
+	defer clock.ReleaseTimer(t)
 	select {
 	case <-t.C():
 		return true

@@ -894,19 +894,21 @@ func (s *gangScheduler) preemptForLocked(head *Gang) {
 // reservation stranded on cordoned nodes migrates to schedulable ones,
 // and members lost to node crashes are re-reserved (all-or-nothing, like
 // admission) as capacity allows. Higher-priority gangs repair first.
+// Only degraded gangs are collected: a pass over a healthy cluster, which
+// is nearly every pass, returns before allocating.
 func (s *gangScheduler) repairLocked() {
-	var admitted []*Gang
+	var degraded []*Gang
 	for _, g := range s.gangs {
-		if g.State() == GangAdmitted {
-			admitted = append(admitted, g)
+		if g.degraded() {
+			degraded = append(degraded, g)
 		}
 	}
-	sort.Slice(admitted, func(i, j int) bool { return less(admitted[i], admitted[j]) })
-	for _, g := range admitted {
+	if len(degraded) == 0 {
+		return
+	}
+	sort.Slice(degraded, func(i, j int) bool { return less(degraded[i], degraded[j]) })
+	for _, g := range degraded {
 		size := g.Spec.GPUsPerMember
-		if size == 0 {
-			continue
-		}
 		g.mu.Lock()
 		// Migrate idle reservation off unschedulable nodes, in node-name
 		// order: each move consumes spare capacity, so when the spare fits
@@ -958,6 +960,27 @@ func (s *gangScheduler) repairLocked() {
 		}
 		g.mu.Unlock()
 	}
+}
+
+// degraded reports whether repairLocked has work on the gang: it is
+// admitted, and has members lost to a node crash or idle reservation on a
+// down or cordoned node. Repairing one gang never degrades another.
+func (g *Gang) degraded() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	size := g.Spec.GPUsPerMember
+	if g.state != GangAdmitted || size == 0 {
+		return false
+	}
+	if g.lost > 0 {
+		return true
+	}
+	for n, k := range g.idle {
+		if k >= size && (n.Down() || n.Cordoned()) {
+			return true
+		}
+	}
+	return false
 }
 
 // PendingGangs returns the number of gangs waiting for admission.

@@ -338,7 +338,7 @@ func (v *Volume) Remove(path string) {
 
 // ExitCodePath returns the conventional exit-status path for a learner.
 func ExitCodePath(learnerIdx int) string {
-	return fmt.Sprintf("learner-%d/exitcode", learnerIdx)
+	return "learner-" + strconv.Itoa(learnerIdx) + "/exitcode"
 }
 
 // WriteExitCode records the learner's exit code on the volume.

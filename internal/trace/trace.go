@@ -101,6 +101,7 @@ type span struct {
 	start  time.Time
 	end    time.Time
 	ended  bool
+	phase  string // the AttrPhase attribute, kept out of attrs: most spans have no other
 	attrs  map[string]string
 	events []SpanEvent
 }
@@ -246,6 +247,10 @@ func (s *Span) SetAttr(key, value string) {
 	}
 	s.rec.mu.Lock()
 	defer s.rec.mu.Unlock()
+	if key == AttrPhase {
+		s.data.phase = value
+		return
+	}
 	if s.data.attrs == nil {
 		s.data.attrs = make(map[string]string)
 	}
@@ -392,12 +397,15 @@ func (r *Recorder) Tree(jobID string) *Tree {
 		if s.parent != 0 {
 			sd.ParentID = s.parent.String()
 		}
-		if len(s.attrs) > 0 {
-			sd.Attrs = make(map[string]string, len(s.attrs))
+		if len(s.attrs) > 0 || s.phase != "" {
+			sd.Attrs = make(map[string]string, len(s.attrs)+1)
 			for k, v := range s.attrs {
 				sd.Attrs[k] = v
 			}
-			sd.Phase = s.attrs[AttrPhase]
+			if s.phase != "" {
+				sd.Attrs[AttrPhase] = s.phase
+			}
+			sd.Phase = s.phase
 		}
 		if len(s.events) > 0 {
 			sd.Events = append([]SpanEvent(nil), s.events...)

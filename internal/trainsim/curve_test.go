@@ -1,6 +1,8 @@
 package trainsim
 
 import (
+	"encoding/json"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -55,5 +57,33 @@ func TestLossAtNegativeClamps(t *testing.T) {
 	c := CurveFor(ResNet50, 1)
 	if got, want := c.LossAt(-5), c.LossAt(0); got != want {
 		t.Fatalf("negative progress: %.3f != %.3f", got, want)
+	}
+}
+
+// TestMetricPointAppendJSONMatchesMarshal pins the learner's metrics line
+// to json.Marshal's bytes, across the float formats' cutoffs and for
+// arbitrary values.
+func TestMetricPointAppendJSONMatchesMarshal(t *testing.T) {
+	check := func(p MetricPoint) bool {
+		got, gotErr := p.AppendJSON([]byte("prefix"))
+		want, wantErr := json.Marshal(p)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Errorf("%+v: error %v, json.Marshal's %v", p, gotErr, wantErr)
+			return false
+		}
+		if gotErr == nil && string(got) != "prefix"+string(want) {
+			t.Errorf("%+v: %s, json.Marshal writes %s", p, got, want)
+			return false
+		}
+		return true
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), 1, -1.5, 1e-6, 9.99e-7, 1e-7, 1e20, 1e21, -1e21,
+		123456789.125, 1526515201.5, math.MaxFloat64, math.SmallestNonzeroFloat64, math.NaN(), math.Inf(-1)} {
+		check(MetricPoint{ClusterSeconds: f, Images: -7, Loss: f / 3, Restarts: 2})
+	}
+	if err := quick.Check(func(t, loss float64, images int64, restarts int) bool {
+		return check(MetricPoint{ClusterSeconds: t, Images: images, Loss: loss, Restarts: restarts})
+	}, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }
