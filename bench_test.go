@@ -13,7 +13,6 @@ package dlaas_test
 import (
 	"fmt"
 	"regexp"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -29,7 +28,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/gpu"
 	"repro/internal/kube"
-	"repro/internal/store"
 	"repro/internal/trainsim"
 
 	"repro/internal/clock"
@@ -505,86 +503,6 @@ func BenchmarkGangScheduler(b *testing.B) {
 	}
 	b.ReportMetric(float64(latency.Milliseconds())/float64(b.N), "placement-ms/gang")
 	b.ReportMetric(utilSum/float64(utilSamples)*100, "gpu-util-%")
-}
-
-// BenchmarkMetadataStore measures the sharded MVCC metadata-plane
-// engine under a job-record workload: ~J concurrent job workers, each
-// operation a status-update Put plus a point Get on that job's record,
-// with every 8th operation instead a snapshot scan of the job's tenant
-// (the GC/list path, which must never block writers). Run at 1k and 10k
-// concurrent jobs with 1 shard (the pre-refactor single-lock layout)
-// versus the default shard count; reported metrics are throughput
-// (ops/s) and p99 operation latency (µs). Multi-shard throughput at 10k
-// jobs strictly above single-shard is the scaling headroom this engine
-// exists to provide.
-func BenchmarkMetadataStore(b *testing.B) {
-	jobKey := func(j int) string { return fmt.Sprintf("jobs/t%02d/j%05d", j%64, j) }
-	tenantPrefix := func(j int) string { return fmt.Sprintf("jobs/t%02d/", j%64) }
-
-	for _, jobs := range []int{1_000, 10_000} {
-		for _, shards := range []int{1, store.DefaultShards} {
-			b.Run(fmt.Sprintf("jobs-%d/shards-%d", jobs, shards), func(b *testing.B) {
-				eng := store.NewEngine(store.Config{Shards: shards})
-				defer eng.Close()
-				for j := 0; j < jobs; j++ {
-					if _, err := eng.Put(jobKey(j), `{"state":"QUEUED","attempts":0}`); err != nil {
-						b.Fatal(err)
-					}
-				}
-
-				var (
-					latMu sync.Mutex
-					lats  []time.Duration
-					opSeq atomic.Int64
-				)
-				// One worker goroutine per concurrent job (approximately:
-				// RunParallel spawns parallelism * GOMAXPROCS workers).
-				par := jobs / runtime.GOMAXPROCS(0)
-				if par < 1 {
-					par = 1
-				}
-				b.SetParallelism(par)
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					local := make([]time.Duration, 0, 4096)
-					for pb.Next() {
-						i := int(opSeq.Add(1))
-						j := i % jobs
-						start := time.Now() //lint:allow wallclock benchmark measures real wall latency, not virtual time
-						if i%8 == 0 {
-							if _, _, err := eng.Scan(tenantPrefix(j)); err != nil {
-								b.Error(err)
-								return
-							}
-						} else {
-							val := fmt.Sprintf(`{"state":"PROCESSING","attempts":%d}`, i)
-							if _, err := eng.Put(jobKey(j), val); err != nil {
-								b.Error(err)
-								return
-							}
-							if _, _, ok := eng.Get(jobKey(j)); !ok {
-								b.Error("job record vanished")
-								return
-							}
-						}
-						if len(local) < cap(local) {
-							local = append(local, time.Since(start)) //lint:allow wallclock benchmark measures real wall latency, not virtual time
-						}
-					}
-					latMu.Lock()
-					lats = append(lats, local...)
-					latMu.Unlock()
-				})
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
-				if len(lats) > 0 {
-					sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-					p99 := lats[len(lats)*99/100]
-					b.ReportMetric(float64(p99.Microseconds()), "p99-µs")
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkGracefulPreemption quantifies the eviction protocol's win:

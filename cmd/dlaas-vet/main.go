@@ -1,7 +1,8 @@
 // Command dlaas-vet runs the platform's domain-specific static
 // analyzers (internal/lint) over module packages: virtual-clock
 // purity, seeded randomness, order-stable map iteration, lock
-// discipline, and goroutine lifecycle ownership.
+// discipline, goroutine lifecycle ownership, and where unsafe may be
+// imported.
 //
 // Usage:
 //

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"repro/internal/store"
 )
@@ -24,11 +25,12 @@ import (
 //
 // Both decoders are total: any input is either a value whose encoding is
 // exactly that input, or rejected — never a panic, and never an
-// allocation sized by a number the input merely claims. Decoding converts
-// the payload to a string once and slices every key and value out of it:
-// one allocation per command, plus one per list a Txn carries. (A key
-// that stays in a replica's engine therefore keeps the payload of the
-// command that first wrote it — its first value's bytes — reachable.)
+// allocation sized by a number the input merely claims. Decoding views
+// the payload as a string without copying it and slices every key and
+// value out of that view: nothing per command, one allocation per list a
+// Txn carries, and a copy of each sub-command of a wrapper. (A key that
+// stays in a replica's engine therefore keeps the payload of the command
+// that first wrote it reachable, and the replicas share that payload.)
 
 const (
 	flagPrevExists = 1 << iota
@@ -217,8 +219,13 @@ const maxSubDepth = 1
 
 // decodeCommand parses a Raft entry payload. ok is false for anything
 // encode cannot have produced.
+//
+// The command's strings alias payload, and every replica's engine keeps
+// them: payload must never be written again. It is not: replicate
+// encodes a fresh buffer for every proposal, and raft stores and ships
+// an entry's Cmd by reference without writing to it (raft.Entry.Cmd).
 func decodeCommand(payload []byte) (cmd command, ok bool) {
-	return decodeCommandString(string(payload), 0)
+	return decodeCommandString(unsafe.String(unsafe.SliceData(payload), len(payload)), 0)
 }
 
 func decodeCommandString(s string, depth int) (command, bool) {
@@ -278,12 +285,11 @@ func (op opKind) logged() bool {
 
 // encodeSnapshot renders a state-machine image: the engine's Export (in
 // key order) and the dedup ledger with its floor.
-func encodeSnapshot(kvs []store.KV, floor uint64, ledger map[uint64]uint64) []byte {
+func encodeSnapshot(kvs []store.KVOf[string], floor uint64, ledger map[uint64]uint64) []byte {
 	ids := make([]uint64, 0, len(ledger))
 	n := uvarintLen(floor) + uvarintLen(uint64(len(kvs))) + uvarintLen(uint64(len(ledger)))
 	for _, kv := range kvs {
-		val, _ := kv.Value.(string)
-		n += strLen(kv.Key) + strLen(val) + uvarintLen(kv.Rev)
+		n += strLen(kv.Key) + strLen(kv.Value) + uvarintLen(kv.Rev)
 	}
 	for id, idx := range ledger {
 		ids = append(ids, id)
@@ -294,8 +300,7 @@ func encodeSnapshot(kvs []store.KV, floor uint64, ledger map[uint64]uint64) []by
 	b := binary.AppendUvarint(make([]byte, 0, n), floor)
 	b = binary.AppendUvarint(b, uint64(len(kvs)))
 	for _, kv := range kvs {
-		val, _ := kv.Value.(string)
-		b = binary.AppendUvarint(appendStr(appendStr(b, kv.Key), val), kv.Rev)
+		b = binary.AppendUvarint(appendStr(appendStr(b, kv.Key), kv.Value), kv.Rev)
 	}
 	b = binary.AppendUvarint(b, uint64(len(ids)))
 	for _, id := range ids {
@@ -305,14 +310,16 @@ func encodeSnapshot(kvs []store.KV, floor uint64, ledger map[uint64]uint64) []by
 }
 
 // decodeSnapshot parses a state-machine image. ok is false for anything
-// encodeSnapshot cannot have produced.
-func decodeSnapshot(raw []byte) (kvs []store.KV, floor uint64, ledger map[uint64]uint64, ok bool) {
+// encodeSnapshot cannot have produced. Unlike decodeCommand it copies
+// raw: a restore is off the write path, so the copy costs little, and the
+// restored values do not keep the image's buffer alive.
+func decodeSnapshot(raw []byte) (kvs []store.KVOf[string], floor uint64, ledger map[uint64]uint64, ok bool) {
 	r := reader{s: string(raw)}
 	floor = r.uvarint()
-	kvs = make([]store.KV, r.count(3))
+	kvs = make([]store.KVOf[string], r.count(3))
 	for i := range kvs {
 		key, val := r.str(), r.str()
-		kvs[i] = store.KV{Key: key, Value: val, Rev: r.uvarint()}
+		kvs[i] = store.KVOf[string]{Key: key, Value: val, Rev: r.uvarint()}
 		if i > 0 && key <= kvs[i-1].Key {
 			r.bad = true
 		}

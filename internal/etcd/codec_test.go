@@ -3,10 +3,14 @@ package etcd
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/store"
 )
@@ -163,10 +167,19 @@ func FuzzCommandCodec(f *testing.F) {
 		f.Add(raw)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		orig := bytes.Clone(raw)
 		var cmd command
 		var ok bool
 		if got, limit := allocated(func() { cmd, ok = decodeCommand(raw) }), uint64(64*len(raw)+allocSlack); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(raw), got, limit)
+		}
+		// The command is a view of the bytes: decoding must leave them as
+		// they were, and must read nothing but them.
+		if !bytes.Equal(raw, orig) {
+			t.Fatalf("decoding changed its input from % x to % x", orig, raw)
+		}
+		if own, ownOK := decodeCommand(orig); ownOK != ok || !reflect.DeepEqual(own, cmd) {
+			t.Fatalf("decoded % x to %+v, %v; a private copy of it to %+v, %v", raw, cmd, ok, own, ownOK)
 		}
 		if !ok {
 			return
@@ -181,9 +194,9 @@ func FuzzCommandCodec(f *testing.F) {
 }
 
 func snapshotSeeds() [][]byte {
-	var kvs []store.KV
+	var kvs []store.KVOf[string]
 	for i := 0; i < 20; i++ {
-		kvs = append(kvs, store.KV{Key: fmt.Sprintf("/jobs/j%02d/status", i), Value: fmt.Sprintf("state-%d", i), Rev: uint64(100 + 7*i)})
+		kvs = append(kvs, store.KVOf[string]{Key: fmt.Sprintf("/jobs/j%02d/status", i), Value: fmt.Sprintf("state-%d", i), Rev: uint64(100 + 7*i)})
 	}
 	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
 	full := encodeSnapshot(kvs, 41, map[uint64]uint64{41: 230, 44: 233, 42: 231})
@@ -229,7 +242,7 @@ func FuzzSnapshotCodec(f *testing.F) {
 		f.Add(raw)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		var kvs []store.KV
+		var kvs []store.KVOf[string]
 		var floor uint64
 		var ledger map[uint64]uint64
 		var ok bool
@@ -253,10 +266,10 @@ func FuzzSnapshotCodec(f *testing.F) {
 }
 
 // TestCodecAllocBudget: encoding a command is one allocation (the exactly
-// sized buffer), decoding one is one allocation (the string its fields
-// are sliced from) plus one per list of a Txn; a wrapper adds its slice
-// of sub-commands and one string each. encoding/json paid 20 objects to
-// decode a Put on each replica.
+// sized buffer); decoding one allocates nothing, its fields being sliced
+// out of the payload in place, except one slice per list of a Txn; a
+// wrapper adds its slice of sub-commands and a copy of each. encoding/json
+// paid 20 objects to decode a Put on each replica, a copied payload 1.
 func TestCodecAllocBudget(t *testing.T) {
 	put := command{ReqID: 77, Floor: 70, Op: opPut, Key: "/bench/c0/k0422", Value: string(bytes.Repeat([]byte("v"), 128))}
 	txn := codecSeeds()[5] // the Txn with all three lists
@@ -266,9 +279,9 @@ func TestCodecAllocBudget(t *testing.T) {
 		cmd            command
 		encode, decode float64
 	}{
-		{"put", put, 1, 1},
-		{"txn", txn, 1, 4},
-		{"batch of 3", batch, 1, 1 + 1 + 3},
+		{"put", put, 1, 0},
+		{"txn", txn, 1, 3},
+		{"batch of 3", batch, 1, 1 + 3},
 	} {
 		raw := c.cmd.encode()
 		if got := testing.AllocsPerRun(100, func() { c.cmd.encode() }); got != c.encode {
@@ -280,6 +293,127 @@ func TestCodecAllocBudget(t *testing.T) {
 			}
 		}); got != c.decode {
 			t.Errorf("%s: %v allocs per decode, want %v", c.name, got, c.decode)
+		}
+	}
+}
+
+// TestReplicasKeepTheLoggedBytes: a replica decodes a command in place, so
+// the keys and values its engine holds are slices of the raft entry's
+// payload, which all replicas share. A concurrent burst of Puts, Deletes
+// and Txns, with enough writers that some entries are group-commit
+// wrappers, must leave every replica holding exactly the values written
+// and every committed entry's bytes as they were when it was proposed. A
+// payload written again after its proposal breaks both.
+func TestReplicasKeepTheLoggedBytes(t *testing.T) {
+	s, clk := newTestStore(t, 3)
+	const writers, rounds = 16, 8
+
+	// The tap copies each entry the first time a node's log shows it. An
+	// entry reaches the leader's log when proposed and applies two link
+	// delays later at the earliest, so a tap every link delay copies it
+	// before its flusher can propose again. (index, term) names one entry
+	// for good, whatever leadership does.
+	type entryID struct{ index, term uint64 }
+	proposed := map[entryID][]byte{}
+	tap := func() {
+		for _, id := range s.ids {
+			for _, e := range s.cluster.Node(id).Log() {
+				k := entryID{e.Index, e.Term}
+				if _, seen := proposed[k]; !seen {
+					proposed[k] = bytes.Clone(e.Cmd)
+				}
+			}
+		}
+	}
+	stopTap, tapped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(tapped)
+		for {
+			select {
+			case <-stopTap:
+				return
+			default:
+			}
+			tap()
+			clk.Sleep(time.Millisecond)
+		}
+	}()
+
+	// Each writer owns its keys, so the final state is its own calls'.
+	model := make([]map[string]string, writers)
+	var wg sync.WaitGroup
+	for w := range writers {
+		model[w] = map[string]string{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			key := func(k string) string { return fmt.Sprintf("/alias/w%02d/%s", w, k) }
+			for r := range rounds {
+				val := func(k string) string { return fmt.Sprintf("%s@%d%s", key(k), r, strings.Repeat("~", r*w)) }
+				if _, err := s.Put(key("a"), val("a")); err != nil {
+					t.Error(err)
+					return
+				}
+				model[w][key("a")] = val("a")
+				ok, _, err := s.Txn([]Cmp{{Key: key("a"), Prev: val("a"), PrevExists: true}},
+					[]TxnOp{{Type: EventPut, Key: key("b"), Value: val("b")}, {Type: EventPut, Key: key("c"), Value: val("c")}},
+					[]TxnOp{{Type: EventPut, Key: key("else"), Value: val("else")}})
+				if err != nil || !ok {
+					t.Errorf("txn: ok=%v: %v", ok, err)
+					return
+				}
+				model[w][key("b")], model[w][key("c")] = val("b"), val("c")
+				if r%2 == 1 {
+					if err := s.Delete(key("c")); err != nil {
+						t.Error(err)
+						return
+					}
+					delete(model[w], key("c"))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stopTap)
+	<-tapped
+	if t.Failed() {
+		t.FailNow()
+	}
+	if batches, cmds := s.BatchStats(); cmds == batches {
+		t.Fatalf("%d commands in %d entries: no entry was a wrapper", cmds, batches)
+	}
+
+	want := map[string]string{}
+	for _, m := range model {
+		maps.Copy(want, m)
+	}
+	leader := s.leader()
+	if leader == nil {
+		t.Fatal("no leader after the burst")
+	}
+	commit := leader.CommitIndex()
+	for _, id := range s.ids {
+		eng, ok := s.waitApplied(s.replica(id), commit, clk.Now().Add(10*time.Second))
+		if !ok {
+			t.Fatalf("node %d did not apply through %d", id, commit)
+		}
+		got := map[string]string{}
+		for _, kv := range eng.ScanLatest("/alias/") {
+			got[kv.Key] = kv.Value
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("node %d holds\n%v\nwant\n%v", id, got, want)
+		}
+	}
+	tap()
+	for _, id := range s.ids {
+		for _, e := range s.cluster.Node(id).Log() {
+			if e.Index > commit {
+				break
+			}
+			if was, seen := proposed[entryID{e.Index, e.Term}]; !seen || !bytes.Equal(e.Cmd, was) {
+				t.Errorf("node %d: committed entry %d (term %d) is % x, was proposed as % x", id, e.Index, e.Term, e.Cmd, was)
+			}
 		}
 	}
 }

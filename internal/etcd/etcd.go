@@ -17,8 +17,8 @@
 //
 // Since the metadata-plane refactor this package is a facade over the
 // sharded MVCC engine in internal/store: each replica's deterministic
-// state machine is a store.Engine in external-revision mode (the Raft
-// log index is the revision), watch delivery goes through a store.Hub
+// state machine is a store.EngineOf[string] in external-revision mode (the
+// Raft log index is the revision), watch delivery goes through a store.Hub
 // whose revision cursor dedupes the per-replica apply streams, and the
 // client-side request plumbing (request IDs, waiter completion) uses
 // striped maps — there is no store-wide mutex on the request path; the
@@ -633,8 +633,7 @@ func (s *Store) Get(key string) (value string, found bool, err error) {
 	if err != nil {
 		return "", false, fmt.Errorf("get %q: %w", key, err)
 	}
-	v, _, found := eng.Get(key)
-	value, _ = v.(string)
+	value, _, found = eng.Get(key)
 	return value, found, nil
 }
 
@@ -675,7 +674,7 @@ func (s *Store) CompareAndSwap(key, prev string, prevExists bool, newValue strin
 func (s *Store) Txn(cmps []Cmp, then, orElse []TxnOp) (succeeded bool, rev uint64, err error) {
 	var res result
 	if len(then) == 0 && len(orElse) == 0 {
-		var eng *store.Engine
+		var eng *store.EngineOf[string]
 		if eng, err = s.readIndexRead(); err == nil {
 			res = guardsAt(eng, cmps)
 		}
@@ -710,19 +709,18 @@ func (s *Store) SerializableRange(prefix string) ([]KV, error) {
 // since ApplyAt only raises the floor after a revision's ops are all in
 // place, so a concurrently applying transaction is seen whole or not at
 // all.
-func (s *Store) scan(eng *store.Engine, err error, prefix string) ([]KV, error) {
+func (s *Store) scan(eng *store.EngineOf[string], err error, prefix string) ([]KV, error) {
 	s.finishOp("range", &s.cRange, err)
 	if err != nil {
 		return nil, fmt.Errorf("range %q: %w", prefix, err)
 	}
-	buf := scanScratch.Get().(*[]store.KV)
+	buf := scanScratch.Get().(*[]store.KVOf[string])
 	kvs := eng.ScanAt((*buf)[:0], prefix, eng.Snapshot())
 	var out []KV
 	if len(kvs) > 0 {
 		out = make([]KV, len(kvs))
 		for i, kv := range kvs {
-			val, _ := kv.Value.(string)
-			out[i] = KV{Key: kv.Key, Value: val, Rev: kv.Rev}
+			out[i] = KV(kv)
 		}
 	}
 	clear(kvs) // the pool keeps no values alive
@@ -733,7 +731,7 @@ func (s *Store) scan(eng *store.Engine, err error, prefix string) ([]KV, error) 
 
 // scanScratch holds the engine-side buffers Range scans fill, so a Range
 // allocates only the result it returns.
-var scanScratch = sync.Pool{New: func() any { return new([]store.KV) }}
+var scanScratch = sync.Pool{New: func() any { return new([]store.KVOf[string]) }}
 
 // Watch subscribes to changes of keys under prefix. Cancel releases the
 // subscription. Events begin with the first revision applied after the
@@ -829,7 +827,7 @@ func (s *Store) replicaAt(rev uint64) *stateMachine {
 // never answer), wait for a routed replica's state machine to apply
 // through it, and return that replica's engine for the caller to read
 // its local MVCC snapshot.
-func (s *Store) readIndexRead() (*store.Engine, error) {
+func (s *Store) readIndexRead() (*store.EngineOf[string], error) {
 	deadline := s.clk.Now().Add(s.timeout)
 	for {
 		if s.closed.Load() {
@@ -872,7 +870,7 @@ const routeSlice = 250 * time.Millisecond
 // routedWait dispatches a read's applied-floor wait to the least-loaded
 // live replica — follower read serving. Replicas already applied
 // through idx are preferred (their wait costs nothing); ties rotate.
-func (s *Store) routedWait(idx uint64, deadline time.Time) (*store.Engine, bool) {
+func (s *Store) routedWait(idx uint64, deadline time.Time) (*store.EngineOf[string], bool) {
 	for {
 		id, sm := s.routeReplica(idx)
 		if sm == nil {
@@ -936,14 +934,14 @@ func (s *Store) routeReplica(idx uint64) (int, *stateMachine) {
 // it stays available when the cluster has no quorum. Among equally
 // fresh replicas the least read-loaded one serves (freshness first —
 // trading it away would widen the staleness bound).
-func (s *Store) serializableRead() (*store.Engine, error) {
+func (s *Store) serializableRead() (*store.EngineOf[string], error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
 	offset := int(s.routeRR.Add(1))
 	ids := s.ids
 	bestID := -1
-	var best *store.Engine
+	var best *store.EngineOf[string]
 	var bestFloor uint64
 	var bestLoad int64
 	s.mu.Lock()
@@ -974,12 +972,11 @@ func (s *Store) serializableRead() (*store.Engine, error) {
 
 // guardsAt evaluates a read-only transaction's guards against eng's
 // current floor, a fully-installed cut (see scan).
-func guardsAt(eng *store.Engine, cmps []Cmp) result {
+func guardsAt(eng *store.EngineOf[string], cmps []Cmp) result {
 	rev := eng.Snapshot()
 	for _, c := range cmps {
 		v, _, exists := eng.GetAt(c.Key, rev)
-		sv, _ := v.(string)
-		if exists != c.PrevExists || (exists && sv != c.Prev) {
+		if exists != c.PrevExists || (exists && v != c.Prev) {
 			return result{rev: rev}
 		}
 	}
@@ -1062,7 +1059,7 @@ const waitAppliedSlice = 25 * time.Millisecond
 // at once, with no waiter and no timer; otherwise each slice deregisters
 // its waiter before re-fetching the engine, so abandoned waits don't
 // accumulate on a lagging replica.
-func (s *Store) waitApplied(sm *stateMachine, idx uint64, deadline time.Time) (*store.Engine, bool) {
+func (s *Store) waitApplied(sm *stateMachine, idx uint64, deadline time.Time) (*store.EngineOf[string], bool) {
 	for {
 		eng := sm.engine()
 		if eng.Snapshot() >= idx || s.awaitFloor(eng, idx) {
@@ -1076,7 +1073,7 @@ func (s *Store) waitApplied(sm *stateMachine, idx uint64, deadline time.Time) (*
 
 // awaitFloor waits one waitAppliedSlice for eng's applied floor to reach
 // idx, and reports whether it did.
-func (s *Store) awaitFloor(eng *store.Engine, idx uint64) bool {
+func (s *Store) awaitFloor(eng *store.EngineOf[string], idx uint64) bool {
 	ch, cancelWait := eng.WaitApplied(idx)
 	t := clock.AcquireTimer(s.clk, waitAppliedSlice)
 	defer clock.ReleaseTimer(t)
@@ -1369,9 +1366,10 @@ func (s *Store) ReadsRouted() map[int]uint64 {
 }
 
 // stateMachine is the deterministic automaton each replica runs: a
-// sharded MVCC engine in external-revision mode (the Raft index is the
-// revision) plus the exactly-once dedup ledger. Its apply loop is
-// single-goroutine per replica; mu only fences apply against restore.
+// sharded MVCC engine of string values in external-revision mode (the
+// Raft index is the revision) plus the exactly-once dedup ledger. Its
+// apply loop is single-goroutine per replica; mu only fences apply
+// against restore.
 //
 // The ledger is bounded the way §6.3 of the Raft thesis bounds client
 // sessions: every command carries the Store's low-water mark (the
@@ -1380,7 +1378,7 @@ func (s *Store) ReadsRouted() map[int]uint64 {
 // numbered below that mark can only be a stale copy, so it is a no-op.
 type stateMachine struct {
 	mu         sync.Mutex
-	eng        *store.Engine
+	eng        *store.EngineOf[string]
 	dedup      map[uint64]uint64 // reqID -> applied index, reqID >= dedupFloor
 	dedupFloor uint64
 	mtr        *metrics.Registry
@@ -1390,10 +1388,10 @@ type stateMachine struct {
 	// the writes staged so far that later guards read (overlay), the
 	// results, the engine's events for the ops, and their facade form.
 	// apply returns results and events for complete and the hub to copy.
-	ops      []store.Op
+	ops      []store.OpOf[string]
 	overlay  map[string]staged
 	results  []result
-	storeEvs []store.Event
+	storeEvs []store.EventOf[string]
 	events   []Event
 }
 
@@ -1405,7 +1403,7 @@ type staged struct {
 
 func newStateMachine() *stateMachine {
 	return &stateMachine{
-		eng:     store.NewEngine(store.Config{ExternalRevs: true}),
+		eng:     store.NewEngineOf[string](store.Config{ExternalRevs: true}),
 		dedup:   make(map[uint64]uint64),
 		overlay: make(map[string]staged),
 	}
@@ -1435,7 +1433,7 @@ func (m *stateMachine) firstApplied(idx uint64, cmd *command) (first uint64, dup
 }
 
 // engine returns the current backing engine (swapped by restore).
-func (m *stateMachine) engine() *store.Engine {
+func (m *stateMachine) engine() *store.EngineOf[string] {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.eng
@@ -1467,8 +1465,7 @@ func (m *stateMachine) historyEvents(prefix string, from, to uint64) ([]Event, e
 	}
 	out := make([]Event, 0, len(evs))
 	for _, ev := range evs {
-		val, _ := ev.Value.(string)
-		out = append(out, Event{Type: EventType(ev.Type), Key: ev.Key, Value: val, Rev: ev.Rev})
+		out = append(out, Event{Type: EventType(ev.Type), Key: ev.Key, Value: ev.Value, Rev: ev.Rev})
 	}
 	return out, nil
 }
@@ -1494,7 +1491,7 @@ func (m *stateMachine) restore(raw []byte, snapIndex uint64) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	eng := store.NewEngine(store.Config{ExternalRevs: true})
+	eng := store.NewEngineOf[string](store.Config{ExternalRevs: true})
 	_ = eng.Import(kvs, snapIndex) // cannot fail: the engine is external-revs
 	if m.mtr != nil {
 		eng.Instrument(m.mtr, m.mtrName)
@@ -1529,22 +1526,21 @@ func (m *stateMachine) apply(idx uint64, cmds []command) ([]result, []Event) {
 		}
 		// Only a later command reads what this one stages.
 		last := i == len(cmds)-1
-		stage := func(op store.Op) {
+		stage := func(op store.OpOf[string]) {
 			ops = append(ops, op)
 			if !last {
-				sv, _ := op.Value.(string)
-				m.overlay[op.Key] = staged{val: sv, exists: op.Kind == store.OpPut}
+				m.overlay[op.Key] = staged{val: op.Value, exists: op.Kind == store.OpPut}
 			}
 		}
 		res := result{rev: idx}
 		switch cmd.Op {
 		case opPut:
-			stage(store.Op{Kind: store.OpPut, Key: cmd.Key, Value: cmd.Value})
+			stage(store.OpOf[string]{Kind: store.OpPut, Key: cmd.Key, Value: cmd.Value})
 		case opDelete:
-			stage(store.Op{Kind: store.OpDelete, Key: cmd.Key})
+			stage(store.OpOf[string]{Kind: store.OpDelete, Key: cmd.Key})
 		case opCAS:
 			if m.holds(Cmp{Key: cmd.Key, Prev: cmd.Prev, PrevExists: cmd.PrevExists}) {
-				stage(store.Op{Kind: store.OpPut, Key: cmd.Key, Value: cmd.Value})
+				stage(store.OpOf[string]{Kind: store.OpPut, Key: cmd.Key, Value: cmd.Value})
 				res.ok = true
 			}
 		case opTxn:
@@ -1564,7 +1560,7 @@ func (m *stateMachine) apply(idx uint64, cmds []command) ([]result, []Event) {
 				if op.Type == EventDelete {
 					kind = store.OpDelete
 				}
-				stage(store.Op{Kind: kind, Key: op.Key, Value: op.Value})
+				stage(store.OpOf[string]{Kind: kind, Key: op.Key, Value: op.Value})
 			}
 		}
 		m.results = append(m.results, res)
@@ -1586,9 +1582,7 @@ func (m *stateMachine) apply(idx uint64, cmds []command) ([]result, []Event) {
 func (m *stateMachine) holds(c Cmp) bool {
 	cur, ok := m.overlay[c.Key]
 	if !ok {
-		v, _, exists := m.eng.Get(c.Key)
-		cur.val, _ = v.(string)
-		cur.exists = exists
+		cur.val, _, cur.exists = m.eng.Get(c.Key)
 	}
 	return cur.exists == c.PrevExists && (!cur.exists || cur.val == c.Prev)
 }
@@ -1596,7 +1590,7 @@ func (m *stateMachine) holds(c Cmp) bool {
 // install applies an entry's ops at idx in one ApplyAt and returns their
 // events in facade form. ops must be m.ops, refilled; every buffer here
 // is the applier's scratch, so the events are valid until its next entry.
-func (m *stateMachine) install(idx uint64, ops []store.Op) []Event {
+func (m *stateMachine) install(idx uint64, ops []store.OpOf[string]) []Event {
 	m.ops = ops // keep whatever the entry grew it to
 	if len(ops) == 0 {
 		return nil
@@ -1604,9 +1598,8 @@ func (m *stateMachine) install(idx uint64, ops []store.Op) []Event {
 	m.storeEvs, _ = m.eng.ApplyAt(m.storeEvs[:0], idx, ops)
 	m.events = m.events[:0]
 	for _, ev := range m.storeEvs {
-		val, _ := ev.Value.(string)
 		m.events = append(m.events, Event{
-			Type: EventType(ev.Type), Key: ev.Key, Value: val, Rev: ev.Rev,
+			Type: EventType(ev.Type), Key: ev.Key, Value: ev.Value, Rev: ev.Rev,
 		})
 	}
 	return m.events

@@ -324,16 +324,17 @@ func TestIdleClusterAllocationBudget(t *testing.T) {
 }
 
 // TestReplicatedWriteAllocBudget: a write on a warmed 3-replica store
-// allocates what it stores — the encoded entry, and per replica a decoded
-// copy and a boxed value — and nothing around it. Reply channels are
-// pooled; the group-commit queue, the flushers' proposals, raft's apply
-// queues and the appliers' event buffers are each reused by the one
-// goroutine that owns them; an append ships a window of the leader's log,
-// not a copy; a key's first versions live inside its history (README,
-// "Replicated write path cost"). Each budget is the measured count plus
-// one; before the reuse a Put cost 29, a Delete 29 and the Txn 44, before
-// the log windows 9, 9 and 15. Not parallel: AllocsPerRun counts the
-// whole process.
+// allocates what it stores — the encoded entry, which every replica's
+// engine keeps slices of, and per replica a Txn's list of ops — and
+// nothing around it. Reply channels are pooled; the group-commit queue,
+// the flushers' proposals, raft's apply queues and the appliers' event
+// buffers are each reused by the one goroutine that owns them; an append
+// ships a window of the leader's log, not a copy; a key's first versions
+// live inside its history (README, "Replicated write path cost"). Each
+// budget is the measured count plus one; before the reuse a Put cost 29, a
+// Delete 29 and the Txn 44, before the log windows 9, 9 and 15, and before
+// the replicas decoded in place into string engines 7, 4 and 13. Not
+// parallel: AllocsPerRun counts the whole process.
 func TestReplicatedWriteAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a call's wait timers are pooled: no budget under -race")
@@ -352,9 +353,9 @@ func TestReplicatedWriteAllocBudget(t *testing.T) {
 		budget float64
 		op     func() error
 	}{
-		{"put", 8, func() error { _, err := s.Put("/budget/k", value); return err }},
-		{"delete", 5, func() error { next++; return s.Delete(doomed[next-1]) }},
-		{"txn", 14, func() error { _, _, err := s.Txn(nil, both, nil); return err }},
+		{"put", 2, func() error { _, err := s.Put("/budget/k", value); return err }},
+		{"delete", 2, func() error { next++; return s.Delete(doomed[next-1]) }},
+		{"txn", 5, func() error { _, _, err := s.Txn(nil, both, nil); return err }},
 	}
 	for _, k := range doomed {
 		if _, err := s.Put(k, value); err != nil {

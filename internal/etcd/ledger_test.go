@@ -90,7 +90,7 @@ func TestDedupLedgerStaysBounded(t *testing.T) {
 	}
 	got := map[string]string{}
 	for _, kv := range sm.engine().Export() {
-		got[kv.Key], _ = kv.Value.(string)
+		got[kv.Key] = kv.Value
 	}
 	if !reflect.DeepEqual(got, map[string]string(model)) {
 		t.Fatalf("state\n got  %v\n want %v", got, model)

@@ -468,7 +468,7 @@ func TestReproposedProposalLandsLate(t *testing.T) {
 			}
 			got := map[string]string{}
 			for _, kv := range eng.Export() {
-				got[kv.Key], _ = kv.Value.(string)
+				got[kv.Key] = kv.Value
 			}
 			if !reflect.DeepEqual(got, map[string]string(model)) {
 				t.Fatalf("state\n got  %v\n want %v", got, model)

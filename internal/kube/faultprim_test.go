@@ -60,8 +60,11 @@ func TestSetNodeSkewAndNodeClock(t *testing.T) {
 	}
 }
 
+// TestDeletePodAndSnapshotIsOneCut runs on a manual clock: the pods sleep
+// an hour, so an automatic clock left alone while this goroutine is off
+// the CPU jumps past waitPhase's deadline.
 func TestDeletePodAndSnapshotIsOneCut(t *testing.T) {
-	c, clk := newTestCluster(t)
+	c, clk := newManualCluster(t)
 	labels := map[string]string{"app": "svc"}
 	mk := func(name string) {
 		spec := sleeperSpec(name, time.Hour, 0)

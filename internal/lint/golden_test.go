@@ -146,6 +146,10 @@ func TestGoLoopGolden(t *testing.T) {
 	checkGolden(t, loadFixture(t, "goloop"), DefaultPolicy(), "goloop")
 }
 
+func TestUnsafeGolden(t *testing.T) {
+	checkGolden(t, loadFixture(t, "unsafeimport"), DefaultPolicy(), "unsafe")
+}
+
 // TestAllowPrecision pins the suppression contract on the allow
 // fixture: a //lint:allow covers exactly its named rule on its line
 // and the line below; wrong-rule, reasonless, and unknown-rule

@@ -3,7 +3,8 @@
 // `go list -export`) with domain rules that machine-check the
 // platform's dependability invariants — virtual-clock purity, seeded
 // randomness, order-stable map iteration on replicated and fingerprint
-// paths, lock discipline, and goroutine lifecycle ownership.
+// paths, lock discipline, goroutine lifecycle ownership, and where unsafe
+// may alias shared bytes.
 //
 // Everything `go test` can only sample, these analyzers enforce
 // exhaustively at compile time: a nondeterministic map iteration in an
@@ -91,6 +92,7 @@ func Analyzers() []*Analyzer {
 		MapOrderAnalyzer,
 		LockDisciplineAnalyzer,
 		GoLoopAnalyzer,
+		UnsafeAnalyzer,
 	}
 }
 

@@ -51,7 +51,11 @@ func (s State) String() string {
 type Entry struct {
 	Index uint64
 	Term  uint64
-	Cmd   []byte
+	// Cmd is the proposer's payload, by reference: the log, its storage,
+	// the messages that ship it and the applied entry all share the bytes
+	// Propose was given, and raft never writes to them. An application may
+	// keep slices of it for as long as it likes.
+	Cmd []byte
 }
 
 // Apply is delivered on the apply channel when an entry commits, or when

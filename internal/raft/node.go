@@ -205,7 +205,8 @@ func (n *Node) stop() {
 
 // Propose appends cmd to the replicated log if this node is the leader.
 // It returns the index and term assigned to the entry. Commitment is
-// reported asynchronously via ApplyCh.
+// reported asynchronously via ApplyCh. The log keeps cmd itself, not a
+// copy (Entry.Cmd): the caller must never write to it again.
 func (n *Node) Propose(cmd []byte) (index, term uint64, err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

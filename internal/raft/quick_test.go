@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/clock/clocktest"
 )
 
 // TestQuickCommittedPrefixAgreement: for random schedules of proposals
@@ -194,16 +195,20 @@ func quickVotesArePersisted(t *testing.T, faults LinkFaults) {
 // and follower partitions, every node applies exactly the proposal
 // sequence: the commands eq0 … eqN, each once, in the order proposed, at
 // strictly increasing log indexes. A rewind bug or a window-accounting bug
-// would surface as a reordered, duplicated or dropped command.
+// would surface as a reordered, duplicated or dropped command. The clock
+// is manual, so a schedule's timeline does not depend on how the kernel
+// slices the run: an automatic clock moves on whenever the goroutines
+// that would act next are off the CPU.
 func TestQuickPipelineEquivalence(t *testing.T) {
 	f := func(schedule []uint8) bool {
 		if len(schedule) > 10 {
 			schedule = schedule[:10]
 		}
-		clk := clock.NewSim()
+		clk := clock.NewManual()
 		defer clk.Close()
 		c := NewCluster(3, DefaultConfig(clk))
 		defer c.Stop()
+		sleep := func(d time.Duration) { clocktest.Run(clk, d) }
 
 		// Fence: wait until the accepted burst is committed. Faults are
 		// injected only at fences — a proposal accepted by a leader that
@@ -217,20 +222,20 @@ func TestQuickPipelineEquivalence(t *testing.T) {
 				if l := c.Leader(); l != nil && l.CommitIndex() >= lastIdx {
 					return true
 				}
-				clk.Sleep(20 * time.Millisecond)
+				sleep(20 * time.Millisecond)
 			}
 			return false
 		}
 		propose := func(cmd string) bool {
 			deadline := clk.Now().Add(10 * time.Second)
 			for clk.Now().Before(deadline) {
-				if l := c.WaitLeader(2 * time.Second); l != nil {
+				if l := c.Leader(); l != nil {
 					if idx, _, err := l.Propose([]byte(cmd)); err == nil {
 						lastIdx = idx
 						return true
 					}
 				}
-				clk.Sleep(20 * time.Millisecond)
+				sleep(20 * time.Millisecond)
 			}
 			return false
 		}
@@ -272,9 +277,9 @@ func TestQuickPipelineEquivalence(t *testing.T) {
 				for _, id := range c.IDs() {
 					if l == nil || id != l.ID() {
 						c.Transport().Partition(id)
-						clk.Sleep(60 * time.Millisecond)
+						sleep(60 * time.Millisecond)
 						c.Transport().Heal(id)
-						clk.Sleep(60 * time.Millisecond)
+						sleep(60 * time.Millisecond)
 						break
 					}
 				}
@@ -302,7 +307,7 @@ func TestQuickPipelineEquivalence(t *testing.T) {
 				}
 			}
 		}
-		for deadline := clk.Now().Add(60 * time.Second); clk.Now().Before(deadline); clk.Sleep(20 * time.Millisecond) {
+		for deadline := clk.Now().Add(60 * time.Second); clk.Now().Before(deadline); sleep(20 * time.Millisecond) {
 			drain()
 			done := true
 			for _, id := range c.IDs() {
@@ -312,7 +317,7 @@ func TestQuickPipelineEquivalence(t *testing.T) {
 				break
 			}
 		}
-		clk.Sleep(100 * time.Millisecond) // room for a duplicate to show
+		sleep(100 * time.Millisecond) // room for a duplicate to show
 		drain()
 		for _, id := range c.IDs() {
 			got := applied[id]

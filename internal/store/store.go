@@ -73,24 +73,24 @@ const (
 	EventDelete
 )
 
-// Event is one change in the store's serial history.
-type Event struct {
+// EventOf is one change in the store's serial history.
+type EventOf[V any] struct {
 	Type  EventType
 	Key   string
-	Value any
+	Value V
 	Rev   uint64
 }
 
 // EventKey implements Keyed for the watch hub.
-func (e Event) EventKey() string { return e.Key }
+func (e EventOf[V]) EventKey() string { return e.Key }
 
 // EventRev implements Keyed for the watch hub.
-func (e Event) EventRev() uint64 { return e.Rev }
+func (e EventOf[V]) EventRev() uint64 { return e.Rev }
 
-// KV is a key with its value and last-modification revision.
-type KV struct {
+// KVOf is a key with its value and last-modification revision.
+type KVOf[V any] struct {
 	Key   string
-	Value any
+	Value V
 	Rev   uint64
 }
 
@@ -103,12 +103,23 @@ const (
 	OpDelete
 )
 
-// Op is one mutation in a multi-key commit.
-type Op struct {
+// OpOf is one mutation in a multi-key commit.
+type OpOf[V any] struct {
 	Kind  OpKind
 	Key   string
-	Value any
+	Value V
 }
+
+// The untyped engine and its types hold values as interfaces. mongo keeps
+// its documents in one (a map is pointer-shaped, so holding it allocates
+// nothing); etcd's replicas keep strings in an EngineOf[string], which
+// holds them without the box an interface would cost per value.
+type (
+	Engine = EngineOf[any]
+	Event  = EventOf[any]
+	KV     = KVOf[any]
+	Op     = OpOf[any]
+)
 
 // Action is what an Update callback decides to do with the key.
 type Action int
@@ -134,9 +145,9 @@ type Config struct {
 }
 
 // version is one entry in a key's MVCC chain.
-type version struct {
+type version[V any] struct {
 	rev  uint64
-	val  any
+	val  V
 	tomb bool
 }
 
@@ -144,19 +155,19 @@ type version struct {
 // versions live in inline, so a new key and its first rewrite cost one
 // allocation, the history itself; the chain moves to the heap only when
 // it outgrows inline.
-type history struct {
-	versions []version
-	inline   [2]version
+type history[V any] struct {
+	versions []version[V]
+	inline   [2]version[V]
 }
 
-func newHistory() *history {
-	h := &history{}
+func newHistory[V any]() *history[V] {
+	h := &history[V]{}
 	h.versions = h.inline[:0]
 	return h
 }
 
 // push appends v to the chain.
-func (h *history) push(v version) {
+func (h *history[V]) push(v version[V]) {
 	moves := len(h.versions) == cap(h.versions)
 	h.versions = append(h.versions, v)
 	if moves {
@@ -165,40 +176,40 @@ func (h *history) push(v version) {
 }
 
 // at returns the live value visible at rev.
-func (h *history) at(rev uint64) (any, uint64, bool) {
+func (h *history[V]) at(rev uint64) (val V, vrev uint64, ok bool) {
 	for i := len(h.versions) - 1; i >= 0; i-- {
 		v := h.versions[i]
 		if v.rev > rev {
 			continue
 		}
 		if v.tomb {
-			return nil, 0, false
+			return val, 0, false
 		}
 		return v.val, v.rev, true
 	}
-	return nil, 0, false
+	return val, 0, false
 }
 
 // latest returns the newest installed value (tombstones read as absent).
-func (h *history) latest() (any, uint64, bool) {
+func (h *history[V]) latest() (val V, vrev uint64, ok bool) {
 	if len(h.versions) == 0 {
-		return nil, 0, false
+		return val, 0, false
 	}
 	v := h.versions[len(h.versions)-1]
 	if v.tomb {
-		return nil, 0, false
+		return val, 0, false
 	}
 	return v.val, v.rev, true
 }
 
 // shard owns a hash slice of the keyspace.
-type shard struct {
+type shard[V any] struct {
 	idx  int
 	mu   sync.RWMutex
-	keys map[string]*history
+	keys map[string]*history[V]
 	// log is the shard's apply log: events appended by writers under mu,
 	// drained (merged into revision order across shards) by the hub.
-	log []Event
+	log []EventOf[V]
 }
 
 // instrumentation is the optional metrics hookup, installed atomically
@@ -209,13 +220,13 @@ type instrumentation struct {
 	shardLabels []string
 }
 
-// Engine is the sharded MVCC store.
-type Engine struct {
-	shards   []*shard
+// EngineOf is the sharded MVCC store of values of type V.
+type EngineOf[V any] struct {
+	shards   []*shard[V]
 	external bool
 
-	gate *gate       // internal mode: revision ordering layer
-	hub  *Hub[Event] // internal mode: watch dispatch
+	gate *gate            // internal mode: revision ordering layer
+	hub  *Hub[EventOf[V]] // internal mode: watch dispatch
 
 	extFloor atomic.Uint64 // external mode: last applied revision
 	// truncated is the highest revision dropped from a version chain by
@@ -247,10 +258,10 @@ type floorWaiter struct {
 // install appends a version to key's chain in sh, bounding its length
 // and accounting any dropped history against the truncation floor.
 // Callers hold sh.mu.
-func (e *Engine) install(sh *shard, key string, v version) {
+func (e *EngineOf[V]) install(sh *shard[V], key string, v version[V]) {
 	h := sh.keys[key]
 	if h == nil {
-		h = newHistory()
+		h = newHistory[V]()
 		sh.keys[key] = h
 	}
 	if n := len(h.versions); n > 0 && h.versions[n-1].rev == v.rev {
@@ -283,21 +294,25 @@ func raiseMax(a *atomic.Uint64, v uint64) {
 	}
 }
 
-// NewEngine builds an engine from cfg (zero fields take defaults).
-func NewEngine(cfg Config) *Engine {
+// NewEngine builds an untyped engine from cfg (zero fields take defaults).
+func NewEngine(cfg Config) *Engine { return NewEngineOf[any](cfg) }
+
+// NewEngineOf builds an engine of V values from cfg (zero fields take
+// defaults).
+func NewEngineOf[V any](cfg Config) *EngineOf[V] {
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
 	}
-	e := &Engine{
-		shards:   make([]*shard, cfg.Shards),
+	e := &EngineOf[V]{
+		shards:   make([]*shard[V], cfg.Shards),
 		external: cfg.ExternalRevs,
 	}
 	for i := range e.shards {
-		e.shards[i] = &shard{idx: i, keys: make(map[string]*history)}
+		e.shards[i] = &shard[V]{idx: i, keys: make(map[string]*history[V])}
 	}
 	if !e.external {
 		e.gate = newGate()
-		e.hub = NewHub[Event]()
+		e.hub = NewHub[EventOf[V]]()
 		e.drainWake = make(chan struct{}, 1)
 		e.stop = make(chan struct{})
 		go e.drainLoop()
@@ -307,7 +322,7 @@ func NewEngine(cfg Config) *Engine {
 
 // Close shuts the engine down. Watchers stop receiving events; further
 // writes fail with ErrClosed.
-func (e *Engine) Close() {
+func (e *EngineOf[V]) Close() {
 	if e.closed.Swap(true) {
 		return
 	}
@@ -321,7 +336,7 @@ func (e *Engine) Close() {
 // the given name label: per-shard commit counts, snapshot floor lag,
 // history-drop counts, and (internal mode) the watch hub's queue depth.
 // Call once, before the engine starts serving traffic.
-func (e *Engine) Instrument(reg *metrics.Registry, name string) {
+func (e *EngineOf[V]) Instrument(reg *metrics.Registry, name string) {
 	if reg == nil {
 		return
 	}
@@ -351,11 +366,11 @@ func Hash32(s string) uint32 {
 }
 
 // shardFor hashes key to its owning shard.
-func (e *Engine) shardFor(key string) *shard {
+func (e *EngineOf[V]) shardFor(key string) *shard[V] {
 	return e.shards[Hash32(key)%uint32(len(e.shards))]
 }
 
-func (e *Engine) writableInternal() error {
+func (e *EngineOf[V]) writableInternal() error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
@@ -367,7 +382,7 @@ func (e *Engine) writableInternal() error {
 
 // finish retires rev in the gate and wakes the hub drain when the floor
 // moved (newly contiguous history may be deliverable to watchers).
-func (e *Engine) finish(rev uint64) {
+func (e *EngineOf[V]) finish(rev uint64) {
 	if e.gate.end(rev) {
 		select {
 		case e.drainWake <- struct{}{}:
@@ -380,7 +395,7 @@ func (e *Engine) finish(rev uint64) {
 // appliedFloor is the highest revision R such that every revision <= R
 // is installed: the gate floor in internal mode, the external floor in
 // replicated-log mode.
-func (e *Engine) appliedFloor() uint64 {
+func (e *EngineOf[V]) appliedFloor() uint64 {
 	if e.external {
 		return e.extFloor.Load()
 	}
@@ -396,7 +411,7 @@ func (e *Engine) appliedFloor() uint64 {
 // the local state machine to catch up to the leader's confirmed index
 // instead of polling the floor. The channel never closes if the engine
 // stops applying; callers bound the wait and re-fetch the engine.
-func (e *Engine) WaitApplied(rev uint64) (<-chan struct{}, func()) {
+func (e *EngineOf[V]) WaitApplied(rev uint64) (<-chan struct{}, func()) {
 	ch := make(chan struct{})
 	e.waitMu.Lock()
 	// Publish hasWaiters BEFORE the floor check: a floor raise that is
@@ -440,7 +455,7 @@ func (e *Engine) WaitApplied(rev uint64) (<-chan struct{}, func()) {
 // notifyApplied releases WaitApplied registrations the floor has
 // reached. Floor-raise paths call it after raiseMax; the atomic check
 // keeps the no-waiter case lock-free.
-func (e *Engine) notifyApplied() {
+func (e *EngineOf[V]) notifyApplied() {
 	if !e.hasWaiters.Load() {
 		return
 	}
@@ -468,25 +483,26 @@ func (e *Engine) notifyApplied() {
 // shard, so every key's version chain and every shard's apply log stay
 // revision-ascending. Assigning before locking would let two writers to
 // one key install out of order and corrupt the chain.
-func (e *Engine) Put(key string, value any) (uint64, error) {
+func (e *EngineOf[V]) Put(key string, value V) (uint64, error) {
 	if err := e.writableInternal(); err != nil {
 		return 0, err
 	}
 	sh := e.shardFor(key)
 	sh.mu.Lock()
 	rev := e.gate.begin()
-	e.install(sh, key, version{rev: rev, val: value})
-	sh.log = append(sh.log, Event{Type: EventPut, Key: key, Value: value, Rev: rev})
+	e.install(sh, key, version[V]{rev: rev, val: value})
+	sh.log = append(sh.log, EventOf[V]{Type: EventPut, Key: key, Value: value, Rev: rev})
 	sh.mu.Unlock()
 	e.finish(rev)
 	return rev, nil
 }
 
 // Insert installs value only if the key has no live value.
-func (e *Engine) Insert(key string, value any) (uint64, error) {
-	rev, _, err := e.Update(key, func(_ any, exists bool) (any, Action, error) {
+func (e *EngineOf[V]) Insert(key string, value V) (uint64, error) {
+	rev, _, err := e.Update(key, func(_ V, exists bool) (V, Action, error) {
 		if exists {
-			return nil, ActSkip, ErrExists
+			var none V
+			return none, ActSkip, ErrExists
 		}
 		return value, ActWrite, nil
 	})
@@ -495,18 +511,18 @@ func (e *Engine) Insert(key string, value any) (uint64, error) {
 
 // Delete writes a tombstone for key. It reports whether a live value was
 // removed; deleting an absent key is not an error.
-func (e *Engine) Delete(key string) (uint64, bool, error) {
+func (e *EngineOf[V]) Delete(key string) (uint64, bool, error) {
 	return e.DeleteIf(key, nil)
 }
 
 // DeleteIf deletes key only when pred accepts the current value (nil
 // pred always accepts). Returns whether the delete happened.
-func (e *Engine) DeleteIf(key string, pred func(cur any) bool) (uint64, bool, error) {
-	rev, wrote, err := e.Update(key, func(cur any, exists bool) (any, Action, error) {
+func (e *EngineOf[V]) DeleteIf(key string, pred func(cur V) bool) (uint64, bool, error) {
+	rev, wrote, err := e.Update(key, func(cur V, exists bool) (none V, _ Action, _ error) {
 		if !exists || (pred != nil && !pred(cur)) {
-			return nil, ActSkip, nil
+			return none, ActSkip, nil
 		}
-		return nil, ActDelete, nil
+		return none, ActDelete, nil
 	})
 	return rev, wrote, err
 }
@@ -517,7 +533,7 @@ func (e *Engine) DeleteIf(key string, pred func(cur any) bool) (uint64, bool, er
 // fn aliases stored state: callers must copy before mutating. Returns
 // the commit revision and whether a version was written; fn's error
 // aborts with nothing written.
-func (e *Engine) Update(key string, fn func(cur any, exists bool) (any, Action, error)) (uint64, bool, error) {
+func (e *EngineOf[V]) Update(key string, fn func(cur V, exists bool) (V, Action, error)) (uint64, bool, error) {
 	if err := e.writableInternal(); err != nil {
 		return 0, false, err
 	}
@@ -525,7 +541,7 @@ func (e *Engine) Update(key string, fn func(cur any, exists bool) (any, Action, 
 	var rev uint64
 	var wrote bool
 	sh.mu.Lock()
-	var cur any
+	var cur V
 	var exists bool
 	if h := sh.keys[key]; h != nil {
 		cur, _, exists = h.latest()
@@ -538,14 +554,14 @@ func (e *Engine) Update(key string, fn func(cur any, exists bool) (any, Action, 
 		switch act {
 		case ActWrite:
 			rev = e.gate.begin()
-			e.install(sh, key, version{rev: rev, val: nv})
-			sh.log = append(sh.log, Event{Type: EventPut, Key: key, Value: nv, Rev: rev})
+			e.install(sh, key, version[V]{rev: rev, val: nv})
+			sh.log = append(sh.log, EventOf[V]{Type: EventPut, Key: key, Value: nv, Rev: rev})
 			wrote = true
 		case ActDelete:
 			if exists {
 				rev = e.gate.begin()
-				e.install(sh, key, version{rev: rev, tomb: true})
-				sh.log = append(sh.log, Event{Type: EventDelete, Key: key, Rev: rev})
+				e.install(sh, key, version[V]{rev: rev, tomb: true})
+				sh.log = append(sh.log, EventOf[V]{Type: EventDelete, Key: key, Rev: rev})
 				wrote = true
 			}
 		}
@@ -566,7 +582,7 @@ func (e *Engine) Update(key string, fn func(cur any, exists bool) (any, Action, 
 // Commit applies ops atomically across shards at one revision: the
 // involved shards are locked in index order, so a snapshot reader sees
 // all of the commit or none of it.
-func (e *Engine) Commit(ops []Op) (uint64, error) {
+func (e *EngineOf[V]) Commit(ops []OpOf[V]) (uint64, error) {
 	if err := e.writableInternal(); err != nil {
 		return 0, err
 	}
@@ -574,11 +590,11 @@ func (e *Engine) Commit(ops []Op) (uint64, error) {
 		return 0, nil
 	}
 	// Lock the involved shards in index order (deadlock-free).
-	involved := make(map[*shard]bool, len(ops))
+	involved := make(map[*shard[V]]bool, len(ops))
 	for _, op := range ops {
 		involved[e.shardFor(op.Key)] = true
 	}
-	locked := make([]*shard, 0, len(involved))
+	locked := make([]*shard[V], 0, len(involved))
 	for _, sh := range e.shards {
 		if involved[sh] {
 			locked = append(locked, sh)
@@ -592,16 +608,16 @@ func (e *Engine) Commit(ops []Op) (uint64, error) {
 		sh := e.shardFor(op.Key)
 		switch op.Kind {
 		case OpPut:
-			e.install(sh, op.Key, version{rev: rev, val: op.Value})
-			sh.log = append(sh.log, Event{Type: EventPut, Key: op.Key, Value: op.Value, Rev: rev})
+			e.install(sh, op.Key, version[V]{rev: rev, val: op.Value})
+			sh.log = append(sh.log, EventOf[V]{Type: EventPut, Key: op.Key, Value: op.Value, Rev: rev})
 		case OpDelete:
 			var exists bool
 			if h := sh.keys[op.Key]; h != nil {
 				_, _, exists = h.latest()
 			}
 			if exists {
-				e.install(sh, op.Key, version{rev: rev, tomb: true})
-				sh.log = append(sh.log, Event{Type: EventDelete, Key: op.Key, Rev: rev})
+				e.install(sh, op.Key, version[V]{rev: rev, tomb: true})
+				sh.log = append(sh.log, EventOf[V]{Type: EventDelete, Key: op.Key, Rev: rev})
 			}
 		}
 	}
@@ -615,33 +631,33 @@ func (e *Engine) Commit(ops []Op) (uint64, error) {
 // Get returns key's latest committed value. Single-key reads are
 // linearizable: installed versions are durable before their writer is
 // acknowledged, and there are no aborts.
-func (e *Engine) Get(key string) (any, uint64, bool) {
+func (e *EngineOf[V]) Get(key string) (val V, rev uint64, ok bool) {
 	sh := e.shardFor(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	if h := sh.keys[key]; h != nil {
 		return h.latest()
 	}
-	return nil, 0, false
+	return val, 0, false
 }
 
 // GetAt returns the live value visible for key at rev — the point-read
 // companion of ScanAt, used to evaluate multi-key guards against one
 // consistent snapshot revision.
-func (e *Engine) GetAt(key string, rev uint64) (any, uint64, bool) {
+func (e *EngineOf[V]) GetAt(key string, rev uint64) (val V, vrev uint64, ok bool) {
 	sh := e.shardFor(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	if h := sh.keys[key]; h != nil {
 		return h.at(rev)
 	}
-	return nil, 0, false
+	return val, 0, false
 }
 
 // Snapshot returns a revision safe for consistent multi-key reads: every
 // write acknowledged before the call is visible at it. It waits (without
 // blocking writers) for the floor to cover completed revisions.
-func (e *Engine) Snapshot() uint64 {
+func (e *EngineOf[V]) Snapshot() uint64 {
 	if e.external {
 		return e.extFloor.Load()
 	}
@@ -664,7 +680,7 @@ func (e *Engine) Snapshot() uint64 {
 // key, and returns the extended slice: a caller that scans often hands in
 // the same buffer, truncated, every time. Only brief per-shard read locks
 // are held: scans never block writers.
-func (e *Engine) ScanAt(dst []KV, prefix string, rev uint64) []KV {
+func (e *EngineOf[V]) ScanAt(dst []KVOf[V], prefix string, rev uint64) []KVOf[V] {
 	out := dst
 	for _, sh := range e.shards {
 		sh.mu.RLock()
@@ -673,19 +689,19 @@ func (e *Engine) ScanAt(dst []KV, prefix string, rev uint64) []KV {
 				continue
 			}
 			if v, vr, ok := h.at(rev); ok {
-				out = append(out, KV{Key: k, Value: v, Rev: vr})
+				out = append(out, KVOf[V]{Key: k, Value: v, Rev: vr})
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	slices.SortFunc(out[len(dst):], byKey)
+	slices.SortFunc(out[len(dst):], byKey[V])
 	return out
 }
 
-func byKey(a, b KV) int { return strings.Compare(a.Key, b.Key) }
+func byKey[V any](a, b KVOf[V]) int { return strings.Compare(a.Key, b.Key) }
 
 // Scan is ScanAt at a fresh Snapshot revision. The error is always nil.
-func (e *Engine) Scan(prefix string) ([]KV, uint64, error) {
+func (e *EngineOf[V]) Scan(prefix string) ([]KVOf[V], uint64, error) {
 	rev := e.Snapshot()
 	return e.ScanAt(nil, prefix, rev), rev, nil
 }
@@ -695,8 +711,8 @@ func (e *Engine) Scan(prefix string) ([]KV, uint64, error) {
 // snapshot; it is the read-your-writes path for per-key bookkeeping
 // (unique-index checks) and the deterministic range read in ExternalRevs
 // mode, where the apply loop is single-threaded.
-func (e *Engine) ScanLatest(prefix string) []KV {
-	var out []KV
+func (e *EngineOf[V]) ScanLatest(prefix string) []KVOf[V] {
+	var out []KVOf[V]
 	for _, sh := range e.shards {
 		sh.mu.RLock()
 		for k, h := range sh.keys {
@@ -704,19 +720,19 @@ func (e *Engine) ScanLatest(prefix string) []KV {
 				continue
 			}
 			if v, vr, ok := h.latest(); ok {
-				out = append(out, KV{Key: k, Value: v, Rev: vr})
+				out = append(out, KVOf[V]{Key: k, Value: v, Rev: vr})
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	slices.SortFunc(out, byKey)
+	slices.SortFunc(out, byKey[V])
 	return out
 }
 
 // ResumeFloor is the lowest revision HistoryEvents can start from with a
 // complete answer: the highest revision dropped from version history by
 // per-key chain trimming or snapshot import.
-func (e *Engine) ResumeFloor() uint64 { return e.truncated.Load() }
+func (e *EngineOf[V]) ResumeFloor() uint64 { return e.truncated.Load() }
 
 // HistoryEvents reconstructs, from the bounded version history, the
 // events committed in (fromRev, toRev] for keys under prefix, sorted by
@@ -724,7 +740,7 @@ func (e *Engine) ResumeFloor() uint64 { return e.truncated.Load() }
 // the same on every run. It fails with ErrCompacted when fromRev predates
 // the resume floor — part of the window may already have been dropped —
 // in which case the consumer must fall back to a snapshot re-list.
-func (e *Engine) HistoryEvents(prefix string, fromRev, toRev uint64) ([]Event, error) {
+func (e *EngineOf[V]) HistoryEvents(prefix string, fromRev, toRev uint64) ([]EventOf[V], error) {
 	check := func() error {
 		if f := e.ResumeFloor(); fromRev < f {
 			return fmt.Errorf("%w: resume from %d predates history floor %d", ErrCompacted, fromRev, f)
@@ -734,7 +750,7 @@ func (e *Engine) HistoryEvents(prefix string, fromRev, toRev uint64) ([]Event, e
 	if err := check(); err != nil {
 		return nil, err
 	}
-	var out []Event
+	var out []EventOf[V]
 	for _, sh := range e.shards {
 		sh.mu.RLock()
 		for k, h := range sh.keys {
@@ -746,9 +762,9 @@ func (e *Engine) HistoryEvents(prefix string, fromRev, toRev uint64) ([]Event, e
 					continue
 				}
 				if v.tomb {
-					out = append(out, Event{Type: EventDelete, Key: k, Rev: v.rev})
+					out = append(out, EventOf[V]{Type: EventDelete, Key: k, Rev: v.rev})
 				} else {
-					out = append(out, Event{Type: EventPut, Key: k, Value: v.val, Rev: v.rev})
+					out = append(out, EventOf[V]{Type: EventPut, Key: k, Value: v.val, Rev: v.rev})
 				}
 			}
 		}
@@ -760,7 +776,7 @@ func (e *Engine) HistoryEvents(prefix string, fromRev, toRev uint64) ([]Event, e
 	if err := check(); err != nil {
 		return nil, err
 	}
-	slices.SortFunc(out, func(a, b Event) int {
+	slices.SortFunc(out, func(a, b EventOf[V]) int {
 		return cmp.Or(cmp.Compare(a.Rev, b.Rev), strings.Compare(a.Key, b.Key))
 	})
 	return out, nil
@@ -770,7 +786,7 @@ func (e *Engine) HistoryEvents(prefix string, fromRev, toRev uint64) ([]Event, e
 // revision order. Events begin after the current delivered revision.
 // Only available in internal-revision mode (external callers own their
 // replicated delivery and should use a Hub directly).
-func (e *Engine) Watch(prefix string) (<-chan Event, func(), error) {
+func (e *EngineOf[V]) Watch(prefix string) (<-chan EventOf[V], func(), error) {
 	if e.external {
 		return nil, nil, fmt.Errorf("%w: Watch on ExternalRevs engine", ErrExternalRevs)
 	}
@@ -787,7 +803,7 @@ func (e *Engine) Watch(prefix string) (<-chan Event, func(), error) {
 
 // drainLoop merges per-shard apply logs into revision order and hands
 // them to the hub whenever the floor advances.
-func (e *Engine) drainLoop() {
+func (e *EngineOf[V]) drainLoop() {
 	for {
 		select {
 		case <-e.stop:
@@ -802,13 +818,13 @@ func (e *Engine) drainLoop() {
 // per-shard logs may hold events out of revision order (writers append
 // in lock-acquisition order); the merge sorts them into the single
 // serial history watchers observe.
-func (e *Engine) drainOnce() {
+func (e *EngineOf[V]) drainOnce() {
 	floor := e.gate.floorNow()
-	e.hub.Sync(func(delivered uint64) (uint64, []Event) {
+	e.hub.Sync(func(delivered uint64) (uint64, []EventOf[V]) {
 		if floor <= delivered {
 			return delivered, nil
 		}
-		var batch []Event
+		var batch []EventOf[V]
 		for _, sh := range e.shards {
 			sh.mu.Lock()
 			keep := sh.log[:0]
@@ -842,7 +858,7 @@ func (e *Engine) drainOnce() {
 // delivery layer. The caller must apply revisions in increasing order
 // from a single goroutine — a replicated log's apply loop — which can
 // hand in the same buffer, truncated, every time.
-func (e *Engine) ApplyAt(dst []Event, rev uint64, ops []Op) ([]Event, error) {
+func (e *EngineOf[V]) ApplyAt(dst []EventOf[V], rev uint64, ops []OpOf[V]) ([]EventOf[V], error) {
 	if !e.external {
 		return dst, fmt.Errorf("%w: ApplyAt on internal-revision engine", ErrExternalRevs)
 	}
@@ -852,16 +868,16 @@ func (e *Engine) ApplyAt(dst []Event, rev uint64, ops []Op) ([]Event, error) {
 		sh.mu.Lock()
 		switch op.Kind {
 		case OpPut:
-			e.install(sh, op.Key, version{rev: rev, val: op.Value})
-			events = append(events, Event{Type: EventPut, Key: op.Key, Value: op.Value, Rev: rev})
+			e.install(sh, op.Key, version[V]{rev: rev, val: op.Value})
+			events = append(events, EventOf[V]{Type: EventPut, Key: op.Key, Value: op.Value, Rev: rev})
 		case OpDelete:
 			var exists bool
 			if h := sh.keys[op.Key]; h != nil {
 				_, _, exists = h.latest()
 			}
 			if exists {
-				e.install(sh, op.Key, version{rev: rev, tomb: true})
-				events = append(events, Event{Type: EventDelete, Key: op.Key, Rev: rev})
+				e.install(sh, op.Key, version[V]{rev: rev, tomb: true})
+				events = append(events, EventOf[V]{Type: EventDelete, Key: op.Key, Rev: rev})
 			}
 		}
 		sh.mu.Unlock()
@@ -876,7 +892,7 @@ func (e *Engine) ApplyAt(dst []Event, rev uint64, ops []Op) ([]Event, error) {
 // (reads, no-ops), so the floor tracks every applied index — consumers
 // comparing the floor against a delivery cursor (WatchFrom backfill)
 // would otherwise see a replica perpetually "behind" after a read.
-func (e *Engine) AdvanceFloor(rev uint64) error {
+func (e *EngineOf[V]) AdvanceFloor(rev uint64) error {
 	if !e.external {
 		return fmt.Errorf("%w: AdvanceFloor on internal-revision engine", ErrExternalRevs)
 	}
@@ -887,7 +903,7 @@ func (e *Engine) AdvanceFloor(rev uint64) error {
 
 // Export returns every live key at its latest version, sorted by key —
 // the state-machine image for replicated-log snapshots.
-func (e *Engine) Export() []KV {
+func (e *EngineOf[V]) Export() []KVOf[V] {
 	return e.ScanLatest("")
 }
 
@@ -896,13 +912,13 @@ func (e *Engine) Export() []KV {
 // floorAtLeast if greater). Used to restore from a snapshot image. Only
 // ExternalRevs engines can import: an internal engine's gate assigns
 // dense revisions from 1 and cannot adopt arbitrary ones.
-func (e *Engine) Import(kvs []KV, floorAtLeast uint64) error {
+func (e *EngineOf[V]) Import(kvs []KVOf[V], floorAtLeast uint64) error {
 	if !e.external {
 		return fmt.Errorf("%w: Import on internal-revision engine", ErrExternalRevs)
 	}
 	for _, sh := range e.shards {
 		sh.mu.Lock()
-		sh.keys = make(map[string]*history)
+		sh.keys = make(map[string]*history[V])
 		sh.log = nil
 		sh.mu.Unlock()
 	}
@@ -910,7 +926,7 @@ func (e *Engine) Import(kvs []KV, floorAtLeast uint64) error {
 	for _, kv := range kvs {
 		sh := e.shardFor(kv.Key)
 		sh.mu.Lock()
-		e.install(sh, kv.Key, version{rev: kv.Rev, val: kv.Value})
+		e.install(sh, kv.Key, version[V]{rev: kv.Rev, val: kv.Value})
 		sh.mu.Unlock()
 		if kv.Rev > floor {
 			floor = kv.Rev

@@ -280,7 +280,7 @@ func TestNewKeyAllocBudget(t *testing.T) {
 	apply(keys[0])
 	sh := e.shardFor(keys[0])
 	h := sh.keys[keys[0]]
-	if len(h.versions) != 3 || &h.versions[0] == &h.inline[0] || h.inline != [2]version{} {
+	if len(h.versions) != 3 || &h.versions[0] == &h.inline[0] || h.inline != [2]version[any]{} {
 		t.Fatalf("third version: %d versions, inline still holds %v", len(h.versions), h.inline)
 	}
 	for i, v := range h.versions {
@@ -541,7 +541,7 @@ func TestSameKeyWritersKeepChainOrdered(t *testing.T) {
 
 // TestMultiShardParallelism is a smoke check that distinct shards accept
 // writes concurrently (no global serialization): it just exercises the
-// cross-shard path; the throughput claim lives in BenchmarkMetadataStore.
+// cross-shard path.
 func TestMultiShardParallelism(t *testing.T) {
 	e := newTestEngine(t, 16)
 	var wg sync.WaitGroup
