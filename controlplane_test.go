@@ -295,7 +295,7 @@ func TestHaltCommittedBeforeMonitorSubscribes(t *testing.T) {
 }
 
 // TestStoreMetricsExposed: the metadata-plane instrumentation the watch
-// path is observed through — per-shard commit counters, the watch hub's
+// path is observed through — the engine's commit counter, the watch hub's
 // queue-depth gauge, etcd client-op counts — lands in the platform
 // metrics registry.
 func TestStoreMetricsExposed(t *testing.T) {
@@ -311,12 +311,8 @@ func TestStoreMetricsExposed(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := p.Metrics()
-	var shardCommits float64
-	for i := 0; i < 64; i++ {
-		shardCommits += reg.Counter("store_shard_commits", "mongo", fmt.Sprintf("shard-%d", i))
-	}
-	if shardCommits == 0 {
-		t.Fatalf("no mongo shard commits recorded:\n%s", reg.Snapshot())
+	if reg.Counter("store_commits", "mongo") == 0 {
+		t.Fatalf("no mongo commits recorded:\n%s", reg.Snapshot())
 	}
 	if got := reg.Counter("etcd_client_ops", "put"); got == 0 {
 		t.Fatal("etcd client-op counters not recorded")

@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-
-	"repro/internal/store"
 )
 
 // TestSnapshotRestoreDeterministic: restoring one serialized image
@@ -56,22 +54,10 @@ func TestSnapshotRestoreDeterministic(t *testing.T) {
 
 // TestWatchFromBackfillDeterministic: the events of one multi-key revision
 // are backfilled in key order on every call, whatever order the Txn listed
-// its Puts in and however the replica's shard map iterates. The two keys
-// share a shard, so map order alone decided their order before the
-// backfill sorted by (revision, key).
+// its Puts in.
 func TestWatchFromBackfillDeterministic(t *testing.T) {
 	s, _ := newTestStore(t, 3)
-	var a, b string // a < b, in one shard
-	shardOf := func(k string) uint32 { return store.Hash32(k) % store.DefaultShards }
-	for i := 1; a == ""; i++ {
-		b = fmt.Sprintf("/order/k%03d", i)
-		for j := 0; j < i; j++ {
-			if k := fmt.Sprintf("/order/k%03d", j); shardOf(k) == shardOf(b) {
-				a = k
-				break
-			}
-		}
-	}
+	const a, b = "/order/a", "/order/b"
 	before, err := s.Put("/elsewhere", "x")
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@
 // minority of nodes.
 //
 // Since the metadata-plane refactor this package is a facade over the
-// sharded MVCC engine in internal/store: each replica's deterministic
+// MVCC engine in internal/store: each replica's deterministic
 // state machine is a store.EngineOf[string] in external-revision mode (the
 // Raft log index is the revision), watch delivery goes through a store.Hub
 // whose revision cursor dedupes the per-replica apply streams, and the
@@ -433,8 +433,8 @@ func (s *Store) Close() {
 }
 
 // Instrument publishes the facade's operational metrics into reg: the
-// watch hub's queue depth, per-replica engine metrics (shard commits,
-// history drops), and client-operation counts. Call before serving.
+// watch hub's queue depth, per-replica engine metrics (commits, history
+// drops), and client-operation counts. Call before serving.
 func (s *Store) Instrument(reg *metrics.Registry) {
 	if reg == nil {
 		return
@@ -1365,8 +1365,8 @@ func (s *Store) ReadsRouted() map[int]uint64 {
 	return out
 }
 
-// stateMachine is the deterministic automaton each replica runs: a
-// sharded MVCC engine of string values in external-revision mode (the
+// stateMachine is the deterministic automaton each replica runs: an
+// MVCC engine of string values in external-revision mode (the
 // Raft index is the revision) plus the exactly-once dedup ledger. Its
 // apply loop is single-goroutine per replica; mu only fences apply
 // against restore.
@@ -1484,7 +1484,7 @@ func (m *stateMachine) serialize() []byte {
 // against this replica must see the whole snapshot as applied.
 func (m *stateMachine) restore(raw []byte, snapIndex uint64) {
 	// The image lists keys in sorted order, so every replica restoring it
-	// installs identical shard logs.
+	// installs them in the same order.
 	kvs, floor, ledger, ok := decodeSnapshot(raw)
 	if !ok {
 		return // corrupt snapshot: keep current state

@@ -8,6 +8,7 @@ package lint
 
 import (
 	"bufio"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -243,8 +244,10 @@ func TestPolicyScoping(t *testing.T) {
 	}
 }
 
-// TestRepoPolicyLoads guards the checked-in policy file: it must parse
-// and reference only known rules.
+// TestRepoPolicyLoads guards the checked-in policy file: it must parse,
+// reference only known rules, and order only locks that exist. A lockOrder
+// ID that names no lock matches no acquisition, so a stale pair would
+// silently check nothing.
 func TestRepoPolicyLoads(t *testing.T) {
 	ld, err := NewLoader(".")
 	if err != nil {
@@ -263,4 +266,58 @@ func TestRepoPolicyLoads(t *testing.T) {
 			t.Errorf("dlaas-vet.json configures unknown rule %q", name)
 		}
 	}
+	for _, pair := range policy.LockOrder {
+		for _, id := range pair {
+			if !namesLockField(t, ld, id) {
+				t.Errorf("dlaas-vet.json lockOrder: %q names no sync.Mutex or sync.RWMutex field of a type declared in the module", id)
+			}
+		}
+	}
+}
+
+// namesLockField reports whether id, in lockdiscipline's "pkg.Type.field"
+// form, names a sync.Mutex or sync.RWMutex field of a struct type (not an
+// alias: lockdiscipline sees the aliased type's name) declared in a
+// package of the module called pkg.
+func namesLockField(t *testing.T, ld *Loader, id string) bool {
+	t.Helper()
+	parts := strings.Split(id, ".")
+	if len(parts) != 3 {
+		return false
+	}
+	dirs, err := ld.expand([]string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range dirs {
+		files, _, _, err := ld.parseDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) == 0 || files[0].Name.Name != parts[0] {
+			continue
+		}
+		imp, _, err := ld.importPathFor(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg, err := ld.loadClean(imp, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tn, ok := pkg.Scope().Lookup(parts[1]).(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Name() == parts[2] && isSyncType(f.Type(), "Mutex", "RWMutex") {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -9,11 +9,10 @@
 //   - Filtered queries over collections (job listing, GC scans).
 //
 // Since the metadata-plane refactor this package is a thin facade over
-// the sharded MVCC engine in internal/store: each collection is a
-// keyspace prefix, single-document operations are per-key atomic updates
-// on the owning shard, and queries are snapshot scans at a global
-// revision — so a GC scan over 10k jobs never blocks a status
-// transition, and writers to different documents never contend.
+// the MVCC engine in internal/store: each collection is a keyspace
+// prefix, single-document operations are per-key atomic updates under
+// the engine lock, and queries are snapshot scans at a global revision —
+// a seek to the collection's prefix in the engine's ordered index.
 //
 // Documents are map[string]any with a mandatory "_id" field. Values
 // stored and returned are deep-copied so callers can never alias the
@@ -86,8 +85,8 @@ func New(clk clock.Clock) *DB {
 // Close shuts down the backing engine.
 func (d *DB) Close() { d.eng.Close() }
 
-// Instrument publishes the backing engine's metrics (per-shard commit
-// counts, floor lag, watch-hub queue depth) into reg under the "mongo"
+// Instrument publishes the backing engine's metrics (commit counts,
+// history drops, watch-hub queue depth) into reg under the "mongo"
 // label. Call before serving.
 func (d *DB) Instrument(reg *metrics.Registry) { d.eng.Instrument(reg, "mongo") }
 
@@ -275,26 +274,27 @@ func (c *Collection) UpdateOne(filter Filter, set Document) (Document, error) {
 }
 
 // Mutate atomically applies fn to the first document matching filter (in
-// _id order) while holding the document's shard lock — the read-modify-
-// write primitive behind dependable job state transitions. fn receives a
-// copy; returning nil commits it (the _id is immutable), returning an
-// error aborts. The committed document is returned.
+// _id order) while holding the engine lock — the read-modify-write
+// primitive behind dependable job state transitions. fn receives a copy;
+// returning nil commits it (the _id is immutable), returning an error
+// aborts. fn must not call into the database: the lock is not reentrant.
+// The committed document is returned.
 //
 // With an "_id" filter (the platform's state-transition path) the
-// operation is exact: the one key is locked and revalidated. A non-_id
-// filter selects candidates from an MVCC snapshot and revalidates each
-// under its shard lock, rescanning a bounded number of times; under
-// sustained concurrent churn of the filtered fields it can return
-// ErrNotFound even though some document matched at every instant —
-// point-in-time candidate selection is the price of scans that never
-// block writers.
+// operation is exact: the one key is read and revalidated under the lock.
+// A non-_id filter selects candidates from an MVCC snapshot and
+// revalidates each under the engine lock, rescanning a bounded number of
+// times; under sustained concurrent churn of the filtered fields it can
+// return ErrNotFound even though some document matched at every instant —
+// point-in-time candidate selection is the price of not holding the write
+// lock across a whole-collection scan.
 func (c *Collection) Mutate(filter Filter, fn func(doc Document) error) (Document, error) {
 	return c.mutateFiltered("mutate", filter, fn)
 }
 
 // mutateFiltered is the shared filtered-RMW path. A point filter ("_id")
-// locks only the owning shard; otherwise candidates come from a snapshot
-// scan and each is revalidated under its shard lock, retrying when every
+// goes straight to its key; otherwise candidates come from a snapshot
+// scan and each is revalidated under the engine lock, retrying when every
 // candidate was concurrently mutated away.
 func (c *Collection) mutateFiltered(opName string, filter Filter, fn func(doc Document) error) (Document, error) {
 	if err := c.db.available(); err != nil {
@@ -343,7 +343,7 @@ func (c *Collection) mutateFiltered(opName string, filter Filter, fn func(doc Do
 	return nil, fmt.Errorf("mongo: %s in %s: %w", opName, c.name, ErrNotFound)
 }
 
-// mutateKey runs fn against the identified document under its shard
+// mutateKey runs fn against the identified document under the engine
 // lock, revalidating the filter there. wrote=false means the document is
 // absent or no longer matches.
 func (c *Collection) mutateKey(id string, filter Filter, fn func(doc Document) error) (Document, bool, error) {

@@ -39,8 +39,8 @@ func eventKeys(evs []Event) []string {
 
 // TestHistoryEventsRevisionThenKeyOrder: the events of a window come back
 // sorted by revision and, within one multi-key revision, by key, whatever
-// shards the keys live in; deletes come back as tombstone events, and the
-// window is (from, to].
+// order the ops listed them in; deletes come back as tombstone events, and
+// the window is (from, to].
 func TestHistoryEventsRevisionThenKeyOrder(t *testing.T) {
 	e := newHistoryEngine(t)
 	applyAt(t, e, 1, Op{Kind: OpPut, Key: "/jobs/c", Value: "1"}, Op{Kind: OpPut, Key: "/jobs/a", Value: "1"}, Op{Kind: OpPut, Key: "/jobs/b", Value: "1"})

@@ -1,22 +1,18 @@
-// Package store is the platform's metadata-plane engine: a sharded,
-// multi-version (MVCC) key-value store that the mongo and etcd
-// substrates are thin facades over. The design follows the recipe of
-// Faleiro & Abadi's "Rethinking serializable multiversion concurrency
-// control": separate the *ordering* of writes from their *execution* so
-// the store scales with cores instead of serializing on one lock.
+// Package store is the platform's metadata-plane engine: a multi-version
+// (MVCC) key-value store that the mongo and etcd substrates are thin
+// facades over.
 //
-//   - Keys are hash-sharded; every shard has its own lock, so writers to
-//     different shards never contend.
-//   - A global revision is assigned per write by a lock-free ring "gate"
-//     (the disciplined ordering layer). The gate tracks the *floor*: the
-//     highest revision R such that every revision <= R is installed.
-//   - Reads are MVCC snapshots at the floor: Scan walks per-key version
-//     chains holding only brief per-shard read locks, so list/scan never
-//     blocks writers. Snapshot acquisition waits until the floor covers
-//     every write that completed before the read began, which keeps
-//     reads real-time-consistent with acknowledged writes.
-//   - Watches are driven by per-shard apply logs merged into revision
-//     order by the hub, so watchers observe a single serial history.
+//   - Keys live in one ordered index: a map from each key to its version
+//     chain, and beside it the same chains sorted by key. A point read is a
+//     map lookup; a prefix scan is a binary-search seek plus the keys of the
+//     prefix, which come out in key order.
+//   - One RWMutex guards the index. Writers assign revisions under the
+//     write lock, so the applied floor (the highest revision R such that
+//     every revision <= R is installed) is one atomic word, and a snapshot
+//     read at it sees every write acknowledged before it began.
+//   - In internal mode a write hands its events to the watch hub before it
+//     releases the lock, so watchers observe one serial history, each
+//     revision's events in key order.
 //   - Version chains are bounded (DefaultHistoryLimit versions per key);
 //     a read of history below what the chains retain fails with
 //     ErrCompacted, like a read below etcd's compaction.
@@ -31,9 +27,8 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"runtime"
+	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -55,14 +50,12 @@ var (
 	ErrExternalRevs = errors.New("store: wrong revision mode")
 )
 
-// Defaults completed by NewEngine.
-const (
-	// DefaultShards is the shard count when Config.Shards is zero.
-	DefaultShards = 16
-	// DefaultHistoryLimit bounds the per-key version chain; older
-	// versions are trimmed as new ones are installed.
-	DefaultHistoryLimit = 32
-)
+// DefaultHistoryLimit bounds the per-key version chain; older versions
+// are trimmed as new ones are installed.
+const DefaultHistoryLimit = 32
+
+// latestRev reads a key's newest installed version.
+const latestRev = math.MaxUint64
 
 // EventType distinguishes watch events.
 type EventType int
@@ -134,10 +127,9 @@ const (
 	ActDelete
 )
 
-// Config parameterizes an Engine. The zero value gets defaults.
+// Config parameterizes an Engine. The zero value is an internal-revision
+// engine.
 type Config struct {
-	// Shards is the number of hash shards (default DefaultShards).
-	Shards int
 	// ExternalRevs switches the engine to replicated-log mode: the
 	// caller supplies monotone revisions via ApplyAt, and internal-mode
 	// operations (Put, Update, Commit, Watch) are rejected.
@@ -156,12 +148,13 @@ type version[V any] struct {
 // allocation, the history itself; the chain moves to the heap only when
 // it outgrows inline.
 type history[V any] struct {
+	key      string
 	versions []version[V]
 	inline   [2]version[V]
 }
 
-func newHistory[V any]() *history[V] {
-	h := &history[V]{}
+func newHistory[V any](key string) *history[V] {
+	h := &history[V]{key: key}
 	h.versions = h.inline[:0]
 	return h
 }
@@ -175,7 +168,7 @@ func (h *history[V]) push(v version[V]) {
 	}
 }
 
-// at returns the live value visible at rev.
+// at returns the live value visible at rev (latestRev: the newest).
 func (h *history[V]) at(rev uint64) (val V, vrev uint64, ok bool) {
 	for i := len(h.versions) - 1; i >= 0; i-- {
 		v := h.versions[i]
@@ -190,62 +183,34 @@ func (h *history[V]) at(rev uint64) (val V, vrev uint64, ok bool) {
 	return val, 0, false
 }
 
-// latest returns the newest installed value (tombstones read as absent).
-func (h *history[V]) latest() (val V, vrev uint64, ok bool) {
-	if len(h.versions) == 0 {
-		return val, 0, false
-	}
-	v := h.versions[len(h.versions)-1]
-	if v.tomb {
-		return val, 0, false
-	}
-	return v.val, v.rev, true
-}
-
-// shard owns a hash slice of the keyspace.
-type shard[V any] struct {
-	idx  int
-	mu   sync.RWMutex
-	keys map[string]*history[V]
-	// log is the shard's apply log: events appended by writers under mu,
-	// drained (merged into revision order across shards) by the hub.
-	log []EventOf[V]
-}
-
-// instrumentation is the optional metrics hookup, installed atomically
-// so commit paths can check it without a lock.
-type instrumentation struct {
-	reg         *metrics.Registry
-	name        string
-	shardLabels []string
-}
-
-// EngineOf is the sharded MVCC store of values of type V.
+// EngineOf is the MVCC store of values of type V.
 type EngineOf[V any] struct {
-	shards   []*shard[V]
-	external bool
-
-	gate *gate            // internal mode: revision ordering layer
-	hub  *Hub[EventOf[V]] // internal mode: watch dispatch
-
-	extFloor atomic.Uint64 // external mode: last applied revision
+	// mu guards the index and everything below it up to external. A
+	// writer holds it while it assigns a revision, installs it and, in
+	// internal mode, publishes its events.
+	mu     sync.RWMutex
+	keys   map[string]*history[V]
+	sorted []*history[V] // the histories of keys, ascending by key
 	// truncated is the highest revision dropped from a version chain by
 	// per-key history trimming or snapshot import: it bounds how far back
 	// HistoryEvents can reach.
-	truncated atomic.Uint64
-	closed    atomic.Bool
+	truncated uint64
+	events    []EventOf[V] // internal mode: the commit's events, reused
+	mtr       *metrics.Registry
+	mtrName   string
 
-	instr atomic.Pointer[instrumentation]
+	external bool
+	hub      *Hub[EventOf[V]] // internal mode: watch dispatch
+	// applied is the highest installed revision: written only under mu
+	// (internal mode assigns the next revision from it), read without it.
+	applied atomic.Uint64
+	closed  atomic.Bool
 
 	// Applied-floor waiters (WaitApplied). hasWaiters lets the floor-raise
 	// hot paths skip the lock when nobody is waiting.
 	waitMu     sync.Mutex
 	waiters    []floorWaiter
 	hasWaiters atomic.Bool
-
-	drainWake chan struct{}
-	stop      chan struct{}
-	stopOnce  sync.Once
 }
 
 // floorWaiter is one WaitApplied registration: ch closes when the
@@ -255,14 +220,35 @@ type floorWaiter struct {
 	ch  chan struct{}
 }
 
-// install appends a version to key's chain in sh, bounding its length
-// and accounting any dropped history against the truncation floor.
-// Callers hold sh.mu.
-func (e *EngineOf[V]) install(sh *shard[V], key string, v version[V]) {
-	h := sh.keys[key]
+// seek returns the position in sorted of the first key >= key. Callers
+// hold e.mu.
+func (e *EngineOf[V]) seek(key string) int {
+	i, _ := slices.BinarySearchFunc(e.sorted, key, func(h *history[V], k string) int {
+		return strings.Compare(h.key, k)
+	})
+	return i
+}
+
+// under returns the histories of the keys under prefix, in key order.
+// Callers hold e.mu.
+func (e *EngineOf[V]) under(prefix string) []*history[V] {
+	i := e.seek(prefix)
+	j := i
+	for j < len(e.sorted) && strings.HasPrefix(e.sorted[j].key, prefix) {
+		j++
+	}
+	return e.sorted[i:j]
+}
+
+// install appends a version to key's chain, indexing the key if it is
+// new, bounding the chain's length and accounting any dropped history
+// against the truncation floor. Callers hold e.mu for writing.
+func (e *EngineOf[V]) install(key string, v version[V]) {
+	h := e.keys[key]
 	if h == nil {
-		h = newHistory[V]()
-		sh.keys[key] = h
+		h = newHistory[V](key)
+		e.keys[key] = h
+		e.sorted = slices.Insert(e.sorted, e.seek(key), h)
 	}
 	if n := len(h.versions); n > 0 && h.versions[n-1].rev == v.rev {
 		// Same-revision rewrite (multi-op commit touching one key twice):
@@ -273,49 +259,67 @@ func (e *EngineOf[V]) install(sh *shard[V], key string, v version[V]) {
 	h.push(v)
 	drop := len(h.versions) - DefaultHistoryLimit
 	if drop > 0 {
-		raiseMax(&e.truncated, h.versions[drop-1].rev)
+		e.truncated = max(e.truncated, h.versions[drop-1].rev)
 		h.versions = h.versions[drop:]
 	}
-	if in := e.instr.Load(); in != nil {
-		in.reg.Inc("store_shard_commits", in.name, in.shardLabels[sh.idx])
+	if e.mtr != nil {
+		e.mtr.Inc("store_commits", e.mtrName)
 		if drop > 0 {
-			in.reg.Add("store_history_drops", float64(drop), in.name)
+			e.mtr.Add("store_history_drops", float64(drop), e.mtrName)
 		}
 	}
 }
 
-// raiseMax lifts a to at least v.
-func raiseMax(a *atomic.Uint64, v uint64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
+// getLocked returns the live value of key visible at rev. Callers hold
+// e.mu.
+func (e *EngineOf[V]) getLocked(key string, rev uint64) (val V, vrev uint64, ok bool) {
+	if h := e.keys[key]; h != nil {
+		return h.at(rev)
 	}
+	return val, 0, false
 }
 
-// NewEngine builds an untyped engine from cfg (zero fields take defaults).
+// applyLocked installs ops at rev and appends their events to dst: a put
+// always, a delete only when it removes a live value. Callers hold e.mu
+// for writing.
+func (e *EngineOf[V]) applyLocked(dst []EventOf[V], rev uint64, ops []OpOf[V]) []EventOf[V] {
+	for _, op := range ops {
+		switch op.Kind {
+		case OpPut:
+			e.install(op.Key, version[V]{rev: rev, val: op.Value})
+			dst = append(dst, EventOf[V]{Type: EventPut, Key: op.Key, Value: op.Value, Rev: rev})
+		case OpDelete:
+			if _, _, ok := e.getLocked(op.Key, latestRev); ok {
+				e.install(op.Key, version[V]{rev: rev, tomb: true})
+				dst = append(dst, EventOf[V]{Type: EventDelete, Key: op.Key, Rev: rev})
+			}
+		}
+	}
+	return dst
+}
+
+// commitLocked installs ops at the next revision, makes it the applied
+// floor and hands its events to the hub, sorted by key so one commit fans
+// out the same way on every run. Publishing before the caller releases
+// e.mu keeps the hub's revisions in order. Callers hold e.mu for writing.
+func (e *EngineOf[V]) commitLocked(ops ...OpOf[V]) uint64 {
+	rev := e.applied.Load() + 1
+	e.events = e.applyLocked(e.events[:0], rev, ops)
+	slices.SortStableFunc(e.events, func(a, b EventOf[V]) int { return strings.Compare(a.Key, b.Key) })
+	e.raiseLocked(rev)
+	e.hub.Publish(rev, e.events)
+	clear(e.events) // the hub copied them: keep no values alive
+	return rev
+}
+
+// NewEngine builds an untyped engine from cfg.
 func NewEngine(cfg Config) *Engine { return NewEngineOf[any](cfg) }
 
-// NewEngineOf builds an engine of V values from cfg (zero fields take
-// defaults).
+// NewEngineOf builds an engine of V values from cfg.
 func NewEngineOf[V any](cfg Config) *EngineOf[V] {
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
-	}
-	e := &EngineOf[V]{
-		shards:   make([]*shard[V], cfg.Shards),
-		external: cfg.ExternalRevs,
-	}
-	for i := range e.shards {
-		e.shards[i] = &shard[V]{idx: i, keys: make(map[string]*history[V])}
-	}
+	e := &EngineOf[V]{keys: make(map[string]*history[V]), external: cfg.ExternalRevs}
 	if !e.external {
-		e.gate = newGate()
 		e.hub = NewHub[EventOf[V]]()
-		e.drainWake = make(chan struct{}, 1)
-		e.stop = make(chan struct{})
-		go e.drainLoop()
 	}
 	return e
 }
@@ -327,47 +331,24 @@ func (e *EngineOf[V]) Close() {
 		return
 	}
 	if !e.external {
-		e.stopOnce.Do(func() { close(e.stop) })
 		e.hub.Close()
 	}
 }
 
 // Instrument publishes the engine's operational metrics into reg under
-// the given name label: per-shard commit counts, snapshot floor lag,
-// history-drop counts, and (internal mode) the watch hub's queue depth.
-// Call once, before the engine starts serving traffic.
+// the given name label: commit counts, history-drop counts, and
+// (internal mode) the watch hub's queue depth. Call once, before the
+// engine starts serving traffic.
 func (e *EngineOf[V]) Instrument(reg *metrics.Registry, name string) {
 	if reg == nil {
 		return
 	}
-	in := &instrumentation{reg: reg, name: name, shardLabels: make([]string, len(e.shards))}
-	for i := range e.shards {
-		in.shardLabels[i] = fmt.Sprintf("shard-%d", i)
-	}
-	e.instr.Store(in)
+	e.mu.Lock()
+	e.mtr, e.mtrName = reg, name
+	e.mu.Unlock()
 	if e.hub != nil {
 		e.hub.Instrument(reg, name)
 	}
-}
-
-// Hash32 is the FNV-1a string hash used for shard and stripe selection
-// across the metadata plane.
-func Hash32(s string) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= prime32
-	}
-	return h
-}
-
-// shardFor hashes key to its owning shard.
-func (e *EngineOf[V]) shardFor(key string) *shard[V] {
-	return e.shards[Hash32(key)%uint32(len(e.shards))]
 }
 
 func (e *EngineOf[V]) writableInternal() error {
@@ -380,26 +361,11 @@ func (e *EngineOf[V]) writableInternal() error {
 	return nil
 }
 
-// finish retires rev in the gate and wakes the hub drain when the floor
-// moved (newly contiguous history may be deliverable to watchers).
-func (e *EngineOf[V]) finish(rev uint64) {
-	if e.gate.end(rev) {
-		select {
-		case e.drainWake <- struct{}{}:
-		default:
-		}
-		e.notifyApplied()
-	}
-}
-
-// appliedFloor is the highest revision R such that every revision <= R
-// is installed: the gate floor in internal mode, the external floor in
-// replicated-log mode.
-func (e *EngineOf[V]) appliedFloor() uint64 {
-	if e.external {
-		return e.extFloor.Load()
-	}
-	return e.gate.floorNow()
+// raiseLocked lifts the applied floor to rev, never lowering it. Every
+// writer of applied holds e.mu for writing, so a load and a store
+// suffice; the caller runs notifyApplied once it has unlocked.
+func (e *EngineOf[V]) raiseLocked(rev uint64) {
+	e.applied.Store(max(e.applied.Load(), rev))
 }
 
 // WaitApplied returns a channel that closes once the applied floor
@@ -422,7 +388,7 @@ func (e *EngineOf[V]) WaitApplied(rev uint64) (<-chan struct{}, func()) {
 	// skipping notifyApplied's fast path with the waiter unregistered —
 	// a wakeup lost forever.
 	e.hasWaiters.Store(true)
-	if e.appliedFloor() >= rev {
+	if e.applied.Load() >= rev {
 		if len(e.waiters) == 0 {
 			e.hasWaiters.Store(false)
 		}
@@ -453,14 +419,14 @@ func (e *EngineOf[V]) WaitApplied(rev uint64) (<-chan struct{}, func()) {
 }
 
 // notifyApplied releases WaitApplied registrations the floor has
-// reached. Floor-raise paths call it after raiseMax; the atomic check
+// reached. Floor-raise paths call it after the raise; the atomic check
 // keeps the no-waiter case lock-free.
 func (e *EngineOf[V]) notifyApplied() {
 	if !e.hasWaiters.Load() {
 		return
 	}
 	e.waitMu.Lock()
-	floor := e.appliedFloor()
+	floor := e.applied.Load()
 	keep := e.waiters[:0]
 	for _, w := range e.waiters {
 		if w.rev <= floor {
@@ -477,24 +443,8 @@ func (e *EngineOf[V]) notifyApplied() {
 }
 
 // Put installs value under key at a fresh revision.
-//
-// Revisions are assigned while holding the shard lock (here and in
-// Update/Commit): lock order and revision order then agree within a
-// shard, so every key's version chain and every shard's apply log stay
-// revision-ascending. Assigning before locking would let two writers to
-// one key install out of order and corrupt the chain.
 func (e *EngineOf[V]) Put(key string, value V) (uint64, error) {
-	if err := e.writableInternal(); err != nil {
-		return 0, err
-	}
-	sh := e.shardFor(key)
-	sh.mu.Lock()
-	rev := e.gate.begin()
-	e.install(sh, key, version[V]{rev: rev, val: value})
-	sh.log = append(sh.log, EventOf[V]{Type: EventPut, Key: key, Value: value, Rev: rev})
-	sh.mu.Unlock()
-	e.finish(rev)
-	return rev, nil
+	return e.Commit([]OpOf[V]{{Kind: OpPut, Key: key, Value: value}})
 }
 
 // Insert installs value only if the key has no live value.
@@ -516,7 +466,8 @@ func (e *EngineOf[V]) Delete(key string) (uint64, bool, error) {
 }
 
 // DeleteIf deletes key only when pred accepts the current value (nil
-// pred always accepts). Returns whether the delete happened.
+// pred always accepts). Returns whether the delete happened. pred runs
+// under the engine lock, as Update's fn does.
 func (e *EngineOf[V]) DeleteIf(key string, pred func(cur V) bool) (uint64, bool, error) {
 	rev, wrote, err := e.Update(key, func(cur V, exists bool) (none V, _ Action, _ error) {
 		if !exists || (pred != nil && !pred(cur)) {
@@ -527,60 +478,38 @@ func (e *EngineOf[V]) DeleteIf(key string, pred func(cur V) bool) (uint64, bool,
 	return rev, wrote, err
 }
 
-// Update runs fn for key under its shard's write lock — the per-key
+// Update runs fn for key under the engine's write lock — the per-key
 // atomic read-modify-write primitive. fn sees the current live value
-// (nil, false when absent) and decides the action. The value handed to
-// fn aliases stored state: callers must copy before mutating. Returns
-// the commit revision and whether a version was written; fn's error
-// aborts with nothing written.
+// (nil, false when absent) and decides the action. fn must not call back
+// into the engine: the lock is not reentrant. The value handed to fn
+// aliases stored state: callers must copy before mutating. Returns the
+// commit revision and whether a version was written; fn's error aborts
+// with nothing written. A revision is assigned only when a version is
+// written.
 func (e *EngineOf[V]) Update(key string, fn func(cur V, exists bool) (V, Action, error)) (uint64, bool, error) {
 	if err := e.writableInternal(); err != nil {
 		return 0, false, err
 	}
-	sh := e.shardFor(key)
 	var rev uint64
-	var wrote bool
-	sh.mu.Lock()
-	var cur V
-	var exists bool
-	if h := sh.keys[key]; h != nil {
-		cur, _, exists = h.latest()
-	}
+	e.mu.Lock()
+	cur, _, exists := e.getLocked(key, latestRev)
 	nv, act, err := fn(cur, exists)
-	if err == nil {
-		// The revision is allocated only when a version is actually
-		// written, after fn returns — a skipped or aborted update never
-		// holds a pending revision, so it cannot stall the floor.
-		switch act {
-		case ActWrite:
-			rev = e.gate.begin()
-			e.install(sh, key, version[V]{rev: rev, val: nv})
-			sh.log = append(sh.log, EventOf[V]{Type: EventPut, Key: key, Value: nv, Rev: rev})
-			wrote = true
-		case ActDelete:
-			if exists {
-				rev = e.gate.begin()
-				e.install(sh, key, version[V]{rev: rev, tomb: true})
-				sh.log = append(sh.log, EventOf[V]{Type: EventDelete, Key: key, Rev: rev})
-				wrote = true
-			}
-		}
+	switch {
+	case err != nil:
+	case act == ActWrite:
+		rev = e.commitLocked(OpOf[V]{Kind: OpPut, Key: key, Value: nv})
+	case act == ActDelete && exists:
+		rev = e.commitLocked(OpOf[V]{Kind: OpDelete, Key: key})
 	}
-	sh.mu.Unlock()
-	if wrote {
-		e.finish(rev)
-	}
-	if err != nil {
+	e.mu.Unlock()
+	if rev == 0 {
 		return 0, false, err
 	}
-	if !wrote {
-		return 0, false, nil
-	}
+	e.notifyApplied()
 	return rev, true, nil
 }
 
-// Commit applies ops atomically across shards at one revision: the
-// involved shards are locked in index order, so a snapshot reader sees
+// Commit applies ops atomically at one revision: a snapshot reader sees
 // all of the commit or none of it.
 func (e *EngineOf[V]) Commit(ops []OpOf[V]) (uint64, error) {
 	if err := e.writableInternal(); err != nil {
@@ -589,42 +518,10 @@ func (e *EngineOf[V]) Commit(ops []OpOf[V]) (uint64, error) {
 	if len(ops) == 0 {
 		return 0, nil
 	}
-	// Lock the involved shards in index order (deadlock-free).
-	involved := make(map[*shard[V]]bool, len(ops))
-	for _, op := range ops {
-		involved[e.shardFor(op.Key)] = true
-	}
-	locked := make([]*shard[V], 0, len(involved))
-	for _, sh := range e.shards {
-		if involved[sh] {
-			locked = append(locked, sh)
-		}
-	}
-	for _, sh := range locked {
-		sh.mu.Lock() //lint:allow lockdiscipline every locked shard is released below in reverse index order via locked[i].mu.Unlock()
-	}
-	rev := e.gate.begin()
-	for _, op := range ops {
-		sh := e.shardFor(op.Key)
-		switch op.Kind {
-		case OpPut:
-			e.install(sh, op.Key, version[V]{rev: rev, val: op.Value})
-			sh.log = append(sh.log, EventOf[V]{Type: EventPut, Key: op.Key, Value: op.Value, Rev: rev})
-		case OpDelete:
-			var exists bool
-			if h := sh.keys[op.Key]; h != nil {
-				_, _, exists = h.latest()
-			}
-			if exists {
-				e.install(sh, op.Key, version[V]{rev: rev, tomb: true})
-				sh.log = append(sh.log, EventOf[V]{Type: EventDelete, Key: op.Key, Rev: rev})
-			}
-		}
-	}
-	for i := len(locked) - 1; i >= 0; i-- {
-		locked[i].mu.Unlock()
-	}
-	e.finish(rev)
+	e.mu.Lock()
+	rev := e.commitLocked(ops...)
+	e.mu.Unlock()
+	e.notifyApplied()
 	return rev, nil
 }
 
@@ -632,73 +529,35 @@ func (e *EngineOf[V]) Commit(ops []OpOf[V]) (uint64, error) {
 // linearizable: installed versions are durable before their writer is
 // acknowledged, and there are no aborts.
 func (e *EngineOf[V]) Get(key string) (val V, rev uint64, ok bool) {
-	sh := e.shardFor(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if h := sh.keys[key]; h != nil {
-		return h.latest()
-	}
-	return val, 0, false
+	return e.GetAt(key, latestRev)
 }
 
 // GetAt returns the live value visible for key at rev — the point-read
 // companion of ScanAt, used to evaluate multi-key guards against one
 // consistent snapshot revision.
 func (e *EngineOf[V]) GetAt(key string, rev uint64) (val V, vrev uint64, ok bool) {
-	sh := e.shardFor(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if h := sh.keys[key]; h != nil {
-		return h.at(rev)
-	}
-	return val, 0, false
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.getLocked(key, rev)
 }
 
 // Snapshot returns a revision safe for consistent multi-key reads: every
-// write acknowledged before the call is visible at it. It waits (without
-// blocking writers) for the floor to cover completed revisions.
-func (e *EngineOf[V]) Snapshot() uint64 {
-	if e.external {
-		return e.extFloor.Load()
-	}
-	target := e.gate.maxDone.Load()
-	if in := e.instr.Load(); in != nil {
-		// Floor lag: how far visibility trails the newest retired write
-		// at the moment a snapshot is requested. The floor may already
-		// have passed the target snapshot taken above; clamp at zero.
-		lag := float64(0)
-		if floor := e.gate.floorNow(); target > floor {
-			lag = float64(target - floor)
-		}
-		in.reg.SetGauge("store_floor_lag", lag, in.name)
-	}
-	e.gate.waitFloor(target)
-	return e.gate.floorNow()
-}
+// write acknowledged before the call is visible at it.
+func (e *EngineOf[V]) Snapshot() uint64 { return e.applied.Load() }
 
 // ScanAt appends the live keys under prefix as of rev to dst, sorted by
 // key, and returns the extended slice: a caller that scans often hands in
-// the same buffer, truncated, every time. Only brief per-shard read locks
-// are held: scans never block writers.
+// the same buffer, truncated, every time.
 func (e *EngineOf[V]) ScanAt(dst []KVOf[V], prefix string, rev uint64) []KVOf[V] {
-	out := dst
-	for _, sh := range e.shards {
-		sh.mu.RLock()
-		for k, h := range sh.keys {
-			if !strings.HasPrefix(k, prefix) {
-				continue
-			}
-			if v, vr, ok := h.at(rev); ok {
-				out = append(out, KVOf[V]{Key: k, Value: v, Rev: vr})
-			}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	for _, h := range e.under(prefix) {
+		if v, vr, ok := h.at(rev); ok {
+			dst = append(dst, KVOf[V]{Key: h.key, Value: v, Rev: vr})
 		}
-		sh.mu.RUnlock()
 	}
-	slices.SortFunc(out[len(dst):], byKey[V])
-	return out
+	return dst
 }
-
-func byKey[V any](a, b KVOf[V]) int { return strings.Compare(a.Key, b.Key) }
 
 // Scan is ScanAt at a fresh Snapshot revision. The error is always nil.
 func (e *EngineOf[V]) Scan(prefix string) ([]KVOf[V], uint64, error) {
@@ -712,73 +571,47 @@ func (e *EngineOf[V]) Scan(prefix string) ([]KVOf[V], uint64, error) {
 // (unique-index checks) and the deterministic range read in ExternalRevs
 // mode, where the apply loop is single-threaded.
 func (e *EngineOf[V]) ScanLatest(prefix string) []KVOf[V] {
-	var out []KVOf[V]
-	for _, sh := range e.shards {
-		sh.mu.RLock()
-		for k, h := range sh.keys {
-			if !strings.HasPrefix(k, prefix) {
-				continue
-			}
-			if v, vr, ok := h.latest(); ok {
-				out = append(out, KVOf[V]{Key: k, Value: v, Rev: vr})
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	slices.SortFunc(out, byKey[V])
-	return out
+	return e.ScanAt(nil, prefix, latestRev)
 }
 
 // ResumeFloor is the lowest revision HistoryEvents can start from with a
 // complete answer: the highest revision dropped from version history by
 // per-key chain trimming or snapshot import.
-func (e *EngineOf[V]) ResumeFloor() uint64 { return e.truncated.Load() }
+func (e *EngineOf[V]) ResumeFloor() uint64 {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.truncated
+}
 
 // HistoryEvents reconstructs, from the bounded version history, the
 // events committed in (fromRev, toRev] for keys under prefix, sorted by
-// revision and, within one, by key — drainOnce's order, so a backfill is
-// the same on every run. It fails with ErrCompacted when fromRev predates
-// the resume floor — part of the window may already have been dropped —
-// in which case the consumer must fall back to a snapshot re-list.
+// revision and, within one, by key — the order the hub delivers them in,
+// so a backfill is the same on every run. It fails with ErrCompacted when
+// fromRev predates the resume floor — part of the window may already have
+// been dropped — in which case the consumer must fall back to a snapshot
+// re-list.
 func (e *EngineOf[V]) HistoryEvents(prefix string, fromRev, toRev uint64) ([]EventOf[V], error) {
-	check := func() error {
-		if f := e.ResumeFloor(); fromRev < f {
-			return fmt.Errorf("%w: resume from %d predates history floor %d", ErrCompacted, fromRev, f)
-		}
-		return nil
-	}
-	if err := check(); err != nil {
-		return nil, err
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if fromRev < e.truncated {
+		return nil, fmt.Errorf("%w: resume from %d predates history floor %d", ErrCompacted, fromRev, e.truncated)
 	}
 	var out []EventOf[V]
-	for _, sh := range e.shards {
-		sh.mu.RLock()
-		for k, h := range sh.keys {
-			if !strings.HasPrefix(k, prefix) {
+	for _, h := range e.under(prefix) {
+		for _, v := range h.versions {
+			if v.rev <= fromRev || v.rev > toRev {
 				continue
 			}
-			for _, v := range h.versions {
-				if v.rev <= fromRev || v.rev > toRev {
-					continue
-				}
-				if v.tomb {
-					out = append(out, EventOf[V]{Type: EventDelete, Key: k, Rev: v.rev})
-				} else {
-					out = append(out, EventOf[V]{Type: EventPut, Key: k, Value: v.val, Rev: v.rev})
-				}
+			ev := EventOf[V]{Type: EventPut, Key: h.key, Value: v.val, Rev: v.rev}
+			if v.tomb {
+				ev.Type = EventDelete
 			}
+			out = append(out, ev)
 		}
-		sh.mu.RUnlock()
 	}
-	// A trim racing the scan may have dropped versions inside the window
-	// after their shard was read; re-check so the backfill is known
-	// complete, or the caller knows it is not.
-	if err := check(); err != nil {
-		return nil, err
-	}
-	slices.SortFunc(out, func(a, b EventOf[V]) int {
-		return cmp.Or(cmp.Compare(a.Rev, b.Rev), strings.Compare(a.Key, b.Key))
-	})
+	// The keys were walked in order, so sorting by revision alone, stably,
+	// leaves each revision's events in key order.
+	slices.SortStableFunc(out, func(a, b EventOf[V]) int { return cmp.Compare(a.Rev, b.Rev) })
 	return out, nil
 }
 
@@ -793,64 +626,8 @@ func (e *EngineOf[V]) Watch(prefix string) (<-chan EventOf[V], func(), error) {
 	if e.closed.Load() {
 		return nil, nil, ErrClosed
 	}
-	// Sync the hub to the floor first so the "no replay of acknowledged
-	// writes" contract holds: the delivered cursor otherwise lags the
-	// floor until the asynchronous drain runs.
-	e.drainOnce()
 	ch, cancel := e.hub.Watch(prefix)
 	return ch, cancel, nil
-}
-
-// drainLoop merges per-shard apply logs into revision order and hands
-// them to the hub whenever the floor advances.
-func (e *EngineOf[V]) drainLoop() {
-	for {
-		select {
-		case <-e.stop:
-			return
-		case <-e.drainWake:
-			e.drainOnce()
-		}
-	}
-}
-
-// drainOnce delivers every undelivered event at or below the floor. The
-// per-shard logs may hold events out of revision order (writers append
-// in lock-acquisition order); the merge sorts them into the single
-// serial history watchers observe.
-func (e *EngineOf[V]) drainOnce() {
-	floor := e.gate.floorNow()
-	e.hub.Sync(func(delivered uint64) (uint64, []EventOf[V]) {
-		if floor <= delivered {
-			return delivered, nil
-		}
-		var batch []EventOf[V]
-		for _, sh := range e.shards {
-			sh.mu.Lock()
-			keep := sh.log[:0]
-			for _, ev := range sh.log {
-				if ev.Rev <= floor {
-					batch = append(batch, ev)
-				} else {
-					keep = append(keep, ev)
-				}
-			}
-			sh.log = keep
-			sh.mu.Unlock()
-		}
-		// Canonical (revision, key) order: events of one multi-key
-		// commit (a txn, a batch of deletes) reach watchers in the same
-		// sequence on every run and every shard layout — sort.Slice is
-		// unstable, so ordering by Rev alone would let same-revision
-		// events land in shard-traversal order.
-		sort.Slice(batch, func(i, j int) bool {
-			if batch[i].Rev != batch[j].Rev {
-				return batch[i].Rev < batch[j].Rev
-			}
-			return batch[i].Key < batch[j].Key
-		})
-		return floor, batch
-	})
 }
 
 // ApplyAt installs ops at the caller-supplied revision (ExternalRevs
@@ -862,29 +639,12 @@ func (e *EngineOf[V]) ApplyAt(dst []EventOf[V], rev uint64, ops []OpOf[V]) ([]Ev
 	if !e.external {
 		return dst, fmt.Errorf("%w: ApplyAt on internal-revision engine", ErrExternalRevs)
 	}
-	events := dst
-	for _, op := range ops {
-		sh := e.shardFor(op.Key)
-		sh.mu.Lock()
-		switch op.Kind {
-		case OpPut:
-			e.install(sh, op.Key, version[V]{rev: rev, val: op.Value})
-			events = append(events, EventOf[V]{Type: EventPut, Key: op.Key, Value: op.Value, Rev: rev})
-		case OpDelete:
-			var exists bool
-			if h := sh.keys[op.Key]; h != nil {
-				_, _, exists = h.latest()
-			}
-			if exists {
-				e.install(sh, op.Key, version[V]{rev: rev, tomb: true})
-				events = append(events, EventOf[V]{Type: EventDelete, Key: op.Key, Rev: rev})
-			}
-		}
-		sh.mu.Unlock()
-	}
-	raiseMax(&e.extFloor, rev)
+	e.mu.Lock()
+	dst = e.applyLocked(dst, rev, ops)
+	e.raiseLocked(rev)
+	e.mu.Unlock()
 	e.notifyApplied()
-	return events, nil
+	return dst, nil
 }
 
 // AdvanceFloor raises the applied floor to rev without mutating state.
@@ -896,7 +656,9 @@ func (e *EngineOf[V]) AdvanceFloor(rev uint64) error {
 	if !e.external {
 		return fmt.Errorf("%w: AdvanceFloor on internal-revision engine", ErrExternalRevs)
 	}
-	raiseMax(&e.extFloor, rev)
+	e.mu.Lock()
+	e.raiseLocked(rev)
+	e.mu.Unlock()
 	e.notifyApplied()
 	return nil
 }
@@ -910,108 +672,25 @@ func (e *EngineOf[V]) Export() []KVOf[V] {
 // Import replaces the engine's contents with kvs, installing each at its
 // recorded revision, and advances the floor to the highest of them (or
 // floorAtLeast if greater). Used to restore from a snapshot image. Only
-// ExternalRevs engines can import: an internal engine's gate assigns
-// dense revisions from 1 and cannot adopt arbitrary ones.
+// ExternalRevs engines can import: an internal engine assigns dense
+// revisions from 1 and cannot adopt arbitrary ones.
 func (e *EngineOf[V]) Import(kvs []KVOf[V], floorAtLeast uint64) error {
 	if !e.external {
 		return fmt.Errorf("%w: Import on internal-revision engine", ErrExternalRevs)
 	}
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		sh.keys = make(map[string]*history[V])
-		sh.log = nil
-		sh.mu.Unlock()
-	}
 	floor := floorAtLeast
+	e.mu.Lock()
+	e.keys, e.sorted = make(map[string]*history[V], len(kvs)), make([]*history[V], 0, len(kvs))
 	for _, kv := range kvs {
-		sh := e.shardFor(kv.Key)
-		sh.mu.Lock()
-		e.install(sh, kv.Key, version[V]{rev: kv.Rev, val: kv.Value})
-		sh.mu.Unlock()
-		if kv.Rev > floor {
-			floor = kv.Rev
-		}
-	}
-	if floor > e.extFloor.Load() {
-		e.extFloor.Store(floor)
+		e.install(kv.Key, version[V]{rev: kv.Rev, val: kv.Value})
+		floor = max(floor, kv.Rev)
 	}
 	// The image carries only each key's latest version: everything below
 	// the restored floor is unavailable for backfill, so resumers older
 	// than it must re-list.
-	raiseMax(&e.truncated, floor)
+	e.truncated = max(e.truncated, floor)
+	e.raiseLocked(floor)
+	e.mu.Unlock()
 	e.notifyApplied()
 	return nil
-}
-
-// gate is the ordering layer: it assigns dense revisions and tracks the
-// floor — the highest revision R with every revision <= R installed —
-// via a fixed ring of per-revision state slots, so writers to different
-// shards coordinate only through a few atomic words plus a short
-// advance-critical-section instead of a store-wide mutex.
-type gate struct {
-	next    atomic.Uint64
-	floor   atomic.Uint64
-	maxDone atomic.Uint64 // highest retired revision (visibility target)
-
-	slots     []atomic.Uint32 // 0 free, 1 pending, 2 done
-	mask      uint64
-	advanceMu sync.Mutex
-}
-
-// gateRing is the in-flight revision window. Writers beyond it spin in
-// begin until the floor catches up — in practice unreachable (it would
-// need 16k concurrent in-flight writes).
-const gateRing = 1 << 14
-
-func newGate() *gate {
-	return &gate{slots: make([]atomic.Uint32, gateRing), mask: gateRing - 1}
-}
-
-// begin assigns the next revision and marks it pending.
-func (g *gate) begin() uint64 {
-	r := g.next.Add(1)
-	s := &g.slots[r&g.mask]
-	for !s.CompareAndSwap(0, 1) {
-		runtime.Gosched() // ring wrap: wait for rev r-gateRing to retire
-	}
-	return r
-}
-
-// end retires rev and advances the floor over the contiguous done
-// prefix. Reports whether the floor moved.
-func (g *gate) end(rev uint64) bool {
-	g.slots[rev&g.mask].Store(2)
-	for {
-		m := g.maxDone.Load()
-		if rev <= m || g.maxDone.CompareAndSwap(m, rev) {
-			break
-		}
-	}
-	g.advanceMu.Lock()
-	f := g.floor.Load()
-	start := f
-	for {
-		s := &g.slots[(f+1)&g.mask]
-		if s.Load() != 2 {
-			break
-		}
-		s.Store(0)
-		f++
-	}
-	if f != start {
-		g.floor.Store(f)
-	}
-	g.advanceMu.Unlock()
-	return f != start
-}
-
-// floorNow loads the floor.
-func (g *gate) floorNow() uint64 { return g.floor.Load() }
-
-// waitFloor spins until the floor reaches target. Progress is guaranteed
-// because every begun revision is retired on all paths.
-func (g *gate) waitFloor(target uint64) {
-	for g.floor.Load() < target {
-		runtime.Gosched()
-	}
 }

@@ -4,21 +4,23 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-func newTestEngine(t *testing.T, shards int) *Engine {
+func newTestEngine(t *testing.T) *Engine {
 	t.Helper()
-	e := NewEngine(Config{Shards: shards})
+	e := NewEngine(Config{})
 	t.Cleanup(e.Close)
 	return e
 }
 
 func TestPutGetDelete(t *testing.T) {
-	e := newTestEngine(t, 4)
+	e := newTestEngine(t)
 	rev, err := e.Put("/jobs/j1", "QUEUED")
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +45,7 @@ func TestPutGetDelete(t *testing.T) {
 }
 
 func TestInsertRejectsLiveKey(t *testing.T) {
-	e := newTestEngine(t, 4)
+	e := newTestEngine(t)
 	if _, err := e.Insert("/k", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func TestInsertRejectsLiveKey(t *testing.T) {
 }
 
 func TestSnapshotScanSeesPointInTime(t *testing.T) {
-	e := newTestEngine(t, 4)
+	e := newTestEngine(t)
 	for i := 0; i < 8; i++ {
 		if _, err := e.Put(fmt.Sprintf("/jobs/j%d", i), i); err != nil {
 			t.Fatal(err)
@@ -92,7 +94,7 @@ func TestSnapshotScanSeesPointInTime(t *testing.T) {
 }
 
 func TestScanVisibilityCoversCompletedWrites(t *testing.T) {
-	e := newTestEngine(t, 8)
+	e := newTestEngine(t)
 	// Every write acknowledged before a Scan must be in the scan.
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("/v/%03d", i)
@@ -110,7 +112,7 @@ func TestScanVisibilityCoversCompletedWrites(t *testing.T) {
 }
 
 func TestUpdateAtomicRMW(t *testing.T) {
-	e := newTestEngine(t, 4)
+	e := newTestEngine(t)
 	if _, err := e.Put("/ctr", 0); err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +139,8 @@ func TestUpdateAtomicRMW(t *testing.T) {
 	}
 }
 
-func TestCommitIsAtomicAcrossShards(t *testing.T) {
-	e := newTestEngine(t, 8)
+func TestCommitIsAtomicAcrossKeys(t *testing.T) {
+	e := newTestEngine(t)
 	if _, err := e.Commit([]Op{
 		{Kind: OpPut, Key: "/a/1", Value: "x"},
 		{Kind: OpPut, Key: "/b/1", Value: "x"},
@@ -154,7 +156,7 @@ func TestCommitIsAtomicAcrossShards(t *testing.T) {
 }
 
 func TestWatchOrderAndPrefixFilter(t *testing.T) {
-	e := newTestEngine(t, 4)
+	e := newTestEngine(t)
 	ch, cancel, err := e.Watch("/jobs/")
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +201,7 @@ func recvStoreEvent(t *testing.T, ch <-chan Event) Event {
 // latest value read exactly. TestHistoryEventsBelowTrimmedChain checks
 // what the trim does to history reads.
 func TestHistoryBoundAndCompaction(t *testing.T) {
-	e := newTestEngine(t, 2)
+	e := newTestEngine(t)
 	const puts = DefaultHistoryLimit + 8
 	var revs []uint64
 	for i := 0; i < puts; i++ {
@@ -209,13 +211,12 @@ func TestHistoryBoundAndCompaction(t *testing.T) {
 		}
 		revs = append(revs, r)
 	}
-	sh := e.shardFor("/k")
-	sh.mu.RLock()
-	h := sh.keys["/k"]
+	e.mu.RLock()
+	h := e.keys["/k"]
 	n := len(h.versions)
 	_, _, oldest := h.at(revs[0])
 	recent, _, ok := h.at(revs[puts-2])
-	sh.mu.RUnlock()
+	e.mu.RUnlock()
 	if n != DefaultHistoryLimit || oldest || !ok || recent != puts-2 {
 		t.Fatalf("chain of %d versions; read at the first rev ok=%v, at rev[%d] = (%v,%v)", n, oldest, puts-2, recent, ok)
 	}
@@ -227,7 +228,7 @@ func TestHistoryBoundAndCompaction(t *testing.T) {
 // TestScanAtAppends: ScanAt sorts what it adds after whatever the buffer
 // already holds and leaves that alone.
 func TestScanAtAppends(t *testing.T) {
-	e := newTestEngine(t, 4)
+	e := newTestEngine(t)
 	for _, k := range []string{"/s/c", "/s/a", "/s/b"} {
 		if _, err := e.Put(k, k); err != nil {
 			t.Fatal(err)
@@ -249,10 +250,11 @@ func TestScanAtAppends(t *testing.T) {
 
 // TestNewKeyAllocBudget: a new key's history keeps its first versions
 // inline, so the key and its first rewrite cost one object, the history;
-// the growth of the shard's map is amortized below one per key. The third
-// version moves the chain to the heap, and every version stays readable.
+// the growth of the map and the sorted index is amortized below one per
+// key. The third version moves the chain to the heap, and every version
+// stays readable.
 func TestNewKeyAllocBudget(t *testing.T) {
-	e := NewEngine(Config{Shards: 1, ExternalRevs: true})
+	e := NewEngine(Config{ExternalRevs: true})
 	defer e.Close()
 	const runs = 1000
 	keys := make([]string, runs+1) // AllocsPerRun calls once more to warm up
@@ -278,8 +280,7 @@ func TestNewKeyAllocBudget(t *testing.T) {
 	}
 
 	apply(keys[0])
-	sh := e.shardFor(keys[0])
-	h := sh.keys[keys[0]]
+	h := e.keys[keys[0]]
 	if len(h.versions) != 3 || &h.versions[0] == &h.inline[0] || h.inline != [2]version[any]{} {
 		t.Fatalf("third version: %d versions, inline still holds %v", len(h.versions), h.inline)
 	}
@@ -291,7 +292,7 @@ func TestNewKeyAllocBudget(t *testing.T) {
 }
 
 func TestExternalRevsApplyAndImport(t *testing.T) {
-	e := NewEngine(Config{Shards: 4, ExternalRevs: true})
+	e := NewEngine(Config{ExternalRevs: true})
 	defer e.Close()
 	if _, err := e.Put("/k", "v"); !errors.Is(err, ErrExternalRevs) {
 		t.Fatalf("internal op on external engine = %v", err)
@@ -309,12 +310,12 @@ func TestExternalRevsApplyAndImport(t *testing.T) {
 		t.Fatalf("spurious delete events: %v", evs)
 	}
 	img := e.Export()
-	internal := NewEngine(Config{Shards: 2})
+	internal := NewEngine(Config{})
 	defer internal.Close()
 	if err := internal.Import(img, 8); !errors.Is(err, ErrExternalRevs) {
 		t.Fatalf("import on internal engine = %v, want ErrExternalRevs", err)
 	}
-	e2 := NewEngine(Config{Shards: 2, ExternalRevs: true})
+	e2 := NewEngine(Config{ExternalRevs: true})
 	defer e2.Close()
 	if err := e2.Import(img, 8); err != nil {
 		t.Fatal(err)
@@ -329,10 +330,9 @@ func TestExternalRevsApplyAndImport(t *testing.T) {
 
 // TestCommitEventsReachWatchersInKeyOrder: a multi-key commit is one
 // revision, and its events reach a watcher in key order whatever order the
-// ops came in and whichever shards hold the keys — the hub's (revision,
-// key) tie-break — so two replays of one seed fan out the same events.
+// ops came in, so two replays of one seed fan out the same events.
 func TestCommitEventsReachWatchersInKeyOrder(t *testing.T) {
-	e := newTestEngine(t, 4)
+	e := newTestEngine(t)
 	keys := []string{"p/h", "p/c", "p/f", "p/a", "p/e", "p/b", "p/g", "p/d"}
 	ch, cancel, err := e.Watch("p/")
 	if err != nil {
@@ -368,7 +368,7 @@ func TestCommitEventsReachWatchersInKeyOrder(t *testing.T) {
 // TestWatchCancelReclaimsCursor: cancelling a watcher takes it out of the
 // hub's fan-out at once, and a second cancel is harmless.
 func TestWatchCancelReclaimsCursor(t *testing.T) {
-	e := newTestEngine(t, 2)
+	e := newTestEngine(t)
 	_, cancel, err := e.Watch("a/")
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +384,7 @@ func TestWatchCancelReclaimsCursor(t *testing.T) {
 }
 
 func TestClosedEngineRejectsWrites(t *testing.T) {
-	e := NewEngine(Config{Shards: 2})
+	e := NewEngine(Config{})
 	e.Close()
 	if _, err := e.Put("/k", "v"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
@@ -395,12 +395,12 @@ func TestClosedEngineRejectsWrites(t *testing.T) {
 }
 
 // TestConcurrentWritersSnapshotReadersWatchers is the engine's core
-// concurrency contract, run under -race in CI: cross-shard writers
+// concurrency contract, run under -race in CI: concurrent writers
 // commit key pairs atomically while snapshot readers scan (and must
 // never observe a torn pair) and a watcher observes events in strictly
 // increasing revision order.
 func TestConcurrentWritersSnapshotReadersWatchers(t *testing.T) {
-	e := newTestEngine(t, 8)
+	e := newTestEngine(t)
 
 	const (
 		writers = 8
@@ -444,6 +444,11 @@ func TestConcurrentWritersSnapshotReadersWatchers(t *testing.T) {
 					return
 				default:
 				}
+				// Yield between scans. A writer woken as the readers drain
+				// waits for a CPU, and a reader that never blocks keeps its
+				// CPU for a whole time slice: on two CPUs under -race, four
+				// spinning readers stretch this test from 0.1 s to 8 s.
+				runtime.Gosched()
 				kvs, _, err := e.Scan("/pair/")
 				if err != nil {
 					readerErr <- err
@@ -502,12 +507,12 @@ func TestConcurrentWritersSnapshotReadersWatchers(t *testing.T) {
 }
 
 // TestSameKeyWritersKeepChainOrdered is the regression test for
-// revision assignment racing shard-lock acquisition: concurrent writers
+// revision assignment racing lock acquisition: concurrent writers
 // to one key must produce a version chain where the latest value is the
 // one with the highest revision — Get must agree with the watch
 // history's final event.
 func TestSameKeyWritersKeepChainOrdered(t *testing.T) {
-	e := newTestEngine(t, 4)
+	e := newTestEngine(t)
 	const writers, ops = 8, 200
 	var mu sync.Mutex
 	var maxRev uint64
@@ -539,11 +544,11 @@ func TestSameKeyWritersKeepChainOrdered(t *testing.T) {
 	}
 }
 
-// TestMultiShardParallelism is a smoke check that distinct shards accept
-// writes concurrently (no global serialization): it just exercises the
-// cross-shard path.
-func TestMultiShardParallelism(t *testing.T) {
-	e := newTestEngine(t, 16)
+// TestConcurrentNewKeyWriters is a smoke check, run under -race in CI,
+// that writers adding new keys at the same time all land in the ordered
+// index: a scan sees every key, once, in key order.
+func TestConcurrentNewKeyWriters(t *testing.T) {
+	e := newTestEngine(t)
 	var wg sync.WaitGroup
 	for w := 0; w < 16; w++ {
 		wg.Add(1)
@@ -564,5 +569,8 @@ func TestMultiShardParallelism(t *testing.T) {
 	}
 	if len(kvs) != 16*200 {
 		t.Fatalf("scan = %d keys, want %d", len(kvs), 16*200)
+	}
+	if !slices.IsSortedFunc(kvs, func(a, b KV) int { return strings.Compare(a.Key, b.Key) }) {
+		t.Fatal("scan is not in key order")
 	}
 }

@@ -68,8 +68,8 @@ func TestWaitAppliedImport(t *testing.T) {
 	}
 }
 
-// TestWaitAppliedInternal: the internal-mode gate floor drives the same
-// channel.
+// TestWaitAppliedInternal: the internal-mode floor, raised by each
+// commit, drives the same channel.
 func TestWaitAppliedInternal(t *testing.T) {
 	e := NewEngine(Config{})
 	defer e.Close()

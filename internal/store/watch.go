@@ -23,8 +23,9 @@ type Keyed interface {
 // an ordered queue drained by the hub's dispatcher goroutine, which is
 // the only party doing (possibly blocking) channel sends. A stalled
 // watcher therefore delays other watchers' delivery, but never a
-// publisher — in the etcd facade that property keeps client operations
-// live while a subscriber lags.
+// publisher — the engine publishes under its write lock, and in the etcd
+// facade that property keeps client operations live while a subscriber
+// lags.
 type Hub[E Keyed] struct {
 	// mu guards the cursor, queue and instrumentation; held only for
 	// short enqueues.
@@ -173,28 +174,15 @@ func SpliceEvents[E Keyed](backfill []E, live <-chan E, after uint64, stop <-cha
 // republishing an already-accepted revision is a no-op. Revisions must
 // be published in nondecreasing order by each caller goroutine; the
 // first publisher of a revision wins. Publish never blocks on delivery.
+// The hub copies events: the caller may reuse the slice at once.
 func (h *Hub[E]) Publish(rev uint64, events []E) {
-	h.Sync(func(delivered uint64) (uint64, []E) {
-		if rev <= delivered {
-			return delivered, nil
-		}
-		return rev, events
-	})
-}
-
-// Sync runs fill under the cursor lock — fill sees the accepted cursor
-// and returns the new cursor plus the ordered batch to enqueue. The
-// engine's drain uses it to collect shard logs atomically with cursor
-// advancement.
-func (h *Hub[E]) Sync(fill func(delivered uint64) (uint64, []E)) {
 	h.mu.Lock()
-	upTo, events := fill(h.delivered)
-	if upTo > h.delivered {
-		h.delivered = upTo
+	if rev <= h.delivered {
+		h.mu.Unlock()
+		return
 	}
-	if len(events) > 0 {
-		h.queue = append(h.queue, events...)
-	}
+	h.delivered = rev
+	h.queue = append(h.queue, events...)
 	h.gaugeQueueDepth()
 	h.mu.Unlock()
 	if len(events) > 0 {
