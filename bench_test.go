@@ -147,27 +147,6 @@ func BenchmarkAblationSyncStrategy(b *testing.B) {
 	}
 }
 
-// BenchmarkEtcdStatusPipeline measures the replicated status-update path
-// (controller -> etcd -> Guardian): linearizable puts and range reads
-// through the 3-node Raft cluster.
-func BenchmarkEtcdStatusPipeline(b *testing.B) {
-	clk := clock.NewSim()
-	defer clk.Close()
-	store := etcd.New(3, clk)
-	defer store.Close()
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key := fmt.Sprintf("/dlaas/jobs/job-1/learners/%d/status", i%4)
-		if _, err := store.Put(key, "TRAINING"); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := store.Range("/dlaas/jobs/job-1/learners/"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationEtcdReplication quantifies the efficiency cost of the
 // dependability choice the paper highlights — 3-way-replicated etcd for
 // status updates — by measuring the virtual-time commit latency of a
@@ -194,98 +173,6 @@ func BenchmarkAblationEtcdReplication(b *testing.B) {
 			b.ReportMetric(float64(virtual.Milliseconds())/float64(b.N), "virtual-ms/op")
 		})
 	}
-}
-
-// BenchmarkEtcdReads measures the hottest path the control plane has —
-// etcd Get/Range — with 64 concurrent readers on a 3-node cluster whose
-// surviving follower is slow (+5ms one-way) and whose original leader is
-// partitioned mid-run, so the stale-leader hazards are live and every
-// linearizable answer comes from the successor's quorum. Reported:
-// quorum confirmation rounds per read (the lease and round coalescing
-// amortize it to ~0), lease fast-path reads per read, Raft proposals per
-// read (reads never enter the log: 0), and virtual-time latency per read.
-// The loop itself is the leader-partition linearizability probe: every
-// read must return the acknowledged post-partition value (the stale
-// isolated leader is never allowed to answer). Run with -benchtime=64x —
-// at 1x there is no read concurrency for coalescing or the lease to
-// amortize over.
-func BenchmarkEtcdReads(b *testing.B) {
-	const keys = 16
-	const readers = 64
-	clk := clock.NewSim()
-	defer clk.Close()
-	s := etcd.New(3, clk)
-	defer s.Close()
-	for i := 0; i < keys; i++ {
-		if _, err := s.Put(fmt.Sprintf("/jobs/j1/learners/%d/status", i), "TRAINING"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Degrade one follower, then partition the current leader (a
-	// minority of one): the majority — successor plus the slow
-	// follower — elects and keeps serving, and reads must keep
-	// returning the acknowledged state, never the deposed
-	// leader's view.
-	lead := s.LeaderID()
-	for id := 0; id < 3; id++ {
-		if id != lead {
-			s.SetNodeDelay(id, 5*time.Millisecond)
-			break
-		}
-	}
-	if lead >= 0 {
-		s.PartitionNode(lead)
-	}
-	if _, err := s.Put("/jobs/j1/phase", "STORING"); err != nil {
-		b.Fatal(err) // commits on the majority side
-	}
-	// Let the successor's check-quorum lease arm before measuring.
-	clk.Sleep(200 * time.Millisecond)
-
-	props := s.Proposals()
-	rs0 := s.ReadStats()
-	start := clk.Now()
-	var next atomic.Int64
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for w := 0; w < readers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(b.N) {
-					return
-				}
-				v, found, err := s.Get("/jobs/j1/phase")
-				if err != nil {
-					b.Errorf("get: %v", err)
-					return
-				}
-				if !found || v != "STORING" {
-					b.Errorf("read (%q,%v), want the acknowledged write", v, found)
-					return
-				}
-				kvs, err := s.Range("/jobs/j1/learners/")
-				if err != nil {
-					b.Errorf("range: %v", err)
-					return
-				}
-				if len(kvs) != keys {
-					b.Errorf("ranged %d keys, want %d", len(kvs), keys)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	b.StopTimer()
-	rs1 := s.ReadStats()
-	reads := float64(2 * b.N) // one Get + one Range per iteration
-	b.ReportMetric(float64(rs1.Rounds-rs0.Rounds)/reads, "rounds/read")
-	b.ReportMetric(float64(rs1.LeaseReads-rs0.LeaseReads)/reads, "lease-reads/read")
-	b.ReportMetric(float64(s.Proposals()-props)/reads, "proposals/read")
-	b.ReportMetric(float64(clk.Since(start).Microseconds())/reads/1000, "virtual-ms/read")
 }
 
 // BenchmarkEtcdWrites measures the replicated write path under the

@@ -257,9 +257,11 @@ func FuzzSnapshotCodec(f *testing.F) {
 		}
 		// What decodes also restores: a replica handed these bytes by a
 		// leader installs them without complaint.
-		sm := newStateMachine()
-		sm.restore(raw, 1<<40)
-		if got := sm.engine().Export(); len(got) != len(kvs) {
+		sm, ok := restoreStateMachine(raw, 1<<40)
+		if !ok {
+			t.Fatalf("% x decodes but does not restore", raw)
+		}
+		if got := sm.eng.Export(); len(got) != len(kvs) {
 			t.Fatalf("restored %d keys from an image of %d", len(got), len(kvs))
 		}
 	})
@@ -393,7 +395,7 @@ func TestReplicasKeepTheLoggedBytes(t *testing.T) {
 	}
 	commit := leader.CommitIndex()
 	for _, id := range s.ids {
-		eng, ok := s.waitApplied(s.replica(id), commit, clk.Now().Add(10*time.Second))
+		eng, ok := s.waitApplied(id, commit, 10*time.Second)
 		if !ok {
 			t.Fatalf("node %d did not apply through %d", id, commit)
 		}

@@ -33,12 +33,13 @@ func TestSnapshotRestoreDeterministic(t *testing.T) {
 		t.Fatal("serialize returned nil")
 	}
 
-	a := newStateMachine()
-	b := newStateMachine()
-	a.restore(img, 32)
-	b.restore(img, 32)
+	a, okA := restoreStateMachine(img, 32)
+	b, okB := restoreStateMachine(img, 32)
+	if !okA || !okB {
+		t.Fatal("the image did not restore")
+	}
 
-	if got, want := a.engine().Export(), b.engine().Export(); !reflect.DeepEqual(got, want) {
+	if got, want := a.eng.Export(), b.eng.Export(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("two restores of one image exported different state:\n a=%v\n b=%v", got, want)
 	}
 	// Round-trip: restore then re-serialize must reproduce the image

@@ -390,7 +390,7 @@ func TestReplicatedWriteAllocBudget(t *testing.T) {
 // TestLeaseReadAllocBudget: a linearizable read on a warmed 3-replica
 // store with a live lease allocates only what it returns. The lease
 // answers the read index inside the driver's step (no channel, no waiter),
-// the routed replica has already applied it (no timer, no floor waiter),
+// the leader's replica has already applied it (no timer, no floor waiter),
 // and a Range fills a pooled scratch buffer and copies it into one
 // exact-size result. Each budget is the measured count plus one; before
 // this a Get cost 7 and a 16-key Range 20. Not parallel: AllocsPerRun

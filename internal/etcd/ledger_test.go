@@ -89,7 +89,7 @@ func TestDedupLedgerStaysBounded(t *testing.T) {
 		}
 	}
 	got := map[string]string{}
-	for _, kv := range sm.engine().Export() {
+	for _, kv := range sm.eng.Export() {
 		got[kv.Key] = kv.Value
 	}
 	if !reflect.DeepEqual(got, map[string]string(model)) {
@@ -110,16 +110,18 @@ func TestDedupFloorRejectsForgottenRequests(t *testing.T) {
 	if _, kept := sm.dedup[1]; kept || sm.dedupFloor != 2 {
 		t.Fatalf("ledger %v floor %d after request 2 said everything below it is over", sm.dedup, sm.dedupFloor)
 	}
-	restored := newStateMachine()
-	restored.restore(sm.serialize(), 2)
+	restored, ok := restoreStateMachine(sm.serialize(), 2)
+	if !ok {
+		t.Fatal("the image did not restore")
+	}
 	for _, m := range []*stateMachine{sm, restored} {
 		if _, events := m.apply(3, []command{{ReqID: 1, Floor: 1, Op: opPut, Key: "/k", Value: "first"}}); len(events) != 0 {
 			t.Fatalf("a copy of forgotten request 1 emitted %v", events)
 		}
-		if v, _, _ := m.engine().Get("/k"); v != "second" {
+		if v, _, _ := m.eng.Get("/k"); v != "second" {
 			t.Fatalf("a copy of forgotten request 1 wrote %q over \"second\"", v)
 		}
-		if floor := m.engine().Snapshot(); floor != 3 {
+		if floor := m.eng.Snapshot(); floor != 3 {
 			t.Fatalf("applied floor %d after the stale copy at 3", floor)
 		}
 	}

@@ -307,15 +307,13 @@ func TestPipelinedWritesAcrossLeaderCrash(t *testing.T) {
 	// that request and no more than the ones still in flight when it was
 	// encoded — a client's last call may have timed out with its proposal
 	// still being retried. A ledger entry per call ever made is the leak
-	// this pins shut.
+	// this pins shut. The ledger read is a replay of the replica's log, since
+	// only its applier may touch the replica's own machine.
 	for _, id := range s.Nodes() {
-		sm := s.replica(id)
-		if _, ok := s.waitApplied(sm, end, clk.Now().Add(30*time.Second)); !ok {
+		if _, ok := s.waitApplied(id, end, 30*time.Second); !ok {
 			t.Fatalf("replica %d never applied the closing write at %d", id, end)
 		}
-		sm.mu.Lock()
-		ledger, total := len(sm.dedup), s.requestFloor()-1
-		sm.mu.Unlock()
+		ledger, total := len(replayNode(t, s, id, end).dedup), s.requestFloor()-1
 		if ledger > clients+1 {
 			t.Fatalf("replica %d remembers %d of %d requests after the last one applied", id, ledger, total)
 		}
@@ -462,7 +460,7 @@ func TestReproposedProposalLandsLate(t *testing.T) {
 					t.Fatalf("request %d: duplicate reports revision %d, want the first application's %d", tc.a[j].ReqID, res.rev, i+1)
 				}
 			}
-			eng := sm.engine()
+			eng := sm.eng
 			if floor := eng.Snapshot(); floor != i+2 {
 				t.Fatalf("applied floor %d after the duplicate, want %d", floor, i+2)
 			}

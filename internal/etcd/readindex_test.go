@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -168,6 +169,60 @@ func testLinearizableUnderLeaderPartition(t *testing.T, mods ...func(*raft.Confi
 	}
 }
 
+// TestConcurrentReadsAfterLeaderPartition: 64 readers on a cluster whose
+// original leader is partitioned away and whose surviving follower is
+// slow (+5 ms one way). Every Get and Range must return the write the
+// majority acknowledged after the partition, never the deposed leader's
+// view, and no read may enter the log.
+func TestConcurrentReadsAfterLeaderPartition(t *testing.T) {
+	const keys, readers, rounds = 16, 64, 4
+	s, clk := newTestStore(t, 3)
+	for i := 0; i < keys; i++ {
+		if _, err := s.Put(fmt.Sprintf("/jobs/j1/learners/%d/status", i), "TRAINING"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lead := s.LeaderID()
+	if lead < 0 {
+		t.Fatal("no leader")
+	}
+	for _, id := range s.Nodes() {
+		if id != lead {
+			s.SetNodeDelay(id, 5*time.Millisecond)
+			break
+		}
+	}
+	s.PartitionNode(lead)
+	defer s.HealNode(lead)
+	if _, err := s.Put("/jobs/j1/phase", "STORING"); err != nil {
+		t.Fatal(err) // commits on the majority side
+	}
+	clk.Sleep(200 * time.Millisecond) // let the successor's lease arm
+
+	props := s.Proposals()
+	var wg sync.WaitGroup
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if v, found, err := s.Get("/jobs/j1/phase"); err != nil || !found || v != "STORING" {
+					t.Errorf("get = (%q, %v, %v), want the acknowledged write", v, found, err)
+					return
+				}
+				if kvs, err := s.Range("/jobs/j1/learners/"); err != nil || len(kvs) != keys {
+					t.Errorf("range = (%d keys, %v), want %d", len(kvs), err, keys)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := s.Proposals() - props; got != 0 {
+		t.Fatalf("%d reads made %d proposals", 2*readers*rounds, got)
+	}
+}
+
 // TestSerializableBoundedStaleness: with the quorum gone, linearizable
 // reads block (and time out) rather than guess — while SerializableRange
 // keeps answering from local state with a previously acknowledged value:
@@ -193,7 +248,7 @@ func TestSerializableBoundedStaleness(t *testing.T) {
 		all := true
 		s.mu.Lock()
 		for _, sm := range s.sms {
-			if v, _, ok := sm.engine().Get("/s/k"); !ok || v != last {
+			if v, _, ok := sm.eng.Get("/s/k"); !ok || v != last {
 				all = false
 			}
 		}

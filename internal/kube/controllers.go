@@ -341,17 +341,6 @@ func (c *Cluster) CreateJob(name string, backoffLimit int, template PodSpec) (*J
 // Name returns the job's name.
 func (j *Job) Name() string { return j.name }
 
-// ActivePodName returns the name of the current attempt's pod ("" when
-// finished).
-func (j *Job) ActivePodName() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.active == nil {
-		return ""
-	}
-	return j.active.Name()
-}
-
 // Done is closed when the job succeeds or permanently fails.
 func (j *Job) Done() <-chan struct{} { return j.done }
 

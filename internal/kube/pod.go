@@ -40,7 +40,6 @@ type Pod struct {
 	killWhy    killReason
 	killCh     chan struct{}
 	doneCh     chan struct{}
-	startedAt  time.Time
 }
 
 // containerState tracks one container's current incarnation.
@@ -103,14 +102,6 @@ func (p *Pod) Restarts() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.restarts
-}
-
-// StartedAt returns when the pod first reached Running (zero while
-// pending/creating).
-func (p *Pod) StartedAt() time.Time {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.startedAt
 }
 
 // Done is closed when the pod reaches a terminal state or is deleted.
@@ -236,9 +227,6 @@ func (p *Pod) run() {
 	select {
 	case <-started:
 		p.setPhase(PodRunning)
-		p.mu.Lock()
-		p.startedAt = p.cluster.clk.Now()
-		p.mu.Unlock()
 	case <-p.killCh:
 		// Fall through: supervisors observe the kill and unwind.
 	}
@@ -334,10 +322,9 @@ func (p *Pod) superviseContainer(cs *containerState, wgStart *sync.WaitGroup) {
 // killed, or fails its liveness probe, returning its exit code.
 func (p *Pod) runProcess(cs *containerState, procKill chan struct{}, incarnation int) int {
 	ctx := &ContainerCtx{
-		pod:       p,
-		container: cs.spec.Name,
-		killedCh:  procKill,
-		restart:   incarnation,
+		pod:      p,
+		killedCh: procKill,
+		restart:  incarnation,
 	}
 	probeStop := p.startLivenessProbe(cs, procKill)
 	if probeStop != nil {
@@ -471,10 +458,9 @@ func (p *Pod) finish() {
 
 // ContainerCtx is handed to container processes.
 type ContainerCtx struct {
-	pod       *Pod
-	container string
-	killedCh  chan struct{}
-	restart   int
+	pod      *Pod
+	killedCh chan struct{}
+	restart  int
 }
 
 // Killed is closed when the process must terminate.
@@ -482,9 +468,6 @@ func (c *ContainerCtx) Killed() <-chan struct{} { return c.killedCh }
 
 // PodName returns the owning pod's name.
 func (c *ContainerCtx) PodName() string { return c.pod.Name() }
-
-// Container returns this container's name.
-func (c *ContainerCtx) Container() string { return c.container }
 
 // Restart returns the incarnation number (0 = first run).
 func (c *ContainerCtx) Restart() int { return c.restart }

@@ -125,7 +125,6 @@ type Gang struct {
 	backfilled  bool          // admitted past a waiting head (counts against the backfill budget)
 	submittedAt time.Time
 	admittedAt  time.Time
-	admittedCh  chan struct{}
 	evictedCh   chan struct{}
 	evicted     bool
 	intent      *EvictionIntent
@@ -143,9 +142,6 @@ func (g *Gang) State() GangState {
 	defer g.mu.Unlock()
 	return g.state
 }
-
-// Admitted is closed when every member has a reservation.
-func (g *Gang) Admitted() <-chan struct{} { return g.admittedCh }
 
 // Evicted is closed when the gang is preempted or released.
 func (g *Gang) Evicted() <-chan struct{} { return g.evictedCh }
@@ -279,7 +275,6 @@ func (c *Cluster) SubmitGang(spec GangSpec) (*Gang, error) {
 		reserved:    make(map[*Node]int),
 		idle:        make(map[*Node]int),
 		submittedAt: c.clk.Now(),
-		admittedCh:  make(chan struct{}),
 		evictedCh:   make(chan struct{}),
 		noticeCh:    make(chan struct{}),
 	}
@@ -689,7 +684,6 @@ func (s *gangScheduler) admitLocked(g *Gang, plan map[*Node]int, viaBackfill boo
 	g.backfilled = viaBackfill
 	g.state = GangAdmitted
 	g.admittedAt = s.c.clk.Now()
-	close(g.admittedCh)
 	if g.span != nil {
 		g.span.SetAttr("backfill", fmt.Sprintf("%v", viaBackfill))
 		g.span.End()

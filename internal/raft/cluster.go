@@ -216,16 +216,6 @@ func (c *Cluster) SetClockSkew(id int, d time.Duration) {
 	}
 }
 
-// ClockSkew reports node id's current clock offset.
-func (c *Cluster) ClockSkew(id int) time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if sk, ok := c.clks[id]; ok {
-		return sk.Offset()
-	}
-	return 0
-}
-
 // ReadStats sums the read-path counters of every live node. Crashed
 // nodes' counters reset on restart, like ReplicationStats.
 func (c *Cluster) ReadStats() ReadStats {

@@ -376,7 +376,7 @@ func (e *EngineOf[V]) raiseLocked(rev uint64) {
 // event-driven twin of AdvanceFloor: a read-index read waits on it for
 // the local state machine to catch up to the leader's confirmed index
 // instead of polling the floor. The channel never closes if the engine
-// stops applying; callers bound the wait and re-fetch the engine.
+// stops applying, so callers bound the wait.
 func (e *EngineOf[V]) WaitApplied(rev uint64) (<-chan struct{}, func()) {
 	ch := make(chan struct{})
 	e.waitMu.Lock()
