@@ -3,7 +3,8 @@ package clock
 import "time"
 
 // window is the real-time half of the idle-advance loop: what it sleeps on
-// until the clock has been quiet for quietSpan. The loop owns it and
+// until the clock has been quiet for quietSpan, and what may tell it
+// sooner that nothing else in the process can run. The loop owns it and
 // closes it on exit.
 //
 // Both implementations wait on a runtime timer, which ties the loop's
@@ -12,9 +13,13 @@ import "time"
 // timer is when the process is idle, which is what a virtual instant
 // costs: see timerfdWindow.
 type window interface {
-	// wait blocks for d of real time, counted from the call, or until stop
-	// is closed, which it reports with false.
+	// wait blocks for d of real time, counted from the call, and reports
+	// false if stop has been closed by then.
 	wait(d time.Duration, stop <-chan struct{}) bool
+	// asleep reports whether nothing else in the process was seen able to
+	// run: the loop may then end the instant before the quiet span is up.
+	// A window that cannot tell answers false.
+	asleep() bool
 	close()
 }
 
@@ -22,37 +27,26 @@ type window interface {
 // nothing to run sleeps in epoll_wait, whose timeout is whole milliseconds
 // (runtime/netpoll_epoll.go: delay < 1e6 → waitms = 1), so unless some P
 // happens to be running this window lasts ≈ 1 ms more than it was asked
-// to. It is the window where there is no timerfd.
-type timerWindow struct {
-	t *time.Timer
-}
+// to. It is the window where there is no timerfd, and it never sees the
+// process asleep: the quiet span ends every instant.
+//
+// A window is a time.Sleep, which parks the loop on its goroutine's own
+// timer: a select on a timer's channel would take a sudog from the P's
+// cache each time, and the runtime empties the shared cache behind those at
+// every collection, so a loop that waits several times an instant
+// allocated there. Close is noticed when the window ends.
+type timerWindow struct{}
 
-// arm starts a window of d.
-func (w *timerWindow) arm(d time.Duration) {
-	if w.t == nil {
-		w.t = time.NewTimer(d)
-	} else {
-		w.t.Reset(d) // drained: the last wait that returned true received from it
-	}
-}
-
-// expire waits the armed window out.
-func (w *timerWindow) expire(stop <-chan struct{}) bool {
+func (timerWindow) wait(d time.Duration, stop <-chan struct{}) bool {
+	time.Sleep(d)
 	select {
 	case <-stop:
 		return false
-	case <-w.t.C:
+	default:
 		return true
 	}
 }
 
-func (w *timerWindow) wait(d time.Duration, stop <-chan struct{}) bool {
-	w.arm(d)
-	return w.expire(stop)
-}
+func (timerWindow) asleep() bool { return false }
 
-func (w *timerWindow) close() {
-	if w.t != nil {
-		w.t.Stop()
-	}
-}
+func (timerWindow) close() {}

@@ -26,6 +26,9 @@ import (
 // descriptor). Sleeping in a syscall — nanosleep — is punctual too, but
 // holds a P for the whole window, and the goroutines that P should have
 // run look silent.
+//
+// It also owns the loop's look at the process's threads (threadWatch),
+// which can end an instant before the quiet span is up.
 type timerfdWindow struct {
 	timerWindow
 	f  *os.File // keeps the descriptor registered with the netpoller
@@ -35,6 +38,7 @@ type timerfdWindow struct {
 	// quiet span when the loop looks, and a periodic descriptor would keep
 	// waking an idle process between windows.
 	oneShot itimerspec
+	threads *threadWatch // nil without /proc: the quiet span ends every instant
 }
 
 // itimerspec is struct itimerspec of timerfd_settime(2).
@@ -49,29 +53,38 @@ func newWindow() window {
 	// TFD_NONBLOCK and TFD_CLOEXEC are defined as the O_ flags.
 	fd, _, errno := syscall.Syscall(syscall.SYS_TIMERFD_CREATE, clockMonotonic, syscall.O_NONBLOCK|syscall.O_CLOEXEC, 0)
 	if errno != 0 {
-		return &timerWindow{}
+		return timerWindow{}
 	}
 	f := os.NewFile(fd, "timerfd")
 	// A descriptor the netpoller did not register answers ErrNoDeadline.
 	if err := f.SetReadDeadline(time.Time{}); err != nil {
 		f.Close()
-		return &timerWindow{}
+		return timerWindow{}
 	}
-	return &timerfdWindow{f: f, fd: fd}
+	return &timerfdWindow{f: f, fd: fd, threads: newThreadWatch()}
 }
 
 func (w *timerfdWindow) wait(d time.Duration, stop <-chan struct{}) bool {
-	// The timer first: the descriptor must not turn readable before the
-	// timer is due, or the scheduler it wakes goes back to sleep for a
-	// millisecond. Should arming the descriptor fail, the window is still
-	// a whole one, only not a punctual one.
-	w.arm(d)
-	w.oneShot.value = syscall.NsecToTimespec(int64(d))
-	syscall.Syscall6(syscall.SYS_TIMERFD_SETTIME, w.fd, 0, uintptr(unsafe.Pointer(&w.oneShot)), 0, 0, 0)
-	return w.expire(stop)
+	// The descriptor must not turn readable before the runtime timer is
+	// due, or the scheduler it wakes goes back to sleep for a millisecond;
+	// it is armed before the Sleep that arms the timer, so it is armed for
+	// a little longer. The call is raw for the reason threadWatch.read's
+	// is. Should arming it fail, the window is still a whole one, only not
+	// a punctual one.
+	w.oneShot.value = syscall.NsecToTimespec(int64(d + timerfdSlack))
+	syscall.RawSyscall6(syscall.SYS_TIMERFD_SETTIME, w.fd, 0, uintptr(unsafe.Pointer(&w.oneShot)), 0, 0, 0)
+	return w.timerWindow.wait(d, stop)
 }
 
+// timerfdSlack covers the time from arming the descriptor to the Sleep
+// reading the clock: a system call's return and a function call.
+const timerfdSlack = 2 * time.Microsecond
+
+func (w *timerfdWindow) asleep() bool { return w.threads != nil && w.threads.asleep() }
+
 func (w *timerfdWindow) close() {
-	w.timerWindow.close()
 	w.f.Close()
+	if w.threads != nil {
+		w.threads.close()
+	}
 }

@@ -2,4 +2,4 @@
 
 package clock
 
-func newWindow() window { return &timerWindow{} }
+func newWindow() window { return timerWindow{} }

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/trainsim"
@@ -20,6 +21,17 @@ var ErrInvalid = errors.New("manifest: invalid")
 // MaxPriority bounds the job priority range (0 = default, best-effort;
 // MaxPriority = most urgent).
 const MaxPriority = 1000
+
+// The caps on what one job may ask for are far beyond any cluster or model
+// the platform schedules, and small enough that nothing computed from them
+// overflows: a step's images (learners × gpus_per_learner × batch_per_gpu)
+// are at most 2³⁰, and times a model's bytes or activations per image stay
+// far inside an int64.
+const (
+	MaxLearners       = 1024
+	MaxGPUsPerLearner = 64
+	MaxBatchPerGPU    = 1 << 14
+)
 
 // DataRef locates training data or a results destination in the object
 // store, with the credentials to access it.
@@ -75,16 +87,18 @@ func (m *Manifest) Validate() error {
 		return fmt.Errorf("%w: name is required", ErrInvalid)
 	case !trainsim.KnownFramework(trainsim.Framework(m.Framework)):
 		return fmt.Errorf("%w: unsupported framework %q", ErrInvalid, m.Framework)
-	case m.Learners < 1:
-		return fmt.Errorf("%w: learners must be >= 1 (got %d)", ErrInvalid, m.Learners)
-	case m.GPUsPerLearner < 0:
-		return fmt.Errorf("%w: gpus_per_learner must be >= 0", ErrInvalid)
-	case m.BatchPerGPU < 1:
-		return fmt.Errorf("%w: batch_per_gpu must be >= 1", ErrInvalid)
+	case m.Learners < 1 || m.Learners > MaxLearners:
+		return fmt.Errorf("%w: learners must be in 1..%d (got %d)", ErrInvalid, MaxLearners, m.Learners)
+	case m.GPUsPerLearner < 0 || m.GPUsPerLearner > MaxGPUsPerLearner:
+		return fmt.Errorf("%w: gpus_per_learner must be in 0..%d (got %d)", ErrInvalid, MaxGPUsPerLearner, m.GPUsPerLearner)
+	case m.BatchPerGPU < 1 || m.BatchPerGPU > MaxBatchPerGPU:
+		return fmt.Errorf("%w: batch_per_gpu must be in 1..%d (got %d)", ErrInvalid, MaxBatchPerGPU, m.BatchPerGPU)
 	case m.Epochs < 1:
 		return fmt.Errorf("%w: epochs must be >= 1", ErrInvalid)
 	case m.DatasetImages < 1:
 		return fmt.Errorf("%w: dataset_images must be >= 1", ErrInvalid)
+	case m.DatasetImages > math.MaxInt64/int64(m.Epochs):
+		return fmt.Errorf("%w: epochs × dataset_images overflows", ErrInvalid)
 	case m.TrainingData.Bucket == "":
 		return fmt.Errorf("%w: training_data.bucket is required", ErrInvalid)
 	case m.TrainingData.Key == "":
@@ -109,7 +123,8 @@ func (m *Manifest) ModelSpec() trainsim.ModelSpec {
 	return spec
 }
 
-// TotalGPUs is the job's aggregate GPU demand.
+// TotalGPUs is the job's aggregate GPU demand. Validate's caps keep it from
+// overflowing.
 func (m *Manifest) TotalGPUs() int { return m.Learners * m.GPUsPerLearner }
 
 // Encode serializes the manifest to JSON.

@@ -2,6 +2,9 @@ package manifest
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"math/big"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -180,4 +183,113 @@ func TestQuickRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Manifests whose arithmetic would overflow are rejected: learners ×
+// gpus_per_learner once read 0 GPUs for 2⁶² learners of 4, epochs ×
+// dataset_images read 1 image for two MaxInt64s, and a huge batch_per_gpu
+// wrapped the activation memory negative, so the batch "fit" any GPU.
+func TestOverflowingManifestsRejected(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Manifest)
+		substr string
+	}{
+		{"learners over the cap", func(m *Manifest) { m.Learners = MaxLearners + 1 }, "learners"},
+		{"2^62 learners of 4 GPUs", func(m *Manifest) { m.Learners, m.GPUsPerLearner = 1<<62, 4 }, "learners"},
+		{"GPUs per learner over the cap", func(m *Manifest) { m.GPUsPerLearner = MaxGPUsPerLearner + 1 }, "gpus_per_learner"},
+		{"GPUs per learner overflow the total", func(m *Manifest) { m.Learners, m.GPUsPerLearner = MaxLearners, math.MaxInt/2 }, "gpus_per_learner"},
+		{"batch over the cap", func(m *Manifest) { m.BatchPerGPU = MaxBatchPerGPU + 1 }, "batch_per_gpu"},
+		{"batch × activations overflow", func(m *Manifest) { m.BatchPerGPU = math.MaxInt64 / 100_000_000 }, "batch_per_gpu"},
+		{"epochs × images overflow", func(m *Manifest) { m.Epochs, m.DatasetImages = math.MaxInt64, math.MaxInt64 }, "overflows"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := valid()
+			tc.mutate(&m)
+			err := m.Validate()
+			if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), tc.substr) {
+				t.Fatalf("err = %v, want ErrInvalid mentioning %q", err, tc.substr)
+			}
+		})
+	}
+	m := valid()
+	m.Model = "vgg16" // the most bytes and activations per image
+	m.Learners, m.GPUsPerLearner, m.BatchPerGPU = MaxLearners, MaxGPUsPerLearner, MaxBatchPerGPU
+	m.Epochs, m.DatasetImages = 1000, math.MaxInt64/1000
+	if err := m.Validate(); err != nil {
+		t.Fatalf("the largest products that fit were rejected: %v", err)
+	}
+	if err := productsFit(&m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// productsFit reports the first product of an accepted manifest's numbers
+// that does not fit where the platform computes it: the GPU total and a
+// step's images in an int, a step's input bytes, the activation and total
+// memory per GPU, and the images of a whole job in an int64.
+func productsFit(m *Manifest) error {
+	spec := m.ModelSpec()
+	n := func(v int64) *big.Int { return big.NewInt(v) }
+	gpus := new(big.Int).Mul(n(int64(m.Learners)), n(int64(m.GPUsPerLearner)))
+	step := new(big.Int).Mul(gpus, n(int64(m.BatchPerGPU)))
+	activations := new(big.Int).Mul(n(int64(m.BatchPerGPU)), n(spec.ActivationBytesPerImage))
+	for _, p := range []struct {
+		name string
+		v    *big.Int
+		max  int64
+	}{
+		{"learners × gpus_per_learner", gpus, math.MaxInt},
+		{"a step's images", step, math.MaxInt},
+		{"a step's input bytes", new(big.Int).Mul(step, n(spec.BytesPerImage)), math.MaxInt64},
+		{"activation bytes per GPU", activations, math.MaxInt64},
+		{"memory per GPU", new(big.Int).Add(activations, n(12*spec.Params)), math.MaxInt64},
+		{"epochs × dataset_images", new(big.Int).Mul(n(int64(m.Epochs)), n(m.DatasetImages)), math.MaxInt64},
+	} {
+		if p.v.Cmp(n(p.max)) > 0 {
+			return fmt.Errorf("%s = %v overflows (learners %d, gpus_per_learner %d, batch_per_gpu %d, epochs %d, dataset_images %d)",
+				p.name, p.v, m.Learners, m.GPUsPerLearner, m.BatchPerGPU, m.Epochs, m.DatasetImages)
+		}
+	}
+	return nil
+}
+
+// FuzzManifestDecode: whatever Decode accepts has a non-negative GPU
+// total, products that do not overflow (productsFit), and survives Encode →
+// Decode unchanged. The committed corpus (testdata/fuzz) holds the
+// overflows Decode once accepted.
+func FuzzManifestDecode(f *testing.F) {
+	m := valid()
+	raw, err := m.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Fuzz(func(t *testing.T, s string) {
+		m, err := Decode(s)
+		if err != nil {
+			if !errors.Is(err, ErrInvalid) {
+				t.Fatalf("Decode error %v is not ErrInvalid", err)
+			}
+			return
+		}
+		if m.TotalGPUs() < 0 {
+			t.Fatalf("accepted a manifest with %d GPUs", m.TotalGPUs())
+		}
+		if err := productsFit(m); err != nil {
+			t.Fatalf("accepted: %v", err)
+		}
+		raw, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(raw)
+		if err != nil {
+			t.Fatalf("re-decoding %s: %v", raw, err)
+		}
+		if *got != *m {
+			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", *got, *m)
+		}
+	})
 }
