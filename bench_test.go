@@ -12,18 +12,9 @@ package dlaas_test
 
 import (
 	"fmt"
-	"regexp"
-	"sort"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	dlaas "repro"
-
-	"repro/internal/core/guardian"
-	"repro/internal/core/learner"
 	"repro/internal/etcd"
 	"repro/internal/experiments"
 	"repro/internal/gpu"
@@ -175,137 +166,6 @@ func BenchmarkAblationEtcdReplication(b *testing.B) {
 	}
 }
 
-// BenchmarkEtcdWrites measures the replicated write path under the
-// conditions the control plane actually faces: 64 concurrent writers
-// (every learner, LCM, and controller mutating job state at once) on a
-// 3-node cluster whose third replica is both slow (+5ms one-way) and
-// flapping (periodic short partitions), through group commit and
-// pipelined AppendEntries.
-//
-// Reported: writes per Raft proposal (group commit's coalescing ratio —
-// per-proposal throughput), proposals per write, batch occupancy
-// (commands per flushed batch), and p50/p99 commit latency in virtual
-// ms. The headline claims are the burst still coalescing
-// (writes/proposal >= 4 — what bounds etcd's in-flight proposal count
-// from above), and p99 commit latency staying bounded despite the
-// degraded follower (commits need only the fast quorum). Wall-virtual
-// throughput is deliberately not reported: the writers run in real time
-// against the idle-advancing sim clock, so elapsed virtual time is
-// quantized by the flap-cycle timers rather than by replication work.
-func BenchmarkEtcdWrites(b *testing.B) {
-	const writers = 64
-	clk := clock.NewSim()
-	defer clk.Close()
-	s := etcd.New(3, clk)
-	defer s.Close()
-	if _, err := s.Put("/bench/warm", "up"); err != nil {
-		b.Fatal(err)
-	}
-
-	// Degrade one follower, never the leader: +5ms one-way on
-	// every message to it, plus a flap cycle (60ms partitioned,
-	// 200ms healed — short enough that its election timer never
-	// fires, so the fault stays a replication fault rather than
-	// a leadership fault).
-	victim := -1
-	lead := s.LeaderID()
-	for id := 0; id < 3; id++ {
-		if id != lead {
-			victim = id
-			break
-		}
-	}
-	s.SetNodeDelay(victim, 5*time.Millisecond)
-	stopFlap := make(chan struct{})
-	var flapWG sync.WaitGroup
-	flapWG.Add(1)
-	go func() {
-		defer flapWG.Done()
-		for {
-			select {
-			case <-stopFlap:
-				return
-			default:
-			}
-			s.PartitionNode(victim)
-			clk.Sleep(60 * time.Millisecond)
-			s.HealNode(victim)
-			clk.Sleep(200 * time.Millisecond)
-		}
-	}()
-
-	props := s.Proposals()
-	batches0, cmds0 := s.BatchStats()
-	lat := make([]time.Duration, b.N)
-	var next atomic.Int64
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(b.N) {
-					return
-				}
-				t0 := clk.Now()
-				if _, err := s.Put(fmt.Sprintf("/bench/w%d", i), fmt.Sprintf("v%d", i)); err != nil {
-					b.Errorf("write %d: %v", i, err)
-					return
-				}
-				lat[i] = clk.Now().Sub(t0)
-			}
-		}(w)
-	}
-	wg.Wait()
-	b.StopTimer()
-	close(stopFlap)
-	flapWG.Wait()
-
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	n := float64(b.N)
-	proposals := float64(s.Proposals() - props)
-	if proposals > 0 {
-		b.ReportMetric(n/proposals, "writes/proposal")
-	}
-	b.ReportMetric(proposals/n, "proposals/write")
-	if batches, cmds := s.BatchStats(); batches > batches0 {
-		b.ReportMetric(float64(cmds-cmds0)/float64(batches-batches0), "cmds/batch")
-	}
-	b.ReportMetric(float64(lat[len(lat)/2].Microseconds())/1000, "p50-virtual-ms")
-	b.ReportMetric(float64(lat[(len(lat)*99)/100].Microseconds())/1000, "p99-virtual-ms")
-}
-
-// BenchmarkSchedulerPlacement measures GPU-aware pod placement
-// throughput on a 32-node cluster.
-func BenchmarkSchedulerPlacement(b *testing.B) {
-	clk := clock.NewSim()
-	defer clk.Close()
-	nodes := make([]kube.NodeSpec, 32)
-	for i := range nodes {
-		nodes[i] = kube.NodeSpec{Name: fmt.Sprintf("n%02d", i), GPUs: 1 << 30, GPUType: "K80"}
-	}
-	c := kube.NewCluster(kube.Config{Clock: clk}, nodes...)
-	defer c.Stop()
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		spec := kube.PodSpec{
-			Name:          fmt.Sprintf("p%d", i),
-			GPUs:          1,
-			RestartPolicy: kube.RestartNever,
-			Containers: []kube.ContainerSpec{{
-				Name: "c",
-				Run:  func(*kube.ContainerCtx) int { return 0 },
-			}},
-		}
-		if _, err := c.CreatePod(spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkGangScheduler measures the gang scheduler under a mixed
 // 1/2/4-learner workload on a 16-node (64 GPU) cluster: mean placement
 // latency (virtual time from submission to atomic admission of the whole
@@ -368,14 +228,14 @@ func BenchmarkGangScheduler(b *testing.B) {
 	for {
 		live := 0
 		for _, g := range gangs {
-			if c.GangByName(g.Name()) == nil {
+			if c.GangByName(g.Spec.Name) == nil {
 				continue
 			}
 			live++
 			state := g.State()
-			drained := len(c.Pods(map[string]string{"bgang": g.Name()})) == 0
+			drained := len(c.Pods(map[string]string{"bgang": g.Spec.Name})) == 0
 			if (state == kube.GangAdmitted && drained) || state == kube.GangPreempted {
-				c.CancelGang(g.Name())
+				c.CancelGang(g.Spec.Name)
 			}
 		}
 		if live == 0 {
@@ -390,82 +250,6 @@ func BenchmarkGangScheduler(b *testing.B) {
 	}
 	b.ReportMetric(float64(latency.Milliseconds())/float64(b.N), "placement-ms/gang")
 	b.ReportMetric(utilSum/float64(utilSamples)*100, "gpu-util-%")
-}
-
-// BenchmarkGracefulPreemption quantifies the eviction protocol's win:
-// training images lost per eviction under the checkpoint-before-preempt
-// handshake. Each iteration trains a low-priority job with periodic
-// checkpointing effectively off, samples its progress, preempts it with
-// a high-priority job, and measures progress-at-eviction minus
-// resume-point once the victim recovers. It must come in near zero; a
-// kill without the handshake would forfeit everything since the last
-// periodic checkpoint (here: all of it).
-func BenchmarkGracefulPreemption(b *testing.B) {
-	resumedRe := regexp.MustCompile(`resumed from checkpoint at (\d+)/`)
-	p, err := dlaas.New(dlaas.Options{Nodes: 1, GPUsPerNode: 1, EtcdReplicas: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
-	clk := p.Clock()
-	var lostSum, virtual float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		submit := func(tenant string, images int64, priority int) (*dlaas.Client, string) {
-			creds := dlaas.Credentials{AccessKey: tenant, SecretKey: tenant + "-s"}
-			data, err := p.CreateDataset("data-"+tenant, "train.rec", 1<<30, creds)
-			if err != nil {
-				b.Fatal(err)
-			}
-			results, err := p.CreateResultsBucket("results-"+tenant, creds)
-			if err != nil {
-				b.Fatal(err)
-			}
-			client := p.Client(tenant)
-			id, err := client.Submit(&dlaas.Manifest{
-				Name: "evict-bench", Framework: "tensorflow", Model: "resnet50",
-				Learners: 1, GPUsPerLearner: 1, BatchPerGPU: 32, Epochs: 1,
-				DatasetImages: images, TrainingData: data, Results: results,
-				CheckpointInterval: time.Hour, Priority: priority,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return client, id
-		}
-		start := clk.Now()
-		victim, vid := submit(fmt.Sprintf("ev-v%d", i), 16000, 1)
-		if _, err := victim.WaitForState(vid, dlaas.StateProcessing, time.Hour); err != nil {
-			b.Fatal(err)
-		}
-		clk.Sleep(45 * time.Second) // accumulate un-checkpointed work
-		// Progress at (just before) eviction, off the live volume.
-		var p0 int64
-		if vol, err := p.Cluster().NFS().Volume(guardian.VolumeName(vid)); err == nil {
-			if raw, err := vol.Read(learner.ProgressPath(0)); err == nil {
-				p0, _ = strconv.ParseInt(string(raw), 10, 64)
-			}
-		}
-		hi, hid := submit(fmt.Sprintf("ev-h%d", i), 2000, 100)
-		if _, err := hi.WaitForState(hid, dlaas.StateCompleted, 3*time.Hour); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := victim.WaitForState(vid, dlaas.StateCompleted, 12*time.Hour); err != nil {
-			b.Fatal(err)
-		}
-		virtual += clk.Since(start).Seconds()
-		resumed := int64(0)
-		if logText, err := victim.Logs(vid, 0); err == nil {
-			if m := resumedRe.FindAllStringSubmatch(logText, -1); len(m) > 0 {
-				resumed, _ = strconv.ParseInt(m[len(m)-1][1], 10, 64)
-			}
-		}
-		if lost := float64(p0 - resumed); lost > 0 {
-			lostSum += lost
-		}
-	}
-	b.ReportMetric(lostSum/float64(b.N), "lost-images/evict")
-	b.ReportMetric(virtual/float64(b.N), "victim-virtual-s")
 }
 
 // BenchmarkTrainsimStepTime measures the analytic model itself (it backs

@@ -1,8 +1,8 @@
 // Command dlaas-vet runs the platform's domain-specific static
 // analyzers (internal/lint) over module packages: virtual-clock
 // purity, seeded randomness, order-stable map iteration, lock
-// discipline, goroutine lifecycle ownership, and where unsafe may be
-// imported.
+// discipline, goroutine lifecycle ownership, where unsafe may be
+// imported, and internal surfaces no non-test file uses.
 //
 // Usage:
 //
@@ -112,30 +112,32 @@ func run(args []string) int {
 		PerPackage: make(map[string]map[string]int),
 		Pass:       true,
 	}
-	for _, pkg := range pkgs {
-		rep.Packages++
-		findings := lint.Run(pkg, policy, selected...)
-		for _, f := range findings {
-			// Positions relative to the module root keep reports
-			// machine-comparable across checkouts.
-			if rel, rerr := filepath.Rel(ld.ModuleRoot, f.File); rerr == nil && !strings.HasPrefix(rel, "..") {
-				f.File = filepath.ToSlash(rel)
-			}
-			rep.Findings = append(rep.Findings, f)
-			if f.Suppressed {
-				rep.Suppressed++
-				rep.Counts[f.Rule+" suppressed"]++
-				continue
-			}
-			rep.Active++
-			rep.Counts[f.Rule]++
-			pp := rep.PerPackage[f.Package]
-			if pp == nil {
-				pp = make(map[string]int)
-				rep.PerPackage[f.Package] = pp
-			}
-			pp[f.Rule]++
+	findings, err := lint.Run(ld, pkgs, policy, selected...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dlaas-vet:", err)
+		return 2
+	}
+	rep.Packages = len(pkgs)
+	for _, f := range findings {
+		// Positions relative to the module root keep reports
+		// machine-comparable across checkouts.
+		if rel, rerr := filepath.Rel(ld.ModuleRoot, f.File); rerr == nil && !strings.HasPrefix(rel, "..") {
+			f.File = filepath.ToSlash(rel)
 		}
+		rep.Findings = append(rep.Findings, f)
+		if f.Suppressed {
+			rep.Suppressed++
+			rep.Counts[f.Rule+" suppressed"]++
+			continue
+		}
+		rep.Active++
+		rep.Counts[f.Rule]++
+		pp := rep.PerPackage[f.Package]
+		if pp == nil {
+			pp = make(map[string]int)
+			rep.PerPackage[f.Package] = pp
+		}
+		pp[f.Rule]++
 	}
 	rep.Pass = rep.Active == 0
 

@@ -101,7 +101,6 @@ func TestGuardianResumesWatchFromJournaledRevision(t *testing.T) {
 func TestGuardianWatchCompactedFallsBackToRelist(t *testing.T) {
 	skipIfShort(t)
 	p := newTestPlatform(t, Options{})
-	p.Etcd().SetCompactEvery(10)
 	client := p.Client("compacted")
 	m := testManifest(t, p, "compacted", 1)
 	m.DatasetImages = 20000
@@ -196,7 +195,7 @@ func TestWatchModeFewerEtcdRanges(t *testing.T) {
 	if _, err := client.WaitForState(id, StateCompleted, 3*time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	ranges := p.Etcd().RangeOps()
+	ranges := p.Etcd().OpCounts()["range"]
 	t.Logf("etcd ranges for one job: %d", ranges)
 	if ranges > rangesPerJobCeiling {
 		t.Fatalf("one job cost %d etcd ranges, ceiling %d", ranges, rangesPerJobCeiling)
@@ -320,8 +319,8 @@ func TestStoreMetricsExposed(t *testing.T) {
 	if got := reg.Counter("etcd_client_ops", "watch"); got == 0 {
 		t.Fatal("watch subscriptions not counted (watch mode should open them)")
 	}
-	if p.Etcd().RangeOps() == 0 {
-		t.Fatal("RangeOps counter never moved (the initial list should count)")
+	if p.Etcd().OpCounts()["range"] == 0 {
+		t.Fatal("range counter never moved (the initial list should count)")
 	}
 	for op, n := range p.NFS().OpCounts() {
 		if n == 0 || reg.Counter("nfs_ops", op) == 0 {

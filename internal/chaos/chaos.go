@@ -73,16 +73,6 @@ func (i *Injector) KillPod(name string) error {
 	return i.cluster.DeletePod(name)
 }
 
-// CrashNode fails an entire node.
-func (i *Injector) CrashNode(name string) error {
-	return i.cluster.CrashNode(name)
-}
-
-// RestartNode heals a crashed node.
-func (i *Injector) RestartNode(name string) error {
-	return i.cluster.RestartNode(name)
-}
-
 // runningPod returns the first Running pod matching selector.
 func (i *Injector) runningPod(selector map[string]string) *kube.Pod {
 	for _, p := range i.cluster.Pods(selector) {
@@ -126,28 +116,6 @@ func (i *Injector) MeasurePodRecovery(selector map[string]string, timeout time.D
 	}
 	if !i.await(timeout, replaced) {
 		return 0, fmt.Errorf("selector %v after %v: %w", selector, timeout, ErrNoRecovery)
-	}
-	return i.clk.Since(start), nil
-}
-
-// MeasureContainerRecovery crashes a container process in place and
-// measures the virtual time until the kubelet has it running again.
-func (i *Injector) MeasureContainerRecovery(podName, container string, timeout time.Duration) (time.Duration, error) {
-	pod := i.cluster.Pod(podName)
-	if pod == nil {
-		return 0, fmt.Errorf("pod %s: %w", podName, ErrNoTarget)
-	}
-	restartsBefore := pod.Restarts()
-	start := i.clk.Now()
-	if err := i.cluster.CrashContainer(podName, container); err != nil {
-		return 0, fmt.Errorf("crashing %s/%s: %w", podName, container, err)
-	}
-	restarted := func() bool {
-		_, _, running := pod.ExitInfo(container)
-		return running && pod.Restarts() > restartsBefore
-	}
-	if !i.await(timeout, restarted) {
-		return 0, fmt.Errorf("container %s/%s after %v: %w", podName, container, timeout, ErrNoRecovery)
 	}
 	return i.clk.Since(start), nil
 }

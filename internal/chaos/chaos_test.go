@@ -118,20 +118,30 @@ func TestMinMaxEmpty(t *testing.T) {
 	}
 }
 
+// TestNodeCrashAndRestartHelpers: CrashNodeOf takes down the node under
+// a running pod, and HealAll restarts it.
 func TestNodeCrashAndRestartHelpers(t *testing.T) {
 	c, clk := newTestCluster(t)
+	deployService(t, c, clk, "svc", 100*time.Millisecond)
 	inj := New(c)
-	if err := inj.CrashNode("n1"); err != nil {
+	name, err := inj.CrashNodeOf(map[string]string{"app": "svc"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Nodes()[0].Down() {
-		t.Fatal("node not down after CrashNode")
+	down := func() bool {
+		for _, n := range c.Nodes() {
+			if n.Spec.Name == name {
+				return n.Down()
+			}
+		}
+		t.Fatalf("no node %q", name)
+		return false
 	}
-	if err := inj.RestartNode("n1"); err != nil {
-		t.Fatal(err)
+	if !down() {
+		t.Fatal("node not down after CrashNodeOf")
 	}
-	if c.Nodes()[0].Down() {
-		t.Fatal("node down after RestartNode")
+	inj.HealAll()
+	if down() {
+		t.Fatal("node down after HealAll")
 	}
-	_ = clk
 }

@@ -146,6 +146,29 @@ func TestMeasurePodRecoveryAtomicSnapshot(t *testing.T) {
 	}
 }
 
+// MeasureContainerRecovery crashes a container process in place and
+// measures the virtual time until the kubelet has it running again. No
+// experiment measures a container restart, so it lives with its tests.
+func (i *Injector) MeasureContainerRecovery(podName, container string, timeout time.Duration) (time.Duration, error) {
+	pod := i.cluster.Pod(podName)
+	if pod == nil {
+		return 0, fmt.Errorf("pod %s: %w", podName, ErrNoTarget)
+	}
+	restartsBefore := pod.Restarts()
+	start := i.clk.Now()
+	if err := i.cluster.CrashContainer(podName, container); err != nil {
+		return 0, fmt.Errorf("crashing %s/%s: %w", podName, container, err)
+	}
+	restarted := func() bool {
+		_, _, running := pod.ExitInfo(container)
+		return running && pod.Restarts() > restartsBefore
+	}
+	if !i.await(timeout, restarted) {
+		return 0, fmt.Errorf("container %s/%s after %v: %w", podName, container, timeout, ErrNoRecovery)
+	}
+	return i.clk.Since(start), nil
+}
+
 // TestMeasureContainerRecoveryCountsNewRestarts pins that the
 // measurement demands a restart beyond the count observed at injection
 // time: a container that had already restarted before the experiment

@@ -186,38 +186,9 @@ func (i *Injector) HealEtcd(id int) error {
 	return nil
 }
 
-// SkewEtcdClock offsets one etcd replica's local clock readings by
-// offset (0 heals it). Against the leader this is the lease-read
-// killer fault: a clock stepped past the raft drift bound must
-// invalidate the leader's check-quorum lease and push reads back to
-// full confirmation rounds rather than let a stale deadline serve
-// stale data. Timers keep firing truly — skew shifts readings, not
-// rates.
-func (i *Injector) SkewEtcdClock(id int, offset time.Duration) error {
-	if i.etcd == nil {
-		return fmt.Errorf("skewing etcd clock: %w", ErrNotAttached)
-	}
-	i.etcd.SkewNodeClock(id, offset)
-	return nil
-}
-
-// SkewEtcdLeaderClock applies SkewEtcdClock to the current leader and
-// returns its id for a later heal.
-func (i *Injector) SkewEtcdLeaderClock(offset time.Duration) (int, error) {
-	if i.etcd == nil {
-		return 0, fmt.Errorf("skewing etcd clock: %w", ErrNotAttached)
-	}
-	leader := i.etcd.LeaderID()
-	if leader < 0 {
-		return 0, fmt.Errorf("skewing etcd clock: %w", ErrNoTarget)
-	}
-	i.etcd.SkewNodeClock(leader, offset)
-	return leader, nil
-}
-
 // HealAll reverts every standing fault this injector can have left
-// behind: NFS flap, etcd partitions and replica clock skew,
-// crashed/cordoned nodes, and node clock skew. Campaign scenarios run it deferred so a failed scenario
+// behind: NFS flap, etcd partitions, crashed/cordoned nodes, and node
+// clock skew. Campaign scenarios run it deferred so a failed scenario
 // cannot leak faults into teardown (an unhealed NFS stall would spin
 // against a closing clock).
 func (i *Injector) HealAll() {
@@ -227,7 +198,6 @@ func (i *Injector) HealAll() {
 	if i.etcd != nil {
 		for _, id := range i.etcd.Nodes() {
 			i.etcd.HealNode(id)
-			i.etcd.SkewNodeClock(id, 0)
 		}
 	}
 	for _, n := range i.cluster.Nodes() {

@@ -229,7 +229,7 @@ func (s *Sim) Advance(d time.Duration) {
 }
 
 // PendingEvents reports how many timers/sleepers are parked on the clock.
-func (s *Sim) PendingEvents() int {
+func (s *Sim) PendingEvents() int { //lint:allow deadexport test-observation point: clock, raft and nfs tests check what is parked on the clock
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.events.Len()
@@ -253,7 +253,7 @@ func (s *Sim) NextDeadline() (when time.Time, ok bool) {
 // share it. Under the idle-advance loop each one costs real time (the
 // quiet span it waits out first), so this is the count a poll loop that
 // wakes to learn nothing inflates.
-func (s *Sim) Instants() uint64 {
+func (s *Sim) Instants() uint64 { //lint:allow deadexport ROADMAP item 1b's clock.instants_per_op row reads it; the instant-budget tests do today
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.instants

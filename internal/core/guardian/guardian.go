@@ -811,7 +811,7 @@ func monitor(ctx *kube.ContainerCtx, p Params, journalKey string) int {
 			}
 			saveCursor()
 		case ce := <-jobFeed:
-			if ce.ID == p.JobID && !ce.Deleted {
+			if ce.ID == p.JobID {
 				if rec := core.RecordFromDoc(ce.Doc); rec.State == types.StateHalted {
 					count("guardian_monitor_halts", "feed")
 					return handleHalt(p)

@@ -147,9 +147,6 @@ func (s *Service) runWatch(ctx *kube.ContainerCtx) int {
 		case <-ctx.Killed():
 			return 0
 		case ce := <-feed:
-			if ce.Deleted {
-				continue
-			}
 			rec := core.RecordFromDoc(ce.Doc)
 			if s.deps.Metrics != nil {
 				s.deps.Metrics.Inc("lcm_feed_events", string(rec.State))

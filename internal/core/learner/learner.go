@@ -160,7 +160,7 @@ func TrainingConfig(m *manifest.Manifest, g gpu.Spec) trainsim.Config {
 		Model:        m.ModelSpec(),
 		Framework:    trainsim.Framework(m.Framework),
 		GPU:          g,
-		NumGPUs:      m.Learners * m.GPUsPerLearner,
+		NumGPUs:      m.TotalGPUs(),
 		BatchPerGPU:  m.BatchPerGPU,
 		Sync:         trainsim.SyncAllReduce,
 		Interconnect: interconnect,

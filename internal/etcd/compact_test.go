@@ -31,7 +31,7 @@ func TestAutoCompactionBoundsLog(t *testing.T) {
 	compacted := false
 	for _, id := range s.cluster.IDs() {
 		n := s.cluster.Node(id)
-		if n != nil && n.LogLen() < writes {
+		if n != nil && len(n.Log()) < writes {
 			compacted = true
 		}
 	}

@@ -45,8 +45,6 @@ var (
 	// ErrTimeout indicates the operation did not commit before the
 	// deadline (no leader, or this client is partitioned).
 	ErrTimeout = errors.New("etcd: request timed out")
-	// ErrCASFailed indicates the compare-and-swap precondition failed.
-	ErrCASFailed = errors.New("etcd: compare failed")
 	// ErrClosed indicates the store has been shut down.
 	ErrClosed = errors.New("etcd: store closed")
 	// ErrCompacted indicates a WatchFrom start revision predates the
@@ -99,9 +97,9 @@ type KV struct {
 	Rev   uint64
 }
 
-// Cmp is a transaction guard, with the same semantics as
-// CompareAndSwap's precondition: when PrevExists the key must exist with
-// value Prev; otherwise the key must be absent.
+// Cmp is a transaction guard, with the same semantics as a CAS command's
+// precondition: when PrevExists the key must exist with value Prev;
+// otherwise the key must be absent.
 type Cmp struct {
 	Key        string
 	Prev       string
@@ -244,20 +242,6 @@ func (s *Store) BatchStats() (batches, cmds uint64) {
 // (appends, entries-per-append, rejects, snapshot chunks).
 func (s *Store) ReplicationStats() map[int]raft.ReplicationStats {
 	return s.cluster.ReplicationStats()
-}
-
-// SetNodeDelay adds extra one-way latency to every raft message
-// addressed to node id (a slow follower); non-positive d removes it.
-func (s *Store) SetNodeDelay(id int, d time.Duration) {
-	s.cluster.Transport().SetNodeDelay(id, d)
-}
-
-// SetCompactEvery overrides the per-node log-compaction threshold
-// (entries applied between snapshots). Intended for tests and benches.
-func (s *Store) SetCompactEvery(n int) {
-	if n > 0 {
-		s.compactEvery.Store(int64(n))
-	}
 }
 
 // Close shuts down the cluster and all watchers.
@@ -428,15 +412,6 @@ func (s *Store) LeaderID() int {
 		return -1
 	}
 	return l.ID()
-}
-
-// SkewNodeClock offsets raft node id's local clock readings by d (0
-// heals it) — the fault primitive the lease-safety tests and the chaos
-// layer drive. Timers are unaffected: real skew shifts the values a
-// node reads, not the rate its timers fire at, which is exactly what
-// makes a skewed leader's lease deadline dangerous.
-func (s *Store) SkewNodeClock(id int, d time.Duration) {
-	s.cluster.SetClockSkew(id, d)
 }
 
 // ReadStats sums the raft read-path counters (confirmation rounds,

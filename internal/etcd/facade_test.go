@@ -48,7 +48,7 @@ func TestWatchUnderCompaction(t *testing.T) {
 	// The log really compacted while the watcher was live.
 	compacted := false
 	for _, id := range s.cluster.IDs() {
-		if n := s.cluster.Node(id); n != nil && n.LogLen() < writes {
+		if n := s.cluster.Node(id); n != nil && len(n.Log()) < writes {
 			compacted = true
 		}
 	}

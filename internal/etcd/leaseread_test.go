@@ -30,7 +30,7 @@ func putRetry(s *Store, clk *clock.Sim, key, val string, timeout time.Duration) 
 // majority side — a Get must return the new value, never the
 // skewed ex-leader's stale snapshot. This is the etcd-level shape of
 // the raft zombie-lease test: the fault injection travels through
-// SkewNodeClock, which the chaos layer's SkewEtcdClock primitive calls.
+// SkewNodeClock.
 func TestLeaseReadSkewedLeaderNeverStale(t *testing.T) {
 	s, clk := newTestStore(t, 3)
 	if _, err := s.Put("/lz/k", "old"); err != nil {

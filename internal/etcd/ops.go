@@ -17,7 +17,7 @@ type opCounter struct {
 
 // finishOp tallies one completed client operation of the given kind.
 // Successes and failures are counted apart — counting before the
-// attempt inflated RangeOps with scans that then timed out. Operations
+// attempt inflated the range count with scans that then timed out. Operations
 // that went through the log but lost their application-level race (CAS
 // conflict, Txn else-branch) completed successfully for accounting
 // purposes.
@@ -34,9 +34,6 @@ func (s *Store) finishOp(kind string, c *opCounter, err error) {
 		reg.Inc("etcd_client_ops", kind)
 	}
 }
-
-// RangeOps reports how many Range scans clients have completed.
-func (s *Store) RangeOps() uint64 { return s.cRange.ok.Load() }
 
 // OpCounts reports every client-operation counter by kind; "<kind>" is
 // completed operations, "<kind>_fail" timed-out or rejected ones.
@@ -80,23 +77,6 @@ func (s *Store) Delete(key string) error {
 	s.finishOp("delete", &s.cDelete, err)
 	if err != nil {
 		return fmt.Errorf("delete %q: %w", key, err)
-	}
-	return nil
-}
-
-// CompareAndSwap atomically replaces key's value with newValue iff the
-// current value equals prev (prevExists=false means "key must not
-// exist"). Returns ErrCASFailed when the precondition does not hold.
-func (s *Store) CompareAndSwap(key, prev string, prevExists bool, newValue string) error {
-	res, err := s.propose(command{
-		Op: opCAS, Key: key, Value: newValue, Prev: prev, PrevExists: prevExists,
-	})
-	s.finishOp("cas", &s.cCAS, err)
-	if err != nil {
-		return fmt.Errorf("cas %q: %w", key, err)
-	}
-	if !res.ok {
-		return ErrCASFailed
 	}
 	return nil
 }

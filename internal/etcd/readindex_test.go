@@ -326,7 +326,7 @@ func TestSerializableRangeOptIn(t *testing.T) {
 }
 
 // TestOpCountsSplitFailures: timed-out reads land in the failure
-// counters, so RangeOps only counts scans that actually completed.
+// counters, so "range" only counts scans that actually completed.
 func TestOpCountsSplitFailures(t *testing.T) {
 	s, _ := newTestStore(t, 3, noLease)
 	s.timeout = time.Second
@@ -354,8 +354,8 @@ func TestOpCountsSplitFailures(t *testing.T) {
 	if after["range_fail"] != 1 {
 		t.Fatalf("failed range not counted as failure: %v", after)
 	}
-	if got := s.RangeOps(); got != 1 {
-		t.Fatalf("RangeOps = %d, want 1 (successes only)", got)
+	if got := s.OpCounts()["range"]; got != 1 {
+		t.Fatalf("range ops = %d, want 1 (successes only)", got)
 	}
 	for _, id := range s.Nodes() {
 		s.HealNode(id)

@@ -29,9 +29,6 @@ const (
 	// KindLearnerStatus carries one learner's execution status
 	// (types.LearnerStatus in Status, ordinal in Learner).
 	KindLearnerStatus Kind = "learner-status"
-	// KindJobState carries a job lifecycle transition
-	// (types.JobState in Status).
-	KindJobState Kind = "job-state"
 	// KindEvictionIntent announces a scheduler eviction (preemption or
 	// node drain) with a grace deadline: the job's learners should
 	// checkpoint now. Detail carries the reason, Deadline the cutoff.
@@ -57,7 +54,7 @@ type Envelope struct {
 	JobID   string `json:"job_id,omitempty"`
 	Learner int    `json:"learner"`
 	// Status is the payload state: a types.LearnerStatus for
-	// KindLearnerStatus, a types.JobState for KindJobState.
+	// KindLearnerStatus.
 	Status string `json:"status"`
 	// Detail carries optional context (progress, failure reason).
 	Detail string `json:"detail,omitempty"`
@@ -104,11 +101,6 @@ func LearnerStatus(jobID string, u types.StatusUpdate) Envelope {
 		Detail:  u.Detail,
 		Time:    u.Time,
 	}
-}
-
-// JobState builds a job-state envelope.
-func JobState(jobID string, s types.JobState, detail string, t time.Time) Envelope {
-	return Envelope{Kind: KindJobState, JobID: jobID, Status: string(s), Detail: detail, Time: t}
 }
 
 // EvictionIntent builds an eviction-intent envelope: the scheduler

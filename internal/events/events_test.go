@@ -99,18 +99,6 @@ func TestDecodeRejectsEmpty(t *testing.T) {
 	}
 }
 
-func TestJobStateEnvelope(t *testing.T) {
-	env := JobState("job-9", types.StateHalted, "user requested", time.Unix(5, 0))
-	raw, err := env.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := Decode(raw)
-	if !ok || got.Kind != KindJobState || got.Status != string(types.StateHalted) || got.JobID != "job-9" {
-		t.Fatalf("job-state decode = %+v (ok=%v)", got, ok)
-	}
-}
-
 // TestDecodeWithoutTraceFields pins the legacy-tolerance contract for
 // the tracing fields: envelopes written before tracing existed (no
 // trace_id/span_id keys) must decode cleanly with empty trace context,

@@ -157,9 +157,6 @@ func (m *Monitor) pump(feed <-chan mongo.ChangeEvent) {
 				close(m.done)
 				return
 			}
-			if ev.Deleted {
-				continue
-			}
 			m.record(core.RecordFromDoc(ev.Doc))
 		case <-deadline.C():
 			m.mu.Lock()

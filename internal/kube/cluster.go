@@ -98,7 +98,6 @@ type Cluster struct {
 	pods       map[string]*Pod
 	policies   map[string]*NetworkPolicy
 	nodeClocks map[string]*clock.Skewed
-	watchers   []*watchSub
 	podSubs    []chan struct{} // SubscribePods signals
 	nameSeq    uint64
 	stopped    bool
@@ -133,15 +132,10 @@ func (n *Node) Down() bool {
 }
 
 // FreeGPUs reports currently unallocated GPUs.
-func (n *Node) FreeGPUs() int {
+func (n *Node) FreeGPUs() int { //lint:allow deadexport test-observation point: the per-node ledger the scheduler tests check
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.freeGPUs
-}
-
-type watchSub struct {
-	ch   chan Event
-	done chan struct{}
 }
 
 // NewCluster creates a cluster with the given worker nodes.
@@ -192,48 +186,20 @@ func (c *Cluster) Stop() {
 		pods = append(pods, p)
 	}
 	sortPodsByName(pods)
-	watchers := c.watchers
-	c.watchers = nil
 	c.mu.Unlock()
 
 	c.ctrl.stop()
 	for _, p := range pods {
-		p.kill(killDelete)
+		p.kill()
 	}
-	for _, w := range watchers {
-		close(w.done)
-	}
-}
-
-// Watch subscribes to pod lifecycle events.
-func (c *Cluster) Watch() (events <-chan Event, cancel func()) {
-	w := &watchSub{ch: make(chan Event, 1024), done: make(chan struct{})}
-	c.mu.Lock()
-	c.watchers = append(c.watchers, w)
-	c.mu.Unlock()
-	var once sync.Once
-	cancel = func() {
-		once.Do(func() {
-			c.mu.Lock()
-			for i, x := range c.watchers {
-				if x == w {
-					c.watchers = append(c.watchers[:i], c.watchers[i+1:]...)
-					break
-				}
-			}
-			c.mu.Unlock()
-			close(w.done)
-		})
-	}
-	return w.ch, cancel
 }
 
 // SubscribePods returns a "look again" signal for pod state: wake holds
 // a token once any pod has been added, changed phase, gone, or had a
 // container process (re)start since the token was last taken. It has
-// capacity one and the cluster never blocks on it; unlike Watch it says
-// only that something changed, for a loop that re-reads pod state on a
-// cadence (see clock.SleepUntil). Subscribe before the first look.
+// capacity one and the cluster never blocks on it. It says only that
+// something changed, for a loop that re-reads pod state on a cadence (see
+// clock.SleepUntil). Subscribe before the first look.
 func (c *Cluster) SubscribePods() (wake <-chan struct{}, cancel func()) {
 	ch := make(chan struct{}, 1)
 	c.mu.Lock()
@@ -261,19 +227,11 @@ func (c *Cluster) podsChangedLocked() {
 	}
 }
 
-func (c *Cluster) emit(ev Event) {
-	ev.Time = c.clk.Now()
+// podsChanged signals every SubscribePods subscriber.
+func (c *Cluster) podsChanged() {
 	c.mu.Lock()
 	c.podsChangedLocked()
-	watchers := make([]*watchSub, len(c.watchers))
-	copy(watchers, c.watchers)
 	c.mu.Unlock()
-	for _, w := range watchers {
-		select {
-		case w.ch <- ev:
-		case <-w.done:
-		}
-	}
 }
 
 // jitter scales d by 1±JitterFraction using the cluster RNG.
@@ -315,13 +273,13 @@ func (c *Cluster) createPodOwned(spec PodSpec, owner ownerRef) (*Pod, error) {
 	c.pods[spec.Name] = p
 	c.mu.Unlock()
 
-	c.emit(Event{Type: EventAdded, Pod: spec.Name, Phase: PodPending})
+	c.podsChanged()
 	go p.run()
 	return p, nil
 }
 
 // Pod returns the named pod, or nil.
-func (c *Cluster) Pod(name string) *Pod {
+func (c *Cluster) Pod(name string) *Pod { //lint:allow deadexport test-observation point: the restart tests look a pod up by name
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.pods[name]
@@ -351,7 +309,7 @@ func (c *Cluster) DeletePod(name string) error {
 	if p == nil {
 		return fmt.Errorf("deleting pod %q: %w", name, ErrNoPod)
 	}
-	p.kill(killDelete)
+	p.kill()
 	return nil
 }
 
@@ -376,7 +334,7 @@ func (c *Cluster) DeletePodAndSnapshot(name string, selector map[string]string) 
 		}
 	}
 	sort.Slice(snapshot, func(i, j int) bool { return snapshot[i].Name() < snapshot[j].Name() })
-	victim.kill(killDelete)
+	victim.kill()
 	c.mu.Unlock()
 	return snapshot, nil
 }
@@ -414,7 +372,7 @@ func (c *Cluster) NodeClock(name string) clock.Clock {
 
 // CrashContainer kills the named container's process in place (exit 137).
 // The kubelet restarts it according to the pod's restart policy.
-func (c *Cluster) CrashContainer(podName, containerName string) error {
+func (c *Cluster) CrashContainer(podName, containerName string) error { //lint:allow deadexport test fault switch: the kubelet's in-place restart path (and the helper controller's recovery over it) is tested through it
 	c.mu.Lock()
 	p := c.pods[podName]
 	c.mu.Unlock()
@@ -447,7 +405,7 @@ func (c *Cluster) CrashNode(name string) error {
 	n.mu.Unlock()
 	c.sched.nodeDown(n)
 	for _, p := range victims {
-		p.kill(killNodeFailure)
+		p.kill()
 	}
 	return nil
 }
@@ -539,7 +497,7 @@ func (c *Cluster) DrainNode(name string) error {
 	sortPodsByName(victims)
 	c.mu.Unlock()
 	for _, p := range victims {
-		p.kill(killDelete)
+		p.kill()
 	}
 	c.sched.kick()
 	return nil

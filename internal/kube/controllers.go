@@ -66,57 +66,6 @@ func (c *Cluster) CreateDeployment(name string, replicas int, template PodSpec) 
 	return d, nil
 }
 
-// Name returns the deployment name.
-func (d *Deployment) Name() string { return d.name }
-
-// PodNames returns the names of the live replicas, sorted.
-func (d *Deployment) PodNames() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.pods))
-	for n := range d.pods {
-		out = append(out, n)
-	}
-	sortStrings(out)
-	return out
-}
-
-// Scale changes the desired replica count.
-func (d *Deployment) Scale(n int) error {
-	d.mu.Lock()
-	d.replicas = n
-	// Scale-down victims are chosen by name, not map order: an
-	// arbitrary pick would make two replays of one schedule kill
-	// different replicas.
-	var excess []*Pod
-	if remove := len(d.pods) - n; remove > 0 {
-		names := make([]string, 0, len(d.pods))
-		for name := range d.pods {
-			names = append(names, name)
-		}
-		sortStrings(names)
-		for _, name := range names[len(names)-remove:] {
-			excess = append(excess, d.pods[name])
-			delete(d.pods, name)
-		}
-	}
-	d.mu.Unlock()
-	for _, p := range excess {
-		p.kill(killDelete)
-	}
-	for {
-		d.mu.Lock()
-		need := d.replicas - len(d.pods)
-		d.mu.Unlock()
-		if need <= 0 {
-			return nil
-		}
-		if err := d.createReplica(); err != nil {
-			return err
-		}
-	}
-}
-
 // Delete stops reconciliation and kills the replicas.
 func (d *Deployment) Delete() {
 	d.mu.Lock()
@@ -129,7 +78,7 @@ func (d *Deployment) Delete() {
 	d.pods = map[string]*Pod{}
 	d.mu.Unlock()
 	for _, p := range pods {
-		p.kill(killDelete)
+		p.kill()
 	}
 }
 
@@ -143,7 +92,7 @@ func (d *Deployment) createReplica() error {
 	d.mu.Lock()
 	if d.stopped {
 		d.mu.Unlock()
-		p.kill(killDelete)
+		p.kill()
 		return nil
 	}
 	d.pods[spec.Name] = p
@@ -214,22 +163,8 @@ func (c *Cluster) CreateStatefulSet(name string, replicas int, template PodSpec)
 	return s, nil
 }
 
-// Name returns the set's name.
-func (s *StatefulSet) Name() string { return s.name }
-
 // PodName returns the stable name of ordinal i.
 func (s *StatefulSet) PodName(i int) string { return fmt.Sprintf("%s-%d", s.name, i) }
-
-// Pods returns the live replicas keyed by ordinal.
-func (s *StatefulSet) Pods() map[int]*Pod {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[int]*Pod, len(s.pods))
-	for k, v := range s.pods {
-		out[k] = v
-	}
-	return out
-}
 
 // Delete stops reconciliation and kills the replicas.
 func (s *StatefulSet) Delete() {
@@ -243,7 +178,7 @@ func (s *StatefulSet) Delete() {
 	s.pods = map[int]*Pod{}
 	s.mu.Unlock()
 	for _, p := range pods {
-		p.kill(killDelete)
+		p.kill()
 	}
 }
 
@@ -261,7 +196,7 @@ func (s *StatefulSet) createOrdinal(i int) error {
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
-		p.kill(killDelete)
+		p.kill()
 		return nil
 	}
 	s.pods[i] = p
@@ -342,7 +277,7 @@ func (c *Cluster) CreateJob(name string, backoffLimit int, template PodSpec) (*J
 func (j *Job) Name() string { return j.name }
 
 // Done is closed when the job succeeds or permanently fails.
-func (j *Job) Done() <-chan struct{} { return j.done }
+func (j *Job) Done() <-chan struct{} { return j.done } //lint:allow deadexport test-observation point: the controller tests wait on a job's outcome
 
 // Status reports the job outcome and attempt count.
 func (j *Job) Status() (succeeded, failed bool, attempts int) {
@@ -367,7 +302,7 @@ func (j *Job) Delete() {
 	}
 	j.mu.Unlock()
 	if p != nil {
-		p.kill(killDelete)
+		p.kill()
 	}
 }
 
@@ -389,7 +324,7 @@ func (j *Job) createAttempt() error {
 	j.mu.Lock()
 	if j.stopped {
 		j.mu.Unlock()
-		p.kill(killDelete)
+		p.kill()
 		return nil
 	}
 	j.active = p
@@ -466,7 +401,7 @@ func (c *Cluster) RemoveNetworkPolicy(name string) {
 // under the installed policies: if no policy selects the target, the
 // connection is allowed (Kubernetes default-allow); otherwise at least
 // one selecting policy must allow the client.
-func (c *Cluster) CanConnect(fromPod, toPod string) bool {
+func (c *Cluster) CanConnect(fromPod, toPod string) bool { //lint:allow deadexport the paper's tenant isolation, which only tests evaluate
 	c.mu.Lock()
 	from := c.pods[fromPod]
 	to := c.pods[toPod]
@@ -492,14 +427,6 @@ func (c *Cluster) CanConnect(fromPod, toPod string) bool {
 		}
 	}
 	return !selected
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // sortPolicies orders policies by name so connection checks evaluate

@@ -27,7 +27,7 @@ func TestSetNodeSkewAndNodeClock(t *testing.T) {
 	spec := sleeperSpec("skew-probe", time.Hour, 0)
 	run := spec.Containers[0].Run
 	spec.Containers[0].Run = func(ctx *ContainerCtx) int {
-		readings <- ctx.Clock().Now().Sub(ctx.Cluster().Clock().Now())
+		readings <- ctx.Clock().Now().Sub(c.Clock().Now())
 		return run(ctx)
 	}
 	if _, err := c.CreatePod(spec); err != nil {

@@ -45,7 +45,7 @@ func waitGangState(t *testing.T, clk *clock.Sim, g *Gang, want GangState, timeou
 		}
 		clk.Sleep(50 * time.Millisecond)
 	}
-	t.Fatalf("gang %s state = %v, want %v", g.Name(), g.State(), want)
+	t.Fatalf("gang %s state = %v, want %v", g.Spec.Name, g.State(), want)
 }
 
 func TestGangAdmissionAllOrNothing(t *testing.T) {

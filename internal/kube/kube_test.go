@@ -293,15 +293,14 @@ func TestDeploymentMaintainsReplicas(t *testing.T) {
 		RestartPolicy: RestartAlways,
 		Containers:    []ContainerSpec{{Name: "srv", StartDelay: 200 * time.Millisecond}},
 	}
-	d, err := c.CreateDeployment("api", 2, tmpl)
-	if err != nil {
+	if _, err := c.CreateDeployment("api", 2, tmpl); err != nil {
 		t.Fatal(err)
 	}
 	waitReplicas(t, c, clk, "api", 2, 30*time.Second)
 
 	// Kill one replica: the deployment recreates it (with a new name —
 	// the victim must be fully gone, not just counted).
-	victim := d.PodNames()[0]
+	victim := c.Pods(map[string]string{"app": "api"})[0].Name()
 	if err := c.DeletePod(victim); err != nil {
 		t.Fatal(err)
 	}
@@ -323,27 +322,6 @@ func TestDeploymentMaintainsReplicas(t *testing.T) {
 		clk.Sleep(50 * time.Millisecond)
 	}
 	t.Fatal("deployment did not replace the deleted replica")
-}
-
-func TestDeploymentScale(t *testing.T) {
-	c, clk := newTestCluster(t)
-	tmpl := PodSpec{
-		Labels:        map[string]string{"app": "api"},
-		RestartPolicy: RestartAlways,
-		Containers:    []ContainerSpec{{Name: "srv", StartDelay: 50 * time.Millisecond}},
-	}
-	d, err := c.CreateDeployment("api", 1, tmpl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Scale(3); err != nil {
-		t.Fatal(err)
-	}
-	waitReplicas(t, c, clk, "api", 3, 30*time.Second)
-	if err := d.Scale(1); err != nil {
-		t.Fatal(err)
-	}
-	waitReplicas(t, c, clk, "api", 1, 30*time.Second)
 }
 
 func waitReplicas(t *testing.T, c *Cluster, clk *clock.Sim, app string, n int, timeout time.Duration) {
@@ -371,8 +349,7 @@ func TestStatefulSetStableIdentity(t *testing.T) {
 		RestartPolicy: RestartAlways,
 		Containers:    []ContainerSpec{{Name: "learn", StartDelay: 100 * time.Millisecond}},
 	}
-	s, err := c.CreateStatefulSet("learner", 2, tmpl)
-	if err != nil {
+	if _, err := c.CreateStatefulSet("learner", 2, tmpl); err != nil {
 		t.Fatal(err)
 	}
 	waitPhase(t, c, clk, "learner-0", PodRunning, 30*time.Second)
@@ -383,7 +360,7 @@ func TestStatefulSetStableIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitPhase(t, c, clk, "learner-1", PodRunning, 30*time.Second)
-	if got := len(s.Pods()); got != 2 {
+	if got := len(c.Pods(map[string]string{"app": "learner"})); got != 2 {
 		t.Fatalf("live replicas = %d, want 2", got)
 	}
 }
@@ -556,33 +533,6 @@ func TestNetworkPolicyIsolation(t *testing.T) {
 	c.RemoveNetworkPolicy("isolate-j1")
 	if !c.CanConnect("learner-t2", "learner-t1") {
 		t.Fatal("removal should restore default allow")
-	}
-}
-
-func TestWatchObservesLifecycle(t *testing.T) {
-	c, _ := newTestCluster(t)
-	events, cancel := c.Watch()
-	defer cancel()
-	if _, err := c.CreatePod(sleeperSpec("observed", 200*time.Millisecond, 0)); err != nil {
-		t.Fatal(err)
-	}
-	var seen []string
-	deadline := time.After(10 * time.Second)
-	for len(seen) < 4 {
-		select {
-		case ev := <-events:
-			if ev.Pod == "observed" {
-				seen = append(seen, ev.Phase.String())
-			}
-		case <-deadline:
-			t.Fatalf("timed out; saw %v", seen)
-		}
-	}
-	want := []string{"Pending", "ContainerCreating", "Running", "Succeeded"}
-	for i, w := range want {
-		if seen[i] != w {
-			t.Fatalf("event sequence = %v, want %v", seen, want)
-		}
 	}
 }
 

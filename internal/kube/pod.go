@@ -11,17 +11,6 @@ import (
 	"repro/internal/trace"
 )
 
-// killReason distinguishes why a pod is being terminated.
-type killReason int
-
-const (
-	killDelete killReason = iota + 1
-	killNodeFailure
-	// killPreempted marks eviction by the gang scheduler in favor of a
-	// higher-priority gang; like a node failure, the pod ends Failed.
-	killPreempted
-)
-
 // exitKilled is the exit code of a killed container process (SIGKILL).
 const exitKilled = 137
 
@@ -37,7 +26,6 @@ type Pod struct {
 	containers map[string]*containerState
 	restarts   int
 	killed     bool
-	killWhy    killReason
 	killCh     chan struct{}
 	doneCh     chan struct{}
 }
@@ -98,16 +86,16 @@ func (p *Pod) nodeName() string {
 }
 
 // Restarts reports cumulative in-place container restarts.
-func (p *Pod) Restarts() int {
+func (p *Pod) Restarts() int { //lint:allow deadexport test-observation point: the restart and back-off tests count restarts
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.restarts
 }
 
 // Done is closed when the pod reaches a terminal state or is deleted.
-func (p *Pod) Done() <-chan struct{} { return p.doneCh }
+func (p *Pod) Done() <-chan struct{} { return p.doneCh } //lint:allow deadexport test-observation point: the pod tests wait on a pod's end
 
-// setPhase transitions the pod and emits a watch event.
+// setPhase transitions the pod and signals SubscribePods subscribers.
 func (p *Pod) setPhase(ph PodPhase) {
 	p.mu.Lock()
 	if p.phase == ph || p.phase.Terminal() {
@@ -116,18 +104,17 @@ func (p *Pod) setPhase(ph PodPhase) {
 	}
 	p.phase = ph
 	p.mu.Unlock()
-	p.cluster.emit(Event{Type: EventPhaseChanged, Pod: p.Name(), Phase: ph})
+	p.cluster.podsChanged()
 }
 
 // kill terminates the pod. Safe to call multiple times.
-func (p *Pod) kill(why killReason) {
+func (p *Pod) kill() {
 	p.mu.Lock()
 	if p.killed {
 		p.mu.Unlock()
 		return
 	}
 	p.killed = true
-	p.killWhy = why
 	close(p.killCh)
 	// Kill all live container processes.
 	for _, cs := range p.containers {
@@ -401,7 +388,7 @@ func (cs *containerState) killProcess() {
 }
 
 // ExitInfo reports a container's exit statistics.
-func (p *Pod) ExitInfo(container string) (exits, lastCode int, running bool) {
+func (p *Pod) ExitInfo(container string) (exits, lastCode int, running bool) { //lint:allow deadexport test-observation point: the container tests read exit codes and liveness
 	p.mu.Lock()
 	cs := p.containers[container]
 	p.mu.Unlock()
@@ -419,7 +406,6 @@ func (p *Pod) finish() {
 	p.mu.Lock()
 	node := p.node
 	killed := p.killed
-	why := p.killWhy
 	// Determine terminal phase.
 	var phase PodPhase
 	switch {
@@ -444,11 +430,7 @@ func (p *Pod) finish() {
 	p.cluster.release(node, p.Spec)
 	p.cluster.forget(p)
 	if !alreadyTerminal {
-		if killed && why == killDelete {
-			p.cluster.emit(Event{Type: EventDeleted, Pod: p.Name(), Phase: phase})
-		} else {
-			p.cluster.emit(Event{Type: EventPhaseChanged, Pod: p.Name(), Phase: phase})
-		}
+		p.cluster.podsChanged()
 	}
 	close(p.doneCh)
 	if p.owner != nil {
@@ -474,9 +456,6 @@ func (c *ContainerCtx) Restart() int { return c.restart }
 
 // NodeName returns the node the pod runs on.
 func (c *ContainerCtx) NodeName() string { return c.pod.nodeName() }
-
-// Cluster returns the owning cluster (for service registration et al.).
-func (c *ContainerCtx) Cluster() *Cluster { return c.pod.cluster }
 
 // Clock returns the hosting node's local clock — the cluster clock,
 // plus any skew injected with SetNodeSkew. Container processes must

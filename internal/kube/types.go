@@ -146,39 +146,6 @@ func (s PodSpec) clone() PodSpec {
 	return out
 }
 
-// EventType tags watch events.
-type EventType int
-
-// Watch event kinds.
-const (
-	EventAdded EventType = iota + 1
-	EventPhaseChanged
-	EventDeleted
-)
-
-// String implements fmt.Stringer.
-func (e EventType) String() string {
-	switch e {
-	case EventAdded:
-		return "ADDED"
-	case EventPhaseChanged:
-		return "PHASE"
-	case EventDeleted:
-		return "DELETED"
-	default:
-		return fmt.Sprintf("event(%d)", int(e))
-	}
-}
-
-// Event is a pod watch notification.
-type Event struct {
-	Type  EventType
-	Pod   string
-	Phase PodPhase
-	// Time is the virtual instant of the transition.
-	Time time.Time
-}
-
 // NodeSpec describes a cluster worker machine.
 type NodeSpec struct {
 	// Name identifies the node.

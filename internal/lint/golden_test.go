@@ -73,36 +73,57 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
-// loadFixture type-checks one testdata package; fixtures must compile
-// cleanly or the analysis under test is meaningless.
-func loadFixture(t *testing.T, name string) *Package {
+// loadFixtures type-checks testdata packages with one loader, so a
+// fixture may import another; fixtures must compile cleanly or the
+// analysis under test is meaningless.
+func loadFixtures(t *testing.T, names ...string) (*Loader, []*Package) {
 	t.Helper()
 	ld, err := NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := ld.LoadDir(filepath.Join("testdata", "src", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, terr := range pkg.TypeErrors {
-		t.Errorf("fixture %s type error: %v", name, terr)
+	var pkgs []*Package
+	for _, name := range names {
+		dir, err := filepath.Abs(filepath.Join("testdata", "src", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ld.Load(dir)
+		if err != nil || len(got) != 1 {
+			t.Fatalf("fixture %s: %d packages, %v", name, len(got), err)
+		}
+		for _, terr := range got[0].TypeErrors {
+			t.Errorf("fixture %s type error: %v", name, terr)
+		}
+		pkgs = append(pkgs, got[0])
 	}
 	if t.Failed() {
 		t.FailNow()
 	}
-	return pkg
+	return ld, pkgs
 }
 
-// checkGolden runs the analyzers over the fixture and diffs findings
-// against the want comments: every finding must be wanted, every want
-// must fire.
-func checkGolden(t *testing.T, pkg *Package, policy *Policy, rules ...string) {
+// checkGolden runs one rule over the fixtures and diffs its active
+// findings against the want comments: every finding must be wanted,
+// every want must fire. It returns every finding, suppressed ones too.
+func checkGolden(t *testing.T, policy *Policy, rule string, fixtures ...string) []Finding {
 	t.Helper()
-	findings := Run(pkg, policy, rules...)
-	expected := wants(t, pkg.Dir)
+	ld, pkgs := loadFixtures(t, fixtures...)
+	findings, err := Run(ld, pkgs, policy, rule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expected := make(map[string]*regexp.Regexp)
+	for _, pkg := range pkgs {
+		for k, re := range wants(t, pkg.Dir) {
+			expected[k] = re
+		}
+	}
 	matched := make(map[string]bool)
 	for _, f := range findings {
+		if f.Suppressed {
+			continue
+		}
 		k := key(f.File, f.Line)
 		re, ok := expected[k]
 		if !ok {
@@ -119,36 +140,91 @@ func checkGolden(t *testing.T, pkg *Package, policy *Policy, rules ...string) {
 			t.Errorf("%s: wanted finding %q never fired", k, re)
 		}
 	}
+	return findings
 }
 
 func TestWallclockGolden(t *testing.T) {
-	checkGolden(t, loadFixture(t, "wallclock"), DefaultPolicy(), "wallclock")
+	checkGolden(t, DefaultPolicy(), "wallclock", "wallclock")
 }
 
 func TestSeededRandGolden(t *testing.T) {
-	checkGolden(t, loadFixture(t, "seededrand"), DefaultPolicy(), "seededrand")
+	checkGolden(t, DefaultPolicy(), "seededrand", "seededrand")
 }
 
 func TestMapOrderGolden(t *testing.T) {
-	checkGolden(t, loadFixture(t, "maporder"), DefaultPolicy(), "maporder")
+	checkGolden(t, DefaultPolicy(), "maporder", "maporder")
 }
 
 func TestLockDisciplineGolden(t *testing.T) {
-	checkGolden(t, loadFixture(t, "lockdiscipline"), DefaultPolicy(), "lockdiscipline")
+	checkGolden(t, DefaultPolicy(), "lockdiscipline", "lockdiscipline")
 }
 
 func TestLockOrderGolden(t *testing.T) {
 	policy := DefaultPolicy()
 	policy.LockOrder = [][2]string{{"lockorder.engine.stateMu", "lockorder.hub.fanMu"}}
-	checkGolden(t, loadFixture(t, "lockorder"), policy, "lockdiscipline")
+	checkGolden(t, policy, "lockdiscipline", "lockorder")
 }
 
 func TestGoLoopGolden(t *testing.T) {
-	checkGolden(t, loadFixture(t, "goloop"), DefaultPolicy(), "goloop")
+	checkGolden(t, DefaultPolicy(), "goloop", "goloop")
 }
 
 func TestUnsafeGolden(t *testing.T) {
-	checkGolden(t, loadFixture(t, "unsafeimport"), DefaultPolicy(), "unsafe")
+	checkGolden(t, DefaultPolicy(), "unsafe", "unsafeimport")
+}
+
+// TestDeadExportGolden loads a library, its test file and a consumer
+// package together. The one suppressed finding is the module rule going
+// through the same //lint:allow path as the package rules.
+func TestDeadExportGolden(t *testing.T) {
+	var suppressed []Finding
+	for _, f := range checkGolden(t, DefaultPolicy(), "deadexport", "deadexport/lib", "deadexport/use") {
+		if f.Suppressed {
+			suppressed = append(suppressed, f)
+		}
+	}
+	if len(suppressed) != 1 || !strings.Contains(suppressed[0].Message, "func Allowed") {
+		t.Errorf("suppressed findings = %v, want func Allowed's alone", suppressed)
+	}
+}
+
+// TestDeadExportSubsetAgrees: the rule reads the whole module's uses
+// whatever subset it is asked to report on, so a subset run reports
+// nothing a whole-module run does not. Suppressed findings count, so the
+// comparison is not vacuous on a clean tree.
+func TestDeadExportSubsetAgrees(t *testing.T) {
+	report := func(patterns ...string) map[string]bool {
+		ld, err := NewLoader(".")
+		if err != nil {
+			t.Fatal(err)
+		}
+		policy, err := LoadPolicy(filepath.Join(ld.ModuleRoot, "dlaas-vet.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs, err := ld.Load(patterns...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		findings, err := Run(ld, pkgs, policy, "deadexport")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]bool)
+		for _, f := range findings {
+			out[f.String()] = true
+		}
+		return out
+	}
+	whole, part := report("./..."), report("./internal/store", "./internal/kube")
+	for f := range part {
+		if !whole[f] {
+			t.Errorf("dlaas-vet ./internal/store ./internal/kube reports %s, which dlaas-vet ./... does not", f)
+		}
+	}
+	if len(part) == 0 {
+		t.Error("the subset run reports no deadexport finding, suppressed or not; the comparison checks nothing")
+	}
 }
 
 // TestAllowPrecision pins the suppression contract on the allow
@@ -157,8 +233,11 @@ func TestUnsafeGolden(t *testing.T) {
 // directives leave the finding active (and the malformed ones are
 // "lint" findings themselves).
 func TestAllowPrecision(t *testing.T) {
-	pkg := loadFixture(t, "allow")
-	findings := Run(pkg, DefaultPolicy())
+	ld, pkgs := loadFixtures(t, "allow")
+	findings, err := Run(ld, pkgs, DefaultPolicy(), "wallclock")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	byRule := make(map[string][]Finding)
 	for _, f := range findings {
@@ -211,11 +290,6 @@ func TestAllowPrecision(t *testing.T) {
 	if !sawNoReason || !sawUnknown {
 		t.Errorf("lint findings missing a case: noReason=%v unknown=%v: %v", sawNoReason, sawUnknown, lintF)
 	}
-
-	// Active() must drop exactly the suppressed pair.
-	if got, want := len(Active(findings)), len(findings)-2; got != want {
-		t.Errorf("Active() = %d findings, want %d", got, want)
-	}
 }
 
 // TestPolicyScoping pins the path and test-file scoping knobs.
@@ -245,9 +319,10 @@ func TestPolicyScoping(t *testing.T) {
 }
 
 // TestRepoPolicyLoads guards the checked-in policy file: it must parse,
-// reference only known rules, and order only locks that exist. A lockOrder
-// ID that names no lock matches no acquisition, so a stale pair would
-// silently check nothing.
+// reference only known rules, scope them by prefixes that name
+// directories of the module, and order only locks that exist. A stale
+// prefix silently widens or narrows a rule, and a lockOrder ID that names
+// no lock matches no acquisition, so either would silently check nothing.
 func TestRepoPolicyLoads(t *testing.T) {
 	ld, err := NewLoader(".")
 	if err != nil {
@@ -261,9 +336,14 @@ func TestRepoPolicyLoads(t *testing.T) {
 	for _, n := range AnalyzerNames() {
 		known[n] = true
 	}
-	for name := range policy.Rules {
+	for name, rc := range policy.Rules {
 		if !known[name] {
 			t.Errorf("dlaas-vet.json configures unknown rule %q", name)
+		}
+		for _, prefix := range append(rc.Include, rc.Exclude...) {
+			if fi, err := os.Stat(filepath.Join(ld.ModuleRoot, prefix)); err != nil || !fi.IsDir() {
+				t.Errorf("dlaas-vet.json rule %s scopes by %q, which names no directory of the module", name, prefix)
+			}
 		}
 	}
 	for _, pair := range policy.LockOrder {

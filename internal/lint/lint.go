@@ -3,8 +3,9 @@
 // `go list -export`) with domain rules that machine-check the
 // platform's dependability invariants — virtual-clock purity, seeded
 // randomness, order-stable map iteration on replicated and fingerprint
-// paths, lock discipline, goroutine lifecycle ownership, and where unsafe
-// may alias shared bytes.
+// paths, lock discipline, goroutine lifecycle ownership, where unsafe
+// may alias shared bytes, and that every internal surface has a
+// consumer.
 //
 // Everything `go test` can only sample, these analyzers enforce
 // exhaustively at compile time: a nondeterministic map iteration in an
@@ -51,15 +52,19 @@ type Pass struct {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Pkg.Fset.Position(pos)
-	p.findings = append(p.findings, Finding{
-		Rule:    "", // filled by the runner
-		Package: p.Pkg.ImportPath,
+	p.findings = append(p.findings, newFinding(p.Pkg, pos, format, args...))
+}
+
+// newFinding builds a finding at pos in pkg; the runner fills in Rule.
+func newFinding(pkg *Package, pos token.Pos, format string, args ...any) Finding {
+	position := pkg.Fset.Position(pos)
+	return Finding{
+		Package: pkg.ImportPath,
 		Pos:     position,
 		File:    position.Filename,
 		Line:    position.Line,
 		Message: fmt.Sprintf(format, args...),
-	})
+	}
 }
 
 // Files yields the unit's files the rule applies to, honoring the
@@ -77,11 +82,33 @@ func (p *Pass) Files() []*ast.File {
 	return out
 }
 
-// An Analyzer is one named rule.
+// An Analyzer is one named rule. A package rule sets Run and sees one
+// unit at a time; a module rule sets RunModule and sees every package of
+// the module at once.
 type Analyzer struct {
-	Name string
-	Doc  string
-	Run  func(*Pass)
+	Name      string
+	Doc       string
+	Run       func(*Pass)
+	RunModule func(*ModulePass) error
+}
+
+// ModulePass hands a module rule the packages it may report in and the
+// packages whose uses it may read.
+type ModulePass struct {
+	// Pkgs are the loaded packages the rule's policy scope covers;
+	// findings land only in these.
+	Pkgs []*Package
+	// Module is every package of the module plus every loaded one: the
+	// consumers, whatever subset was asked for.
+	Module []*Package
+	Loader *Loader
+
+	findings []Finding
+}
+
+// Reportf records a finding at pos in pkg.
+func (p *ModulePass) Reportf(pkg *Package, pos token.Pos, format string, args ...any) {
+	p.findings = append(p.findings, newFinding(pkg, pos, format, args...))
 }
 
 // Analyzers returns the full rule set in stable order.
@@ -93,6 +120,7 @@ func Analyzers() []*Analyzer {
 		LockDisciplineAnalyzer,
 		GoLoopAnalyzer,
 		UnsafeAnalyzer,
+		DeadExportAnalyzer,
 	}
 }
 
@@ -145,11 +173,14 @@ func collectAllows(pkg *Package) []allowDirective {
 }
 
 // Run executes the selected analyzers (all of them if names is empty)
-// over the unit, applies suppressions, and returns findings sorted by
-// position. Malformed directives (missing reason, unknown rule name)
-// are themselves findings under the "lint" pseudo-rule: a suppression
-// without a reason is review debt the inventory must show.
-func Run(pkg *Package, policy *Policy, names ...string) []Finding {
+// over pkgs, applies suppressions, and returns findings sorted by
+// position. A module rule reads the uses of the whole module, loading
+// through ld the packages pkgs does not hold, so a subset run reports
+// nothing a whole-module run would not. Malformed directives (missing
+// reason, unknown rule name) are themselves findings under the "lint"
+// pseudo-rule: a suppression without a reason is review debt the
+// inventory must show.
+func Run(ld *Loader, pkgs []*Package, policy *Policy, names ...string) ([]Finding, error) {
 	selected := Analyzers()
 	if len(names) > 0 {
 		want := make(map[string]bool, len(names))
@@ -165,54 +196,88 @@ func Run(pkg *Package, policy *Policy, names ...string) []Finding {
 		selected = out
 	}
 
+	byPath := make(map[string][]Finding, len(pkgs))
+	for _, a := range selected {
+		rc := policy.Rule(a.Name)
+		var scoped []*Package
+		for _, pkg := range pkgs {
+			if rc.appliesTo(pkg.RelPath) {
+				scoped = append(scoped, pkg)
+			}
+		}
+		if a.RunModule == nil {
+			for _, pkg := range scoped {
+				pass := &Pass{Pkg: pkg, Policy: policy, Rule: rc}
+				a.Run(pass)
+				byPath[pkg.ImportPath] = append(byPath[pkg.ImportPath], named(a.Name, pass.findings)...)
+			}
+			continue
+		}
+		module, err := ld.moduleWith(pkgs)
+		if err != nil {
+			return nil, err
+		}
+		pass := &ModulePass{Pkgs: scoped, Module: module, Loader: ld}
+		if err := a.RunModule(pass); err != nil {
+			return nil, fmt.Errorf("lint: %s: %w", a.Name, err)
+		}
+		for _, f := range named(a.Name, pass.findings) {
+			byPath[f.Package] = append(byPath[f.Package], f)
+		}
+	}
+
+	var findings []Finding
+	for _, pkg := range pkgs {
+		findings = append(findings, suppress(pkg, byPath[pkg.ImportPath])...)
+	}
+	sort.Slice(findings, func(i, j int) bool {
+		a, b := findings[i], findings[j]
+		if a.File != b.File {
+			return a.File < b.File
+		}
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		return a.Rule < b.Rule
+	})
+	return findings, nil
+}
+
+func named(rule string, findings []Finding) []Finding {
+	for i := range findings {
+		findings[i].Rule = rule
+	}
+	return findings
+}
+
+// suppress applies the unit's //lint:allow directives to its findings,
+// package and module rules alike, and appends a "lint" finding for each
+// malformed directive.
+func suppress(pkg *Package, findings []Finding) []Finding {
 	known := make(map[string]bool)
 	for _, a := range Analyzers() {
 		known[a.Name] = true
 	}
-
-	var findings []Finding
-	for _, a := range selected {
-		rc := policy.Rule(a.Name)
-		if !rc.appliesTo(pkg.RelPath) {
-			continue
-		}
-		pass := &Pass{Pkg: pkg, Policy: policy, Rule: rc}
-		a.Run(pass)
-		for i := range pass.findings {
-			pass.findings[i].Rule = a.Name
-		}
-		findings = append(findings, pass.findings...)
-	}
-
-	allows := collectAllows(pkg)
 	type key struct {
 		file string
 		line int
 		rule string
 	}
+	hygiene := func(d *allowDirective, format string, args ...any) {
+		f := newFinding(pkg, d.pos, format, args...)
+		f.Rule = "lint"
+		findings = append(findings, f)
+	}
 	allowAt := make(map[key]*allowDirective)
+	allows := collectAllows(pkg)
 	for i := range allows {
 		d := &allows[i]
 		if d.reason == "" {
-			findings = append(findings, Finding{
-				Rule:    "lint",
-				Package: pkg.ImportPath,
-				Pos:     pkg.Fset.Position(d.pos),
-				File:    d.file,
-				Line:    d.line,
-				Message: fmt.Sprintf("lint:allow %s has no reason; every suppression must say why", d.rule),
-			})
+			hygiene(d, "lint:allow %s has no reason; every suppression must say why", d.rule)
 			continue
 		}
 		if !known[d.rule] {
-			findings = append(findings, Finding{
-				Rule:    "lint",
-				Package: pkg.ImportPath,
-				Pos:     pkg.Fset.Position(d.pos),
-				File:    d.file,
-				Line:    d.line,
-				Message: fmt.Sprintf("lint:allow names unknown rule %q (known: %s)", d.rule, strings.Join(AnalyzerNames(), ", ")),
-			})
+			hygiene(d, "lint:allow names unknown rule %q (known: %s)", d.rule, strings.Join(AnalyzerNames(), ", "))
 			continue
 		}
 		allowAt[key{d.file, d.line, d.rule}] = d
@@ -228,28 +293,5 @@ func Run(pkg *Package, policy *Policy, names ...string) []Finding {
 			f.Reason = d.reason
 		}
 	}
-
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i], findings[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Rule < b.Rule
-	})
 	return findings
-}
-
-// Active filters findings down to the ones that fail a run (not
-// suppressed).
-func Active(findings []Finding) []Finding {
-	var out []Finding
-	for _, f := range findings {
-		if !f.Suppressed {
-			out = append(out, f)
-		}
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -13,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -59,6 +61,9 @@ type Loader struct {
 	// repeated failures do not recurse forever.
 	cleanErr map[string]error
 	checking map[string]bool
+	// units caches analysis units per directory, so a module rule that
+	// reads the whole module re-uses the units already loaded.
+	units map[string]*Package
 
 	// exports maps an import path outside the module to its export
 	// data file, fed by `go list -export`.
@@ -106,14 +111,12 @@ func NewLoader(dir string) (*Loader, error) {
 		clean:      make(map[string]*types.Package),
 		cleanErr:   make(map[string]error),
 		checking:   make(map[string]bool),
+		units:      make(map[string]*Package),
 		exports:    make(map[string]string),
 	}
 	ld.gcImp = importer.ForCompiler(ld.fset, "gc", ld.lookupExport).(types.ImporterFrom)
 	return ld, nil
 }
-
-// Fset exposes the loader's file set for position rendering.
-func (ld *Loader) Fset() *token.FileSet { return ld.fset }
 
 // Load expands the patterns ("./...", "./internal/store", "internal/...",
 // a plain directory) into package directories under the module root and
@@ -136,22 +139,19 @@ func (ld *Loader) Load(patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir loads a single directory as an analysis unit without pattern
-// expansion — the entry point for fixture packages under testdata,
-// which the "..." walk deliberately skips.
-func (ld *Loader) LoadDir(dir string) (*Package, error) {
-	abs, err := filepath.Abs(dir)
+// moduleWith returns every package of the module's "./..." walk plus
+// pkgs (which may lie outside it, as testdata fixtures do).
+func (ld *Loader) moduleWith(pkgs []*Package) ([]*Package, error) {
+	all, err := ld.Load("./...")
 	if err != nil {
 		return nil, err
 	}
-	pkg, err := ld.loadUnit(abs)
-	if err != nil {
-		return nil, fmt.Errorf("lint: %s: %w", dir, err)
+	for _, pkg := range pkgs {
+		if !slices.Contains(all, pkg) {
+			all = append(all, pkg)
+		}
 	}
-	if pkg == nil {
-		return nil, fmt.Errorf("lint: %s: no Go files", dir)
-	}
-	return pkg, nil
+	return all, nil
 }
 
 func (ld *Loader) expand(patterns []string) ([]string, error) {
@@ -232,8 +232,10 @@ func (ld *Loader) importPathFor(dir string) (imp, rel string, err error) {
 	return ld.ModulePath + "/" + r, r, nil
 }
 
-// parseDir parses the directory's Go files, split into package files,
-// in-package test files, and external (_test package) test files.
+// parseDir parses the directory's Go files the go command would build
+// here (build constraints and GOOS/GOARCH file names honored), split into
+// package files, in-package test files, and external (_test package) test
+// files.
 func (ld *Loader) parseDir(dir string) (files, inTest, extTest []*ast.File, err error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -243,6 +245,9 @@ func (ld *Loader) parseDir(dir string) (files, inTest, extTest []*ast.File, err 
 	for _, e := range ents {
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, n); err != nil || !ok {
 			continue
 		}
 		names = append(names, n)
@@ -268,8 +273,12 @@ func (ld *Loader) parseDir(dir string) (files, inTest, extTest []*ast.File, err 
 // loadUnit parses and type-checks one directory as an analysis unit:
 // package files plus in-package test files checked together, the
 // external test package (if any) checked alongside and merged into the
-// same unit. Returns nil if the directory has no Go files.
+// same unit. Returns nil if the directory has no Go files. Units are
+// loaded once per loader.
 func (ld *Loader) loadUnit(dir string) (*Package, error) {
+	if pkg, ok := ld.units[dir]; ok {
+		return pkg, nil
+	}
 	files, inTest, extTest, err := ld.parseDir(dir)
 	if err != nil {
 		return nil, err
@@ -335,6 +344,7 @@ func (ld *Loader) loadUnit(dir string) (*Package, error) {
 			pkg.IsTest[f] = true
 		}
 	}
+	ld.units[dir] = pkg
 	return pkg, nil
 }
 

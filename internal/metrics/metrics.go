@@ -88,7 +88,7 @@ func (r *Registry) Add(name string, v float64, labels ...string) {
 }
 
 // Counter reads the counter's current value.
-func (r *Registry) Counter(name string, labels ...string) float64 {
+func (r *Registry) Counter(name string, labels ...string) float64 { //lint:allow deadexport test-observation point: a metrics read accessor
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.read(r.counters, name, labels)
@@ -102,7 +102,7 @@ func (r *Registry) SetGauge(name string, v float64, labels ...string) {
 }
 
 // Gauge reads the gauge's current value.
-func (r *Registry) Gauge(name string, labels ...string) float64 {
+func (r *Registry) Gauge(name string, labels ...string) float64 { //lint:allow deadexport test-observation point: a metrics read accessor
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.read(r.gauges, name, labels)
@@ -211,7 +211,7 @@ func (r *Registry) Histogram(name string, labels ...string) HistogramStats {
 }
 
 // Quantile reads the q-quantile of the named histogram.
-func (r *Registry) Quantile(name string, q float64, labels ...string) time.Duration {
+func (r *Registry) Quantile(name string, q float64, labels ...string) time.Duration { //lint:allow deadexport test-observation point: a metrics read accessor
 	return r.Histogram(name, labels...).Quantile(q)
 }
 

@@ -37,8 +37,7 @@ import (
 var (
 	// ErrNotFound indicates no document matched the filter.
 	ErrNotFound = errors.New("mongo: document not found")
-	// ErrDuplicateKey indicates an insert violated the _id or a unique
-	// index constraint.
+	// ErrDuplicateKey indicates an insert reused a live _id.
 	ErrDuplicateKey = errors.New("mongo: duplicate key")
 	// ErrUnavailable indicates the database is down (crash simulation).
 	ErrUnavailable = errors.New("mongo: database unavailable")
@@ -92,7 +91,7 @@ func (d *DB) Instrument(reg *metrics.Registry) { d.eng.Instrument(reg, "mongo") 
 
 // SetDown simulates the database being unreachable (crash of the Mongo
 // deployment). Operations fail until SetDown(false).
-func (d *DB) SetDown(down bool) { d.down.Store(down) }
+func (d *DB) SetDown(down bool) { d.down.Store(down) } //lint:allow deadexport test fault switch: TestTransitionWhileMongoDown checks job transitions across a MongoDB outage
 
 func (d *DB) available() error {
 	if d.down.Load() {
@@ -119,39 +118,10 @@ type Collection struct {
 	name   string
 	prefix string
 
-	// idxMu fences inserts against unique-index state: plain inserts
-	// hold it shared (they run in parallel), inserts into uniquely
-	// indexed collections and EnsureUniqueIndex hold it exclusively —
-	// so an index build never races an in-flight insert commit, and
-	// unique check+commit is atomic. Reads and updates never take it.
-	idxMu  sync.RWMutex
-	unique []string
-
 	writes atomic.Int64
 }
 
 func (c *Collection) key(id string) string { return c.prefix + id }
-
-// EnsureUniqueIndex adds a unique constraint on field. Existing
-// duplicate values cause an error.
-func (c *Collection) EnsureUniqueIndex(field string) error {
-	c.idxMu.Lock()
-	defer c.idxMu.Unlock()
-	seen := make(map[any]bool)
-	for _, kv := range c.db.eng.ScanLatest(c.prefix) {
-		doc := kv.Value.(Document)
-		v, ok := doc[field]
-		if !ok {
-			continue
-		}
-		if seen[v] {
-			return fmt.Errorf("mongo: building index on %s.%s: %w", c.name, field, ErrDuplicateKey)
-		}
-		seen[v] = true
-	}
-	c.unique = append(c.unique, field)
-	return nil
-}
 
 // InsertOne adds doc. The document must carry a string "_id". The write
 // is durable when InsertOne returns (journaled write concern).
@@ -164,33 +134,7 @@ func (c *Collection) InsertOne(doc Document) error {
 		return fmt.Errorf("mongo: insert into %s: missing string _id", c.name)
 	}
 	c.db.clk.Sleep(writeLatency)
-	stored := deepCopy(doc)
-
-	c.idxMu.RLock()
-	if len(c.unique) == 0 {
-		// No unique indexes: commit under the shared lock, so a
-		// concurrent EnsureUniqueIndex waits for this insert to land.
-		defer c.idxMu.RUnlock()
-	} else {
-		c.idxMu.RUnlock()
-		c.idxMu.Lock()
-		defer c.idxMu.Unlock()
-		// Exclusive: check+commit is atomic against other inserts.
-		for _, f := range c.unique {
-			want, has := stored[f]
-			if !has {
-				continue
-			}
-			for _, kv := range c.db.eng.ScanLatest(c.prefix) {
-				other := kv.Value.(Document)
-				if other[f] == want {
-					return fmt.Errorf("mongo: insert %s/%s: field %s: %w", c.name, id, f, ErrDuplicateKey)
-				}
-			}
-		}
-	}
-
-	if _, err := c.db.eng.Insert(c.key(id), stored); err != nil {
+	if _, err := c.db.eng.Insert(c.key(id), deepCopy(doc)); err != nil {
 		if errors.Is(err, store.ErrExists) {
 			return fmt.Errorf("mongo: insert %s/%s: %w", c.name, id, ErrDuplicateKey)
 		}
@@ -247,15 +191,6 @@ func (c *Collection) Find(filter Filter) ([]Document, error) {
 		}
 	}
 	return out, nil
-}
-
-// Count returns the number of documents matching filter.
-func (c *Collection) Count(filter Filter) (int, error) {
-	docs, err := c.Find(filter)
-	if err != nil {
-		return 0, err
-	}
-	return len(docs), nil
 }
 
 // UpdateOne applies set to the first document matching filter,
@@ -376,17 +311,17 @@ func (c *Collection) mutateKey(id string, filter Filter, fn func(doc Document) e
 }
 
 // ChangeEvent is one committed document change in a collection's change
-// feed: the document's new value (nil when Deleted) and the engine
-// revision that committed it.
+// feed: the document's new value and the engine revision that committed
+// it. Documents are never deleted, so every change is an insert or an
+// update.
 type ChangeEvent struct {
-	ID      string
-	Doc     Document
-	Deleted bool
-	Rev     uint64
+	ID  string
+	Doc Document
+	Rev uint64
 }
 
 // Watch opens a change feed over the collection: every committed
-// insert, update and delete after the call is delivered in revision
+// insert and update after the call is delivered in revision
 // order. Pair with Find for list-then-watch consumers (the
 // lifecycle manager's QUEUED sweep) — the feed replaces re-listing the
 // collection on a poll loop. Cancel must be called to release the feed.
@@ -431,11 +366,7 @@ func (c *Collection) watch(prefix, only string) (<-chan ChangeEvent, func(), err
 				if only != "" && ce.ID != only {
 					continue
 				}
-				if ev.Type == store.EventDelete {
-					ce.Deleted = true
-				} else {
-					ce.Doc = deepCopy(ev.Value.(Document))
-				}
+				ce.Doc = deepCopy(ev.Value.(Document))
 				select {
 				case out <- ce:
 				case <-done:
@@ -445,55 +376,6 @@ func (c *Collection) watch(prefix, only string) (<-chan ChangeEvent, func(), err
 		}
 	}()
 	return out, stop, nil
-}
-
-// DeleteOne removes the first document matching filter. It reports
-// whether a document was removed.
-func (c *Collection) DeleteOne(filter Filter) (bool, error) {
-	if err := c.db.available(); err != nil {
-		return false, err
-	}
-	c.db.clk.Sleep(writeLatency)
-
-	del := func(id string) (bool, error) {
-		_, deleted, err := c.db.eng.DeleteIf(c.key(id), func(cur any) bool {
-			return matches(cur.(Document), filter)
-		})
-		if err != nil {
-			return false, err
-		}
-		if deleted {
-			c.writes.Add(1)
-		}
-		return deleted, nil
-	}
-
-	if id, ok := filterID(filter); ok {
-		return del(id)
-	}
-	for attempt := 0; attempt < mutateAttempts; attempt++ {
-		kvs, _, err := c.db.eng.Scan(c.prefix)
-		if err != nil {
-			return false, fmt.Errorf("mongo: delete in %s: %v", c.name, err)
-		}
-		tried := false
-		for _, kv := range kvs {
-			doc := kv.Value.(Document)
-			if !matches(doc, filter) {
-				continue
-			}
-			tried = true
-			id, _ := doc["_id"].(string)
-			deleted, err := del(id)
-			if err != nil || deleted {
-				return deleted, err
-			}
-		}
-		if !tried {
-			break
-		}
-	}
-	return false, nil
 }
 
 // Writes reports how many mutating operations committed (used by the

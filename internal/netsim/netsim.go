@@ -22,7 +22,6 @@ type Bandwidth float64
 
 // Common bandwidth units.
 const (
-	KBps Bandwidth = 1e3
 	MBps Bandwidth = 1e6
 	GBps Bandwidth = 1e9
 )
@@ -43,9 +42,6 @@ var (
 	// Ethernet1G is the 1GbE datacenter network used in the paper's
 	// Fig. 2 experiments for both DLaaS and bare metal.
 	Ethernet1G = Link{Name: "1GbE", Bandwidth: 117 * MBps, Latency: 100 * time.Microsecond}
-
-	// Ethernet10G is included for ablation sweeps.
-	Ethernet10G = Link{Name: "10GbE", Bandwidth: 1.17 * GBps, Latency: 50 * time.Microsecond}
 
 	// PCIe3x16 is the host interconnect of the K80 and PCIe-P100 systems.
 	// ~16 GB/s theoretical, ~12 GB/s effective, halved for the shared
@@ -96,11 +92,8 @@ func NewSharedLink(link Link, clk clock.Clock) *SharedLink {
 	return &SharedLink{link: link, clk: clk}
 }
 
-// Link returns the underlying link description.
-func (s *SharedLink) Link() Link { return s.link }
-
 // Active reports the number of in-flight transfers.
-func (s *SharedLink) Active() int {
+func (s *SharedLink) Active() int { //lint:allow deadexport test-observation point: TestSharedLinkContention counts in-flight transfers
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.active

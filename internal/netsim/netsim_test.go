@@ -29,11 +29,8 @@ func TestTransferTimeZeroAndNegative(t *testing.T) {
 
 func TestCatalogOrdering(t *testing.T) {
 	// The performance model depends on this strict ordering of fabrics.
-	if !(Ethernet1G.Bandwidth < Ethernet10G.Bandwidth) {
-		t.Error("1GbE should be slower than 10GbE")
-	}
-	if !(Ethernet10G.Bandwidth < PCIe3x16.Bandwidth) {
-		t.Error("10GbE should be slower than PCIe3")
+	if !(Ethernet1G.Bandwidth < PCIe3x16.Bandwidth) {
+		t.Error("1GbE should be slower than PCIe3")
 	}
 	if !(PCIe3x16.Bandwidth < NVLinkV1.Bandwidth) {
 		t.Error("PCIe3 should be slower than NVLink")

@@ -68,7 +68,7 @@ func (s *Server) InjectFault(m FaultMode) {
 func (s *Server) Heal() { s.InjectFault(FaultNone) }
 
 // FaultMode returns the server's current fault mode.
-func (s *Server) FaultMode() FaultMode {
+func (s *Server) FaultMode() FaultMode { //lint:allow deadexport test-observation point: the fault tests and the campaign engine's tests check the mode in force
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.fault

@@ -9,7 +9,7 @@
 // Calls come in two prices, as on a real NFS client. Data calls — Read,
 // Write, Append (and ReadExitCode/WriteExitCode on top of them) — each
 // pay one NFSLink.Latency round trip on the virtual clock and obey the
-// injected fault mode. Attribute calls — Stat, Exists, List — are served
+// injected fault mode. Attribute calls — Stat, Exists — are served
 // from the client's attribute view: no latency, never stalled or failed
 // by a fault. A periodic loop therefore asks Stat whether a file's Gen
 // moved and pays for a Read only when it did.
@@ -26,7 +26,6 @@ package nfs
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -111,18 +110,6 @@ func (s *Server) Release(name string) {
 	delete(s.volumes, name)
 }
 
-// VolumeNames lists provisioned volumes (GC scans).
-func (s *Server) VolumeNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.volumes))
-	for n := range s.volumes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Instrument mirrors the operation counters into reg as nfs_ops{op}.
 // Call before serving.
 func (s *Server) Instrument(reg *metrics.Registry) {
@@ -134,8 +121,8 @@ func (s *Server) Instrument(reg *metrics.Registry) {
 // OpCounts reports how many operations the server has served, by kind:
 // "read", "write" and "append" are data calls that paid a round trip (a
 // Read of a missing file counts; one refused or dropped by FaultError
-// does not), "stat" is every attribute call (Stat, Exists, List).
-func (s *Server) OpCounts() map[string]uint64 {
+// does not), "stat" is every attribute call (Stat, Exists).
+func (s *Server) OpCounts() map[string]uint64 { //lint:allow deadexport ROADMAP item 1b's nfs.reads_per_job row reads it
 	out := make(map[string]uint64, len(opNames))
 	for op, name := range opNames {
 		out[name] = s.ops[op].Load()
@@ -234,9 +221,6 @@ func (v *Volume) changedLocked(path string) {
 	}
 }
 
-// Name returns the volume name.
-func (v *Volume) Name() string { return v.name }
-
 // Write replaces the file's contents. In FaultError mode the write is
 // silently dropped (soft-mount EIO swallowed by the writer).
 func (v *Volume) Write(path string, data []byte) {
@@ -305,29 +289,6 @@ func (v *Volume) Stat(path string) (info FileInfo, ok bool) {
 func (v *Volume) Exists(path string) bool {
 	_, ok := v.Stat(path)
 	return ok
-}
-
-// List returns paths under the given directory prefix, sorted.
-func (v *Volume) List(prefix string) []string {
-	v.srv.served(opStat)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	var out []string
-	for p := range v.files {
-		if strings.HasPrefix(p, prefix) {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Remove deletes the file if present.
-func (v *Volume) Remove(path string) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	delete(v.files, path)
-	v.changedLocked(path)
 }
 
 // Exit-status convention: learner process i writes its exit code to

@@ -32,9 +32,6 @@ var (
 	ErrAccessDenied = errors.New("objectstore: access denied")
 	// ErrBucketExists indicates a create collided with an existing name.
 	ErrBucketExists = errors.New("objectstore: bucket already exists")
-	// ErrQuotaExceeded indicates the write would push the bucket past
-	// its byte quota (per-tenant resource isolation).
-	ErrQuotaExceeded = errors.New("objectstore: quota exceeded")
 )
 
 // Credentials authenticate a tenant to a bucket.
@@ -68,30 +65,6 @@ type Store struct {
 type bucket struct {
 	creds   Credentials
 	objects map[string]Object
-	// quota bounds total stored bytes; 0 = unlimited.
-	quota int64
-}
-
-// usedLocked sums the bucket's stored bytes.
-func (b *bucket) usedLocked() int64 {
-	var total int64
-	for _, o := range b.objects {
-		total += o.Size
-	}
-	return total
-}
-
-// checkQuotaLocked verifies that replacing key with size bytes fits.
-func (b *bucket) checkQuotaLocked(key string, size int64) error {
-	if b.quota <= 0 {
-		return nil
-	}
-	used := b.usedLocked() - b.objects[key].Size
-	if used+size > b.quota {
-		return fmt.Errorf("bucket at %d/%d bytes, need %d more: %w",
-			used, b.quota, size, ErrQuotaExceeded)
-	}
-	return nil
 }
 
 // New returns an empty store whose transfers are metered over link.
@@ -110,42 +83,12 @@ func (s *Store) CreateBucket(name string, creds Credentials) error {
 	return nil
 }
 
-// SetQuota bounds the bucket's total stored bytes (0 = unlimited).
-// Requires the bucket's credentials.
-func (s *Store) SetQuota(bucketName string, quota int64, creds Credentials) error {
-	b, err := s.authorize(bucketName, creds)
-	if err != nil {
-		return fmt.Errorf("set-quota %s: %w", bucketName, err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b.quota = quota
-	return nil
-}
-
-// BucketUsage reports the bucket's stored bytes and quota (0 = none).
-func (s *Store) BucketUsage(bucketName string, creds Credentials) (used, quota int64, err error) {
-	b, err := s.authorize(bucketName, creds)
-	if err != nil {
-		return 0, 0, fmt.Errorf("usage %s: %w", bucketName, err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return b.usedLocked(), b.quota, nil
-}
-
 // Put stores data under bucket/key, charging the transfer to the network.
 func (s *Store) Put(bucketName, key string, data []byte, creds Credentials) error {
 	b, err := s.authorize(bucketName, creds)
 	if err != nil {
 		return fmt.Errorf("put %s/%s: %w", bucketName, key, err)
 	}
-	s.mu.Lock()
-	if err := b.checkQuotaLocked(key, int64(len(data))); err != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("put %s/%s: %w", bucketName, key, err)
-	}
-	s.mu.Unlock()
 	s.link.Transfer(int64(len(data)))
 	cp := make([]byte, len(data))
 	copy(cp, data)
@@ -167,9 +110,6 @@ func (s *Store) PutSynthetic(bucketName, key string, size int64, creds Credentia
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := b.checkQuotaLocked(key, size); err != nil {
-		return fmt.Errorf("put-synthetic %s/%s: %w", bucketName, key, err)
-	}
 	b.objects[key] = Object{Key: key, Size: size}
 	s.puts++
 	return nil
@@ -227,69 +167,12 @@ func (s *Store) List(bucketName string, creds Credentials) ([]string, error) {
 	return keys, nil
 }
 
-// Delete removes the object if present.
-func (s *Store) Delete(bucketName, key string, creds Credentials) error {
-	b, err := s.authorize(bucketName, creds)
-	if err != nil {
-		return fmt.Errorf("delete %s/%s: %w", bucketName, key, err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(b.objects, key)
-	return nil
-}
-
 // Stats reports cumulative operation and byte counters.
-func (s *Store) Stats() (gets, puts int, bytesIn, bytesOut int64) {
+func (s *Store) Stats() (gets, puts int, bytesIn, bytesOut int64) { //lint:allow deadexport test-observation point: the traffic counters TestStatsCounters checks
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.gets, s.puts, s.bytesIn, s.bytesOut
 }
-
-// StreamReader plans a metered sequential read of an object in chunks.
-// Each Next call charges one chunk's transfer time to the network and
-// reports progress; it is how learners stream epoch data.
-type StreamReader struct {
-	store *Store
-	size  int64
-	chunk int64
-	read  int64
-}
-
-// OpenStream validates access and returns a reader that streams the
-// object in chunks of chunkSize bytes.
-func (s *Store) OpenStream(bucketName, key string, chunkSize int64, creds Credentials) (*StreamReader, error) {
-	obj, err := s.Stat(bucketName, key, creds)
-	if err != nil {
-		return nil, fmt.Errorf("open stream: %w", err)
-	}
-	if chunkSize <= 0 {
-		chunkSize = 64 << 20 // 64 MiB
-	}
-	return &StreamReader{store: s, size: obj.Size, chunk: chunkSize}, nil
-}
-
-// Next streams the next chunk, blocking (in virtual time) for its
-// transfer. It returns the bytes advanced and false when the object is
-// exhausted.
-func (r *StreamReader) Next() (int64, bool) {
-	if r.read >= r.size {
-		return 0, false
-	}
-	n := r.chunk
-	if rem := r.size - r.read; rem < n {
-		n = rem
-	}
-	r.store.link.Transfer(n)
-	r.read += n
-	r.store.mu.Lock()
-	r.store.bytesOut += n
-	r.store.mu.Unlock()
-	return n, true
-}
-
-// Size returns the total object size.
-func (r *StreamReader) Size() int64 { return r.size }
 
 // authorize resolves the bucket and checks credentials.
 func (s *Store) authorize(name string, creds Credentials) (*bucket, error) {

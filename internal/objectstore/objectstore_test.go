@@ -124,55 +124,6 @@ func TestGetChargesTransferTime(t *testing.T) {
 	}
 }
 
-func TestStreamReaderChunks(t *testing.T) {
-	s, clk := newTestStore(t)
-	if err := s.CreateBucket("data", ownerCreds); err != nil {
-		t.Fatal(err)
-	}
-	const size = int64(250) * 1000 * 1000
-	if err := s.PutSynthetic("data", testDataset, size, ownerCreds); err != nil {
-		t.Fatal(err)
-	}
-	r, err := s.OpenStream("data", testDataset, 100*1000*1000, ownerCreds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := clk.Now()
-	var total int64
-	chunks := 0
-	for {
-		n, ok := r.Next()
-		if !ok {
-			break
-		}
-		total += n
-		chunks++
-	}
-	if total != size || chunks != 3 {
-		t.Fatalf("streamed %d bytes in %d chunks, want %d in 3", total, chunks, size)
-	}
-	// ~250MB over 1GbE ≈ 2.1s virtual.
-	if got := clk.Since(start); got < 2*time.Second {
-		t.Fatalf("stream took %v of virtual time, want > 2s", got)
-	}
-}
-
-func TestDelete(t *testing.T) {
-	s, _ := newTestStore(t)
-	if err := s.CreateBucket("b", ownerCreds); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("b", "k", []byte("x"), ownerCreds); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete("b", "k", ownerCreds); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get("b", "k", ownerCreds); !errors.Is(err, ErrNoObject) {
-		t.Fatalf("err = %v, want ErrNoObject", err)
-	}
-}
-
 func TestStatsCounters(t *testing.T) {
 	s, _ := newTestStore(t)
 	if err := s.CreateBucket("b", ownerCreds); err != nil {
@@ -187,55 +138,6 @@ func TestStatsCounters(t *testing.T) {
 	gets, puts, in, out := s.Stats()
 	if gets != 1 || puts != 1 || in != 100 || out != 100 {
 		t.Fatalf("stats = %d gets %d puts %d in %d out", gets, puts, in, out)
-	}
-}
-
-func TestQuotaEnforced(t *testing.T) {
-	s, _ := newTestStore(t)
-	if err := s.CreateBucket("q", ownerCreds); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetQuota("q", 1000, ownerCreds); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("q", "a", make([]byte, 600), ownerCreds); err != nil {
-		t.Fatal(err)
-	}
-	// Second write would exceed the quota.
-	if err := s.Put("q", "b", make([]byte, 600), ownerCreds); !errors.Is(err, ErrQuotaExceeded) {
-		t.Fatalf("err = %v, want ErrQuotaExceeded", err)
-	}
-	// Replacing the existing object counts only the delta.
-	if err := s.Put("q", "a", make([]byte, 900), ownerCreds); err != nil {
-		t.Fatalf("replace within quota failed: %v", err)
-	}
-	// Synthetic writes respect the quota too.
-	if err := s.PutSynthetic("q", "c", 500, ownerCreds); !errors.Is(err, ErrQuotaExceeded) {
-		t.Fatalf("synthetic err = %v, want ErrQuotaExceeded", err)
-	}
-	used, quota, err := s.BucketUsage("q", ownerCreds)
-	if err != nil || used != 900 || quota != 1000 {
-		t.Fatalf("usage = (%d,%d,%v)", used, quota, err)
-	}
-	// Deleting frees quota.
-	if err := s.Delete("q", "a", ownerCreds); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutSynthetic("q", "c", 500, ownerCreds); err != nil {
-		t.Fatalf("put after delete failed: %v", err)
-	}
-}
-
-func TestQuotaRequiresCredentials(t *testing.T) {
-	s, _ := newTestStore(t)
-	if err := s.CreateBucket("q", ownerCreds); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetQuota("q", 10, evilCreds); !errors.Is(err, ErrAccessDenied) {
-		t.Fatalf("err = %v, want ErrAccessDenied", err)
-	}
-	if _, _, err := s.BucketUsage("q", evilCreds); !errors.Is(err, ErrAccessDenied) {
-		t.Fatalf("usage err = %v, want ErrAccessDenied", err)
 	}
 }
 

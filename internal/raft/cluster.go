@@ -208,7 +208,7 @@ func (c *Cluster) Restart(id int) *Node {
 // it). Timers are unaffected — real skew shifts a clock's value, not
 // its rate — which is precisely what makes a stale lease deadline
 // dangerous and what the drift-bound defenses must catch.
-func (c *Cluster) SetClockSkew(id int, d time.Duration) {
+func (c *Cluster) SetClockSkew(id int, d time.Duration) { //lint:allow deadexport test fault switch: the lease-safety tests (raft, etcd) skew a clock past the drift bound
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if sk, ok := c.clks[id]; ok {

@@ -155,3 +155,10 @@ func readIndexCoversAckedWrites(t *testing.T, faults LinkFaults) {
 		t.Fatal("no read was served after the links healed")
 	}
 }
+
+// SetFaults arms f on every link; the zero LinkFaults heals them all.
+func (t *Transport) SetFaults(f LinkFaults) {
+	for k := range t.links {
+		t.SetLinkFaults(k.from, k.to, f)
+	}
+}

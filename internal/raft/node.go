@@ -315,15 +315,8 @@ func (n *Node) ID() int { return n.core.id }
 // ApplyCh delivers committed entries in log order.
 func (n *Node) ApplyCh() <-chan Apply { return n.applyCh }
 
-// Leader reports the node's current belief about the leader (-1 unknown).
-func (n *Node) Leader() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.core.leaderID
-}
-
 // State returns the node's current role.
-func (n *Node) State() State {
+func (n *Node) State() State { //lint:allow deadexport test-observation point: the election and failover tests read a node's role
 	st, _ := n.Status()
 	return st
 }
@@ -344,7 +337,7 @@ func (n *Node) Status() (State, uint64) {
 }
 
 // CommitIndex returns the highest committed log index.
-func (n *Node) CommitIndex() uint64 {
+func (n *Node) CommitIndex() uint64 { //lint:allow deadexport test-observation point: the replication tests compare commit progress
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.core.commitIndex
@@ -372,7 +365,7 @@ func (n *Node) setRegistry(reg *metrics.Registry) {
 }
 
 // Log returns a copy of the node's log (for verification in tests).
-func (n *Node) Log() []Entry {
+func (n *Node) Log() []Entry { //lint:allow deadexport test-observation point: the log-matching, append-only and compaction tests read logs
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return append([]Entry{}, n.core.log...)
@@ -388,11 +381,4 @@ func (n *Node) Snapshot() ([]byte, uint64) {
 		return nil, 0
 	}
 	return append([]byte(nil), n.core.snapshot...), n.core.snapIndex
-}
-
-// LogLen reports the in-memory (uncompacted) log length.
-func (n *Node) LogLen() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.core.log)
 }

@@ -21,7 +21,7 @@ func TestCompactTruncatesLog(t *testing.T) {
 	if err := l.Compact(5, []byte("state@5")); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.LogLen(); got != 5 {
+	if got := len(l.Log()); got != 5 {
 		t.Fatalf("log length after compact = %d, want 5", got)
 	}
 	// The tail must still be addressable and commits must continue.
@@ -80,8 +80,8 @@ func TestSnapshotSurvivesRestart(t *testing.T) {
 	if idx != 6 || string(snap) != "state@6" {
 		t.Fatalf("restored snapshot = (%q,%d), want (state@6,6)", snap, idx)
 	}
-	if n.LogLen() != 0 {
-		t.Fatalf("restored log length = %d, want 0", n.LogLen())
+	if len(n.Log()) != 0 {
+		t.Fatalf("restored log length = %d, want 0", len(n.Log()))
 	}
 }
 

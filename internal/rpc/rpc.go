@@ -63,17 +63,11 @@ type Registration struct {
 
 	mu      sync.Mutex
 	handler Handler
-	up      bool
 	gone    bool
 }
 
 // Option configures a Bus.
 type Option func(*Bus)
-
-// WithCallLatency overrides the modeled per-call network latency.
-func WithCallLatency(d time.Duration) Option {
-	return func(b *Bus) { b.latency = d }
-}
 
 // WithTracer attaches a span recorder: a call whose context carries a
 // trace.SpanContext is wrapped in an "rpc:<service>/<method>" child
@@ -99,7 +93,7 @@ func NewBus(clk clock.Clock, opts ...Option) *Bus {
 // Register adds an instance of name served by h and returns its
 // registration handle. Instances start healthy.
 func (b *Bus) Register(name, id string, h Handler) *Registration {
-	r := &Registration{bus: b, service: name, ID: id, handler: h, up: true}
+	r := &Registration{bus: b, service: name, ID: id, handler: h}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	svc := b.services[name]
@@ -180,7 +174,6 @@ func (b *Bus) WaitHealthy(timeout time.Duration, min int, names ...string) bool 
 func (r *Registration) Deregister() {
 	r.mu.Lock()
 	r.gone = true
-	r.up = false
 	r.mu.Unlock()
 
 	b := r.bus
@@ -199,30 +192,11 @@ func (r *Registration) Deregister() {
 	b.healthChangedLocked()
 }
 
-// SetUp marks the instance healthy (true) or crashed (false). A crashed
-// instance stays registered but receives no traffic, modeling a pod that
-// K8s will restart in place.
-func (r *Registration) SetUp(up bool) {
-	r.mu.Lock()
-	changed := !r.gone && r.up != up
-	if !r.gone {
-		r.up = up
-	}
-	r.mu.Unlock()
-	if changed {
-		// Signal outside r.mu: Call/pick acquire bus.mu before r.mu, so
-		// holding r.mu here would invert the lock order.
-		r.bus.mu.Lock()
-		r.bus.healthChangedLocked()
-		r.bus.mu.Unlock()
-	}
-}
-
-// Up reports whether the instance is currently serving.
+// Up reports whether the instance is still registered.
 func (r *Registration) Up() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.up
+	return !r.gone
 }
 
 // HealthyInstances reports how many instances of name can serve traffic.
@@ -264,11 +238,12 @@ func (b *Bus) Call(ctx context.Context, name, method string, req any) (any, erro
 	b.clk.Sleep(b.latency)
 	inst.mu.Lock()
 	h := inst.handler
-	up := inst.up
+	gone := inst.gone
 	inst.mu.Unlock()
-	if !up {
-		// Crashed between pick and dispatch; surface as unavailability
-		// so callers retry, as a TCP RST would in the real system.
+	if gone {
+		// Deregistered between pick and dispatch (its pod died); surface
+		// as unavailability so callers retry, as a TCP RST would in the
+		// real system.
 		return nil, fmt.Errorf("calling %s.%s on %s: %w", name, method, inst.ID, ErrUnavailable)
 	}
 	resp, err := h(ctx, method, req)

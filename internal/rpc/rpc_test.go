@@ -50,13 +50,16 @@ func TestCallRoundRobin(t *testing.T) {
 	}
 }
 
+// TestFailoverSkipsCrashedInstance: a crashed pod's instance deregisters
+// (the service's deferred Deregister), and calls fail over past it. Its
+// restart registers a new instance.
 func TestFailoverSkipsCrashedInstance(t *testing.T) {
 	b, clk := newTestBus()
 	defer clk.Close()
 	ra := b.Register("api", "a", echoHandler("a"))
 	b.Register("api", "b", echoHandler("b"))
 
-	ra.SetUp(false)
+	ra.Deregister()
 	for i := 0; i < 4; i++ {
 		resp, err := b.Call(context.Background(), "api", "m", nil)
 		if err != nil {
@@ -75,7 +78,7 @@ func TestAllInstancesDown(t *testing.T) {
 	b, clk := newTestBus()
 	defer clk.Close()
 	ra := b.Register("api", "a", echoHandler("a"))
-	ra.SetUp(false)
+	ra.Deregister()
 	_, err := b.Call(context.Background(), "api", "m", nil)
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
@@ -86,11 +89,11 @@ func TestRecoveryAfterRestart(t *testing.T) {
 	b, clk := newTestBus()
 	defer clk.Close()
 	ra := b.Register("api", "a", echoHandler("a"))
-	ra.SetUp(false)
+	ra.Deregister()
 	if _, err := b.Call(context.Background(), "api", "m", nil); err == nil {
 		t.Fatal("expected unavailability while crashed")
 	}
-	ra.SetUp(true) // K8s restarted the pod
+	b.Register("api", "a-restarted", echoHandler("a")) // K8s restarted the pod
 	if _, err := b.Call(context.Background(), "api", "m", nil); err != nil {
 		t.Fatalf("call after recovery failed: %v", err)
 	}
@@ -101,7 +104,7 @@ func TestDeregisterRemovesPermanently(t *testing.T) {
 	defer clk.Close()
 	ra := b.Register("api", "a", echoHandler("a"))
 	ra.Deregister()
-	ra.SetUp(true) // must not resurrect a deregistered instance
+	ra.Deregister() // idempotent, and nothing resurrects the instance
 	_, err := b.Call(context.Background(), "api", "m", nil)
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
@@ -136,7 +139,7 @@ func TestContextCancellation(t *testing.T) {
 func TestCallChargesLatency(t *testing.T) {
 	clk := clock.NewSim()
 	defer clk.Close()
-	b := NewBus(clk, WithCallLatency(defaultCallLatency))
+	b := NewBus(clk)
 	b.Register("api", "a", echoHandler("a"))
 	start := clk.Now()
 	if _, err := b.Call(context.Background(), "api", "m", nil); err != nil {
@@ -218,12 +221,11 @@ func TestWaitHealthyTimesOut(t *testing.T) {
 }
 
 // TestWaitHealthySeesRecovery: an instance crashing to zero healthy and
-// recovering via SetUp wakes a waiter.
+// a restarted one registering wakes a waiter.
 func TestWaitHealthySeesRecovery(t *testing.T) {
 	b, clk := newTestBus()
 	defer clk.Close()
-	r := b.Register("api", "a0", echoHandler("a0"))
-	r.SetUp(false)
+	b.Register("api", "a0", echoHandler("a0")).Deregister()
 	done := make(chan bool, 1)
 	go func() { done <- b.WaitHealthy(time.Minute, 1, "api") }()
 	clk.Sleep(50 * time.Millisecond)
@@ -232,13 +234,13 @@ func TestWaitHealthySeesRecovery(t *testing.T) {
 		t.Fatal("WaitHealthy returned while instance down")
 	default:
 	}
-	r.SetUp(true)
+	b.Register("api", "a1", echoHandler("a1"))
 	select {
 	case ok := <-done:
 		if !ok {
 			t.Fatal("WaitHealthy = false after recovery")
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("WaitHealthy never woke after SetUp(true)")
+		t.Fatal("WaitHealthy never woke after the restart registered")
 	}
 }

@@ -25,7 +25,7 @@ func applyAt(t *testing.T, e *Engine, rev uint64, ops ...Op) {
 }
 
 // eventKeys renders events as "rev:TYPE:key" for comparison.
-func eventKeys(evs []Event) []string {
+func eventKeys(evs []EventOf[any]) []string {
 	out := make([]string, len(evs))
 	for i, ev := range evs {
 		kind := "PUT"

@@ -153,7 +153,7 @@ func checkAgainstModel(t *testing.T, seed int64, external bool, steps int) {
 				want = m.applied + 1
 				m.apply(want, []OpOf[string]{{Kind: OpDelete, Key: k}})
 			}
-			rev, _, _ = e.Delete(k)
+			rev, _, _ = del(e, k)
 		case !external:
 			ops := randOps(1 + rng.Intn(4))
 			did = fmt.Sprintf("Commit %v", ops)

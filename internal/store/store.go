@@ -109,8 +109,6 @@ type OpOf[V any] struct {
 // holds them without the box an interface would cost per value.
 type (
 	Engine = EngineOf[any]
-	Event  = EventOf[any]
-	KV     = KVOf[any]
 	Op     = OpOf[any]
 )
 
@@ -457,25 +455,6 @@ func (e *EngineOf[V]) Insert(key string, value V) (uint64, error) {
 		return value, ActWrite, nil
 	})
 	return rev, err
-}
-
-// Delete writes a tombstone for key. It reports whether a live value was
-// removed; deleting an absent key is not an error.
-func (e *EngineOf[V]) Delete(key string) (uint64, bool, error) {
-	return e.DeleteIf(key, nil)
-}
-
-// DeleteIf deletes key only when pred accepts the current value (nil
-// pred always accepts). Returns whether the delete happened. pred runs
-// under the engine lock, as Update's fn does.
-func (e *EngineOf[V]) DeleteIf(key string, pred func(cur V) bool) (uint64, bool, error) {
-	rev, wrote, err := e.Update(key, func(cur V, exists bool) (none V, _ Action, _ error) {
-		if !exists || (pred != nil && !pred(cur)) {
-			return none, ActSkip, nil
-		}
-		return none, ActDelete, nil
-	})
-	return rev, wrote, err
 }
 
 // Update runs fn for key under the engine's write lock — the per-key

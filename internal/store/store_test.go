@@ -32,14 +32,14 @@ func TestPutGetDelete(t *testing.T) {
 	if !ok || v != "QUEUED" || vr != rev {
 		t.Fatalf("get = (%v,%d,%v), want (QUEUED,%d,true)", v, vr, ok, rev)
 	}
-	if _, deleted, err := e.Delete("/jobs/j1"); err != nil || !deleted {
+	if _, deleted, err := del(e, "/jobs/j1"); err != nil || !deleted {
 		t.Fatalf("delete = (%v,%v)", deleted, err)
 	}
 	if _, _, ok := e.Get("/jobs/j1"); ok {
 		t.Fatal("key survived delete")
 	}
 	// Deleting an absent key reports false, no error.
-	if _, deleted, err := e.Delete("/jobs/j1"); err != nil || deleted {
+	if _, deleted, err := del(e, "/jobs/j1"); err != nil || deleted {
 		t.Fatalf("second delete = (%v,%v)", deleted, err)
 	}
 }
@@ -53,7 +53,7 @@ func TestInsertRejectsLiveKey(t *testing.T) {
 		t.Fatalf("err = %v, want ErrExists", err)
 	}
 	// A deleted key can be inserted again.
-	if _, _, err := e.Delete("/k"); err != nil {
+	if _, _, err := del(e, "/k"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Insert("/k", 3); err != nil {
@@ -168,7 +168,7 @@ func TestWatchOrderAndPrefixFilter(t *testing.T) {
 	if _, err := e.Put("/other/x", "leak"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Delete("/jobs/j1"); err != nil {
+	if _, _, err := del(e, "/jobs/j1"); err != nil {
 		t.Fatal(err)
 	}
 	ev1 := recvStoreEvent(t, ch)
@@ -184,14 +184,14 @@ func TestWatchOrderAndPrefixFilter(t *testing.T) {
 	}
 }
 
-func recvStoreEvent(t *testing.T, ch <-chan Event) Event {
+func recvStoreEvent(t *testing.T, ch <-chan EventOf[any]) EventOf[any] {
 	t.Helper()
 	select {
 	case ev := <-ch:
 		return ev
 	case <-time.After(10 * time.Second):
 		t.Fatal("no event delivered")
-		return Event{}
+		return EventOf[any]{}
 	}
 }
 
@@ -234,7 +234,7 @@ func TestScanAtAppends(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dst := append(make([]KV, 0, 8), KV{Key: "/z"})
+	dst := append(make([]KVOf[any], 0, 8), KVOf[any]{Key: "/z"})
 	kvs := e.ScanAt(dst, "/s/", e.Snapshot())
 	var got []string
 	for _, kv := range kvs {
@@ -263,7 +263,7 @@ func TestNewKeyAllocBudget(t *testing.T) {
 	}
 	var value any = "v"
 	ops := make([]Op, 1)
-	var evs []Event
+	var evs []EventOf[any]
 	var rev uint64
 	apply := func(key string) {
 		rev++
@@ -570,7 +570,13 @@ func TestConcurrentNewKeyWriters(t *testing.T) {
 	if len(kvs) != 16*200 {
 		t.Fatalf("scan = %d keys, want %d", len(kvs), 16*200)
 	}
-	if !slices.IsSortedFunc(kvs, func(a, b KV) int { return strings.Compare(a.Key, b.Key) }) {
+	if !slices.IsSortedFunc(kvs, func(a, b KVOf[any]) int { return strings.Compare(a.Key, b.Key) }) {
 		t.Fatal("scan is not in key order")
 	}
+}
+
+// del deletes key through Update, the engine's read-modify-write path,
+// and reports whether a live value was removed.
+func del[V any](e *EngineOf[V], key string) (uint64, bool, error) {
+	return e.Update(key, func(cur V, _ bool) (V, Action, error) { return cur, ActDelete, nil })
 }

@@ -55,7 +55,7 @@ func TestWaitAppliedImport(t *testing.T) {
 	e := NewEngine(Config{ExternalRevs: true})
 	defer e.Close()
 	ch, _ := e.WaitApplied(10)
-	if err := e.Import([]KV{{Key: "a", Value: "x", Rev: 4}}, 10); err != nil {
+	if err := e.Import([]KVOf[any]{{Key: "a", Value: "x", Rev: 4}}, 10); err != nil {
 		t.Fatal(err)
 	}
 	select {

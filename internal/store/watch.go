@@ -244,7 +244,7 @@ func (h *Hub[E]) dispatchLoop() {
 }
 
 // Watchers reports the live subscription count.
-func (h *Hub[E]) Watchers() int {
+func (h *Hub[E]) Watchers() int { //lint:allow deadexport test-observation point: TestWatchCancelReclaimsCursor checks a cancelled watch is gone
 	h.watchersMu.RLock()
 	defer h.watchersMu.RUnlock()
 	return len(h.watchers)

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -37,16 +36,6 @@ type SpanID uint64
 // String renders the span ID as fixed-width hex (the wire form used
 // in envelopes and JSON exports).
 func (id SpanID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
-
-// ParseSpanID parses the hex form produced by SpanID.String. Returns
-// 0 for anything unparsable (treated as "no span").
-func ParseSpanID(s string) SpanID {
-	v, err := strconv.ParseUint(s, 16, 64)
-	if err != nil {
-		return 0
-	}
-	return SpanID(v)
-}
 
 // SpanContext is the propagatable reference to a span: enough to
 // parent new spans under it from another process.

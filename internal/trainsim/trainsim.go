@@ -287,28 +287,6 @@ func (c Config) Throughput() float64 {
 	return images / step.Seconds()
 }
 
-// ScalingEfficiency returns Throughput(N) / (N * Throughput(1)).
-func (c Config) ScalingEfficiency() float64 {
-	c = c.withDefaults()
-	if c.NumGPUs <= 1 {
-		return 1
-	}
-	single := c
-	single.NumGPUs = 1
-	return c.Throughput() / (float64(c.NumGPUs) * single.Throughput())
-}
-
-// EpochTime returns the wall time to process datasetImages samples once.
-func (c Config) EpochTime(datasetImages int64) time.Duration {
-	c = c.withDefaults()
-	perStep := int64(c.BatchPerGPU * c.NumGPUs)
-	if perStep == 0 {
-		return 0
-	}
-	steps := (datasetImages + perStep - 1) / perStep
-	return time.Duration(steps) * c.StepTime()
-}
-
 // MemoryRequiredBytes is the per-GPU device memory the configuration
 // needs: weights + gradients + optimizer state (3x parameters) plus
 // retained activations for the batch.
@@ -354,9 +332,9 @@ func (c Config) CheckpointStallTime() time.Duration {
 // object-store upload. It is the floor on a useful
 // EvictionGracePeriod — a grace shorter than this force-evicts every
 // learner before its checkpoint lands.
-func (c Config) EvictionCheckpointTime() time.Duration {
+func (c Config) EvictionCheckpointTime() time.Duration { //lint:allow deadexport test-observation point: the model's cost of an eviction checkpoint, which the eviction tests size grace periods by
 	c = c.withDefaults()
-	return c.CheckpointStallTime() + c.DataLink.TransferTime(c.CheckpointBytes())
+	return c.CheckpointStallTime() + c.CheckpointTime()
 }
 
 // noise returns a deterministic pseudo-random slowdown fraction in

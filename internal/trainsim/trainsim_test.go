@@ -3,6 +3,7 @@ package trainsim
 import (
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/gpu"
 	"repro/internal/netsim"
@@ -244,4 +245,29 @@ func TestEvictionCheckpointCostModel(t *testing.T) {
 	if stall >= cfg.CheckpointTime() {
 		t.Errorf("device stall %v should undercut the network upload %v", stall, cfg.CheckpointTime())
 	}
+}
+
+// The derived figures below are the model's properties the tests state;
+// no experiment reports them.
+
+// ScalingEfficiency returns Throughput(N) / (N * Throughput(1)).
+func (c Config) ScalingEfficiency() float64 {
+	c = c.withDefaults()
+	if c.NumGPUs <= 1 {
+		return 1
+	}
+	single := c
+	single.NumGPUs = 1
+	return c.Throughput() / (float64(c.NumGPUs) * single.Throughput())
+}
+
+// EpochTime returns the wall time to process datasetImages samples once.
+func (c Config) EpochTime(datasetImages int64) time.Duration {
+	c = c.withDefaults()
+	perStep := int64(c.BatchPerGPU * c.NumGPUs)
+	if perStep == 0 {
+		return 0
+	}
+	steps := (datasetImages + perStep - 1) / perStep
+	return time.Duration(steps) * c.StepTime()
 }
