@@ -12,10 +12,8 @@ package guardian
 
 import (
 	"cmp"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"time"
 
@@ -87,31 +85,6 @@ func KubeJobName(jobID string) string { return "guardian-" + jobID }
 
 // GangName is the job's learner pod group in the gang scheduler.
 func GangName(jobID string) string { return "gang-" + jobID }
-
-// journal is the Guardian's etcd-persisted deployment record.
-type journal struct {
-	// Deployed is set once every resource exists; a restarted Guardian
-	// seeing Deployed resumes monitoring instead of rolling back.
-	Deployed bool `json:"deployed"`
-	// Steps records which resources have been created (informational;
-	// rollback is defensive and deletes by name regardless).
-	Steps []string `json:"steps"`
-	// MonitorRev is the last etcd revision whose learner-status events
-	// the watch-mode monitor folded into the job state; a restarted
-	// Guardian resumes its watch exactly after it — no missed and no
-	// re-processed transitions.
-	MonitorRev uint64 `json:"monitor_rev,omitempty"`
-	// Statuses is the aggregated per-learner view as of MonitorRev
-	// (keyed by ordinal), so the resumed monitor starts from state
-	// instead of an etcd re-list.
-	Statuses map[int]types.StatusUpdate `json:"statuses,omitempty"`
-	// Acks lists learners whose eviction acknowledgment has been folded
-	// as of MonitorRev, so a Guardian restarted mid-grace can complete
-	// the eviction without waiting out the deadline. The journal dies
-	// with the deployment (handlePreemption deletes it), so acks never
-	// leak into a later eviction.
-	Acks map[int]bool `json:"acks,omitempty"`
-}
 
 // ContainerSpec builds the Guardian container. Guardians are small Go
 // processes with fast, cached images — the quickest component to recover
@@ -647,9 +620,9 @@ func monitor(ctx *kube.ContainerCtx, p Params, journalKey string) int {
 		if lastRev == savedRev {
 			return
 		}
-		j.MonitorRev = lastRev
-		j.Statuses = maps.Clone(statuses)
-		j.Acks = maps.Clone(acks)
+		// The journal is encoded before saveJournal returns, so it can
+		// hold the monitor's own maps rather than copies.
+		j.MonitorRev, j.Statuses, j.Acks = lastRev, statuses, acks
 		saveJournal(d, journalKey, j)
 		savedRev = lastRev
 	}
@@ -952,24 +925,4 @@ func cleanupEtcd(d *core.Deps, jobID string) {
 
 func failJob(d *core.Deps, jobID, reason string) {
 	_, _ = d.TransitionJob(jobID, types.StateFailed, reason)
-}
-
-func loadJournal(d *core.Deps, key string) *journal {
-	raw, found, err := d.Etcd.Get(key)
-	if err != nil || !found {
-		return nil
-	}
-	var j journal
-	if err := json.Unmarshal([]byte(raw), &j); err != nil {
-		return &journal{} // corrupt journal: treat as partial deploy
-	}
-	return &j
-}
-
-func saveJournal(d *core.Deps, key string, j *journal) {
-	raw, err := json.Marshal(j)
-	if err != nil {
-		return
-	}
-	_, _ = d.Etcd.Put(key, string(raw))
 }

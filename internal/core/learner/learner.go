@@ -323,15 +323,7 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 	}
 	stepTime := cfg.StepTime()
 
-	// Checkpoint cadence in images.
-	ckptImages := totalImages // no periodic checkpoints by default
-	if m.CheckpointInterval > 0 {
-		steps := int64(m.CheckpointInterval / stepTime)
-		if steps < 1 {
-			steps = 1
-		}
-		ckptImages = steps * stepImages
-	}
+	ckptImages := m.CheckpointImages(stepTime, stepImages)
 
 	// Eviction-grace handler, polled at every training chunk: when the
 	// Guardian relays an eviction intent onto the shared volume, stall
@@ -361,10 +353,8 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 	}
 
 	for imagesDone < totalImages {
-		target := imagesDone + ckptImages
-		if target > totalImages {
-			target = totalImages
-		}
+		// Never past the end, and never by a sum that could overflow.
+		target := imagesDone + min(ckptImages, totalImages-imagesDone)
 		tsp := tr.StartSpan(attempt.Context(), "train")
 		tsp.SetPhase(trace.PhaseTrain)
 		tsp.SetAttr("target", strconv.FormatInt(target, 10))

@@ -123,6 +123,26 @@ func (m *Manifest) ModelSpec() trainsim.ModelSpec {
 	return spec
 }
 
+// CheckpointImages is the learner's checkpoint cadence in images, for
+// steps of stepImages images that take stepTime each: the images of the
+// steps that fit one CheckpointInterval (at least one step), but never
+// more than the whole job's (epochs × dataset_images), which is also the
+// cadence when the interval is 0 (no periodic checkpoints) or a step takes
+// no time. For a manifest Validate accepts it is in 1..epochs ×
+// dataset_images whatever the interval, so nothing computed from it
+// overflows.
+func (m *Manifest) CheckpointImages(stepTime time.Duration, stepImages int64) int64 {
+	total := int64(m.Epochs) * m.DatasetImages
+	if m.CheckpointInterval <= 0 || stepTime <= 0 || stepImages < 1 {
+		return total
+	}
+	steps := max(int64(m.CheckpointInterval/stepTime), 1)
+	if steps > total/stepImages {
+		return total
+	}
+	return steps * stepImages
+}
+
 // TotalGPUs is the job's aggregate GPU demand. Validate's caps keep it from
 // overflowing.
 func (m *Manifest) TotalGPUs() int { return m.Learners * m.GPUsPerLearner }

@@ -228,7 +228,10 @@ func TestOverflowingManifestsRejected(t *testing.T) {
 // productsFit reports the first product of an accepted manifest's numbers
 // that does not fit where the platform computes it: the GPU total and a
 // step's images in an int, a step's input bytes, the activation and total
-// memory per GPU, and the images of a whole job in an int64.
+// memory per GPU, and the images of a whole job in an int64; and the
+// learner's checkpoint cadence (checkpoint steps × a step's images), which
+// must be what it is in exact arithmetic, capped at the job's images, for
+// any step time.
 func productsFit(m *Manifest) error {
 	spec := m.ModelSpec()
 	n := func(v int64) *big.Int { return big.NewInt(v) }
@@ -252,13 +255,34 @@ func productsFit(m *Manifest) error {
 				p.name, p.v, m.Learners, m.GPUsPerLearner, m.BatchPerGPU, m.Epochs, m.DatasetImages)
 		}
 	}
+	// The learner's step: a step's images, or one GPU's batch for a job
+	// without GPUs.
+	stepImages := step.Int64()
+	if stepImages == 0 {
+		stepImages = int64(m.BatchPerGPU)
+	}
+	total := new(big.Int).Mul(n(int64(m.Epochs)), n(m.DatasetImages))
+	for _, stepTime := range []time.Duration{0, 1, time.Millisecond, time.Second} {
+		want := total
+		if m.CheckpointInterval > 0 && stepTime > 0 {
+			steps := n(max(int64(m.CheckpointInterval/stepTime), 1))
+			if cadence := steps.Mul(steps, n(stepImages)); cadence.Cmp(total) < 0 {
+				want = cadence
+			}
+		}
+		if got := m.CheckpointImages(stepTime, stepImages); n(got).Cmp(want) != 0 {
+			return fmt.Errorf("checkpoint cadence at %v a step = %d images, want %v (checkpoint_interval %v, a step's images %d, epochs × dataset_images %v)",
+				stepTime, got, want, m.CheckpointInterval, stepImages, total)
+		}
+	}
 	return nil
 }
 
 // FuzzManifestDecode: whatever Decode accepts has a non-negative GPU
 // total, products that do not overflow (productsFit), and survives Encode →
 // Decode unchanged. The committed corpus (testdata/fuzz) holds the
-// overflows Decode once accepted.
+// overflows Decode once accepted, and a manifest whose checkpoint cadence
+// the learner once wrapped negative, writing checkpoints forever.
 func FuzzManifestDecode(f *testing.F) {
 	m := valid()
 	raw, err := m.Encode()

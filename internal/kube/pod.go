@@ -23,7 +23,7 @@ type Pod struct {
 	mu         sync.Mutex
 	phase      PodPhase
 	node       *Node
-	containers map[string]*containerState
+	containers []containerState // in spec order; fixed at creation
 	restarts   int
 	killed     bool
 	killCh     chan struct{}
@@ -53,14 +53,26 @@ func newPod(c *Cluster, spec PodSpec, owner ownerRef) *Pod {
 		Spec:       spec,
 		owner:      owner,
 		phase:      PodPending,
-		containers: make(map[string]*containerState, len(spec.Containers)),
+		containers: make([]containerState, len(spec.Containers)),
 		killCh:     make(chan struct{}),
 		doneCh:     make(chan struct{}),
 	}
-	for _, cs := range spec.Containers {
-		p.containers[cs.Name] = &containerState{spec: cs}
+	for i, cs := range spec.Containers {
+		p.containers[i].spec = cs
 	}
 	return p
+}
+
+// container returns the named container's state, or nil. A pod has one to
+// four containers, so a scan is the lookup; the slice never changes after
+// newPod, so it needs no lock.
+func (p *Pod) container(name string) *containerState {
+	for i := range p.containers {
+		if p.containers[i].spec.Name == name {
+			return &p.containers[i]
+		}
+	}
+	return nil
 }
 
 // Name returns the pod's unique name.
@@ -117,18 +129,16 @@ func (p *Pod) kill() {
 	p.killed = true
 	close(p.killCh)
 	// Kill all live container processes.
-	for _, cs := range p.containers {
-		cs.killProcess()
+	for i := range p.containers {
+		p.containers[i].killProcess()
 	}
 	p.mu.Unlock()
 }
 
 // crashContainer kills one container's process in place.
 func (p *Pod) crashContainer(name string) error {
-	p.mu.Lock()
-	cs, ok := p.containers[name]
-	p.mu.Unlock()
-	if !ok {
+	cs := p.container(name)
+	if cs == nil {
 		return fmt.Errorf("pod %s: %w", p.Name(), errNoContainer(name))
 	}
 	cs.killProcess()
@@ -196,15 +206,16 @@ func (p *Pod) run() {
 		return
 	}
 
-	// 3. Start containers concurrently; Running once all are started.
+	// 3. Start containers concurrently, in spec order; Running once all
+	// are started.
 	var wgStart, wgRun sync.WaitGroup
-	for _, cs := range p.containers {
+	for i := range p.containers {
 		wgStart.Add(1)
 		wgRun.Add(1)
 		go func(cs *containerState) {
 			defer wgRun.Done()
 			p.superviseContainer(cs, &wgStart)
-		}(cs)
+		}(&p.containers[i])
 	}
 	started := make(chan struct{})
 	go func() {
@@ -389,9 +400,7 @@ func (cs *containerState) killProcess() {
 
 // ExitInfo reports a container's exit statistics.
 func (p *Pod) ExitInfo(container string) (exits, lastCode int, running bool) { //lint:allow deadexport test-observation point: the container tests read exit codes and liveness
-	p.mu.Lock()
-	cs := p.containers[container]
-	p.mu.Unlock()
+	cs := p.container(container)
 	if cs == nil {
 		return 0, 0, false
 	}
@@ -413,7 +422,8 @@ func (p *Pod) finish() {
 		phase = PodFailed
 	default:
 		phase = PodSucceeded
-		for _, cs := range p.containers {
+		for i := range p.containers {
+			cs := &p.containers[i]
 			cs.mu.Lock()
 			if cs.lastExit != 0 {
 				phase = PodFailed

@@ -14,15 +14,19 @@
 // the engine lock, and queries are snapshot scans at a global revision —
 // a seek to the collection's prefix in the engine's ordered index.
 //
-// Documents are map[string]any with a mandatory "_id" field. Values
-// stored and returned are deep-copied so callers can never alias the
-// store's internal state (which is also what keeps old MVCC versions
-// immutable for in-flight snapshot readers).
+// Documents are map[string]any with a mandatory "_id" field. A committed
+// document is immutable and shared, like an MVCC version: reads and change
+// feeds return the stored map itself, with no copy, and nothing ever
+// writes it again. The contract that makes that safe: a document or value
+// handed to or returned by a collection is never modified — by the
+// collection, which stores a shallow clone of what it is given and installs
+// a fresh clone on every update, or by its callers.
 package mongo
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -43,7 +47,10 @@ var (
 	ErrUnavailable = errors.New("mongo: database unavailable")
 )
 
-// Document is a JSON-like record.
+// Document is a JSON-like record. One handed to or returned by a
+// Collection is shared with the store and never modified: a caller that
+// wants a changed document goes through Mutate or UpdateOne, and one that
+// keeps a document it read sees the version it read for good.
 type Document = map[string]any
 
 // Filter matches documents by exact field equality. A nil or empty
@@ -124,7 +131,9 @@ type Collection struct {
 func (c *Collection) key(id string) string { return c.prefix + id }
 
 // InsertOne adds doc. The document must carry a string "_id". The write
-// is durable when InsertOne returns (journaled write concern).
+// is durable when InsertOne returns (journaled write concern). The store
+// keeps a shallow clone, so it never aliases the caller's map; the values
+// in it are shared and must not be modified.
 func (c *Collection) InsertOne(doc Document) error {
 	if err := c.db.available(); err != nil {
 		return err
@@ -134,7 +143,7 @@ func (c *Collection) InsertOne(doc Document) error {
 		return fmt.Errorf("mongo: insert into %s: missing string _id", c.name)
 	}
 	c.db.clk.Sleep(writeLatency)
-	if _, err := c.db.eng.Insert(c.key(id), deepCopy(doc)); err != nil {
+	if _, err := c.db.eng.Insert(c.key(id), maps.Clone(doc)); err != nil {
 		if errors.Is(err, store.ErrExists) {
 			return fmt.Errorf("mongo: insert %s/%s: %w", c.name, id, ErrDuplicateKey)
 		}
@@ -144,7 +153,8 @@ func (c *Collection) InsertOne(doc Document) error {
 	return nil
 }
 
-// FindOne returns the first document matching filter in _id order.
+// FindOne returns the first document matching filter in _id order: the
+// committed version itself, which the caller must not modify.
 func (c *Collection) FindOne(filter Filter) (Document, error) {
 	if err := c.db.available(); err != nil {
 		return nil, err
@@ -155,7 +165,7 @@ func (c *Collection) FindOne(filter Filter) (Document, error) {
 		if v, _, found := c.db.eng.Get(c.key(id)); found {
 			doc := v.(Document)
 			if matches(doc, filter) {
-				return deepCopy(doc), nil
+				return doc, nil
 			}
 		}
 		return nil, fmt.Errorf("mongo: find in %s: %w", c.name, ErrNotFound)
@@ -166,7 +176,7 @@ func (c *Collection) FindOne(filter Filter) (Document, error) {
 	}
 	for _, kv := range kvs {
 		if doc := kv.Value.(Document); matches(doc, filter) {
-			return deepCopy(doc), nil
+			return doc, nil
 		}
 	}
 	return nil, fmt.Errorf("mongo: find in %s: %w", c.name, ErrNotFound)
@@ -174,7 +184,8 @@ func (c *Collection) FindOne(filter Filter) (Document, error) {
 
 // Find returns every document matching filter, in _id order. The read is
 // an MVCC snapshot at a global revision: it observes a consistent
-// point-in-time view and never blocks concurrent writers.
+// point-in-time view and never blocks concurrent writers. The documents
+// are the committed versions, shared and never to be modified.
 func (c *Collection) Find(filter Filter) ([]Document, error) {
 	if err := c.db.available(); err != nil {
 		return nil, err
@@ -187,7 +198,7 @@ func (c *Collection) Find(filter Filter) ([]Document, error) {
 	var out []Document
 	for _, kv := range kvs {
 		if doc := kv.Value.(Document); matches(doc, filter) {
-			out = append(out, deepCopy(doc))
+			out = append(out, doc)
 		}
 	}
 	return out, nil
@@ -201,7 +212,7 @@ func (c *Collection) UpdateOne(filter Filter, set Document) (Document, error) {
 			if k == "_id" {
 				continue // immutable
 			}
-			doc[k] = deepCopyValue(v)
+			doc[k] = v
 		}
 		return nil
 	})
@@ -210,10 +221,13 @@ func (c *Collection) UpdateOne(filter Filter, set Document) (Document, error) {
 
 // Mutate atomically applies fn to the first document matching filter (in
 // _id order) while holding the engine lock — the read-modify-write
-// primitive behind dependable job state transitions. fn receives a copy;
-// returning nil commits it (the _id is immutable), returning an error
-// aborts. fn must not call into the database: the lock is not reentrant.
-// The committed document is returned.
+// primitive behind dependable job state transitions. fn receives a
+// shallow clone of the stored document to change in place (its top-level
+// fields; the values in it are shared and are replaced, never modified);
+// returning nil commits that clone (the _id is immutable), returning an
+// error aborts and leaves the stored version untouched. fn must not call
+// into the database, whose lock is not reentrant, nor touch the document
+// after it returns. The committed document is returned.
 //
 // With an "_id" filter (the platform's state-transition path) the
 // operation is exact: the one key is read and revalidated under the lock.
@@ -291,15 +305,13 @@ func (c *Collection) mutateKey(id string, filter Filter, fn func(doc Document) e
 		if !matches(doc, filter) {
 			return nil, store.ActSkip, nil
 		}
-		work := deepCopy(doc)
+		work := maps.Clone(doc)
 		if err := fn(work); err != nil {
 			return nil, store.ActSkip, err
 		}
 		work["_id"] = id
 		out = work
-		// Install the engine's own copy: committed versions must stay
-		// immutable for snapshot readers even if the caller keeps `work`.
-		return deepCopy(work), store.ActWrite, nil
+		return work, store.ActWrite, nil
 	})
 	if err != nil {
 		return nil, false, err
@@ -313,7 +325,8 @@ func (c *Collection) mutateKey(id string, filter Filter, fn func(doc Document) e
 // ChangeEvent is one committed document change in a collection's change
 // feed: the document's new value and the engine revision that committed
 // it. Documents are never deleted, so every change is an insert or an
-// update.
+// update. Doc is the committed version itself, shared with every reader
+// and never to be modified.
 type ChangeEvent struct {
 	ID  string
 	Doc Document
@@ -366,7 +379,7 @@ func (c *Collection) watch(prefix, only string) (<-chan ChangeEvent, func(), err
 				if only != "" && ce.ID != only {
 					continue
 				}
-				ce.Doc = deepCopy(ev.Value.(Document))
+				ce.Doc = ev.Value.(Document)
 				select {
 				case out <- ce:
 				case <-done:
@@ -397,32 +410,4 @@ func matches(doc Document, filter Filter) bool {
 		}
 	}
 	return true
-}
-
-// deepCopy clones a document so callers never alias store state.
-func deepCopy(doc Document) Document {
-	out := make(Document, len(doc))
-	for k, v := range doc {
-		out[k] = deepCopyValue(v)
-	}
-	return out
-}
-
-func deepCopyValue(v any) any {
-	switch t := v.(type) {
-	case Document:
-		return deepCopy(t)
-	case []any:
-		out := make([]any, len(t))
-		for i, e := range t {
-			out[i] = deepCopyValue(e)
-		}
-		return out
-	case []string:
-		out := make([]string, len(t))
-		copy(out, t)
-		return out
-	default:
-		return v
-	}
 }

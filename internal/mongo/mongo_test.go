@@ -3,6 +3,7 @@ package mongo
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -138,24 +139,101 @@ func TestUpdateCannotChangeID(t *testing.T) {
 	}
 }
 
-func TestDocumentsAreIsolatedCopies(t *testing.T) {
+// sameMap reports whether a and b are one map, not two equal ones.
+func sameMap(a, b Document) bool {
+	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
+}
+
+// TestInsertStoresAShallowClone: the store never aliases the map a caller
+// inserted, so writing that map afterwards changes nothing stored.
+func TestInsertStoresAShallowClone(t *testing.T) {
 	db := newTestDB(t)
 	jobs := db.Collection("jobs")
-	orig := Document{"_id": "j1", "nested": Document{"gpus": 4}}
+	orig := Document{"_id": "j1", "state": "QUEUED"}
 	if err := jobs.InsertOne(orig); err != nil {
 		t.Fatal(err)
 	}
-	// Mutating the caller's document must not affect the store.
-	orig["nested"].(Document)["gpus"] = 999
-	doc, _ := jobs.FindOne(Filter{"_id": "j1"})
-	if doc["nested"].(Document)["gpus"] != 4 {
-		t.Fatal("store aliased caller memory on insert")
+	orig["state"] = "MANGLED"
+	orig["extra"] = 1
+	doc, err := jobs.FindOne(Filter{"_id": "j1"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Mutating a returned document must not affect the store.
-	doc["nested"].(Document)["gpus"] = 777
-	doc2, _ := jobs.FindOne(Filter{"_id": "j1"})
-	if doc2["nested"].(Document)["gpus"] != 4 {
-		t.Fatal("store aliased returned memory")
+	if sameMap(doc, orig) || doc["state"] != "QUEUED" || len(doc) != 2 {
+		t.Fatalf("stored doc = %v, want the inserted QUEUED version", doc)
+	}
+}
+
+// TestReadsShareTheCommittedVersion: with no write in between, two reads
+// return the one stored map, not a copy each; a write installs a new map
+// and leaves the one already read as it was.
+func TestReadsShareTheCommittedVersion(t *testing.T) {
+	db := newTestDB(t)
+	jobs := db.Collection("jobs")
+	if err := jobs.InsertOne(Document{"_id": "j1", "state": "QUEUED"}); err != nil {
+		t.Fatal(err)
+	}
+	a, err := jobs.FindOne(Filter{"_id": "j1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := jobs.FindOne(Filter{"_id": "j1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := jobs.Find(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameMap(a, b) || len(all) != 1 || !sameMap(a, all[0]) {
+		t.Fatal("two reads with no write between them returned different maps")
+	}
+	updated, err := jobs.UpdateOne(Filter{"_id": "j1"}, Document{"state": "PROCESSING"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := jobs.FindOne(Filter{"_id": "j1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sameMap(a, c) || !sameMap(updated, c) || c["state"] != "PROCESSING" {
+		t.Fatalf("after the update: read %v, returned %v", c, updated)
+	}
+	if a["state"] != "QUEUED" {
+		t.Fatalf("the version read before the update changed: %v", a)
+	}
+}
+
+// TestFailedMutateLeavesTheVersion: fn writes its clone and then fails;
+// the stored version is the one before, field for field and by pointer.
+func TestFailedMutateLeavesTheVersion(t *testing.T) {
+	db := newTestDB(t)
+	jobs := db.Collection("jobs")
+	if err := jobs.InsertOne(Document{"_id": "j1", "state": "QUEUED"}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := jobs.FindOne(Filter{"_id": "j1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("refused")
+	_, err = jobs.Mutate(Filter{"_id": "j1"}, func(doc Document) error {
+		if sameMap(doc, before) {
+			t.Error("fn was handed the stored version, not a clone")
+		}
+		doc["state"] = "MANGLED"
+		doc["extra"] = 1
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("Mutate err = %v, want fn's error", err)
+	}
+	after, err := jobs.FindOne(Filter{"_id": "j1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameMap(before, after) || after["state"] != "QUEUED" || len(after) != 2 {
+		t.Fatalf("stored doc = %v after a failed Mutate, want the QUEUED version", after)
 	}
 }
 

