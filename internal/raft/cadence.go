@@ -128,11 +128,11 @@ func (c *core) onHeartbeat() {
 
 // settled reports whether the leader has nothing to tell anyone: every
 // follower answered the latest round, holds the whole log, and the whole
-// log is committed; no read round or snapshot transfer is in flight.
+// log is committed; no read round is in flight.
 // Whether each follower also knows all of it is committed is for the
 // follower to say (handleAppendEntries).
 func (c *core) settled() bool {
-	if c.roundAcked != c.followers || len(c.pendingReads) > 0 || len(c.snapXfers) > 0 {
+	if c.roundAcked != c.followers || len(c.pendingReads) > 0 {
 		return false
 	}
 	last := c.lastIndex()

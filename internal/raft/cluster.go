@@ -26,21 +26,6 @@ type Config struct {
 	// Seed makes election randomization reproducible.
 	Seed int64
 
-	// MaxInflightEntries bounds how many log entries a leader may have
-	// sent to one follower beyond its acknowledged match index before
-	// further sends carry no entries (the AppendEntries pipeline
-	// window).
-	MaxInflightEntries int
-	// MaxInflightBytes bounds the same window by summed command bytes.
-	MaxInflightBytes int
-	// MaxAppendEntries caps how many entries ride in one AppendEntries
-	// message (0 = no per-message cap).
-	MaxAppendEntries int
-	// SnapChunkSize is the installSnapshot payload size: a lagging
-	// follower catches up through a stream of offset-addressed chunks
-	// instead of one monolithic message. <= 0 ships the snapshot whole.
-	SnapChunkSize int
-
 	// MaxClockDrift bounds how far apart any two node clocks are assumed
 	// to read. Every heartbeat round a quorum confirms extends a
 	// check-quorum lease of ElectionTimeoutMin - MaxClockDrift from the
@@ -58,8 +43,7 @@ type Config struct {
 	MaxClockDrift time.Duration
 }
 
-// DefaultConfig mirrors etcd's stock timing (scaled for the simulation)
-// with a pipeline window and chunked snapshot streaming.
+// DefaultConfig mirrors etcd's stock timing (scaled for the simulation).
 func DefaultConfig(clk clock.Clock) Config {
 	return Config{
 		Clock:              clk,
@@ -67,10 +51,6 @@ func DefaultConfig(clk clock.Clock) Config {
 		ElectionTimeoutMax: 300 * time.Millisecond,
 		HeartbeatInterval:  50 * time.Millisecond,
 		Seed:               1,
-		MaxInflightEntries: 1024,
-		MaxInflightBytes:   1 << 20,
-		MaxAppendEntries:   64,
-		SnapChunkSize:      32 << 10,
 		MaxClockDrift:      20 * time.Millisecond,
 	}
 }

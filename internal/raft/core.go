@@ -1,8 +1,9 @@
 // Package raft implements the Raft consensus protocol (Ongaro &
 // Ousterhout, USENIX ATC 2014) behind the platform's replicated etcd-style
-// store: leader election, pipelined log replication, chunked snapshot
-// streaming, quorum-amortized reads with a check-quorum lease, and a
-// heartbeat cadence that slows down while the log is settled.
+// store: leader election, log replication with an optimistic nextIndex,
+// snapshot install for a follower behind the compacted log,
+// quorum-amortized reads with a check-quorum lease, and a heartbeat
+// cadence that slows down while the log is settled.
 //
 // A node is a core and a driver. The core (this file, election.go,
 // replicate.go, snapshot.go, read.go and cadence.go) is a step function
@@ -174,11 +175,6 @@ type core struct {
 	matchIndex map[int]uint64
 	votes      map[int]bool
 
-	// snapXfers tracks outbound snapshot streams per follower (leader
-	// side); pendingSnap accumulates inbound chunks (follower side).
-	snapXfers   map[int]*snapXfer
-	pendingSnap *pendingSnapshot
-
 	// Read path and lease (read.go).
 	hbSeq          uint64
 	pendingReads   []*pendingRead
@@ -204,7 +200,7 @@ type core struct {
 	// — an append from an older one, duplicated or overtaken on the way,
 	// says nothing about the leader now and leaves the timer alone — and
 	// lastContact when it last accepted a round at least that new, or a
-	// snapshot chunk.
+	// snapshot.
 	idle        bool
 	roundIdle   bool
 	roundAcked  uint64
@@ -243,7 +239,6 @@ func newCore(id int, peers []int, cfg Config, ps PersistentState) *core {
 		leaderID:    -1,
 		nextIndex:   make(map[int]uint64),
 		matchIndex:  make(map[int]uint64),
-		snapXfers:   make(map[int]*snapXfer),
 		roundStart:  make(map[uint64]time.Time),
 		ackSeq:      make(map[int]uint64),
 		skewBad:     make(map[int]bool),

@@ -262,6 +262,61 @@ func TestCoreShippedWindowIsImmutable(t *testing.T) {
 	}
 }
 
+// TestCoreStaleSnapshotIsAcked: a leader resends its snapshot until the
+// ack arrives, so a follower can receive one after it installed it and
+// appended past it. The duplicate draws an ack of the follower's commit
+// index, which moves the leader on, and leaves the follower's log,
+// snapshot and applies as they were.
+func TestCoreStaleSnapshotIsAcked(t *testing.T) {
+	h := newCores(t, 3)
+	h.elect(0, 1, 2)
+	for _, cmd := range []string{"a", "b", "c"} {
+		h.step(0, input{kind: inPropose, data: []byte(cmd)})
+	}
+	h.drop(2) // node 2 misses all three
+	h.exchange(0, 1)
+	l := h.nodes[0]
+	h.step(0, input{kind: inCompact, index: l.commitIndex, data: []byte("image")})
+	snapIndex := l.snapIndex
+
+	// The next round draws a reject from node 2, and the rewind meets the
+	// compacted log.
+	h.step(0, input{kind: inHeartbeat})
+	h.deliver(0, 2)
+	h.deliver(2, 0)
+	i := slices.IndexFunc(h.flight, func(e envelope) bool { return e.to == 2 && e.msg.kind == msgInstallSnapshot })
+	if i < 0 || snapIndex == 0 {
+		t.Fatalf("no snapshot of index %d in flight to node 2: not the scenario", snapIndex)
+	}
+	dup := h.flight[i].msg
+	h.exchange(0, 2)
+	h.step(0, input{kind: inPropose, data: []byte("d")})
+	h.exchange(0, 2)
+	h.step(0, input{kind: inHeartbeat}) // carries the commit index to node 2
+	h.exchange(0, 2)
+	f := h.nodes[2]
+	if f.snapIndex != snapIndex || f.commitIndex != snapIndex+1 || f.lastApplied != snapIndex+1 {
+		t.Fatalf("node 2 snapshot %d, commit %d, applied %d: not the scenario", f.snapIndex, f.commitIndex, f.lastApplied)
+	}
+
+	log, snapshot := slices.Clone(f.log), f.snapshot
+	h.step(2, input{kind: inMessage, msg: dup})
+	for _, e := range h.effects {
+		switch e.kind {
+		case persistHardState, persistEntries, persistSnapshot, persistCompact, deliver:
+			t.Errorf("the stale snapshot drew effect kind %d", e.kind)
+		}
+	}
+	i = slices.IndexFunc(h.flight, func(e envelope) bool { return e.from == 2 && e.msg.kind == msgInstallSnapshotResp })
+	if i < 0 || h.flight[i].msg.snapResp.LastIndex != f.commitIndex {
+		t.Fatalf("the stale snapshot drew no ack of commit index %d: %+v", f.commitIndex, h.flight)
+	}
+	if f.snapIndex != snapIndex || string(f.snapshot) != string(snapshot) || f.lastApplied != snapIndex+1 ||
+		!slices.EqualFunc(f.log, log, func(a, b Entry) bool { return a.Index == b.Index && a.Term == b.Term }) {
+		t.Fatalf("the stale snapshot moved node 2 to snapshot %d, log %v, applied %d", f.snapIndex, f.log, f.lastApplied)
+	}
+}
+
 // TestCoreIsClockFree: the core's files read no clock, take no lock and
 // start no goroutine, and the driver starts exactly one.
 func TestCoreIsClockFree(t *testing.T) {

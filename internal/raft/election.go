@@ -113,8 +113,6 @@ func (c *core) maybeBecomeLeader() {
 		c.matchIndex[p] = 0
 	}
 	c.matchIndex[c.id] = c.lastIndex()
-	c.snapXfers = make(map[int]*snapXfer)
-	c.pendingSnap = nil
 	c.resetLeaseState()
 	c.emit(effect{kind: armElection}) // stopped while leading
 	c.idle = false
@@ -138,7 +136,6 @@ func (c *core) becomeFollower(term uint64, leader int) {
 		c.failPendingReads()
 		c.invalidateLease()
 		c.resetLeaseState()
-		c.snapXfers = make(map[int]*snapXfer)
 	}
 	c.resetElectionTimer()
 }

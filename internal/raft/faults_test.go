@@ -26,7 +26,7 @@ func TestSuitesUnderLinkFaults(t *testing.T) {
 	t.Run("LeaderAppendOnly", func(t *testing.T) { quickLeaderAppendOnly(t, lossy) })
 	t.Run("VotesArePersisted", func(t *testing.T) { quickVotesArePersisted(t, lossy) })
 	t.Run("AppliesDeliveredInOrder", func(t *testing.T) { appliesDeliveredInOrder(t, lossy) })
-	t.Run("SnapshotStreamsInChunks", func(t *testing.T) { snapshotStreamsInChunks(t, lossy) })
+	t.Run("LaggingFollowerReceivesSnapshot", func(t *testing.T) { laggingFollowerReceivesSnapshot(t, lossy) })
 	t.Run("ReadIndexCoversAckedWrites", func(t *testing.T) { readIndexCoversAckedWrites(t, lossy) })
 	t.Run("IdleCadenceKeepsLeader", func(t *testing.T) { idleCadenceKeepsLeader(t, lossy) })
 }

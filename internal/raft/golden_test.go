@@ -53,7 +53,7 @@ func termIndex(m message) (uint64, uint64) {
 // TestGoldenTrace pins the protocol's behaviour message by message: a
 // three-node cluster on a manual clock makes proposals, serves reads from
 // the leader and a follower, loses a follower, compacts without it and
-// streams it the snapshot when it is back, has its leader cut off and
+// sends it the snapshot when it is back, has its leader cut off and
 // healed, is left alone long enough to go idle, and then pays a read
 // round. Every send is recorded as (instant, from, to, kind, term, index)
 // and compared with testdata/golden_trace.txt;
@@ -64,7 +64,7 @@ func termIndex(m message) (uint64, uint64) {
 // instant then depends on which goroutine ran first, and the sends of one
 // instant, ordered by sender, are the same on every run.
 func TestGoldenTrace(t *testing.T) {
-	c, clk := newManualCluster(t, 3, func(cfg *Config) { cfg.SnapChunkSize = 16 })
+	c, clk := newManualCluster(t, 3)
 	start := clk.Now()
 	var trace []sent
 	c.trans.mu.Lock()
@@ -113,7 +113,7 @@ func TestGoldenTrace(t *testing.T) {
 	run(200 * time.Millisecond)
 	propose("d", "e")
 	run(300 * time.Millisecond)
-	if err := leader().Compact(5, []byte("the state machine at index 5, in three chunks")); err != nil {
+	if err := leader().Compact(5, []byte("the state machine at index 5")); err != nil {
 		t.Fatal(err)
 	}
 	c.Restart(f)

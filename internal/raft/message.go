@@ -106,18 +106,14 @@ type (
 		Index uint64
 		OK    bool
 	}
-	// installSnapshot carries one chunk of a streamed snapshot (§7,
-	// adapted to offset/data/done chunking). Data is the snapshot bytes
-	// at Offset; Done marks the final chunk; Total is the full size.
+	// installSnapshot carries the leader's whole snapshot (§7): the state
+	// machine image Data covering the log through LastIndex.
 	installSnapshot struct {
 		Term      uint64
 		Leader    int
 		LastIndex uint64
 		LastTerm  uint64
-		Offset    int
 		Data      []byte
-		Done      bool
-		Total     int
 	}
 	// wake says "somebody asked me for service" (Node.Wake) or, with
 	// Start, "I have just booted": whoever receives it on the idle
@@ -127,14 +123,10 @@ type (
 	wake struct {
 		Start bool
 	}
-	// installSnapshotResp acks one chunk. NextOffset is the follower's
-	// accumulated length — where it wants the next chunk — which lets
-	// the leader resynchronize after chunk loss or duplication. Done
-	// acks a completed install: LastIndex is durable on the follower.
+	// installSnapshotResp acks an installSnapshot: the follower holds the
+	// log through LastIndex (its commit index, if the snapshot was stale).
 	installSnapshotResp struct {
-		Term       uint64
-		LastIndex  uint64
-		NextOffset int
-		Done       bool
+		Term      uint64
+		LastIndex uint64
 	}
 )

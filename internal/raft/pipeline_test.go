@@ -1,7 +1,6 @@
 package raft
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"testing"
@@ -12,7 +11,7 @@ import (
 )
 
 // newTestClusterCfg boots a cluster with the default config after letting
-// the test tweak it (window sizes, chunk sizes).
+// the test tweak it (the lease's drift bound).
 func newTestClusterCfg(t *testing.T, n int, mod func(*Config)) (*Cluster, *clock.Sim) {
 	t.Helper()
 	clk := clock.NewSim()
@@ -62,7 +61,7 @@ func p99(ds []time.Duration) time.Duration {
 // (200ms extra one-way latency) must not drag p99 commit latency beyond
 // 2x the all-fast baseline. Under stop-and-wait with a shared outstanding
 // round this held too, but pipelining must not regress it by stalling the
-// leader's window on the slow peer.
+// leader on the slow peer.
 func TestCommitLatencySlowFollower(t *testing.T) {
 	measure := func(delay time.Duration) time.Duration {
 		c, clk := newManualCluster(t, 3)
@@ -90,84 +89,6 @@ func TestCommitLatencySlowFollower(t *testing.T) {
 	// A quorum stall would show up as >=200ms, far beyond the bound.
 	if limit := 2*base + 10*time.Millisecond; slow > limit {
 		t.Fatalf("p99 commit latency with slow follower = %v, want <= %v (baseline %v)", slow, limit, base)
-	}
-}
-
-// TestSnapshotStreamsInChunks crashes a follower, compacts the leader past
-// the follower's log, and verifies catch-up arrives as a stream of bounded
-// installSnapshot chunks rather than one monolithic message.
-func TestSnapshotStreamsInChunks(t *testing.T) { snapshotStreamsInChunks(t, LinkFaults{}) }
-
-// snapshotStreamsInChunks arms faults for the first part of the stream,
-// so chunks and their acks are lost, doubled and overtaken mid-transfer.
-func snapshotStreamsInChunks(t *testing.T, faults LinkFaults) {
-	const chunk = 8
-	c, clk := newTestClusterCfg(t, 3, func(cfg *Config) { cfg.SnapChunkSize = chunk })
-	l := c.WaitLeader(5 * time.Second)
-	if l == nil {
-		t.Fatal("no leader")
-	}
-	var follower int = -1
-	for _, id := range c.IDs() {
-		if id != l.ID() {
-			follower = id
-			break
-		}
-	}
-	c.Crash(follower)
-
-	for i := 0; i < 10; i++ {
-		proposeOK(t, c, clk, fmt.Sprintf("s%d", i))
-	}
-	waitCommitted(t, c, clk, 10, 10*time.Second)
-	snap := bytes.Repeat([]byte("x"), 100)
-	if err := l.Compact(10, snap); err != nil {
-		t.Fatal(err)
-	}
-
-	c.Transport().SetFaults(faults)
-	f := c.Restart(follower)
-	if faults != (LinkFaults{}) {
-		clk.Sleep(400 * time.Millisecond)
-		c.Transport().SetFaults(LinkFaults{})
-	}
-	var restored bool
-	deadline := clk.Now().Add(20 * time.Second)
-	for clk.Now().Before(deadline) && !restored {
-		select {
-		case a := <-f.ApplyCh():
-			if a.IsSnapshot {
-				if a.SnapIndex != 10 || !bytes.Equal(a.Snapshot, snap) {
-					t.Fatalf("restored snapshot index=%d len=%d, want index=10 len=%d", a.SnapIndex, len(a.Snapshot), len(snap))
-				}
-				restored = true
-			}
-		default:
-			clk.Sleep(5 * time.Millisecond)
-		}
-	}
-	if !restored {
-		t.Fatal("follower never received a snapshot apply")
-	}
-
-	st := l.ReplicationStats()
-	// 100 bytes at 8 bytes/chunk is at least 13 chunks; heartbeat-driven
-	// idempotent resends can only push the count higher.
-	if st.SnapChunksSent < 13 {
-		t.Fatalf("SnapChunksSent = %d, want >= 13", st.SnapChunksSent)
-	}
-	if st.SnapBytesSent < 100 {
-		t.Fatalf("SnapBytesSent = %d, want >= 100", st.SnapBytesSent)
-	}
-
-	// The restored follower must keep replicating past the snapshot.
-	idx := proposeOK(t, c, clk, "post-snap")
-	deadline = clk.Now().Add(10 * time.Second)
-	for clk.Now().Before(deadline) && f.CommitIndex() < idx {
-		clk.Sleep(5 * time.Millisecond)
-	}
-	if f.CommitIndex() < idx {
-		t.Fatalf("follower commit stalled after snapshot restore: %d < %d", f.CommitIndex(), idx)
 	}
 }
 

@@ -194,8 +194,8 @@ func quickVotesArePersisted(t *testing.T, faults LinkFaults) {
 // optimization — for any schedule of proposals, follower crash/restarts,
 // and follower partitions, every node applies exactly the proposal
 // sequence: the commands eq0 … eqN, each once, in the order proposed, at
-// strictly increasing log indexes. A rewind bug or a window-accounting bug
-// would surface as a reordered, duplicated or dropped command. The clock
+// strictly increasing log indexes. A rewind bug or an optimistic-advance
+// bug would surface as a reordered, duplicated or dropped command. The clock
 // is manual, so a schedule's timeline does not depend on how the kernel
 // slices the run: an automatic clock moves on whenever the goroutines
 // that would act next are off the CPU.
@@ -214,7 +214,7 @@ func TestQuickPipelineEquivalence(t *testing.T) {
 		// injected only at fences — a proposal accepted by a leader that
 		// is deposed across a heal may be legitimately lost (Raft permits
 		// it), which the model does not allow for; proposals within a
-		// burst still overlap and exercise the pipeline window.
+		// burst still overlap and exercise the optimistic nextIndex.
 		var lastIdx uint64
 		fence := func() bool {
 			deadline := clk.Now().Add(30 * time.Second)

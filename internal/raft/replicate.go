@@ -3,7 +3,7 @@ package raft
 import "slices"
 
 // ReplicationStats are cumulative per-node replication counters, the
-// observability surface of the pipelined write path.
+// observability surface of the write path.
 type ReplicationStats struct {
 	// AppendsSent counts AppendEntries messages sent while leading
 	// (heartbeats included); EntriesSent the log entries they carried.
@@ -12,9 +12,8 @@ type ReplicationStats struct {
 	EntriesSent uint64
 	// AppendRejects counts log-consistency rejects (nextIndex rewinds).
 	AppendRejects uint64
-	// SnapChunksSent/SnapBytesSent count streamed snapshot chunks.
-	SnapChunksSent uint64
-	SnapBytesSent  uint64
+	// SnapshotsSent counts installSnapshot messages, resends included.
+	SnapshotsSent uint64
 	// IdleRounds counts the heartbeat rounds that found the log settled
 	// and offered (or kept) the idle cadence.
 	IdleRounds uint64
@@ -145,21 +144,12 @@ func (c *core) handleAppendEntriesResp(from int, msg appendEntriesResp) {
 		c.matchIndex[from] = max(c.matchIndex[from], msg.MatchIndex)
 		c.nextIndex[from] = max(c.nextIndex[from], c.matchIndex[from]+1)
 		c.advanceCommit()
-		// Pipelining: an ack frees window space, so ship pending backlog
-		// immediately instead of waiting for the next heartbeat tick.
-		// Only when the window is open — an over-eager empty probe racing
-		// in-flight entries would draw a reject and rewind the window.
-		if c.lastIndex() >= c.nextIndex[from] {
-			if infE, infB := c.inflight(from); infE < uint64(c.cfg.MaxInflightEntries) && infB < c.cfg.MaxInflightBytes {
-				c.sendAppend(from)
-			}
-		}
 	} else {
 		c.repl.AppendRejects++
 		if c.mtr != nil {
 			c.mtr.Inc("raft_append_rejects", c.mtrLabel)
 		}
-		// Back up and retry. The optimistic window collapses to the
+		// Back up and retry. The optimistic nextIndex collapses to the
 		// conflict point, but never below what the follower already
 		// acknowledged.
 		next := msg.ConflictIndex
@@ -228,27 +218,10 @@ func (c *core) startRound(offerIdle bool) {
 	c.enqueueApplies()
 }
 
-// entryBytes approximates an entry's wire cost for window accounting.
-func entryBytes(e Entry) int { return len(e.Cmd) + 16 }
-
-// inflight reports the unacknowledged pipeline window to a follower:
-// entries and bytes sent beyond its acknowledged match index.
-func (c *core) inflight(to int) (entries uint64, bytes int) {
-	next := max(c.nextIndex[to], 1)
-	match := c.matchIndex[to]
-	if next-1 <= match {
-		return 0, 0
-	}
-	for i := max(match, c.snapIndex) + 1; i < next && i <= c.lastIndex(); i++ {
-		bytes += entryBytes(c.entryAt(i))
-	}
-	return next - 1 - match, bytes
-}
-
 func (c *core) sendAppend(to int) {
 	next := max(c.nextIndex[to], 1)
 	if next <= c.snapIndex {
-		// The follower needs entries that were compacted away: stream the
+		// The follower needs entries that were compacted away: send the
 		// snapshot instead (§7, InstallSnapshot).
 		c.sendSnapshot(to)
 		return
@@ -264,39 +237,19 @@ func (c *core) sendAppend(to int) {
 		Idle:         c.roundIdle,
 	}
 	if last := c.lastIndex(); last >= next {
-		if infE, infB := c.inflight(to); infE < uint64(c.cfg.MaxInflightEntries) && infB < c.cfg.MaxInflightBytes {
-			end := last
-			if maxE := uint64(c.cfg.MaxAppendEntries); maxE > 0 {
-				end = min(end, next+maxE-1)
-			}
-			end = min(end, next+uint64(c.cfg.MaxInflightEntries)-infE-1)
-			budget := c.cfg.MaxInflightBytes - infB
-			hi := next // one past the last index that fits the byte budget
-			for ; hi <= end; hi++ {
-				cost := entryBytes(c.entryAt(hi))
-				if hi > next && cost > budget {
-					break
-				}
-				budget -= cost
-			}
-			// A window of the log, not a copy: shipped slots are never
-			// written again (see core.log).
-			lo := next - c.snapIndex - 1
-			msg.Entries = c.log[lo : lo+hi-next : lo+hi-next]
-			// Optimistic advance: the next send continues after this
-			// window; a consistency reject rewinds it.
-			c.nextIndex[to] = hi
-		}
-		// Window full: fall through to an empty append — its ack moves
-		// matchIndex and reopens the window.
+		// A window of the log, not a copy: shipped slots are never written
+		// again (see core.log).
+		lo, hi := next-c.snapIndex-1, last-c.snapIndex
+		msg.Entries = c.log[lo:hi:hi]
+		// Optimistic advance: the next send continues after this one; a
+		// consistency reject rewinds it.
+		c.nextIndex[to] = last + 1
 	}
 	c.repl.AppendsSent++
 	c.repl.EntriesSent += uint64(len(msg.Entries))
 	if c.mtr != nil {
 		c.mtr.Inc("raft_appends_sent", c.mtrLabel)
 		c.mtr.Add("raft_entries_sent", float64(len(msg.Entries)), c.mtrLabel)
-		inf, _ := c.inflight(to)
-		c.mtr.SetGauge("raft_inflight_entries", float64(inf), c.mtrLabel)
 	}
 	c.send(to, msg.wire())
 }

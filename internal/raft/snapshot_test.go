@@ -85,7 +85,16 @@ func TestSnapshotSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestLaggingFollowerReceivesSnapshot crashes a follower, compacts the
+// leader past the follower's log, and checks that the restarted follower
+// installs the leader's image and keeps replicating past it.
 func TestLaggingFollowerReceivesSnapshot(t *testing.T) {
+	laggingFollowerReceivesSnapshot(t, LinkFaults{})
+}
+
+// laggingFollowerReceivesSnapshot arms faults from the restart on for
+// 400 ms, so snapshots and their acks are lost, doubled and overtaken.
+func laggingFollowerReceivesSnapshot(t *testing.T, faults LinkFaults) {
 	c, clk := newTestCluster(t, 3)
 	l := c.WaitLeader(5 * time.Second)
 	if l == nil {
@@ -133,20 +142,41 @@ func TestLaggingFollowerReceivesSnapshot(t *testing.T) {
 
 	// Restart the follower: the leader must fast-forward it with an
 	// InstallSnapshot, delivered on its apply channel.
+	c.Transport().SetFaults(faults)
 	n := c.Restart(follower)
+	if faults != (LinkFaults{}) {
+		clk.Sleep(400 * time.Millisecond)
+		c.Transport().SetFaults(LinkFaults{})
+	}
+	restored := false
 	deadline = clk.Now().Add(20 * time.Second)
-	for clk.Now().Before(deadline) {
+	for clk.Now().Before(deadline) && !restored {
 		select {
 		case a := <-n.ApplyCh():
 			if a.IsSnapshot {
 				if string(a.Snapshot) != "state@8" || a.SnapIndex != 8 {
 					t.Fatalf("snapshot apply = (%q,%d)", a.Snapshot, a.SnapIndex)
 				}
-				return
+				restored = true
 			}
 		default:
 			clk.Sleep(20 * time.Millisecond)
 		}
 	}
-	t.Fatal("lagging follower never received a snapshot")
+	if !restored {
+		t.Fatal("lagging follower never received a snapshot")
+	}
+	if snap, idx := n.Snapshot(); idx != 8 || string(snap) != "state@8" {
+		t.Fatalf("follower holds snapshot (%q,%d), want (state@8,8)", snap, idx)
+	}
+
+	// The restored follower must keep replicating past the snapshot.
+	idx := proposeOK(t, c, clk, "post-snap")
+	deadline = clk.Now().Add(10 * time.Second)
+	for clk.Now().Before(deadline) && n.CommitIndex() < idx {
+		clk.Sleep(5 * time.Millisecond)
+	}
+	if n.CommitIndex() < idx {
+		t.Fatalf("follower commit stalled after snapshot restore: %d < %d", n.CommitIndex(), idx)
+	}
 }

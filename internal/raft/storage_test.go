@@ -73,10 +73,10 @@ func TestStorageAppendAllocBudget(t *testing.T) {
 // TestStorageMirrorsNodeState: every site that changes a node's term,
 // vote, log or snapshot persists exactly that change, so after any
 // history — elections, a deposed leader's suffix overwritten, a crash and
-// restart, compaction, a streamed snapshot — what a restart would load is
+// restart, compaction, an installed snapshot — what a restart would load is
 // what the node holds.
 func TestStorageMirrorsNodeState(t *testing.T) {
-	c, clk := newTestClusterCfg(t, 3, func(cfg *Config) { cfg.SnapChunkSize = 16 })
+	c, clk := newTestCluster(t, 3)
 	check := func(when string) {
 		t.Helper()
 		for _, id := range c.IDs() {
@@ -152,5 +152,5 @@ func TestStorageMirrorsNodeState(t *testing.T) {
 	f := c.Restart(follower)
 	last = proposeOK(t, c, clk, "c1")
 	waitCommitIndex(t, f, clk, last)
-	check("after a restart into a streamed snapshot")
+	check("after a restart into a snapshot")
 }
