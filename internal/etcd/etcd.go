@@ -239,7 +239,7 @@ func (s *Store) BatchStats() (batches, cmds uint64) {
 }
 
 // ReplicationStats returns per-node Raft replication counters
-// (appends, entries-per-append, rejects, snapshot chunks).
+// (appends, entries-per-append, rejects, snapshots sent).
 func (s *Store) ReplicationStats() map[int]raft.ReplicationStats {
 	return s.cluster.ReplicationStats()
 }
