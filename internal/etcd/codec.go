@@ -3,7 +3,6 @@ package etcd
 import (
 	"encoding/binary"
 	"slices"
-	"strings"
 	"unsafe"
 
 	"repro/internal/store"
@@ -15,7 +14,6 @@ import (
 //
 //	command  := op:u8 flags:u8 reqID:uv floor:uv key:str value:str prev:str
 //	            [ cmps:list(cmp) then:list(txnop) else:list(txnop) ]   flagTxn
-//	            [ subs:list(len:uv command) ]                           flagSubs
 //	cmp      := exists:u8 key:str prev:str
 //	txnop    := type:u8 key:str value:str
 //	snapshot := floor:uv kvs:list(key:str value:str rev:uv)
@@ -27,15 +25,13 @@ import (
 // exactly that input, or rejected — never a panic, and never an
 // allocation sized by a number the input merely claims. Decoding views
 // the payload as a string without copying it and slices every key and
-// value out of that view: nothing per command, one allocation per list a
-// Txn carries, and a copy of each sub-command of a wrapper. (A key that
-// stays in a replica's engine therefore keeps the payload of the command
+// value out of that view: nothing per command, and one allocation per
+// list a Txn carries. (A key that stays in a replica's engine therefore keeps the payload of the command
 // that first wrote it reachable, and the replicas share that payload.)
 
 const (
 	flagPrevExists = 1 << iota
 	flagTxn
-	flagSubs
 )
 
 func uvarintLen(x uint64) int {
@@ -77,9 +73,6 @@ func (c *command) flags() byte {
 	if len(c.Cmps)+len(c.Then)+len(c.Else) > 0 {
 		f |= flagTxn
 	}
-	if len(c.Subs) > 0 {
-		f |= flagSubs
-	}
 	return f
 }
 
@@ -93,13 +86,6 @@ func (c *command) encodedLen() int {
 			n += 1 + strLen(cmp.Key) + strLen(cmp.Prev)
 		}
 		n += txnOpsLen(c.Then) + txnOpsLen(c.Else)
-	}
-	if f&flagSubs != 0 {
-		n += uvarintLen(uint64(len(c.Subs)))
-		for i := range c.Subs {
-			sub := c.Subs[i].encodedLen()
-			n += uvarintLen(uint64(sub)) + sub
-		}
 	}
 	return n
 }
@@ -119,13 +105,6 @@ func (c *command) appendTo(b []byte) []byte {
 			b = appendStr(appendStr(append(b, exists), cmp.Key), cmp.Prev)
 		}
 		b = appendTxnOps(appendTxnOps(b, c.Then), c.Else)
-	}
-	if f&flagSubs != 0 {
-		b = binary.AppendUvarint(b, uint64(len(c.Subs)))
-		for i := range c.Subs {
-			sub := &c.Subs[i]
-			b = sub.appendTo(binary.AppendUvarint(b, uint64(sub.encodedLen())))
-		}
 	}
 	return b
 }
@@ -213,23 +192,15 @@ func (r *reader) txnOps() []TxnOp {
 	return ops
 }
 
-// maxSubDepth is how deep sub-commands nest: a wrapper holds plain
-// commands, never another wrapper.
-const maxSubDepth = 1
-
 // decodeCommand parses a Raft entry payload. ok is false for anything
 // encode cannot have produced.
 //
 // The command's strings alias payload, and every replica's engine keeps
-// them: payload must never be written again. It is not: replicate
-// encodes a fresh buffer for every proposal, and raft stores and ships
-// an entry's Cmd by reference without writing to it (raft.Entry.Cmd).
-func decodeCommand(payload []byte) (cmd command, ok bool) {
-	return decodeCommandString(unsafe.String(unsafe.SliceData(payload), len(payload)), 0)
-}
-
-func decodeCommandString(s string, depth int) (command, bool) {
-	r := reader{s: s}
+// them: payload must never be written again. It is not: propose encodes a
+// fresh buffer for every call, and raft stores and ships an entry's Cmd by
+// reference without writing to it (raft.Entry.Cmd).
+func decodeCommand(payload []byte) (command, bool) {
+	r := reader{s: unsafe.String(unsafe.SliceData(payload), len(payload))}
 	var c command
 	c.Op = opKind(r.byte())
 	f := r.byte()
@@ -245,39 +216,20 @@ func decodeCommandString(s string, depth int) (command, bool) {
 		}
 		c.Then, c.Else = r.txnOps(), r.txnOps()
 	}
-	if f&flagSubs != 0 {
-		n := r.count(8)
-		if depth >= maxSubDepth {
-			r.bad = true
-		}
-		if n > 0 && !r.bad {
-			c.Subs = make([]command, n)
-			for i := range c.Subs {
-				// Its own string, so a sub-command's keys and values
-				// keep only that sub-command's bytes alive.
-				sub, ok := decodeCommandString(strings.Clone(r.str()), depth+1)
-				if !ok {
-					return command{}, false
-				}
-				c.Subs[i] = sub
-			}
-		}
-	}
-	// An op the log does not carry, flags the encoder would not have set,
-	// bytes it would not have written and a wrapper without sub-commands
-	// (or sub-commands without a wrapper) make the input something other
+	// An op the log does not carry, flags the encoder would not have set
+	// and bytes it would not have written make the input something other
 	// than an encoding.
-	if r.bad || len(r.s) != 0 || !c.Op.logged() || f != c.flags() || (c.Op == opBatch) != (len(c.Subs) > 0) {
+	if r.bad || len(r.s) != 0 || !c.Op.logged() || f != c.flags() {
 		return command{}, false
 	}
 	return c, true
 }
 
-// logged reports whether the replicated log carries op: the writes and
-// the wrapper that groups them, never a read.
+// logged reports whether the replicated log carries op: the writes, never
+// a read.
 func (op opKind) logged() bool {
 	switch op {
-	case opPut, opDelete, opCAS, opTxn, opBatch:
+	case opPut, opDelete, opCAS, opTxn:
 		return true
 	}
 	return false

@@ -16,13 +16,13 @@ import (
 )
 
 // codecSeeds is one command of every kind the write path produces, the
-// Txn with all three lists and the wrapper with sub-commands of each kind.
+// Txn with all three lists.
 func codecSeeds() []command {
 	txn := command{ReqID: 9, Floor: 7, Op: opTxn,
 		Cmps: []Cmp{{Key: "/lock", Prev: "owner", PrevExists: true}, {Key: "/absent"}},
 		Then: []TxnOp{{Type: EventPut, Key: "/a", Value: "1"}, {Type: EventDelete, Key: "/b"}},
 		Else: []TxnOp{{Type: EventPut, Key: "/else", Value: "taken"}}}
-	plain := []command{
+	return []command{
 		{ReqID: 1, Floor: 1, Op: opPut, Key: "/jobs/j1/status", Value: "RUNNING"},
 		{ReqID: 2, Floor: 1, Op: opDelete, Key: "/jobs/j1/status"},
 		{ReqID: 3, Floor: 2, Op: opCAS, Key: "/lock", Value: "me", Prev: "you", PrevExists: true},
@@ -31,7 +31,6 @@ func codecSeeds() []command {
 		txn,
 		{ReqID: 10, Op: opPut, Key: "", Value: string(bytes.Repeat([]byte{0xff, 0x00}, 100))},
 	}
-	return append(plain, command{Op: opBatch, Subs: plain})
 }
 
 func TestCommandCodecRoundTrip(t *testing.T) {
@@ -47,9 +46,8 @@ func TestCommandCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// genCommand draws a command of the shapes propose and replicate build:
-// plain commands, and (at depth 0) wrappers of plain commands.
-func genCommand(r *rand.Rand, depth int) command {
+// genCommand draws a command of the shapes propose builds.
+func genCommand(r *rand.Rand) command {
 	str := func() string {
 		b := make([]byte, r.Intn(20))
 		r.Read(b)
@@ -74,12 +72,6 @@ func genCommand(r *rand.Rand, depth int) command {
 		}
 		c.Then, c.Else = txnOps(), txnOps()
 	}
-	if depth == 0 && r.Intn(4) == 0 {
-		c = command{Op: opBatch}
-		for i := 2 + r.Intn(4); i > 0; i-- {
-			c.Subs = append(c.Subs, genCommand(r, 1))
-		}
-	}
 	return c
 }
 
@@ -88,7 +80,7 @@ func genCommand(r *rand.Rand, depth int) command {
 func TestCommandCodecProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for i := 0; i < 2000; i++ {
-		want := genCommand(r, 0)
+		want := genCommand(r)
 		raw := want.encode()
 		got, ok := decodeCommand(raw)
 		if !ok || !reflect.DeepEqual(got, want) {
@@ -101,16 +93,39 @@ func TestCommandCodecProperty(t *testing.T) {
 	}
 }
 
+// Op 7 with flag bit 4 was the group-commit wrapper: one entry carrying
+// several calls' commands, each length-prefixed after the wrapper's own
+// fields. The log no longer carries it.
+const (
+	oldWrapper  = opKind(7)
+	oldFlagSubs = 1 << 2
+)
+
+// oldWrapperOf encodes subs under op the way the wrapper did.
+func oldWrapperOf(op opKind, subs ...[]byte) []byte {
+	b := []byte{byte(op), oldFlagSubs, 0, 0, 0, 0, 0, byte(len(subs))}
+	for _, sub := range subs {
+		b = appendStr(b, string(sub))
+	}
+	return b
+}
+
 // hostileCommands are inputs no encoder wrote: truncations, length
 // prefixes and counts far beyond the input, non-canonical varints, flag
-// bits out of step with the content, a wrapper inside a wrapper, and op
-// kinds the log does not carry — among them 4 and 5, the Get and Range
-// that reads once were when they went through the log.
+// bits out of step with the content, and op kinds the log does not carry
+// — among them 4 and 5, the Get and Range that reads once were when they
+// went through the log, and 7, the wrapper entries once were when several
+// calls shared one.
 func hostileCommands() [][]byte {
 	put := (&command{ReqID: 1, Op: opPut, Key: "/k", Value: "v"}).encode()
 	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01} // 2^64-1
-	inner := command{Op: opBatch, Subs: []command{{ReqID: 1, Op: opPut, Key: "/k"}, {ReqID: 2, Op: opPut, Key: "/l"}}}
-	get := command{ReqID: 1 << 40, Floor: 1<<40 - 3, Op: opKind(4), Key: "/k"}
+	subs := [][]byte{(&command{ReqID: 1, Op: opPut, Key: "/k"}).encode(), (&command{ReqID: 2, Op: opPut, Key: "/l"}).encode()}
+	inner := oldWrapperOf(oldWrapper, subs...)
+	get := (&command{ReqID: 1 << 40, Floor: 1<<40 - 3, Op: opKind(4), Key: "/k"}).encode()
+	var seeds [][]byte
+	for _, c := range codecSeeds() {
+		seeds = append(seeds, c.encode())
+	}
 	out := [][]byte{
 		nil,
 		{byte(opPut)},
@@ -119,19 +134,20 @@ func hostileCommands() [][]byte {
 		append([]byte{byte(opPut), 0, 1, 0}, huge...),                           // key length 2^64-1
 		append([]byte{byte(opPut), 0, 1, 0}, 0xff, 0xff, 0xff, 0xff, 0x0f),      // key length 4 GiB
 		append(append([]byte{byte(opTxn), flagTxn, 1, 0, 0, 0, 0}, huge...), 1), // 2^64-1 guards
-		append([]byte{byte(opBatch), flagSubs, 0, 0, 0, 0, 0}, huge...),         // 2^64-1 sub-commands
+		append([]byte{byte(oldWrapper), oldFlagSubs, 0, 0, 0, 0, 0}, huge...),   // 2^64-1 sub-commands
 		{byte(opPut), 0, 0x81, 0x00, 0, 0, 0, 0},                                // request ID 1 written in two bytes
 		{byte(opPut), 0x80, 1, 0, 0, 0, 0},                                      // unknown flag bit
 		{byte(opPut), flagTxn, 1, 0, 0, 0, 0, 0, 0, 0},                          // flagTxn over three empty lists
 		{byte(opTxn), flagTxn, 1, 0, 0, 0, 0, 1, 2, 0, 0, 0, 0},                 // guard's exists byte is 2
-		(&command{Op: opBatch, Subs: []command{inner, inner}}).encode(),         // nested wrapper
-		(&command{Op: opBatch, Key: "/no-subs"}).encode(),                       // a wrapper of nothing
-		(&command{Op: opPut, Subs: inner.Subs}).encode(),                        // sub-commands under a Put
-		get.encode(), // a Get
-		(&command{ReqID: 6, Floor: 6, Op: opKind(5), Key: "/jobs/"}).encode(),                    // a Range
-		(&command{ReqID: 1, Op: 0, Key: "/k"}).encode(),                                          // op 0
-		(&command{ReqID: 1, Op: opBatch + 1, Key: "/k"}).encode(),                                // past the last kind
-		(&command{Op: opBatch, Subs: []command{{ReqID: 1, Op: opPut, Key: "/k"}, get}}).encode(), // a Get inside a wrapper
+		oldWrapperOf(oldWrapper, inner, inner),                                  // nested wrapper
+		(&command{Op: oldWrapper, Key: "/no-subs"}).encode(),                    // a wrapper of nothing
+		oldWrapperOf(opPut, subs...),                                            // sub-commands under a Put
+		get,                                                                     // a Get
+		(&command{ReqID: 6, Floor: 6, Op: opKind(5), Key: "/jobs/"}).encode(),   // a Range
+		(&command{ReqID: 1, Op: 0, Key: "/k"}).encode(),                         // op 0
+		(&command{ReqID: 1, Op: oldWrapper + 1, Key: "/k"}).encode(),            // past the last kind
+		oldWrapperOf(oldWrapper, subs[0], get),                                  // a Get inside a wrapper
+		oldWrapperOf(oldWrapper, seeds...),                                      // a wrapper of every kind, once a seed
 	}
 	return out
 }
@@ -269,13 +285,12 @@ func FuzzSnapshotCodec(f *testing.F) {
 
 // TestCodecAllocBudget: encoding a command is one allocation (the exactly
 // sized buffer); decoding one allocates nothing, its fields being sliced
-// out of the payload in place, except one slice per list of a Txn; a
-// wrapper adds its slice of sub-commands and a copy of each. encoding/json
-// paid 20 objects to decode a Put on each replica, a copied payload 1.
+// out of the payload in place, except one slice per list of a Txn.
+// encoding/json paid 20 objects to decode a Put on each replica, a copied
+// payload 1.
 func TestCodecAllocBudget(t *testing.T) {
 	put := command{ReqID: 77, Floor: 70, Op: opPut, Key: "/bench/c0/k0422", Value: string(bytes.Repeat([]byte("v"), 128))}
 	txn := codecSeeds()[5] // the Txn with all three lists
-	batch := command{Op: opBatch, Subs: []command{put, put, put}}
 	for _, c := range []struct {
 		name           string
 		cmd            command
@@ -283,7 +298,6 @@ func TestCodecAllocBudget(t *testing.T) {
 	}{
 		{"put", put, 1, 0},
 		{"txn", txn, 1, 3},
-		{"batch of 3", batch, 1, 1 + 3},
 	} {
 		raw := c.cmd.encode()
 		if got := testing.AllocsPerRun(100, func() { c.cmd.encode() }); got != c.encode {
@@ -302,10 +316,9 @@ func TestCodecAllocBudget(t *testing.T) {
 // TestReplicasKeepTheLoggedBytes: a replica decodes a command in place, so
 // the keys and values its engine holds are slices of the raft entry's
 // payload, which all replicas share. A concurrent burst of Puts, Deletes
-// and Txns, with enough writers that some entries are group-commit
-// wrappers, must leave every replica holding exactly the values written
-// and every committed entry's bytes as they were when it was proposed. A
-// payload written again after its proposal breaks both.
+// and Txns, one entry per call, must leave every replica holding exactly
+// the values written and every committed entry's bytes as they were when
+// it was proposed. A payload written again after its proposal breaks both.
 func TestReplicasKeepTheLoggedBytes(t *testing.T) {
 	s, clk := newTestStore(t, 3)
 	const writers, rounds = 16, 8
@@ -313,7 +326,7 @@ func TestReplicasKeepTheLoggedBytes(t *testing.T) {
 	// The tap copies each entry the first time a node's log shows it. An
 	// entry reaches the leader's log when proposed and applies two link
 	// delays later at the earliest, so a tap every link delay copies it
-	// before its flusher can propose again. (index, term) names one entry
+	// before its caller can propose again. (index, term) names one entry
 	// for good, whatever leadership does.
 	type entryID struct{ index, term uint64 }
 	proposed := map[entryID][]byte{}
@@ -343,6 +356,7 @@ func TestReplicasKeepTheLoggedBytes(t *testing.T) {
 
 	// Each writer owns its keys, so the final state is its own calls'.
 	model := make([]map[string]string, writers)
+	props, term := s.Proposals(), leaderTerm(s)
 	var wg sync.WaitGroup
 	for w := range writers {
 		model[w] = map[string]string{}
@@ -381,8 +395,11 @@ func TestReplicasKeepTheLoggedBytes(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	if batches, cmds := s.BatchStats(); cmds == batches {
-		t.Fatalf("%d commands in %d entries: no entry was a wrapper", cmds, batches)
+	// Without leader churn nothing is re-proposed: each acknowledged write
+	// is exactly one log entry: a Put and a Txn a round, a Delete every
+	// other round.
+	if calls := writers * (2*rounds + rounds/2); leaderTerm(s) == term && s.Proposals()-props != uint64(calls) {
+		t.Fatalf("%d calls took %d proposals in one term, want one entry each", calls, s.Proposals()-props)
 	}
 
 	want := map[string]string{}

@@ -21,12 +21,12 @@ func TestSnapshotRestoreDeterministic(t *testing.T) {
 	src := newStateMachine()
 	for i := 0; i < 32; i++ {
 		key := fmt.Sprintf("/jobs/j%02d/status", (7*i)%32)
-		src.apply(uint64(i+1), []command{{
+		src.apply(uint64(i+1), &command{
 			ReqID: uint64(i + 1),
 			Op:    opPut,
 			Key:   key,
 			Value: fmt.Sprintf("state-%d", i),
-		}})
+		})
 	}
 	img := src.serialize()
 	if img == nil {

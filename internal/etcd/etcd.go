@@ -5,7 +5,8 @@
 // co-ordinate between the controller and LCM/Guardian... ETCD itself is
 // replicated (3-way), and uses the Raft consensus protocol").
 //
-// Writes are sequenced through the Raft log. Reads never enter it: Get,
+// Writes are sequenced through the Raft log, one entry per call. Reads
+// never enter it: Get,
 // Range and read-only Txn are served from the MVCC snapshot of the
 // replica whose node vouched for the read index — the leader, via its
 // check-quorum lease when live (zero messages per read) or a coalesced
@@ -20,11 +21,12 @@
 // mode (the Raft log index is the revision) plus the exactly-once dedup
 // ledger; it has no goroutine, lock or clock of its own. This file holds
 // the Store and its replicas' appliers; the client front end is ops.go,
-// pipeline.go (group commit), reads.go and watch.go. Watch delivery goes
-// through a store.Hub whose revision cursor dedupes the per-replica apply
-// streams, and the request plumbing (request IDs, waiter completion) uses
-// striped maps — there is no store-wide mutex on the request path; Store.mu
-// guards only the replica table (crash, restart, close, snapshot install).
+// pipeline.go (each write one log entry, proposed by its caller), reads.go
+// and watch.go. Watch delivery goes through a store.Hub whose revision
+// cursor dedupes the per-replica apply streams, and the request plumbing
+// (request IDs, waiter completion) uses striped maps — there is no
+// store-wide mutex on the request path; Store.mu guards only the replica
+// table (crash, restart, close, snapshot install).
 package etcd
 
 import (
@@ -145,22 +147,13 @@ type Store struct {
 	stopCh       chan struct{}
 
 	// Request numbering. reqSeq is the last ID handed out; inflight holds
-	// the IDs whose proposal may still be (re-)proposed; reqFloor is the
-	// smallest of them (reqSeq+1 when none is) — the low-water mark every
-	// command carries to the replicas' dedup ledgers.
+	// the IDs of the calls still proposing; reqFloor is the smallest of
+	// them (reqSeq+1 when none is) — the low-water mark every command
+	// carries to the replicas' dedup ledgers.
 	reqMu    sync.Mutex
 	reqSeq   uint64
 	reqFloor uint64
 	inflight map[uint64]struct{}
-
-	// Group-commit state: writers append to batchQ and kick a flusher,
-	// which drains the queue into one log entry. batches/batchedCmds feed
-	// the batch-occupancy metric.
-	batchMu     sync.Mutex
-	batchQ      proposal
-	batchKick   chan struct{}
-	batches     atomic.Uint64
-	batchedCmds atomic.Uint64
 
 	// Client-operation counters, split by kind: the control plane's cost
 	// is read off them as Range scans per job.
@@ -206,36 +199,34 @@ func NewWithOptions(n int, clk clock.Clock, _ StoreOptions) (*Store, error) {
 // Clock is the store's.
 func newStore(n int, cfg raft.Config) *Store {
 	s := &Store{
-		clk:       cfg.Clock,
-		cluster:   raft.NewCluster(n, cfg),
-		timeout:   defaultRequestTimeout,
-		stopCh:    make(chan struct{}),
-		batchKick: make(chan struct{}, 1),
-		reqFloor:  1,
-		inflight:  make(map[uint64]struct{}),
-		hub:       store.NewHub[Event](),
-		sms:       make(map[int]*stateMachine, n),
-		stops:     make(map[int]chan struct{}, n),
+		clk:      cfg.Clock,
+		cluster:  raft.NewCluster(n, cfg),
+		timeout:  defaultRequestTimeout,
+		stopCh:   make(chan struct{}),
+		reqFloor: 1,
+		inflight: make(map[uint64]struct{}),
+		hub:      store.NewHub[Event](),
+		sms:      make(map[int]*stateMachine, n),
+		stops:    make(map[int]chan struct{}, n),
 	}
 	s.ids = s.cluster.IDs()
 	s.compactEvery.Store(defaultCompactEvery)
 	for i := range s.waiters {
-		s.waiters[i].m = make(map[uint64]*proposal)
+		s.waiters[i].m = make(map[uint64]chan result)
 	}
 	for _, id := range s.ids {
 		s.startApplier(id)
 	}
-	for i := 0; i < maxInflightProposals; i++ {
-		go s.batchLoop()
-	}
 	return s
 }
 
-// BatchStats reports how many group-commit batches were flushed and how
-// many client commands they carried (a lone write is a batch of one);
-// cmds/batches is the mean batch occupancy.
+// BatchStats reports the write calls the store has numbered, as both the
+// log entries they took and the commands those carried: every write is
+// its own entry. bench reads it for etcd.cmds_per_batch.
 func (s *Store) BatchStats() (batches, cmds uint64) {
-	return s.batches.Load(), s.batchedCmds.Load()
+	s.reqMu.Lock()
+	defer s.reqMu.Unlock()
+	return s.reqSeq, s.reqSeq
 }
 
 // ReplicationStats returns per-node Raft replication counters
@@ -368,17 +359,16 @@ func (s *Store) swapReplica(id int, old, next *stateMachine) {
 // each log index exactly once no matter how many replicas apply it, and
 // completes the client waiter.
 func (s *Store) applyEntry(sm *stateMachine, e raft.Entry) {
-	reqID, results, events := sm.applyEntry(e.Index, e.Cmd)
-	// Publish before completing the proposal: once a client's call
-	// returns, the entry's revision is already past the hub's delivery
-	// cursor, so a Watch opened after an acknowledged write can never be
-	// handed that write's own events ("events begin with the first
-	// revision applied after the call"). A wrapper's concatenated events
-	// publish once — the cursor demands exactly one publish per revision,
-	// no-ops included.
+	reqID, res, events := sm.applyEntry(e.Index, e.Cmd)
+	// Publish before completing the call: once it returns, the entry's
+	// revision is already past the hub's delivery cursor, so a Watch
+	// opened after an acknowledged write can never be handed that write's
+	// own events ("events begin with the first revision applied after the
+	// call"). The cursor demands exactly one publish per revision, no-ops
+	// included.
 	s.hub.Publish(e.Index, events)
-	if len(results) > 0 {
-		s.complete(reqID, results)
+	if reqID != 0 {
+		s.complete(reqID, res)
 	}
 }
 

@@ -326,9 +326,9 @@ func TestIdleClusterAllocationBudget(t *testing.T) {
 // TestReplicatedWriteAllocBudget: a write on a warmed 3-replica store
 // allocates what it stores — the encoded entry, which every replica's
 // engine keeps slices of, and per replica a Txn's list of ops — and
-// nothing around it. Reply channels are pooled; the group-commit queue,
-// the flushers' proposals, raft's apply queues and the appliers' event
-// buffers are each reused by the one goroutine that owns them; an append
+// nothing around it. Reply channels and wait timers are pooled; raft's
+// apply queues and the appliers' event buffers are each reused by the one
+// goroutine that owns them; an append
 // ships a window of the leader's log, not a copy; a key's first versions
 // live inside its history (README, "Replicated write path cost"). Each
 // budget is the measured count plus one; before the reuse a Put cost 29, a
@@ -454,17 +454,17 @@ func TestLeaseReadAllocBudget(t *testing.T) {
 	}
 }
 
-// TestTimedOutCallKeepsItsReply: a call that gave up drops its reply
-// channel, because its entry may still apply and complete send into it.
-// The call under test waits in the queue behind flushers that hold rounds
-// which cannot commit, so its own flusher starts late and is still
-// waiting for the entry when the call times out; the heal lets the entry
-// apply after that. Putting a timed-out call's channel back in the pool
-// makes this fail: the same goroutine's next call draws it, takes the
-// stale result for its own and returns before its write applied.
+// TestTimedOutCallKeepsItsReply: a call that gave up takes its waiter
+// back before its reply channel goes back to the pool, because its entry
+// may still apply and complete send into the channel the waiter names.
+// With the followers cut off the call under test times out with its entry
+// in the leader's log, sooner than a follower can suspect the leader; the
+// heal lets the entry apply after that. Putting the channel back while the
+// waiter is still registered makes this fail: the same goroutine's next
+// call draws it, takes the stale result for its own and returns before its
+// write applied.
 func TestTimedOutCallKeepsItsReply(t *testing.T) {
-	s, clk := newTestStore(t, 3)
-	s.timeout = 2 * time.Second
+	s, _ := newTestStore(t, 3)
 	if _, err := s.Put("/t/warm", "x"); err != nil {
 		t.Fatal(err)
 	}
@@ -474,22 +474,11 @@ func TestTimedOutCallKeepsItsReply(t *testing.T) {
 			s.PartitionNode(id)
 		}
 	}
-	var held sync.WaitGroup
-	defer held.Wait()
-	for i := 0; i < maxInflightProposals; i++ {
-		batches, _ := s.BatchStats()
-		held.Add(1)
-		go func() {
-			defer held.Done()
-			_, _ = s.Put(fmt.Sprintf("/t/hold%d", i), "x")
-		}()
-		for b, _ := s.BatchStats(); b == batches; b, _ = s.BatchStats() {
-			clk.Sleep(time.Millisecond)
-		}
-	}
+	s.timeout = 50 * time.Millisecond
 	if _, err := s.Put("/t/late", "late"); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("put with the followers cut off = %v, want ErrTimeout", err)
 	}
+	s.timeout = defaultRequestTimeout
 	for _, id := range s.Nodes() {
 		s.HealNode(id)
 	}
@@ -506,5 +495,61 @@ func TestTimedOutCallKeepsItsReply(t *testing.T) {
 		if len(kvs) != 1 || kvs[0].Value != val || kvs[0].Rev != rev {
 			t.Fatalf("put %d of %q returned revision %d, but the key reads %v", i, val, rev, kvs)
 		}
+	}
+	if _, found, err := s.Get("/t/late"); err != nil || !found {
+		t.Fatalf("the timed-out put never applied (found=%v, %v): nothing was tested", found, err)
+	}
+}
+
+// TestTimedOutCallLeavesNothingInFlight: once a call has returned, even
+// with ErrTimeout, nothing proposes its command again, so it no longer
+// holds down the floor of the replicas' dedup ledgers. Four calls hold
+// rounds that cannot commit, with the followers cut off, and a fifth
+// times out behind them. When a separate flusher goroutine drained the
+// fifth late and kept re-proposing it on a deadline of its own, the fifth
+// stayed in flight after its call returned.
+func TestTimedOutCallLeavesNothingInFlight(t *testing.T) {
+	s, clk := newTestStore(t, 3)
+	s.timeout = 2 * time.Second
+	if _, err := s.Put("/f/warm", "x"); err != nil {
+		t.Fatal(err)
+	}
+	lead := s.LeaderID()
+	for _, id := range s.Nodes() {
+		if id != lead {
+			s.PartitionNode(id)
+		}
+	}
+	defer func() {
+		for _, id := range s.Nodes() {
+			s.HealNode(id)
+		}
+	}()
+	var held sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		proposed := s.Proposals()
+		held.Add(1)
+		go func() {
+			defer held.Done()
+			_, _ = s.Put(fmt.Sprintf("/f/hold%d", i), "x")
+		}()
+		for s.Proposals() == proposed {
+			clk.Sleep(time.Millisecond)
+		}
+	}
+	if _, err := s.Put("/f/late", "late"); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("put with the followers cut off = %v, want ErrTimeout", err)
+	}
+	held.Wait()
+	s.reqMu.Lock()
+	n := len(s.inflight)
+	s.reqMu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d requests in flight after every call returned", n)
+	}
+	proposed := s.Proposals()
+	clk.Sleep(3 * time.Second)
+	if more := s.Proposals() - proposed; more != 0 {
+		t.Fatalf("%d proposals in the 3 s after every call returned", more)
 	}
 }

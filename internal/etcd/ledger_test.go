@@ -10,7 +10,7 @@ import (
 // TestDedupLedgerStaysBounded applies, to one replica's state machine,
 // the log a Store with `window` calls in flight writes over 10 000 calls
 // when a third of its proposals are re-proposed: copies of a command land
-// once, twice or three times, bare or inside a wrapper, always ahead of
+// once, twice or three times, always ahead of
 // any command created after the call finished (the order the Raft log
 // guarantees, see stateMachine). The ledger must stay within the window
 // however long the log grows — it used to gain an entry per call, forever,
@@ -25,7 +25,7 @@ func TestDedupLedgerStaysBounded(t *testing.T) {
 	sm := newStateMachine()
 	model := refModel{}
 
-	var log [][]command // entries: one command bare, several wrapped
+	var log []command // entries, one call's command each
 	inflight := map[uint64]command{}
 	floor := func() uint64 { // the Store's requestFloor
 		low := uint64(calls + 1)
@@ -36,52 +36,43 @@ func TestDedupLedgerStaysBounded(t *testing.T) {
 	}
 	next, events, peak, copies := uint64(1), 0, 0, 0
 	for applied := 0; applied < len(log) || next <= calls; {
-		// New calls fill the window; those that arrive together share a
-		// proposal. Sometimes a call still in flight is proposed again.
-		var entry []command
+		// New calls fill the window, each its own entry. Sometimes a call
+		// still in flight is proposed again.
 		for len(inflight) < window && next <= calls && r.Intn(3) > 0 {
 			cmd := command{ReqID: next, Op: opPut, Key: fmt.Sprintf("/k%d", next%16), Value: fmt.Sprint(next)}
 			if next%5 == 0 {
 				cmd = command{ReqID: next, Op: opDelete, Key: cmd.Key}
 			}
 			inflight[next] = cmd
-			entry = append(entry, cmd)
-			next++
-		}
-		for i := range entry {
-			entry[i].Floor = floor()
-		}
-		if len(entry) > 0 {
-			log = append(log, entry)
+			cmd.Floor = floor()
+			log = append(log, cmd)
 			if r.Intn(3) == 0 {
 				for n := 1 + r.Intn(2); n > 0; n-- {
-					log = append(log, entry)
+					log = append(log, cmd)
 					copies++
 				}
 			}
+			next++
 		}
 		if applied == len(log) {
 			continue
 		}
 
-		entry = log[applied]
+		cmd := log[applied]
 		applied++
 		idx := uint64(applied)
-		results, evs := sm.apply(idx, entry)
+		res, evs := sm.apply(idx, &cmd)
 		events += len(evs)
-		for i, cmd := range entry {
-			if _, first := inflight[cmd.ReqID]; !first {
-				continue
-			}
+		if _, first := inflight[cmd.ReqID]; first {
 			delete(inflight, cmd.ReqID) // the call returns: complete() ran
-			if results[i].rev != idx {
-				t.Fatalf("request %d first applied at %d reports revision %d", cmd.ReqID, idx, results[i].rev)
+			if res.rev != idx {
+				t.Fatalf("request %d first applied at %d reports revision %d", cmd.ReqID, idx, res.rev)
 			}
 			_, want := model.apply(cmd)
 			events -= len(want)
 		}
 		if events != 0 {
-			t.Fatalf("entry %d %+v emitted %d events more than applying each call once", idx, entry, events)
+			t.Fatalf("entry %d %+v emitted %d events more than applying each call once", idx, cmd, events)
 		}
 		peak = max(peak, len(sm.dedup))
 		if len(sm.dedup) > window+1 {
@@ -105,8 +96,8 @@ func TestDedupLedgerStaysBounded(t *testing.T) {
 // the ledger has forgotten about it, and the floor survives a snapshot.
 func TestDedupFloorRejectsForgottenRequests(t *testing.T) {
 	sm := newStateMachine()
-	sm.apply(1, []command{{ReqID: 1, Floor: 1, Op: opPut, Key: "/k", Value: "first"}})
-	sm.apply(2, []command{{ReqID: 2, Floor: 2, Op: opPut, Key: "/k", Value: "second"}})
+	sm.apply(1, &command{ReqID: 1, Floor: 1, Op: opPut, Key: "/k", Value: "first"})
+	sm.apply(2, &command{ReqID: 2, Floor: 2, Op: opPut, Key: "/k", Value: "second"})
 	if _, kept := sm.dedup[1]; kept || sm.dedupFloor != 2 {
 		t.Fatalf("ledger %v floor %d after request 2 said everything below it is over", sm.dedup, sm.dedupFloor)
 	}
@@ -115,7 +106,7 @@ func TestDedupFloorRejectsForgottenRequests(t *testing.T) {
 		t.Fatal("the image did not restore")
 	}
 	for _, m := range []*stateMachine{sm, restored} {
-		if _, events := m.apply(3, []command{{ReqID: 1, Floor: 1, Op: opPut, Key: "/k", Value: "first"}}); len(events) != 0 {
+		if _, events := m.apply(3, &command{ReqID: 1, Floor: 1, Op: opPut, Key: "/k", Value: "first"}); len(events) != 0 {
 			t.Fatalf("a copy of forgotten request 1 emitted %v", events)
 		}
 		if v, _, _ := m.eng.Get("/k"); v != "second" {

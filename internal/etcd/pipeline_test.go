@@ -13,10 +13,9 @@ import (
 	"time"
 )
 
-// The tests in this file pin the pipelined group commit's ordering
-// argument (see batchLoop), one test per sentence, against refModel —
-// the sequential specification the write path must be indistinguishable
-// from.
+// The tests in this file pin the write path's ordering argument (see
+// propose), one test per sentence, against refModel — the sequential
+// specification the write path must be indistinguishable from.
 
 // refModel is the sequential in-memory reference for the store's write
 // commands: a plain map plus Cmp/CAS/Txn guard evaluation.
@@ -63,7 +62,7 @@ func (m refModel) apply(cmd command) (ok bool, events []Event) {
 // TestWriteArrivingMidRoundIsProposed is sentence 1's payoff, with no
 // timing in it: both followers are cut off so no round can complete, and
 // a second writer's command must still reach the leader's log behind the
-// first one's. The stop-and-wait flusher held it back until the first
+// first one's. A stop-and-wait proposer held it back until the first
 // round applied.
 func TestWriteArrivingMidRoundIsProposed(t *testing.T) {
 	s, clk := newTestStore(t, 3)
@@ -78,14 +77,8 @@ func TestWriteArrivingMidRoundIsProposed(t *testing.T) {
 	}
 	proposed := func(key string) bool {
 		for _, e := range s.cluster.Node(lead).Log() {
-			cmd, ok := decodeCommand(e.Cmd)
-			if !ok {
-				continue
-			}
-			for _, c := range append(cmd.Subs, cmd) {
-				if c.Key == key {
-					return true
-				}
+			if cmd, ok := decodeCommand(e.Cmd); ok && cmd.Key == key {
+				return true
 			}
 		}
 		return false
@@ -115,8 +108,8 @@ func TestWriteArrivingMidRoundIsProposed(t *testing.T) {
 // TestConcurrentWritersShareRound is sentence 1 in virtual time: two
 // closed-loop writers share replication rounds instead of alternating,
 // and each writer's own writes still reach the log in program order.
-// One writer alone pays one round (two one-way delays) per Put; under
-// the stop-and-wait flusher a second writer doubled that, for every Put.
+// One writer alone pays one round (two one-way delays) per Put; under a
+// stop-and-wait proposer a second writer doubled that, for every Put.
 //
 // What is judged is the median Put, not the pass's total. A loaded
 // machine (or -race) lets the sim clock run ahead of runnable goroutines:
@@ -181,7 +174,14 @@ func TestConcurrentWritersShareRound(t *testing.T) {
 	}
 }
 
-// inflight counts the proposals registered in the waiter table.
+// requestFloor is the smallest request ID still in flight.
+func (s *Store) requestFloor() uint64 {
+	s.reqMu.Lock()
+	defer s.reqMu.Unlock()
+	return s.reqFloor
+}
+
+// inflight counts the calls registered in the waiter table.
 func inflight(s *Store) int {
 	n := 0
 	for i := range s.waiters {
@@ -390,10 +390,11 @@ func TestPipelinedWritesAcrossLeaderCrash(t *testing.T) {
 }
 
 // TestReproposedProposalLandsLate is sentence 3 at the state machine:
-// proposal B applies at index i, the re-proposed A at i+1 and the stale
-// original A at i+2, in every bare/wrapped combination. State, guard
-// outcomes and emitted events must equal refModel running B then A once;
-// the duplicate must change nothing and report the first index.
+// B's calls apply from index i on, then the re-proposed copies of A's,
+// then the stale originals of A's, each call its own entry, for one call
+// (bare) or several (calls) on either side. State, guard outcomes and emitted events
+// must equal refModel running B then A once; every duplicate must change
+// nothing and report its first index.
 func TestReproposedProposalLandsLate(t *testing.T) {
 	cas := func(id uint64, key, prev, val string) command {
 		return command{ReqID: id, Op: opCAS, Key: key, Prev: prev, PrevExists: prev != "", Value: val}
@@ -406,16 +407,16 @@ func TestReproposedProposalLandsLate(t *testing.T) {
 		{"bare/bare: both create one lock, B first",
 			[]command{cas(11, "/lock", "", "A")},
 			[]command{cas(21, "/lock", "", "B")}},
-		{"wrapped/bare: A's second guard rides on its first write",
+		{"calls/bare: A's CAS reads its own put",
 			[]command{put(11, "/k", "1"), cas(12, "/k", "1", "2"), {ReqID: 13, Op: opDelete, Key: "/gone"}},
 			[]command{put(21, "/k", "0")}},
-		{"bare/wrapped: B deletes what A's txn guards on",
+		{"bare/calls: B deletes what A's txn guards on",
 			[]command{{ReqID: 11, Op: opTxn,
 				Cmps: []Cmp{{Key: "/seed", Prev: "s", PrevExists: true}},
 				Then: []TxnOp{{Type: EventPut, Key: "/then", Value: "A"}},
 				Else: []TxnOp{{Type: EventPut, Key: "/else", Value: "A"}, {Type: EventDelete, Key: "/k"}}}},
 			[]command{{ReqID: 21, Op: opDelete, Key: "/seed"}, put(22, "/k", "B")}},
-		{"wrapped/wrapped: counters interleave",
+		{"calls/calls: counters interleave",
 			[]command{cas(11, "/n", "0", "1"), cas(12, "/n", "1", "2")},
 			[]command{cas(21, "/n", "0", "1"), put(22, "/m", "B")}},
 	}
@@ -425,44 +426,43 @@ func TestReproposedProposalLandsLate(t *testing.T) {
 			model := refModel{}
 			seed := []command{put(1, "/seed", "s"), put(2, "/n", "0")}
 			for i, cmd := range seed {
-				sm.apply(uint64(i+1), []command{cmd})
+				sm.apply(uint64(i+1), &cmd)
 				model.apply(cmd)
 			}
-			const i = 10
-			for n, cmds := range [][]command{tc.b, tc.a} {
-				idx := uint64(i + n)
-				results, events := sm.apply(idx, cmds)
-				var wantEvents []Event
-				for j, cmd := range cmds {
-					ok, evs := model.apply(cmd)
-					if guarded := cmd.Op == opCAS || cmd.Op == opTxn; guarded && results[j].ok != ok {
-						t.Fatalf("request %d at %d: guard outcome %v, model says %v", cmd.ReqID, idx, results[j].ok, ok)
-					}
-					if results[j].rev != idx {
-						t.Fatalf("request %d: result revision %d, want %d", cmd.ReqID, results[j].rev, idx)
-					}
-					for _, ev := range evs {
-						ev.Rev = idx
-						wantEvents = append(wantEvents, ev)
-					}
+			idx := uint64(9)
+			first := map[uint64]uint64{}
+			for _, cmd := range append(slices.Clone(tc.b), tc.a...) {
+				idx++
+				res, events := sm.apply(idx, &cmd)
+				ok, evs := model.apply(cmd)
+				if guarded := cmd.Op == opCAS || cmd.Op == opTxn; guarded && res.ok != ok {
+					t.Fatalf("request %d at %d: guard outcome %v, model says %v", cmd.ReqID, idx, res.ok, ok)
 				}
-				if !reflect.DeepEqual(events, wantEvents) {
-					t.Fatalf("events at %d:\n got  %v\n want %v", idx, events, wantEvents)
+				if res.rev != idx {
+					t.Fatalf("request %d: result revision %d, want %d", cmd.ReqID, res.rev, idx)
 				}
+				for i := range evs {
+					evs[i].Rev = idx
+				}
+				if !slices.Equal(events, evs) {
+					t.Fatalf("events at %d:\n got  %v\n want %v", idx, events, evs)
+				}
+				first[cmd.ReqID] = idx
 			}
 
-			results, events := sm.apply(i+2, tc.a)
-			if len(events) != 0 {
-				t.Fatalf("stale duplicate of A emitted %v", events)
-			}
-			for j, res := range results {
-				if res.rev != i+1 {
-					t.Fatalf("request %d: duplicate reports revision %d, want the first application's %d", tc.a[j].ReqID, res.rev, i+1)
+			for _, cmd := range tc.a {
+				idx++
+				res, events := sm.apply(idx, &cmd)
+				if len(events) != 0 {
+					t.Fatalf("stale duplicate of request %d emitted %v", cmd.ReqID, events)
+				}
+				if res.rev != first[cmd.ReqID] {
+					t.Fatalf("request %d: duplicate reports revision %d, want the first application's %d", cmd.ReqID, res.rev, first[cmd.ReqID])
 				}
 			}
 			eng := sm.eng
-			if floor := eng.Snapshot(); floor != i+2 {
-				t.Fatalf("applied floor %d after the duplicate, want %d", floor, i+2)
+			if floor := eng.Snapshot(); floor != idx {
+				t.Fatalf("applied floor %d after the duplicates, want %d", floor, idx)
 			}
 			got := map[string]string{}
 			for _, kv := range eng.Export() {

@@ -9,7 +9,8 @@ import "repro/internal/store"
 // a test can drive one by hand.
 
 // opKind enumerates commands in the replicated log. The values are the
-// wire encoding; 4 and 5 were reads, which no longer enter the log.
+// wire encoding; 4 and 5 were reads and 7 a wrapper of several calls'
+// commands, none of which enters the log any more.
 type opKind uint8
 
 const (
@@ -19,17 +20,13 @@ const (
 	_
 	_
 	opTxn
-	// opBatch is a group-commit wrapper: one log entry carrying the
-	// sub-commands of every propose() call that queued while the
-	// previous batch's round was in flight. All sub-commands apply at
-	// the wrapper's single log index (one revision).
-	opBatch
+	_
 )
 
 // command is the payload of a Raft entry (codec.go has its encoding).
 type command struct {
 	// ReqID identifies the client call for exactly-once application: the
-	// Store numbers its calls 1, 2, 3, ... (a wrapper has none).
+	// Store numbers its calls 1, 2, 3, ...
 	ReqID uint64
 	// Floor is the Store's low-water mark when the command was encoded:
 	// every call numbered below it had finished, so no copy of one can
@@ -45,8 +42,6 @@ type command struct {
 	Cmps       []Cmp
 	Then       []TxnOp
 	Else       []TxnOp
-	// Subs are the sub-commands of an opBatch wrapper, applied in order.
-	Subs []command
 }
 
 // result is what applying a command yields (deterministic on every node).
@@ -73,27 +68,17 @@ type stateMachine struct {
 	dedupFloor uint64
 
 	// The applier's scratch, cleared by every entry: the ops it installs,
-	// the writes staged so far that later guards read (overlay), the
-	// results, the engine's events for the ops, and their facade form.
-	// apply returns results and events for complete and the hub to copy.
+	// the engine's events for them, and their facade form. apply returns
+	// the events for the hub to copy.
 	ops      []store.OpOf[string]
-	overlay  map[string]staged
-	results  []result
 	storeEvs []store.EventOf[string]
 	events   []Event
 }
 
-// staged is a key's value after the entry's writes so far.
-type staged struct {
-	val    string
-	exists bool
-}
-
 func newStateMachine() *stateMachine {
 	return &stateMachine{
-		eng:     store.NewEngineOf[string](store.Config{ExternalRevs: true}),
-		dedup:   make(map[uint64]uint64),
-		overlay: make(map[string]staged),
+		eng:   store.NewEngineOf[string](store.Config{ExternalRevs: true}),
+		dedup: make(map[uint64]uint64),
 	}
 }
 
@@ -139,23 +124,19 @@ func (m *stateMachine) firstApplied(idx uint64, cmd *command) (first uint64, dup
 }
 
 // applyEntry applies the log entry at idx whose payload is payload, and
-// returns the request its proposal waits under (its first command's), a
-// result per command and the entry's events, all valid until the next
-// entry. Raft's no-op barrier (an empty payload) and a corrupt entry apply
-// nothing, but their index still raises the applied floor: read-index
-// waits would stall below it otherwise.
-func (m *stateMachine) applyEntry(idx uint64, payload []byte) (reqID uint64, results []result, events []Event) {
+// returns the request its call waits under, the command's result and the
+// entry's events, valid until the next entry. Raft's no-op barrier (an
+// empty payload) and a corrupt entry apply nothing and name no request
+// (0), but their index still raises the applied floor: read-index waits
+// would stall below it otherwise.
+func (m *stateMachine) applyEntry(idx uint64, payload []byte) (reqID uint64, res result, events []Event) {
 	cmd, ok := decodeCommand(payload)
 	if !ok {
 		_ = m.eng.AdvanceFloor(idx)
-		return 0, nil, nil
+		return 0, result{}, nil
 	}
-	cmds := cmd.Subs
-	if cmd.Op != opBatch {
-		cmds = []command{cmd}
-	}
-	results, events = m.apply(idx, cmds)
-	return cmds[0].ReqID, results, events
+	res, events = m.apply(idx, &cmd)
+	return cmd.ReqID, res, events
 }
 
 // historyEvents reconstructs the facade events in (from, to] for keys
@@ -177,89 +158,69 @@ func (m *stateMachine) serialize() []byte {
 	return encodeSnapshot(m.eng.Export(), m.dedupFloor, m.dedup)
 }
 
-// apply applies one log entry's commands at idx — the command of a bare
-// entry, or a wrapper's sub-commands in order — and returns a result per
-// command and the entry's events, both the applier's scratch: valid until
-// its next entry. Guards of later commands must see earlier commands'
-// effects, but the engine may only install the entry in one ApplyAt:
-// installing per command would raise the applied floor mid-entry and let
-// a read-index reader observe a half-applied batch. So writes are staged
-// in an overlay that guard evaluation reads through, and the whole op
-// list installs at once (the engine's same-revision rule — later op wins
-// per key — collapses intra-entry overwrites).
-func (m *stateMachine) apply(idx uint64, cmds []command) ([]result, []Event) {
-	clear(m.overlay)
-	m.results = m.results[:0]
+// apply applies one log entry's command at idx and returns its result and
+// the entry's events, the applier's scratch: valid until its next entry.
+// Every guard is evaluated before the command stages anything, so guards
+// read the engine as the previous entry left it, and the op list installs
+// in one ApplyAt: installing op by op would raise the applied floor
+// mid-entry and let a read-index reader observe half a Txn (the engine's
+// same-revision rule — later op wins per key — collapses a branch's
+// overwrites).
+func (m *stateMachine) apply(idx uint64, cmd *command) (result, []Event) {
+	// Exactly-once: a re-proposed command may appear twice in the log;
+	// only its first occurrence mutates state.
+	if first, dup := m.firstApplied(idx, cmd); dup {
+		_ = m.eng.AdvanceFloor(idx)
+		return result{rev: first, ok: true}, nil
+	}
+	res := result{rev: idx}
 	ops := m.ops[:0]
-	for i := range cmds {
-		cmd := &cmds[i]
-		// Exactly-once: a re-proposed command may appear twice in the log;
-		// only its first occurrence mutates state.
-		if first, dup := m.firstApplied(idx, cmd); dup {
-			m.results = append(m.results, result{rev: first, ok: true})
-			continue
-		}
-		// Only a later command reads what this one stages.
-		last := i == len(cmds)-1
-		stage := func(op store.OpOf[string]) {
-			ops = append(ops, op)
-			if !last {
-				m.overlay[op.Key] = staged{val: op.Value, exists: op.Kind == store.OpPut}
-			}
-		}
-		res := result{rev: idx}
-		switch cmd.Op {
-		case opPut:
-			stage(store.OpOf[string]{Kind: store.OpPut, Key: cmd.Key, Value: cmd.Value})
-		case opDelete:
-			stage(store.OpOf[string]{Kind: store.OpDelete, Key: cmd.Key})
-		case opCAS:
-			if m.holds(Cmp{Key: cmd.Key, Prev: cmd.Prev, PrevExists: cmd.PrevExists}) {
-				stage(store.OpOf[string]{Kind: store.OpPut, Key: cmd.Key, Value: cmd.Value})
-				res.ok = true
-			}
-		case opTxn:
+	switch cmd.Op {
+	case opPut:
+		ops = append(ops, store.OpOf[string]{Kind: store.OpPut, Key: cmd.Key, Value: cmd.Value})
+	case opDelete:
+		ops = append(ops, store.OpOf[string]{Kind: store.OpDelete, Key: cmd.Key})
+	case opCAS:
+		if m.holds(Cmp{Key: cmd.Key, Prev: cmd.Prev, PrevExists: cmd.PrevExists}) {
+			ops = append(ops, store.OpOf[string]{Kind: store.OpPut, Key: cmd.Key, Value: cmd.Value})
 			res.ok = true
-			for _, c := range cmd.Cmps {
-				if !m.holds(c) {
-					res.ok = false
-					break
-				}
-			}
-			branch := cmd.Then
-			if !res.ok {
-				branch = cmd.Else
-			}
-			for _, op := range branch {
-				kind := store.OpPut
-				if op.Type == EventDelete {
-					kind = store.OpDelete
-				}
-				stage(store.OpOf[string]{Kind: kind, Key: op.Key, Value: op.Value})
+		}
+	case opTxn:
+		res.ok = true
+		for _, c := range cmd.Cmps {
+			if !m.holds(c) {
+				res.ok = false
+				break
 			}
 		}
-		m.results = append(m.results, res)
+		branch := cmd.Then
+		if !res.ok {
+			branch = cmd.Else
+		}
+		for _, op := range branch {
+			kind := store.OpPut
+			if op.Type == EventDelete {
+				kind = store.OpDelete
+			}
+			ops = append(ops, store.OpOf[string]{Kind: kind, Key: op.Key, Value: op.Value})
+		}
 	}
 	events := m.install(idx, ops)
 	// Raise the applied floor only now, after every write is installed
-	// (ApplyAt raises it itself, post-install; this covers failed guards,
-	// empty branches and duplicates). Raising it before the write would let
+	// (ApplyAt raises it itself, post-install; this covers failed guards
+	// and empty branches). Raising it before the write would let
 	// a WaitApplied reader wake at this index and read the pre-write state
 	// — a stale read after an acknowledged write. The WatchFrom backfill
 	// also compares this floor against the hub's delivery cursor, so every
 	// applied index must reach it.
 	_ = m.eng.AdvanceFloor(idx)
-	return m.results, events
+	return res, events
 }
 
-// holds evaluates a guard against the latest applied state, as the
-// entry's staged writes have changed it.
+// holds evaluates a guard against the latest applied state.
 func (m *stateMachine) holds(c Cmp) bool {
-	cur, ok := m.overlay[c.Key]
-	if !ok {
-		cur.val, _, cur.exists = m.eng.Get(c.Key)
-	}
-	return cur.exists == c.PrevExists && (!cur.exists || cur.val == c.Prev)
+	val, _, exists := m.eng.Get(c.Key)
+	return exists == c.PrevExists && (!exists || val == c.Prev)
 }
 
 // install applies an entry's ops at idx in one ApplyAt and returns their

@@ -59,13 +59,12 @@ func replayNode(t *testing.T, s *Store, id int, end uint64) *stateMachine {
 
 // replayLog decodes fuzz input into a log and a point to cut it at. The
 // first byte is the cut. Each entry then takes a header byte: 0x0c set in
-// full makes it raft's empty no-op barrier, otherwise its low two bits are
-// its number of commands less one (more than one is a wrapper); its top
-// two bits raise the floor, which only rises. Each command takes two
-// bytes: an op and a flag from the first, with a ReqID from 1 to 32, so
-// requests recur within an entry, across entries and below the floor; and
+// full makes it raft's empty no-op barrier (nil), otherwise the entry is
+// one command; its top two bits raise the floor, which only rises. A
+// command takes two bytes: an op and a flag from the first, with a ReqID
+// from 1 to 32, so requests recur across entries and below the floor; and
 // keys and values from small sets from the second, so guards hold and fail.
-func replayLog(data []byte) (cut int, log [][]command) {
+func replayLog(data []byte) (cut int, log []*command) {
 	if len(data) == 0 {
 		return 0, nil
 	}
@@ -81,30 +80,27 @@ func replayLog(data []byte) (cut int, log [][]command) {
 			log = append(log, nil)
 			continue
 		}
-		var entry []command
-		for n := 1 + int(h&3); n > 0 && len(data) >= 2; n-- {
-			b, k := data[0], data[1]
-			data = data[2:]
-			key, val, other, prev := keys[k&3], vals[k>>2&3], keys[k>>4&3], vals[k>>6]
-			cmd := command{ReqID: 1 + uint64(b>>3), Floor: floor}
-			switch b & 3 {
-			case 0:
-				cmd.Op, cmd.Key, cmd.Value = opPut, key, val
-			case 1:
-				cmd.Op, cmd.Key = opDelete, key
-			case 2:
-				cmd.Op, cmd.Key, cmd.Value, cmd.Prev, cmd.PrevExists = opCAS, key, val, prev, b&4 != 0
-			case 3:
-				cmd.Op = opTxn
-				cmd.Cmps = []Cmp{{Key: other, Prev: prev, PrevExists: b&4 != 0}}
-				cmd.Then = []TxnOp{{Type: EventPut, Key: key, Value: val}}
-				cmd.Else = []TxnOp{{Type: EventDelete, Key: other}}
-			}
-			entry = append(entry, cmd)
+		if len(data) < 2 {
+			break
 		}
-		if len(entry) > 0 {
-			log = append(log, entry)
+		b, k := data[0], data[1]
+		data = data[2:]
+		key, val, other, prev := keys[k&3], vals[k>>2&3], keys[k>>4&3], vals[k>>6]
+		cmd := &command{ReqID: 1 + uint64(b>>3), Floor: floor}
+		switch b & 3 {
+		case 0:
+			cmd.Op, cmd.Key, cmd.Value = opPut, key, val
+		case 1:
+			cmd.Op, cmd.Key = opDelete, key
+		case 2:
+			cmd.Op, cmd.Key, cmd.Value, cmd.Prev, cmd.PrevExists = opCAS, key, val, prev, b&4 != 0
+		case 3:
+			cmd.Op = opTxn
+			cmd.Cmps = []Cmp{{Key: other, Prev: prev, PrevExists: b&4 != 0}}
+			cmd.Then = []TxnOp{{Type: EventPut, Key: key, Value: val}}
+			cmd.Else = []TxnOp{{Type: EventDelete, Key: other}}
 		}
+		log = append(log, cmd)
 	}
 	return cut, log
 }
@@ -119,28 +115,28 @@ type exactlyOnce struct {
 	floor uint64
 }
 
-// apply returns what a replica must yield for the entry at idx.
-func (x *exactlyOnce) apply(idx uint64, entry []command) (results []result, events []Event) {
-	for _, cmd := range entry {
-		x.floor = max(x.floor, cmd.Floor)
-		first, seen := x.first[cmd.ReqID]
-		switch {
-		case cmd.ReqID < x.floor:
-			results = append(results, result{rev: idx, ok: true})
-		case seen && first != idx:
-			results = append(results, result{rev: first, ok: true})
-		default:
-			x.first[cmd.ReqID] = idx
-			ok, evs := x.state.apply(cmd)
-			guarded := cmd.Op == opCAS || cmd.Op == opTxn
-			results = append(results, result{rev: idx, ok: guarded && ok})
-			for _, ev := range evs {
-				ev.Rev = idx
-				events = append(events, ev)
-			}
-		}
+// apply returns what a replica must yield for the entry at idx: the
+// request it completes, the command's result and the events.
+func (x *exactlyOnce) apply(idx uint64, cmd *command) (reqID uint64, res result, events []Event) {
+	if cmd == nil {
+		return 0, result{}, nil
 	}
-	return results, events
+	x.floor = max(x.floor, cmd.Floor)
+	first, seen := x.first[cmd.ReqID]
+	switch {
+	case cmd.ReqID < x.floor:
+		return cmd.ReqID, result{rev: idx, ok: true}, nil
+	case seen:
+		return cmd.ReqID, result{rev: first, ok: true}, nil
+	}
+	x.first[cmd.ReqID] = idx
+	ok, evs := x.state.apply(*cmd)
+	guarded := cmd.Op == opCAS || cmd.Op == opTxn
+	for _, ev := range evs {
+		ev.Rev = idx
+		events = append(events, ev)
+	}
+	return cmd.ReqID, result{rev: idx, ok: guarded && ok}, events
 }
 
 // FuzzStateMachineReplay feeds one decoded log, entry payload by entry
@@ -165,23 +161,19 @@ func FuzzStateMachineReplay(f *testing.F) {
 			if i == len(log) {
 				break
 			}
-			idx, entry := uint64(i+1), log[i]
-			var payload []byte
-			switch len(entry) {
-			case 0: // raft's no-op barrier
-			case 1:
-				payload = entry[0].encode()
-			default:
-				payload = (&command{Op: opBatch, Subs: entry}).encode()
+			idx, cmd := uint64(i+1), log[i]
+			var payload []byte // raft's no-op barrier
+			if cmd != nil {
+				payload = cmd.encode()
 			}
-			wantResults, wantEvents := spec.apply(idx, entry)
+			wantReq, wantRes, wantEvents := spec.apply(idx, cmd)
 			for m, sm := range machines {
-				_, results, events := sm.applyEntry(idx, payload)
-				if !slices.Equal(results, wantResults) {
-					t.Fatalf("machine %d, entry %d %+v: results %+v, want %+v", m, idx, entry, results, wantResults)
+				req, res, events := sm.applyEntry(idx, payload)
+				if req != wantReq || res != wantRes {
+					t.Fatalf("machine %d, entry %d %+v: request %d result %+v, want %d %+v", m, idx, cmd, req, res, wantReq, wantRes)
 				}
 				if !slices.Equal(events, wantEvents) {
-					t.Fatalf("machine %d, entry %d %+v: events %+v, want %+v", m, idx, entry, events, wantEvents)
+					t.Fatalf("machine %d, entry %d %+v: events %+v, want %+v", m, idx, cmd, events, wantEvents)
 				}
 			}
 		}

@@ -79,8 +79,8 @@ func (c *core) startRead(id uint64, remote *remoteRead) {
 	// Coalesce: the newest pending round is either still unlaunched (join
 	// it) or already broadcast — its acks may predate this call, so a late
 	// joiner queues for the NEXT round instead, which fires when the
-	// in-flight one resolves. Batching emerges from concurrency, exactly
-	// like group commit on writes.
+	// in-flight one resolves. Batching emerges from concurrency, as
+	// concurrent writes share an append (sendAppend ships log[next..last]).
 	var pr *pendingRead
 	if n := len(c.pendingReads); n > 0 && !c.pendingReads[n-1].started {
 		pr = c.pendingReads[n-1]
