@@ -1,14 +1,12 @@
 package guardian
 
 import (
-	"bytes"
 	"encoding/json"
-	"slices"
 	"strconv"
 
+	"repro/internal/canonjson"
 	"repro/internal/core"
 	"repro/internal/core/types"
-	"repro/internal/events"
 )
 
 // journal is the Guardian's etcd-persisted deployment record.
@@ -50,11 +48,54 @@ func loadJournal(d *core.Deps, key string) *journal {
 // decodeJournal parses a stored journal; a corrupt one reads as an empty
 // journal, a partial deploy.
 func decodeJournal(raw string) *journal {
+	if j, ok := decodeCanonical(raw); ok {
+		return j
+	}
 	var j journal
 	if err := json.Unmarshal([]byte(raw), &j); err != nil {
 		return &journal{}
 	}
 	return &j
+}
+
+// decodeCanonical parses raw if it is a journal in appendJSON's layout
+// with at least one step (canonjson.Cursor): exactly what json.Unmarshal
+// would make of it, with its strings substrings of raw. ok is false for
+// anything else, which json.Unmarshal then reads.
+func decodeCanonical(raw string) (*journal, bool) {
+	c := canonjson.NewCursor(raw)
+	j := &journal{Deployed: c.Bool(`{"deployed":`), Steps: make([]string, 0, 8)} // a deploy has five steps
+	c.Expect(`,"steps":[`)
+	for i := 0; c.Next(i); i++ {
+		j.Steps = append(j.Steps, c.Str(""))
+	}
+	c.Expect("]")
+	if c.Field(`,"monitor_rev":`) {
+		j.MonitorRev = c.Uint("")
+	}
+	if c.Field(`,"statuses":{`) {
+		j.Statuses = map[int]types.StatusUpdate{}
+		for i := 0; c.Next(i); i++ {
+			l := int(c.Int(`"`, strconv.IntSize))
+			u := types.StatusUpdate{Learner: int(c.Int(`":{"learner":`, strconv.IntSize))}
+			u.Status = types.LearnerStatus(c.Str(`,"status":`))
+			u.Time = c.Time(`,"time":`)
+			u.Detail = c.OmitEmpty(`,"detail":`)
+			c.Expect("}")
+			j.Statuses[l] = u
+		}
+		c.Expect("}")
+	}
+	if c.Field(`,"acks":{`) {
+		j.Acks = map[int]bool{}
+		for i := 0; c.Next(i); i++ {
+			l := int(c.Int(`"`, strconv.IntSize))
+			j.Acks[l] = c.Bool(`":`)
+		}
+		c.Expect("}")
+	}
+	c.Expect("}")
+	return j, c.Done()
 }
 
 func saveJournal(d *core.Deps, key string, j *journal) {
@@ -75,11 +116,7 @@ func saveJournal(d *core.Deps, key string, j *journal) {
 // time it refuses — is handed to json.Marshal itself.
 func (j *journal) appendJSON(b []byte) ([]byte, error) {
 	if !j.plain() {
-		raw, err := json.Marshal(j)
-		if err != nil {
-			return b, err
-		}
-		return append(b, raw...), nil
+		return canonjson.Marshal(b, j)
 	}
 	b = strconv.AppendBool(append(b, `{"deployed":`...), j.Deployed)
 	if j.Steps == nil {
@@ -90,74 +127,42 @@ func (j *journal) appendJSON(b []byte) ([]byte, error) {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = events.AppendString(b, s)
+			b = canonjson.AppendString(b, s)
 		}
 		b = append(b, ']')
 	}
 	if j.MonitorRev != 0 {
 		b = strconv.AppendUint(append(b, `,"monitor_rev":`...), j.MonitorRev, 10)
 	}
-	var keys [16]int
 	if len(j.Statuses) > 0 {
-		b = append(b, `,"statuses":{`...)
-		for i, l := range jsonKeyOrder(keys[:0], j.Statuses) {
-			u := j.Statuses[l]
-			b = appendKey(b, i, l)
-			b = strconv.AppendInt(append(b, `{"learner":`...), int64(u.Learner), 10)
-			b = events.AppendString(append(b, `,"status":`...), string(u.Status))
-			b = events.AppendTime(append(b, `,"time":`...), u.Time)
-			if u.Detail != "" {
-				b = events.AppendString(append(b, `,"detail":`...), u.Detail)
-			}
-			b = append(b, '}')
-		}
-		b = append(b, '}')
+		b = canonjson.AppendObject(append(b, `,"statuses":`...), j.Statuses, appendStatus)
 	}
 	if len(j.Acks) > 0 {
-		b = append(b, `,"acks":{`...)
-		for i, l := range jsonKeyOrder(keys[:0], j.Acks) {
-			b = strconv.AppendBool(appendKey(b, i, l), j.Acks[l])
-		}
-		b = append(b, '}')
+		b = canonjson.AppendObject(append(b, `,"acks":`...), j.Acks, strconv.AppendBool)
 	}
 	return append(b, '}'), nil
+}
+
+// appendStatus appends a learner's status as json.Marshal writes it.
+func appendStatus(b []byte, u types.StatusUpdate) []byte {
+	b = strconv.AppendInt(append(b, `{"learner":`...), int64(u.Learner), 10)
+	b = canonjson.AppendString(append(b, `,"status":`...), string(u.Status))
+	b = canonjson.AppendTime(append(b, `,"time":`...), u.Time)
+	return append(canonjson.AppendOmitEmpty(b, `,"detail":`, u.Detail), '}')
 }
 
 // plain reports whether appendJSON can write the journal itself: every
 // string as json.Marshal writes it unescaped, every time one it accepts.
 func (j *journal) plain() bool {
 	for _, s := range j.Steps {
-		if !events.Plain(s) {
+		if !canonjson.Plain(s) {
 			return false
 		}
 	}
 	for _, u := range j.Statuses {
-		if !events.Plain(string(u.Status)) || !events.Plain(u.Detail) || !events.Marshalable(u.Time) {
+		if !canonjson.Plain(string(u.Status)) || !canonjson.Plain(u.Detail) || !canonjson.Marshalable(u.Time) {
 			return false
 		}
 	}
 	return true
-}
-
-// appendKey appends the i-th member's int key of a JSON object, quoted as
-// json.Marshal quotes it.
-func appendKey(b []byte, i, key int) []byte {
-	if i > 0 {
-		b = append(b, ',')
-	}
-	b = strconv.AppendInt(append(b, '"'), int64(key), 10)
-	return append(b, `":`...)
-}
-
-// jsonKeyOrder appends m's keys to keys in the order json.Marshal writes
-// them: by their decimal strings, so 10 comes before 2.
-func jsonKeyOrder[V any](keys []int, m map[int]V) []int {
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, func(a, b int) int {
-		var x, y [20]byte
-		return bytes.Compare(strconv.AppendInt(x[:0], int64(a), 10), strconv.AppendInt(y[:0], int64(b), 10))
-	})
-	return keys
 }

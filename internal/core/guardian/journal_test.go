@@ -2,6 +2,7 @@ package guardian
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -36,15 +37,38 @@ func fuzzJournal(deployed bool, steps string, rev uint64, first int8, n uint8, s
 	return j
 }
 
+// checkDecode holds decodeJournal to encoding/json on raw: the canonical
+// decoder declines raw or reads it as json.Unmarshal does, and
+// decodeJournal returns what json.Unmarshal returns, or an empty journal
+// where it fails.
+func checkDecode(t *testing.T, raw string) {
+	t.Helper()
+	var want journal
+	err := json.Unmarshal([]byte(raw), &want)
+	if got, ok := decodeCanonical(raw); ok && (err != nil || !reflect.DeepEqual(*got, want)) {
+		t.Fatalf("decodeCanonical(%q) = %+v; json.Unmarshal says %+v, %v", raw, *got, want, err)
+	}
+	if err != nil {
+		want = journal{}
+	}
+	if got := decodeJournal(raw); !reflect.DeepEqual(*got, want) {
+		t.Fatalf("decodeJournal(%q) = %+v, want %+v", raw, *got, want)
+	}
+}
+
 // FuzzJournalCodec: appendJSON writes what json.Marshal writes (or fails
-// where it fails), and what it writes decodes to a journal that encodes to
-// the same bytes again. The committed corpus (testdata/fuzz) holds the
-// journals a monitor writes, keys whose decimal order is not their numeric
-// order, and strings and times that take json.Marshal's path.
+// where it fails), what it writes decodes to a journal that encodes to the
+// same bytes again, and decodeJournal reads any raw bytes as
+// json.Unmarshal does (checkDecode). The committed corpus (testdata/fuzz)
+// holds the journals a monitor writes, keys whose decimal order is not
+// their numeric order, strings and times that take json.Marshal's path,
+// and stored journals the canonical decoder must hand to json.Unmarshal.
 func FuzzJournalCodec(f *testing.F) {
-	f.Add(false, "", uint64(0), int8(0), uint8(0), "", "", int64(0), int16(0), uint16(0))
-	f.Add(true, "volume/helper/gang/learners/netpol", uint64(412), int8(0), uint8(2), "TRAINING", "", int64(1_700_000_000_000_000_000), int16(0), uint16(0))
-	f.Fuzz(func(t *testing.T, deployed bool, steps string, rev uint64, first int8, n uint8, status, detail string, unixNano int64, zoneMin int16, mask uint16) {
+	f.Add(false, "", uint64(0), int8(0), uint8(0), "", "", int64(0), int16(0), uint16(0), "")
+	f.Add(true, "volume/helper/gang/learners/netpol", uint64(412), int8(0), uint8(2), "TRAINING", "", int64(1_700_000_000_000_000_000), int16(0), uint16(0),
+		`{"deployed":true,"steps":["volume"],"monitor_rev":7,"statuses":{"0":{"learner":0,"status":"TRAINING","time":"2023-11-14T22:13:20Z"}},"acks":{"0":true}}`)
+	f.Fuzz(func(t *testing.T, deployed bool, steps string, rev uint64, first int8, n uint8, status, detail string, unixNano int64, zoneMin int16, mask uint16, raw string) {
+		checkDecode(t, raw)
 		j := fuzzJournal(deployed, steps, rev, first, n, status, detail, unixNano, zoneMin, mask)
 		want, wantErr := json.Marshal(j)
 		got, err := j.appendJSON([]byte("prefix"))
@@ -57,6 +81,7 @@ func FuzzJournalCodec(f *testing.F) {
 		if string(got) != "prefix"+string(want) {
 			t.Fatalf("appendJSON wrote\n%s\njson.Marshal\n%s", got[len("prefix"):], want)
 		}
+		checkDecode(t, string(want))
 		// A journal appendJSON writes itself reads back as the same
 		// journal. One it hands to json.Marshal may come back normalised
 		// once (invalid UTF-8 reads back as U+FFFD), and is stable from
@@ -84,5 +109,40 @@ func TestJournalEncodeAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { buf, _ = j.appendJSON(buf[:0]) }); allocs != 0 {
 		t.Fatalf("%.1f allocations per encode, want 0", allocs)
+	}
+}
+
+// builtJournal keeps TestJournalDecodeAllocs's hand-built journal on the
+// heap, where a decoded one lives.
+var builtJournal *journal
+
+// TestJournalDecodeAllocs: decoding a stored journal allocates no more
+// than building the same journal by hand — its struct, its steps and its
+// two maps; every string is a substring of the stored value.
+func TestJournalDecodeAllocs(t *testing.T) {
+	j := fuzzJournal(true, "volume/helper/gang/learners/netpol", 412, 0, 2, "TRAINING", "exit 0", 1_700_000_000_000_000_000, 0, 3)
+	raw, err := j.appendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := string(raw)
+	if _, ok := decodeCanonical(s); !ok {
+		t.Fatalf("%s: not taken as canonical", s)
+	}
+	built := testing.AllocsPerRun(100, func() {
+		b := &journal{Deployed: j.Deployed, Steps: make([]string, len(j.Steps)), MonitorRev: j.MonitorRev,
+			Statuses: map[int]types.StatusUpdate{}, Acks: map[int]bool{}}
+		copy(b.Steps, j.Steps)
+		for l, u := range j.Statuses {
+			b.Statuses[l] = u
+		}
+		for l, a := range j.Acks {
+			b.Acks[l] = a
+		}
+		builtJournal = b
+	})
+	n := testing.AllocsPerRun(100, func() { _ = decodeJournal(s) })
+	if n > built {
+		t.Fatalf("decodeJournal: %.1f allocations, building the journal takes %.1f", n, built)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/canonjson"
 	"repro/internal/core"
 	"repro/internal/core/learner"
 	"repro/internal/core/manifest"
@@ -136,6 +137,76 @@ type controllerJournal struct {
 	Acked map[string]bool `json:"acked,omitempty"`
 }
 
+// decodeControllerJournal parses a stored journal. A corrupt one — the
+// volume is shared with the learners' containers — reads as a fresh
+// journal, never as the part json.Unmarshal filled in before it failed.
+func decodeControllerJournal(raw string) (j controllerJournal) {
+	if j, ok := decodeCanonicalJournal(raw); ok {
+		return j
+	}
+	if json.Unmarshal([]byte(raw), &j) != nil {
+		return controllerJournal{}
+	}
+	return j
+}
+
+// decodeCanonicalJournal parses raw if it is a journal in appendJSON's
+// layout with at least one learner (canonjson.Cursor): exactly what
+// json.Unmarshal would make of it. ok is false for anything else, which
+// json.Unmarshal then reads.
+func decodeCanonicalJournal(raw string) (j controllerJournal, ok bool) {
+	c := canonjson.NewCursor(raw)
+	c.Expect(`{"last":{`)
+	j.Last = map[string]types.LearnerStatus{}
+	for i := 0; c.Next(i); i++ {
+		k := c.Str("")
+		j.Last[k] = types.LearnerStatus(c.Str(":"))
+	}
+	c.Expect("}")
+	if c.Field(`,"acked":{`) {
+		j.Acked = map[string]bool{}
+		for i := 0; c.Next(i); i++ {
+			k := c.Str("")
+			j.Acked[k] = c.Bool(":")
+		}
+		c.Expect("}")
+	}
+	c.Expect("}")
+	return j, c.Done()
+}
+
+// appendJSON appends the journal's encoding to b: the bytes json.Marshal
+// writes, without reflection unless a key or status needs json.Marshal's
+// own hand.
+func (j *controllerJournal) appendJSON(b []byte) ([]byte, error) {
+	if j.Last == nil || !j.plain() {
+		return canonjson.Marshal(b, j)
+	}
+	b = canonjson.AppendObject(append(b, `{"last":`...), j.Last, func(b []byte, v types.LearnerStatus) []byte {
+		return canonjson.AppendString(b, string(v))
+	})
+	if len(j.Acked) > 0 {
+		b = canonjson.AppendObject(append(b, `,"acked":`...), j.Acked, strconv.AppendBool)
+	}
+	return append(b, '}'), nil
+}
+
+// plain reports whether appendJSON can write the journal itself: every
+// key and status as json.Marshal writes it unescaped.
+func (j *controllerJournal) plain() bool {
+	for k, v := range j.Last {
+		if !canonjson.Plain(k) || !canonjson.Plain(string(v)) {
+			return false
+		}
+	}
+	for k := range j.Acked {
+		if !canonjson.Plain(k) {
+			return false
+		}
+	}
+	return true
+}
+
 // learnerFiles is the attribute view of the two files a learner's status
 // is derived from: the Gen of its status and exit files, 0 while absent.
 type learnerFiles struct{ status, exit uint64 }
@@ -184,9 +255,9 @@ func runController(ctx *kube.ContainerCtx, p Params) int {
 	}
 
 	// Crash recovery: resume from the journal so restarts don't republish.
-	journal := controllerJournal{Last: map[string]types.LearnerStatus{}}
+	var journal controllerJournal
 	if raw, err := vol.Read(journalPath); err == nil {
-		_ = json.Unmarshal(raw, &journal) // corrupt journal = start fresh
+		journal = decodeControllerJournal(string(raw))
 	}
 	if journal.Last == nil {
 		journal.Last = map[string]types.LearnerStatus{}
@@ -194,9 +265,11 @@ func runController(ctx *kube.ContainerCtx, p Params) int {
 	if journal.Acked == nil {
 		journal.Acked = map[string]bool{}
 	}
+	var jbuf []byte // the journal's encoding, reused across saves
 	saveJournal := func() {
-		if jraw, err := json.Marshal(journal); err == nil {
-			vol.Write(journalPath, jraw)
+		var err error
+		if jbuf, err = journal.appendJSON(jbuf[:0]); err == nil {
+			vol.Write(journalPath, jbuf)
 		}
 	}
 

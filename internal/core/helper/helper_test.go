@@ -441,3 +441,16 @@ func TestLogCollectorShipsLogs(t *testing.T) {
 	}
 	t.Fatal("log-collector never shipped the log")
 }
+
+// TestCorruptControllerJournalStartsFresh: a journal that is not a
+// journal reads as a fresh one. json.Unmarshal fills "last" before it
+// fails on "acked", and a controller that kept that part took learner 0
+// as already published and never mirrored its status.
+func TestCorruptControllerJournalStartsFresh(t *testing.T) {
+	d, clk := newTestDeps(t)
+	// Written before the controller's start delay is over.
+	vol := startHelperPod(t, d, helperManifest(1), "controller")
+	vol.Write(journalPath, []byte(`{"last":{"0":"TRAINING"},"acked":5}`))
+	vol.Write(learner.StatusPath(0), []byte(types.LearnerTraining))
+	awaitMirrored(t, d, clk, 0, types.LearnerTraining, time.Minute)
+}

@@ -3,9 +3,8 @@ package core
 import (
 	"encoding/json"
 	"strings"
-	"time"
-	"unicode/utf8"
 
+	"repro/internal/canonjson"
 	"repro/internal/core/types"
 )
 
@@ -24,7 +23,8 @@ import (
 // and encoded again, as before.
 func appendHistory(raw string, ev types.Event) (string, error) {
 	if canonicalHistory(raw) {
-		enc, err := json.Marshal(ev)
+		var buf [256]byte
+		enc, err := appendEvent(buf[:0], ev)
 		if err != nil {
 			return "", err
 		}
@@ -35,6 +35,19 @@ func appendHistory(raw string, ev types.Event) (string, error) {
 		return "", err
 	}
 	return string(enc), nil
+}
+
+// appendEvent appends ev as json.Marshal writes it, without reflection
+// unless a string or the time needs json.Marshal's own hand.
+func appendEvent(b []byte, ev types.Event) ([]byte, error) {
+	if !canonjson.Plain(ev.JobID) || !canonjson.Plain(string(ev.State)) || !canonjson.Plain(ev.Note) || !canonjson.Marshalable(ev.Time) {
+		return canonjson.Marshal(b, ev)
+	}
+	b = canonjson.AppendString(append(b, historyFields[0]...), ev.JobID)
+	b = canonjson.AppendString(append(b, historyFields[1]...), string(ev.State))
+	b = canonjson.AppendTime(append(b, historyFields[2]...), ev.Time)
+	b = canonjson.AppendString(append(b, historyFields[3]...), ev.Note)
+	return append(b, '}'), nil
 }
 
 // historyFields are the keys of an encoded types.Event, in field order.
@@ -55,9 +68,9 @@ func canonicalHistory(raw string) bool {
 				return false
 			}
 			rest = rest[len(key):]
-			n := canonicalString(rest)
+			n := canonjson.StringLen(rest)
 			if key == `,"Time":` {
-				n = canonicalTime(rest)
+				n = canonjson.TimeLen(rest)
 			}
 			if n < 0 {
 				return false
@@ -73,92 +86,4 @@ func canonicalHistory(raw string) bool {
 			return false
 		}
 	}
-}
-
-// canonicalString returns the length of the JSON string s starts with if
-// json.Marshal writes its decoded value as exactly those bytes, or -1.
-// json.Marshal escapes ", \, control bytes, <, >, &, U+2028 and U+2029,
-// each one way, and writes everything else raw; it writes an invalid
-// UTF-8 byte as \ufffd, which decodes to a rune it writes raw, so
-// \ufffd is never canonical.
-func canonicalString(s string) int {
-	if s == "" || s[0] != '"' {
-		return -1
-	}
-	for i := 1; i < len(s); {
-		c := s[i]
-		switch {
-		case c == '"':
-			return i + 1
-		case c == '\\':
-			n := canonicalEscape(s[i:])
-			if n < 0 {
-				return -1
-			}
-			i += n
-		case c < 0x20 || c == '<' || c == '>' || c == '&':
-			return -1
-		case c < utf8.RuneSelf:
-			i++
-		default:
-			r, size := utf8.DecodeRuneInString(s[i:])
-			if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
-				return -1
-			}
-			i += size
-		}
-	}
-	return -1
-}
-
-// canonicalEscape returns the length of the escape s starts with if it is
-// the one json.Marshal writes for the character it stands for, or -1.
-func canonicalEscape(s string) int {
-	if len(s) < 2 {
-		return -1
-	}
-	switch s[1] {
-	case '"', '\\', 'b', 'f', 'n', 'r', 't':
-		return 2
-	case 'u':
-		if len(s) < 6 {
-			return -1
-		}
-		switch u := s[2:6]; u {
-		case "003c", "003e", "0026", "2028", "2029":
-			return 6
-		case "0008", "000c", "000a", "000d", "0009": // written as \b, \f, \n, \r, \t
-			return -1
-		default:
-			// Other control bytes: \u00 and two lowercase hex digits.
-			if u[:2] == "00" && (u[2] == '0' || u[2] == '1') && strings.IndexByte("0123456789abcdef", u[3]) >= 0 {
-				return 6
-			}
-		}
-	}
-	return -1
-}
-
-// canonicalTime returns the length of the JSON string s starts with if it
-// is a time that decodes (time.Time.UnmarshalJSON, as json.Unmarshal
-// reads it) to one json.Marshal writes as exactly those bytes, or -1.
-func canonicalTime(s string) int {
-	n := canonicalString(s)
-	var buf [64]byte
-	if n < 2 || n > len(buf) {
-		return -1
-	}
-	var t time.Time
-	if err := t.UnmarshalJSON(append(buf[:0], s[:n]...)); err != nil {
-		return -1
-	}
-	_, off := t.Zone()
-	if y := t.Year(); y < 0 || y > 9999 || off <= -24*3600 || off >= 24*3600 {
-		return -1 // json.Marshal refuses it
-	}
-	var out [64]byte
-	if string(t.AppendFormat(out[:0], time.RFC3339Nano)) != s[1:n-1] {
-		return -1
-	}
-	return n
 }

@@ -175,3 +175,43 @@ func TestCanonicalHistoryIsAFixedPoint(t *testing.T) {
 		}
 	}
 }
+
+// TestEventEncodingMatchesJSON: appendEvent writes json.Marshal's bytes
+// for events whose strings mix plain bytes with what encoding/json
+// escapes, and whose times include ones it refuses.
+func TestEventEncodingMatchesJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	alphabet := []string{"a", "Z", " ", "<", ">", "&", `"`, `\`, "\n", "\x00", "\x7f", "\u2028", "é", "\xff"}
+	str := func() string {
+		var s string
+		for n := rng.Intn(4); n > 0; n-- {
+			s += alphabet[rng.Intn(len(alphabet))]
+		}
+		return s
+	}
+	for i := 0; i < 2000; i++ {
+		at := []int64{0, 1526515200, -62135596801, 253402300800}[rng.Intn(4)]
+		ev := types.Event{JobID: str(), State: types.JobState(str()), Note: str(),
+			Time: time.Unix(at, rng.Int63n(3)*5e8).In(time.FixedZone("", []int{0, 3600, 86400}[rng.Intn(3)]))}
+		got, err := appendEvent([]byte("prefix"), ev)
+		want, wantErr := json.Marshal(ev)
+		if (err == nil) != (wantErr == nil) || err == nil && string(got) != "prefix"+string(want) {
+			t.Fatalf("appendEvent(%+v) = %q, %v; json.Marshal wrote %q, %v", ev, got, err, want, wantErr)
+		}
+	}
+}
+
+// TestHistoryAppendAllocs: appending a transition to a stored history
+// allocates only the new history.
+func TestHistoryAppendAllocs(t *testing.T) {
+	at := time.Unix(1526515200, 5e8).UTC()
+	raw, err := appendHistory(`[{"JobID":"job-00001","State":"QUEUED","Time":"2018-05-17T00:00:00Z","Note":"submitted"}]`,
+		types.Event{JobID: "job-00001", State: types.StateDeploying, Time: at, Note: "attempt 1"})
+	if err != nil || !canonicalHistory(raw) {
+		t.Fatalf("%s: %v", raw, err)
+	}
+	ev := types.Event{JobID: "job-00001", State: types.StateProcessing, Time: at, Note: "learners training"}
+	if n := testing.AllocsPerRun(100, func() { _, _ = appendHistory(raw, ev) }); n != 1 {
+		t.Fatalf("appendHistory: %.1f allocations, want 1", n)
+	}
+}

@@ -25,13 +25,14 @@ func (d *Deps) InsertJob(rec types.JobRecord) error {
 	if err != nil {
 		return err
 	}
-	hist, err := json.Marshal([]types.Event{{
+	var buf [256]byte
+	hist, err := appendEvent(append(buf[:0], '['), types.Event{
 		JobID: rec.ID, State: rec.State, Time: rec.SubmittedAt, Note: "submitted",
-	}})
+	})
 	if err != nil {
 		return fmt.Errorf("encoding history: %w", err)
 	}
-	doc["history"] = string(hist)
+	doc["history"] = string(append(hist, ']'))
 	if err := d.Jobs().InsertOne(doc); err != nil {
 		return fmt.Errorf("inserting job %s: %w", rec.ID, err)
 	}

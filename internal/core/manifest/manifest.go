@@ -10,8 +10,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
+	"repro/internal/canonjson"
 	"repro/internal/trainsim"
 )
 
@@ -147,23 +149,99 @@ func (m *Manifest) CheckpointImages(stepTime time.Duration, stepImages int64) in
 // overflowing.
 func (m *Manifest) TotalGPUs() int { return m.Learners * m.GPUsPerLearner }
 
-// Encode serializes the manifest to JSON.
+// Encode serializes the manifest to JSON: the bytes json.Marshal writes.
 func (m *Manifest) Encode() (string, error) {
-	b, err := json.Marshal(m)
+	var buf [512]byte
+	b, err := m.appendJSON(buf[:0])
 	if err != nil {
 		return "", fmt.Errorf("encoding manifest: %w", err)
 	}
 	return string(b), nil
 }
 
+// appendJSON appends the manifest's encoding to b without reflection; a
+// manifest with a string json.Marshal escapes, or with a learning rate
+// (profiling only, and rare), is handed to json.Marshal itself.
+func (m *Manifest) appendJSON(b []byte) ([]byte, error) {
+	for _, s := range [...]string{m.Name, m.Framework, m.Model, m.GPUType, m.TrainingData.Bucket, m.TrainingData.Key,
+		m.TrainingData.AccessKey, m.TrainingData.SecretKey, m.Results.Bucket, m.Results.Key, m.Results.AccessKey, m.Results.SecretKey} {
+		if !canonjson.Plain(s) || m.LearningRate != 0 {
+			return canonjson.Marshal(b, m)
+		}
+	}
+	b = canonjson.AppendString(append(b, `{"name":`...), m.Name)
+	b = canonjson.AppendString(append(b, `,"framework":`...), m.Framework)
+	b = canonjson.AppendString(append(b, `,"model":`...), m.Model)
+	b = strconv.AppendInt(append(b, `,"learners":`...), int64(m.Learners), 10)
+	b = strconv.AppendInt(append(b, `,"gpus_per_learner":`...), int64(m.GPUsPerLearner), 10)
+	b = canonjson.AppendOmitEmpty(b, `,"gpu_type":`, m.GPUType)
+	b = strconv.AppendInt(append(b, `,"batch_per_gpu":`...), int64(m.BatchPerGPU), 10)
+	b = strconv.AppendInt(append(b, `,"epochs":`...), int64(m.Epochs), 10)
+	b = strconv.AppendInt(append(b, `,"dataset_images":`...), m.DatasetImages, 10)
+	b = m.TrainingData.appendJSON(append(b, `,"training_data":`...))
+	b = m.Results.appendJSON(append(b, `,"results":`...))
+	if m.Priority != 0 {
+		b = strconv.AppendInt(append(b, `,"priority":`...), int64(m.Priority), 10)
+	}
+	b = strconv.AppendInt(append(b, `,"checkpoint_interval":`...), int64(m.CheckpointInterval), 10)
+	return append(b, '}'), nil
+}
+
+func (r *DataRef) appendJSON(b []byte) []byte {
+	b = canonjson.AppendString(append(b, `{"bucket":`...), r.Bucket)
+	b = canonjson.AppendOmitEmpty(b, `,"key":`, r.Key)
+	b = canonjson.AppendString(append(b, `,"access_key":`...), r.AccessKey)
+	b = canonjson.AppendString(append(b, `,"secret_key":`...), r.SecretKey)
+	return append(b, '}')
+}
+
 // Decode parses a JSON manifest. The result is validated.
 func Decode(s string) (*Manifest, error) {
-	var m Manifest
-	if err := json.Unmarshal([]byte(s), &m); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
+	m, ok := decodeCanonical(s)
+	if !ok {
+		m = Manifest{}
+		if err := json.Unmarshal([]byte(s), &m); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
+		}
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	return &m, nil
+}
+
+// decodeCanonical parses s if it is a manifest in Encode's layout without
+// a learning rate (canonjson.Cursor): exactly what json.Unmarshal would
+// make of it, with its strings substrings of s. ok is false for anything
+// else, which json.Unmarshal then reads.
+func decodeCanonical(s string) (m Manifest, ok bool) {
+	c := canonjson.NewCursor(s)
+	m.Name = c.Str(`{"name":`)
+	m.Framework = c.Str(`,"framework":`)
+	m.Model = c.Str(`,"model":`)
+	m.Learners = int(c.Int(`,"learners":`, strconv.IntSize))
+	m.GPUsPerLearner = int(c.Int(`,"gpus_per_learner":`, strconv.IntSize))
+	m.GPUType = c.OmitEmpty(`,"gpu_type":`)
+	m.BatchPerGPU = int(c.Int(`,"batch_per_gpu":`, strconv.IntSize))
+	m.Epochs = int(c.Int(`,"epochs":`, strconv.IntSize))
+	m.DatasetImages = c.Int(`,"dataset_images":`, 64)
+	c.Expect(`,"training_data":`)
+	m.TrainingData = decodeRef(&c)
+	c.Expect(`,"results":`)
+	m.Results = decodeRef(&c)
+	if c.Field(`,"priority":`) {
+		m.Priority = int(c.Int("", strconv.IntSize))
+	}
+	m.CheckpointInterval = time.Duration(c.Int(`,"checkpoint_interval":`, 64))
+	c.Expect("}")
+	return m, c.Done()
+}
+
+func decodeRef(c *canonjson.Cursor) (r DataRef) {
+	r.Bucket = c.Str(`{"bucket":`)
+	r.Key = c.OmitEmpty(`,"key":`)
+	r.AccessKey = c.Str(`,"access_key":`)
+	r.SecretKey = c.Str(`,"secret_key":`)
+	c.Expect("}")
+	return r
 }

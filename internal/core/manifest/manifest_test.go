@@ -1,10 +1,12 @@
 package manifest
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"math/big"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -278,11 +280,37 @@ func productsFit(m *Manifest) error {
 	return nil
 }
 
+// checkCodec holds the hand-written codec to encoding/json on s: the
+// canonical decoder declines s or reads it as json.Unmarshal does, and
+// Encode writes json.Marshal's bytes for whatever json.Unmarshal reads.
+func checkCodec(t *testing.T, s string) {
+	t.Helper()
+	var want Manifest
+	err := json.Unmarshal([]byte(s), &want)
+	if got, ok := decodeCanonical(s); ok && (err != nil || got != want) {
+		t.Fatalf("decodeCanonical(%q) = %+v; json.Unmarshal says %+v, %v", s, got, want, err)
+	}
+	if err == nil {
+		checkEncode(t, &want)
+	}
+}
+
+func checkEncode(t *testing.T, m *Manifest) {
+	t.Helper()
+	enc, err := m.Encode()
+	ref, refErr := json.Marshal(m)
+	if (err == nil) != (refErr == nil) || err == nil && enc != string(ref) {
+		t.Fatalf("Encode(%+v) = %q, %v; json.Marshal wrote %q, %v", *m, enc, err, ref, refErr)
+	}
+}
+
 // FuzzManifestDecode: whatever Decode accepts has a non-negative GPU
 // total, products that do not overflow (productsFit), and survives Encode →
-// Decode unchanged. The committed corpus (testdata/fuzz) holds the
-// overflows Decode once accepted, and a manifest whose checkpoint cadence
-// the learner once wrapped negative, writing checkpoints forever.
+// Decode unchanged; and the codec agrees with encoding/json (checkCodec).
+// The committed corpus (testdata/fuzz) holds the overflows Decode once
+// accepted, a manifest whose checkpoint cadence the learner once wrapped
+// negative, writing checkpoints forever, and manifests the canonical
+// decoder or the encoder must hand to encoding/json.
 func FuzzManifestDecode(f *testing.F) {
 	m := valid()
 	raw, err := m.Encode()
@@ -291,6 +319,7 @@ func FuzzManifestDecode(f *testing.F) {
 	}
 	f.Add(raw)
 	f.Fuzz(func(t *testing.T, s string) {
+		checkCodec(t, s)
 		m, err := Decode(s)
 		if err != nil {
 			if !errors.Is(err, ErrInvalid) {
@@ -316,4 +345,55 @@ func FuzzManifestDecode(f *testing.F) {
 			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", *got, *m)
 		}
 	})
+}
+
+// TestManifestEncodeMatchesJSON runs the encoding property over seeded
+// random manifests whose strings mix plain bytes with what encoding/json
+// escapes, and whose learning rates include the ones it refuses or writes
+// with an exponent.
+func TestManifestEncodeMatchesJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	alphabet := []string{"a", "Z", "0", "-", " ", "<", ">", "&", `"`, `\`, "\n", "\x00", "\x7f", "\u2028", "é", "\xff"}
+	str := func() string {
+		var s string
+		for n := rng.Intn(4); n > 0; n-- {
+			s += alphabet[rng.Intn(len(alphabet))]
+		}
+		return s
+	}
+	rates := []float64{0, 0.01, 1e-7, 1e21, -2.5, 123456789, math.NaN(), math.Inf(1), math.SmallestNonzeroFloat64}
+	ints := []int{0, 1, -1, math.MaxInt, math.MinInt}
+	for i := 0; i < 2000; i++ {
+		m := Manifest{Name: str(), Framework: str(), Model: str(), GPUType: str(),
+			Learners: ints[rng.Intn(len(ints))], GPUsPerLearner: ints[rng.Intn(len(ints))], BatchPerGPU: ints[rng.Intn(len(ints))],
+			Epochs: ints[rng.Intn(len(ints))], DatasetImages: int64(ints[rng.Intn(len(ints))]), Priority: ints[rng.Intn(len(ints))],
+			TrainingData:       DataRef{Bucket: str(), Key: str(), AccessKey: str(), SecretKey: str()},
+			Results:            DataRef{Bucket: str(), Key: str(), AccessKey: str(), SecretKey: str()},
+			CheckpointInterval: time.Duration(ints[rng.Intn(len(ints))]), LearningRate: rates[rng.Intn(len(rates))]}
+		checkEncode(t, &m)
+		if raw, err := json.Marshal(&m); err == nil {
+			checkCodec(t, string(raw))
+		}
+	}
+}
+
+// TestManifestCodecAllocs: decoding a submitted manifest allocates only
+// the manifest, and encoding one only the string.
+func TestManifestCodecAllocs(t *testing.T) {
+	m := valid()
+	m.GPUType, m.Priority = "K80", 7
+	raw, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Decode(raw); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("Decode: %.1f allocations, want at most 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = m.Encode() }); n > 1 {
+		t.Errorf("Encode: %.1f allocations, want at most 1", n)
+	}
 }

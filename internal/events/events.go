@@ -12,7 +12,8 @@
 // mixed-version components interoperate during a rolling upgrade.
 //
 // The wire form is json.Marshal's, written and read without reflection
-// (codec.go): every hop of every status change encodes or decodes one.
+// through internal/canonjson (codec.go): every hop of every status change
+// encodes or decodes one.
 package events
 
 import (

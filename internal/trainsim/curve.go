@@ -1,10 +1,11 @@
 package trainsim
 
 import (
-	"encoding/json"
 	"hash/fnv"
 	"math"
 	"strconv"
+
+	"repro/internal/canonjson"
 )
 
 // LossCurve models training-loss progress for a model: an exponential
@@ -84,29 +85,12 @@ type MetricPoint struct {
 func (p MetricPoint) AppendJSON(b []byte) ([]byte, error) {
 	for _, f := range [...]float64{p.ClusterSeconds, p.Loss} {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
-			_, err := json.Marshal(p)
-			return b, err
+			return canonjson.Marshal(b, p)
 		}
 	}
-	b = appendJSONFloat(append(b, `{"t":`...), p.ClusterSeconds)
+	b = canonjson.AppendFloat(append(b, `{"t":`...), p.ClusterSeconds)
 	b = strconv.AppendInt(append(b, `,"images":`...), p.Images, 10)
-	b = appendJSONFloat(append(b, `,"loss":`...), p.Loss)
+	b = canonjson.AppendFloat(append(b, `,"loss":`...), p.Loss)
 	b = strconv.AppendInt(append(b, `,"restarts":`...), int64(p.Restarts), 10)
 	return append(b, '}'), nil
-}
-
-// appendJSONFloat formats a finite f as encoding/json does: the shortest
-// decimal that round-trips, in exponent form (with no leading zero in
-// the exponent) only below 1e-6 or from 1e21 up.
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1] // e-09 to e-9
-		b = b[:n-1]
-	}
-	return b
 }

@@ -19,8 +19,8 @@
 package trainsim
 
 import (
-	"fmt"
 	"hash/fnv"
+	"strconv"
 	"time"
 
 	"repro/internal/gpu"
@@ -345,8 +345,17 @@ func (c Config) noise() float64 {
 	if c.Overheads.NoiseFraction == 0 {
 		return 0
 	}
+	// Hashes "model|framework|gpu|gpus|batch|seed", written from a stack
+	// buffer.
+	var buf [128]byte
+	b := append(buf[:0], c.Model.Name...)
+	b = append(append(b, '|'), c.Framework...)
+	b = append(append(b, '|'), c.GPU.Name...)
+	b = strconv.AppendInt(append(b, '|'), int64(c.NumGPUs), 10)
+	b = strconv.AppendInt(append(b, '|'), int64(c.BatchPerGPU), 10)
+	b = strconv.AppendUint(append(b, '|'), c.Seed, 10)
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%s|%d|%d|%d", c.Model.Name, c.Framework, c.GPU.Name, c.NumGPUs, c.BatchPerGPU, c.Seed)
+	_, _ = h.Write(b)
 	u := h.Sum64()
 	frac := float64(u%1_000_000) / 1_000_000 // [0, 1)
 	return frac * 2 * c.Overheads.NoiseFraction

@@ -1,6 +1,7 @@
 package trainsim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -270,4 +271,39 @@ func (c Config) EpochTime(datasetImages int64) time.Duration {
 	}
 	steps := (datasetImages + perStep - 1) / perStep
 	return time.Duration(steps) * c.StepTime()
+}
+
+// noiseCases pin noise() for a spread of configurations: the hash of
+// "model|framework|gpu|gpus|batch|seed" must not move, or every step time
+// would.
+var noiseCases = []struct {
+	m    ModelSpec
+	f    Framework
+	g    gpu.Spec
+	n, b int
+	seed uint64
+	bits uint64
+}{
+	{VGG16, Caffe, gpu.K80, 1, 32, 0, 0x3f96c6138655d631},
+	{ResNet50, TensorFlow, gpu.P100, 2, 64, 1, 0x3f911238b41df6ad},
+	{InceptionV3, PyTorch, gpu.P100SXM2, 8, 16, 42, 0x3f5e8d631943b7a9},
+	{AlexNet, Torch, gpu.V100, 4, 128, 1 << 63, 0x3f95680b34c50c41},
+	{GoogLeNet, Horovod, gpu.K80, 16, 1, math.MaxUint64, 0x3f70787deb125d24},
+	{ResNet50, "", gpu.Spec{}, 0, -1, 7, 0x3f94ab1f755d9c8b},
+}
+
+func TestNoiseIsPinned(t *testing.T) {
+	for _, tc := range noiseCases {
+		c := Config{Model: tc.m, Framework: tc.f, GPU: tc.g, NumGPUs: tc.n, BatchPerGPU: tc.b, Seed: tc.seed, Overheads: DLaaS()}
+		if got := c.noise(); math.Float64bits(got) != tc.bits {
+			t.Errorf("%s/%s/%s/%d/%d/%d: noise %v, want %v", tc.m.Name, tc.f, tc.g.Name, tc.n, tc.b, tc.seed, got, math.Float64frombits(tc.bits))
+		}
+	}
+}
+
+func TestNoiseAllocs(t *testing.T) {
+	c := Config{Model: InceptionV3, Framework: Horovod, GPU: gpu.P100SXM2, NumGPUs: 8, BatchPerGPU: 64, Seed: 99, Overheads: DLaaS()}
+	if n := testing.AllocsPerRun(100, func() { _ = c.noise() }); n != 0 {
+		t.Fatalf("noise: %.1f allocations, want 0", n)
+	}
 }
