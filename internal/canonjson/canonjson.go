@@ -21,10 +21,7 @@ import (
 // for a value it cannot write plainly.
 func Marshal(b []byte, v any) ([]byte, error) {
 	raw, err := json.Marshal(v)
-	if err != nil {
-		return b, err
-	}
-	return append(b, raw...), nil
+	return append(b, raw...), err
 }
 
 // plainLen returns the length of the longest prefix of s that json.Marshal

@@ -140,39 +140,11 @@ type controllerJournal struct {
 // decodeControllerJournal parses a stored journal. A corrupt one — the
 // volume is shared with the learners' containers — reads as a fresh
 // journal, never as the part json.Unmarshal filled in before it failed.
-func decodeControllerJournal(raw string) (j controllerJournal) {
-	if j, ok := decodeCanonicalJournal(raw); ok {
-		return j
-	}
-	if json.Unmarshal([]byte(raw), &j) != nil {
+func decodeControllerJournal(raw []byte) (j controllerJournal) {
+	if json.Unmarshal(raw, &j) != nil {
 		return controllerJournal{}
 	}
 	return j
-}
-
-// decodeCanonicalJournal parses raw if it is a journal in appendJSON's
-// layout with at least one learner (canonjson.Cursor): exactly what
-// json.Unmarshal would make of it. ok is false for anything else, which
-// json.Unmarshal then reads.
-func decodeCanonicalJournal(raw string) (j controllerJournal, ok bool) {
-	c := canonjson.NewCursor(raw)
-	c.Expect(`{"last":{`)
-	j.Last = map[string]types.LearnerStatus{}
-	for i := 0; c.Next(i); i++ {
-		k := c.Str("")
-		j.Last[k] = types.LearnerStatus(c.Str(":"))
-	}
-	c.Expect("}")
-	if c.Field(`,"acked":{`) {
-		j.Acked = map[string]bool{}
-		for i := 0; c.Next(i); i++ {
-			k := c.Str("")
-			j.Acked[k] = c.Bool(":")
-		}
-		c.Expect("}")
-	}
-	c.Expect("}")
-	return j, c.Done()
 }
 
 // appendJSON appends the journal's encoding to b: the bytes json.Marshal
@@ -257,7 +229,7 @@ func runController(ctx *kube.ContainerCtx, p Params) int {
 	// Crash recovery: resume from the journal so restarts don't republish.
 	var journal controllerJournal
 	if raw, err := vol.Read(journalPath); err == nil {
-		journal = decodeControllerJournal(string(raw))
+		journal = decodeControllerJournal(raw)
 	}
 	if journal.Last == nil {
 		journal.Last = map[string]types.LearnerStatus{}

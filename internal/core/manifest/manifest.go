@@ -163,9 +163,12 @@ func (m *Manifest) Encode() (string, error) {
 // manifest with a string json.Marshal escapes, or with a learning rate
 // (profiling only, and rare), is handed to json.Marshal itself.
 func (m *Manifest) appendJSON(b []byte) ([]byte, error) {
+	if m.LearningRate != 0 {
+		return canonjson.Marshal(b, m)
+	}
 	for _, s := range [...]string{m.Name, m.Framework, m.Model, m.GPUType, m.TrainingData.Bucket, m.TrainingData.Key,
 		m.TrainingData.AccessKey, m.TrainingData.SecretKey, m.Results.Bucket, m.Results.Key, m.Results.AccessKey, m.Results.SecretKey} {
-		if !canonjson.Plain(s) || m.LearningRate != 0 {
+		if !canonjson.Plain(s) {
 			return canonjson.Marshal(b, m)
 		}
 	}

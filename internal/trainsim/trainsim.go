@@ -345,8 +345,7 @@ func (c Config) noise() float64 {
 	if c.Overheads.NoiseFraction == 0 {
 		return 0
 	}
-	// Hashes "model|framework|gpu|gpus|batch|seed", written from a stack
-	// buffer.
+	// Hashes "model|framework|gpu|gpus|batch|seed" from a stack buffer.
 	var buf [128]byte
 	b := append(buf[:0], c.Model.Name...)
 	b = append(append(b, '|'), c.Framework...)
