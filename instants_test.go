@@ -19,13 +19,16 @@ import (
 const fleetInstantBudget = 198
 
 // fleetAllocBudget is the ceiling on heap objects per job for the same
-// fleet: the 835–867 it measures in a fresh process, plus 10 %. With
-// MongoDB deep-copying every document it stored and returned, the Guardian
-// journal encoded by reflection and a pod's containers in a map, it
-// measured 990–1 001; before the job path built its paths and keys once,
-// appended history instead of re-encoding it and coded envelopes without
-// reflection, 1 440–1 477.
-const fleetAllocBudget = 950
+// fleet: the 615–618 it measures in a fresh process, plus 10 %. With a
+// pod's goroutine waiting on two WaitGroups and a start waiter beside its
+// supervisors, every span wrapped in a handle of its own and each job
+// deployed twice, it measured 726–734 (the budget was then 950); with the
+// job documents encoded by reflection, 835–867; with MongoDB deep-copying
+// every document it stored and returned, the Guardian journal encoded by
+// reflection and a pod's containers in a map, 990–1 001; before the job
+// path built its paths and keys once, appended history instead of
+// re-encoding it and coded envelopes without reflection, 1 440–1 477.
+const fleetAllocBudget = 680
 
 // TestFleetInstantBudget runs a small fixed fleet — sixteen one-learner
 // jobs, submitted together on GPUs enough for all, so that what each job

@@ -63,6 +63,10 @@ type Params struct {
 	// setup, API round trips). It also widens the window in which
 	// crash-injection tests can catch the Guardian mid-deployment.
 	StepDelay time.Duration
+
+	// volume and gang are the job's VolumeName and GangName, named once
+	// by Run for the deployment steps and the monitor's polls.
+	volume, gang string
 }
 
 // Resource naming conventions (name-addressed so a restarted Guardian
@@ -104,6 +108,7 @@ func ContainerSpec(p Params) kube.ContainerSpec {
 // Guardian attempt.
 func Run(ctx *kube.ContainerCtx, p Params) int {
 	d := p.Deps
+	p.volume, p.gang = VolumeName(p.JobID), GangName(p.JobID)
 	maxAttempts := p.MaxDeployAttempts
 	if maxAttempts <= 0 {
 		maxAttempts = DefaultMaxDeployAttempts
@@ -181,18 +186,18 @@ func deploy(ctx *kube.ContainerCtx, p Params, journalKey string, parentSpan trac
 	}
 
 	// Step 1: shared NFS volume via a persistent volume claim.
-	if _, err := d.NFS.Provision(VolumeName(p.JobID)); err != nil {
+	if _, err := d.NFS.Provision(p.volume); err != nil {
 		if !errors.Is(err, nfs.ErrVolumeExists) {
 			return 1, false
 		}
 		// Leftover from a partial deploy whose journal write never
 		// landed: recreate it empty.
-		d.NFS.Release(VolumeName(p.JobID))
-		if _, err := d.NFS.Provision(VolumeName(p.JobID)); err != nil {
+		d.NFS.Release(p.volume)
+		if _, err := d.NFS.Provision(p.volume); err != nil {
 			return 1, false
 		}
 	}
-	restoreShippedLogs(d, p.JobID, p.Manifest)
+	restoreShippedLogs(p)
 	if !step("volume") {
 		return 137, false
 	}
@@ -203,7 +208,7 @@ func deploy(ctx *kube.ContainerCtx, p Params, journalKey string, parentSpan trac
 		Deps:       d,
 		JobID:      p.JobID,
 		Manifest:   p.Manifest,
-		VolumeName: VolumeName(p.JobID),
+		VolumeName: p.volume,
 	})
 	if _, err := d.Kube.CreateDeployment(HelperName(p.JobID), 1, helperSpec); err != nil {
 		return 1, false
@@ -221,7 +226,7 @@ func deploy(ctx *kube.ContainerCtx, p Params, journalKey string, parentSpan trac
 	// placed job. Submission is idempotent, so a restarted Guardian
 	// recovers the reservation by name.
 	gang, err := d.Kube.SubmitGang(kube.GangSpec{
-		Name:          GangName(p.JobID),
+		Name:          p.gang,
 		Tenant:        p.Manifest.TrainingData.AccessKey,
 		Priority:      p.Manifest.Priority,
 		Members:       p.Manifest.Learners,
@@ -245,7 +250,7 @@ func deploy(ctx *kube.ContainerCtx, p Params, journalKey string, parentSpan trac
 	}
 	for gang.State() == kube.GangPending {
 		if halted, _ := jobHalted(d, p.JobID); halted {
-			d.Kube.CancelGang(GangName(p.JobID))
+			d.Kube.CancelGang(p.gang)
 			return 0, false
 		}
 		if !ctx.Sleep(500 * time.Millisecond) {
@@ -257,7 +262,7 @@ func deploy(ctx *kube.ContainerCtx, p Params, journalKey string, parentSpan trac
 		// from scratch on a fresh Guardian attempt. Like the monitor's
 		// preemption path, this is the scheduler's doing — give the
 		// attempt back so churny preemption cannot exhaust the budget.
-		d.Kube.CancelGang(GangName(p.JobID))
+		d.Kube.CancelGang(p.gang)
 		_ = d.ResetDeployAttempts(p.JobID)
 		return 1, false
 	}
@@ -272,8 +277,8 @@ func deploy(ctx *kube.ContainerCtx, p Params, journalKey string, parentSpan trac
 		RestartPolicy:    kube.RestartAlways,
 		GPUs:             p.Manifest.GPUsPerLearner,
 		GPUType:          p.Manifest.GPUType,
-		Gang:             GangName(p.JobID),
-		Volumes:          []string{VolumeName(p.JobID)},
+		Gang:             p.gang,
+		Volumes:          []string{p.volume},
 		BindsObjectStore: true,
 	}
 	// Each ordinal needs its own Params; the container reads its
@@ -312,7 +317,7 @@ func learnerContainerForSet(p Params, g gpu.Spec) kube.ContainerSpec {
 		JobID:      p.JobID,
 		Ordinal:    0,
 		Manifest:   p.Manifest,
-		VolumeName: VolumeName(p.JobID),
+		VolumeName: p.volume,
 		GPU:        g,
 	})
 	run := func(ctx *kube.ContainerCtx) int {
@@ -322,7 +327,7 @@ func learnerContainerForSet(p Params, g gpu.Spec) kube.ContainerSpec {
 			JobID:      p.JobID,
 			Ordinal:    ordinal,
 			Manifest:   p.Manifest,
-			VolumeName: VolumeName(p.JobID),
+			VolumeName: p.volume,
 			GPU:        g,
 		}).Run(ctx)
 	}
@@ -410,7 +415,7 @@ func settle(p Params, statuses []types.StatusUpdate, announced *types.JobState) 
 	switch {
 	case failed > 0:
 		failJob(d, p.JobID, failDetail)
-		shipLogs(d, p.JobID, p.Manifest)
+		shipLogs(p)
 		teardown(d, p.JobID)
 		cleanupEtcd(d, p.JobID)
 		return 0, true, false
@@ -421,7 +426,7 @@ func settle(p Params, statuses []types.StatusUpdate, announced *types.JobState) 
 		if *announced != types.StateStoring {
 			return 0, false, true
 		}
-		if stored, unreadable := resultsStored(d, p.JobID); !stored {
+		if stored, unreadable := resultsStored(p); !stored {
 			return 0, false, unreadable
 		}
 		if _, err := d.TransitionJob(p.JobID, types.StateCompleted, "results stored"); err != nil {
@@ -441,7 +446,7 @@ func settle(p Params, statuses []types.StatusUpdate, announced *types.JobState) 
 // handleHalt tears the job down after user termination.
 func handleHalt(p Params) int {
 	d := p.Deps
-	shipLogs(d, p.JobID, p.Manifest)
+	shipLogs(p)
 	teardown(d, p.JobID)
 	cleanupEtcd(d, p.JobID)
 	return 0
@@ -456,13 +461,13 @@ func handleHalt(p Params) int {
 func handlePreemption(p Params) int {
 	d := p.Deps
 	reason := "preempted by higher-priority job; redeploying"
-	if g := d.Kube.GangByName(GangName(p.JobID)); g != nil {
+	if g := d.Kube.GangByName(p.gang); g != nil {
 		if intent, ok := g.EvictionIntent(); ok && intent.Reason == kube.EvictReasonDrain {
 			reason = "evicted by node drain; redeploying"
 		}
 	}
 	_, _ = d.TransitionJob(p.JobID, types.StateDeploying, reason)
-	shipLogs(d, p.JobID, p.Manifest)
+	shipLogs(p)
 	rollback(d, p.JobID)
 	_ = d.Etcd.Delete(types.GuardianJournalKey(p.JobID))
 	// Clear the eviction handshake so the redeployed job starts with a
@@ -490,7 +495,7 @@ func relayEviction(p Params, intent kube.EvictionIntent) {
 		return
 	}
 	_, _ = d.Etcd.Put(types.EvictionIntentKey(p.JobID), string(raw))
-	if vol, err := d.NFS.Volume(VolumeName(p.JobID)); err == nil {
+	if vol, err := d.NFS.Volume(p.volume); err == nil {
 		vol.Write(learner.EvictRequestPath, raw)
 	}
 	if d.Metrics != nil {
@@ -506,7 +511,7 @@ func relayEviction(p Params, intent kube.EvictionIntent) {
 // done=true means the monitor must exit with the returned code.
 func checkGang(p Params, relayed *bool, acks map[int]bool) (code int, done bool) {
 	d := p.Deps
-	g := d.Kube.GangByName(GangName(p.JobID))
+	g := d.Kube.GangByName(p.gang)
 	if g == nil {
 		return 0, false
 	}
@@ -523,7 +528,7 @@ func checkGang(p Params, relayed *bool, acks map[int]bool) (code int, done bool)
 		if p.Manifest.Learners > 0 && len(acks) >= p.Manifest.Learners {
 			// Completion is synchronous: the gang is preempted when
 			// AckEviction returns, so redeploy right away.
-			d.Kube.AckEviction(GangName(p.JobID))
+			d.Kube.AckEviction(p.gang)
 			if g.State() == kube.GangPreempted {
 				return handlePreemption(p), true
 			}
@@ -720,10 +725,10 @@ func monitor(ctx *kube.ContainerCtx, p Params, journalKey string) int {
 	// changed with no event delivered — subscribed here, before the first
 	// pass looks, so that either is seen on the first tick after it.
 	var evictNotice, evicted, markerWritten <-chan struct{}
-	if g := d.Kube.GangByName(GangName(p.JobID)); g != nil {
+	if g := d.Kube.GangByName(p.gang); g != nil {
 		evictNotice, evicted = g.EvictionNotice(), g.Evicted()
 	}
-	if vol, err := d.NFS.Volume(VolumeName(p.JobID)); err == nil {
+	if vol, err := d.NFS.Volume(p.volume); err == nil {
 		sub := vol.Subscribe(helper.ResultsStoredMarker)
 		defer sub.Close()
 		markerWritten = sub.C()
@@ -824,8 +829,8 @@ func monitor(ctx *kube.ContainerCtx, p Params, journalKey string) int {
 // is read only once it exists. unreadable tells a marker (or a volume)
 // that could not be read from one not written yet: only the second will
 // be announced by a write.
-func resultsStored(d *core.Deps, jobID string) (stored, unreadable bool) {
-	vol, err := d.NFS.Volume(VolumeName(jobID))
+func resultsStored(p Params) (stored, unreadable bool) {
+	vol, err := p.Deps.NFS.Volume(p.volume)
 	if err != nil {
 		return false, true
 	}
@@ -845,8 +850,9 @@ func resultsStored(d *core.Deps, jobID string) (stored, unreadable bool) {
 // irrespective of the stage it is in" holds across incarnations. The
 // rollback to the last checkpoint stays visible in the metric series,
 // as the paper observes for restarted jobs.
-func restoreShippedLogs(d *core.Deps, jobID string, m *manifest.Manifest) {
-	vol, err := d.NFS.Volume(VolumeName(jobID))
+func restoreShippedLogs(p Params) {
+	d, jobID, m := p.Deps, p.JobID, p.Manifest
+	vol, err := d.NFS.Volume(p.volume)
 	if err != nil {
 		return
 	}
@@ -868,8 +874,9 @@ func restoreShippedLogs(d *core.Deps, jobID string, m *manifest.Manifest) {
 // store-results helper does this on the success path; the Guardian does
 // it for failures and halts, honoring "reliable streaming of logs from
 // the job, irrespective of the stage it is in, even if it crashes/fails".
-func shipLogs(d *core.Deps, jobID string, m *manifest.Manifest) {
-	vol, err := d.NFS.Volume(VolumeName(jobID))
+func shipLogs(p Params) {
+	d, jobID, m := p.Deps, p.JobID, p.Manifest
+	vol, err := d.NFS.Volume(p.volume)
 	if err != nil {
 		return
 	}

@@ -85,7 +85,7 @@ func referenceController(ctx *kube.ContainerCtx, p Params) int {
 			if seen == handled[l] {
 				continue
 			}
-			status, src, ok := currentLearnerStatus(vol, l, files, seen)
+			status, src, ok := currentLearnerStatus(vol, files, seen)
 			if !ok || status == "" {
 				continue
 			}
@@ -139,7 +139,7 @@ func referenceStoreResults(ctx *kube.ContainerCtx, p Params) int {
 				continue
 			}
 			if exits[l].gen != fi.Gen {
-				code, ok := vol.ReadExitCode(l)
+				code, ok := vol.ReadExitCode(nfs.ExitCodePath(l))
 				if !ok {
 					continue
 				}
@@ -264,8 +264,8 @@ func controllerSchedule(seed int64) []step {
 		{at(rng, 28*s, s), func(r *rig) { r.vol.Write(learner.EvictRequestPath, []byte("intent")) }},
 		{at(rng, 29*s, s), func(r *rig) { r.vol.Write(learner.EvictAckPath(1), []byte("ack-1")) }},
 		{at(rng, 31*s, s), func(r *rig) { r.vol.Write(learner.EvictAckPath(0), []byte("ack-0")) }},
-		{at(rng, 33*s, s), func(r *rig) { r.vol.WriteExitCode(0, 0) }},
-		{at(rng, 35*s, s), func(r *rig) { r.vol.WriteExitCode(1, 3) }},
+		{at(rng, 33*s, s), func(r *rig) { r.vol.WriteExitCode(nfs.ExitCodePath(0), 0) }},
+		{at(rng, 35*s, s), func(r *rig) { r.vol.WriteExitCode(nfs.ExitCodePath(1), 3) }},
 	}
 }
 
@@ -338,13 +338,13 @@ func storeResultsTimeline(t *testing.T, seed int64, run func(*kube.ContainerCtx,
 	rng := rand.New(rand.NewSource(seed))
 	s := time.Second
 	r.play([]step{
-		{at(rng, 4*s, 4*s), func(r *rig) { r.vol.WriteExitCode(1, 0) }},
+		{at(rng, 4*s, 4*s), func(r *rig) { r.vol.WriteExitCode(nfs.ExitCodePath(1), 0) }},
 		// An exit file that exists but cannot be read yet: first by a
 		// fault, then because it does not parse.
 		{at(rng, 10*s, s/4), func(r *rig) { r.vol.Write(nfs.ExitCodePath(0), []byte("?")) }},
 		{10*s + s/4, func(r *rig) { r.d.NFS.InjectFault(nfs.FaultError) }},
 		{at(rng, 12*s, s), func(r *rig) { r.d.NFS.Heal() }},
-		{at(rng, 15*s, 2*s), func(r *rig) { r.vol.WriteExitCode(0, 0) }},
+		{at(rng, 15*s, 2*s), func(r *rig) { r.vol.WriteExitCode(nfs.ExitCodePath(0), 0) }},
 	})
 	marker := r.vol.Subscribe(ResultsStoredMarker)
 	defer marker.Close()

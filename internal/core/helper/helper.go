@@ -308,7 +308,7 @@ func runController(ctx *kube.ContainerCtx, p Params) int {
 			if seen == handled[l] {
 				continue
 			}
-			status, src, ok := currentLearnerStatus(vol, l, lm.files, seen)
+			status, src, ok := currentLearnerStatus(vol, lm.files, seen)
 			if !ok || status == "" {
 				retry = true
 				continue
@@ -360,7 +360,7 @@ func pollWait(ctx *kube.ContainerCtx, period time.Duration, sub *nfs.Subscriptio
 	return ctx.SleepUntil(period, sub.C())
 }
 
-// currentLearnerStatus derives learner l's status from whichever of its
+// currentLearnerStatus derives a learner's status from whichever of its
 // two files seen says exist: the exit file wins (orderly termination),
 // otherwise the status file (an events.Envelope, or a bare status string
 // from older learners). The source envelope is returned alongside so the
@@ -369,7 +369,7 @@ func pollWait(ctx *kube.ContainerCtx, period time.Duration, sub *nfs.Subscriptio
 // carry none). ok is false when a file that exists could not be read (an
 // NFS fault) or its exit code not parsed: the answer is then incomplete
 // and the caller must ask again.
-func currentLearnerStatus(vol *nfs.Volume, l int, f learner.Files, seen learnerFiles) (types.LearnerStatus, events.Envelope, bool) {
+func currentLearnerStatus(vol *nfs.Volume, f learner.Files, seen learnerFiles) (types.LearnerStatus, events.Envelope, bool) {
 	var src events.Envelope
 	ok := true
 	if seen.status != 0 {
@@ -382,7 +382,7 @@ func currentLearnerStatus(vol *nfs.Volume, l int, f learner.Files, seen learnerF
 	}
 	status := types.LearnerStatus(src.Status)
 	if seen.exit != 0 {
-		switch code, exited := vol.ReadExitCode(l); {
+		switch code, exited := vol.ReadExitCode(f.ExitCode); {
 		case !exited:
 			ok = false
 		case code == 0:
@@ -491,7 +491,7 @@ func awaitLearnersDone(ctx *kube.ContainerCtx, vol *nfs.Volume, learners int) bo
 				continue
 			}
 			if exits[l].gen != fi.Gen {
-				code, ok := vol.ReadExitCode(l)
+				code, ok := vol.ReadExitCode(watched[l])
 				if !ok {
 					retry = true
 					continue

@@ -75,13 +75,14 @@ type Service struct {
 	// MaxDeployAttempts is forwarded to Guardians.
 	MaxDeployAttempts int
 
-	mu     sync.Mutex
-	gcDone map[string]bool // jobs already garbage-collected
+	mu        sync.Mutex
+	gcDone    map[string]bool   // jobs already garbage-collected
+	deploying map[string]string // jobs a deploy call is working on, to their Guardian Job's name
 }
 
 // New creates an LCM service.
 func New(deps *core.Deps) *Service {
-	return &Service{deps: deps, gcDone: make(map[string]bool)}
+	return &Service{deps: deps, gcDone: make(map[string]bool), deploying: make(map[string]string)}
 }
 
 // ContainerSpec builds the LCM container for its Deployment. The LCM is
@@ -268,9 +269,26 @@ func (s *Service) handle(_ context.Context, method string, req any) (any, error)
 }
 
 // deploy instantiates the job's Guardian as a Kubernetes Job. It is
-// idempotent: an existing Guardian Job satisfies the request.
+// idempotent: an existing Guardian Job satisfies the request, and so does
+// another deploy call of the job in progress — the API's submit RPC and
+// the jobs feed both ask for every job. The claim ends when the call
+// returns, so a deploy that failed is retried by the next sweep.
 func (s *Service) deploy(jobID string) (DeployResponse, error) {
-	name := guardian.KubeJobName(jobID)
+	s.mu.Lock()
+	name, claimed := s.deploying[jobID]
+	if !claimed {
+		name = guardian.KubeJobName(jobID)
+		s.deploying[jobID] = name
+	}
+	s.mu.Unlock()
+	if claimed {
+		return DeployResponse{GuardianJob: name}, nil
+	}
+	defer func() {
+		s.mu.Lock()
+		delete(s.deploying, jobID)
+		s.mu.Unlock()
+	}()
 	if s.deps.Kube.JobByName(name) != nil {
 		return DeployResponse{GuardianJob: name}, nil
 	}

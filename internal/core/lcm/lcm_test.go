@@ -2,8 +2,10 @@ package lcm
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/clock"
+	"repro/internal/clock/clocktest"
 	"repro/internal/core"
 	"repro/internal/core/guardian"
 	"repro/internal/core/manifest"
@@ -22,6 +24,11 @@ import (
 func newTestDeps(t *testing.T) (*core.Deps, *clock.Sim) {
 	t.Helper()
 	clk := clock.NewSim()
+	return newTestDepsOn(t, clk), clk
+}
+
+func newTestDepsOn(t *testing.T, clk *clock.Sim) *core.Deps {
+	t.Helper()
 	link := netsim.NewSharedLink(netsim.Ethernet1G, clk)
 	cluster := kube.NewCluster(kube.Config{Clock: clk},
 		kube.NodeSpec{Name: "n1", GPUs: 4, GPUType: "K80"},
@@ -44,11 +51,21 @@ func newTestDeps(t *testing.T) (*core.Deps, *clock.Sim) {
 		DataLink:    link,
 		DefaultGPU:  gpu.K80,
 		Metrics:     metrics.NewRegistry(),
-	}, clk
+	}
 }
 
 // insertJob records a job in the given state and returns its ID.
 func insertJob(t *testing.T, d *core.Deps, state types.JobState) string {
+	t.Helper()
+	rec := jobRecord(t, d, state)
+	if err := d.InsertJob(rec); err != nil {
+		t.Fatal(err)
+	}
+	return rec.ID
+}
+
+// jobRecord builds a record of a job in the given state.
+func jobRecord(t *testing.T, d *core.Deps, state types.JobState) types.JobRecord {
 	t.Helper()
 	m := manifest.Manifest{
 		Name: "t", Framework: "tensorflow", Model: "resnet50",
@@ -61,15 +78,11 @@ func insertJob(t *testing.T, d *core.Deps, state types.JobState) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := d.NextJobID()
 	now := d.Clock.Now()
-	if err := d.InsertJob(types.JobRecord{
-		ID: id, Tenant: "tenant", State: state, Manifest: raw,
+	return types.JobRecord{
+		ID: d.NextJobID(), Tenant: "tenant", State: state, Manifest: raw,
 		SubmittedAt: now, UpdatedAt: now,
-	}); err != nil {
-		t.Fatal(err)
 	}
-	return id
 }
 
 func TestDeployCreatesGuardianJobIdempotently(t *testing.T) {
@@ -94,6 +107,44 @@ func TestDeployCreatesGuardianJobIdempotently(t *testing.T) {
 	}
 	if got := d.Kube.JobByName(guardian.KubeJobName(id)); got != kj {
 		t.Fatal("deploy is not idempotent")
+	}
+}
+
+// TestConcurrentDeploysCreateOneGuardian runs the two deploy calls every
+// job gets — the API's submit RPC and the jobs feed's QUEUED insert — at
+// once, on a manual clock, so that both would be past the Guardian Job
+// lookup before either created it. Both succeed and one Guardian exists.
+func TestConcurrentDeploysCreateOneGuardian(t *testing.T) {
+	clk := clock.NewManual()
+	d := newTestDepsOn(t, clk)
+	s := New(d)
+	rec := jobRecord(t, d, types.StateQueued)
+	inserted := make(chan error, 1)
+	go func() { inserted <- d.InsertJob(rec) }()
+	clocktest.Run(clk, time.Second)
+	if err := <-inserted; err != nil {
+		t.Fatal(err)
+	}
+	id := rec.ID
+
+	errs := make(chan error, 2)
+	for range 2 {
+		go func() {
+			_, err := s.deploy(id)
+			errs <- err
+		}()
+	}
+	clocktest.Run(clk, time.Second)
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatalf("deploy: %v", err)
+		}
+	}
+	if d.Kube.JobByName(guardian.KubeJobName(id)) == nil {
+		t.Fatal("guardian kube Job not created")
+	}
+	if pods := d.Kube.Pods(map[string]string{"app": "dlaas-guardian", "job": id}); len(pods) != 1 {
+		t.Fatalf("%d guardian pods, want 1", len(pods))
 	}
 }
 

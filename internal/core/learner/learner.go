@@ -264,7 +264,7 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 	if err != nil {
 		logf("training data inaccessible: %v", err)
 		writeStatus(types.LearnerFailed)
-		vol.WriteExitCode(p.Ordinal, ExitDataError)
+		vol.WriteExitCode(files.ExitCode, ExitDataError)
 		return ExitDataError
 	}
 
@@ -278,7 +278,7 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 		logf("OOM: %s batch %d needs %d MB, %s has %d MB",
 			m.Model, m.BatchPerGPU, cfg.MemoryRequiredBytes()>>20, p.GPU.Name, int64(p.GPU.MemGB*1000))
 		writeStatus(types.LearnerFailed)
-		vol.WriteExitCode(p.Ordinal, ExitOOM)
+		vol.WriteExitCode(files.ExitCode, ExitOOM)
 		return ExitOOM
 	}
 
@@ -377,7 +377,7 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 
 	writeStatus(types.LearnerCompleted)
 	logf("training complete: %d images", imagesDone)
-	vol.WriteExitCode(p.Ordinal, ExitOK)
+	vol.WriteExitCode(files.ExitCode, ExitOK)
 	attempt.End()
 
 	// Hold the container open: completion is signaled through the exit

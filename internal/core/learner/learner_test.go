@@ -175,7 +175,7 @@ func runLearnerPod(t *testing.T, d *core.Deps, clk *clock.Sim, m *manifest.Manif
 	}
 	deadline := clk.Now().Add(6 * time.Hour)
 	for clk.Now().Before(deadline) {
-		if code, ok := vol.ReadExitCode(0); ok {
+		if code, ok := vol.ReadExitCode(nfs.ExitCodePath(0)); ok {
 			_ = d.Kube.DeletePod("learner-pod-0")
 			return code
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -95,6 +96,7 @@ type Cluster struct {
 	mu         sync.Mutex
 	rng        *rand.Rand
 	nodes      map[string]*Node
+	nodeOrder  []*Node // nodes sorted by name; fixed at NewCluster
 	pods       map[string]*Pod
 	policies   map[string]*NetworkPolicy
 	nodeClocks map[string]*clock.Skewed
@@ -161,6 +163,12 @@ func NewCluster(cfg Config, nodes ...NodeSpec) *Cluster {
 	for _, ns := range nodes {
 		c.nodes[ns.Name] = &Node{Spec: ns, freeGPUs: ns.GPUs}
 	}
+	order := make([]*Node, 0, len(c.nodes))
+	for _, n := range c.nodes {
+		order = append(order, n)
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i].Spec.Name < order[j].Spec.Name })
+	c.nodeOrder = order
 	c.ctrl = newControllerManager(c)
 	c.reg = newRegistry()
 	c.sched = newGangScheduler(c, cfg)
@@ -256,9 +264,12 @@ func (c *Cluster) nextName(base string) string {
 // CreatePod instantiates spec directly (no controller). The returned pod
 // is scheduled and started asynchronously.
 func (c *Cluster) CreatePod(spec PodSpec) (*Pod, error) {
-	return c.createPodOwned(spec, nil)
+	return c.createPodOwned(spec.clone(), nil)
 }
 
+// createPodOwned creates a pod of spec, which it takes ownership of: a
+// controller hands it the clone of its template it stamped the pod's
+// name into.
 func (c *Cluster) createPodOwned(spec PodSpec, owner ownerRef) (*Pod, error) {
 	c.mu.Lock()
 	if c.stopped {
@@ -269,7 +280,7 @@ func (c *Cluster) createPodOwned(spec PodSpec, owner ownerRef) (*Pod, error) {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("creating pod %q: %w", spec.Name, ErrPodExists)
 	}
-	p := newPod(c, spec.clone(), owner)
+	p := newPod(c, spec, owner)
 	c.pods[spec.Name] = p
 	c.mu.Unlock()
 
@@ -431,7 +442,7 @@ func (c *Cluster) RestartNode(name string) error {
 // use it for gang-capacity checks before creating multi-pod workloads.
 func (c *Cluster) FreeGPUs(gpuType string) int {
 	total := 0
-	for _, n := range c.Nodes() {
+	for _, n := range c.nodeOrder {
 		n.mu.Lock()
 		if !n.down && !n.cordoned && (gpuType == "" || n.Spec.GPUType == gpuType) {
 			total += n.freeGPUs
@@ -504,16 +515,7 @@ func (c *Cluster) DrainNode(name string) error {
 }
 
 // Nodes returns the cluster's nodes sorted by name.
-func (c *Cluster) Nodes() []*Node {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*Node, 0, len(c.nodes))
-	for _, n := range c.nodes {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Spec.Name < out[j].Spec.Name })
-	return out
-}
+func (c *Cluster) Nodes() []*Node { return slices.Clone(c.nodeOrder) }
 
 // sortPodsByName orders a pod list by name. Pod sets are collected out
 // of maps all over the cluster and controllers; every consumer that

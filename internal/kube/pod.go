@@ -24,6 +24,8 @@ type Pod struct {
 	phase      PodPhase
 	node       *Node
 	containers []containerState // in spec order; fixed at creation
+	starting   int              // containers yet to make their first start
+	live       int              // supervisors yet to return
 	restarts   int
 	killed     bool
 	killCh     chan struct{}
@@ -54,6 +56,8 @@ func newPod(c *Cluster, spec PodSpec, owner ownerRef) *Pod {
 		owner:      owner,
 		phase:      PodPending,
 		containers: make([]containerState, len(spec.Containers)),
+		starting:   len(spec.Containers),
+		live:       len(spec.Containers),
 		killCh:     make(chan struct{}),
 		doneCh:     make(chan struct{}),
 	}
@@ -168,83 +172,59 @@ func (p *Pod) interruptibleSleep(d time.Duration) bool {
 	}
 }
 
-// run is the pod's kubelet lifecycle goroutine.
+// run is the pod's kubelet lifecycle goroutine. It schedules the pod
+// and creates its containers, then starts each container but the last
+// on a supervisor goroutine of its own and supervises the last itself.
+// The supervisor whose first start is the pod's last sets PodRunning;
+// the last one to return finishes the pod.
 func (p *Pod) run() {
-	defer p.finish()
-
 	// 1. Scheduling: wait for a node with capacity.
 	var node *Node
-	for {
+	for node == nil {
 		select {
 		case <-p.killCh:
+			p.finish()
 			return
 		default:
 		}
-		node = p.cluster.schedule(p.Spec)
-		if node != nil {
-			break
-		}
-		if !p.interruptibleSleep(200 * time.Millisecond) {
-			return
+		if node = p.cluster.schedule(p.Spec); node == nil {
+			p.interruptibleSleep(200 * time.Millisecond) // a kill is seen above
 		}
 	}
 	p.mu.Lock()
 	p.node = node
 	p.mu.Unlock()
-	if !p.interruptibleSleep(p.cluster.jitter(p.cluster.timing.Schedule)) {
+
+	// 2. Container creation, then 3. supervision.
+	if !p.create() || len(p.containers) == 0 {
+		p.finish()
 		return
 	}
+	last := len(p.containers) - 1
+	for i := range p.containers[:last] {
+		go p.supervise(&p.containers[i])
+	}
+	p.supervise(&p.containers[last])
+}
 
-	// 2. Container creation: runtime setup plus volume binding.
+// create waits out the scheduler's decision and the container runtime's
+// setup plus volume binding. It returns false if the pod is killed first.
+func (p *Pod) create() bool {
+	if !p.interruptibleSleep(p.cluster.jitter(p.cluster.timing.Schedule)) {
+		return false
+	}
 	p.setPhase(PodCreating)
 	setup := p.cluster.timing.ContainerCreate
 	setup += time.Duration(len(p.Spec.Volumes)) * p.cluster.timing.VolumeBind
 	if p.Spec.BindsObjectStore {
 		setup += p.cluster.timing.ObjectStoreBind
 	}
-	if !p.interruptibleSleep(p.cluster.jitter(setup)) {
-		return
-	}
-
-	// 3. Start containers concurrently, in spec order; Running once all
-	// are started.
-	var wgStart, wgRun sync.WaitGroup
-	for i := range p.containers {
-		wgStart.Add(1)
-		wgRun.Add(1)
-		go func(cs *containerState) {
-			defer wgRun.Done()
-			p.superviseContainer(cs, &wgStart)
-		}(&p.containers[i])
-	}
-	started := make(chan struct{})
-	go func() {
-		wgStart.Wait()
-		close(started)
-	}()
-	select {
-	case <-started:
-		p.setPhase(PodRunning)
-	case <-p.killCh:
-		// Fall through: supervisors observe the kill and unwind.
-	}
-
-	// 4. Wait for all containers to finish supervising.
-	wgRun.Wait()
+	return p.interruptibleSleep(p.cluster.jitter(setup))
 }
 
-// superviseContainer runs one container's restart loop. wgStart is
-// released after the first successful process start (or on kill).
-func (p *Pod) superviseContainer(cs *containerState, wgStart *sync.WaitGroup) {
-	startReleased := false
-	releaseStart := func() {
-		if !startReleased {
-			startReleased = true
-			wgStart.Done()
-		}
-	}
-	defer releaseStart()
-
+// supervise runs one container's restart loop.
+func (p *Pod) supervise(cs *containerState) {
+	defer p.supervisorReturned()
 	for incarnation := 0; ; incarnation++ {
 		if incarnation > 0 {
 			// Count the restart when the container actually comes
@@ -275,10 +255,17 @@ func (p *Pod) superviseContainer(cs *containerState, wgStart *sync.WaitGroup) {
 		cs.procKill = procKill
 		cs.running = true
 		cs.mu.Unlock()
-		p.cluster.mu.Lock()
-		p.cluster.podsChangedLocked()
-		p.cluster.mu.Unlock()
-		releaseStart()
+		if incarnation == 0 {
+			// The pod's last first start makes it Running, unless it
+			// was killed meanwhile.
+			p.mu.Lock()
+			p.starting--
+			if p.starting == 0 && !p.killed && !p.phase.Terminal() {
+				p.phase = PodRunning
+			}
+			p.mu.Unlock()
+		}
+		p.cluster.podsChanged()
 
 		code := p.runProcess(cs, procKill, incarnation)
 
@@ -313,6 +300,17 @@ func (p *Pod) superviseContainer(cs *containerState, wgStart *sync.WaitGroup) {
 				return
 			}
 		}
+	}
+}
+
+// supervisorReturned finishes the pod once its last supervisor returns.
+func (p *Pod) supervisorReturned() {
+	p.mu.Lock()
+	p.live--
+	last := p.live == 0
+	p.mu.Unlock()
+	if last {
+		p.finish()
 	}
 }
 

@@ -536,7 +536,7 @@ func (s *gangScheduler) placeGangPodLocked(spec PodSpec) *Node {
 // placeSingleLocked is the per-pod path: first fit in node-name order
 // (bin-pack), serialized under sched.mu so it cannot race a gang commit.
 func (s *gangScheduler) placeSingleLocked(spec PodSpec) *Node {
-	for _, n := range s.c.Nodes() {
+	for _, n := range s.c.nodeOrder {
 		n.mu.Lock()
 		ok := !n.down && !n.cordoned &&
 			n.freeGPUs >= spec.GPUs &&
@@ -702,7 +702,7 @@ func (s *gangScheduler) planLocked(spec GangSpec, limit func(n *Node, free int) 
 	}
 	plan := make(map[*Node]int)
 	remaining := spec.Members
-	for _, n := range s.c.Nodes() {
+	for _, n := range s.c.nodeOrder {
 		n.mu.Lock()
 		ok := !n.down && !n.cordoned && (spec.GPUType == "" || n.Spec.GPUType == spec.GPUType)
 		free := n.freeGPUs
@@ -795,7 +795,7 @@ func (s *gangScheduler) preemptForLocked(head *Gang) {
 	}
 	// Projected usable capacity per node: free + in-flight returns.
 	avail := make(map[*Node]int)
-	for _, n := range s.c.Nodes() {
+	for _, n := range s.c.nodeOrder {
 		n.mu.Lock()
 		ok := !n.down && !n.cordoned && (ht == "" || n.Spec.GPUType == ht)
 		free := n.freeGPUs

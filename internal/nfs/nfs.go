@@ -302,15 +302,16 @@ func ExitCodePath(learnerIdx int) string {
 	return "learner-" + strconv.Itoa(learnerIdx) + "/exitcode"
 }
 
-// WriteExitCode records the learner's exit code on the volume.
-func (v *Volume) WriteExitCode(learnerIdx, code int) {
-	v.Write(ExitCodePath(learnerIdx), []byte(strconv.Itoa(code)))
+// WriteExitCode records a learner's exit code at path, its ExitCodePath.
+func (v *Volume) WriteExitCode(path string, code int) {
+	v.Write(path, []byte(strconv.Itoa(code)))
 }
 
-// ReadExitCode returns the learner's recorded exit code. ok reports
-// whether the learner has terminated (file present and well-formed).
-func (v *Volume) ReadExitCode(learnerIdx int) (code int, ok bool) {
-	data, err := v.Read(ExitCodePath(learnerIdx))
+// ReadExitCode returns the exit code a learner recorded at path, its
+// ExitCodePath. ok reports whether the learner has terminated (file
+// present and well-formed).
+func (v *Volume) ReadExitCode(path string) (code int, ok bool) {
+	data, err := v.Read(path)
 	if err != nil {
 		return 0, false
 	}

@@ -96,15 +96,15 @@ func TestRemoveAndExists(t *testing.T) {
 func TestExitCodeConvention(t *testing.T) {
 	s := newTestServer(t)
 	v, _ := s.Provision("job-1")
-	if _, ok := v.ReadExitCode(0); ok {
+	if _, ok := v.ReadExitCode(ExitCodePath(0)); ok {
 		t.Fatal("exit code present before termination")
 	}
-	v.WriteExitCode(0, 0)
-	v.WriteExitCode(1, 137) // OOM-killed learner
-	if code, ok := v.ReadExitCode(0); !ok || code != 0 {
+	v.WriteExitCode(ExitCodePath(0), 0)
+	v.WriteExitCode(ExitCodePath(1), 137) // OOM-killed learner
+	if code, ok := v.ReadExitCode(ExitCodePath(0)); !ok || code != 0 {
 		t.Fatalf("learner 0 = (%d,%v)", code, ok)
 	}
-	if code, ok := v.ReadExitCode(1); !ok || code != 137 {
+	if code, ok := v.ReadExitCode(ExitCodePath(1)); !ok || code != 137 {
 		t.Fatalf("learner 1 = (%d,%v)", code, ok)
 	}
 }
@@ -113,7 +113,7 @@ func TestExitCodeMalformed(t *testing.T) {
 	s := newTestServer(t)
 	v, _ := s.Provision("job-1")
 	v.Write(ExitCodePath(0), []byte("not-a-number"))
-	if _, ok := v.ReadExitCode(0); ok {
+	if _, ok := v.ReadExitCode(ExitCodePath(0)); ok {
 		t.Fatal("malformed exit code parsed as ok")
 	}
 }

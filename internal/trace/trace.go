@@ -18,7 +18,6 @@ package trace
 
 import (
 	"context"
-	"fmt"
 	"hash/fnv"
 	"sort"
 	"sync"
@@ -35,7 +34,15 @@ type SpanID uint64
 
 // String renders the span ID as fixed-width hex (the wire form used
 // in envelopes and JSON exports).
-func (id SpanID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
+func (id SpanID) String() string {
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[id&0xf]
+		id >>= 4
+	}
+	return string(b[:])
+}
 
 // SpanContext is the propagatable reference to a span: enough to
 // parent new spans under it from another process.
@@ -83,28 +90,27 @@ type SpanEvent struct {
 	Time time.Time `json:"time"`
 }
 
-type span struct {
-	ctx    SpanContext
-	parent SpanID
-	name   string
-	start  time.Time
-	end    time.Time
-	ended  bool
-	phase  string // the AttrPhase attribute, kept out of attrs: most spans have no other
-	attrs  map[string]string
-	events []SpanEvent
+// Span is one recorded span and its own handle: the recorder keeps the
+// *Span it hands out, so recording a span allocates the record alone. A
+// nil Span (from a nil Recorder or an invalid parent) no-ops on every
+// method.
+type Span struct {
+	rec     *Recorder
+	ctx     SpanContext
+	parent  SpanID
+	sibling int // index among the trace's spans with this parent and name
+	name    string
+	start   time.Time
+	end     time.Time
+	ended   bool
+	phase   string // the AttrPhase attribute, kept out of attrs: most spans have no other
+	attrs   []attr
+	events  []SpanEvent
 }
 
-type sibKey struct {
-	parent SpanID
-	name   string
-}
-
-type traceState struct {
-	spans    map[SpanID]*span
-	order    []SpanID // insertion order, for deterministic export ties
-	siblings map[sibKey]int
-}
+// attr is one attribute; a span has at most a few, so a slice scan is
+// the lookup.
+type attr struct{ key, value string }
 
 // Recorder collects spans across all traces. It is safe for
 // concurrent use; its mutex is a leaf lock (no recorder method calls
@@ -112,43 +118,32 @@ type traceState struct {
 type Recorder struct {
 	clk    clock.Clock
 	mu     sync.Mutex
-	traces map[TraceID]*traceState
+	traces map[TraceID][]*Span // each trace's spans in insertion order
 }
 
 // NewRecorder returns a Recorder timing spans on clk.
 func NewRecorder(clk clock.Clock) *Recorder {
-	return &Recorder{clk: clk, traces: make(map[TraceID]*traceState)}
+	return &Recorder{clk: clk, traces: make(map[TraceID][]*Span)}
 }
 
-// Span is a handle to a recorded span. A nil Span (from a nil
-// Recorder or an invalid parent) no-ops on every method.
-type Span struct {
-	rec  *Recorder
-	data *span
-}
-
-func (r *Recorder) state(t TraceID) *traceState {
-	ts := r.traces[t]
-	if ts == nil {
-		ts = &traceState{spans: make(map[SpanID]*span), siblings: make(map[sibKey]int)}
-		r.traces[t] = ts
+// find returns the span of spans with ID id, or nil.
+func find(spans []*Span, id SpanID) *Span {
+	for _, s := range spans {
+		if s.ctx.SpanID == id {
+			return s
+		}
 	}
-	return ts
+	return nil
 }
 
-func (r *Recorder) startLocked(ts *traceState, trace TraceID, parent SpanID, name string, start time.Time) *span {
-	k := sibKey{parent: parent, name: name}
-	idx := ts.siblings[k]
-	ts.siblings[k] = idx + 1
-	s := &span{
-		ctx:    SpanContext{TraceID: trace, SpanID: hashSpanID(trace, parent, name, idx)},
-		parent: parent,
-		name:   name,
-		start:  start,
+// add appends s to spans, its trace's spans. A trace's first span sizes
+// the slice for a fleet job's trace (≈ 15 spans), so that one grows it
+// at most once.
+func (r *Recorder) add(spans []*Span, s *Span) {
+	if spans == nil {
+		spans = make([]*Span, 0, 16)
 	}
-	ts.spans[s.ctx.SpanID] = s
-	ts.order = append(ts.order, s.ctx.SpanID)
-	return s
+	r.traces[s.ctx.TraceID] = append(spans, s)
 }
 
 // StartSpan starts a child span of parent named name at the current
@@ -169,9 +164,27 @@ func (r *Recorder) StartSpanAt(parent SpanContext, name string, start time.Time)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ts := r.state(parent.TraceID)
-	s := r.startLocked(ts, parent.TraceID, parent.SpanID, name, start)
-	return &Span{rec: r, data: s}
+	// The sibling index is one past that of the trace's latest span with
+	// the same parent and name, found by scanning back from the newest: a
+	// repeated span finds its predecessor at once.
+	spans := r.traces[parent.TraceID]
+	sibling := 0
+	for i := len(spans) - 1; i >= 0; i-- {
+		if s := spans[i]; s.parent == parent.SpanID && s.name == name {
+			sibling = s.sibling + 1
+			break
+		}
+	}
+	s := &Span{
+		rec:     r,
+		ctx:     SpanContext{TraceID: parent.TraceID, SpanID: hashSpanID(parent.TraceID, parent.SpanID, name, sibling)},
+		parent:  parent.SpanID,
+		sibling: sibling,
+		name:    name,
+		start:   start,
+	}
+	r.add(spans, s)
+	return s
 }
 
 // Root returns the root span of jobID's trace, creating it (started
@@ -192,58 +205,54 @@ func (r *Recorder) RootAt(jobID string, start time.Time) *Span {
 	rc := JobRoot(jobID)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ts := r.state(rc.TraceID)
-	if s, ok := ts.spans[rc.SpanID]; ok {
-		return &Span{rec: r, data: s}
+	spans := r.traces[rc.TraceID]
+	if s := find(spans, rc.SpanID); s != nil {
+		return s
 	}
-	s := &span{ctx: rc, name: "job", start: start}
-	ts.spans[rc.SpanID] = s
-	ts.order = append(ts.order, rc.SpanID)
-	ts.siblings[sibKey{parent: 0, name: "job"}] = 1
-	return &Span{rec: r, data: s}
+	s := &Span{rec: r, ctx: rc, name: "job", start: start}
+	r.add(spans, s)
+	return s
 }
 
-// Lookup returns a handle to an already-recorded span, or nil.
+// Lookup returns an already-recorded span, or nil.
 func (r *Recorder) Lookup(sc SpanContext) *Span {
 	if r == nil || !sc.Valid() {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ts := r.traces[sc.TraceID]
-	if ts == nil {
-		return nil
-	}
-	s := ts.spans[sc.SpanID]
-	if s == nil {
-		return nil
-	}
-	return &Span{rec: r, data: s}
+	return find(r.traces[sc.TraceID], sc.SpanID)
 }
 
 // Context returns the span's propagatable context (zero if nil).
 func (s *Span) Context() SpanContext {
-	if s == nil || s.data == nil {
+	if s == nil {
 		return SpanContext{}
 	}
-	return s.data.ctx
+	return s.ctx
 }
 
 // SetAttr sets a string attribute on the span.
 func (s *Span) SetAttr(key, value string) {
-	if s == nil || s.rec == nil {
+	if s == nil {
 		return
 	}
 	s.rec.mu.Lock()
 	defer s.rec.mu.Unlock()
 	if key == AttrPhase {
-		s.data.phase = value
+		s.phase = value
 		return
 	}
-	if s.data.attrs == nil {
-		s.data.attrs = make(map[string]string)
+	for i := range s.attrs {
+		if s.attrs[i].key == key {
+			s.attrs[i].value = value
+			return
+		}
 	}
-	s.data.attrs[key] = value
+	if s.attrs == nil {
+		s.attrs = make([]attr, 0, 2)
+	}
+	s.attrs = append(s.attrs, attr{key, value})
 }
 
 // SetPhase tags the span with a critical-path phase (see PhaseXxx
@@ -253,7 +262,7 @@ func (s *Span) SetPhase(phase string) { s.SetAttr(AttrPhase, phase) }
 
 // Event records a point-in-time annotation at the current virtual time.
 func (s *Span) Event(name string) {
-	if s == nil || s.rec == nil {
+	if s == nil {
 		return
 	}
 	s.EventAt(name, s.rec.clk.Now())
@@ -261,18 +270,18 @@ func (s *Span) Event(name string) {
 
 // EventAt records an annotation with an explicit timestamp.
 func (s *Span) EventAt(name string, at time.Time) {
-	if s == nil || s.rec == nil {
+	if s == nil {
 		return
 	}
 	s.rec.mu.Lock()
 	defer s.rec.mu.Unlock()
-	s.data.events = append(s.data.events, SpanEvent{Name: name, Time: at})
+	s.events = append(s.events, SpanEvent{Name: name, Time: at})
 }
 
 // End marks the span finished at the current virtual time. Idempotent:
 // only the first End (or EndAt) sticks.
 func (s *Span) End() {
-	if s == nil || s.rec == nil {
+	if s == nil {
 		return
 	}
 	s.EndAt(s.rec.clk.Now())
@@ -280,26 +289,26 @@ func (s *Span) End() {
 
 // EndAt is End with an explicit end time.
 func (s *Span) EndAt(at time.Time) {
-	if s == nil || s.rec == nil {
+	if s == nil {
 		return
 	}
 	s.rec.mu.Lock()
 	defer s.rec.mu.Unlock()
-	if s.data.ended {
+	if s.ended {
 		return
 	}
-	s.data.ended = true
-	s.data.end = at
+	s.ended = true
+	s.end = at
 }
 
 // Ended reports whether the span has been ended.
 func (s *Span) Ended() bool {
-	if s == nil || s.rec == nil {
+	if s == nil {
 		return false
 	}
 	s.rec.mu.Lock()
 	defer s.rec.mu.Unlock()
-	return s.data.ended
+	return s.ended
 }
 
 // ---- context propagation ----
@@ -366,15 +375,14 @@ func (r *Recorder) Tree(jobID string) *Tree {
 	}
 	root := JobRoot(jobID)
 	r.mu.Lock()
-	ts := r.traces[root.TraceID]
-	if ts == nil || len(ts.spans) == 0 {
+	spans := r.traces[root.TraceID]
+	if len(spans) == 0 {
 		r.mu.Unlock()
 		return nil
 	}
-	data := make(map[SpanID]*SpanData, len(ts.spans))
-	order := append([]SpanID(nil), ts.order...)
-	for _, id := range order {
-		s := ts.spans[id]
+	data := make(map[SpanID]*SpanData, len(spans))
+	list := make([]*SpanData, len(spans))
+	for i, s := range spans {
 		sd := &SpanData{
 			TraceID: string(s.ctx.TraceID),
 			SpanID:  s.ctx.SpanID.String(),
@@ -388,8 +396,8 @@ func (r *Recorder) Tree(jobID string) *Tree {
 		}
 		if len(s.attrs) > 0 || s.phase != "" {
 			sd.Attrs = make(map[string]string, len(s.attrs)+1)
-			for k, v := range s.attrs {
-				sd.Attrs[k] = v
+			for _, a := range s.attrs {
+				sd.Attrs[a.key] = a.value
 			}
 			if s.phase != "" {
 				sd.Attrs[AttrPhase] = s.phase
@@ -399,23 +407,20 @@ func (r *Recorder) Tree(jobID string) *Tree {
 		if len(s.events) > 0 {
 			sd.Events = append([]SpanEvent(nil), s.events...)
 		}
-		data[id] = sd
-	}
-	parents := make(map[SpanID]SpanID, len(ts.spans))
-	for _, id := range order {
-		parents[id] = ts.spans[id].parent
+		data[s.ctx.SpanID] = sd
+		list[i] = sd
 	}
 	r.mu.Unlock()
 
+	// A span's context and parent never change once recorded, so spans
+	// is read without the lock from here on.
 	tree := &Tree{TraceID: string(root.TraceID)}
-	for _, id := range order {
-		sd := data[id]
-		p := parents[id]
-		if id == root.SpanID {
+	for i, sd := range list {
+		if spans[i].ctx.SpanID == root.SpanID {
 			tree.Root = sd
 			continue
 		}
-		if parent, ok := data[p]; ok {
+		if parent, ok := data[spans[i].parent]; ok {
 			parent.Children = append(parent.Children, sd)
 		} else {
 			tree.Orphans = append(tree.Orphans, sd)
