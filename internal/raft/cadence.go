@@ -121,7 +121,7 @@ func (c *core) onHeartbeat() {
 			c.mtr.Inc("raft_idle_rounds", c.mtrLabel)
 		}
 	}
-	if idle := offer && (c.idle || c.followers == 0); idle != c.idle {
+	if idle := offer && (c.idle || len(c.peers) == 1); idle != c.idle {
 		c.setLeaderCadence(idle)
 	}
 }
@@ -132,45 +132,33 @@ func (c *core) onHeartbeat() {
 // Whether each follower also knows all of it is committed is for the
 // follower to say (handleAppendEntries).
 func (c *core) settled() bool {
-	if c.roundAcked != c.followers || len(c.pendingReads) > 0 {
-		return false
-	}
 	last := c.lastIndex()
-	if c.commitIndex != last {
+	if len(c.pendingReads) > 0 || c.commitIndex != last {
 		return false
 	}
-	for _, p := range c.peers {
-		if c.matchIndex[p] != last {
+	for i, pr := range c.prs {
+		if pr.match != last || c.peers[i] != c.id && pr.acked < c.hbSeq {
 			return false
 		}
 	}
 	return true
 }
 
-// observeRoundAck counts a follower's ack toward the round it answers —
-// only the latest round counts — and, once every follower has accepted
-// that round's idle offer, puts the leader on the idle cadence.
-func (c *core) observeRoundAck(from int, msg appendEntriesResp) {
-	if msg.Seq != c.hbSeq {
+// observeRoundAck records a follower's acceptance of the latest round's
+// idle offer, while the offer stands, and once every follower has
+// accepted it puts the leader on the idle cadence.
+func (c *core) observeRoundAck(pr *progress, msg appendEntriesResp) {
+	if msg.Seq != c.hbSeq || !msg.Idle || !c.roundIdle {
 		return
 	}
-	bit := c.peerBit(from)
-	c.roundAcked |= bit
-	if !msg.Idle || !c.roundIdle {
+	pr.idleAcked = msg.Seq
+	if c.idle {
 		return
 	}
-	c.idleAgreed |= bit
-	if !c.idle && c.idleAgreed == c.followers {
-		c.setLeaderCadence(true)
-	}
-}
-
-// peerBit is id's bit in the per-round acknowledgement masks.
-func (c *core) peerBit(id int) uint64 {
-	for i, p := range c.peers {
-		if p == id {
-			return 1 << uint(i)
+	for i, pr := range c.prs {
+		if c.peers[i] != c.id && pr.idleAcked != c.hbSeq {
+			return
 		}
 	}
-	return 0
+	c.setLeaderCadence(true)
 }

@@ -318,7 +318,7 @@ func TestSingleNodeIdles(t *testing.T) {
 // TestCadenceFlipAllocs: going from the idle cadence to the fast one and
 // back — a wake, the round it starts, the tick that offers again, the two
 // acceptances — resets one ticker's period and re-arms two election
-// timers in place, flips bits in two masks and bumps two series that
+// timers in place, writes two peers' records and bumps two series that
 // exist (raft_wakes, raft_idle_rounds): it allocates nothing. (A prototype that re-created a ticker and an
 // acknowledgement map per flip read +1–3 % allocs_per_op on the fleet
 // workloads.) On a manual clock, so every flip is the whole cycle however
@@ -336,7 +336,7 @@ func TestCadenceFlipAllocs(t *testing.T) {
 		l.Wake()
 		clocktest.Run(clk, 2*interval) // the offer after the wake, and its acceptances
 	}
-	for i := 0; i < 20; i++ { // pools, the lease's round map and the event heap at size
+	for i := 0; i < 20; i++ { // pools, the lease's round list and the event heap at size
 		flip()
 	}
 	const flips = 200

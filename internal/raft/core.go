@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/metrics"
@@ -170,22 +171,19 @@ type core struct {
 	lastApplied uint64
 	leaderID    int
 
-	// Leader volatile state.
-	nextIndex  map[int]uint64
-	matchIndex map[int]uint64
-	votes      map[int]bool
+	// Leader volatile state: prs[i] is the leader's record of peers[i].
+	prs   []progress
+	votes map[int]bool
 
-	// Read path and lease (read.go).
-	hbSeq          uint64
-	pendingReads   []*pendingRead
-	barrierTerm    uint64
-	leaseFrom      time.Time
-	leaseUntil     time.Time
-	leaseTerm      uint64
-	lastLeaseRound uint64
-	roundStart     map[uint64]time.Time
-	ackSeq         map[int]uint64
-	skewBad        map[int]bool
+	// Read path and lease (read.go). roundStart holds the heartbeat rounds
+	// recent enough to extend the lease, oldest first.
+	hbSeq        uint64
+	pendingReads []*pendingRead
+	barrierTerm  uint64
+	leaseFrom    time.Time
+	leaseUntil   time.Time
+	leaseTerm    uint64
+	roundStart   []round
 
 	// quorumScratch holds one value per peer for kthLargest, so that the
 	// quorum math on every append ack allocates nothing.
@@ -193,19 +191,14 @@ type core struct {
 
 	// Cadence (cadence.go). idle says the node's own timer is on the idle
 	// cadence — the heartbeat of a leader, the election timer of anyone
-	// else. roundIdle says round hbSeq carried the idle offer; roundAcked
-	// and idleAgreed are the followers (one bit each, peerBit) that have
-	// acked that round, and acked it accepting the offer. On a follower,
-	// leaderSeq is the newest round it has seen from the leader of its term
-	// — an append from an older one, duplicated or overtaken on the way,
-	// says nothing about the leader now and leaves the timer alone — and
-	// lastContact when it last accepted a round at least that new, or a
-	// snapshot.
+	// else; roundIdle that round hbSeq carried the idle offer. On a
+	// follower, leaderSeq is the newest round it has seen from the leader
+	// of its term — an append from an older one, duplicated or overtaken on
+	// the way, says nothing about the leader now and leaves the timer
+	// alone — and lastContact when it last accepted a round at least that
+	// new, or a snapshot.
 	idle        bool
 	roundIdle   bool
-	roundAcked  uint64
-	idleAgreed  uint64
-	followers   uint64 // every peer's bit but this node's
 	leaderSeq   uint64
 	lastContact time.Time
 
@@ -215,13 +208,24 @@ type core struct {
 	mtrLabel string
 }
 
+// progress is a leader's record of one member, zeroed as it takes office.
+type progress struct {
+	match, next uint64 // the member's log holds through match; send from next
+	acked       uint64 // the newest heartbeat round it acked
+	idleAcked   uint64 // the newest round whose idle offer it accepted while the offer stood
+	skewed      bool   // its last clock echo was outside MaxClockDrift
+}
+
+// round is a heartbeat round's sequence and its broadcast time.
+type round struct {
+	seq   uint64
+	start time.Time
+}
+
 // newCore recovers a node from its persisted state, with the effects of
 // booting in out. Entries at or below the snapshot index were compacted
 // away; applying resumes after the snapshot.
 func newCore(id int, peers []int, cfg Config, ps PersistentState) *core {
-	if len(peers) > 64 {
-		panic("raft: a round's acknowledgements are one bit per member of a uint64")
-	}
 	c := &core{
 		id:          id,
 		peers:       peers,
@@ -237,17 +241,8 @@ func newCore(id int, peers []int, cfg Config, ps PersistentState) *core {
 		commitIndex: ps.SnapIndex,
 		lastApplied: ps.SnapIndex,
 		leaderID:    -1,
-		nextIndex:   make(map[int]uint64),
-		matchIndex:  make(map[int]uint64),
-		roundStart:  make(map[uint64]time.Time),
-		ackSeq:      make(map[int]uint64),
-		skewBad:     make(map[int]bool),
+		prs:         make([]progress, len(peers)),
 		mtrLabel:    fmt.Sprintf("node%d", id),
-	}
-	for _, p := range peers {
-		if p != id {
-			c.followers |= c.peerBit(p)
-		}
 	}
 	// The others may be on the idle cadence, where the leader's next round
 	// is further off than this node's first timeout: say so before it runs.
@@ -300,6 +295,9 @@ func (c *core) handle(m message) {
 		c.handleWake(m.wake)
 	}
 }
+
+// peerIndex is id's position in peers, and so in prs; -1 for a non-member.
+func (c *core) peerIndex(id int) int { return slices.Index(c.peers, id) }
 
 func (c *core) emit(e effect) { c.out = append(c.out, e) }
 

@@ -163,8 +163,8 @@ func TestCoreFigure8(t *testing.T) {
 	h.elect(0, 2)
 	h.exchange(0, 2)
 	l := h.nodes[0]
-	if l.matchIndex[2] != 1 || l.termAt(1) != 1 {
-		t.Fatalf("node 2 holds through %d, entry 1 is of term %d: not the scenario", l.matchIndex[2], l.termAt(1))
+	if l.prs[2].match != 1 || l.termAt(1) != 1 {
+		t.Fatalf("node 2 holds through %d, entry 1 is of term %d: not the scenario", l.prs[2].match, l.termAt(1))
 	}
 	if l.commitIndex != 0 {
 		t.Fatalf("leader of term %d committed index %d, an entry of term %d, by counting replicas", l.currentTerm, l.commitIndex, l.termAt(l.commitIndex))
@@ -205,6 +205,50 @@ func TestCoreLeaseRefusedAfterClockStepsBack(t *testing.T) {
 	}
 	if !slices.ContainsFunc(h.effects, func(e effect) bool { return e.kind == send && e.msg.kind == msgAppendEntries }) {
 		t.Fatal("the refused read did not start a confirmation round")
+	}
+}
+
+// TestCoreLateReadWaitsForNextRound: a read that arrives after its
+// round was broadcast waits for the next one, because an ack of the
+// in-flight round may predate it. With the lease off, read 1 launches
+// round s; read 2 arrives while both acks of s are in flight. The first
+// ack of s completes read 1 and launches round s+1; neither ack of s
+// completes read 2, and an ack of s+1 does.
+func TestCoreLateReadWaitsForNextRound(t *testing.T) {
+	h := newCores(t, 3)
+	l := h.nodes[0]
+	l.cfg.MaxClockDrift = l.cfg.ElectionTimeoutMin // no lease: every read pays a round
+	h.elect(0, 1, 2)
+	answered := func(id uint64) bool {
+		return slices.ContainsFunc(h.effects, func(e effect) bool { return e.kind == readDone && e.id == id && e.err == nil })
+	}
+
+	h.step(0, input{kind: inRead, id: 1})
+	s := l.hbSeq
+	h.deliver(0, 1)
+	h.deliver(0, 2) // both acks of s are in flight
+	h.step(0, input{kind: inRead, id: 2})
+	if slices.ContainsFunc(h.effects, func(e effect) bool { return e.kind == send }) || answered(2) {
+		t.Fatal("a read registered while round s was in flight launched a round or was answered")
+	}
+	h.deliver(1, 0)
+	if !answered(1) {
+		t.Fatalf("an ack of round %d from a quorum did not complete the read that launched it", s)
+	}
+	if answered(2) {
+		t.Fatalf("an ack of round %d completed a read registered after the round was broadcast", s)
+	}
+	if l.hbSeq != s+1 {
+		t.Fatalf("round %d after read 1 completed, want the queued round %d launched", l.hbSeq, s+1)
+	}
+	h.deliver(2, 0)
+	if answered(2) {
+		t.Fatalf("the second ack of round %d completed the late read", s)
+	}
+	h.deliver(0, 1)
+	h.deliver(1, 0)
+	if !answered(2) {
+		t.Fatalf("an ack of round %d did not complete the read that waited for it", s+1)
 	}
 }
 

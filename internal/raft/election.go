@@ -108,11 +108,10 @@ func (c *core) maybeBecomeLeader() {
 	}
 	c.state = Leader
 	c.leaderID = c.id
-	for _, p := range c.peers {
-		c.nextIndex[p] = c.lastIndex() + 1
-		c.matchIndex[p] = 0
+	for i := range c.prs {
+		c.prs[i] = progress{next: c.lastIndex() + 1}
 	}
-	c.matchIndex[c.id] = c.lastIndex()
+	c.prs[c.peerIndex(c.id)].match = c.lastIndex()
 	c.resetLeaseState()
 	c.emit(effect{kind: armElection}) // stopped while leading
 	c.idle = false

@@ -370,7 +370,7 @@ func TestKthLargestAllocsAndReference(t *testing.T) {
 			raw = raw[:5]
 		}
 		for i := range raw {
-			raw[i] %= 4 // ties, and zeros as skewBad peers contribute
+			raw[i] %= 4 // ties, and zeros as skewed peers contribute
 		}
 		k := int(pick)%len(raw) + 1
 		ref := append([]uint64(nil), raw...)
@@ -384,12 +384,16 @@ func TestKthLargestAllocsAndReference(t *testing.T) {
 	// Both callers on a bare five-node leader: match indexes 9 7 8 2 1
 	// commit 7; acks 5 3 4 and a skewed follower's 9 confirm round 4.
 	c := &core{
-		peers:      []int{0, 1, 2, 3, 4},
-		log:        []Entry{{Index: 1}, {Index: 2}, {Index: 3}, {Index: 4}, {Index: 5}, {Index: 6}, {Index: 7}, {Index: 8}, {Index: 9}},
-		matchIndex: map[int]uint64{0: 9, 1: 7, 2: 8, 3: 2, 4: 1},
-		ackSeq:     map[int]uint64{1: 5, 2: 3, 3: 4, 4: 9},
-		skewBad:    map[int]bool{4: true},
-		roundStart: map[uint64]time.Time{4: time.Unix(0, 0)},
+		peers: []int{0, 1, 2, 3, 4},
+		log:   []Entry{{Index: 1}, {Index: 2}, {Index: 3}, {Index: 4}, {Index: 5}, {Index: 6}, {Index: 7}, {Index: 8}, {Index: 9}},
+		prs: []progress{
+			{match: 9},
+			{match: 7, acked: 5},
+			{match: 8, acked: 3},
+			{match: 2, acked: 4},
+			{match: 1, acked: 9, skewed: true},
+		},
+		roundStart: []round{{4, time.Unix(0, 0)}},
 	}
 	c.cfg.ElectionTimeoutMin = time.Second
 	if got := testing.AllocsPerRun(100, func() {
@@ -398,7 +402,7 @@ func TestKthLargestAllocsAndReference(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("%v allocs per quorum computation, want 0", got)
 	}
-	if c.commitIndex != 7 || c.lastLeaseRound != 4 {
-		t.Errorf("commitIndex %d, lease round %d; want 7, 4", c.commitIndex, c.lastLeaseRound)
+	if c.commitIndex != 7 || !c.leaseFrom.Equal(time.Unix(0, 0)) {
+		t.Errorf("commitIndex %d, lease from %v; want 7, round 4's start", c.commitIndex, c.leaseFrom)
 	}
 }

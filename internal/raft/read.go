@@ -1,7 +1,7 @@
 package raft
 
 import (
-	"math/bits"
+	"slices"
 	"time"
 )
 
@@ -40,7 +40,6 @@ type remoteRead struct {
 type pendingRead struct {
 	seq     uint64
 	started bool
-	acks    uint64   // the followers that acked (one bit each, peerBit)
 	local   []uint64 // ids of this node's reads
 	remote  []remoteRead
 }
@@ -122,12 +121,12 @@ func (c *core) maybeCompleteReads() {
 	if c.state != Leader || c.termAt(c.commitIndex) != c.currentTerm {
 		return
 	}
-	quorum := len(c.peers)/2 + 1
 	for len(c.pendingReads) > 0 {
+		acked := c.quorumAcked(false)
 		completed := false
 		keep := c.pendingReads[:0]
 		for _, pr := range c.pendingReads {
-			if pr.started && bits.OnesCount64(pr.acks)+1 >= quorum { // +1: the leader itself
+			if pr.started && acked >= pr.seq {
 				c.reads.RoundReads += uint64(len(pr.local) + len(pr.remote))
 				c.completeRead(pr, c.commitIndex, nil)
 				completed = true
@@ -150,7 +149,7 @@ func (c *core) maybeCompleteReads() {
 				break
 			}
 		}
-		if !launched || quorum > 1 {
+		if !launched || len(c.peers) > 1 {
 			return
 		}
 	}
@@ -253,21 +252,19 @@ func (c *core) invalidateLease() {
 	}
 }
 
-// observeAck folds one same-term append ack into the lease: record the
-// round the follower confirmed, check its clock echo against the drift
-// bound, and extend — or kill — the lease accordingly.
-func (c *core) observeAck(from int, msg appendEntriesResp) {
+// observeAck folds one same-term append ack into the lease: check the
+// follower's clock echo against the drift bound, and extend — or kill —
+// the lease accordingly.
+func (c *core) observeAck(pr *progress, msg appendEntriesResp) {
 	if c.leaseDuration() <= 0 {
 		return
 	}
-	c.ackSeq[from] = max(c.ackSeq[from], msg.Seq)
 	if c.cfg.MaxClockDrift >= 0 {
 		// The estimate includes one message latency, so the effective
 		// tolerance is MaxClockDrift minus the network delay — a
 		// conservative error: false positives only drop the lease.
-		bad := c.now.Sub(msg.LocalTime).Abs() > c.cfg.MaxClockDrift
-		c.skewBad[from] = bad
-		if bad {
+		pr.skewed = c.now.Sub(msg.LocalTime).Abs() > c.cfg.MaxClockDrift
+		if pr.skewed {
 			c.invalidateLease()
 			return
 		}
@@ -275,60 +272,57 @@ func (c *core) observeAck(from int, msg appendEntriesResp) {
 	c.maybeExtendLease()
 }
 
+// quorumAcked is the newest heartbeat round a quorum has acked: the
+// need-th newest of the followers' (the leader is the quorum's +1), each
+// skewed follower entered as 0 if clean.
+func (c *core) quorumAcked(clean bool) uint64 {
+	need := len(c.peers) / 2 // follower acks needed for a quorum
+	if need == 0 {
+		return c.hbSeq // single node: every broadcast self-confirms
+	}
+	seqs := c.quorumScratch[:0]
+	for i, p := range c.peers {
+		switch {
+		case p == c.id:
+		case clean && c.prs[i].skewed:
+			seqs = append(seqs, 0)
+		default:
+			seqs = append(seqs, c.prs[i].acked)
+		}
+	}
+	c.quorumScratch = seqs
+	return kthLargest(seqs, need)
+}
+
 // maybeExtendLease arms the lease through leaseDuration past the start of
 // the newest heartbeat round confirmed by a quorum of clean-clocked
 // followers (the leader is the quorum's +1). The window is overwritten,
 // not maxed: after a backward clock step, newer rounds carry earlier
 // local timestamps, and keeping the pre-step deadline would overstate
-// validity by the step size.
+// validity by the step size. An extension drops the rounds through its
+// own, so the lease never goes back to an older round.
 func (c *core) maybeExtendLease() {
 	dur := c.leaseDuration()
 	if dur <= 0 {
 		return
 	}
-	need := len(c.peers) / 2 // follower acks needed for a quorum
-	q := c.hbSeq             // single node: every broadcast self-confirms
-	if need > 0 {
-		seqs := c.quorumScratch[:0]
-		for _, p := range c.peers {
-			switch {
-			case p == c.id:
-			case c.skewBad[p]:
-				seqs = append(seqs, 0)
-			default:
-				seqs = append(seqs, c.ackSeq[p])
-			}
-		}
-		c.quorumScratch = seqs
-		q = kthLargest(seqs, need)
+	q := c.quorumAcked(true)
+	i := slices.IndexFunc(c.roundStart, func(r round) bool { return r.seq == q })
+	if i < 0 {
+		return // extended from already, or pruned: too old to matter
 	}
-	if q == 0 || q <= c.lastLeaseRound {
-		return
-	}
-	start, ok := c.roundStart[q]
-	if !ok {
-		return // round pruned: too old for its confirmation to matter
-	}
-	c.lastLeaseRound = q
+	start := c.roundStart[i].start
 	c.leaseTerm = c.currentTerm
 	c.leaseFrom, c.leaseUntil = start, start.Add(dur)
-	for seq := range c.roundStart {
-		if seq <= q {
-			delete(c.roundStart, seq)
-		}
-	}
+	c.roundStart = slices.Delete(c.roundStart, 0, i+1)
 }
 
 // recordRound timestamps a heartbeat round at broadcast for lease
 // extension and prunes rounds too old to still extend anything.
 func (c *core) recordRound() {
-	c.roundStart[c.hbSeq] = c.now
+	c.roundStart = append(c.roundStart, round{c.hbSeq, c.now})
 	horizon := c.now.Add(-c.cfg.ElectionTimeoutMin)
-	for seq, t := range c.roundStart {
-		if t.Before(horizon) {
-			delete(c.roundStart, seq)
-		}
-	}
+	c.roundStart = slices.DeleteFunc(c.roundStart, func(r round) bool { return r.start.Before(horizon) })
 	if len(c.peers) == 1 {
 		c.maybeExtendLease()
 	}
@@ -338,8 +332,5 @@ func (c *core) recordRound() {
 // leadership); it does not count an expiry by itself.
 func (c *core) resetLeaseState() {
 	c.leaseFrom, c.leaseUntil = time.Time{}, time.Time{}
-	c.lastLeaseRound = 0
-	c.roundStart = make(map[uint64]time.Time)
-	c.ackSeq = make(map[int]uint64)
-	c.skewBad = make(map[int]bool)
+	c.roundStart = c.roundStart[:0]
 }

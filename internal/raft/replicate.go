@@ -37,7 +37,7 @@ func (c *core) appendEntry(cmd []byte) {
 	e := Entry{Index: c.lastIndex() + 1, Term: c.currentTerm, Cmd: cmd}
 	c.log = append(c.log, e)
 	c.emit(effect{kind: persistEntries, index: e.Index, entries: c.log[len(c.log)-1:]})
-	c.matchIndex[c.id] = e.Index
+	c.prs[c.peerIndex(c.id)].match = e.Index
 }
 
 func (c *core) handleAppendEntries(from int, msg appendEntries) {
@@ -125,24 +125,20 @@ func (c *core) handleAppendEntriesResp(from int, msg appendEntriesResp) {
 	if c.state != Leader || msg.Term != c.currentTerm {
 		return
 	}
+	pr := &c.prs[c.peerIndex(from)]
 	// Any same-term response — success or log-consistency failure — is a
-	// leadership ack for the heartbeat round it echoes; credit it to the
-	// launched read rounds registered at or before that round, and fold
-	// it into the check-quorum lease (extension, or skew invalidation).
+	// leadership ack for the heartbeat round it echoes: it counts toward
+	// the read rounds launched at or before that round, the check-quorum
+	// lease (extension, or skew invalidation) and the cadence.
 	if msg.Seq > 0 {
-		bit := c.peerBit(from)
-		for _, pr := range c.pendingReads {
-			if pr.started && msg.Seq >= pr.seq {
-				pr.acks |= bit
-			}
-		}
-		c.observeAck(from, msg)
+		pr.acked = max(pr.acked, msg.Seq)
+		c.observeAck(pr, msg)
 		c.maybeCompleteReads()
-		c.observeRoundAck(from, msg)
+		c.observeRoundAck(pr, msg)
 	}
 	if msg.Success {
-		c.matchIndex[from] = max(c.matchIndex[from], msg.MatchIndex)
-		c.nextIndex[from] = max(c.nextIndex[from], c.matchIndex[from]+1)
+		pr.match = max(pr.match, msg.MatchIndex)
+		pr.next = max(pr.next, pr.match+1)
 		c.advanceCommit()
 	} else {
 		c.repl.AppendRejects++
@@ -153,10 +149,10 @@ func (c *core) handleAppendEntriesResp(from int, msg appendEntriesResp) {
 		// conflict point, but never below what the follower already
 		// acknowledged.
 		next := msg.ConflictIndex
-		if next == 0 || next >= c.nextIndex[from] {
-			next = max(c.nextIndex[from], 2) - 1
+		if next == 0 || next >= pr.next {
+			next = max(pr.next, 2) - 1
 		}
-		c.nextIndex[from] = max(next, c.matchIndex[from]+1)
+		pr.next = max(next, pr.match+1)
 		c.sendAppend(from)
 	}
 	c.enqueueApplies()
@@ -166,8 +162,8 @@ func (c *core) handleAppendEntriesResp(from int, msg appendEntriesResp) {
 // majority whose entry is from the current term (§5.4.2).
 func (c *core) advanceCommit() {
 	matches := c.quorumScratch[:0]
-	for _, p := range c.peers {
-		matches = append(matches, c.matchIndex[p])
+	for _, pr := range c.prs {
+		matches = append(matches, pr.match)
 	}
 	c.quorumScratch = matches
 	majority := kthLargest(matches, len(c.peers)/2+1)
@@ -204,7 +200,6 @@ func (c *core) broadcastAppend() { c.startRound(false) }
 func (c *core) startRound(offerIdle bool) {
 	c.hbSeq++ // new heartbeat round: later acks confirm leadership now
 	c.roundIdle = offerIdle
-	c.roundAcked, c.idleAgreed = 0, 0
 	if c.leaseDuration() > 0 {
 		c.recordRound()
 	}
@@ -219,7 +214,8 @@ func (c *core) startRound(offerIdle bool) {
 }
 
 func (c *core) sendAppend(to int) {
-	next := max(c.nextIndex[to], 1)
+	pr := &c.prs[c.peerIndex(to)]
+	next := max(pr.next, 1)
 	if next <= c.snapIndex {
 		// The follower needs entries that were compacted away: send the
 		// snapshot instead (§7, InstallSnapshot).
@@ -243,7 +239,7 @@ func (c *core) sendAppend(to int) {
 		msg.Entries = c.log[lo:hi:hi]
 		// Optimistic advance: the next send continues after this one; a
 		// consistency reject rewinds it.
-		c.nextIndex[to] = last + 1
+		pr.next = last + 1
 	}
 	c.repl.AppendsSent++
 	c.repl.EntriesSent += uint64(len(msg.Entries))

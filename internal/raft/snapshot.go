@@ -65,10 +65,11 @@ func (c *core) handleInstallSnapshotResp(from int, msg installSnapshotResp) {
 	if c.state != Leader || msg.Term != c.currentTerm {
 		return
 	}
-	c.matchIndex[from] = max(c.matchIndex[from], msg.LastIndex)
-	c.nextIndex[from] = max(c.nextIndex[from], c.matchIndex[from]+1)
+	pr := &c.prs[c.peerIndex(from)]
+	pr.match = max(pr.match, msg.LastIndex)
+	pr.next = max(pr.next, pr.match+1)
 	c.advanceCommit()
-	if c.lastIndex() >= c.nextIndex[from] {
+	if c.lastIndex() >= pr.next {
 		c.sendAppend(from)
 	}
 	c.enqueueApplies()
