@@ -10,13 +10,15 @@ import (
 )
 
 // fleetInstantBudget is the ceiling on virtual instants per job for the
-// fixed fleet below: the 170–172 it measures with the helper and
-// Guardian waits gated on change (clock.SleepUntil) and the metadata
-// store's heartbeat following its log (raft's idle cadence), plus 15 %.
-// With the store heartbeating every 50 ms whatever was asked of it, it
-// measured 266–271; with the poll loops also waking on every tick of
-// their cadence, 354–360.
-const fleetInstantBudget = 198
+// fixed fleet below: the 166–167 it measures with the helper and
+// Guardian waits gated on change (clock.SleepUntil), the metadata
+// store's heartbeat following its log (raft's idle cadence) and a
+// training chunk's progress write and metric point sharing the chunk's
+// one sleep (nfs.Volume.Compound), plus 15 %. With each of those two
+// reports paying a round trip of its own, it measured 169–172; with the
+// store heartbeating every 50 ms whatever was asked of it, 266–271; with
+// the poll loops also waking on every tick of their cadence, 354–360.
+const fleetInstantBudget = 192
 
 // fleetAllocBudget is the ceiling on heap objects per job for the same
 // fleet: the 615–618 it measures in a fresh process, plus 10 %. With a

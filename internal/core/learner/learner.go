@@ -39,8 +39,9 @@ const (
 	ExitOOM = 5
 )
 
-// statusPollGrain is how finely training sleep is chunked so that kills
-// are observed promptly and logs accrue steadily.
+// maxChunks caps the chunks training between checkpoints is cut into:
+// the grain of the progress and metrics, the wedge check and onChunk's
+// eviction checkpoint. Kills need none: ContainerCtx.Sleep returns on one.
 const maxChunks = 64
 
 // WedgePath is the NFS file whose presence wedges the job's learners: a
@@ -50,9 +51,9 @@ const maxChunks = 64
 // the Guardian's progress-liveness deadline.
 const WedgePath = "chaos/wedge"
 
-// nfsStallThreshold is how much a training chunk must overrun its
-// expected compute time before the excess is attributed to a shared-
-// volume stall (NFS operations block in virtual time during a flap).
+// nfsStallThreshold is how much a training chunk must overrun its sleep
+// before the excess is attributed to a shared-volume stall (NFS
+// operations block in virtual time during a flap).
 const nfsStallThreshold = 2 * time.Second
 
 // Params configures one learner container.
@@ -387,11 +388,13 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 	return ExitOK
 }
 
-// trainSpan advances training to target images, sleeping in chunks so the
-// process observes kills, publishes progress, and answers eviction
-// intents (onChunk) promptly. It reports false when killed. Each chunk is
-// timed on the central clock against its expected compute time; the
-// excess — NFS operations blocking through a volume flap — is recorded
+// trainSpan advances training to target images in chunks, publishing
+// progress and answering eviction intents (onChunk) after each. It
+// reports false when killed. A chunk is one sleep of its compute time and
+// the round trip its progress write and metric point share (a Compound):
+// a kill in the compute drops the chunk, one in the round trip lands it
+// first. Each chunk is timed on the central clock against that sleep; the
+// excess — NFS calls blocking through a volume flap — is recorded
 // retroactively as an "nfs-stall" child of parent, so the critical path
 // separates stalled wall time from productive training.
 func trainSpan(ctx *kube.ContainerCtx, d *core.Deps, vol *nfs.Volume, files Files,
@@ -399,14 +402,10 @@ func trainSpan(ctx *kube.ContainerCtx, d *core.Deps, vol *nfs.Volume, files File
 	imagesDone *int64, target int64, parent trace.SpanContext,
 	onChunk func(int64) bool, logf func(string, ...any)) bool {
 
-	remaining := target - *imagesDone
-	steps := (remaining + stepImages - 1) / stepImages
-	chunkSteps := steps / maxChunks
-	if chunkSteps < 1 {
-		chunkSteps = 1
-	}
+	chunkSteps := max((target-*imagesDone+stepImages-1)/stepImages/maxChunks, 1)
 	curve := trainsim.CurveFor(cfg.Model, 42)
-	var buf []byte // the progress and metrics writes; the volume copies them
+	var buf []byte // the chunk's report; the volume copies it
+	rtt := netsim.NFSLink.Latency
 	for *imagesDone < target {
 		// Wedge hook: the marker file turns this learner into the
 		// alive-but-stuck failure mode — process up, status TRAINING,
@@ -420,38 +419,37 @@ func trainSpan(ctx *kube.ContainerCtx, d *core.Deps, vol *nfs.Volume, files File
 			<-ctx.Killed()
 			return false
 		}
-		n := chunkSteps
-		left := (target - *imagesDone + stepImages - 1) / stepImages
-		if n > left {
-			n = left
-		}
-		expected := time.Duration(n) * stepTime
+		n := min(chunkSteps, (target-*imagesDone+stepImages-1)/stepImages)
+		chunk := time.Duration(n)*stepTime + rtt
 		chunkStart := d.Clock.Now()
-		if !ctx.Sleep(expected) {
-			return false
+		alive := ctx.Sleep(chunk)
+		left := chunk - d.Clock.Since(chunkStart) // 0 unless killed
+		if left > rtt {
+			return false // killed during the compute
 		}
-		*imagesDone += n * stepImages
-		if *imagesDone > target {
-			*imagesDone = target
-		}
+		d.Clock.Sleep(left) // no kill interrupts a round trip
+		*imagesDone = min(*imagesDone+n*stepImages, target)
 		buf = strconv.AppendInt(buf[:0], *imagesDone, 10)
-		vol.Write(files.Progress, buf)
+		cut := len(buf) // the progress; the metric line follows it
 		point := trainsim.MetricPoint{
 			ClusterSeconds: float64(ctx.Clock().Now().UnixNano()) / 1e9,
 			Images:         *imagesDone,
 			Loss:           curve.LossAt(*imagesDone),
 			Restarts:       ctx.Restart(),
 		}
-		var err error
-		if buf, err = point.AppendJSON(buf[:0]); err == nil {
-			vol.Append(files.Metrics, append(buf, '\n'))
+		report := append(make([]nfs.Call, 0, 2), nfs.Call{Path: files.Progress})
+		if line, err := point.AppendJSON(buf); err == nil {
+			buf = append(line, '\n')
+			report = append(report, nfs.Call{Path: files.Metrics, Data: buf[cut:], Append: true})
 		}
-		if excess := d.Clock.Now().Sub(chunkStart) - expected; excess > nfsStallThreshold {
-			sp := d.Trace.StartSpanAt(parent, "nfs-stall", chunkStart.Add(expected))
+		report[0].Data = buf[:cut]
+		vol.Compound(report...)
+		if excess := d.Clock.Since(chunkStart) - chunk; excess > nfsStallThreshold {
+			sp := d.Trace.StartSpanAt(parent, "nfs-stall", chunkStart.Add(chunk))
 			sp.SetPhase(trace.PhaseStall)
-			sp.EndAt(chunkStart.Add(expected + excess))
+			sp.EndAt(chunkStart.Add(chunk + excess))
 		}
-		if !onChunk(*imagesDone) {
+		if !alive || !onChunk(*imagesDone) {
 			return false
 		}
 	}

@@ -24,6 +24,13 @@ import (
 func newTestDeps(t *testing.T) (*core.Deps, *clock.Sim) {
 	t.Helper()
 	clk := clock.NewSim()
+	return newTestDepsOn(t, clk), clk
+}
+
+// newTestDepsOn builds the learner's dependencies on clk, which the test
+// closes when it ends.
+func newTestDepsOn(t *testing.T, clk *clock.Sim) *core.Deps {
+	t.Helper()
 	link := netsim.NewSharedLink(netsim.Ethernet1G, clk)
 	cluster := kube.NewCluster(kube.Config{Clock: clk},
 		kube.NodeSpec{Name: "n1", GPUs: 4, GPUType: "K80"},
@@ -45,7 +52,7 @@ func newTestDeps(t *testing.T) (*core.Deps, *clock.Sim) {
 		DataLink:    link,
 		DefaultGPU:  gpu.K80,
 		Metrics:     metrics.NewRegistry(),
-	}, clk
+	}
 }
 
 func smallManifest() *manifest.Manifest {
@@ -146,6 +153,23 @@ func padImages(n int64) string {
 // container in a pod, and returns its exit-file code.
 func runLearnerPod(t *testing.T, d *core.Deps, clk *clock.Sim, m *manifest.Manifest, stageData bool) int {
 	t.Helper()
+	vol := startLearnerPod(t, d, m, stageData)
+	deadline := clk.Now().Add(6 * time.Hour)
+	for clk.Now().Before(deadline) {
+		if code, ok := vol.ReadExitCode(nfs.ExitCodePath(0)); ok {
+			_ = d.Kube.DeletePod("learner-pod-0")
+			return code
+		}
+		clk.Sleep(5 * time.Second)
+	}
+	t.Fatal("learner never wrote an exit code")
+	return -1
+}
+
+// startLearnerPod stages buckets/volume per stage flags and creates the
+// pod "learner-pod-0", learner 0 of job "j" on volume "vol-j".
+func startLearnerPod(t *testing.T, d *core.Deps, m *manifest.Manifest, stageData bool) *nfs.Volume {
+	t.Helper()
 	vol, err := d.NFS.Provision("vol-j")
 	if err != nil {
 		t.Fatal(err)
@@ -173,16 +197,7 @@ func runLearnerPod(t *testing.T, d *core.Deps, clk *clock.Sim, m *manifest.Manif
 	if _, err := d.Kube.CreatePod(spec); err != nil {
 		t.Fatal(err)
 	}
-	deadline := clk.Now().Add(6 * time.Hour)
-	for clk.Now().Before(deadline) {
-		if code, ok := vol.ReadExitCode(nfs.ExitCodePath(0)); ok {
-			_ = d.Kube.DeletePod("learner-pod-0")
-			return code
-		}
-		clk.Sleep(5 * time.Second)
-	}
-	t.Fatal("learner never wrote an exit code")
-	return -1
+	return vol
 }
 
 func TestLearnerTrainsToCompletion(t *testing.T) {

@@ -76,14 +76,15 @@ func (s *Server) FaultMode() FaultMode { //lint:allow deadexport test-observatio
 
 // awaitHealthy blocks (in virtual time) while the server is stalled and
 // returns the mode in effect once the operation may proceed: FaultNone
-// after a heal, or FaultError if the caller must fail instead.
-func (s *Server) awaitHealthy() FaultMode {
-	for {
+// after a heal, or FaultError if the caller must fail instead, and
+// whether it blocked.
+func (s *Server) awaitHealthy() (FaultMode, bool) {
+	for stalled := false; ; stalled = true {
 		s.mu.Lock()
 		m, changed := s.fault, s.changed
 		s.mu.Unlock()
 		if m != FaultStall {
-			return m
+			return m, stalled
 		}
 		clock.SleepUntil(s.clk, faultPollGrain, changed, nil)
 	}

@@ -9,10 +9,11 @@
 // Calls come in two prices, as on a real NFS client. Data calls — Read,
 // Write, Append (and ReadExitCode/WriteExitCode on top of them) — each
 // pay one NFSLink.Latency round trip on the virtual clock and obey the
-// injected fault mode. Attribute calls — Stat, Exists — are served
-// from the client's attribute view: no latency, never stalled or failed
-// by a fault. A periodic loop therefore asks Stat whether a file's Gen
-// moved and pays for a Read only when it did.
+// injected fault mode; a Compound of writes and appends shares one,
+// which its caller has slept. Attribute calls — Stat, Exists — are
+// served from the client's attribute view: no latency, never stalled or
+// failed by a fault. A periodic loop therefore asks Stat whether a file's
+// Gen moved and pays for a Read only when it did.
 //
 // A pass of such a loop that finds every Gen where it left it costs no
 // clock time, so on a virtual clock the loop need not wake for it at
@@ -224,43 +225,72 @@ func (v *Volume) changedLocked(path string) {
 // Write replaces the file's contents. In FaultError mode the write is
 // silently dropped (soft-mount EIO swallowed by the writer).
 func (v *Volume) Write(path string, data []byte) {
-	if v.srv.awaitHealthy() == FaultError {
-		return
+	if v.roundTrip(false) {
+		v.land(path, data, false)
 	}
-	v.srv.clk.Sleep(v.srv.link.Latency)
-	v.srv.served(opWrite)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	v.gen++
-	v.files[path] = file{data: cp, gen: v.gen}
-	v.changedLocked(path)
 }
 
 // Append adds data to the end of the file, creating it if absent. This
 // is the learner's log-write primitive. In FaultError mode the append
 // is silently dropped.
 func (v *Volume) Append(path string, data []byte) {
-	if v.srv.awaitHealthy() == FaultError {
-		return
+	if v.roundTrip(false) {
+		v.land(path, data, true)
 	}
-	v.srv.clk.Sleep(v.srv.link.Latency)
-	v.srv.served(opAppend)
+}
+
+// Call is one data call of a Compound: Data replaces the file at Path,
+// or is added to its end when Append is set.
+type Call struct {
+	Path   string
+	Data   []byte
+	Append bool
+}
+
+// Compound lands calls, in order, in one round trip the caller has
+// already waited — several calls in one NFSv4 COMPOUND. The one way it
+// differs from making the calls one by one: the fault mode is read when
+// they land, a round trip after the caller started them. FaultError drops
+// them all; FaultStall holds them to the heal and then charges the round
+// trip a fresh call would pay.
+func (v *Volume) Compound(calls ...Call) {
+	if v.roundTrip(true) {
+		for _, c := range calls {
+			v.land(c.Path, c.Data, c.Append)
+		}
+	}
+}
+
+// roundTrip waits out a data call's round trip unless the caller paid it
+// and no stall came between; false means FaultError fails the call.
+func (v *Volume) roundTrip(paid bool) bool {
+	mode, stalled := v.srv.awaitHealthy()
+	if mode != FaultError && (stalled || !paid) {
+		v.srv.clk.Sleep(v.srv.link.Latency)
+	}
+	return mode != FaultError
+}
+
+// land lands one Write, or Append if appending, whose round trip is over.
+func (v *Volume) land(path string, data []byte, appending bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	op, kept := opWrite, []byte(nil) // the file keeps a copy: data stays the caller's
+	if appending {
+		op, kept = opAppend, v.files[path].data
+	}
+	v.srv.served(op)
 	v.gen++
-	v.files[path] = file{data: append(v.files[path].data, data...), gen: v.gen}
+	v.files[path] = file{data: append(kept, data...), gen: v.gen}
 	v.changedLocked(path)
 }
 
 // Read returns a copy of the file's contents. In FaultError mode it
 // fails with ErrFaulted.
 func (v *Volume) Read(path string) ([]byte, error) {
-	if v.srv.awaitHealthy() == FaultError {
+	if !v.roundTrip(false) {
 		return nil, fmt.Errorf("reading %s on %s: %w", path, v.name, ErrFaulted)
 	}
-	v.srv.clk.Sleep(v.srv.link.Latency)
 	v.srv.served(opRead)
 	v.mu.Lock()
 	defer v.mu.Unlock()
