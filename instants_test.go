@@ -10,15 +10,19 @@ import (
 )
 
 // fleetInstantBudget is the ceiling on virtual instants per job for the
-// fixed fleet below: the 166–167 it measures with the helper and
+// fixed fleet below: the 151–153 it measures with the helper and
 // Guardian waits gated on change (clock.SleepUntil), the metadata
-// store's heartbeat following its log (raft's idle cadence) and a
-// training chunk's progress write and metric point sharing the chunk's
-// one sleep (nfs.Volume.Compound), plus 15 %. With each of those two
-// reports paying a round trip of its own, it measured 169–172; with the
-// store heartbeating every 50 ms whatever was asked of it, 266–271; with
-// the poll loops also waking on every tick of their cadence, 354–360.
-const fleetInstantBudget = 192
+// store's heartbeat following its log (raft's idle cadence), a training
+// chunk's progress write and metric point sharing the chunk's one sleep
+// and each learner lifecycle report landing as one nfs.Volume.Compound,
+// and an API call paying both its legs in one sleep (rpc.Bus.Call), plus
+// 15 %. With a call's reply leg a sleep of its own and a report's status
+// write, log line and exit code a round trip each, it measured 165–167;
+// with each chunk's two reports paying a round trip of their own,
+// 169–172; with the store heartbeating every 50 ms whatever was asked of
+// it, 266–271; with the poll loops also waking on every tick of their
+// cadence, 354–360.
+const fleetInstantBudget = 176
 
 // fleetAllocBudget is the ceiling on heap objects per job for the same
 // fleet: the 615–618 it measures in a fresh process, plus 10 %. With a
@@ -78,7 +82,7 @@ func TestFleetInstantBudget(t *testing.T) {
 	objects := (ms.Mallocs - mallocs) / jobs
 	t.Logf("%d instants per job (budget %d), %d objects per job (budget %d)", perJob, fleetInstantBudget, objects, fleetAllocBudget)
 	if perJob > fleetInstantBudget {
-		t.Errorf("%d virtual instants per job, budget %d: is a poll loop waking on ticks that can learn nothing (see clock.SleepUntil), or the store heartbeating through a settled spell (internal/raft/cadence.go)?", perJob, fleetInstantBudget)
+		t.Errorf("%d virtual instants per job, budget %d: is a poll loop waking on ticks that can learn nothing (see clock.SleepUntil), the store heartbeating through a settled spell (internal/raft/cadence.go), or a call or report paying a leg in a sleep of its own (rpc.Bus.Call, nfs.Volume.Compound)?", perJob, fleetInstantBudget)
 	}
 	if !raceEnabled && objects > fleetAllocBudget {
 		t.Errorf("%d heap objects per job, budget %d: does a loop build a path, key or encoding on every pass that it could build once (see learner.FilesOf, events.Envelope.Append, the Guardian's journal.appendJSON), or a read copy a document MongoDB shares (mongo.Document)?", objects, fleetAllocBudget)

@@ -37,6 +37,7 @@ const (
 	ExitVolumeError = 4
 	// ExitOOM signals the batch does not fit the GPU's device memory.
 	ExitOOM = 5
+	noExit  = -1 // a lifecycle report that writes no exit file
 )
 
 // maxChunks caps the chunks training between checkpoints is cut into:
@@ -197,10 +198,11 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 	}
 
 	// The paths are built once per incarnation, and what is written to
-	// them is built in one reused buffer: the volume copies what it keeps.
+	// them is built in one reused buffer, sized for a lifecycle report: the
+	// volume copies what it keeps.
 	files := FilesOf(p.Ordinal)
-	var buf []byte
-	writeStatus := func(s types.LearnerStatus) {
+	buf := make([]byte, 0, 512)
+	appendStatus := func(b []byte, s types.LearnerStatus) []byte {
 		// The status file carries the shared control-plane envelope: the
 		// helper controller mirrors it into etcd verbatim-compatible form
 		// and the Guardian folds it into the job state — one schema from
@@ -209,22 +211,41 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 		env := events.LearnerStatus(p.JobID, types.StatusUpdate{
 			Learner: p.Ordinal, Status: s, Time: nodeClk.Now(),
 		}).WithTrace(attemptTraceID, attemptSpanID)
-		var err error
-		if buf, err = env.Append(buf[:0]); err != nil {
-			buf = append(buf[:0], s...) // legacy bare-string form, still decodable
+		if out, err := env.Append(b); err == nil {
+			return out
 		}
-		vol.Write(files.Status, buf)
+		return append(b, s...) // legacy bare-string form, still decodable
 	}
 	logPrefix := " learner-" + strconv.Itoa(p.Ordinal) + ": "
+	appendLog := func(b []byte, format string, args ...any) []byte {
+		b = nodeClk.Now().AppendFormat(b, "15:04:05")
+		b = append(b, logPrefix...)
+		return append(fmt.Appendf(b, format, args...), '\n')
+	}
 	logf := func(format string, args ...any) {
-		buf = nodeClk.Now().AppendFormat(buf[:0], "15:04:05")
-		buf = append(buf, logPrefix...)
-		buf = append(fmt.Appendf(buf, format, args...), '\n')
+		buf = appendLog(buf[:0], format, args...)
 		vol.Append(files.Log, buf)
 	}
+	// report is a lifecycle report: the status, a log line and, unless
+	// exit is noExit, the exit code, landed as one Compound one NFS round
+	// trip after it starts. No kill interrupts the round trip.
+	var calls [3]nfs.Call
+	report := func(s types.LearnerStatus, exit int, format string, args ...any) {
+		buf = appendStatus(buf[:0], s)
+		cut := len(buf)
+		buf = appendLog(buf, format, args...)
+		n, end := 2, len(buf)
+		if exit != noExit {
+			buf, n = strconv.AppendInt(buf, int64(exit), 10), 3
+			calls[2] = nfs.Call{Path: files.ExitCode, Data: buf[end:]}
+		}
+		calls[0] = nfs.Call{Path: files.Status, Data: buf[:cut]}
+		calls[1] = nfs.Call{Path: files.Log, Data: buf[cut:end], Append: true}
+		d.Clock.Sleep(netsim.NFSLink.Latency)
+		vol.Compound(calls[:n]...)
+	}
 
-	writeStatus(types.LearnerStarting)
-	logf("starting (incarnation %d) on node %s", ctx.Restart(), ctx.NodeName())
+	report(types.LearnerStarting, noExit, "starting (incarnation %d) on node %s", ctx.Restart(), ctx.NodeName())
 
 	m := p.Manifest
 
@@ -263,9 +284,7 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 	// Verify training data access before burning GPU time.
 	dataObj, err := d.ObjectStore.Stat(m.TrainingData.Bucket, m.TrainingData.Key, dataCreds)
 	if err != nil {
-		logf("training data inaccessible: %v", err)
-		writeStatus(types.LearnerFailed)
-		vol.WriteExitCode(files.ExitCode, ExitDataError)
+		report(types.LearnerFailed, ExitDataError, "training data inaccessible: %v", err)
 		return ExitDataError
 	}
 
@@ -276,10 +295,8 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 	// failure — the exit file tells the controller, which tells the
 	// Guardian, which fails the job with a diagnosable reason.
 	if !cfg.FitsMemory() {
-		logf("OOM: %s batch %d needs %d MB, %s has %d MB",
+		report(types.LearnerFailed, ExitOOM, "OOM: %s batch %d needs %d MB, %s has %d MB",
 			m.Model, m.BatchPerGPU, cfg.MemoryRequiredBytes()>>20, p.GPU.Name, int64(p.GPU.MemGB*1000))
-		writeStatus(types.LearnerFailed)
-		vol.WriteExitCode(files.ExitCode, ExitOOM)
 		return ExitOOM
 	}
 
@@ -303,7 +320,8 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 	// Warm the input pipeline: stream the first shard of the epoch.
 	dsp := tr.StartSpan(attempt.Context(), "download")
 	dsp.SetPhase(trace.PhaseDownload)
-	writeStatus(types.LearnerDownloading)
+	buf = appendStatus(buf[:0], types.LearnerDownloading)
+	vol.Write(files.Status, buf)
 	shard := dataObj.Size / int64(m.Learners)
 	if shard > 0 {
 		warm := shard / 64
@@ -314,8 +332,7 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 	}
 	dsp.End()
 
-	writeStatus(types.LearnerTraining)
-	logf("training %s/%s on %d GPU(s) x %d learner(s), batch %d",
+	report(types.LearnerTraining, noExit, "training %s/%s on %d GPU(s) x %d learner(s), batch %d",
 		m.Model, m.Framework, m.GPUsPerLearner, m.Learners, m.BatchPerGPU)
 
 	stepImages := int64(cfg.NumGPUs * m.BatchPerGPU)
@@ -376,9 +393,7 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 		}
 	}
 
-	writeStatus(types.LearnerCompleted)
-	logf("training complete: %d images", imagesDone)
-	vol.WriteExitCode(files.ExitCode, ExitOK)
+	report(types.LearnerCompleted, ExitOK, "training complete: %d images", imagesDone)
 	attempt.End()
 
 	// Hold the container open: completion is signaled through the exit

@@ -43,9 +43,9 @@ func idleStore(t *testing.T) (*Store, *clock.Sim) {
 // TestIdleClusterInstantBudget: an idle 3-replica store is two rounds a
 // virtual second, three instants each (tick, arrival, ack) — 120 instants
 // in twenty seconds, where the free-running 50 ms heartbeat made 1 200.
-// Every instant is ≈ 2.3 ms of wall on the sim clock whatever happens in
-// it, so this is what a platform with nothing to do pays for its
-// metadata plane.
+// Every instant is ≈ 0.15–0.45 ms of wall on the sim clock whatever
+// happens in it (README "The price of an instant"), so this is what a
+// platform with nothing to do pays for its metadata plane.
 func TestIdleClusterInstantBudget(t *testing.T) {
 	_, clk := idleStore(t)
 	const idle = 20 // virtual seconds

@@ -226,7 +226,7 @@ func (v *Volume) changedLocked(path string) {
 // silently dropped (soft-mount EIO swallowed by the writer).
 func (v *Volume) Write(path string, data []byte) {
 	if v.roundTrip(false) {
-		v.land(path, data, false)
+		v.land(Call{Path: path, Data: data})
 	}
 }
 
@@ -235,7 +235,7 @@ func (v *Volume) Write(path string, data []byte) {
 // is silently dropped.
 func (v *Volume) Append(path string, data []byte) {
 	if v.roundTrip(false) {
-		v.land(path, data, true)
+		v.land(Call{Path: path, Data: data, Append: true})
 	}
 }
 
@@ -248,16 +248,15 @@ type Call struct {
 }
 
 // Compound lands calls, in order, in one round trip the caller has
-// already waited — several calls in one NFSv4 COMPOUND. The one way it
-// differs from making the calls one by one: the fault mode is read when
-// they land, a round trip after the caller started them. FaultError drops
-// them all; FaultStall holds them to the heal and then charges the round
-// trip a fresh call would pay.
+// already waited — several calls in one NFSv4 COMPOUND. They land
+// together, with consecutive Gens: no Stat or Read sees some of them
+// without the rest. The fault mode is read when they land, a round trip
+// after the caller started them. FaultError drops them all; FaultStall
+// holds them to the heal and then charges the round trip a fresh call
+// would pay.
 func (v *Volume) Compound(calls ...Call) {
 	if v.roundTrip(true) {
-		for _, c := range calls {
-			v.land(c.Path, c.Data, c.Append)
-		}
+		v.land(calls...)
 	}
 }
 
@@ -271,18 +270,20 @@ func (v *Volume) roundTrip(paid bool) bool {
 	return mode != FaultError
 }
 
-// land lands one Write, or Append if appending, whose round trip is over.
-func (v *Volume) land(path string, data []byte, appending bool) {
+// land lands calls whose round trip is over, under one hold of the lock.
+func (v *Volume) land(calls ...Call) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	op, kept := opWrite, []byte(nil) // the file keeps a copy: data stays the caller's
-	if appending {
-		op, kept = opAppend, v.files[path].data
+	for _, c := range calls {
+		op, kept := opWrite, []byte(nil) // the file keeps a copy: Data stays the caller's
+		if c.Append {
+			op, kept = opAppend, v.files[c.Path].data
+		}
+		v.srv.served(op)
+		v.gen++
+		v.files[c.Path] = file{data: append(kept, c.Data...), gen: v.gen}
+		v.changedLocked(c.Path)
 	}
-	v.srv.served(op)
-	v.gen++
-	v.files[path] = file{data: append(kept, data...), gen: v.gen}
-	v.changedLocked(path)
 }
 
 // Read returns a copy of the file's contents. In FaultError mode it
@@ -333,7 +334,7 @@ func ExitCodePath(learnerIdx int) string {
 }
 
 // WriteExitCode records a learner's exit code at path, its ExitCodePath.
-func (v *Volume) WriteExitCode(path string, code int) {
+func (v *Volume) WriteExitCode(path string, code int) { //lint:allow deadexport test fixture: the helper's tests write a learner's exit file with it
 	v.Write(path, []byte(strconv.Itoa(code)))
 }
 

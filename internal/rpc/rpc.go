@@ -8,7 +8,10 @@
 //
 // Calls are delivered by direct function invocation with a small modeled
 // network latency charged to the virtual clock, so loose coupling and
-// independent failure — not wire format — are what is simulated.
+// independent failure — not wire format — are what is simulated. A call
+// sleeps both one-way legs in one sleep and then runs the handler: its
+// reads and writes take effect when the reply arrives, inside the call,
+// and a handler that waits on nothing costs the call one instant.
 package rpc
 
 import (
@@ -220,6 +223,11 @@ func (b *Bus) HealthyInstances(name string) int {
 // round-robin and failing over past crashed instances. It returns
 // ErrUnavailable if no instance can serve, or ErrNotRegistered if the
 // service name was never registered.
+// A call takes two one-way legs, paid in one sleep before the handler
+// runs, plus whatever the handler waits: the handler acts at the call's
+// return instant, inside its interval, so a read through it stays
+// linearizable. An error reply pays both legs too; an instance that leaves
+// during them fails the call with ErrUnavailable, its handler not run.
 func (b *Bus) Call(ctx context.Context, name, method string, req any) (any, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -235,7 +243,7 @@ func (b *Bus) Call(ctx context.Context, name, method string, req any) (any, erro
 	if err != nil {
 		return nil, fmt.Errorf("calling %s.%s: %w", name, method, err)
 	}
-	b.clk.Sleep(b.latency)
+	b.clk.Sleep(2 * b.latency)
 	inst.mu.Lock()
 	h := inst.handler
 	gone := inst.gone
@@ -246,12 +254,7 @@ func (b *Bus) Call(ctx context.Context, name, method string, req any) (any, erro
 		// real system.
 		return nil, fmt.Errorf("calling %s.%s on %s: %w", name, method, inst.ID, ErrUnavailable)
 	}
-	resp, err := h(ctx, method, req)
-	if err != nil {
-		return nil, err
-	}
-	b.clk.Sleep(b.latency)
-	return resp, nil
+	return h(ctx, method, req)
 }
 
 // pick selects the next healthy instance round-robin.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/clock/clocktest"
 )
 
 func newTestBus() (*Bus, *clock.Sim) {
@@ -147,6 +148,110 @@ func TestCallChargesLatency(t *testing.T) {
 	}
 	if got := clk.Since(start); got < 2*defaultCallLatency {
 		t.Fatalf("virtual latency = %v, want >= %v", got, 2*defaultCallLatency)
+	}
+}
+
+// callOn runs a call on its own goroutine and returns a channel that
+// carries its error and the virtual time it returned at.
+func callOn(b *Bus, clk *clock.Sim) <-chan callResult {
+	done := make(chan callResult, 1)
+	go func() {
+		_, err := b.Call(context.Background(), "api", "m", nil)
+		done <- callResult{at: clk.Now(), err: err}
+	}()
+	return done
+}
+
+type callResult struct {
+	at  time.Time
+	err error
+}
+
+func await(t *testing.T, done <-chan callResult) callResult {
+	t.Helper()
+	select {
+	case r := <-done:
+		return r
+	case <-time.After(5 * time.Second):
+		t.Fatal("the call did not return")
+		return callResult{}
+	}
+}
+
+// TestCallPaysBothLegsInOneSleep pins the bus contract on a manual clock:
+// a call sleeps both one-way legs in one sleep and then runs the handler,
+// so the handler sees the reply's instant, the call returns when the
+// handler does, and a call fires one instant, or two if its handler
+// sleeps. An error reply pays both legs as well.
+func TestCallPaysBothLegsInOneSleep(t *testing.T) {
+	const legs = 2 * defaultCallLatency
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name     string
+		wait     time.Duration // what the handler sleeps
+		err      error         // what it answers
+		instants uint64
+	}{
+		{"reply", 0, nil, 1},
+		{"handler sleeps", 3 * time.Millisecond, nil, 2},
+		{"error reply", 0, boom, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := clock.NewManual()
+			t.Cleanup(clk.Close)
+			b := NewBus(clk)
+			var seen time.Time
+			b.Register("api", "a", func(context.Context, string, any) (any, error) {
+				seen = clk.Now()
+				clk.Sleep(tc.wait)
+				return "ok", tc.err
+			})
+			start, before := clk.Now(), clk.Instants()
+			done := callOn(b, clk)
+			clocktest.Run(clk, time.Second)
+			r := await(t, done)
+			if !errors.Is(r.err, tc.err) {
+				t.Fatalf("err = %v, want %v", r.err, tc.err)
+			}
+			if got := seen.Sub(start); got != legs {
+				t.Fatalf("handler ran %v into the call, want both legs, %v", got, legs)
+			}
+			if got := r.at.Sub(start); got != legs+tc.wait {
+				t.Fatalf("call returned %v after it started, want %v", got, legs+tc.wait)
+			}
+			if got := clk.Instants() - before; got != tc.instants {
+				t.Fatalf("call fired %d instants, want %d", got, tc.instants)
+			}
+		})
+	}
+}
+
+// TestDeregisteredDuringTheLegs: an instance that leaves while a call to
+// it is in flight fails the call with ErrUnavailable when the legs end,
+// and its handler never runs.
+func TestDeregisteredDuringTheLegs(t *testing.T) {
+	clk := clock.NewManual()
+	t.Cleanup(clk.Close)
+	b := NewBus(clk)
+	ran := false
+	reg := b.Register("api", "a", func(context.Context, string, any) (any, error) {
+		ran = true
+		return "ok", nil
+	})
+	start := clk.Now()
+	done := callOn(b, clk)
+	clocktest.Run(clk, defaultCallLatency)
+	reg.Deregister()
+	clocktest.Run(clk, time.Second)
+	r := await(t, done)
+	if !errors.Is(r.err, ErrUnavailable) {
+		t.Fatalf("err = %v, want ErrUnavailable", r.err)
+	}
+	if ran {
+		t.Fatal("the deregistered instance's handler ran")
+	}
+	if got := r.at.Sub(start); got != 2*defaultCallLatency {
+		t.Fatalf("call failed %v after it started, want at the end of both legs, %v", got, 2*defaultCallLatency)
 	}
 }
 
