@@ -23,11 +23,19 @@ import (
 // yielding first lets that queue run. A goroutine asleep in a syscall or on
 // a runtime timer leaves its thread asleep too: like the quiet span, this
 // check does not wait for what waits on the wall clock.
+//
+// Gosched itself wakes a thread (wakep), which the kernel may queue behind
+// the loop on the loop's CPU: that thread finds nothing and sleeps again
+// only once it runs. So after a reading that finds a thread awake the loop
+// yields its CPU, unless other processes have more tasks to run than there
+// are other CPUs: one of them could then wait on the loop's CPU, and a
+// yield to it loses the CPU for its whole time slice.
 type threadWatch struct {
-	self  int    // /proc/self/stat, read for num_threads
-	tasks []task // every thread of the process, listed again when the count changes
-	stale bool   // a thread's files no longer read: list again
-	buf   [1024]byte
+	self    int    // /proc/self/stat, read for num_threads
+	loadavg int    // /proc/loadavg, read for the machine's runnable tasks
+	tasks   []task // every thread of the process, listed again when the count changes
+	stale   bool   // a thread's files no longer read: list again
+	buf     [1024]byte
 }
 
 // task is one thread's stat and schedstat under /proc/self/task/<tid>,
@@ -61,6 +69,7 @@ func newThreadWatch() *threadWatch {
 		return nil
 	}
 	w := &threadWatch{self: self}
+	w.loadavg, _ = openProc("/proc/loadavg")
 	sched, err := openProc("/proc/thread-self/schedstat")
 	if err != nil {
 		w.close()
@@ -83,7 +92,9 @@ func openProc(path string) (int, error) {
 // settleSpin apart each find all of them asleep ('S') with their schedstat
 // lines unchanged, or settleMax has passed. It reports true only then,
 // and only if neither the number of threads nor the loop's own thread
-// changed.
+// changed. After a reading that finds n threads awake it reads again at
+// once, yielding first if /proc/loadavg counts at most n + NumCPU runnable
+// tasks: the loop's thread, those n, and one for each other CPU.
 //
 // Gosched puts the loop on the global run queue, and its P serves the
 // local queue first — except once in 61 schedules, when fairness takes the
@@ -99,29 +110,31 @@ func (w *threadWatch) asleep() bool {
 	}
 	was, _ := w.look(me)
 	for start := time.Now(); ; {
-		if was {
+		if was == 0 {
 			for spun := time.Now(); time.Since(spun) < settleSpin; {
 			}
+		} else if running, ok := field(w.read(w.loadavg), 3); ok && was > 0 && running <= uint64(was+runtime.NumCPU()) {
+			syscall.RawSyscall(syscall.SYS_SCHED_YIELD, 0, 0, 0) // raw for the reason read is
 		}
-		asleep, same := w.look(me)
-		if was && asleep && same {
+		awake, same := w.look(me)
+		if was == 0 && awake == 0 && same {
 			return w.threads() == n && syscall.Gettid() == me
 		}
 		if time.Since(start) > settleMax {
 			return false
 		}
-		was = asleep
+		was = awake
 	}
 }
 
 // look reads every other thread's schedstat line (time on a CPU, time
 // waiting for one, times scheduled in) and state, records the lines, and
-// reports whether every thread was asleep and every line what the look
-// before recorded. A thread asleep at two looks with its line unchanged did
-// not run between them: one scheduled in counts a run, and one caught on
-// its way to sleep ('S' while still on its CPU) but woken before it left
-// adds its time on the CPU when it does leave.
-func (w *threadWatch) look(me int) (asleep, same bool) {
+// reports how many threads were awake (-1: one has exited) and whether
+// every line was what the look before recorded. A thread asleep at two
+// looks with its line unchanged did not run between them: one scheduled in
+// counts a run, and one caught on its way to sleep ('S' while still on its
+// CPU) but woken before it left adds its time on the CPU when it does leave.
+func (w *threadWatch) look(me int) (awake int, same bool) {
 	same = true
 	for i := range w.tasks {
 		t := &w.tasks[i]
@@ -131,17 +144,17 @@ func (w *threadWatch) look(me int) (asleep, same bool) {
 		line := w.read(t.sched)
 		if len(line) == 0 {
 			w.stale = true // the thread has exited
-			return false, false
+			return -1, false
 		}
 		if !bytes.Equal(line, t.schedstat[:t.schedLen]) {
 			same = false
 			t.schedLen = copy(t.schedstat[:], line)
 		}
 		if f := statFields(w.read(t.stat)); len(f) == 0 || f[0] != 'S' {
-			return false, false
+			awake++
 		}
 	}
-	return true, same
+	return awake, same
 }
 
 // read re-reads a /proc file from offset 0 into w.buf. The call is raw:
@@ -232,4 +245,5 @@ func (w *threadWatch) closeTasks() {
 func (w *threadWatch) close() {
 	w.closeTasks()
 	syscall.Close(w.self)
+	syscall.Close(w.loadavg)
 }

@@ -1,12 +1,15 @@
 package clock
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"os/exec"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -134,31 +137,53 @@ func holdTheClock(t *testing.T) (after time.Duration, held, steady bool) {
 
 // TestInstantWallCost: a virtual instant costs one check window, a look at
 // the threads and the wake-ups around them when nothing else in the process
-// can run (≈ 0.12 ms). When some thread is awake, or a busy machine leaves
-// one waiting for a CPU (at two or more Ps the loop's own wake-up wakes
-// one), the quiet span ends the instant, ≈ 0.32 ms, which is what every
+// can run (≈ 0.12–0.16 ms). At two or more Ps the look's own Gosched wakes a
+// thread, which the look yields its CPU to, so there too the median instant
+// must take under 250 µs on a machine with nothing else to run. Where other
+// processes keep CPUs busy the look may not yield, since one of them could
+// keep the CPU for a time slice, and an instant the look cannot end ends
+// with the quiet span, ≈ 0.32 ms, which is what every
 // instant cost before (0.6 ms when that was two windows on a 300 µs beat,
-// 2.3 ms when a window was a runtime timer). So the median instant must
-// take under 450 µs; and at one P, where nothing but the loop is woken,
-// the fastest tenth under 200 µs however busy the machine.
+// 2.3 ms when a window was a runtime timer): the median must then take
+// under 450 µs. At one P, where nothing but the loop is woken, the fastest
+// tenth must take under 200 µs however busy the machine.
 func TestInstantWallCost(t *testing.T) {
 	timerfdWindowForTest(t)
-	if _, median := instantWallCost(t); median >= 450*time.Microsecond {
-		t.Errorf("median instant %v of wall, want < 450µs", median)
+	if inFreshProcess(t) {
+		return
+	}
+	limit := 250 * time.Microsecond
+	_, median, busy := instantWallCost(t)
+	if busy {
+		t.Logf("another task was runnable: the look may not have yielded")
+		limit = 450 * time.Microsecond
+	}
+	if median >= limit {
+		t.Errorf("median instant %v of wall, want < %v", median, limit)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	if p10, _ := instantWallCost(t); p10 >= 200*time.Microsecond {
+	if p10, _, _ := instantWallCost(t); p10 >= 200*time.Microsecond {
 		t.Errorf("at one P, p10 instant %v of wall, want < 200µs", p10)
 	}
 }
 
-// instantWallCost times 500 virtual instants of an otherwise idle Sim.
-func instantWallCost(t *testing.T) (p10, median time.Duration) {
+// instantWallCost times 500 virtual instants of an otherwise idle Sim. busy:
+// before at least a quarter of them another task could run
+// (othersRunnable), or there is no /proc to tell.
+func instantWallCost(t *testing.T) (p10, median time.Duration, busy bool) {
 	t.Helper()
 	s := NewSim()
 	defer s.Close()
+	w := newThreadWatch()
+	if w != nil {
+		defer w.close()
+	}
 	walls := make([]time.Duration, 500)
+	others := 0
 	for i := range walls {
+		if w == nil || othersRunnable(w) {
+			others++
+		}
 		start := time.Now()
 		s.Sleep(time.Second)
 		walls[i] = time.Since(start)
@@ -168,9 +193,47 @@ func instantWallCost(t *testing.T) (p10, median time.Duration) {
 	}
 	slices.Sort(walls)
 	p10, median = walls[len(walls)/10], walls[len(walls)/2]
-	t.Logf("%d P: instant min %v, p10 %v, median %v, p90 %v",
-		runtime.GOMAXPROCS(0), walls[0], p10, median, walls[len(walls)*9/10])
-	return p10, median
+	t.Logf("%d P: instant min %v, p10 %v, median %v, p90 %v; another task runnable before %d",
+		runtime.GOMAXPROCS(0), walls[0], p10, median, walls[len(walls)*9/10], others)
+	return p10, median, others >= len(walls)/4
+}
+
+const freshProcessEnv = "CLOCK_TEST_FRESH_PROCESS"
+
+// inFreshProcess runs the calling test alone in a child process, at this
+// process's GOMAXPROCS, and reports true, unless this is that child. A look
+// reads every thread, and a test process that has run other tests has many
+// (the runtime keeps the threads it starts): by the four-P round of CI's
+// clock line, 13, and instants of 175–270 µs.
+func inFreshProcess(t *testing.T) bool {
+	t.Helper()
+	if os.Getenv(freshProcessEnv) != "" {
+		return false
+	}
+	child := exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$", "-test.v", "-test.cpu="+strconv.Itoa(runtime.GOMAXPROCS(0)))
+	child.Env = append(os.Environ(), freshProcessEnv+"=1")
+	out, err := child.CombinedOutput()
+	switch {
+	case err != nil:
+		t.Errorf("child process: %v\n%s", err, out)
+	case bytes.Contains(out, []byte("--- SKIP")):
+		t.Skipf("child process:\n%s", out)
+	default:
+		t.Logf("child process:\n%s", out)
+	}
+	return true
+}
+
+// othersRunnable reports whether /proc/loadavg counts a runnable task
+// beyond the calling thread and the process's threads that w finds awake,
+// counted as the look's yield counts them, or w cannot tell.
+func othersRunnable(w *threadWatch) bool {
+	if n := w.threads(); (n != len(w.tasks) || w.stale) && !w.relist(n) {
+		return true
+	}
+	awake, _ := w.look(syscall.Gettid())
+	running, ok := field(w.read(w.loadavg), 3)
+	return !ok || awake < 0 || running > uint64(1+awake)
 }
 
 // openFDs lists what /proc/self/fd links to, sorted.
