@@ -140,12 +140,12 @@ func TestCurrentLearnerStatus(t *testing.T) {
 		t.Fatalf("status = (%q,%v), want TRAINING", got, ok)
 	}
 	// Exit file wins over the status file (orderly termination).
-	vol.WriteExitCode(nfs.ExitCodePath(0), 0)
+	vol.Write(nfs.ExitCodePath(0), []byte("0"))
 	if got, ok := current(0); got != types.LearnerCompleted || !ok {
 		t.Fatalf("status = (%q,%v), want COMPLETED after exit 0", got, ok)
 	}
 	vol.Write(learner.StatusPath(1), []byte(types.LearnerTraining))
-	vol.WriteExitCode(nfs.ExitCodePath(1), 5)
+	vol.Write(nfs.ExitCodePath(1), []byte("5"))
 	if got, ok := current(1); got != types.LearnerFailed || !ok {
 		t.Fatalf("status = (%q,%v), want FAILED after exit 5", got, ok)
 	}
@@ -305,7 +305,7 @@ func TestControllerRestartReadsEverythingOnce(t *testing.T) {
 		t.Errorf("restarted controller republished: %d etcd puts, want 0", n)
 	}
 	// The new incarnation still mirrors what changes next.
-	vol.WriteExitCode(nfs.ExitCodePath(0), 0)
+	vol.Write(nfs.ExitCodePath(0), []byte("0"))
 	awaitMirrored(t, d, clk, 0, types.LearnerCompleted, 10*time.Second)
 }
 
@@ -387,7 +387,7 @@ func TestStoreResultsWaitsForAllLearnersThenPublishes(t *testing.T) {
 	// One learner done 20s before the other: results must NOT be stored
 	// yet, and the 40 polls in between read the finished learner's exit
 	// file once and the unfinished learner's absent one never.
-	vol.WriteExitCode(nfs.ExitCodePath(0), 0)
+	vol.Write(nfs.ExitCodePath(0), []byte("0"))
 	reads := d.NFS.OpCounts()["read"]
 	clk.Sleep(20 * time.Second)
 	if vol.Exists(ResultsStoredMarker) {
@@ -398,7 +398,7 @@ func TestStoreResultsWaitsForAllLearnersThenPublishes(t *testing.T) {
 	}
 	// Second learner done: the model lands in the bucket and the marker
 	// appears.
-	vol.WriteExitCode(nfs.ExitCodePath(1), 0)
+	vol.Write(nfs.ExitCodePath(1), []byte("0"))
 	deadline := clk.Now().Add(time.Hour)
 	for clk.Now().Before(deadline) {
 		if raw, err := vol.Read(ResultsStoredMarker); err == nil && string(raw) == "ok" {

@@ -16,13 +16,20 @@ import (
 
 // TestPodLifecycleAllocs pins what a pod costs the kubelet in heap
 // objects, from CreatePod to Succeeded, on a manual clock with jitter-free
-// timing: the pod and its spec's clone, one timer per wait, one supervisor
+// timing and again with the default jitter, whose draws allocate nothing:
+// the pod and its spec's clone, one timer per wait, one supervisor
 // goroutine per container but the last (which the pod's own goroutine
 // supervises), and per container its process channel, context and runner.
 func TestPodLifecycleAllocs(t *testing.T) {
+	for _, jitter := range []float64{0, DefaultTiming().JitterFraction} {
+		podLifecycleAllocs(t, jitter)
+	}
+}
+
+func podLifecycleAllocs(t *testing.T, jitter float64) {
 	clk := clock.NewManual()
 	timing := DefaultTiming()
-	timing.JitterFraction = 0
+	timing.JitterFraction = jitter
 	c := NewCluster(Config{Clock: clk, Timing: timing}, NodeSpec{Name: "node-a", GPUs: 4, GPUType: "K80"})
 	t.Cleanup(func() {
 		c.Stop()
@@ -50,14 +57,15 @@ func TestPodLifecycleAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// At most 1.15 × (0.1 + 0.4 + 1) s of jittered delays.
 			clocktest.Run(clk, 2*time.Second)
 			if ph := p.Phase(); ph != PodSucceeded {
-				t.Fatalf("pod phase %s, want %s", ph, PodSucceeded)
+				t.Fatalf("jitter %v: pod phase %s, want %s", jitter, ph, PodSucceeded)
 			}
 		})
-		t.Logf("%d-container pod: %.0f objects", tc.containers, allocs)
+		t.Logf("jitter %v, %d-container pod: %.0f objects", jitter, tc.containers, allocs)
 		if allocs != tc.want {
-			t.Errorf("%d-container pod = %.0f objects, want %.0f", tc.containers, allocs, tc.want)
+			t.Errorf("jitter %v: %d-container pod = %.0f objects, want %.0f", jitter, tc.containers, allocs, tc.want)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package kube
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
 	"sort"
 	"sync"
@@ -79,7 +78,8 @@ type Config struct {
 	// the eviction completes at the current instant, through the same
 	// intent.
 	EvictionGracePeriod time.Duration
-	// Seed makes delay jitter reproducible.
+	// Seed makes delay jitter reproducible: each pod's draws follow the
+	// seed and the pod's owner, never the order in which pods ask.
 	Seed int64
 	// Trace optionally records gang-admission and container-boot spans
 	// (queue wait, image pull) into job traces. Nil disables.
@@ -92,9 +92,9 @@ type Cluster struct {
 	nfs    *nfs.Server
 	timing Timing
 	trace  *trace.Recorder
+	seed   uint64 // what drawKey hashes a pod's owner into
 
 	mu         sync.Mutex
-	rng        *rand.Rand
 	nodes      map[string]*Node
 	nodeOrder  []*Node // nodes sorted by name; fixed at NewCluster
 	pods       map[string]*Pod
@@ -154,7 +154,7 @@ func NewCluster(cfg Config, nodes ...NodeSpec) *Cluster {
 		nfs:        cfg.NFS,
 		timing:     t,
 		trace:      cfg.Trace,
-		rng:        rand.New(rand.NewSource(cfg.Seed + 1)),
+		seed:       splitmix64(uint64(cfg.Seed)),
 		nodes:      make(map[string]*Node),
 		pods:       make(map[string]*Pod),
 		policies:   make(map[string]*NetworkPolicy),
@@ -242,15 +242,30 @@ func (c *Cluster) podsChanged() {
 	c.mu.Unlock()
 }
 
-// jitter scales d by 1±JitterFraction using the cluster RNG.
-func (c *Cluster) jitter(d time.Duration) time.Duration {
+// jitter scales d by a factor in 1±JitterFraction drawn from key alone, so
+// a draw follows the seed and the pod's owner, not the order of asking.
+func (c *Cluster) jitter(d time.Duration, key uint64) time.Duration {
 	if c.timing.JitterFraction <= 0 || d <= 0 {
 		return d
 	}
-	c.mu.Lock()
-	f := 1 + (c.rng.Float64()*2-1)*c.timing.JitterFraction
-	c.mu.Unlock()
-	return time.Duration(float64(d) * f)
+	u := float64(splitmix64(key)>>11) / (1 << 53) // uniform in [0, 1)
+	return time.Duration(float64(d) * (1 + (u*2-1)*c.timing.JitterFraction))
+}
+
+// drawKey folds name (FNV-1a, without allocating) and then n into key h.
+func drawKey(h uint64, name string, n int) uint64 {
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * 1099511628211
+	}
+	return splitmix64(h + uint64(n))
+}
+
+// splitmix64 is one step of the SplitMix64 generator.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // nextName generates a unique suffixed pod name.
@@ -264,13 +279,15 @@ func (c *Cluster) nextName(base string) string {
 // CreatePod instantiates spec directly (no controller). The returned pod
 // is scheduled and started asynchronously.
 func (c *Cluster) CreatePod(spec PodSpec) (*Pod, error) {
-	return c.createPodOwned(spec.clone(), nil)
+	return c.createPodOwned(spec.clone(), nil, drawKey(c.seed, spec.Name, 0))
 }
 
 // createPodOwned creates a pod of spec, which it takes ownership of: a
 // controller hands it the clone of its template it stamped the pod's
-// name into.
-func (c *Cluster) createPodOwned(spec PodSpec, owner ownerRef) (*Pod, error) {
+// name into. key is the pod's draw key: drawKey(seed, name, i) of a bare
+// pod (i = 0) or an owner's i-th initial pod, else splitmix64 of the key of
+// the pod it replaces.
+func (c *Cluster) createPodOwned(spec PodSpec, owner ownerRef, key uint64) (*Pod, error) {
 	c.mu.Lock()
 	if c.stopped {
 		c.mu.Unlock()
@@ -280,7 +297,7 @@ func (c *Cluster) createPodOwned(spec PodSpec, owner ownerRef) (*Pod, error) {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("creating pod %q: %w", spec.Name, ErrPodExists)
 	}
-	p := newPod(c, spec, owner)
+	p := newPod(c, spec, owner, key)
 	c.pods[spec.Name] = p
 	c.mu.Unlock()
 

@@ -56,7 +56,7 @@ func (c *Cluster) CreateDeployment(name string, replicas int, template PodSpec) 
 		pods:     make(map[string]*Pod),
 	}
 	for i := 0; i < replicas; i++ {
-		if err := d.createReplica(); err != nil {
+		if err := d.createReplica(drawKey(c.seed, name, i)); err != nil {
 			return nil, fmt.Errorf("deployment %s: %w", name, err)
 		}
 	}
@@ -82,10 +82,10 @@ func (d *Deployment) Delete() {
 	}
 }
 
-func (d *Deployment) createReplica() error {
+func (d *Deployment) createReplica(key uint64) error {
 	spec := d.template.clone()
 	spec.Name = d.cluster.nextName(d.name)
-	p, err := d.cluster.createPodOwned(spec, d)
+	p, err := d.cluster.createPodOwned(spec, d, key)
 	if err != nil {
 		return err
 	}
@@ -113,12 +113,12 @@ func (d *Deployment) podTerminated(p *Pod, _ PodPhase) {
 		return
 	}
 	go func() {
-		d.cluster.clk.Sleep(d.cluster.jitter(d.cluster.timing.ControllerReact))
+		d.cluster.clk.Sleep(d.cluster.jitter(d.cluster.timing.ControllerReact, p.key+drawReact))
 		d.mu.Lock()
 		stillNeed := !d.stopped && len(d.pods) < d.replicas
 		d.mu.Unlock()
 		if stillNeed {
-			_ = d.createReplica() // cluster shutdown is the only failure
+			_ = d.createReplica(splitmix64(p.key)) // cluster shutdown is the only failure
 		}
 	}()
 }
@@ -153,7 +153,7 @@ func (c *Cluster) CreateStatefulSet(name string, replicas int, template PodSpec)
 		pods:     make(map[int]*Pod),
 	}
 	for i := 0; i < replicas; i++ {
-		if err := s.createOrdinal(i); err != nil {
+		if err := s.createOrdinal(i, drawKey(c.seed, name, i)); err != nil {
 			return nil, fmt.Errorf("statefulset %s: %w", name, err)
 		}
 	}
@@ -182,14 +182,14 @@ func (s *StatefulSet) Delete() {
 	}
 }
 
-func (s *StatefulSet) createOrdinal(i int) error {
+func (s *StatefulSet) createOrdinal(i int, key uint64) error {
 	spec := s.template.clone()
 	spec.Name = s.PodName(i)
 	if spec.Labels == nil {
 		spec.Labels = map[string]string{}
 	}
 	spec.Labels["ordinal"] = fmt.Sprintf("%d", i)
-	p, err := s.cluster.createPodOwned(spec, s)
+	p, err := s.cluster.createPodOwned(spec, s, key)
 	if err != nil {
 		return err
 	}
@@ -221,12 +221,12 @@ func (s *StatefulSet) podTerminated(p *Pod, _ PodPhase) {
 		return
 	}
 	go func() {
-		s.cluster.clk.Sleep(s.cluster.jitter(s.cluster.timing.ControllerReact))
+		s.cluster.clk.Sleep(s.cluster.jitter(s.cluster.timing.ControllerReact, p.key+drawReact))
 		s.mu.Lock()
 		stillNeed := !s.stopped
 		s.mu.Unlock()
 		if stillNeed {
-			_ = s.createOrdinal(ordinal)
+			_ = s.createOrdinal(ordinal, splitmix64(p.key))
 		}
 	}()
 }
@@ -264,7 +264,7 @@ func (c *Cluster) CreateJob(name string, backoffLimit int, template PodSpec) (*J
 		backoffLimit: backoffLimit,
 		done:         make(chan struct{}),
 	}
-	if err := j.createAttempt(); err != nil {
+	if err := j.createAttempt(drawKey(c.seed, name, 0)); err != nil {
 		return nil, fmt.Errorf("job %s: %w", name, err)
 	}
 	c.reg.mu.Lock()
@@ -306,7 +306,7 @@ func (j *Job) Delete() {
 	}
 }
 
-func (j *Job) createAttempt() error {
+func (j *Job) createAttempt(key uint64) error {
 	j.mu.Lock()
 	attempt := j.attempts
 	j.attempts++
@@ -317,7 +317,7 @@ func (j *Job) createAttempt() error {
 	if spec.RestartPolicy == 0 {
 		spec.RestartPolicy = RestartNever
 	}
-	p, err := j.cluster.createPodOwned(spec, j)
+	p, err := j.cluster.createPodOwned(spec, j, key)
 	if err != nil {
 		return err
 	}
@@ -357,12 +357,12 @@ func (j *Job) podTerminated(p *Pod, phase PodPhase) {
 		return
 	}
 	go func() {
-		j.cluster.clk.Sleep(j.cluster.jitter(j.cluster.timing.ControllerReact))
+		j.cluster.clk.Sleep(j.cluster.jitter(j.cluster.timing.ControllerReact, p.key+drawReact))
 		j.mu.Lock()
 		stopped := j.stopped
 		j.mu.Unlock()
 		if !stopped {
-			_ = j.createAttempt()
+			_ = j.createAttempt(splitmix64(p.key))
 		}
 	}()
 }

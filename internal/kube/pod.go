@@ -19,6 +19,7 @@ type Pod struct {
 	cluster *Cluster
 	Spec    PodSpec
 	owner   ownerRef
+	key     uint64 // see createPodOwned
 
 	mu         sync.Mutex
 	phase      PodPhase
@@ -49,11 +50,16 @@ type ownerRef interface {
 	podTerminated(p *Pod, phase PodPhase)
 }
 
-func newPod(c *Cluster, spec PodSpec, owner ownerRef) *Pod {
+// What a pod's draws add to its key (drawReact: its owner's reaction to
+// its end). An image pull takes drawKey(key, container, incarnation).
+const drawSchedule, drawSetup, drawReact = 1, 2, 3
+
+func newPod(c *Cluster, spec PodSpec, owner ownerRef, key uint64) *Pod {
 	p := &Pod{
 		cluster:    c,
 		Spec:       spec,
 		owner:      owner,
+		key:        key,
 		phase:      PodPending,
 		containers: make([]containerState, len(spec.Containers)),
 		starting:   len(spec.Containers),
@@ -210,7 +216,7 @@ func (p *Pod) run() {
 // create waits out the scheduler's decision and the container runtime's
 // setup plus volume binding. It returns false if the pod is killed first.
 func (p *Pod) create() bool {
-	if !p.interruptibleSleep(p.cluster.jitter(p.cluster.timing.Schedule)) {
+	if !p.interruptibleSleep(p.cluster.jitter(p.cluster.timing.Schedule, p.key+drawSchedule)) {
 		return false
 	}
 	p.setPhase(PodCreating)
@@ -219,7 +225,7 @@ func (p *Pod) create() bool {
 	if p.Spec.BindsObjectStore {
 		setup += p.cluster.timing.ObjectStoreBind
 	}
-	return p.interruptibleSleep(p.cluster.jitter(setup))
+	return p.interruptibleSleep(p.cluster.jitter(setup, p.key+drawSetup))
 }
 
 // supervise runs one container's restart loop.
@@ -235,7 +241,7 @@ func (p *Pod) supervise(cs *containerState) {
 		}
 		// Boot delay (image/runtime dependent).
 		pullStart := p.cluster.clk.Now()
-		if !p.interruptibleSleep(p.cluster.jitter(cs.spec.StartDelay)) {
+		if !p.interruptibleSleep(p.cluster.jitter(cs.spec.StartDelay, drawKey(p.key, cs.spec.Name, incarnation))) {
 			return
 		}
 		// A job-labeled pod's boot delay is traced as an image-pull span
@@ -496,11 +502,4 @@ func (c *ContainerCtx) Sleep(d time.Duration) bool {
 // retry takes Sleep(period) instead.
 func (c *ContainerCtx) SleepUntil(period time.Duration, wake <-chan struct{}) bool {
 	return clock.SleepUntil(c.pod.cluster.clk, period, wake, c.killedCh)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

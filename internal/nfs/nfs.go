@@ -7,7 +7,7 @@
 // in the helper pod reads them — surviving crashes of either side.
 //
 // Calls come in two prices, as on a real NFS client. Data calls — Read,
-// Write, Append (and ReadExitCode/WriteExitCode on top of them) — each
+// Write, Append (and ReadExitCode on top of them) — each
 // pay one NFSLink.Latency round trip on the virtual clock and obey the
 // injected fault mode; a Compound of writes and appends shares one,
 // which its caller has slept. Attribute calls — Stat, Exists — are
@@ -331,11 +331,6 @@ func (v *Volume) Exists(path string) bool {
 // ExitCodePath returns the conventional exit-status path for a learner.
 func ExitCodePath(learnerIdx int) string {
 	return "learner-" + strconv.Itoa(learnerIdx) + "/exitcode"
-}
-
-// WriteExitCode records a learner's exit code at path, its ExitCodePath.
-func (v *Volume) WriteExitCode(path string, code int) { //lint:allow deadexport test fixture: the helper's tests write a learner's exit file with it
-	v.Write(path, []byte(strconv.Itoa(code)))
 }
 
 // ReadExitCode returns the exit code a learner recorded at path, its

@@ -99,8 +99,8 @@ func TestExitCodeConvention(t *testing.T) {
 	if _, ok := v.ReadExitCode(ExitCodePath(0)); ok {
 		t.Fatal("exit code present before termination")
 	}
-	v.WriteExitCode(ExitCodePath(0), 0)
-	v.WriteExitCode(ExitCodePath(1), 137) // OOM-killed learner
+	v.Write(ExitCodePath(0), []byte("0"))
+	v.Write(ExitCodePath(1), []byte("137")) // OOM-killed learner
 	if code, ok := v.ReadExitCode(ExitCodePath(0)); !ok || code != 0 {
 		t.Fatalf("learner 0 = (%d,%v)", code, ok)
 	}
