@@ -253,21 +253,6 @@ func (c *Cursor) OmitEmpty(lit string) string {
 	return c.Str("")
 }
 
-// Next reports whether the cursor is at the i-th member of an array or
-// object: the first if every read so far matched, a later one if a comma
-// comes next.
-func (c *Cursor) Next(i int) bool { return c.ok && (i == 0 || c.Field(",")) }
-
-// Bool reads lit, then true or false.
-func (c *Cursor) Bool(lit string) bool {
-	c.Expect(lit)
-	if c.Field("true") {
-		return true
-	}
-	c.Expect("false")
-	return false
-}
-
 // Int reads lit, then an integer that fits bits bits, in its shortest
 // form: an optional minus and a digit string without a leading zero, never
 // -0.

@@ -41,13 +41,4 @@ func TestCursorReadsOnlyWhatUnmarshalReadsTheSame(t *testing.T) {
 			t.Errorf("Str(%q) = %q, done %v; want done %v and json.Unmarshal's %q, %v", tc.in, s, c.Done(), tc.ok, want, err)
 		}
 	}
-	c := NewCursor(`[true,false]`)
-	c.Expect("[")
-	var got []bool
-	for i := 0; c.Next(i); i++ {
-		got = append(got, c.Bool(""))
-	}
-	if c.Expect("]"); !c.Done() || len(got) != 2 || !got[0] || got[1] {
-		t.Errorf("[true,false] read as %v, done %v", got, c.Done())
-	}
 }

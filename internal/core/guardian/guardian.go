@@ -158,21 +158,22 @@ func Run(ctx *kube.ContainerCtx, p Params) int {
 			dspan.SetPhase(trace.PhaseDeploy)
 		}
 		dspan.SetAttr("attempt", fmt.Sprintf("%d", attempts))
-		code, ok := deploy(ctx, p, journalKey, dspan.Context())
+		var code int
+		j, code = deploy(ctx, p, journalKey, dspan.Context())
 		dspan.End()
-		if !ok {
+		if j == nil {
 			return code
 		}
 	}
 
-	return monitor(ctx, p, journalKey)
+	return monitor(ctx, p, journalKey, j)
 }
 
 // deploy provisions every job resource, journaling between steps under
-// journalKey. It returns ok=false with the exit code when interrupted.
-// parentSpan (the guardian-deploy span) parents the scheduler's gang-wait
-// span.
-func deploy(ctx *kube.ContainerCtx, p Params, journalKey string, parentSpan trace.SpanContext) (int, bool) {
+// journalKey, and returns the deployed journal. It returns a nil journal
+// with the exit code when interrupted. parentSpan (the guardian-deploy
+// span) parents the scheduler's gang-wait span.
+func deploy(ctx *kube.ContainerCtx, p Params, journalKey string, parentSpan trace.SpanContext) (*journal, int) {
 	d := p.Deps
 	j := &journal{}
 	// Journal existence marks "deployment in progress" — it must be
@@ -188,18 +189,18 @@ func deploy(ctx *kube.ContainerCtx, p Params, journalKey string, parentSpan trac
 	// Step 1: shared NFS volume via a persistent volume claim.
 	if _, err := d.NFS.Provision(p.volume); err != nil {
 		if !errors.Is(err, nfs.ErrVolumeExists) {
-			return 1, false
+			return nil, 1
 		}
 		// Leftover from a partial deploy whose journal write never
 		// landed: recreate it empty.
 		d.NFS.Release(p.volume)
 		if _, err := d.NFS.Provision(p.volume); err != nil {
-			return 1, false
+			return nil, 1
 		}
 	}
 	restoreShippedLogs(p)
 	if !step("volume") {
-		return 137, false
+		return nil, 137
 	}
 
 	// Step 2: helper pod (load-data, controller, log-collector,
@@ -211,10 +212,10 @@ func deploy(ctx *kube.ContainerCtx, p Params, journalKey string, parentSpan trac
 		VolumeName: p.volume,
 	})
 	if _, err := d.Kube.CreateDeployment(HelperName(p.JobID), 1, helperSpec); err != nil {
-		return 1, false
+		return nil, 1
 	}
 	if !step("helper") {
-		return 137, false
+		return nil, 137
 	}
 
 	// Step 3: learner StatefulSet with stable identities. The learners
@@ -241,20 +242,20 @@ func deploy(ctx *kube.ContainerCtx, p Params, journalKey string, parentSpan trac
 			failJob(d, p.JobID, "insufficient cluster capacity: "+err.Error())
 			rollback(d, p.JobID)
 			cleanupEtcd(d, p.JobID)
-			return 0, false
+			return nil, 0
 		}
-		return 1, false
+		return nil, 1
 	}
 	if !step("gang") {
-		return 137, false
+		return nil, 137
 	}
 	for gang.State() == kube.GangPending {
 		if halted, _ := jobHalted(d, p.JobID); halted {
 			d.Kube.CancelGang(p.gang)
-			return 0, false
+			return nil, 0
 		}
 		if !ctx.Sleep(500 * time.Millisecond) {
-			return 137, false
+			return nil, 137
 		}
 	}
 	if gang.State() != kube.GangAdmitted {
@@ -264,7 +265,7 @@ func deploy(ctx *kube.ContainerCtx, p Params, journalKey string, parentSpan trac
 		// attempt back so churny preemption cannot exhaust the budget.
 		d.Kube.CancelGang(p.gang)
 		_ = d.ResetDeployAttempts(p.JobID)
-		return 1, false
+		return nil, 1
 	}
 	g := resolveGPU(d, p.Manifest)
 	learnerPod := kube.PodSpec{
@@ -286,10 +287,10 @@ func deploy(ctx *kube.ContainerCtx, p Params, journalKey string, parentSpan trac
 	// one spec whose Run derives the ordinal lazily.
 	learnerPod.Containers = []kube.ContainerSpec{learnerContainerForSet(p, g)}
 	if _, err := d.Kube.CreateStatefulSet(LearnerSetName(p.JobID), p.Manifest.Learners, learnerPod); err != nil {
-		return 1, false
+		return nil, 1
 	}
 	if !step("learners") {
-		return 137, false
+		return nil, 137
 	}
 
 	// Step 4: network policy — learners accept traffic only from pods
@@ -301,12 +302,12 @@ func deploy(ctx *kube.ContainerCtx, p Params, journalKey string, parentSpan trac
 		AllowFrom: []map[string]string{{"job": p.JobID}},
 	})
 	if !step("netpol") {
-		return 137, false
+		return nil, 137
 	}
 
 	j.Deployed = true
 	saveJournal(d, journalKey, j)
-	return 0, true
+	return j, 0
 }
 
 // learnerContainerForSet wraps learner.ContainerSpec so each StatefulSet
@@ -553,8 +554,8 @@ func checkGang(p Params, relayed *bool, acks map[int]bool) (code int, done bool)
 // Eviction intents arrive on the gang's notice channel with their acks
 // on the learner watch; a completed eviction and the results-stored
 // marker are acted on at the next 1s tick, and only such ticks are taken
-// (see watchTick). The journal is the one under journalKey.
-func monitor(ctx *kube.ContainerCtx, p Params, journalKey string) int {
+// (see watchTick). j is the deployed journal, saved under journalKey.
+func monitor(ctx *kube.ContainerCtx, p Params, journalKey string, j *journal) int {
 	d := p.Deps
 	prefix := types.LearnerStatusPrefix(p.JobID)
 	count := func(name string, labels ...string) {
@@ -564,10 +565,6 @@ func monitor(ctx *kube.ContainerCtx, p Params, journalKey string) int {
 	}
 
 	// Restore the aggregated view and resume cursor from the journal.
-	j := loadJournal(d, journalKey)
-	if j == nil {
-		j = &journal{Deployed: true}
-	}
 	statuses := make(map[int]types.StatusUpdate)
 	statusRev := make(map[int]uint64)
 	var lastRev uint64

@@ -46,56 +46,14 @@ func loadJournal(d *core.Deps, key string) *journal {
 }
 
 // decodeJournal parses a stored journal; a corrupt one reads as an empty
-// journal, a partial deploy.
+// journal, a partial deploy. Only a restarted Guardian reads one: a
+// Guardian that deploys hands its monitor the journal it wrote.
 func decodeJournal(raw string) *journal {
-	if j, ok := decodeCanonical(raw); ok {
-		return j
-	}
 	var j journal
 	if err := json.Unmarshal([]byte(raw), &j); err != nil {
 		return &journal{}
 	}
 	return &j
-}
-
-// decodeCanonical parses raw if it is a journal in appendJSON's layout
-// with at least one step (canonjson.Cursor): exactly what json.Unmarshal
-// would make of it, with its strings substrings of raw. ok is false for
-// anything else, which json.Unmarshal then reads.
-func decodeCanonical(raw string) (*journal, bool) {
-	c := canonjson.NewCursor(raw)
-	j := &journal{Deployed: c.Bool(`{"deployed":`), Steps: make([]string, 0, 8)} // a deploy has five steps
-	c.Expect(`,"steps":[`)
-	for i := 0; c.Next(i); i++ {
-		j.Steps = append(j.Steps, c.Str(""))
-	}
-	c.Expect("]")
-	if c.Field(`,"monitor_rev":`) {
-		j.MonitorRev = c.Uint("")
-	}
-	if c.Field(`,"statuses":{`) {
-		j.Statuses = map[int]types.StatusUpdate{}
-		for i := 0; c.Next(i); i++ {
-			l := int(c.Int(`"`, strconv.IntSize))
-			u := types.StatusUpdate{Learner: int(c.Int(`":{"learner":`, strconv.IntSize))}
-			u.Status = types.LearnerStatus(c.Str(`,"status":`))
-			u.Time = c.Time(`,"time":`)
-			u.Detail = c.OmitEmpty(`,"detail":`)
-			c.Expect("}")
-			j.Statuses[l] = u
-		}
-		c.Expect("}")
-	}
-	if c.Field(`,"acks":{`) {
-		j.Acks = map[int]bool{}
-		for i := 0; c.Next(i); i++ {
-			l := int(c.Int(`"`, strconv.IntSize))
-			j.Acks[l] = c.Bool(`":`)
-		}
-		c.Expect("}")
-	}
-	c.Expect("}")
-	return j, c.Done()
 }
 
 func saveJournal(d *core.Deps, key string, j *journal) {

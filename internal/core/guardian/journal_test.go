@@ -37,18 +37,12 @@ func fuzzJournal(deployed bool, steps string, rev uint64, first int8, n uint8, s
 	return j
 }
 
-// checkDecode holds decodeJournal to encoding/json on raw: the canonical
-// decoder declines raw or reads it as json.Unmarshal does, and
-// decodeJournal returns what json.Unmarshal returns, or an empty journal
-// where it fails.
+// checkDecode holds decodeJournal to encoding/json on raw: it returns
+// what json.Unmarshal returns, or an empty journal where it fails.
 func checkDecode(t *testing.T, raw string) {
 	t.Helper()
 	var want journal
-	err := json.Unmarshal([]byte(raw), &want)
-	if got, ok := decodeCanonical(raw); ok && (err != nil || !reflect.DeepEqual(*got, want)) {
-		t.Fatalf("decodeCanonical(%q) = %+v; json.Unmarshal says %+v, %v", raw, *got, want, err)
-	}
-	if err != nil {
+	if err := json.Unmarshal([]byte(raw), &want); err != nil {
 		want = journal{}
 	}
 	if got := decodeJournal(raw); !reflect.DeepEqual(*got, want) {
@@ -62,7 +56,7 @@ func checkDecode(t *testing.T, raw string) {
 // json.Unmarshal does (checkDecode). The committed corpus (testdata/fuzz)
 // holds the journals a monitor writes, keys whose decimal order is not
 // their numeric order, strings and times that take json.Marshal's path,
-// and stored journals the canonical decoder must hand to json.Unmarshal.
+// and stored journals in other layouts.
 func FuzzJournalCodec(f *testing.F) {
 	f.Add(false, "", uint64(0), int8(0), uint8(0), "", "", int64(0), int16(0), uint16(0), "")
 	f.Add(true, "volume/helper/gang/learners/netpol", uint64(412), int8(0), uint8(2), "TRAINING", "", int64(1_700_000_000_000_000_000), int16(0), uint16(0),
@@ -109,40 +103,5 @@ func TestJournalEncodeAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { buf, _ = j.appendJSON(buf[:0]) }); allocs != 0 {
 		t.Fatalf("%.1f allocations per encode, want 0", allocs)
-	}
-}
-
-// builtJournal keeps TestJournalDecodeAllocs's hand-built journal on the
-// heap, where a decoded one lives.
-var builtJournal *journal
-
-// TestJournalDecodeAllocs: decoding a stored journal allocates no more
-// than building the same journal by hand — its struct, its steps and its
-// two maps; every string is a substring of the stored value.
-func TestJournalDecodeAllocs(t *testing.T) {
-	j := fuzzJournal(true, "volume/helper/gang/learners/netpol", 412, 0, 2, "TRAINING", "exit 0", 1_700_000_000_000_000_000, 0, 3)
-	raw, err := j.appendJSON(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(raw)
-	if _, ok := decodeCanonical(s); !ok {
-		t.Fatalf("%s: not taken as canonical", s)
-	}
-	built := testing.AllocsPerRun(100, func() {
-		b := &journal{Deployed: j.Deployed, Steps: make([]string, len(j.Steps)), MonitorRev: j.MonitorRev,
-			Statuses: map[int]types.StatusUpdate{}, Acks: map[int]bool{}}
-		copy(b.Steps, j.Steps)
-		for l, u := range j.Statuses {
-			b.Statuses[l] = u
-		}
-		for l, a := range j.Acks {
-			b.Acks[l] = a
-		}
-		builtJournal = b
-	})
-	n := testing.AllocsPerRun(100, func() { _ = decodeJournal(s) })
-	if n > built {
-		t.Fatalf("decodeJournal: %.1f allocations, building the journal takes %.1f", n, built)
 	}
 }

@@ -232,10 +232,7 @@ func at(rng *rand.Rand, from, span time.Duration) time.Duration {
 }
 
 func writeStatus(l int, s types.LearnerStatus) func(*rig) {
-	return func(r *rig) {
-		raw, _ := events.LearnerStatus("j", types.StatusUpdate{Learner: l, Status: s, Time: r.clk.Now()}).Encode()
-		r.vol.Write(learner.StatusPath(l), raw)
-	}
+	return func(r *rig) { writeLearnerStatus(r.vol, l, s, r.clk.Now()) }
 }
 
 // controllerSchedule is two learners' lives as the controller sees them,

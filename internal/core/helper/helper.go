@@ -362,13 +362,12 @@ func pollWait(ctx *kube.ContainerCtx, period time.Duration, sub *nfs.Subscriptio
 
 // currentLearnerStatus derives a learner's status from whichever of its
 // two files seen says exist: the exit file wins (orderly termination),
-// otherwise the status file (an events.Envelope, or a bare status string
-// from older learners). The source envelope is returned alongside so the
-// caller can propagate its trace context; exit-derived statuses still
-// carry the last status envelope's context (legacy bare-string statuses
-// carry none). ok is false when a file that exists could not be read (an
-// NFS fault) or its exit code not parsed: the answer is then incomplete
-// and the caller must ask again.
+// otherwise the status file (an events.Envelope). The source envelope is
+// returned alongside so the caller can propagate its trace context;
+// exit-derived statuses still carry the last status envelope's context.
+// ok is false when a file that exists could not be read (an NFS fault) or
+// its exit code not parsed: the answer is then incomplete and the caller
+// must ask again.
 func currentLearnerStatus(vol *nfs.Volume, f learner.Files, seen learnerFiles) (types.LearnerStatus, events.Envelope, bool) {
 	var src events.Envelope
 	ok := true

@@ -71,6 +71,13 @@ func helperManifest(learners int) *manifest.Manifest {
 	}
 }
 
+// writeLearnerStatus writes learner l's status file as the learner does:
+// job j's envelope of s, stamped at.
+func writeLearnerStatus(vol *nfs.Volume, l int, s types.LearnerStatus, at time.Time) {
+	raw, _ := events.LearnerStatus("j", types.StatusUpdate{Learner: l, Status: s, Time: at}).Encode()
+	vol.Write(learner.StatusPath(l), raw)
+}
+
 // startHelperPod provisions the job volume and runs the helper pod —
 // all four containers, or only the named ones.
 func startHelperPod(t *testing.T, d *core.Deps, m *manifest.Manifest, only ...string) *nfs.Volume {
@@ -135,7 +142,7 @@ func TestCurrentLearnerStatus(t *testing.T) {
 		t.Fatalf("%d reads of files Stat said are absent", n)
 	}
 	// Status file only.
-	vol.Write(learner.StatusPath(0), []byte(types.LearnerTraining))
+	writeLearnerStatus(vol, 0, types.LearnerTraining, d.Clock.Now())
 	if got, ok := current(0); got != types.LearnerTraining || !ok {
 		t.Fatalf("status = (%q,%v), want TRAINING", got, ok)
 	}
@@ -144,7 +151,7 @@ func TestCurrentLearnerStatus(t *testing.T) {
 	if got, ok := current(0); got != types.LearnerCompleted || !ok {
 		t.Fatalf("status = (%q,%v), want COMPLETED after exit 0", got, ok)
 	}
-	vol.Write(learner.StatusPath(1), []byte(types.LearnerTraining))
+	writeLearnerStatus(vol, 1, types.LearnerTraining, d.Clock.Now())
 	vol.Write(nfs.ExitCodePath(1), []byte("5"))
 	if got, ok := current(1); got != types.LearnerFailed || !ok {
 		t.Fatalf("status = (%q,%v), want FAILED after exit 5", got, ok)
@@ -189,7 +196,7 @@ func awaitMirrored(t *testing.T, d *core.Deps, clk *clock.Sim, l int, want types
 func TestControllerIdlePollsReadNothing(t *testing.T) {
 	d, clk := newTestDeps(t)
 	vol := startHelperPod(t, d, helperManifest(1))
-	vol.Write(learner.StatusPath(0), []byte(types.LearnerTraining))
+	writeLearnerStatus(vol, 0, types.LearnerTraining, d.Clock.Now())
 	awaitMirrored(t, d, clk, 0, types.LearnerTraining, time.Minute)
 	clk.Sleep(time.Second) // let the publishing poll finish its journal write
 
@@ -206,7 +213,7 @@ func TestControllerIdlePollsReadNothing(t *testing.T) {
 		t.Errorf("%d etcd puts in 60 idle seconds, want 0", n)
 	}
 	// The saving is passes not run, not a slower cadence.
-	vol.Write(learner.StatusPath(0), []byte(types.LearnerCompleted))
+	writeLearnerStatus(vol, 0, types.LearnerCompleted, d.Clock.Now())
 	awaitMirrored(t, d, clk, 0, types.LearnerCompleted, 2*controllerPoll)
 }
 
@@ -241,12 +248,12 @@ func TestControllerSeesSameSizeRewrite(t *testing.T) {
 func TestControllerRetriesFailedPublish(t *testing.T) {
 	d, clk := newTestDepsEtcd(t, 3)
 	vol := startHelperPod(t, d, helperManifest(1))
-	vol.Write(learner.StatusPath(0), []byte(types.LearnerStarting))
+	writeLearnerStatus(vol, 0, types.LearnerStarting, d.Clock.Now())
 	awaitMirrored(t, d, clk, 0, types.LearnerStarting, time.Minute)
 
 	d.Etcd.CrashNode(1)
 	d.Etcd.CrashNode(2)
-	vol.Write(learner.StatusPath(0), []byte(types.LearnerTraining)) // the learner's only write
+	writeLearnerStatus(vol, 0, types.LearnerTraining, d.Clock.Now()) // the learner's only write
 	deadline := clk.Now().Add(time.Minute)
 	for d.Metrics.Counter("controller_status_drops", "etcd-put") == 0 {
 		if !clk.Now().Before(deadline) {
@@ -266,11 +273,11 @@ func TestControllerRetriesFailedPublish(t *testing.T) {
 func TestControllerRetriesFaultedRead(t *testing.T) {
 	d, clk := newTestDeps(t)
 	vol := startHelperPod(t, d, helperManifest(1))
-	vol.Write(learner.StatusPath(0), []byte(types.LearnerStarting))
+	writeLearnerStatus(vol, 0, types.LearnerStarting, d.Clock.Now())
 	awaitMirrored(t, d, clk, 0, types.LearnerStarting, time.Minute)
 	clk.Sleep(137 * time.Millisecond) // off the controller's poll instants
 
-	vol.Write(learner.StatusPath(0), []byte(types.LearnerTraining)) // the learner's only write
+	writeLearnerStatus(vol, 0, types.LearnerTraining, d.Clock.Now()) // the learner's only write
 	d.NFS.InjectFault(nfs.FaultError)
 	clk.Sleep(5 * time.Second) // ten polls Stat the new Gen and fail to read it
 	awaitMirrored(t, d, clk, 0, types.LearnerStarting, time.Second)
@@ -286,7 +293,7 @@ func TestControllerRetriesFaultedRead(t *testing.T) {
 func TestControllerRestartReadsEverythingOnce(t *testing.T) {
 	d, clk := newTestDeps(t)
 	vol := startHelperPod(t, d, helperManifest(1))
-	vol.Write(learner.StatusPath(0), []byte(types.LearnerTraining))
+	writeLearnerStatus(vol, 0, types.LearnerTraining, d.Clock.Now())
 	awaitMirrored(t, d, clk, 0, types.LearnerTraining, time.Minute)
 	clk.Sleep(time.Second)
 
@@ -314,7 +321,7 @@ func TestControllerMirrorsStatusToEtcd(t *testing.T) {
 	m := helperManifest(1)
 	vol := startHelperPod(t, d, m)
 
-	vol.Write(learner.StatusPath(0), []byte(types.LearnerTraining))
+	writeLearnerStatus(vol, 0, types.LearnerTraining, d.Clock.Now())
 	vol.Write(learner.ProgressPath(0), []byte("1280"))
 
 	deadline := clk.Now().Add(5 * time.Minute)
@@ -451,6 +458,6 @@ func TestCorruptControllerJournalStartsFresh(t *testing.T) {
 	// Written before the controller's start delay is over.
 	vol := startHelperPod(t, d, helperManifest(1), "controller")
 	vol.Write(journalPath, []byte(`{"last":{"0":"TRAINING"},"acked":5}`))
-	vol.Write(learner.StatusPath(0), []byte(types.LearnerTraining))
+	writeLearnerStatus(vol, 0, types.LearnerTraining, d.Clock.Now())
 	awaitMirrored(t, d, clk, 0, types.LearnerTraining, time.Minute)
 }

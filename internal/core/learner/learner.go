@@ -202,7 +202,10 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 	// volume copies what it keeps.
 	files := FilesOf(p.Ordinal)
 	buf := make([]byte, 0, 512)
-	appendStatus := func(b []byte, s types.LearnerStatus) []byte {
+	// appendStatus reports false, with b as it was, for an envelope that
+	// cannot be encoded (a node clock outside years 0-9999): that status
+	// is not written.
+	appendStatus := func(b []byte, s types.LearnerStatus) ([]byte, bool) {
 		// The status file carries the shared control-plane envelope: the
 		// helper controller mirrors it into etcd verbatim-compatible form
 		// and the Guardian folds it into the job state — one schema from
@@ -211,10 +214,8 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 		env := events.LearnerStatus(p.JobID, types.StatusUpdate{
 			Learner: p.Ordinal, Status: s, Time: nodeClk.Now(),
 		}).WithTrace(attemptTraceID, attemptSpanID)
-		if out, err := env.Append(b); err == nil {
-			return out
-		}
-		return append(b, s...) // legacy bare-string form, still decodable
+		out, err := env.Append(b)
+		return out, err == nil
 	}
 	logPrefix := " learner-" + strconv.Itoa(p.Ordinal) + ": "
 	appendLog := func(b []byte, format string, args ...any) []byte {
@@ -228,11 +229,17 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 	}
 	// report is a lifecycle report: the status, a log line and, unless
 	// exit is noExit, the exit code, landed as one Compound one NFS round
-	// trip after it starts. No kill interrupts the round trip.
+	// trip after it starts. No kill interrupts the round trip. A status
+	// that cannot be encoded is left out; the log line and exit code
+	// still land.
 	var calls [3]nfs.Call
 	report := func(s types.LearnerStatus, exit int, format string, args ...any) {
-		buf = appendStatus(buf[:0], s)
-		cut := len(buf)
+		var encoded bool
+		buf, encoded = appendStatus(buf[:0], s)
+		first, cut := 0, len(buf)
+		if !encoded {
+			first = 1
+		}
 		buf = appendLog(buf, format, args...)
 		n, end := 2, len(buf)
 		if exit != noExit {
@@ -242,7 +249,7 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 		calls[0] = nfs.Call{Path: files.Status, Data: buf[:cut]}
 		calls[1] = nfs.Call{Path: files.Log, Data: buf[cut:end], Append: true}
 		d.Clock.Sleep(netsim.NFSLink.Latency)
-		vol.Compound(calls[:n]...)
+		vol.Compound(calls[first:n]...)
 	}
 
 	report(types.LearnerStarting, noExit, "starting (incarnation %d) on node %s", ctx.Restart(), ctx.NodeName())
@@ -320,8 +327,10 @@ func run(ctx *kube.ContainerCtx, p Params) int {
 	// Warm the input pipeline: stream the first shard of the epoch.
 	dsp := tr.StartSpan(attempt.Context(), "download")
 	dsp.SetPhase(trace.PhaseDownload)
-	buf = appendStatus(buf[:0], types.LearnerDownloading)
-	vol.Write(files.Status, buf)
+	var encoded bool
+	if buf, encoded = appendStatus(buf[:0], types.LearnerDownloading); encoded {
+		vol.Write(files.Status, buf)
+	}
 	shard := dataObj.Size / int64(m.Learners)
 	if shard > 0 {
 		warm := shard / 64

@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"repro/internal/canonjson"
-	"repro/internal/core/types"
 )
 
 // Encode serializes the envelope for a store value or NFS file: the
@@ -42,52 +41,28 @@ func (e Envelope) Append(dst []byte) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// Decode parses raw as an envelope, tolerating legacy payloads: a raw
-// types.StatusUpdate JSON document decodes as KindLearnerStatus (its
-// field names are a subset of the envelope's), and a bare learner status
-// (the pre-envelope NFS status file: exactly one of the five
-// types.LearnerStatus values) becomes a learner-status envelope with just
-// Status set. ok is false for empty input and for anything else — a torn
-// envelope is not a status.
+// Decode parses raw as an envelope. ok is false for empty input, for
+// bytes that are not JSON (a torn envelope is not a status), and for an
+// envelope with no kind or no status.
 func Decode(raw []byte) (Envelope, bool) {
-	if len(raw) == 0 {
-		return Envelope{}, false
-	}
 	return DecodeString(string(raw))
 }
 
 // DecodeString is Decode of a store value. An envelope in the form Encode
 // writes is parsed in place: its strings are substrings of s.
 func DecodeString(s string) (Envelope, bool) {
-	if s == "" {
-		return Envelope{}, false
-	}
 	e, ok := decodeCanonical(s)
 	if !ok {
 		var u Envelope
 		if err := json.Unmarshal([]byte(s), &u); err != nil {
-			return bareStatus(s)
+			return Envelope{}, false
 		}
 		e = u
 	}
-	if e.Kind == "" {
-		// Legacy StatusUpdate document: same field names, no kind.
-		e.Kind = KindLearnerStatus
-	}
-	if e.Status == "" {
+	if e.Kind == "" || e.Status == "" {
 		return Envelope{}, false
 	}
 	return e, true
-}
-
-// bareStatus decodes the pre-envelope NFS status file.
-func bareStatus(s string) (Envelope, bool) {
-	switch types.LearnerStatus(s) {
-	case types.LearnerStarting, types.LearnerDownloading, types.LearnerTraining,
-		types.LearnerCompleted, types.LearnerFailed:
-		return Envelope{Kind: KindLearnerStatus, Status: s}, true
-	}
-	return Envelope{}, false
 }
 
 // decodeCanonical parses s if it is an envelope in Encode's layout

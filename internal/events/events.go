@@ -7,10 +7,6 @@
 // job/learner identity, the payload status, and the metadata-store
 // revision that committed it (the resume cursor).
 //
-// Decoding is tolerant of the pre-envelope wire formats (a bare learner
-// status string on NFS, a raw StatusUpdate JSON document in etcd) so
-// mixed-version components interoperate during a rolling upgrade.
-//
 // The wire form is json.Marshal's, written and read without reflection
 // through internal/canonjson (codec.go): every hop of every status change
 // encodes or decodes one.
@@ -76,8 +72,8 @@ type Envelope struct {
 	// TraceID/SpanID carry the producer's trace context (the job's
 	// trace and the span active when the event was produced) so
 	// mirrored copies of the event — NFS status file, etcd key, job
-	// record — stay attributable to one span tree. Empty on envelopes
-	// from pre-tracing components; Decode tolerates their absence.
+	// record — stay attributable to one span tree. Empty when the
+	// producer had no span (tracing off).
 	TraceID string `json:"trace_id,omitempty"`
 	SpanID  string `json:"span_id,omitempty"`
 }

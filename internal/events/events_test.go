@@ -35,35 +35,26 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeLegacyStatusUpdateJSON(t *testing.T) {
-	// The pre-envelope etcd wire format: a raw StatusUpdate document.
-	raw := []byte(`{"learner":1,"status":"COMPLETED","time":"2020-01-01T00:00:00Z","detail":"x"}`)
-	env, ok := Decode(raw)
-	if !ok || env.Kind != KindLearnerStatus {
-		t.Fatalf("legacy decode = %+v (ok=%v)", env, ok)
-	}
-	u := env.StatusUpdate()
-	if u.Learner != 1 || u.Status != types.LearnerCompleted || u.Detail != "x" {
-		t.Fatalf("legacy update = %+v", u)
-	}
-}
-
-func TestDecodeBareStatusString(t *testing.T) {
-	// The pre-envelope NFS status file: just the status bytes.
+// TestDecodePreEnvelopeFormsAreNotStatuses: no component writes a bare
+// status string or a StatusUpdate document without a kind, so neither is
+// a status.
+func TestDecodePreEnvelopeFormsAreNotStatuses(t *testing.T) {
 	for _, s := range []types.LearnerStatus{types.LearnerStarting, types.LearnerDownloading,
 		types.LearnerTraining, types.LearnerCompleted, types.LearnerFailed} {
-		env, ok := Decode([]byte(s))
-		if !ok || env.Kind != KindLearnerStatus || env.Status != string(s) {
-			t.Fatalf("bare decode of %s = %+v (ok=%v)", s, env, ok)
+		if env, ok := Decode([]byte(s)); ok {
+			t.Fatalf("bare status %s decoded as %+v", s, env)
 		}
+	}
+	raw := []byte(`{"learner":1,"status":"COMPLETED","time":"2020-01-01T00:00:00Z","detail":"x"}`)
+	if env, ok := Decode(raw); ok {
+		t.Fatalf("kindless document decoded as %+v", env)
 	}
 }
 
-// TestDecodeRejectsTornAndForeignBytes pins that only the five legacy
-// statuses decode as a bare status: a torn envelope (a status file read
-// mid-rewrite, a truncated store value) or random bytes used to come back
-// ok with the fragment as its Status, which the helper then mirrored into
-// etcd as the learner's status.
+// TestDecodeRejectsTornAndForeignBytes: a torn envelope (a status file
+// read mid-rewrite, a truncated store value) or random bytes used to come
+// back ok with the fragment as its Status, which the helper then mirrored
+// into etcd as the learner's status.
 func TestDecodeRejectsTornAndForeignBytes(t *testing.T) {
 	raw, err := LearnerStatus("job-7", types.StatusUpdate{Learner: 1, Status: types.LearnerTraining,
 		Time: time.Unix(100, 0).UTC()}).WithTrace("job-7", "00000000deadbeef").Encode()
@@ -129,26 +120,11 @@ func TestDecodeWithoutTraceFields(t *testing.T) {
 	}
 }
 
-// referenceDecode is what Decode means: json.Unmarshal, plus the legacy
-// rules (no kind is a learner status, no status is nothing, and bytes
-// that are not JSON are a status only if they are one of the five).
+// referenceDecode is what Decode means: json.Unmarshal, and an envelope
+// with no kind or no status is nothing.
 func referenceDecode(raw []byte) (Envelope, bool) {
-	if len(raw) == 0 {
-		return Envelope{}, false
-	}
 	var e Envelope
-	if err := json.Unmarshal(raw, &e); err != nil {
-		switch types.LearnerStatus(raw) {
-		case types.LearnerStarting, types.LearnerDownloading, types.LearnerTraining,
-			types.LearnerCompleted, types.LearnerFailed:
-			return Envelope{Kind: KindLearnerStatus, Status: string(raw)}, true
-		}
-		return Envelope{}, false
-	}
-	if e.Kind == "" {
-		e.Kind = KindLearnerStatus
-	}
-	if e.Status == "" {
+	if err := json.Unmarshal(raw, &e); err != nil || e.Kind == "" || e.Status == "" {
 		return Envelope{}, false
 	}
 	return e, true
@@ -197,7 +173,8 @@ func checkCodec(t *testing.T, raw []byte, e Envelope) {
 // against encoding/json: for any bytes Decode must agree with
 // referenceDecode, and for any envelope Encode must write json.Marshal's
 // bytes (and decode back as json.Unmarshal reads them). The committed
-// corpus (testdata/fuzz/FuzzEnvelopeCodec) holds the legacy forms.
+// corpus (testdata/fuzz/FuzzEnvelopeCodec) holds the pre-envelope forms,
+// which both read as not a status.
 func FuzzEnvelopeCodec(f *testing.F) {
 	f.Add([]byte(`{"kind":"learner-status","job_id":"job-1","learner":0,"status":"TRAINING","time":"2018-05-17T00:00:01.5Z","deadline":"0001-01-01T00:00:00Z","trace_id":"job-1","span_id":"00000000deadbeef"}`),
 		0, uint64(0), int64(0), int64(1526515201), int64(0), 0)

@@ -8,7 +8,6 @@ package lint
 
 import (
 	"bufio"
-	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -157,12 +156,6 @@ func TestMapOrderGolden(t *testing.T) {
 
 func TestLockDisciplineGolden(t *testing.T) {
 	checkGolden(t, DefaultPolicy(), "lockdiscipline", "lockdiscipline")
-}
-
-func TestLockOrderGolden(t *testing.T) {
-	policy := DefaultPolicy()
-	policy.LockOrder = [][2]string{{"lockorder.engine.stateMu", "lockorder.hub.fanMu"}}
-	checkGolden(t, policy, "lockdiscipline", "lockorder")
 }
 
 func TestGoLoopGolden(t *testing.T) {
@@ -322,10 +315,9 @@ func TestPolicyScoping(t *testing.T) {
 }
 
 // TestRepoPolicyLoads guards the checked-in policy file: it must parse,
-// reference only known rules, scope them by prefixes that name
-// directories of the module, and order only locks that exist. A stale
-// prefix silently widens or narrows a rule, and a lockOrder ID that names
-// no lock matches no acquisition, so either would silently check nothing.
+// reference only known rules, and scope them by prefixes that name
+// directories of the module. A stale prefix silently widens or narrows a
+// rule.
 func TestRepoPolicyLoads(t *testing.T) {
 	ld, err := NewLoader(".")
 	if err != nil {
@@ -349,58 +341,4 @@ func TestRepoPolicyLoads(t *testing.T) {
 			}
 		}
 	}
-	for _, pair := range policy.LockOrder {
-		for _, id := range pair {
-			if !namesLockField(t, ld, id) {
-				t.Errorf("dlaas-vet.json lockOrder: %q names no sync.Mutex or sync.RWMutex field of a type declared in the module", id)
-			}
-		}
-	}
-}
-
-// namesLockField reports whether id, in lockdiscipline's "pkg.Type.field"
-// form, names a sync.Mutex or sync.RWMutex field of a struct type (not an
-// alias: lockdiscipline sees the aliased type's name) declared in a
-// package of the module called pkg.
-func namesLockField(t *testing.T, ld *Loader, id string) bool {
-	t.Helper()
-	parts := strings.Split(id, ".")
-	if len(parts) != 3 {
-		return false
-	}
-	dirs, err := ld.expand([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range dirs {
-		files, _, _, err := ld.parseDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(files) == 0 || files[0].Name.Name != parts[0] {
-			continue
-		}
-		imp, _, err := ld.importPathFor(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkg, err := ld.loadClean(imp, dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tn, ok := pkg.Scope().Lookup(parts[1]).(*types.TypeName)
-		if !ok || tn.IsAlias() {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if f := st.Field(i); f.Name() == parts[2] && isSyncType(f.Type(), "Mutex", "RWMutex") {
-				return true
-			}
-		}
-	}
-	return false
 }

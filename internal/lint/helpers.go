@@ -67,52 +67,6 @@ func deref(t types.Type) types.Type {
 	}
 }
 
-// isSyncType reports whether t is sync.<name>.
-func isSyncType(t types.Type, names ...string) bool {
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	for _, name := range names {
-		if obj.Name() == name {
-			return true
-		}
-	}
-	return false
-}
-
-// containsLock reports whether a value of type t embeds a sync lock
-// (Mutex, RWMutex, Cond, WaitGroup, Once) by value, so copying the
-// value copies the lock.
-func containsLock(t types.Type) bool {
-	return containsLockRec(t, make(map[types.Type]bool))
-}
-
-func containsLockRec(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if isSyncType(t, "Mutex", "RWMutex", "Cond", "WaitGroup", "Once") {
-		return true
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLockRec(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLockRec(u.Elem(), seen)
-	}
-	return false
-}
-
 // isMapType reports whether the expression's type is a map.
 func isMapType(p *Pass, expr ast.Expr) bool {
 	t := p.Pkg.Info.TypeOf(expr)

@@ -1,260 +1,77 @@
 package lint
 
-// lockdiscipline: three shapes of lock misuse this codebase has been
-// bitten by or cannot tolerate. (1) Copying a value that contains a
-// sync lock forks the lock state — the copy guards nothing. (2) A
-// Lock() with no matching Unlock anywhere in the same function is
-// either a leak or a cross-function lock handoff, which must be
-// declared with a suppression so reviewers see it. (3) Acquiring locks
-// against the policy-declared global order is a deadlock waiting for
-// the right interleaving; the order is declared once in the policy
-// file and checked everywhere.
+// lockdiscipline: a Lock() with no matching Unlock anywhere in the same
+// function is either a leak or a cross-function lock handoff, which must
+// be declared with a suppression so reviewers see it. Copying a value
+// that contains a sync lock is go vet's copylocks check, which CI runs.
 
 import (
 	"go/ast"
 	"go/types"
 )
 
-// LockDisciplineAnalyzer enforces lock copy/pairing/ordering rules.
+// LockDisciplineAnalyzer enforces lock pairing.
 var LockDisciplineAnalyzer = &Analyzer{
 	Name: "lockdiscipline",
-	Doc:  "flag lock-by-value copies, Lock() without Unlock in the same function, and acquisitions violating the policy-declared lock order",
+	Doc:  "flag Lock() without Unlock in the same function (lock copies are go vet's copylocks)",
 	Run:  runLockDiscipline,
 }
 
 func runLockDiscipline(p *Pass) {
 	for _, file := range p.Files() {
-		checkLockCopies(p, file)
 		for _, fu := range funcUnits(file) {
 			checkLockPairing(p, fu)
-			checkLockOrder(p, fu)
 		}
 	}
 }
 
-// ---- copies ----
-
-func checkLockCopies(p *Pass, file *ast.File) {
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.FuncDecl:
-			checkLockValueFields(p, st.Recv, "receiver")
-			if st.Type.Params != nil {
-				checkLockValueFields(p, st.Type.Params, "parameter")
-			}
-		case *ast.AssignStmt:
-			for _, rhs := range st.Rhs {
-				checkLockCopyExpr(p, rhs)
-			}
-		case *ast.ValueSpec:
-			for _, rhs := range st.Values {
-				checkLockCopyExpr(p, rhs)
-			}
-		case *ast.RangeStmt:
-			if st.Value != nil {
-				if t := p.Pkg.Info.TypeOf(st.Value); t != nil && containsLock(t) {
-					p.Reportf(st.Value.Pos(), "range copies %s by value, and its type %s contains a lock; range over indices or pointers", types.ExprString(st.Value), t)
-				}
-			}
-		}
-		return true
-	})
-}
-
-func checkLockValueFields(p *Pass, fields *ast.FieldList, kind string) {
-	if fields == nil {
-		return
+// syncCall returns the sync method n calls (Lock, Unlock, ...) and its
+// rendered receiver ("s.mu"), or "" if n is no such call.
+func syncCall(p *Pass, n ast.Node) (verb, recv string) {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return "", ""
 	}
-	for _, f := range fields.List {
-		t := p.Pkg.Info.TypeOf(f.Type)
-		if t == nil {
-			continue
-		}
-		if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-			continue
-		}
-		if containsLock(t) {
-			p.Reportf(f.Pos(), "%s passes %s by value and it contains a lock; use a pointer", kind, t)
-		}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", ""
 	}
-}
-
-// checkLockCopyExpr flags rhs expressions that copy an existing
-// lock-holding value: plain variable/field reads and dereferences.
-// Composite literals and call results are fresh values, not copies.
-func checkLockCopyExpr(p *Pass, rhs ast.Expr) {
-	switch rhs.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-	default:
-		return
+	fn, ok := p.Pkg.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+		return "", ""
 	}
-	t := p.Pkg.Info.TypeOf(rhs)
-	if t == nil {
-		return
-	}
-	if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-		return
-	}
-	if containsLock(t) {
-		p.Reportf(rhs.Pos(), "assignment copies %s by value, and its type %s contains a lock; copy a pointer instead", types.ExprString(rhs), t)
-	}
-}
-
-// ---- pairing and ordering ----
-
-// lockOp is one sync lock method call inside a function body.
-type lockOp struct {
-	call     *ast.CallExpr
-	sel      *ast.SelectorExpr
-	verb     string // Lock, RLock, Unlock, RUnlock, TryLock, TryRLock
-	recv     string // rendered receiver expression ("s.mu")
-	id       string // policy lock ID ("etcd.Store.mu"), "" if underivable
-	deferred bool
-}
-
-// lockOps collects this function's lock calls in source order, not
-// descending into nested function literals (they are their own units).
-func lockOps(p *Pass, fu funcUnit) []lockOp {
-	var ops []lockOp
-	var walk func(n ast.Node, inDefer bool)
-	walk = func(root ast.Node, inDefer bool) {
-		ast.Inspect(root, func(n ast.Node) bool {
-			switch st := n.(type) {
-			case *ast.FuncLit:
-				return st == fu.node
-			case *ast.DeferStmt:
-				walk(st.Call, true)
-				return false
-			case *ast.CallExpr:
-				sel, ok := st.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				obj := p.Pkg.Info.Uses[sel.Sel]
-				fn, ok := obj.(*types.Func)
-				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-					return true
-				}
-				switch fn.Name() {
-				case "Lock", "RLock", "Unlock", "RUnlock", "TryLock", "TryRLock":
-					ops = append(ops, lockOp{
-						call: st, sel: sel, verb: fn.Name(),
-						recv: types.ExprString(sel.X), id: lockID(p, sel.X),
-						deferred: inDefer,
-					})
-				}
-			}
-			return true
-		})
-	}
-	walk(fu.body, false)
-	return ops
-}
-
-// lockID derives the policy identity of a lock expression: the
-// owning named type and field ("pkg.Type.field") when the receiver is
-// a field selection, or "pkg.name" for package-level/local locks and
-// embedded-mutex method calls.
-func lockID(p *Pass, recv ast.Expr) string {
-	pkgName := ""
-	if p.Pkg.Types != nil {
-		pkgName = p.Pkg.Types.Name()
-	}
-	switch e := recv.(type) {
-	case *ast.SelectorExpr:
-		base := p.Pkg.Info.TypeOf(e.X)
-		if base == nil {
-			return ""
-		}
-		if named, ok := deref(base).(*types.Named); ok {
-			return pkgName + "." + named.Obj().Name() + "." + e.Sel.Name
-		}
-		return ""
-	case *ast.Ident:
-		if obj := p.Pkg.Info.Uses[e]; obj != nil {
-			if t, ok := deref(obj.Type()).(*types.Named); ok && !isSyncType(t, "Mutex", "RWMutex") {
-				// Embedded mutex: x.Lock() with x of named type L.
-				return pkgName + "." + t.Obj().Name()
-			}
-		}
-		return pkgName + "." + e.Name
-	}
-	return ""
-}
-
-// unlockVerb maps an acquisition to its release.
-func unlockVerb(verb string) string {
-	if verb == "RLock" || verb == "TryRLock" {
-		return "RUnlock"
-	}
-	return "Unlock"
+	return fn.Name(), types.ExprString(sel.X)
 }
 
 // checkLockPairing flags Lock/RLock calls whose receiver is never
 // released anywhere in the same function — directly, deferred, or
 // inside a closure the function defines (deferred cleanup closures are
-// a release site even though lockOps treats them as separate units).
+// a release site, though a Lock inside a nested function literal is
+// that literal's to pair).
 func checkLockPairing(p *Pass, fu funcUnit) {
-	ops := lockOps(p, fu)
 	releases := make(map[string]bool) // verb + "\x00" + recv, closures included
 	ast.Inspect(fu.body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if fn, ok := p.Pkg.Info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync" {
-			if fn.Name() == "Unlock" || fn.Name() == "RUnlock" {
-				releases[fn.Name()+"\x00"+types.ExprString(sel.X)] = true
-			}
+		if verb, recv := syncCall(p, n); verb == "Unlock" || verb == "RUnlock" {
+			releases[verb+"\x00"+recv] = true
 		}
 		return true
 	})
-	for _, op := range ops {
-		if op.verb != "Lock" && op.verb != "RLock" {
-			continue
+	ast.Inspect(fu.body, func(n ast.Node) bool {
+		if _, nested := n.(*ast.FuncLit); nested {
+			return false
 		}
-		want := unlockVerb(op.verb)
-		if !releases[want+"\x00"+op.recv] {
-			p.Reportf(op.call.Pos(), "%s.%s() has no %s on any path in %s; add `defer %s.%s()` or declare the handoff with a suppression",
-				op.recv, op.verb, want, fu.name, op.recv, want)
+		verb, recv := syncCall(p, n)
+		if verb != "Lock" && verb != "RLock" {
+			return true
 		}
-	}
-}
-
-// checkLockOrder walks the function's lock calls in source order,
-// tracking an approximation of the held set, and flags acquisitions
-// that the policy orders before a lock already held.
-func checkLockOrder(p *Pass, fu funcUnit) {
-	if len(p.Policy.LockOrder) == 0 {
-		return
-	}
-	var held []lockOp
-	for _, op := range lockOps(p, fu) {
-		switch op.verb {
-		case "Lock", "RLock", "TryLock", "TryRLock":
-			for _, h := range held {
-				if op.id != "" && h.id != "" && p.Policy.lockBefore(op.id, h.id) {
-					p.Reportf(op.call.Pos(), "acquires %s while holding %s, but policy orders %s before %s; this inversion can deadlock against a conforming path",
-						op.id, h.id, op.id, h.id)
-				}
-			}
-			if !op.deferred {
-				held = append(held, op)
-			}
-		case "Unlock", "RUnlock":
-			if op.deferred {
-				continue // releases at return, after any later acquisition
-			}
-			for i := len(held) - 1; i >= 0; i-- {
-				if held[i].recv == op.recv {
-					held = append(held[:i], held[i+1:]...)
-					break
-				}
-			}
+		want := "Unlock"
+		if verb == "RLock" {
+			want = "RUnlock"
 		}
-	}
+		if !releases[want+"\x00"+recv] {
+			p.Reportf(n.Pos(), "%s.%s() has no %s on any path in %s; add `defer %s.%s()` or declare the handoff with a suppression",
+				recv, verb, want, fu.name, recv, want)
+		}
+		return true
+	})
 }

@@ -64,14 +64,9 @@ type Policy struct {
 	// Rules maps rule name to its scope config. Unlisted rules apply
 	// everywhere with defaults.
 	Rules map[string]RuleConfig `json:"rules,omitempty"`
-	// LockOrder declares the global lock acquisition order as pairs
-	// [earlier, later] of lock IDs ("pkg.Type.field"): acquiring
-	// `earlier` while `later` is held is an inversion.
-	LockOrder [][2]string `json:"lockOrder,omitempty"`
 }
 
-// DefaultPolicy is the zero configuration: every rule everywhere, no
-// declared lock order.
+// DefaultPolicy is the zero configuration: every rule everywhere.
 func DefaultPolicy() *Policy {
 	return &Policy{Rules: map[string]RuleConfig{}}
 }
@@ -111,17 +106,4 @@ func (p *Policy) Rule(name string) RuleConfig {
 		return RuleConfig{}
 	}
 	return p.Rules[name]
-}
-
-// lockBefore reports whether the policy orders a strictly before b.
-func (p *Policy) lockBefore(a, b string) bool {
-	if p == nil {
-		return false
-	}
-	for _, pair := range p.LockOrder {
-		if pair[0] == a && pair[1] == b {
-			return true
-		}
-	}
-	return false
 }

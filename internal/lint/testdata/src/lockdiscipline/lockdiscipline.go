@@ -1,6 +1,5 @@
-// Package lockdiscipline exercises the lockdiscipline analyzer's copy
-// and pairing checks (ordering is exercised by the lockorder fixture,
-// which needs a policy-declared lock order).
+// Package lockdiscipline exercises the lockdiscipline analyzer's pairing
+// check. Lock copies are go vet's (the copylocks fixture).
 package lockdiscipline
 
 import "sync"
@@ -24,25 +23,6 @@ func pairedOK(g *guarded) {
 func closureReleaseOK(g *guarded) func() {
 	g.mu.Lock()
 	return func() { g.mu.Unlock() }
-}
-
-func copyParam(g guarded) int { // want "parameter passes .* by value and it contains a lock"
-	return g.n
-}
-
-func copyAssign(g *guarded) {
-	snapshot := *g // want "assignment copies .* by value"
-	inspect(&snapshot)
-}
-
-func inspect(*guarded) {}
-
-func copyRange(gs []guarded) int {
-	total := 0
-	for _, g := range gs { // want "range copies g by value"
-		total += g.n
-	}
-	return total
 }
 
 func pointerOK(gs []*guarded) int {
