@@ -35,19 +35,25 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodePreEnvelopeFormsAreNotStatuses: no component writes a bare
-// status string or a StatusUpdate document without a kind, so neither is
-// a status.
-func TestDecodePreEnvelopeFormsAreNotStatuses(t *testing.T) {
+// TestDecodeLegacyStatusUpdateJSON: the pre-envelope etcd wire format, a
+// StatusUpdate document without a kind, is no longer written by any
+// component, so it is not a status.
+func TestDecodeLegacyStatusUpdateJSON(t *testing.T) {
+	raw := []byte(`{"learner":1,"status":"COMPLETED","time":"2020-01-01T00:00:00Z","detail":"x"}`)
+	if env, ok := Decode(raw); ok {
+		t.Fatalf("kindless document decoded as %+v", env)
+	}
+}
+
+// TestDecodeBareStatusString: the pre-envelope NFS status file, just the
+// status bytes, is no longer written by any component, so it is not a
+// status.
+func TestDecodeBareStatusString(t *testing.T) {
 	for _, s := range []types.LearnerStatus{types.LearnerStarting, types.LearnerDownloading,
 		types.LearnerTraining, types.LearnerCompleted, types.LearnerFailed} {
 		if env, ok := Decode([]byte(s)); ok {
 			t.Fatalf("bare status %s decoded as %+v", s, env)
 		}
-	}
-	raw := []byte(`{"learner":1,"status":"COMPLETED","time":"2020-01-01T00:00:00Z","detail":"x"}`)
-	if env, ok := Decode(raw); ok {
-		t.Fatalf("kindless document decoded as %+v", env)
 	}
 }
 
