@@ -14,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/core/guardian"
 	"repro/internal/core/lcm"
@@ -48,6 +49,13 @@ const (
 	// ClusterInfoRequest -> ClusterInfoResponse.
 	MethodClusterInfo = "cluster-info"
 )
+
+// readMethods are the methods that only read: each has no effect, and its
+// first wait is authorizedJob's MongoDB read, which pays the call's RPC
+// legs in the same sleep as its own latency (rpc.Bus.Register). Submit and
+// halt act, list reads with a scan (Collection.Find) that takes no
+// context, and cluster-info reads kube before MongoDB.
+var readMethods = []string{MethodStatus, MethodEvents, MethodLogs, MethodMetrics}
 
 // ErrForbidden indicates a cross-tenant access attempt.
 var ErrForbidden = errors.New("api: forbidden")
@@ -172,16 +180,18 @@ func (s *Service) ContainerSpec() kube.ContainerSpec {
 }
 
 func (s *Service) run(ctx *kube.ContainerCtx) int {
-	reg := s.deps.Bus.Register(core.APIService, ctx.PodName(), s.handle)
+	reg := s.deps.Bus.Register(core.APIService, ctx.PodName(), s.handle, readMethods...)
 	defer reg.Deregister()
 	<-ctx.Killed()
 	return 0
 }
 
 // handle dispatches RPC calls, metering every request per tenant and
-// method and timing its latency.
+// method and timing its latency on the server: from the instant the
+// request arrives, which for a read method is when the legs it owes end.
+// A read that fails before its first wait answers in no time.
 func (s *Service) handle(ctx context.Context, method string, req any) (any, error) {
-	start := s.deps.Clock.Now()
+	start := s.deps.Clock.Now().Add(clock.Owed(ctx))
 	resp, err := s.dispatch(ctx, method, req)
 	if s.deps.Metrics != nil {
 		tenant := requestTenant(req)
@@ -189,7 +199,7 @@ func (s *Service) handle(ctx context.Context, method string, req any) (any, erro
 		if err != nil {
 			s.deps.Metrics.Inc("api_errors_total", method, tenant)
 		}
-		s.deps.Metrics.Observe("api_latency", s.deps.Clock.Since(start), method)
+		s.deps.Metrics.Observe("api_latency", max(s.deps.Clock.Since(start), 0), method)
 	}
 	return resp, err
 }
@@ -218,7 +228,7 @@ func requestTenant(req any) string {
 	}
 }
 
-func (s *Service) dispatch(_ context.Context, method string, req any) (any, error) {
+func (s *Service) dispatch(ctx context.Context, method string, req any) (any, error) {
 	switch method {
 	case MethodSubmit:
 		r, ok := req.(SubmitRequest)
@@ -231,7 +241,7 @@ func (s *Service) dispatch(_ context.Context, method string, req any) (any, erro
 		if !ok {
 			return nil, badType(req)
 		}
-		rec, err := s.authorizedJob(r.Tenant, r.JobID)
+		rec, err := s.authorizedJob(ctx, r.Tenant, r.JobID)
 		if err != nil {
 			return nil, err
 		}
@@ -251,7 +261,7 @@ func (s *Service) dispatch(_ context.Context, method string, req any) (any, erro
 		if !ok {
 			return nil, badType(req)
 		}
-		if _, err := s.authorizedJob(r.Tenant, r.JobID); err != nil {
+		if _, err := s.authorizedJob(ctx, r.Tenant, r.JobID); err != nil {
 			return nil, err
 		}
 		resp, err := lcm.Call[lcm.HaltRequest, lcm.HaltResponse](s.deps.Bus, lcm.MethodHalt, lcm.HaltRequest{JobID: r.JobID})
@@ -264,17 +274,17 @@ func (s *Service) dispatch(_ context.Context, method string, req any) (any, erro
 		if !ok {
 			return nil, badType(req)
 		}
-		return s.logs(r)
+		return s.logs(ctx, r)
 	case MethodEvents:
 		r, ok := req.(EventsRequest)
 		if !ok {
 			return nil, badType(req)
 		}
-		if _, err := s.authorizedJob(r.Tenant, r.JobID); err != nil {
+		rec, evs, err := s.deps.JobHistory(ctx, r.JobID)
+		if err != nil {
 			return nil, err
 		}
-		evs, err := s.deps.JobHistory(r.JobID)
-		if err != nil {
+		if err := authorize(r.Tenant, rec); err != nil {
 			return nil, err
 		}
 		return EventsResponse{Events: evs}, nil
@@ -283,7 +293,7 @@ func (s *Service) dispatch(_ context.Context, method string, req any) (any, erro
 		if !ok {
 			return nil, badType(req)
 		}
-		return s.metrics(r)
+		return s.metrics(ctx, r)
 	case MethodClusterInfo:
 		if _, ok := req.(ClusterInfoRequest); !ok {
 			return nil, badType(req)
@@ -326,8 +336,8 @@ func (s *Service) submit(r SubmitRequest) (SubmitResponse, error) {
 
 // metrics returns the learner's training progress graph: live from the
 // shared volume while it exists, otherwise from the results bucket.
-func (s *Service) metrics(r MetricsRequest) (MetricsResponse, error) {
-	rec, err := s.authorizedJob(r.Tenant, r.JobID)
+func (s *Service) metrics(ctx context.Context, r MetricsRequest) (MetricsResponse, error) {
+	rec, err := s.authorizedJob(ctx, r.Tenant, r.JobID)
 	if err != nil {
 		return MetricsResponse{}, err
 	}
@@ -391,8 +401,8 @@ func (s *Service) clusterInfo() (ClusterInfoResponse, error) {
 // logs returns the learner's training log: live from the job's shared
 // volume while it exists, otherwise from the results bucket where the
 // log-collector shipped it.
-func (s *Service) logs(r LogsRequest) (LogsResponse, error) {
-	rec, err := s.authorizedJob(r.Tenant, r.JobID)
+func (s *Service) logs(ctx context.Context, r LogsRequest) (LogsResponse, error) {
+	rec, err := s.authorizedJob(ctx, r.Tenant, r.JobID)
 	if err != nil {
 		return LogsResponse{}, err
 	}
@@ -414,17 +424,26 @@ func (s *Service) logs(r LogsRequest) (LogsResponse, error) {
 	return LogsResponse{Text: string(obj.Data)}, nil
 }
 
-// authorizedJob loads the job and enforces tenant ownership ("" tenant =
-// administrative access).
-func (s *Service) authorizedJob(tenant, jobID string) (types.JobRecord, error) {
-	rec, err := s.deps.GetJob(jobID)
+// authorizedJob loads the job and enforces tenant ownership. Its read pays
+// whatever latency ctx owes.
+func (s *Service) authorizedJob(ctx context.Context, tenant, jobID string) (types.JobRecord, error) {
+	rec, err := s.deps.GetJob(ctx, jobID)
 	if err != nil {
 		return types.JobRecord{}, err
 	}
-	if tenant != "" && rec.Tenant != tenant {
-		return types.JobRecord{}, fmt.Errorf("job %s: %w", jobID, ErrForbidden)
+	if err := authorize(tenant, rec); err != nil {
+		return types.JobRecord{}, err
 	}
 	return rec, nil
+}
+
+// authorize enforces tenant ownership of rec ("" tenant = administrative
+// access).
+func authorize(tenant string, rec types.JobRecord) error {
+	if tenant != "" && rec.Tenant != tenant {
+		return fmt.Errorf("job %s: %w", rec.ID, ErrForbidden)
+	}
+	return nil
 }
 
 func badType(req any) error {

@@ -89,14 +89,14 @@ func TestSubmitDurablyRecordsJob(t *testing.T) {
 	if resp.State != types.StateQueued {
 		t.Fatalf("state = %s, want QUEUED", resp.State)
 	}
-	rec, err := d.GetJob(resp.JobID)
+	rec, err := d.GetJob(context.Background(), resp.JobID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.Tenant != "alice" || rec.State != types.StateQueued {
 		t.Fatalf("record = %+v", rec)
 	}
-	hist, err := d.JobHistory(resp.JobID)
+	_, hist, err := d.JobHistory(context.Background(), resp.JobID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,17 +112,17 @@ func TestTenantAuthorization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.authorizedJob("intruder", resp.JobID); !errors.Is(err, ErrForbidden) {
+	if _, err := s.authorizedJob(context.Background(), "intruder", resp.JobID); !errors.Is(err, ErrForbidden) {
 		t.Fatalf("cross-tenant access error = %v, want ErrForbidden", err)
 	}
-	if _, err := s.authorizedJob("owner", resp.JobID); err != nil {
+	if _, err := s.authorizedJob(context.Background(), "owner", resp.JobID); err != nil {
 		t.Fatalf("owner access rejected: %v", err)
 	}
 	// "" is administrative access.
-	if _, err := s.authorizedJob("", resp.JobID); err != nil {
+	if _, err := s.authorizedJob(context.Background(), "", resp.JobID); err != nil {
 		t.Fatalf("admin access rejected: %v", err)
 	}
-	if _, err := s.authorizedJob("owner", "job-999999"); err == nil {
+	if _, err := s.authorizedJob(context.Background(), "owner", "job-999999"); err == nil {
 		t.Fatal("unknown job authorized")
 	}
 }

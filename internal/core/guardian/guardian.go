@@ -12,6 +12,7 @@ package guardian
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -114,7 +115,7 @@ func Run(ctx *kube.ContainerCtx, p Params) int {
 		maxAttempts = DefaultMaxDeployAttempts
 	}
 
-	rec, err := d.GetJob(p.JobID)
+	rec, err := d.GetJob(context.Background(), p.JobID)
 	if err != nil {
 		// Without the metadata record nothing can proceed; retry via
 		// the kube Job in case MongoDB was momentarily down.
@@ -355,7 +356,7 @@ func ordinalFromPodName(name string) int {
 
 // jobHalted reports whether the user terminated the job.
 func jobHalted(d *core.Deps, jobID string) (bool, error) {
-	rec, err := d.GetJob(jobID)
+	rec, err := d.GetJob(context.Background(), jobID)
 	if err != nil {
 		return false, err
 	}

@@ -1,6 +1,7 @@
 package guardian
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -92,11 +93,11 @@ func runGuardian(t *testing.T, p Params, clk *clock.Sim) types.JobState {
 		t.Fatal(err)
 	}
 	for deadline := clk.Now().Add(time.Hour); clk.Now().Before(deadline); clk.Sleep(time.Second) {
-		if rec, err := d.GetJob(p.JobID); err == nil && rec.State.Terminal() {
+		if rec, err := d.GetJob(context.Background(), p.JobID); err == nil && rec.State.Terminal() {
 			return rec.State
 		}
 	}
-	rec, _ := d.GetJob(p.JobID)
+	rec, _ := d.GetJob(context.Background(), p.JobID)
 	t.Fatalf("job %s still %s after an hour", p.JobID, rec.State)
 	return ""
 }

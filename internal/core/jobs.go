@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -44,16 +45,23 @@ func (d *Deps) InsertJob(rec types.JobRecord) error {
 	return nil
 }
 
-// GetJob loads a job record.
-func (d *Deps) GetJob(id string) (types.JobRecord, error) {
-	doc, err := d.Jobs().FindOne(mongo.Filter{"_id": id})
+// GetJob loads a job record. Its read pays whatever latency ctx owes
+// (mongo.Collection.FindID).
+func (d *Deps) GetJob(ctx context.Context, id string) (types.JobRecord, error) {
+	doc, err := d.findJob(ctx, id)
 	if err != nil {
-		if errors.Is(err, mongo.ErrNotFound) {
-			return types.JobRecord{}, fmt.Errorf("job %s: %w", id, ErrJobNotFound)
-		}
 		return types.JobRecord{}, err
 	}
 	return docToRecord(doc), nil
+}
+
+// findJob is the point read behind GetJob and JobHistory.
+func (d *Deps) findJob(ctx context.Context, id string) (mongo.Document, error) {
+	doc, err := d.Jobs().FindID(ctx, id)
+	if errors.Is(err, mongo.ErrNotFound) {
+		return nil, fmt.Errorf("job %s: %w", id, ErrJobNotFound)
+	}
+	return doc, err
 }
 
 // ListJobs returns all jobs for a tenant ("" = every tenant), in ID order.
@@ -73,16 +81,14 @@ func (d *Deps) ListJobs(tenant string) ([]types.JobRecord, error) {
 	return out, nil
 }
 
-// JobHistory returns the job's recorded state transitions.
-func (d *Deps) JobHistory(id string) ([]types.Event, error) {
-	doc, err := d.Jobs().FindOne(mongo.Filter{"_id": id})
+// JobHistory returns the job's record and its recorded state
+// transitions, both from one read, which pays whatever latency ctx owes.
+func (d *Deps) JobHistory(ctx context.Context, id string) (types.JobRecord, []types.Event, error) {
+	doc, err := d.findJob(ctx, id)
 	if err != nil {
-		if errors.Is(err, mongo.ErrNotFound) {
-			return nil, fmt.Errorf("job %s: %w", id, ErrJobNotFound)
-		}
-		return nil, err
+		return types.JobRecord{}, nil, err
 	}
-	return decodeHistory(doc), nil
+	return docToRecord(doc), decodeHistory(doc), nil
 }
 
 // TransitionJob atomically moves the job to state `to` if the state

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestNextJobIDUnique(t *testing.T) {
 func TestInsertAndGetJob(t *testing.T) {
 	d := newTestDeps(t)
 	want := newQueuedJob(t, d, "job-1")
-	got, err := d.GetJob("job-1")
+	got, err := d.GetJob(context.Background(), "job-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestInsertAndGetJob(t *testing.T) {
 
 func TestGetMissingJob(t *testing.T) {
 	d := newTestDeps(t)
-	if _, err := d.GetJob("nope"); !errors.Is(err, ErrJobNotFound) {
+	if _, err := d.GetJob(context.Background(), "nope"); !errors.Is(err, ErrJobNotFound) {
 		t.Fatalf("err = %v, want ErrJobNotFound", err)
 	}
 }
@@ -89,7 +90,7 @@ func TestTransitionHappyPath(t *testing.T) {
 			t.Fatalf("state = %s, want %s", rec.State, to)
 		}
 	}
-	hist, err := d.JobHistory("job-1")
+	_, hist, err := d.JobHistory(context.Background(), "job-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestTerminalStateNotOverwritten(t *testing.T) {
 	if _, err := d.TransitionJob("job-1", types.StateDeploying, ""); !errors.Is(err, ErrBadTransition) {
 		t.Fatalf("err = %v, want ErrBadTransition", err)
 	}
-	rec, _ := d.GetJob("job-1")
+	rec, _ := d.GetJob(context.Background(), "job-1")
 	if rec.State != types.StateHalted {
 		t.Fatalf("state = %s", rec.State)
 	}
@@ -132,11 +133,11 @@ func TestSameStateRefreshIsNoop(t *testing.T) {
 	if _, err := d.TransitionJob("job-1", types.StateDeploying, "a1"); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := d.JobHistory("job-1")
+	_, before, _ := d.JobHistory(context.Background(), "job-1")
 	if _, err := d.TransitionJob("job-1", types.StateDeploying, "a1 again"); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := d.JobHistory("job-1")
+	_, after, _ := d.JobHistory(context.Background(), "job-1")
 	if len(after) != len(before) {
 		t.Fatalf("refresh appended history: %d -> %d", len(before), len(after))
 	}
@@ -154,7 +155,7 @@ func TestIncrementDeployAttempts(t *testing.T) {
 			t.Fatalf("attempts = %d, want %d", got, want)
 		}
 	}
-	rec, _ := d.GetJob("job-1")
+	rec, _ := d.GetJob(context.Background(), "job-1")
 	if rec.DeployAttempts != 3 {
 		t.Fatalf("record attempts = %d", rec.DeployAttempts)
 	}

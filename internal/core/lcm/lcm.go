@@ -292,7 +292,7 @@ func (s *Service) deploy(jobID string) (DeployResponse, error) {
 	if s.deps.Kube.JobByName(name) != nil {
 		return DeployResponse{GuardianJob: name}, nil
 	}
-	rec, err := s.deps.GetJob(jobID)
+	rec, err := s.deps.GetJob(context.Background(), jobID)
 	if err != nil {
 		return DeployResponse{}, err
 	}

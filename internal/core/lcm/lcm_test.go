@@ -1,6 +1,7 @@
 package lcm
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -170,7 +171,7 @@ func TestDeployCorruptManifestFailsJob(t *testing.T) {
 	if _, err := s.deploy(id); err == nil {
 		t.Fatal("corrupt manifest deployed")
 	}
-	rec, err := d.GetJob(id)
+	rec, err := d.GetJob(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}

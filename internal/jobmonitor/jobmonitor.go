@@ -18,6 +18,7 @@
 package jobmonitor
 
 import (
+	"context"
 	"fmt"
 	"regexp"
 	"strconv"
@@ -130,7 +131,7 @@ func Watch(cfg Config, ref JobRef, expect Expect) (*Monitor, error) {
 
 	// Seed with the current record: the feed only carries changes
 	// committed after the watch opened.
-	if doc, err := cfg.Jobs.FindOne(mongo.Filter{"_id": ref.ID}); err == nil {
+	if doc, err := cfg.Jobs.FindID(context.Background(), ref.ID); err == nil {
 		rec := core.RecordFromDoc(doc)
 		m.record(rec)
 	}
@@ -364,7 +365,7 @@ func (m *Monitor) metadataProblem(final types.JobState) string {
 	}
 
 	// MongoDB: the durable record must agree with the feed.
-	doc, err := m.cfg.Jobs.FindOne(mongo.Filter{"_id": id})
+	doc, err := m.cfg.Jobs.FindID(context.Background(), id)
 	if err != nil {
 		return fmt.Sprintf("job record unreadable: %v", err)
 	}

@@ -24,6 +24,7 @@
 package mongo
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"maps"
@@ -178,6 +179,23 @@ func (c *Collection) FindOne(filter Filter) (Document, error) {
 		if doc := kv.Value.(Document); matches(doc, filter) {
 			return doc, nil
 		}
+	}
+	return nil, fmt.Errorf("mongo: find in %s: %w", c.name, ErrNotFound)
+}
+
+// FindID returns the document whose _id is id: the committed version
+// itself, which the caller must not modify. It is FindOne's point read in
+// FindOne's order — the availability check, one sleep, then the read —
+// and that one sleep also pays whatever latency ctx owes (clock.Settle):
+// a call's RPC legs, when the read is the first wait of a read method's
+// handler (rpc.Bus.Register), so the call costs one instant, not two.
+func (c *Collection) FindID(ctx context.Context, id string) (Document, error) {
+	if err := c.db.available(); err != nil {
+		return nil, err
+	}
+	clock.Settle(ctx, c.db.clk, readLatency)
+	if v, _, found := c.db.eng.Get(c.key(id)); found {
+		return v.(Document), nil
 	}
 	return nil, fmt.Errorf("mongo: find in %s: %w", c.name, ErrNotFound)
 }

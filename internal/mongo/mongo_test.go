@@ -1,14 +1,17 @@
 package mongo
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/clock"
+	"repro/internal/clock/clocktest"
 )
 
 func newTestDB(t *testing.T) *DB {
@@ -250,6 +253,69 @@ func TestDownDatabaseRejectsOps(t *testing.T) {
 	db.SetDown(false)
 	if err := jobs.InsertOne(Document{"_id": "j1"}); err != nil {
 		t.Fatalf("insert after recovery: %v", err)
+	}
+}
+
+// TestFindIDPaysWhatTheContextOwes: a point read by _id sleeps whatever
+// its context owes together with its own latency, in one instant, and
+// clears the debt. A database that is down fails the read before the
+// sleep, leaving the debt to the caller.
+func TestFindIDPaysWhatTheContextOwes(t *testing.T) {
+	clk := clock.NewManual()
+	db := New(clk)
+	t.Cleanup(func() {
+		db.Close()
+		clk.Close()
+	})
+	jobs := db.Collection("jobs")
+	inserted := make(chan error, 1)
+	go func() { inserted <- jobs.InsertOne(Document{"_id": "j1", "user": "alice"}) }()
+	clocktest.Run(clk, writeLatency)
+	if err := <-inserted; err != nil {
+		t.Fatal(err)
+	}
+
+	const owed = time.Millisecond
+	type found struct {
+		doc Document
+		err error
+		at  time.Time
+	}
+	findOn := func(ctx context.Context, id string) found {
+		done := make(chan found, 1)
+		go func() {
+			doc, err := jobs.FindID(ctx, id)
+			done <- found{doc, err, clk.Now()}
+		}()
+		clocktest.Run(clk, time.Second)
+		return <-done
+	}
+	ctx := clock.Owe(context.Background(), owed)
+	start, before := clk.Now(), clk.Instants()
+	r := findOn(ctx, "j1")
+	if r.err != nil || r.doc["user"] != "alice" {
+		t.Fatalf("FindID = %v, %v", r.doc, r.err)
+	}
+	if got := r.at.Sub(start); got != owed+readLatency {
+		t.Fatalf("read landed %v after it started, want the debt and the read, %v", got, owed+readLatency)
+	}
+	if got := clk.Instants() - before; got != 1 {
+		t.Fatalf("read fired %d instants, want 1", got)
+	}
+	if got := clock.Owed(ctx); got != 0 {
+		t.Fatalf("context still owes %v after the read", got)
+	}
+	if r := findOn(context.Background(), "missing"); !errors.Is(r.err, ErrNotFound) {
+		t.Fatalf("missing document: err = %v, want ErrNotFound", r.err)
+	}
+
+	db.SetDown(true)
+	ctx = clock.Owe(context.Background(), owed)
+	if _, err := jobs.FindID(ctx, "j1"); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("down database: err = %v, want ErrUnavailable", err)
+	}
+	if got := clock.Owed(ctx); got != owed {
+		t.Fatalf("a failed read took the debt: context owes %v, want %v", got, owed)
 	}
 }
 

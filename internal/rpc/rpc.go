@@ -12,12 +12,20 @@
 // sleeps both one-way legs in one sleep and then runs the handler: its
 // reads and writes take effect when the reply arrives, inside the call,
 // and a handler that waits on nothing costs the call one instant.
+//
+// A call to one of the service's read methods (Register) does not sleep
+// the legs first: it owes them on the handler's context (clock.Owe), and
+// the handler's first wait, a MongoDB read, pays them in the same sleep
+// as its own latency (clock.Settle). The read still lands, and the call
+// still returns, at the same virtual times, in one instant instead of
+// two.
 package rpc
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -64,9 +72,12 @@ type Registration struct {
 	// ID identifies the instance, e.g. the pod name hosting it.
 	ID string
 
-	mu      sync.Mutex
 	handler Handler
-	gone    bool
+	// reads are the methods whose calls owe the legs to the handler.
+	reads []string
+
+	mu   sync.Mutex
+	gone bool
 }
 
 // Option configures a Bus.
@@ -95,8 +106,14 @@ func NewBus(clk clock.Clock, opts ...Option) *Bus {
 
 // Register adds an instance of name served by h and returns its
 // registration handle. Instances start healthy.
-func (b *Bus) Register(name, id string, h Handler) *Registration {
-	r := &Registration{bus: b, service: name, ID: id, handler: h}
+//
+// reads names the service's read methods: a handler for one of them has
+// no effect, and its first wait is a MongoDB read that settles the
+// context's debt (mongo.Collection.FindID). A call to a read method owes
+// both legs on the handler's context instead of sleeping them first; see
+// Call.
+func (b *Bus) Register(name, id string, h Handler, reads ...string) *Registration {
+	r := &Registration{bus: b, service: name, ID: id, handler: h, reads: reads}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	svc := b.services[name]
@@ -228,6 +245,15 @@ func (b *Bus) HealthyInstances(name string) int {
 // return instant, inside its interval, so a read through it stays
 // linearizable. An error reply pays both legs too; an instance that leaves
 // during them fails the call with ErrUnavailable, its handler not run.
+// Whatever ctx owes (clock.Owe) is paid in the same sleep as the legs.
+//
+// A call to a read method (Register) runs the handler at once on a
+// context that owes both legs, so the handler's first wait pays them with
+// its own latency, and the read lands where it would have: legs plus the
+// read's latency into the call. Whatever is still owed when the handler
+// returns is slept then. If the instance left meanwhile, the answer is
+// dropped and the call fails with ErrUnavailable: a read has no effect, so
+// the instance having run it changes nothing.
 func (b *Bus) Call(ctx context.Context, name, method string, req any) (any, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -243,18 +269,36 @@ func (b *Bus) Call(ctx context.Context, name, method string, req any) (any, erro
 	if err != nil {
 		return nil, fmt.Errorf("calling %s.%s: %w", name, method, err)
 	}
-	b.clk.Sleep(2 * b.latency)
-	inst.mu.Lock()
-	h := inst.handler
-	gone := inst.gone
-	inst.mu.Unlock()
-	if gone {
+	if slices.Contains(inst.reads, method) {
+		return b.read(ctx, inst, method, req)
+	}
+	clock.Settle(ctx, b.clk, 2*b.latency)
+	if !inst.Up() {
 		// Deregistered between pick and dispatch (its pod died); surface
 		// as unavailability so callers retry, as a TCP RST would in the
 		// real system.
-		return nil, fmt.Errorf("calling %s.%s on %s: %w", name, method, inst.ID, ErrUnavailable)
+		return nil, unavailable(inst, method)
 	}
-	return h(ctx, method, req)
+	return inst.handler(ctx, method, req)
+}
+
+// read is Call's path for a read method: the handler runs on a context
+// that owes both legs, and the instance's departure is checked once the
+// debt is paid.
+func (b *Bus) read(ctx context.Context, inst *Registration, method string, req any) (any, error) {
+	ctx = clock.Owe(ctx, 2*b.latency)
+	resp, err := inst.handler(ctx, method, req)
+	clock.Settle(ctx, b.clk, 0)
+	if !inst.Up() {
+		return nil, unavailable(inst, method)
+	}
+	return resp, err
+}
+
+// unavailable is the error of a call whose instance left before it
+// answered.
+func unavailable(inst *Registration, method string) error {
+	return fmt.Errorf("calling %s.%s on %s: %w", inst.service, method, inst.ID, ErrUnavailable)
 }
 
 // pick selects the next healthy instance round-robin.

@@ -255,11 +255,159 @@ func TestDeregisteredDuringTheLegs(t *testing.T) {
 	}
 }
 
+// readLatency stands in for a MongoDB read, the first wait of a read
+// method's handler.
+const readLatency = 500 * time.Microsecond
+
+// TestReadRidesTheLegs: a call to a read method owes both legs on the
+// handler's context, so the handler's first wait pays them with its own
+// latency. The read lands at legs + read, where it would have landed had
+// the legs been slept first, the call returns then, and the two cost one
+// instant. A handler that waits on nothing pays the legs after it returns.
+func TestReadRidesTheLegs(t *testing.T) {
+	const legs = 2 * defaultCallLatency
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name string
+		wait time.Duration // what the handler's first wait adds to the debt
+		err  error         // what it answers
+	}{
+		{"read", readLatency, nil},
+		{"read fails", readLatency, boom},
+		{"no wait", 0, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := clock.NewManual()
+			t.Cleanup(clk.Close)
+			b := NewBus(clk)
+			var landed time.Time
+			b.Register("api", "a", func(ctx context.Context, _ string, _ any) (any, error) {
+				if tc.wait > 0 {
+					clock.Settle(ctx, clk, tc.wait)
+				}
+				landed = clk.Now()
+				return "ok", tc.err
+			}, "m")
+			start, before := clk.Now(), clk.Instants()
+			done := callOn(b, clk)
+			clocktest.Run(clk, time.Second)
+			r := await(t, done)
+			if !errors.Is(r.err, tc.err) {
+				t.Fatalf("err = %v, want %v", r.err, tc.err)
+			}
+			if tc.wait > 0 {
+				if got := landed.Sub(start); got != legs+tc.wait {
+					t.Fatalf("the read landed %v into the call, want legs + read, %v", got, legs+tc.wait)
+				}
+			}
+			if got := r.at.Sub(start); got != legs+tc.wait {
+				t.Fatalf("call returned %v after it started, want %v", got, legs+tc.wait)
+			}
+			if got := clk.Instants() - before; got != 1 {
+				t.Fatalf("call fired %d instants, want 1", got)
+			}
+		})
+	}
+}
+
+// TestReadDeregisteredDuringTheLegs: a read method's instance that leaves
+// while a call to it is in flight fails the call with ErrUnavailable, and
+// the answer its handler computed is dropped. The call learns it when it
+// wakes: at the legs' end if the handler waits on nothing, at the end of
+// the read that rode the legs if it reads.
+func TestReadDeregisteredDuringTheLegs(t *testing.T) {
+	const legs = 2 * defaultCallLatency
+	for _, tc := range []struct {
+		name string
+		wait time.Duration
+	}{
+		{"no wait", 0},
+		{"read", readLatency},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := clock.NewManual()
+			t.Cleanup(clk.Close)
+			b := NewBus(clk)
+			reg := b.Register("api", "a", func(ctx context.Context, _ string, _ any) (any, error) {
+				clock.Settle(ctx, clk, tc.wait)
+				return "ok", nil
+			}, "m")
+			start := clk.Now()
+			done := callOn(b, clk)
+			clocktest.Run(clk, defaultCallLatency)
+			reg.Deregister()
+			clocktest.Run(clk, time.Second)
+			r := await(t, done)
+			if !errors.Is(r.err, ErrUnavailable) {
+				t.Fatalf("err = %v, want ErrUnavailable", r.err)
+			}
+			if got := r.at.Sub(start); got != legs+tc.wait {
+				t.Fatalf("call failed %v after it started, want %v", got, legs+tc.wait)
+			}
+		})
+	}
+}
+
+// TestOwedLatencyRidesACall: what the caller's context already owes is
+// paid in the call's one sleep, on either path, and never twice.
+func TestOwedLatencyRidesACall(t *testing.T) {
+	const legs, owed = 2 * defaultCallLatency, 3 * time.Millisecond
+	for _, tc := range []struct {
+		name  string
+		reads []string
+	}{
+		{"default path", nil},
+		{"read method", []string{"m"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := clock.NewManual()
+			t.Cleanup(clk.Close)
+			b := NewBus(clk)
+			var landed time.Time
+			b.Register("api", "a", func(ctx context.Context, _ string, _ any) (any, error) {
+				clock.Settle(ctx, clk, readLatency)
+				landed = clk.Now()
+				return "ok", nil
+			}, tc.reads...)
+			ctx := clock.Owe(context.Background(), owed)
+			start, before := clk.Now(), clk.Instants()
+			done := make(chan callResult, 1)
+			go func() {
+				_, err := b.Call(ctx, "api", "m", nil)
+				done <- callResult{at: clk.Now(), err: err}
+			}()
+			clocktest.Run(clk, time.Second)
+			r := await(t, done)
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			if got := landed.Sub(start); got != owed+legs+readLatency {
+				t.Fatalf("the read landed %v into the call, want %v", got, owed+legs+readLatency)
+			}
+			if got := r.at.Sub(start); got != owed+legs+readLatency {
+				t.Fatalf("call returned %v after it started, want %v", got, owed+legs+readLatency)
+			}
+			instants := uint64(2) // the owed latency and the legs, then the read
+			if tc.reads != nil {
+				instants = 1
+			}
+			if got := clk.Instants() - before; got != instants {
+				t.Fatalf("call fired %d instants, want %d", got, instants)
+			}
+			if got := clock.Owed(ctx); got != 0 {
+				t.Fatalf("the caller's context still owes %v", got)
+			}
+		})
+	}
+}
+
+// TestConcurrentCalls: calls from many goroutines at once, half of them
+// through an instance that serves "m" as a read method.
 func TestConcurrentCalls(t *testing.T) {
 	b, clk := newTestBus()
 	defer clk.Close()
 	b.Register("api", "a", echoHandler("a"))
-	b.Register("api", "b", echoHandler("b"))
+	b.Register("api", "b", echoHandler("b"), "m")
 	var wg sync.WaitGroup
 	errs := make(chan error, 32)
 	for i := 0; i < 32; i++ {
