@@ -11,21 +11,25 @@ import (
 )
 
 // fleetInstantBudget is the ceiling on virtual instants per job for the
-// fixed fleet below: the 141–142 it measures with the helper and
-// Guardian waits gated on change (clock.SleepUntil), the metadata
-// store's heartbeat following its log (raft's idle cadence), a training
-// chunk's progress write and metric point sharing the chunk's one sleep
-// and each learner lifecycle report landing as one nfs.Volume.Compound,
-// an API call paying both its legs in one sleep (rpc.Bus.Call), and a
-// read call's legs riding its MongoDB read (rpc.Bus.Register,
-// mongo.Collection.FindID), plus 15 %. With a Status call's read an
-// instant of its own after the legs it measured 145–151; with a call's
+// fixed fleet below: the 127 it measures with the helper and Guardian
+// waits gated on change (clock.SleepUntil), the metadata store's
+// heartbeat following its log (raft's idle cadence), a training chunk's
+// progress write and metric point sharing the chunk's one sleep and each
+// learner lifecycle report landing as one nfs.Volume.Compound, an API
+// call paying both its legs in one sleep (rpc.Bus.Call), a read call's
+// legs riding its MongoDB read (rpc.Bus.Register,
+// mongo.Collection.FindID), the Guardian journaling a deployment only
+// when it starts and when it is done, and a finished job's keys deleted
+// in one Txn (guardian.DeleteKeys), plus 15 %. With a journal save
+// between deploy steps and one Delete per key it measured 141–142; with
+// a Status call's read an instant of its own after the legs, 145–151;
+// with a call's
 // reply leg a sleep of its own and a report's status write, log line and
 // exit code a round trip each, 165–167; with each chunk's two reports
 // paying a round trip of their own, 169–172; with the store heartbeating
 // every 50 ms whatever was asked of it, 266–271; with the poll loops also
 // waking on every tick of their cadence, 354–360.
-const fleetInstantBudget = 163
+const fleetInstantBudget = 146
 
 // fleetAllocBudget is the ceiling on heap objects per job for the same
 // fleet: the 615–618 it measures in a fresh process, plus 10 %. With a

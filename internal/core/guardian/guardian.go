@@ -125,8 +125,8 @@ func Run(ctx *kube.ContainerCtx, p Params) int {
 		return 0
 	}
 
-	// Named once: the journal is written at every deployment step and
-	// every time the monitor's cursor moves.
+	// Named once: the journal is written when a deployment starts, when
+	// it is done, and every time the monitor's cursor moves.
 	journalKey := types.GuardianJournalKey(p.JobID)
 	j := loadJournal(d, journalKey)
 	if j == nil || !j.Deployed {
@@ -170,20 +170,24 @@ func Run(ctx *kube.ContainerCtx, p Params) int {
 	return monitor(ctx, p, journalKey, j)
 }
 
-// deploy provisions every job resource, journaling between steps under
-// journalKey, and returns the deployed journal. It returns a nil journal
-// with the exit code when interrupted. parentSpan (the guardian-deploy
-// span) parents the scheduler's gang-wait span.
+// deploy provisions every job resource and returns the deployed journal.
+// It journals under journalKey only what a restarted Guardian reads: that
+// a deployment is in progress, before the first resource exists, and that
+// it is Deployed, after the last. The steps are recorded in memory and
+// written once, with Deployed. It returns a nil journal with the exit code
+// when interrupted. parentSpan (the guardian-deploy span) parents the
+// scheduler's gang-wait span.
 func deploy(ctx *kube.ContainerCtx, p Params, journalKey string, parentSpan trace.SpanContext) (*journal, int) {
 	d := p.Deps
 	j := &journal{}
 	// Journal existence marks "deployment in progress" — it must be
 	// durable before the first resource is created, or a crash in the
 	// gap would leave an orphan that the next attempt doesn't roll back.
+	// A crash between steps finds this same journal and rolls back every
+	// resource by name, so no step needs a write of its own.
 	saveJournal(d, journalKey, j)
 	step := func(name string) bool {
 		j.Steps = append(j.Steps, name)
-		saveJournal(d, journalKey, j)
 		return ctx.Sleep(p.StepDelay)
 	}
 
@@ -917,15 +921,31 @@ func teardown(d *core.Deps, jobID string) {
 	rollback(d, jobID)
 }
 
-// cleanupEtcd removes the job's coordination keys.
+// cleanupEtcd removes the job's coordination keys in one Txn: all or
+// nothing, one log entry at one revision.
 func cleanupEtcd(d *core.Deps, jobID string) {
 	kvs, err := d.Etcd.Range(types.JobPrefix(jobID))
 	if err != nil {
 		return
 	}
-	for _, kv := range kvs {
-		_ = d.Etcd.Delete(kv.Key)
+	DeleteKeys(d, kvs)
+}
+
+// DeleteKeys deletes every key of kvs in one guard-free Txn: one log
+// entry, committed at one revision, so watchers see the keys go together
+// and however the call ends the keys are all there or all gone, never
+// some. The Guardian's cleanup and the LCM's garbage collector both reap
+// a job's keys through it; a Txn that fails leaves every key for the
+// LCM's next sweep, which re-lists the prefix until it reads empty.
+func DeleteKeys(d *core.Deps, kvs []etcd.KV) {
+	if len(kvs) == 0 {
+		return // an empty Txn would be a read
 	}
+	ops := make([]etcd.TxnOp, len(kvs))
+	for i, kv := range kvs {
+		ops[i] = etcd.TxnOp{Type: etcd.EventDelete, Key: kv.Key}
+	}
+	_, _, _ = d.Etcd.Txn(nil, ops, nil)
 }
 
 func failJob(d *core.Deps, jobID, reason string) {

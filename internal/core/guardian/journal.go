@@ -14,8 +14,9 @@ type journal struct {
 	// Deployed is set once every resource exists; a restarted Guardian
 	// seeing Deployed resumes monitoring instead of rolling back.
 	Deployed bool `json:"deployed"`
-	// Steps records which resources have been created (informational;
-	// rollback is defensive and deletes by name regardless).
+	// Steps lists the resources a deployment created, written once, with
+	// Deployed (informational; rollback is defensive and deletes by name
+	// regardless).
 	Steps []string `json:"steps"`
 	// MonitorRev is the last etcd revision whose learner-status events
 	// the watch-mode monitor folded into the job state; a restarted

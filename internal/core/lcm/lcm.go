@@ -219,11 +219,10 @@ func (s *Service) collectJob(rec types.JobRecord) {
 	// Serializable (stale-tolerant) listing for the bulk reap: the
 	// deletes are idempotent and the backstop sweep re-runs, so a
 	// replica-local snapshot is enough to make progress, and it costs no
-	// consensus work.
+	// consensus work. The keys go in one Txn, as the Guardian's own
+	// cleanup deletes them: all or nothing.
 	if kvs, err := s.deps.Etcd.SerializableRange(types.JobPrefix(rec.ID)); err == nil {
-		for _, kv := range kvs {
-			_ = s.deps.Etcd.Delete(kv.Key)
-		}
+		guardian.DeleteKeys(s.deps, kvs)
 	}
 	// The done-latch, though, demands a linearizable empty observation
 	// (a read-index Range — still zero log entries): a stale-empty local
@@ -238,9 +237,7 @@ func (s *Service) collectJob(rec types.JobRecord) {
 	if len(confirm) > 0 {
 		// Stragglers the stale listing missed: reap them and let the
 		// next sweep confirm.
-		for _, kv := range confirm {
-			_ = s.deps.Etcd.Delete(kv.Key)
-		}
+		guardian.DeleteKeys(s.deps, confirm)
 		return
 	}
 	s.mu.Lock()

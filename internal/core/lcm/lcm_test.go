@@ -222,9 +222,12 @@ func TestGarbageCollectReapsTerminalJobResources(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Etcd.Put(types.GuardianJournalKey(id), "{}"); err != nil {
-		t.Fatal(err)
+	for _, key := range []string{types.GuardianJournalKey(id), types.LearnerStatusKey(id, 0)} {
+		if _, err := d.Etcd.Put(key, "{}"); err != nil {
+			t.Fatal(err)
+		}
 	}
+	before := d.Etcd.OpCounts()
 
 	s.garbageCollect()
 
@@ -236,6 +239,12 @@ func TestGarbageCollectReapsTerminalJobResources(t *testing.T) {
 	}
 	if kvs, _ := d.Etcd.Range(types.JobPrefix(id)); len(kvs) != 0 {
 		t.Fatalf("etcd keys leaked: %v", kvs)
+	}
+	// Both keys went in one Txn, all or nothing, as the Guardian's own
+	// cleanup deletes them.
+	after := d.Etcd.OpCounts()
+	if txns, dels := after["txn"]-before["txn"], after["delete"]-before["delete"]; txns != 1 || dels != 0 {
+		t.Fatalf("reap made %d Txns and %d Deletes, want 1 and 0", txns, dels)
 	}
 	// Non-terminal jobs are left alone.
 	id2 := insertJob(t, d, types.StateQueued)
