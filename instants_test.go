@@ -11,7 +11,7 @@ import (
 )
 
 // fleetInstantBudget is the ceiling on virtual instants per job for the
-// fixed fleet below: the 127 it measures with the helper and Guardian
+// fixed fleet below: the 116–117 it measures with the helper and Guardian
 // waits gated on change (clock.SleepUntil), the metadata store's
 // heartbeat following its log (raft's idle cadence), a training chunk's
 // progress write and metric point sharing the chunk's one sleep and each
@@ -19,9 +19,14 @@ import (
 // call paying both its legs in one sleep (rpc.Bus.Call), a read call's
 // legs riding its MongoDB read (rpc.Bus.Register,
 // mongo.Collection.FindID), the Guardian journaling a deployment only
-// when it starts and when it is done, and a finished job's keys deleted
-// in one Txn (guardian.DeleteKeys), plus 15 %. With a journal save
-// between deploy steps and one Delete per key it measured 141–142; with
+// when it starts and when it is done and its watch cursor once, a
+// finished job's keys deleted in one Txn (guardian.DeleteKeys), each
+// helper pass reading its files in one round trip
+// (nfs.Volume.ReadCompound) and a deploy attempt one MongoDB write
+// (core.Deps.BeginDeployAttempt), plus 15 %. With the cursor journaled
+// per event batch, a round trip per helper read and two writes per
+// deploy attempt it measured 127; with a journal save
+// between deploy steps and one Delete per key, 141–142; with
 // a Status call's read an instant of its own after the legs, 145–151;
 // with a call's
 // reply leg a sleep of its own and a report's status write, log line and
@@ -29,7 +34,7 @@ import (
 // paying a round trip of their own, 169–172; with the store heartbeating
 // every 50 ms whatever was asked of it, 266–271; with the poll loops also
 // waking on every tick of their cadence, 354–360.
-const fleetInstantBudget = 146
+const fleetInstantBudget = 135
 
 // fleetAllocBudget is the ceiling on heap objects per job for the same
 // fleet: the 615–618 it measures in a fresh process, plus 10 %. With a

@@ -126,7 +126,7 @@ func Run(ctx *kube.ContainerCtx, p Params) int {
 	}
 
 	// Named once: the journal is written when a deployment starts, when
-	// it is done, and every time the monitor's cursor moves.
+	// it is done, and when the monitor's cursor first moves.
 	journalKey := types.GuardianJournalKey(p.JobID)
 	j := loadJournal(d, journalKey)
 	if j == nil || !j.Deployed {
@@ -137,16 +137,14 @@ func Run(ctx *kube.ContainerCtx, p Params) int {
 		if j != nil {
 			rollback(d, p.JobID)
 		}
-		attempts, err := d.IncrementDeployAttempts(p.JobID)
-		if err != nil {
-			return 1
-		}
+		// One write counts the attempt and announces DEPLOYING.
+		attempts, err := d.BeginDeployAttempt(p.JobID, maxAttempts)
 		if attempts > maxAttempts {
 			failJob(d, p.JobID, fmt.Sprintf("deployment failed after %d attempts", attempts-1))
 			cleanupEtcd(d, p.JobID)
 			return 0
 		}
-		if _, err := d.TransitionJob(p.JobID, types.StateDeploying, fmt.Sprintf("attempt %d", attempts)); err != nil {
+		if err != nil {
 			return 1
 		}
 		// First-time provisioning is deploy cost; a redeploy after a
@@ -475,13 +473,15 @@ func handlePreemption(p Params) int {
 	_, _ = d.TransitionJob(p.JobID, types.StateDeploying, reason)
 	shipLogs(p)
 	rollback(d, p.JobID)
-	_ = d.Etcd.Delete(types.GuardianJournalKey(p.JobID))
-	// Clear the eviction handshake so the redeployed job starts with a
-	// clean ack slate (the NFS side vanishes with the volume).
-	_ = d.Etcd.Delete(types.EvictionIntentKey(p.JobID))
+	// Drop the journal and clear the eviction handshake, so the redeployed
+	// job starts with a clean ack slate (the NFS side vanishes with the
+	// volume), in one entry.
+	keys := make([]etcd.KV, 0, 2+p.Manifest.Learners)
+	keys = append(keys, etcd.KV{Key: types.GuardianJournalKey(p.JobID)}, etcd.KV{Key: types.EvictionIntentKey(p.JobID)})
 	for l := 0; l < p.Manifest.Learners; l++ {
-		_ = d.Etcd.Delete(types.LearnerEvictAckKey(p.JobID, l))
+		keys = append(keys, etcd.KV{Key: types.LearnerEvictAckKey(p.JobID, l)})
 	}
+	DeleteKeys(d, keys)
 	_ = d.ResetDeployAttempts(p.JobID)
 	return 1
 }
@@ -547,10 +547,10 @@ func checkGang(p Params, relayed *bool, acks map[int]bool) (code int, done bool)
 // MongoDB until the job reaches a terminal state, then tears down. It is
 // event-driven: a list-then-watch state machine over the job's
 // learner-status prefix. Status events are folded into an aggregated
-// per-learner view as they commit; the last folded
-// revision (and the view itself) is journaled, so a restarted Guardian
-// resumes its watch exactly where the predecessor stopped — etcd is
-// re-listed only when the saved revision has been compacted past, and
+// per-learner view as they commit; the first revision the monitor folds
+// (and the view as of it) is journaled, once, so a restarted Guardian
+// resumes its watch there and the store backfills what came after — etcd
+// is re-listed only when the saved revision has been compacted past, and
 // once per watchRelist as a liveness backstop. Halts are list-then-watch
 // too: one GetJob right after subscribing to the job's own metadata
 // change feed (a halt committed earlier has no event coming), the feed
@@ -622,16 +622,23 @@ func monitor(ctx *kube.ContainerCtx, p Params, journalKey string, j *journal) in
 		}
 	}
 
-	savedRev := lastRev
+	// The cursor is journaled once, when it first moves off zero or
+	// after a resume fell back to a re-list: a restart needs a cursor to
+	// resume from, not the newest one. The view
+	// is journaled as of that cursor, and the store backfills everything
+	// after it, so a Guardian resuming there folds the same events in the
+	// same order and reaches the view this one has; a cursor the store no
+	// longer holds history for is re-listed (ErrCompacted).
+	saved := lastRev > 0
 	saveCursor := func() {
-		if lastRev == savedRev {
+		if saved || lastRev == 0 {
 			return
 		}
 		// The journal is encoded before saveJournal returns, so it can
 		// hold the monitor's own maps rather than copies.
 		j.MonitorRev, j.Statuses, j.Acks = lastRev, statuses, acks
 		saveJournal(d, journalKey, j)
-		savedRev = lastRev
+		saved = true
 	}
 
 	var evCh <-chan etcd.Event
@@ -679,10 +686,13 @@ func monitor(ctx *kube.ContainerCtx, p Params, journalKey string, j *journal) in
 			evCh, cancelWatch = ch, cancel
 			count("guardian_monitor_resumes")
 		} else {
-			// Compacted past (or transient failure): snapshot re-list.
+			// Compacted past (or transient failure): snapshot re-list,
+			// and journal the cursor it yields, since a later restart
+			// could not resume from the old one either.
 			if errors.Is(err, etcd.ErrCompacted) {
 				count("guardian_monitor_resume_compacted")
 			}
+			saved = false
 			if !relist() {
 				return 1
 			}
@@ -690,9 +700,9 @@ func monitor(ctx *kube.ContainerCtx, p Params, journalKey string, j *journal) in
 	} else if !relist() {
 		return 1
 	}
-	// Persist the cursor immediately: a long event-free stretch (steady
-	// training) must still leave a resumable journal behind for the next
-	// incarnation.
+	// Persist a cursor the first fill moved at once: a long event-free
+	// stretch (steady training) must still leave a resumable journal
+	// behind for the next incarnation.
 	saveCursor()
 
 	// Per-job change feed for halt detection. The single-document filter
@@ -934,9 +944,10 @@ func cleanupEtcd(d *core.Deps, jobID string) {
 // DeleteKeys deletes every key of kvs in one guard-free Txn: one log
 // entry, committed at one revision, so watchers see the keys go together
 // and however the call ends the keys are all there or all gone, never
-// some. The Guardian's cleanup and the LCM's garbage collector both reap
-// a job's keys through it; a Txn that fails leaves every key for the
-// LCM's next sweep, which re-lists the prefix until it reads empty.
+// some. The Guardian's cleanup and preemption and the LCM's garbage
+// collector all reap a job's keys through it; a Txn that fails leaves
+// every key for the LCM's next sweep, which re-lists the prefix until it
+// reads empty.
 func DeleteKeys(d *core.Deps, kvs []etcd.KV) {
 	if len(kvs) == 0 {
 		return // an empty Txn would be a read

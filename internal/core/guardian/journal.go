@@ -18,10 +18,10 @@ type journal struct {
 	// Deployed (informational; rollback is defensive and deletes by name
 	// regardless).
 	Steps []string `json:"steps"`
-	// MonitorRev is the last etcd revision whose learner-status events
-	// the watch-mode monitor folded into the job state; a restarted
-	// Guardian resumes its watch exactly after it — no missed and no
-	// re-processed transitions.
+	// MonitorRev is the first etcd revision the watch-mode monitor's
+	// cursor moved to, journaled once; a restarted Guardian resumes its
+	// watch after it and the store backfills every event since — none
+	// missed, and each folded once more onto the view as of MonitorRev.
 	MonitorRev uint64 `json:"monitor_rev,omitempty"`
 	// Statuses is the aggregated per-learner view as of MonitorRev
 	// (keyed by ordinal), so the resumed monitor starts from state

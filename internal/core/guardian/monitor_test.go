@@ -2,6 +2,7 @@ package guardian
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -24,9 +25,16 @@ import (
 
 func newTestDeps(t *testing.T) (*core.Deps, *clock.Sim) {
 	t.Helper()
+	return newTestDepsGrace(t, 0)
+}
+
+// newTestDepsGrace is newTestDeps on a cluster whose evictions give the
+// owner grace to checkpoint and ack.
+func newTestDepsGrace(t *testing.T, grace time.Duration) (*core.Deps, *clock.Sim) {
+	t.Helper()
 	clk := clock.NewSim()
 	link := netsim.NewSharedLink(netsim.Ethernet1G, clk)
-	cluster := kube.NewCluster(kube.Config{Clock: clk}, kube.NodeSpec{Name: "n1", GPUs: 4, GPUType: "K80"})
+	cluster := kube.NewCluster(kube.Config{Clock: clk, EvictionGracePeriod: grace}, kube.NodeSpec{Name: "n1", GPUs: 4, GPUType: "K80"})
 	store := etcd.New(1, clk)
 	t.Cleanup(func() {
 		cluster.Stop()
@@ -153,5 +161,108 @@ func TestRestartedMonitorResumesFromJournal(t *testing.T) {
 	}
 	if n := d.Metrics.Counter("guardian_monitor_relists"); n != 0 {
 		t.Errorf("guardian_monitor_relists = %v, want 0", n)
+	}
+}
+
+// TestRestartedMonitorResumesFromOldCursor: the journal's cursor is where
+// the monitor first folded, not where it last did. A Guardian restarted
+// over a cursor at STARTING's revision, with TRAINING and COMPLETED
+// committed since, resumes its watch there — no relist — folds both from
+// the store's backfill, completes the job, and records each state once.
+func TestRestartedMonitorResumesFromOldCursor(t *testing.T) {
+	d, clk := newTestDeps(t)
+	p := insertJob(t, d, types.StateProcessing)
+	put := func(s types.LearnerStatus) (uint64, types.StatusUpdate) {
+		u := types.StatusUpdate{Learner: 0, Status: s, Time: d.Clock.Now()}
+		raw, err := events.LearnerStatus(p.JobID, u).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rev, err := d.Etcd.Put(types.LearnerStatusKey(p.JobID, 0), string(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rev, u
+	}
+	rev, starting := put(types.LearnerStarting)
+	saveJournal(d, types.GuardianJournalKey(p.JobID), &journal{
+		Deployed: true, Steps: []string{"volume", "helper", "gang", "learners", "netpol"}, MonitorRev: rev,
+		Statuses: map[int]types.StatusUpdate{0: starting},
+	})
+	put(types.LearnerTraining)
+	put(types.LearnerCompleted)
+	vol, err := d.NFS.Provision(VolumeName(p.JobID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol.Write(helper.ResultsStoredMarker, []byte("ok"))
+
+	if state := runGuardian(t, p, clk); state != types.StateCompleted {
+		t.Fatalf("job ended %s, want COMPLETED from the backfilled events", state)
+	}
+	if n := d.Metrics.Counter("guardian_monitor_resumes"); n != 1 {
+		t.Errorf("guardian_monitor_resumes = %v, want 1", n)
+	}
+	if n := d.Metrics.Counter("guardian_monitor_relists"); n != 0 {
+		t.Errorf("guardian_monitor_relists = %v, want 0", n)
+	}
+	_, hist, err := d.JobHistory(context.Background(), p.JobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[types.JobState]bool{}
+	for _, ev := range hist {
+		if seen[ev.State] {
+			t.Fatalf("history records %s twice: %+v", ev.State, hist)
+		}
+		seen[ev.State] = true
+	}
+}
+
+// TestRestartedMonitorJournalsCursorAfterCompaction: a journaled cursor
+// the store holds no history for any more is re-listed from, and the
+// cursor the re-list yields is journaled in its place, so a later
+// restart can resume instead of re-listing again.
+func TestRestartedMonitorJournalsCursorAfterCompaction(t *testing.T) {
+	d, clk := newTestDeps(t)
+	p := insertJob(t, d, types.StateProcessing)
+	key := types.GuardianJournalKey(p.JobID)
+	put := func(s types.LearnerStatus) uint64 {
+		raw, err := events.LearnerStatus(p.JobID, types.StatusUpdate{Learner: 0, Status: s, Time: d.Clock.Now()}).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rev, err := d.Etcd.Put(types.LearnerStatusKey(p.JobID, 0), string(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rev
+	}
+	rev := put(types.LearnerStarting)
+	saveJournal(d, key, &journal{Deployed: true, MonitorRev: rev})
+	// More versions of one key than the store keeps lift its resume
+	// floor, which is engine-wide, past the journal's cursor.
+	for i := 0; i < 40; i++ {
+		if _, err := d.Etcd.Put("/elsewhere", fmt.Sprint(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(types.LearnerCompleted)
+	vol, err := d.NFS.Provision(VolumeName(p.JobID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol.Write(helper.ResultsStoredMarker, []byte("ok"))
+	seen := recordEvents(t, d.Etcd, key)
+
+	if state := runGuardian(t, p, clk); state != types.StateCompleted {
+		t.Fatalf("job ended %s, want COMPLETED from the re-list", state)
+	}
+	if n := d.Metrics.Counter("guardian_monitor_resume_compacted"); n != 1 {
+		t.Fatalf("guardian_monitor_resume_compacted = %v, want 1: the test did not compact past the cursor", n)
+	}
+	evs := awaitEvents(clk, seen, func(evs []etcd.Event) bool { return len(evs) > 0 })
+	if len(evs) == 0 || evs[0].Type != etcd.EventPut || decodeJournal(evs[0].Value).MonitorRev <= rev {
+		t.Fatalf("journal events %+v, want a Put of a cursor past %d first", evs, rev)
 	}
 }

@@ -97,8 +97,8 @@ func referenceController(ctx *kube.ContainerCtx, p Params) int {
 				Learner: l,
 				Status:  status,
 				Time:    d.Clock.Now(),
-				Detail:  progressDetail(vol, files.Progress),
-			}).WithTrace(src.TraceID, src.SpanID)
+				Detail:  src.detail,
+			}).WithTrace(src.env.TraceID, src.env.SpanID)
 			raw, err := env.Encode()
 			if err != nil {
 				noteDrop(l, "marshal", err)

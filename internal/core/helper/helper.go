@@ -324,8 +324,8 @@ func runController(ctx *kube.ContainerCtx, p Params) int {
 				Learner: l,
 				Status:  status,
 				Time:    d.Clock.Now(),
-				Detail:  progressDetail(vol, lm.files.Progress),
-			}).WithTrace(src.TraceID, src.SpanID)
+				Detail:  src.detail,
+			}).WithTrace(src.env.TraceID, src.env.SpanID)
 			var err error
 			if buf, err = env.Append(buf[:0]); err != nil {
 				noteDrop(l, "marshal", err)
@@ -360,45 +360,80 @@ func pollWait(ctx *kube.ContainerCtx, period time.Duration, sub *nfs.Subscriptio
 	return ctx.SleepUntil(period, sub.C())
 }
 
-// currentLearnerStatus derives a learner's status from whichever of its
-// two files seen says exist: the exit file wins (orderly termination),
-// otherwise the status file (an events.Envelope). The source envelope is
-// returned alongside so the caller can propagate its trace context;
-// exit-derived statuses still carry the last status envelope's context.
-// ok is false when a file that exists could not be read (an NFS fault) or
-// its exit code not parsed: the answer is then incomplete and the caller
-// must ask again.
-func currentLearnerStatus(vol *nfs.Volume, f learner.Files, seen learnerFiles) (types.LearnerStatus, events.Envelope, bool) {
-	var src events.Envelope
-	ok := true
+// learnerSource is what a learner's mirrored envelope takes from its
+// files besides the status: the status file's envelope, whose trace
+// context it carries on (an exit-derived status still carries the last
+// status envelope's), and the progress detail.
+type learnerSource struct {
+	env    events.Envelope
+	detail string // "images=<n>" from the progress file, "" while it is absent
+}
+
+// currentLearnerStatus reads a learner's status, exit and progress files
+// in one round trip (nfs.Volume.ReadCompound) — only those that exist:
+// seen says which of the first two do, a Stat whether the third does —
+// and derives its status: the exit file wins (orderly termination),
+// otherwise the status file (an events.Envelope). ok is false when the
+// read failed (an NFS fault) or the exit code did not parse: the answer
+// is then incomplete and the caller must ask again.
+func currentLearnerStatus(vol *nfs.Volume, f learner.Files, seen learnerFiles) (types.LearnerStatus, learnerSource, bool) {
+	var src learnerSource
+	var paths [3]string // the files read, in this order: status, exit, progress
+	n := 0
 	if seen.status != 0 {
-		raw, err := vol.Read(f.Status)
-		if err != nil {
-			ok = false
-		} else if env, decoded := events.Decode(raw); decoded {
-			src = env
-		}
+		paths[n], n = f.Status, n+1
 	}
-	status := types.LearnerStatus(src.Status)
 	if seen.exit != 0 {
-		switch code, exited := vol.ReadExitCode(f.ExitCode); {
-		case !exited:
-			ok = false
-		case code == 0:
-			status = types.LearnerCompleted
-		default:
-			status = types.LearnerFailed
+		paths[n], n = f.ExitCode, n+1
+	}
+	if vol.Exists(f.Progress) {
+		paths[n], n = f.Progress, n+1
+	}
+	if n == 0 {
+		return "", src, true
+	}
+	var buf [3][]byte
+	files, err := vol.ReadCompound(buf[:0], paths[:n]...)
+	if err != nil {
+		return "", src, false
+	}
+	var status types.LearnerStatus
+	ok := true
+	for i, raw := range files {
+		switch paths[i] {
+		case f.Status:
+			if raw == nil { // gone since its Stat
+				ok = false
+			} else if env, decoded := events.Decode(raw); decoded {
+				src.env, status = env, types.LearnerStatus(env.Status)
+			}
+		case f.ExitCode:
+			switch code, exited := nfs.ParseExitCode(raw); {
+			case !exited:
+				ok = false
+			case code == 0:
+				status = types.LearnerCompleted
+			default:
+				status = types.LearnerFailed
+			}
+		case f.Progress:
+			if raw != nil {
+				src.detail = "images=" + string(raw)
+			}
 		}
 	}
 	return status, src, ok
 }
 
-func progressDetail(vol *nfs.Volume, path string) string {
-	raw, err := vol.Read(path)
-	if err != nil {
-		return ""
+// resultFiles names each learner's log and metrics files on the volume
+// and, at the same index, the results-bucket key each ships to.
+func resultFiles(jobID string, learners int) (paths, keys []string) {
+	paths, keys = make([]string, 0, 2*learners), make([]string, 0, 2*learners)
+	for l := 0; l < learners; l++ {
+		paths = append(paths, learner.LogPath(l), learner.MetricsPath(l))
+		keys = append(keys, learner.ResultLogKey(jobID, l), learner.ResultMetricsKey(jobID, l))
 	}
-	return "images=" + string(raw)
+	return paths, keys
 }
 
 // runLogCollector periodically uploads learner logs from NFS to the
@@ -406,7 +441,8 @@ func progressDetail(vol *nfs.Volume, path string) string {
 // logs from the job, irrespective of the stage it is in, even if it
 // crashes/fails"). Like the controller's, its passes keep their cadence
 // and are run only once a file they Stat has been written, or to retry
-// an upload that failed.
+// an upload that failed. A pass reads every file whose Gen moved in one
+// round trip.
 func runLogCollector(ctx *kube.ContainerCtx, p Params) int {
 	d := p.Deps
 	vol, err := d.NFS.Volume(p.VolumeName)
@@ -415,33 +451,38 @@ func runLogCollector(ctx *kube.ContainerCtx, p Params) int {
 	}
 	m := p.Manifest
 	creds := objectstore.Credentials{AccessKey: m.Results.AccessKey, SecretKey: m.Results.SecretKey}
-	shipped := make(map[string]uint64) // Gen of each file as last uploaded
-	retry := false                     // a changed file did not reach the bucket this pass
-	ship := func(path, key string) {
-		fi, ok := vol.Stat(path)
-		if !ok || fi.Gen == shipped[path] {
-			return
-		}
-		if raw, err := vol.Read(path); err == nil {
-			if err := d.ObjectStore.Put(m.Results.Bucket, key, raw, creds); err == nil {
-				shipped[path] = fi.Gen
-				return
-			}
-		}
-		retry = true
-	}
-	// Each learner's two (file, bucket key) pairs, named once.
-	var watched, keys []string
-	for l := 0; l < m.Learners; l++ {
-		watched = append(watched, learner.LogPath(l), learner.MetricsPath(l))
-		keys = append(keys, learner.ResultLogKey(p.JobID, l), learner.ResultMetricsKey(p.JobID, l))
-	}
+	watched, keys := resultFiles(p.JobID, m.Learners)
+	// The Gen of each file as this pass Stats it and as last uploaded.
+	seen, shipped := make([]uint64, len(watched)), make([]uint64, len(watched))
+	// A pass's changed files — their indexes in watched, their paths and
+	// their contents — reused across passes.
+	var changed []int
+	var paths []string
+	var files [][]byte
 	sub := vol.Subscribe(watched...)
 	defer sub.Close()
 	for {
-		retry = false
+		retry := false // a changed file did not reach the bucket this pass
+		changed, paths = changed[:0], paths[:0]
 		for i, path := range watched {
-			ship(path, keys[i])
+			if fi, ok := vol.Stat(path); ok && fi.Gen != shipped[i] {
+				seen[i] = fi.Gen
+				changed, paths = append(changed, i), append(paths, path)
+			}
+		}
+		if len(paths) > 0 {
+			var err error
+			if files, err = vol.ReadCompound(files, paths...); err != nil {
+				retry = true
+			}
+			for k, raw := range files {
+				i := changed[k]
+				if raw != nil && d.ObjectStore.Put(m.Results.Bucket, keys[i], raw, creds) == nil {
+					shipped[i] = seen[i]
+				} else {
+					retry = true
+				}
+			}
 		}
 		if !pollWait(ctx, logCollectorPoll, sub, retry) {
 			return 0
@@ -529,14 +570,12 @@ func storeResults(p Params, vol *nfs.Volume) {
 	// and the log-collector's periodic pass may not run again — both
 	// streams must be complete in the results bucket first ("reliable
 	// streaming of logs ... irrespective of the stage it is in").
-	for l := 0; l < m.Learners; l++ {
-		if raw, err := vol.Read(learner.LogPath(l)); err == nil {
-			logKey := learner.ResultLogKey(p.JobID, l)
-			_ = d.ObjectStore.Put(m.Results.Bucket, logKey, raw, creds)
-		}
-		if raw, err := vol.Read(learner.MetricsPath(l)); err == nil {
-			metKey := learner.ResultMetricsKey(p.JobID, l)
-			_ = d.ObjectStore.Put(m.Results.Bucket, metKey, raw, creds)
+	// One round trip reads them all.
+	paths, keys := resultFiles(p.JobID, m.Learners)
+	files, _ := vol.ReadCompound(nil, paths...)
+	for i, raw := range files {
+		if raw != nil {
+			_ = d.ObjectStore.Put(m.Results.Bucket, keys[i], raw, creds)
 		}
 	}
 

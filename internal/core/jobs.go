@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/core/types"
@@ -98,62 +99,95 @@ func (d *Deps) JobHistory(ctx context.Context, id string) (types.JobRecord, []ty
 func (d *Deps) TransitionJob(id string, to types.JobState, reason string) (types.JobRecord, error) {
 	now := d.Clock.Now()
 	changed := false
-	doc, err := d.Jobs().Mutate(mongo.Filter{"_id": id}, func(doc mongo.Document) error {
-		from := types.JobState(asString(doc["state"]))
-		if from == to {
-			doc["updated_at"] = now
-			return nil
-		}
-		if !types.CanTransition(from, to) {
-			return fmt.Errorf("%w: %s -> %s (job %s)", ErrBadTransition, from, to, id)
-		}
-		doc["state"] = string(to)
-		doc["updated_at"] = now
-		if reason != "" {
-			doc["reason"] = reason
-		}
-		ev := types.Event{JobID: id, State: to, Time: now, Note: reason}
-		if hist, err := appendHistory(asString(doc["history"]), ev); err == nil {
-			doc["history"] = hist
-		}
-		changed = true
-		return nil
+	doc, err := d.Jobs().Mutate(mongo.Filter{"_id": id}, func(doc mongo.Document) (err error) {
+		changed, err = applyTransition(doc, id, to, reason, now)
+		return err
 	})
 	if err != nil {
-		if errors.Is(err, mongo.ErrNotFound) {
-			return types.JobRecord{}, fmt.Errorf("job %s: %w", id, ErrJobNotFound)
-		}
-		return types.JobRecord{}, err
+		return types.JobRecord{}, notFound(id, err)
 	}
-	// This is the single choke point every real state change passes
-	// through (API, LCM, Guardian), so the trace root's lifecycle
-	// events live here; a terminal state closes the root span.
-	if changed && d.Trace != nil {
-		root := d.Trace.RootAt(id, now)
-		root.EventAt("state:"+string(to), now)
-		if to.Terminal() {
-			root.SetAttr("terminal", string(to))
-			root.EndAt(now)
-		}
+	if changed {
+		d.traceTransition(id, to, now)
 	}
 	return docToRecord(doc), nil
 }
 
-// IncrementDeployAttempts bumps and returns the deployment retry counter.
-func (d *Deps) IncrementDeployAttempts(id string) (int, error) {
-	var attempts int
-	_, err := d.Jobs().Mutate(mongo.Filter{"_id": id}, func(doc mongo.Document) error {
+// BeginDeployAttempt counts a deployment attempt and, while the count is
+// within max, moves the job to DEPLOYING with reason "attempt <n>", all in
+// one write: a counted attempt that may deploy has its DEPLOYING event.
+// Past max nothing else changes, and the caller fails the job. A
+// transition the state machine refuses still counts the attempt — the
+// Guardian that cannot deploy must exhaust its budget, not retry forever —
+// and returns the refusal.
+func (d *Deps) BeginDeployAttempt(id string, max int) (attempts int, err error) {
+	now := d.Clock.Now()
+	changed := false
+	var refused error
+	_, err = d.Jobs().Mutate(mongo.Filter{"_id": id}, func(doc mongo.Document) error {
 		attempts = asInt(doc["deploy_attempts"]) + 1
 		doc["deploy_attempts"] = attempts
+		if attempts <= max {
+			changed, refused = applyTransition(doc, id, types.StateDeploying, "attempt "+strconv.Itoa(attempts), now)
+		}
 		return nil
 	})
 	if err != nil {
-		if errors.Is(err, mongo.ErrNotFound) {
-			return 0, fmt.Errorf("job %s: %w", id, ErrJobNotFound)
-		}
-		return 0, err
+		return 0, notFound(id, err)
 	}
-	return attempts, nil
+	if changed {
+		d.traceTransition(id, types.StateDeploying, now)
+	}
+	return attempts, refused
+}
+
+// applyTransition is the document edit behind a state change: it moves
+// doc to `to` if the state machine allows it, appending a history event,
+// and reports whether the state changed. A transition to the current
+// state only refreshes updated_at; a refused one leaves doc as it was.
+func applyTransition(doc mongo.Document, id string, to types.JobState, reason string, now time.Time) (bool, error) {
+	from := types.JobState(asString(doc["state"]))
+	if from == to {
+		doc["updated_at"] = now
+		return false, nil
+	}
+	if !types.CanTransition(from, to) {
+		return false, fmt.Errorf("%w: %s -> %s (job %s)", ErrBadTransition, from, to, id)
+	}
+	doc["state"] = string(to)
+	doc["updated_at"] = now
+	if reason != "" {
+		doc["reason"] = reason
+	}
+	ev := types.Event{JobID: id, State: to, Time: now, Note: reason}
+	if hist, err := appendHistory(asString(doc["history"]), ev); err == nil {
+		doc["history"] = hist
+	}
+	return true, nil
+}
+
+// traceTransition records a committed state change on the job's trace
+// root. Every real state change passes through applyTransition (API, LCM,
+// Guardian), so the root's lifecycle events live here; a terminal state
+// closes the root span.
+func (d *Deps) traceTransition(id string, to types.JobState, now time.Time) {
+	if d.Trace == nil {
+		return
+	}
+	root := d.Trace.RootAt(id, now)
+	root.EventAt("state:"+string(to), now)
+	if to.Terminal() {
+		root.SetAttr("terminal", string(to))
+		root.EndAt(now)
+	}
+}
+
+// notFound names a job-document write's mongo.ErrNotFound as
+// ErrJobNotFound and returns any other error as it is.
+func notFound(id string, err error) error {
+	if errors.Is(err, mongo.ErrNotFound) {
+		return fmt.Errorf("job %s: %w", id, ErrJobNotFound)
+	}
+	return err
 }
 
 // ResetDeployAttempts clears the deployment retry counter. The Guardian
@@ -164,13 +198,7 @@ func (d *Deps) ResetDeployAttempts(id string) error {
 		doc["deploy_attempts"] = 0
 		return nil
 	})
-	if err != nil {
-		if errors.Is(err, mongo.ErrNotFound) {
-			return fmt.Errorf("job %s: %w", id, ErrJobNotFound)
-		}
-		return err
-	}
-	return nil
+	return notFound(id, err)
 }
 
 // RecordFromDoc decodes a jobs-collection document into a JobRecord —

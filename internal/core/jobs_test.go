@@ -143,21 +143,61 @@ func TestSameStateRefreshIsNoop(t *testing.T) {
 	}
 }
 
-func TestIncrementDeployAttempts(t *testing.T) {
+// TestBeginDeployAttempt: an attempt within the budget is counted and
+// announced as DEPLOYING in one write; one past it is counted and changes
+// nothing else, and the FAILED transition the Guardian then makes lands.
+func TestBeginDeployAttempt(t *testing.T) {
 	d := newTestDeps(t)
 	newQueuedJob(t, d, "job-1")
-	for want := 1; want <= 3; want++ {
-		got, err := d.IncrementDeployAttempts("job-1")
-		if err != nil {
-			t.Fatal(err)
+	writes := d.Jobs().Writes
+	for want := 1; want <= 2; want++ {
+		before := writes()
+		got, err := d.BeginDeployAttempt("job-1", 2)
+		if err != nil || got != want {
+			t.Fatalf("attempt %d: BeginDeployAttempt = (%d, %v)", want, got, err)
 		}
-		if got != want {
-			t.Fatalf("attempts = %d, want %d", got, want)
+		if n := writes() - before; n != 1 {
+			t.Fatalf("attempt %d took %d MongoDB writes, want 1", want, n)
 		}
 	}
-	rec, _ := d.GetJob(context.Background(), "job-1")
-	if rec.DeployAttempts != 3 {
-		t.Fatalf("record attempts = %d", rec.DeployAttempts)
+	rec, hist, _ := d.JobHistory(context.Background(), "job-1")
+	if rec.State != types.StateDeploying || rec.DeployAttempts != 2 {
+		t.Fatalf("after two attempts: state %s, attempts %d; want DEPLOYING, 2", rec.State, rec.DeployAttempts)
+	}
+	// QUEUED, then the first attempt's DEPLOYING: the second finds the job
+	// DEPLOYING already and only refreshes it.
+	if len(hist) != 2 || hist[1].State != types.StateDeploying || hist[1].Note != "attempt 1" {
+		t.Fatalf("history %+v, want submitted then DEPLOYING \"attempt 1\"", hist)
+	}
+
+	got, err := d.BeginDeployAttempt("job-1", 2)
+	if err != nil || got != 3 {
+		t.Fatalf("over budget: BeginDeployAttempt = (%d, %v), want (3, nil)", got, err)
+	}
+	updated := rec.UpdatedAt
+	rec, after, _ := d.JobHistory(context.Background(), "job-1")
+	if rec.DeployAttempts != 3 || rec.State != types.StateDeploying || len(after) != len(hist) || !rec.UpdatedAt.Equal(updated) {
+		t.Fatalf("over budget: attempts %d, %d history events, updated %v; want the count bumped and nothing else", rec.DeployAttempts, len(after), rec.UpdatedAt)
+	}
+	if _, err := d.TransitionJob("job-1", types.StateFailed, "deployment failed after 2 attempts"); err != nil {
+		t.Fatalf("failing the job after the budget: %v", err)
+	}
+
+	// A transition the state machine refuses still counts.
+	newQueuedJob(t, d, "job-2")
+	for _, to := range []types.JobState{types.StateDeploying, types.StateStoring} {
+		if _, err := d.TransitionJob("job-2", to, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := d.BeginDeployAttempt("job-2", 3); !errors.Is(err, ErrBadTransition) || got != 1 {
+		t.Fatalf("from STORING: BeginDeployAttempt = (%d, %v), want (1, ErrBadTransition)", got, err)
+	}
+	if rec, _ := d.GetJob(context.Background(), "job-2"); rec.DeployAttempts != 1 || rec.State != types.StateStoring {
+		t.Fatalf("from STORING: attempts %d, state %s; want 1, STORING", rec.DeployAttempts, rec.State)
+	}
+	if _, err := d.BeginDeployAttempt("job-9", 3); !errors.Is(err, ErrJobNotFound) {
+		t.Fatalf("missing job: err %v, want ErrJobNotFound", err)
 	}
 }
 

@@ -10,7 +10,8 @@
 // Write, Append (and ReadExitCode on top of them) — each
 // pay one NFSLink.Latency round trip on the virtual clock and obey the
 // injected fault mode; a Compound of writes and appends shares one,
-// which its caller has slept. Attribute calls — Stat, Exists — are
+// which its caller has slept, and a ReadCompound of reads shares one too,
+// each read still counted as a read. Attribute calls — Stat, Exists — are
 // served from the client's attribute view: no latency, never stalled or
 // failed by a fault. A periodic loop therefore asks Stat whether a file's
 // Gen moved and pays for a Read only when it did.
@@ -304,6 +305,31 @@ func (v *Volume) Read(path string) ([]byte, error) {
 	return cp, nil
 }
 
+// ReadCompound reads paths in one round trip — several READs in one
+// NFSv4 COMPOUND — into dst, which it reuses from its start: the i-th
+// result is a copy of paths[i]'s contents, nil if the file is absent.
+// The reads land under one hold of the lock, so the results are one
+// snapshot of the volume: a Compound of writes is in all of them or in
+// none. Each path counts as one read. FaultError fails the whole call,
+// and FaultStall holds it to the heal as it holds a Read.
+func (v *Volume) ReadCompound(dst [][]byte, paths ...string) ([][]byte, error) {
+	if !v.roundTrip(false) {
+		return dst[:0], fmt.Errorf("reading %d files on %s: %w", len(paths), v.name, ErrFaulted)
+	}
+	dst = dst[:0]
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for _, path := range paths {
+		v.srv.served(opRead)
+		var cp []byte
+		if f, ok := v.files[path]; ok {
+			cp = append(make([]byte, 0, len(f.data)), f.data...) // non-nil even when empty
+		}
+		dst = append(dst, cp)
+	}
+	return dst, nil
+}
+
 // Stat returns the file's attributes; ok is false if path is absent.
 func (v *Volume) Stat(path string) (info FileInfo, ok bool) {
 	v.srv.served(opStat)
@@ -341,6 +367,12 @@ func (v *Volume) ReadExitCode(path string) (code int, ok bool) {
 	if err != nil {
 		return 0, false
 	}
+	return ParseExitCode(data)
+}
+
+// ParseExitCode parses the contents of an exit-status file; ok is false
+// when they are not a well-formed code.
+func ParseExitCode(data []byte) (code int, ok bool) {
 	n, err := strconv.Atoi(strings.TrimSpace(string(data)))
 	if err != nil {
 		return 0, false
